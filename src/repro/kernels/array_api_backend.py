@@ -11,9 +11,10 @@ registered twice:
     replicates the reference backend's elementary operations in the
     reference's exact order — same ufuncs, same reduction orders, same
     ``bincount`` scatter orders — so this backend is *bitwise identical*
-    to the ``numpy`` backend.  CI exercises the full golden matrix
-    against it on CPU-only machines, which is what keeps the device
-    code path honest without a GPU in the loop.
+    to the ``numpy`` backend (the BGK collide is not a replica: both
+    backends register the one ``xp``-generic body).  CI exercises the
+    full golden matrix against it on CPU-only machines, which is what
+    keeps the device code path honest without a GPU in the loop.
 
 ``arrayapi:cupy``
     Registered only when :mod:`cupy` imports.  The same kernel bodies
@@ -67,26 +68,8 @@ except ImportError:
     _cupy = None
     CUPY_AVAILABLE = False
 
-from ..lbm.collision import _rho_floor, lattice_constants
-from ..lbm.lattice import D3Q19
+from ..lbm.collision import collide_bgk
 from ..lbm.streaming import _INTERIOR, _PADDED_SEGMENTS, _STREAM_SEGMENTS
-
-#: Lattice weights pre-broadcast for (Q, nx, ny, nz) products, cached
-#: per compute dtype (module level so the device const-cache sees a
-#: stable array identity per dtype).
-_W4_CACHE: dict[np.dtype, np.ndarray] = {
-    np.dtype(np.float64): np.asarray(D3Q19.w, dtype=np.float64)[
-        :, None, None, None
-    ],
-}
-
-
-def _w4_for(dtype) -> np.ndarray:
-    dt = np.dtype(dtype)
-    w4 = _W4_CACHE.get(dt)
-    if w4 is None:
-        w4 = _W4_CACHE[dt] = D3Q19.w.astype(dt)[:, None, None, None]
-    return w4
 
 
 def _xp_of(*arrays):
@@ -184,70 +167,9 @@ def sync_host(dev, host: np.ndarray | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 # LBM kernels
 # ----------------------------------------------------------------------
-def collide_bgk(f, tau, force=None, out=None, scratch=None, moments_in=None):
-    """One BGK collision step (mirror of the scratch-path reference).
-
-    ``scratch`` is accepted for signature parity but unused: this
-    backend allocates through ``xp`` so the temporaries land on whatever
-    device ``f`` lives on.  ``moments_in`` must share ``f``'s namespace.
-    The elementary op sequence matches
-    :func:`repro.lbm.collision.collide_bgk` exactly, so the numpy leg is
-    bitwise identical.
-    """
-    xp = _xp_of(f, force)
-    q = D3Q19.Q
-    cs2 = D3Q19.cs2
-    shape = f.shape[1:]
-    dt = f.dtype
-    c_host, ct_host, _ = lattice_constants(dt)
-    c = _const(c_host, xp)
-    ct = _const(ct_host, xp)
-    w4 = _const(_w4_for(dt), xp)
-    if moments_in is not None:
-        rho, mom = moments_in
-    else:
-        rho = xp.sum(f, axis=0)
-        mom = xp.matmul(ct, f.reshape(q, -1)).reshape((3,) + shape)
-    # velocity with the Guo half-force shift (mom is preserved: the
-    # solver caches it across the step boundary).
-    den = xp.maximum(rho, _rho_floor(dt))
-    if force is not None:
-        u = (xp.multiply(force, 0.5) + mom) / den
-    else:
-        u = mom / den
-    # equilibrium
-    cu = xp.matmul(c, u.reshape(3, -1)).reshape((q,) + shape)
-    usq = xp.einsum("dxyz,dxyz->xyz", u, u)
-    feq = cu / cs2
-    feq = feq + (cu * cu) / (2.0 * cs2**2)
-    usq = usq / (2.0 * cs2)
-    usq = 1.0 - usq
-    feq = feq + usq[None]
-    feq = feq * rho[None]
-    feq = feq * w4
-    # BGK relaxation
-    f_post = (f - feq) * (1.0 - 1.0 / tau)
-    f_post = f_post + feq
-    if force is not None:
-        # Guo source term (cu above is the same c.u product the
-        # reference recomputes into scratch).
-        cF = xp.matmul(c, force.reshape(3, -1)).reshape((q,) + shape)
-        uF = xp.einsum("dxyz,dxyz->xyz", u, force)
-        src = (cu * cF) / cs2**2
-        cF = (cF - uF[None]) / cs2
-        src = src + cF
-        if np.isscalar(tau) or np.ndim(tau) == 0:
-            src = src * ((1.0 - 0.5 / tau) * w4)
-        else:
-            src = src * (1.0 - 0.5 / tau)
-            src = src * w4
-        f_post = f_post + src
-    if out is not None:
-        out[...] = f_post
-        f_post = out
-    return f_post, rho, u
-
-
+# ``collide_bgk`` is :func:`repro.lbm.collision.collide_bgk` itself: that
+# body resolves ``xp`` from ``f``, so it is the same function the
+# ``numpy`` backend registers.
 def stream_pull(f_post, out=None):
     """Periodic pull streaming via the shared slice-slab segment table."""
     xp = _xp_of(f_post)

@@ -10,11 +10,51 @@ Eq. 1.  The macroscopic velocity includes the half-force correction
 ``u = (sum_i c_i f_i + F/2) / rho`` so that the scheme recovers the forced
 Navier-Stokes equations without discrete lattice artifacts.
 
-Allocation discipline: every kernel accepts optional ``out``/scratch
-buffers (bundled in :class:`CollisionScratch`) so the solver's per-step
-hot path performs O(1) large allocations.  Without scratch the functions
-allocate as before — same values either way (the in-place paths mirror
-the original elementary operations, so results agree to round-off).
+Moment-space form
+-----------------
+``f^eq`` is a second-order polynomial in ``u`` and ``S`` is bilinear in
+``(u, F)``, so with ``omega = 1/tau`` the whole update is linear in a
+handful of per-node monomials:
+
+    f_post = (1 - omega) f + [omega M | (1 - omega/2) G] @ [Phi; Psi]
+
+    Phi = (rho, rho u_a, rho u_a u_a, rho u_a u_b)            10 rows
+    Psi = (F_a, u_a F_a, u_a F_b + u_b F_a)                    9 rows
+
+``M`` (19x10) and ``G`` (19x9) depend only on ``D3Q19.c``/``w``
+(:func:`moment_operators`).  :func:`collide_bgk` builds the ``N``-sized
+monomial rows :data:`PANEL` columns at a time and hands the 19-row work
+to BLAS GEMM plus one axpy, instead of walking ``(19, N)`` arrays once
+per elementary operation.
+
+Fixed-width panels
+------------------
+BLAS rounds a column differently depending on how many columns the call
+has (tail columns take another micro-kernel), so ``A @ X[:, a:b]`` is
+*not* the same numbers as ``(A @ X)[:, a:b]``.  Every lattice GEMM here
+— the collide operator and the momentum sum in :func:`moments` — is
+therefore issued over column panels of the flattened lattice that are
+always :data:`GEMM_COLS` wide, the last one zero-padded in a contiguous
+scratch.  Each call has the identical shape, a column's result does not
+depend on its position inside the panel, and so a node's result cannot
+depend on the shape of the lattice, block or slab it sits in: a
+decomposed lattice stays bitwise equal to the single grid.  A stretch
+of nodes whose force is identically zero multiplies by the 19x10
+``omega M`` alone; extra zero terms do not change a sum, so that rule
+is invisible in the results too.
+
+Allocation discipline
+---------------------
+:class:`CollisionScratch` holds the lattice-sized ``rho``/``mom``/``u``/
+``den`` rows and three ``(19, PANEL)`` work buffers; nothing
+``(19, N)``-sized is allocated besides ``f`` and ``out`` themselves.
+With ``scratch`` and ``out`` supplied the collide allocates only the
+19x19 operator; without them it allocates what it returns plus a
+throw-away scratch — same values either way.  Strided slab views are
+packed into contiguous buffers the scratch keeps per slab shape.
+
+The kernels resolve their array namespace from ``f``, so the same body
+serves the ``numpy`` and ``arrayapi:*`` backends.
 """
 
 from __future__ import annotations
@@ -28,13 +68,34 @@ _C = np.ascontiguousarray(D3Q19.c.astype(np.float64))        # (Q, 3)
 _CT = np.ascontiguousarray(D3Q19.c.T.astype(np.float64))     # (3, Q)
 
 #: Per-compute-dtype ``(c, c.T, w)`` lattice constants.  The float64
-#: entry is seeded with the module's original arrays, so the default
-#: path stays bitwise-identical to the pre-dtype-policy code; other
-#: dtypes get cached cast copies (mixed-dtype matmuls would silently
-#: upcast every float32 collision back to float64).
+#: entry is seeded with the module's original arrays; other dtypes get
+#: cached cast copies (mixed-dtype matmuls would silently upcast every
+#: float32 collision back to float64).
 _CONSTS: dict[np.dtype, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
     np.dtype(np.float64): (_C, _CT, np.asarray(D3Q19.w, dtype=np.float64)),
 }
+
+#: Columns of every lattice GEMM call (see "Fixed-width panels").
+#: Results do not depend on the value, only speed does: 19 x 19 x 2048
+#: multiply-adds is under the size (~1e6) at which OpenBLAS hands a GEMM
+#: to its thread pool.  A second thread gains nothing on operands this
+#: small, and waking a BLAS worker that has gone to sleep cost 14-16 ms
+#: per call on the 2-CPU reference VM — more than the whole collide of a
+#: small lattice.
+GEMM_COLS = 2048
+
+#: Columns the collide works on at a time: the monomial rows are built
+#: and the axpy applied :data:`PANEL` columns at once (fewer, longer
+#: NumPy calls), while its three ``(19, PANEL)`` float64 buffers still
+#: stay cache resident.  A multiple of :data:`GEMM_COLS`.
+PANEL = 2 * GEMM_COLS
+
+#: Row counts of the monomial blocks ``Phi`` and ``[Phi; Psi]``.
+_N_PHI = 10
+_N_MONOMIALS = 19
+
+#: Index pairs of the off-diagonal second-order monomials, in row order.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def lattice_constants(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,6 +111,34 @@ def lattice_constants(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return entry
 
 
+def moment_operators() -> tuple[np.ndarray, np.ndarray]:
+    """The constant matrices ``M`` (19x10) and ``G`` (19x9), float64.
+
+    Expanding ``f_i^eq = w_i rho [1 + c.u/cs2 + (c.u)^2/(2 cs4) -
+    u.u/(2 cs2)]`` in the monomials ``Phi`` gives
+
+        M[i] = w_i (1,  c_ia/cs2,  (c_ia^2 - cs2)/(2 cs4),  c_ia c_ib/cs4)
+
+    and the Guo source ``S_i = w_i [(c_i - u)/cs2 + (c_i.u) c_i/cs4] . F``
+    in the monomials ``Psi`` gives
+
+        G[i] = w_i (c_ia/cs2,  (c_ia^2 - cs2)/cs4,  c_ia c_ib/cs4)
+
+    with ``a`` over the three axes and ``(a, b)`` over :data:`_PAIRS`.
+    """
+    c, w, cs2 = _C, D3Q19.w, D3Q19.cs2
+    cross = np.stack([c[:, a] * c[:, b] for a, b in _PAIRS], axis=1)
+    m = np.hstack([
+        np.ones((D3Q19.Q, 1)), c / cs2, (c * c - cs2) / (2.0 * cs2**2),
+        cross / cs2**2,
+    ])
+    g = np.hstack([c / cs2, (c * c - cs2) / cs2**2, cross / cs2**2])
+    return w[:, None] * m, w[:, None] * g
+
+
+_M, _G = moment_operators()
+
+
 def _rho_floor(dtype) -> float:
     """Density floor guarding the velocity division, per compute dtype."""
     if dtype == np.float64:
@@ -57,29 +146,77 @@ def _rho_floor(dtype) -> float:
     return float(np.finfo(dtype).tiny)
 
 
+def _namespace(a):
+    """Array namespace of ``a``: numpy, or the module of a device array."""
+    if isinstance(a, np.ndarray):
+        return np
+    import cupy  # only a device array gets here
+
+    return cupy.get_array_module(a)
+
+
+def _is_field(tau) -> bool:
+    return not (np.isscalar(tau) or np.ndim(tau) == 0)
+
+
 class CollisionScratch:
-    """Preallocated per-lattice temporaries for the collide hot path.
+    """Preallocated temporaries for the collide hot path.
 
     One instance per :class:`~repro.lbm.grid.Grid` shape; handing it to
-    :func:`collide_bgk` removes all full-lattice allocations from the
-    collision step.  ``dtype`` matches the grid's compute dtype.
+    :func:`collide_bgk` removes every lattice-sized allocation from the
+    collision step.  ``dtype`` matches the grid's compute dtype.  The
+    ``(19, N)`` work happens in three :data:`PANEL`-wide buffers.
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
-        q = D3Q19.Q
+        self._allocate(shape, dtype, np)
+
+    @classmethod
+    def like(cls, f) -> "CollisionScratch":
+        """Scratch for the distributions ``f``, in ``f``'s array namespace."""
+        self = cls.__new__(cls)
+        self._allocate(f.shape[1:], f.dtype, _namespace(f))
+        return self
+
+    def _allocate(self, shape, dtype, xp) -> None:
         self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        dt = self.dtype
-        self.rho = np.empty(shape, dtype=dt)
-        self.mom = np.empty((3,) + tuple(shape), dtype=dt)
-        self.u = np.empty((3,) + tuple(shape), dtype=dt)
-        self.den = np.empty(shape, dtype=dt)
-        self.usq = np.empty(shape, dtype=dt)
-        self.uF = np.empty(shape, dtype=dt)
-        self.cu = np.empty((q,) + tuple(shape), dtype=dt)
-        self.cF = np.empty((q,) + tuple(shape), dtype=dt)
-        self.feq = np.empty((q,) + tuple(shape), dtype=dt)
-        self.src = np.empty((q,) + tuple(shape), dtype=dt)
+        self.dtype = dt = np.dtype(dtype)
+        self._xp = xp
+        self.rho = xp.empty(self.shape, dtype=dt)
+        self.mom = xp.empty((3,) + self.shape, dtype=dt)
+        self.u = xp.empty((3,) + self.shape, dtype=dt)
+        self.den = xp.empty(self.shape, dtype=dt)
+        #: Monomial rows ``[Phi; Psi]``, the GEMM result, and the
+        #: ``(1 - omega) f`` term (its rows double as N-sized temporaries
+        #: before that term is formed).
+        self.monomials = xp.empty((_N_MONOMIALS, PANEL), dtype=dt)
+        self.product = xp.empty((D3Q19.Q, PANEL), dtype=dt)
+        self.work = xp.empty((D3Q19.Q, PANEL), dtype=dt)
+        self._packed: dict[str, object] = {}
+
+    def packed(self, name: str, a):
+        """Contiguous buffer shaped like the strided view ``a``, kept per name."""
+        buf = self._packed.get(name)
+        if buf is None:
+            buf = self._packed[name] = self._xp.empty(a.shape, dtype=self.dtype)
+        return buf
+
+
+def _panel_matmul(xp, a, x, out) -> None:
+    """``out[...] = a @ x``, one fixed-width column panel at a time.
+
+    ``x`` is ``(k, n)`` and ``out`` ``(m, n)``, both with unit column
+    stride.  Full panels go to BLAS as strided views; the tail is
+    zero-padded to :data:`GEMM_COLS` columns so that it is the same call.
+    """
+    n = x.shape[1]
+    full = n - n % GEMM_COLS
+    for lo in range(0, full, GEMM_COLS):
+        xp.matmul(a, x[:, lo:lo + GEMM_COLS], out=out[:, lo:lo + GEMM_COLS])
+    if full < n:
+        tail = xp.zeros((x.shape[0], GEMM_COLS), dtype=x.dtype)
+        tail[:, :n - full] = x[:, full:]
+        out[:, full:] = xp.matmul(a, tail)[:, :n - full]
 
 
 def moments(
@@ -87,18 +224,21 @@ def moments(
     out_rho: np.ndarray | None = None,
     out_mom: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Density and bare momentum (no force shift) of the distributions."""
+    """Density and bare momentum (no force shift) of the distributions.
+
+    The momentum sum ``c.T @ f`` runs over fixed-width column panels, so
+    a node's momentum does not depend on the shape of ``f``.
+    """
+    xp = _namespace(f)
     ct = lattice_constants(f.dtype)[1]
-    if out_rho is None:
-        rho = f.sum(axis=0)
-    else:
-        rho = np.sum(f, axis=0, out=out_rho)
-    if out_mom is None:
-        # momentum = sum_i c_i f_i, via BLAS-backed tensordot.
-        mom = np.tensordot(ct, f, axes=([1], [0]))
-    else:
-        np.matmul(ct, f.reshape(D3Q19.Q, -1), out=out_mom.reshape(3, -1))
-        mom = out_mom
+    if xp is not np:
+        ct = xp.asarray(ct)
+    rho = xp.sum(f, axis=0, out=out_rho)
+    mom = out_mom
+    if mom is None:
+        mom = xp.empty((3,) + f.shape[1:], dtype=f.dtype)
+    f2 = xp.ascontiguousarray(f).reshape(D3Q19.Q, -1)
+    _panel_matmul(xp, ct, f2, mom.reshape(3, -1))
     return rho, mom
 
 
@@ -151,35 +291,18 @@ def macroscopic(
     return rho, u
 
 
-def equilibrium(
-    rho: np.ndarray,
-    u: np.ndarray,
-    out: np.ndarray | None = None,
-    cu: np.ndarray | None = None,
-    usq: np.ndarray | None = None,
-) -> np.ndarray:
+def equilibrium(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Maxwell-Boltzmann equilibrium distribution f_i^eq(rho, u).
 
     Second-order expansion in the lattice velocity:
     f_i^eq = w_i rho [1 + cu/cs2 + cu^2/(2 cs4) - u.u/(2 cs2)].
-
-    ``cu`` and ``usq`` are scratch buffers (destroyed when given);
-    ``out`` receives the result.
     """
     cs2 = D3Q19.cs2
     c, _, w = lattice_constants(u.dtype)
-    if cu is None:
-        # tensordot dispatches to BLAS and beats einsum on large lattices.
-        cu = np.tensordot(c, u, axes=([1], [0]))
-    else:
-        np.matmul(c, u.reshape(3, -1), out=cu.reshape(D3Q19.Q, -1))
-    if usq is None:
-        usq = (u * u).sum(axis=0)
-    else:
-        np.einsum("dxyz,dxyz->xyz", u, u, out=usq)
-    if out is None:
-        out = np.empty_like(cu)
-    np.divide(cu, cs2, out=out)
+    # tensordot dispatches to BLAS and beats einsum on large lattices.
+    cu = np.tensordot(c, u, axes=([1], [0]))
+    usq = (u * u).sum(axis=0)
+    out = cu / cs2
     np.multiply(cu, cu, out=cu)
     cu /= 2.0 * cs2**2
     out += cu
@@ -191,49 +314,11 @@ def equilibrium(
     return out
 
 
-def guo_source(
-    u: np.ndarray,
-    force: np.ndarray,
-    tau: float | np.ndarray,
-    out: np.ndarray | None = None,
-    cu: np.ndarray | None = None,
-    cF: np.ndarray | None = None,
-    uF: np.ndarray | None = None,
-) -> np.ndarray:
-    """Guo forcing source term S_i = (1 - 1/(2 tau)) w_i [...] . F.
-
-    ``tau`` may be a scalar or an (nx, ny, nz) field (variable-viscosity
-    bulk lattices use a per-node relaxation time).  ``cu``/``cF``/``uF``
-    are scratch buffers (destroyed when given).
-    """
-    cs2 = D3Q19.cs2
-    c, _, w = lattice_constants(u.dtype)
-    if cu is None:
-        cu = np.tensordot(c, u, axes=([1], [0]))
-    else:
-        np.matmul(c, u.reshape(3, -1), out=cu.reshape(D3Q19.Q, -1))
-    if cF is None:
-        cF = np.tensordot(c, force, axes=([1], [0]))
-    else:
-        np.matmul(c, force.reshape(3, -1), out=cF.reshape(D3Q19.Q, -1))
-    if uF is None:
-        uF = (u * force).sum(axis=0)
-    else:
-        np.einsum("dxyz,dxyz->xyz", u, force, out=uF)
-    # (c_i - u)/cs2 . F  +  (c_i . u)(c_i . F)/cs2^2
-    if out is None:
-        out = np.empty_like(cu)
-    np.multiply(cu, cF, out=out)
-    out /= cs2**2
-    np.subtract(cF, uF[None], out=cF)
-    cF /= cs2
-    out += cF
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        out *= (1.0 - 0.5 / tau) * w[:, None, None, None]
-    else:
-        out *= 1.0 - 0.5 / tau
-        out *= w[:, None, None, None]
-    return out
+def _operators(xp, dtype, omega: float = 1.0, guo: float = 1.0):
+    """``omega M`` (19x10) and ``[omega M | guo G]`` (19x19) in ``dtype``."""
+    full = np.hstack([omega * _M, guo * _G]).astype(dtype)
+    phi = np.ascontiguousarray(full[:, :_N_PHI])
+    return xp.asarray(phi), xp.asarray(full)
 
 
 def collide_bgk(
@@ -244,49 +329,127 @@ def collide_bgk(
     scratch: CollisionScratch | None = None,
     moments_in: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One BGK collision step.
+    """One BGK collision step, in moment space (see the module docstring).
 
     ``tau`` may be a scalar or a per-node (nx, ny, nz) field — the latter
     realizes a spatially varying kinematic viscosity, which the coarse
     bulk lattice uses to represent the effective-viscosity map (whole
-    blood outside the window region, the window fluid inside it).
+    blood outside the window region, the window fluid inside it).  A
+    scalar ``tau`` is folded into the operator; a field scales the
+    monomial rows and the ``(1 - omega)`` factor node by node.
 
-    ``scratch`` supplies preallocated temporaries (zero full-lattice
-    allocations when both ``scratch`` and ``out`` are given);
+    ``scratch`` supplies preallocated temporaries (no lattice-sized
+    allocation when both ``scratch`` and ``out`` are given);
     ``moments_in`` lets the caller reuse cached post-stream ``(rho, mom)``
-    so the moment sums are not recomputed.
+    so the moment sums are not recomputed.  ``f``, ``out``, ``force``,
+    ``tau`` and ``moments_in`` may be strided slab views.
 
     Returns
     -------
     f_post : post-collision distributions (alias of ``out`` when given)
     rho, u : the pre-collision macroscopic fields used for the equilibrium
     """
-    if moments_in is not None:
-        rho, mom = moments_in
-    elif scratch is not None:
+    xp = _namespace(f)
+    q = D3Q19.Q
+    if scratch is None:
+        scratch = CollisionScratch.like(f)
+    if out is None:
+        out = xp.empty(f.shape, dtype=f.dtype)
+    if moments_in is None:
         rho, mom = moments(f, out_rho=scratch.rho, out_mom=scratch.mom)
     else:
-        rho, mom = moments(f)
-    if scratch is not None:
-        u = velocity_from_moments(rho, mom, force, out=scratch.u, den=scratch.den)
-        feq = equilibrium(rho, u, out=scratch.feq, cu=scratch.cu, usq=scratch.usq)
+        rho, mom = moments_in
+
+    def rows(name, a, lead):
+        if not a.flags.c_contiguous:
+            buf = scratch.packed(name, a)
+            buf[...] = a
+            a = buf
+        return a.reshape(lead, -1)
+
+    f2 = rows("f", f, q)
+    rho2 = rows("rho", rho, 1)[0]
+    mom2 = rows("mom", mom, 3)
+    force2 = None if force is None else rows("force", force, 3)
+    packed_out = None if out.flags.c_contiguous else scratch.packed("out", out)
+    out2 = (out if packed_out is None else packed_out).reshape(q, -1)
+    u2 = scratch.u.reshape(3, -1)
+    den2 = scratch.den.reshape(-1)
+
+    tau_field = _is_field(tau)
+    if tau_field:
+        tau2 = rows("tau", tau, 1)[0]
+        op_phi, op_full = _operators(xp, f.dtype)
     else:
-        u = velocity_from_moments(rho, mom, force)
-        feq = equilibrium(rho, u)
-    if out is None:
-        out = np.empty_like(f)
-    np.subtract(f, feq, out=out)
-    out *= 1.0 - 1.0 / tau
-    out += feq
-    if force is not None:
-        if scratch is not None:
-            out += guo_source(
-                u, force, tau,
-                out=scratch.src, cu=scratch.cu, cF=scratch.cF, uF=scratch.uF,
-            )
+        omega = 1.0 / float(tau)
+        keep = 1.0 - omega
+        op_phi, op_full = _operators(xp, f.dtype, omega, 1.0 - 0.5 * omega)
+
+    floor = _rho_floor(f.dtype)
+    monomials, product, work = scratch.monomials, scratch.product, scratch.work
+    n = f2.shape[1]
+    for lo in range(0, n, PANEL):
+        sl = slice(lo, min(lo + PANEL, n))
+        w = sl.stop - lo
+        # columns the GEMM pieces cover: w rounded up, the excess zeroed
+        padded = -(-w // GEMM_COLS) * GEMM_COLS
+        monomials[:, w:padded] = 0.0
+        x = monomials[:, :w]
+        r, m, u, d = rho2[sl], mom2[:, sl], u2[:, sl], den2[sl]
+        fp = None
+        if force2 is not None and bool(force2[:, sl].any()):
+            fp = force2[:, sl]
+
+        xp.maximum(r, floor, out=d)
+        if fp is None:
+            xp.divide(m, d, out=u)
         else:
-            out += guo_source(u, force, tau)
-    return out, rho, u
+            xp.multiply(fp, 0.5, out=u)
+            xp.add(u, m, out=u)
+            xp.divide(u, d, out=u)
+
+        x[0] = r
+        xp.multiply(u, r, out=x[1:4])
+        xp.multiply(x[1:4], u, out=x[4:7])
+        for row, (a, b) in enumerate(_PAIRS, start=7):
+            xp.multiply(x[1 + a], u[b], out=x[row])
+        if fp is not None:
+            psi = x[_N_PHI:]
+            psi[0:3] = fp
+            xp.multiply(u, fp, out=psi[3:6])
+            t = work[0, :w]
+            for row, (a, b) in enumerate(_PAIRS, start=6):
+                xp.multiply(u[a], fp[b], out=psi[row])
+                xp.multiply(u[b], fp[a], out=t)
+                xp.add(psi[row], t, out=psi[row])
+
+        if tau_field:
+            # den is free again: it carries omega, then (1 - omega).
+            xp.divide(1.0, tau2[sl], out=d)
+            xp.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
+            if fp is not None:
+                xp.multiply(d, -0.5, out=t)
+                xp.add(t, 1.0, out=t)
+                xp.multiply(psi, t, out=psi)
+            xp.subtract(1.0, d, out=d)
+            keep = d
+
+        # (1 - omega) f first, so that ``out`` may alias ``f``; a full
+        # panel's GEMM then lands in ``out`` directly.
+        xp.multiply(f2[:, sl], keep, out=work[:, :w])
+        target = out2[:, sl] if w == PANEL else product
+        if fp is None:
+            op, x_rows = op_phi, monomials[:_N_PHI]
+        else:
+            op, x_rows = op_full, monomials
+        for c in range(0, padded, GEMM_COLS):
+            cols = slice(c, c + GEMM_COLS)
+            xp.matmul(op, x_rows[:, cols], out=target[:, cols])
+        xp.add(target[:, :w], work[:, :w], out=out2[:, sl])
+
+    if packed_out is not None:
+        out[...] = packed_out
+    return out, rho, scratch.u
 
 
 #: Disjoint spatial slabs covering the outermost *interior* layer of a
@@ -313,25 +476,22 @@ def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
                    collide=None, moments_in=None):
     """BGK-collide a set of spatial slabs of a padded block in place.
 
-    The collision is pointwise per node, so colliding a slab view yields
-    the same per-node values as colliding the whole block — *except* for
-    the moment matmul, whose BLAS rounding depends on the column count.
-    Callers that need the split schedule bitwise-equal to the full-block
-    collide therefore pass ``moments_in``: the full block's ``(rho,
-    mom)`` computed once with :func:`moments`; per-slab views of it feed
-    the slab collides, and every remaining operation (velocity,
-    equilibrium — a k=3 contraction — and the BGK update) is verified
-    shape-stable.  ``scratch_for`` maps ``(spatial_shape, dtype)`` to a
+    The collision is pointwise per node and every lattice GEMM runs over
+    fixed-width panels, so colliding a slab view yields bitwise the same
+    per-node values as colliding the whole block.  ``moments_in`` — the
+    full block's ``(rho, mom)`` from :func:`moments` — is sliced per
+    slab so the moment sums are computed once per block, not once per
+    slab.  ``scratch_for`` maps ``(spatial_shape, dtype)`` to a
     :class:`CollisionScratch` so callers can cache per-slab-shape
-    scratch across steps; ``collide`` lets a caller substitute its
-    kernels-backend collide so the split schedule stays consistent with
-    the backend's full-block collide.
+    scratch (and its pack buffers) across steps; ``collide`` lets a
+    caller substitute its kernels-backend collide so the split schedule
+    stays consistent with the backend's full-block collide.
     """
     if out is None:
         out = np.empty_like(f)
     if collide is None:
         collide = collide_bgk
-    tau_field = not (np.isscalar(tau) or np.ndim(tau) == 0)
+    tau_field = _is_field(tau)
     for sl in slabs:
         idx = (slice(None),) + sl
         fv = f[idx]
@@ -364,8 +524,8 @@ def collide_bgk_rim(f, tau, force=None, out=None, scratch_for=None,
     post-collision values exist, the halo exchange can ship them while
     :func:`collide_bgk_interior` still runs — the overlap schedule of
     the fused pipeline.  Pass the full block's precomputed ``(rho,
-    mom)`` as ``moments_in`` to keep the split bitwise-equal to one
-    full-block collide (see :func:`_collide_slabs`).
+    mom)`` as ``moments_in`` to compute the moment sums once per block
+    (see :func:`_collide_slabs`).
     """
     return _collide_slabs(
         f, tau, _RIM_SLABS, force=force, out=out, scratch_for=scratch_for,

@@ -181,8 +181,10 @@ class ChunkRunner:
     """Executes step phases for a fixed chunk of ranks.
 
     Owns the collision scratch for its ranks (one
-    :class:`~repro.lbm.collision.CollisionScratch` per distinct padded
-    shape — chunks run their ranks sequentially, so scratch is reused
+    :class:`~repro.lbm.collision.CollisionScratch` per distinct block or
+    slab shape: the ``rho``/``mom``/``u``/``den`` rows, three
+    panel-sized GEMM buffers, and — for strided slab views — the pack
+    buffers.  Chunks run their ranks sequentially, so scratch is reused
     across same-shaped blocks without races).
 
     ``pack`` enables direction-aware packing of post-collision halo
@@ -211,10 +213,8 @@ class ChunkRunner:
         self._masks: dict[int, np.ndarray] = {}
         self._scratch: dict[tuple, CollisionScratch] = {}
         #: Per-rank cached full-block ``(rho, mom)`` buffers for the
-        #: fused split schedule (the moment matmul's BLAS rounding is
-        #: column-count-dependent, so rim and interior collides must
-        #: share ONE full-block moment pass to stay bitwise-equal to
-        #: the barriered full-block collide).
+        #: fused split schedule: rim and interior collides share ONE
+        #: full-block moment pass instead of one per slab.
         self._moments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _moments_for(self, r: int, f: np.ndarray):

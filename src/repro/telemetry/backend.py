@@ -1,4 +1,4 @@
-"""Telemetry backends and the process-local installation point.
+"""Telemetry backends and the context-local installation point.
 
 :class:`Telemetry` is the live backend: phases, metrics and events all
 feed it, and it can persist an ``events.jsonl`` stream plus an
@@ -14,11 +14,17 @@ Instrumented library code never takes a telemetry argument; it calls
     with active(tel):
         sim.step(100)
     tel.write_summary()
+
+The installed backend lives in a :class:`contextvars.ContextVar`: every
+thread starts from the null backend and installs its own, so concurrent
+jobs (the campaign scheduler's inline threads) cannot leave a stale
+backend behind for one another.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
 from pathlib import Path
 
@@ -256,27 +262,28 @@ class NullTelemetry:
 
 
 NULL = NullTelemetry()
-_current: Telemetry | NullTelemetry = NULL
+_current: contextvars.ContextVar[Telemetry | NullTelemetry] = (
+    contextvars.ContextVar("repro_telemetry", default=NULL)
+)
 
 
 def get_telemetry() -> Telemetry | NullTelemetry:
-    """The currently installed backend (NullTelemetry by default)."""
-    return _current
+    """The backend installed in this context (NullTelemetry by default)."""
+    return _current.get()
 
 
 def set_telemetry(tel: Telemetry | NullTelemetry | None):
-    """Install ``tel`` process-wide; ``None`` restores the null backend."""
-    global _current
-    _current = tel if tel is not None else NULL
-    return _current
+    """Install ``tel`` in this context; ``None`` restores the null backend."""
+    tel = tel if tel is not None else NULL
+    _current.set(tel)
+    return tel
 
 
 @contextlib.contextmanager
 def active(tel: Telemetry | NullTelemetry):
     """Scoped installation: restores the previous backend on exit."""
-    prev = get_telemetry()
-    set_telemetry(tel)
+    token = _current.set(tel)
     try:
         yield tel
     finally:
-        set_telemetry(prev)
+        _current.reset(token)

@@ -2,19 +2,58 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.lbm import D3Q19
 from repro.lbm.collision import (
+    GEMM_COLS,
+    PANEL,
+    CollisionScratch,
     collide_bgk,
     equilibrium,
-    guo_source,
     macroscopic,
+    moments,
     non_equilibrium,
 )
 
 SHAPE = (4, 5, 6)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the multi-pass collide that the moment-space GEMM form replaced
+# (equilibrium, BGK relaxation and Guo source as separate lattice-sized
+# NumPy passes).  Kept here, not in src/, as the reference the new body
+# is held to.
+
+
+def guo_source(u, force, tau):
+    """Guo forcing source term S_i = (1 - 1/(2 tau)) w_i [...] . F."""
+    cs2 = D3Q19.cs2
+    c = D3Q19.c.astype(u.dtype)
+    w = D3Q19.w.astype(u.dtype)
+    cu = np.tensordot(c, u, axes=([1], [0]))
+    cF = np.tensordot(c, force, axes=([1], [0]))
+    uF = (u * force).sum(axis=0)
+    # (c_i - u)/cs2 . F  +  (c_i . u)(c_i . F)/cs2^2
+    out = cu * cF / cs2**2 + (cF - uF[None]) / cs2
+    out *= 1.0 - 0.5 / tau
+    out *= w[:, None, None, None]
+    return out
+
+
+def collide_multipass(f, tau, force=None):
+    """One BGK collision step, pass by pass; returns ``(f_post, rho, u)``."""
+    rho = f.sum(axis=0)
+    mom = np.tensordot(D3Q19.c.T.astype(f.dtype), f, axes=([1], [0]))
+    if force is not None:
+        mom = mom + 0.5 * force
+    u = mom / rho
+    feq = equilibrium(rho, u)
+    out = (f - feq) * (1.0 - 1.0 / tau) + feq
+    if force is not None:
+        out += guo_source(u, force, tau)
+    return out, rho, u
 
 
 def _random_state(rng, u_scale=0.05):
@@ -158,3 +197,172 @@ def test_equilibrium_moment_property(ux, uy, uz, rho):
     assert np.allclose(rho2, rho)
     assert np.allclose(u2[0], ux, atol=1e-12)
     assert np.allclose(u2[2], uz, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Moment-space collide vs the multi-pass oracle
+
+#: Node counts: under one GEMM panel; exactly one work chunk; a chunk
+#: plus a tail shorter than a GEMM panel; a chunk plus a longer tail;
+#: two chunks plus a tail.
+_SHAPES = [SHAPE, (16, 16, PANEL // 256), (17, 16, 17), (17, 16, 23),
+           (21, 22, 23)]
+_FORCES = [None, "zero", "sparse", "dense"]
+
+
+def _perturbed_state(rng, shape, dtype=np.float64):
+    rho = 1.0 + 0.05 * rng.standard_normal(shape)
+    u = 0.05 * rng.standard_normal((3,) + shape)
+    f = equilibrium(rho, u) * (1.0 + 0.02 * rng.standard_normal((19,) + shape))
+    return f.astype(dtype)
+
+
+def _force(rng, shape, kind, dtype=np.float64):
+    if kind is None:
+        return None
+    force = np.zeros((3,) + shape, dtype=dtype)
+    if kind == "sparse":
+        mask = rng.random(shape) < 0.3
+        force[:, mask] = 1e-3 * rng.standard_normal((3, int(mask.sum())))
+    elif kind == "dense":
+        force[:] = 1e-3 * rng.standard_normal((3,) + shape)
+    return force
+
+
+def _tau(rng, shape, kind, dtype=np.float64):
+    if kind == "scalar":
+        return 0.8
+    return (0.6 + rng.random(shape)).astype(dtype)
+
+
+def test_shapes_cover_the_panel_cases():
+    counts = [int(np.prod(shape)) for shape in _SHAPES]
+    assert counts[0] < GEMM_COLS
+    assert counts[1] == PANEL
+    assert 0 < counts[2] - PANEL < GEMM_COLS
+    assert GEMM_COLS < counts[3] - PANEL < PANEL
+    assert counts[4] > 2 * PANEL and counts[4] % GEMM_COLS
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("force_kind", _FORCES)
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_collide_matches_multipass_oracle(rng, shape, force_kind, tau_kind,
+                                          dtype, tol):
+    f = _perturbed_state(rng, shape, dtype)
+    force = _force(rng, shape, force_kind, dtype)
+    tau = _tau(rng, shape, tau_kind, dtype)
+    want, rho_w, u_w = collide_multipass(f, tau, force)
+    got, rho_g, u_g = collide_bgk(f, tau, force)
+    scale = np.abs(want).max()
+    assert got.dtype == dtype
+    assert np.abs(got - want).max() <= tol * scale
+    assert np.abs(rho_g - rho_w).max() <= tol
+    assert np.abs(u_g - u_w).max() <= tol
+    # the scratch/out path is the same arithmetic
+    out = np.empty_like(f)
+    again, _, _ = collide_bgk(
+        f, tau, force, out=out, scratch=CollisionScratch(shape, dtype=dtype)
+    )
+    assert again is out
+    assert np.array_equal(again, got)
+
+
+@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("force_kind", _FORCES)
+def test_collide_on_strided_slab_views(rng, force_kind, tau_kind):
+    """Strided views of every operand give the packed copy's result."""
+    shape = (12, 15, 17)
+    f = _perturbed_state(rng, shape)
+    force = _force(rng, shape, force_kind)
+    tau = _tau(rng, shape, tau_kind)
+    sl = (slice(1, -1), slice(2, -2), slice(1, -3))
+    idx = (slice(None),) + sl
+    rho, mom = moments(f)
+    out = np.full_like(f, np.nan)
+    collide_bgk(
+        f[idx], tau[sl] if tau_kind == "field" else tau,
+        None if force is None else force[idx],
+        out=out[idx], moments_in=(rho[sl], mom[idx]),
+    )
+    want, _, _ = collide_bgk(
+        np.ascontiguousarray(f[idx]),
+        np.ascontiguousarray(tau[sl]) if tau_kind == "field" else tau,
+        None if force is None else np.ascontiguousarray(force[idx]),
+    )
+    assert np.array_equal(out[idx], want)
+    untouched = np.ones(shape, dtype=bool)
+    untouched[sl] = False
+    assert np.isnan(out[:, untouched]).all()
+    oracle, _, _ = collide_multipass(f, tau, force)
+    assert np.abs(want - oracle[idx]).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_collide_and_moments_do_not_depend_on_block_shape(data):
+    """A node's result is bitwise the same in any block that contains it.
+
+    Random sub-blocks of a random lattice, copied contiguous, against
+    the same nodes of the full-lattice result: this is what keeps a
+    decomposed lattice equal to the single grid, whatever the shapes.
+    (A block of one node is left out: there ``f.sum(axis=0)`` runs along
+    a contiguous axis, which NumPy sums pairwise.)
+    """
+    dims = st.integers(5, 30)
+    shape = (data.draw(dims), data.draw(dims), data.draw(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tau_kind = data.draw(st.sampled_from(["scalar", "field"]))
+    force_kind = data.draw(st.sampled_from(_FORCES))
+    f = _perturbed_state(rng, shape)
+    force = _force(rng, shape, force_kind)
+    tau = _tau(rng, shape, tau_kind)
+    rho_full, mom_full = moments(f)
+    post_full, _, u_full = collide_bgk(f, tau, force)
+    for _ in range(3):
+        sl = []
+        for n in shape:
+            lo = data.draw(st.integers(0, n - 1))
+            sl.append(slice(lo, data.draw(st.integers(lo + 1, n))))
+        sl = tuple(sl)
+        idx = (slice(None),) + sl
+        f_blk = np.ascontiguousarray(f[idx])
+        assume(f_blk[0].size > 1)
+        rho_blk, mom_blk = moments(f_blk)
+        assert np.array_equal(rho_blk, rho_full[sl])
+        assert np.array_equal(mom_blk, mom_full[idx])
+        post_blk, _, u_blk = collide_bgk(
+            f_blk,
+            np.ascontiguousarray(tau[sl]) if tau_kind == "field" else tau,
+            None if force is None else np.ascontiguousarray(force[idx]),
+        )
+        assert np.array_equal(u_blk, u_full[idx])
+        assert np.array_equal(post_blk, post_full[idx])
+
+
+@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("force_kind", _FORCES)
+def test_collide_exact_invariants(rng, force_kind, tau_kind):
+    """Sum_i f_post = rho and Sum_i c_i f_post = mom + F, to round-off."""
+    shape = (13, 14, 15)
+    f = _perturbed_state(rng, shape)
+    force = _force(rng, shape, force_kind)
+    tau = _tau(rng, shape, tau_kind)
+    rho, mom = moments(f)
+    post, _, _ = collide_bgk(f, tau, force)
+    rho_post, mom_post = moments(post)
+    assert np.abs(rho_post - rho).max() <= 1e-14
+    gained = 0.0 if force is None else force
+    assert np.abs(mom_post - (mom + gained)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+def test_zero_force_array_equals_no_force(rng, tau_kind):
+    shape = (13, 14, 15)
+    f = _perturbed_state(rng, shape)
+    tau = _tau(rng, shape, tau_kind)
+    unforced, _, u0 = collide_bgk(f, tau, None)
+    zeroed, _, u1 = collide_bgk(f, tau, np.zeros((3,) + shape))
+    assert np.array_equal(unforced, zeroed)
+    assert np.array_equal(u0, u1)

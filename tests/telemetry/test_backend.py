@@ -189,3 +189,47 @@ def test_null_telemetry_full_surface(tmp_path):
     assert tel.tracer is None
     # No files were created anywhere.
     assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_active_scopes_do_not_leak():
+    """Interleaved ``active()`` scopes on many threads stay per-thread.
+
+    The campaign scheduler runs inline jobs on threads that each do
+    ``with active(tel)``; with one shared slot, scopes that exit out of
+    order reinstall each other's (closed) backends.
+    """
+    import sys
+    import threading
+
+    n_threads, rounds = 8, 200
+    start = threading.Barrier(n_threads)
+    leaks: list[str] = []
+
+    def job(k: int) -> None:
+        mine = [Telemetry() for _ in range(2)]
+        start.wait(timeout=30)
+        for _ in range(rounds):
+            if get_telemetry() is not NULL:
+                leaks.append(f"thread {k}: foreign backend before enter")
+            with active(mine[0]):
+                with active(mine[1]):
+                    if get_telemetry() is not mine[1]:
+                        leaks.append(f"thread {k}: wrong inner backend")
+                if get_telemetry() is not mine[0]:
+                    leaks.append(f"thread {k}: wrong backend after inner exit")
+        if get_telemetry() is not NULL:
+            leaks.append(f"thread {k}: backend left installed")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=job, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert leaks == []
+    assert get_telemetry() is NULL
