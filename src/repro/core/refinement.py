@@ -26,16 +26,25 @@ Windows may span the full domain along periodic axes (``periodic_axes``),
 which the three-layer Couette verification of Section 3.1 uses: the
 window covers all of the middle viscosity layer, with ghost coupling only
 on its +/-y faces.
+
+The trilinear weights of step 3 depend only on where the window sits, so
+they are built once per placement as a sparse operator
+(:func:`interpolation_operator`) over the coarse nodes the shell actually
+reads.  Spatial interpolation and the time blend are both linear and
+commute: the coarse state is interpolated onto the shell twice per coarse
+step (before and after the coarse advance) and every sub-step only blends
+those two shell-sized arrays.  Nothing per sub-step scales with the
+coarse lattice.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
-from ..ibm.coupling import interpolate
-from ..lbm.collision import equilibrium, macroscopic
+from ..ibm.coupling import interpolate, make_stencil
+from ..lbm.collision import equilibrium, lattice_constants, macroscopic
 from ..lbm.grid import Grid
-from ..lbm.lattice import D3Q19
 from ..telemetry import get_telemetry
 from .viscosity import (
     stress_match_scale_to_coarse,
@@ -54,11 +63,48 @@ def trilinear(
     return interpolate(field, frac_coords, kernel="linear2", mode=mode)
 
 
+def interpolation_operator(
+    frac_coords: np.ndarray, coarse_shape: tuple[int, int, int], mode: str = "clip"
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """:func:`trilinear` at fixed points as a sparse matrix ``(W, src)``.
+
+    ``src`` holds the sorted flat (C-order) indices of the coarse nodes
+    the points read, and ``W`` is CSR of shape ``(N, len(src))`` with at
+    most 8 entries per row (zero weights dropped, so a point coincident
+    with a coarse node reads that node alone).  For any field ``phi`` of
+    shape ``coarse_shape``, ``W @ phi.reshape(-1)[src]`` equals
+    ``trilinear(phi, frac_coords, mode)`` to rounding.
+    """
+    stencil = make_stencil(frac_coords, coarse_shape, "linear2", mode)
+    weights = stencil.w.reshape(-1)
+    keep = np.flatnonzero(weights)
+    nodes = stencil.flat_indices()[keep]
+    # Compress columns to the nodes read (a mask pass; np.unique would
+    # sort all 8N entries).
+    read = np.zeros(int(np.prod(coarse_shape)), dtype=bool)
+    read[nodes] = True
+    src = np.flatnonzero(read)
+    cols = (np.cumsum(read) - 1)[nodes]
+    rows = keep // 8  # 2 x 2 x 2 weights per point, in point order
+    # Duplicate (row, col) pairs -- two clipped corners landing on one
+    # boundary node -- are summed by the COO -> CSR conversion.
+    op = sparse.csr_matrix(
+        (weights[keep], (rows, cols)), shape=(stencil.n_markers, len(src))
+    )
+    return op, src
+
+
+def _channels_flat(a: np.ndarray) -> np.ndarray:
+    """Lattice array ``(C, nx, ny, nz)`` as a ``(C, nx*ny*nz)`` *view*,
+    so that writes through flat node indices land in ``a`` itself."""
+    if not a.flags.c_contiguous:
+        raise ValueError("flat node indexing needs a C-contiguous lattice array")
+    return a.reshape(a.shape[0], -1)
+
+
 def _equilibrium_points(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """f^eq at scattered points: rho (N,), u (N, 3) -> (19, N)."""
-    rho3 = rho.reshape(-1, 1, 1)
-    u3 = np.moveaxis(u, -1, 0).reshape(3, -1, 1, 1)
-    feq = equilibrium(rho3, u3)
+    """f^eq at scattered points: rho (N,), u (3, N) -> (19, N)."""
+    feq = equilibrium(rho.reshape(-1, 1, 1), u.reshape(3, -1, 1, 1))
     return feq[:, :, 0, 0]
 
 
@@ -133,14 +179,32 @@ class RefinedRegion:
         self._interp_mode = "wrap" if self.periodic_axes else "clip"
         if isinstance(fg.tau, np.ndarray):
             raise ValueError("the fine window must have a uniform tau")
-        self._build_ghost_shell()
-        self._build_restriction()
-        self._state_prev: tuple | None = None
-        self._state_next: tuple | None = None
+        tel = get_telemetry()
+        with tel.phase("build_coupling"):
+            self._build_ghost_shell()
+            self._build_restriction()
+        tel.sample("refinement.ghost_nodes", len(self._ghost_flat))
+        tel.sample("refinement.ghost_source_nodes", len(self._ghost_src))
+        tel.sample("refinement.operator_nnz", self._ghost_op.nnz)
+        #: Coarse (rho, u, f^neq) on the shell, (23, N_ghost), at the start
+        #: and at the end of the current coarse step.
+        self._state_prev: np.ndarray | None = None
+        self._state_next: np.ndarray | None = None
 
     # ------------------------------------------------------------------
+    def _coarse_frac(self, fine_flat: np.ndarray) -> np.ndarray:
+        """Fractional coarse-lattice coordinates (N, 3) of flat fine nodes."""
+        fg = self.fine.grid
+        idx = np.stack(np.unravel_index(fine_flat, fg.shape), axis=1)
+        return self.coarse.grid.physical_to_index(fg.origin + fg.spacing * idx)
+
     def _build_ghost_shell(self) -> None:
-        """Fine boundary-shell node indices and their coarse frac coords."""
+        """Fine boundary-shell nodes and the operator that fills them.
+
+        Everything that depends only on the window placement: the flat
+        shell indices, the interpolation operator with the coarse source
+        nodes it reads, and the per-node f^neq rescale factor.
+        """
         fg = self.fine.grid
         mask = np.zeros(fg.shape, dtype=bool)
         for d in range(3):
@@ -153,12 +217,12 @@ class RefinedRegion:
             mask[tuple(sl_lo)] = True
             mask[tuple(sl_hi)] = True
         mask &= ~fg.solid
-        idx = np.argwhere(mask)
-        self._ghost_idx = tuple(idx.T)
-        pos = fg.origin + fg.spacing * idx
-        cg = self.coarse.grid
-        self._ghost_coarse_frac = (pos - cg.origin) / cg.spacing
-        self._ghost_scale = self._scale_to_fine(self._ghost_coarse_frac)
+        self._ghost_flat = np.flatnonzero(mask)
+        frac = self._coarse_frac(self._ghost_flat)
+        self._ghost_op, self._ghost_src = interpolation_operator(
+            frac, self.coarse.grid.shape, self._interp_mode
+        )
+        self._ghost_scale = self._scale_to_fine(frac)
 
     def _build_restriction(self) -> None:
         """Coarse interior nodes overwritten from coincident fine nodes.
@@ -193,6 +257,12 @@ class RefinedRegion:
         self._restrict_fine = tuple(fidx.T)
         for arr in self._restrict_coarse + self._restrict_fine:
             arr.flags.writeable = False
+        self._restrict_coarse_flat = np.ravel_multi_index(
+            self._restrict_coarse, cg.shape
+        )
+        self._restrict_fine_flat = np.ravel_multi_index(
+            self._restrict_fine, self.fine.grid.shape
+        )
         tau_c = cg.tau_at(cidx)
         self._restrict_scale = stress_match_scale_to_coarse(
             tau_c, self.fine.grid.tau
@@ -229,12 +299,30 @@ class RefinedRegion:
             tau_c = np.full(len(np.atleast_2d(frac_coords)), float(cg.tau))
         return stress_match_scale_to_fine(tau_c, self.fine.grid.tau)
 
-    def _coarse_state(self):
-        """(rho, u, f_neq) of the coarse grid right now."""
+    def _coarse_state_at(self, src: np.ndarray) -> np.ndarray:
+        """Stacked ``(rho, u, f^neq)`` rows, shape (23, len(src)), of the
+        coarse grid right now at flat node indices ``src``."""
         cg = self.coarse.grid
-        rho, u = macroscopic(cg.f, cg.force)
-        fneq = cg.f - equilibrium(rho, u)
-        return rho, u, fneq
+        f = _channels_flat(cg.f)[:, src]
+        rho, u = macroscopic(f, _channels_flat(cg.force)[:, src])
+        return np.concatenate([rho[None], u, f - _equilibrium_points(rho, u)])
+
+    def _interpolated_state(
+        self, op: sparse.csr_matrix, src: np.ndarray
+    ) -> np.ndarray:
+        """Coarse state interpolated by ``op`` from nodes ``src``: (23, N)."""
+        return np.ascontiguousarray((op @ self._coarse_state_at(src).T).T)
+
+    def _set_fine_nodes(
+        self, fine_flat: np.ndarray, state: np.ndarray, scale: np.ndarray
+    ) -> None:
+        """Write ``f^eq(rho, u) + scale * f^neq`` of an interpolated
+        (23, N) ``state`` into the fine nodes ``fine_flat``."""
+        fg = self.fine.grid
+        f_new = _equilibrium_points(state[0], state[1:4])
+        f_new += scale * state[4:]
+        _channels_flat(fg.f)[:, fine_flat] = f_new
+        fg.mark_f_modified()
 
     def initialize_fine_from_coarse(self) -> None:
         """Fill the whole fine lattice from the coarse solution.
@@ -244,40 +332,27 @@ class RefinedRegion:
         rescaled, so the fine window starts from a consistent flow state
         instead of quiescent fluid.
         """
-        fg = self.fine.grid
-        cg = self.coarse.grid
-        rho_c, u_c, fneq_c = self._coarse_state()
-        idx = np.argwhere(~fg.solid)
-        pos = fg.origin + fg.spacing * idx
-        frac = (pos - cg.origin) / cg.spacing
-        rho_i = trilinear(rho_c, frac, self._interp_mode)
-        u_i = trilinear(u_c, frac, self._interp_mode)
-        fneq_i = trilinear(fneq_c, frac, self._interp_mode).T  # (19, N)
-        scale = self._scale_to_fine(frac)
-        f_new = _equilibrium_points(rho_i, u_i) + scale[None, :] * fneq_i
-        fg.f[:, idx[:, 0], idx[:, 1], idx[:, 2]] = f_new
-        fg.mark_f_modified()
+        fluid = np.flatnonzero(~self.fine.grid.solid)
+        frac = self._coarse_frac(fluid)
+        op, src = interpolation_operator(
+            frac, self.coarse.grid.shape, self._interp_mode
+        )
+        self._set_fine_nodes(
+            fluid, self._interpolated_state(op, src), self._scale_to_fine(frac)
+        )
 
     def _impose_ghosts(self, theta: float) -> None:
         """Set the fine boundary shell from time-interpolated coarse state."""
-        if len(self._ghost_idx[0]) == 0:
+        if len(self._ghost_flat) == 0:
             return
-        assert self._state_prev is not None and self._state_next is not None
-        rho_a, u_a, fneq_a = self._state_prev
-        rho_b, u_b, fneq_b = self._state_next
-        rho = (1 - theta) * rho_a + theta * rho_b
-        u = (1 - theta) * u_a + theta * u_b
-        fneq = (1 - theta) * fneq_a + theta * fneq_b
-        frac = self._ghost_coarse_frac
-        rho_i = trilinear(rho, frac, self._interp_mode)
-        u_i = trilinear(u, frac, self._interp_mode)
-        fneq_i = trilinear(fneq, frac, self._interp_mode).T
-        fg = self.fine.grid
-        gi, gj, gk = self._ghost_idx
-        fg.f[:, gi, gj, gk] = (
-            _equilibrium_points(rho_i, u_i) + self._ghost_scale[None, :] * fneq_i
-        )
-        fg.mark_f_modified()
+        if self._state_prev is None or self._state_next is None:
+            raise RuntimeError(
+                "ghost shell imposed before the coarse state was captured; "
+                "advance the coupling through step()"
+            )
+        state = (1 - theta) * self._state_prev
+        state += theta * self._state_next
+        self._set_fine_nodes(self._ghost_flat, state, self._ghost_scale)
 
     def _restrict(self) -> None:
         """Overwrite interior coarse nodes from coincident fine nodes."""
@@ -285,26 +360,30 @@ class RefinedRegion:
             return
         fg = self.fine.grid
         cg = self.coarse.grid
-        fi, fj, fk = self._restrict_fine
-        f_fine = fg.f[:, fi, fj, fk]
+        f_fine = _channels_flat(fg.f)[:, self._restrict_fine_flat]
         rho = f_fine.sum(axis=0)
-        mom = np.einsum("qa,qn->an", D3Q19.c.astype(np.float64), f_fine)
-        u = (mom / rho).T  # (N, 3)
+        u = (lattice_constants(np.float64)[1] @ f_fine) / rho  # (3, N)
         feq = _equilibrium_points(rho, u)
         fneq = f_fine - feq
-        ci, cj, ck = self._restrict_coarse
-        cg.f[:, ci, cj, ck] = feq + self._restrict_scale[None, :] * fneq
+        _channels_flat(cg.f)[:, self._restrict_coarse_flat] = (
+            feq + self._restrict_scale * fneq
+        )
         cg.mark_f_modified()
 
     # ------------------------------------------------------------------
+    def _ghost_state(self) -> np.ndarray:
+        """Coarse state right now, interpolated onto the ghost shell."""
+        with get_telemetry().phase("ghost_state"):
+            return self._interpolated_state(self._ghost_op, self._ghost_src)
+
     def step(self, n_coarse: int = 1) -> None:
         """Advance the coupled system by ``n_coarse`` coarse time steps."""
         tel = get_telemetry()
         for _ in range(n_coarse):
             with tel.phase("coarse"):
-                self._state_prev = self._coarse_state()
+                self._state_prev = self._ghost_state()
                 self.coarse.step()
-                self._state_next = self._coarse_state()
+                self._state_next = self._ghost_state()
             for s in range(self.n):
                 with tel.phase("interpolate"):
                     self._impose_ghosts(theta=s / self.n)

@@ -91,11 +91,41 @@ def test_apr_step_phases_nest_and_cover():
     summary = tel.summary()
     phases = summary["phases"]
     assert phases["step"]["count"] == 4
-    for sub in ("step/coarse", "step/fine", "step/interpolate", "step/restrict"):
+    for sub in (
+        "step/coarse",
+        "step/coarse/ghost_state",
+        "step/fine",
+        "step/interpolate",
+        "step/restrict",
+    ):
         assert sub in phases, sub
+    # The coarse state goes onto the shell twice per coarse step (before
+    # and after the coarse advance); the shell is imposed n + 1 times.
+    n = sim.coupling.n
+    assert phases["step/coarse/ghost_state"]["count"] == 2 * 4
+    assert phases["step/interpolate"]["count"] == (n + 1) * 4
     # The instrumented children explain >= 90% of the step wall time
     # (the acceptance bar for the per-phase accounting).
     assert summary["phase_coverage"]["step"] >= 0.9
+
+
+def test_coupling_build_phase_and_gauges():
+    tel = Telemetry()
+    with active(tel):
+        sim = _apr_sim()
+    summary = tel.summary()
+    assert summary["phases"]["build_coupling"]["count"] == 1
+    coupling = sim.coupling
+    n_ghost = tel.gauge("refinement.ghost_nodes").value
+    fshape = np.array(sim.fine.grid.shape)
+    assert n_ghost == np.prod(fshape) - np.prod(fshape - 2)
+    n_src = tel.gauge("refinement.ghost_source_nodes").value
+    nnz = tel.gauge("refinement.operator_nnz").value
+    assert coupling._ghost_op.shape == (n_ghost, n_src)
+    # every shell node lies on a window face, so it reads at most the 4
+    # coarse nodes of one face cell, and at least itself
+    assert n_ghost <= nnz <= 4 * n_ghost
+    assert 0 < n_src < sim.coarse.grid.f[0].size
 
 
 def test_apr_diagnostics_sampled_on_cadence(tmp_path):
