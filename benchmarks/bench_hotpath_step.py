@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels as kernels_mod
 from repro.fsi import CellManager, FSIStepper
 from repro.lbm import Grid
 from repro.membrane import make_rbc
@@ -48,7 +47,6 @@ PHASES = ("forces", "spread", "collide_stream", "advect")
 def build_stepper(shape, n_cells: int, subdivisions: int, seed: int,
                   backend: str | None = None,
                   workers: int | None = None,
-                  kernels: str | None = None,
                   dtype: str | None = None) -> FSIStepper:
     """Seeded cell-laden periodic lattice driven by a body force."""
     dx = 0.65e-6
@@ -57,7 +55,7 @@ def build_stepper(shape, n_cells: int, subdivisions: int, seed: int,
     units = UnitSystem(dx, dt, 1025.0)
     grid = Grid(tuple(shape), tau=1.0, origin=np.zeros(3), spacing=dx,
                 dtype=dtype)
-    manager = CellManager(kernels=kernels)
+    manager = CellManager()
     rng = np.random.default_rng(seed)
     extent = dx * (np.asarray(shape) - 1)
     for _ in range(n_cells):
@@ -78,21 +76,15 @@ def build_stepper(shape, n_cells: int, subdivisions: int, seed: int,
         body_force=np.array([500.0, 0.0, 0.0]),
         backend=backend,
         workers=workers,
-        kernels=kernels,
     )
 
 
 def run(args, backend: str | None = None, workers: int | None = None,
-        kernels: str | None = None, dtype: str | None = None) -> dict:
+        dtype: str | None = None) -> dict:
     stepper = build_stepper(args.shape, args.cells, args.subdivisions,
                             args.seed, backend=backend, workers=workers,
-                            kernels=kernels, dtype=dtype)
+                            dtype=dtype)
     try:
-        # JIT compilation must never land inside the timed window: compile
-        # every registered kernel explicitly (recording per-kernel compile
-        # seconds), then run the untimed warmup steps so any residual
-        # call-site specializations compile too.
-        jit_compile_s = kernels_mod.warmup(stepper.kernels)
         stepper.step(args.warmup)
 
         tel = Telemetry(meta={"benchmark": "hotpath_step"})
@@ -118,9 +110,7 @@ def run(args, backend: str | None = None, workers: int | None = None,
             "n_vertices": n_vertices,
             "backend": stepper.backend,
             "workers": stepper.n_workers,
-            "kernels": stepper.kernels,
             "dtype": stepper.grid.dtype.name,
-            "jit_compile_s": jit_compile_s,
         }
     finally:
         stepper.close()
@@ -140,7 +130,7 @@ def run_sweep(args, serial: dict) -> dict:
             continue
         curves[backend] = {}
         for w in args.sweep_workers:
-            r = run(args, backend=backend, workers=w, kernels=args.kernels)
+            r = run(args, backend=backend, workers=w)
             r["speedup_vs_serial"] = (
                 serial["total_ms_per_step"] / r["total_ms_per_step"]
             )
@@ -179,11 +169,6 @@ def main(argv=None) -> int:
                              "(default: REPRO_PARALLEL_BACKEND or serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="FSI worker count for the main run")
-    parser.add_argument("--kernels", default=None,
-                        choices=("numpy", "numba", "arrayapi:numpy",
-                                 "arrayapi:cupy"),
-                        help="compute-kernel backend for the hot loops "
-                             "(default: REPRO_KERNELS or numpy)")
     parser.add_argument("--dtype", default=None,
                         choices=("float32", "float64"),
                         help="Eulerian compute dtype for the main run "
@@ -191,7 +176,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sweep-dtypes", nargs="+", default=None,
                         choices=("float32", "float64"),
                         help="also record a float32-vs-float64 phase curve "
-                             "(same backend/kernels as the main run)")
+                             "(same backend as the main run)")
     parser.add_argument("--sweep-backends", nargs="+", default=None,
                         choices=("serial", "threads", "processes"),
                         help="also record serial-vs-parallel phase curves "
@@ -206,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args, backend=args.backend, workers=args.workers,
-                 kernels=args.kernels, dtype=args.dtype)
+                 dtype=args.dtype)
     record = {
         "benchmark": "hotpath_step",
         "config": {
@@ -218,7 +203,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "backend": result["backend"],
             "workers": result["workers"],
-            "kernels": result["kernels"],
             "dtype": result["dtype"],
         },
         "machine": machine_info(),
@@ -227,16 +211,14 @@ def main(argv=None) -> int:
     if args.sweep_backends:
         serial = (result
                   if result["backend"] == "serial"
-                  else run(args, backend="serial", kernels=args.kernels,
-                           dtype=args.dtype))
+                  else run(args, backend="serial", dtype=args.dtype))
         record["parallel"] = run_sweep(args, serial)
     if args.sweep_dtypes:
         curve = {}
         for dt in args.sweep_dtypes:
             curve[dt] = (result if dt == result["dtype"]
                          else run(args, backend=args.backend,
-                                  workers=args.workers,
-                                  kernels=args.kernels, dtype=dt))
+                                  workers=args.workers, dtype=dt))
         record["dtype_curve"] = curve
         if {"float32", "float64"} <= curve.keys():
             record["dtype_speedup_float32"] = (
@@ -269,17 +251,13 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     print(f"hotpath_step [{result['backend']} x{result['workers']}, "
-          f"kernels={result['kernels']}, dtype={result['dtype']}]: "
+          f"dtype={result['dtype']}]: "
           f"{result['total_ms_per_step']:.2f} ms/step "
           f"({result['steps_per_s']:.1f} steps/s), "
           f"{result['n_cells']} cells / {result['n_vertices']} vertices")
     for name in PHASES:
         if name in result["phase_ms_per_step"]:
             print(f"  {name:<16} {result['phase_ms_per_step'][name]:8.3f} ms/step")
-    if result["jit_compile_s"]:
-        total_jit = sum(result["jit_compile_s"].values())
-        print(f"  jit compile: {total_jit:.2f} s total "
-              f"(excluded from timed window)")
     if "speedup_vs_baseline" in record:
         print(f"  speedup vs baseline: {record['speedup_vs_baseline']:.2f}x")
     if args.sweep_dtypes and "dtype_curve" in record:

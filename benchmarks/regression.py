@@ -113,15 +113,17 @@ def collect_comm_records(doc, prefix: str = "") -> dict[str, dict[str, float]]:
 
 #: Config keys that are *measurements*, not workload parameters: older
 #: hot-path artifacts stamped per-kernel JIT compile seconds into their
-#: config, which made every warm/cold pair look like different workloads.
+#: config, which made every warm/cold pair look like different workloads
+#: (new artifacts no longer record the key; committed ones still do).
 CONFIG_MEASUREMENT_KEYS = frozenset({"jit_compile_s"})
 
-#: Workload keys absent from older artifacts, with the value those
-#: artifacts implicitly ran under.  A pre-dispatch baseline (no
-#: ``kernels`` key) really did run the numpy float64 path, so it strict-
-#: compares against a modern artifact that says so explicitly; likewise
-#: a pre-packed-halo scaling baseline ran full-rim barriered exchange
-#: on the surface-minimizing uniform decomposition.
+#: Workload keys absent from some artifacts, with the value those
+#: artifacts implicitly ran under.  ``kernels`` is recorded only by the
+#: artifacts written while a kernels-backend switch existed; every
+#: artifact before and after it ran the one NumPy kernel set, so they
+#: strict-compare against the committed ones that say ``numpy``.
+#: Likewise a pre-packed-halo scaling baseline ran full-rim barriered
+#: exchange on the surface-minimizing uniform decomposition.
 CONFIG_DEFAULTS = {
     "kernels": "numpy",
     "dtype": "float64",
@@ -154,10 +156,10 @@ def normalize_config(config: dict | None) -> dict:
 def configs_match(baseline: dict, current: dict) -> bool:
     """True when the two artifacts measured the same workload.
 
-    Compares normalized configs: the kernels backend and compute dtype
-    participate in workload identity (a numba or float32 run is *not*
-    the same workload as the numpy float64 reference), while recorded
-    measurements like JIT compile times do not.
+    Compares normalized configs: the compute dtype participates in
+    workload identity (a float32 run is *not* the same workload as the
+    float64 reference), while recorded measurements like JIT compile
+    times do not.
     """
     return normalize_config(baseline.get("config")) == normalize_config(
         current.get("config")

@@ -21,6 +21,7 @@ Package map (details in DESIGN.md):
 * :mod:`repro.fsi` — cell-laden flow (the eFSI reference model)
 * :mod:`repro.core` — the APR contribution: coupling, window, seeding,
   hematocrit maintenance, moving window, CTC tracking
+* :mod:`repro.kernels` — compute-dtype resolution (``REPRO_DTYPE``)
 * :mod:`repro.geometry` — SDF primitives, OFF I/O, synthetic vasculature
 * :mod:`repro.parallel` — virtual-MPI runtime with halo accounting
 * :mod:`repro.perfmodel` — memory/scaling/cost models of the paper's

@@ -347,69 +347,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    """Report kernel backends: availability, active selection, warmup cost."""
+    """Report the compute dtype of the lattice kernels and its source."""
     import os
-    import warnings
 
-    from . import kernels as K
+    from .kernels import DTYPE_ENV_VAR, resolve_dtype
 
-    avail = K.available_backends()
-    reasons = {
-        "numba": "numba not importable; requests fall back to numpy",
-        "arrayapi:cupy": "cupy not importable; requests fall back to "
-                         "arrayapi:numpy",
-    }
-    print("kernel backends:")
-    for b in sorted(set(K.BACKEND_IDS) | set(avail)):
-        if b in avail:
-            note = "available" + (" (reference)" if b == "numpy" else "")
-        else:
-            note = f"unavailable ({reasons.get(b, 'not registered')})"
-        print(f"  {b:<16} {note}")
-
-    env = os.environ.get(K.ENV_VAR)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fallback shown inline instead
-        active = K.resolve_kernels()
-    if args.kernels is not None:
-        source = "--kernels"  # main() published it via REPRO_KERNELS
-    elif env:
-        source = f"{K.ENV_VAR}={env}"
-    else:
-        source = "default"
-    requested = env or K.DEFAULT_BACKEND
-    fell_back = f" (requested {requested!r}, fell back)" \
-        if active != requested else ""
-    print(f"active backend: {active} [{source}]{fell_back}")
-
-    denv = os.environ.get(K.DTYPE_ENV_VAR)
-    dt = K.resolve_dtype()
-    dsource = f"{K.DTYPE_ENV_VAR}={denv}" if denv else "default"
-    print(f"compute dtype: {dt.name} [{dsource}]")
-    print(f"kernels ({len(K.KERNEL_NAMES)}): {', '.join(K.KERNEL_NAMES)}")
-
-    if args.warmup:
-        seconds = K.warmup(active)
-        if not seconds:
-            print(f"warmup: no-op for backend {active!r} "
-                  "(nothing to compile)")
-        else:
-            print("warmup (per-kernel compile/first-call seconds):")
-            for name in K.KERNEL_NAMES:
-                if name in seconds:
-                    print(f"  {name:<20} {seconds[name]:8.3f} s")
-            print(f"  {'total':<20} {sum(seconds.values()):8.3f} s")
+    env = os.environ.get(DTYPE_ENV_VAR)
+    source = f"{DTYPE_ENV_VAR}={env}" if env else "default"
+    print(f"compute dtype: {resolve_dtype().name} [{source}]")
     return 0
-
-
-def _add_kernels_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kernels",
-        choices=("numpy", "numba", "arrayapi:numpy", "arrayapi:cupy"),
-        default=None,
-        help="compute-kernel backend for the hot loops "
-             "(default: REPRO_KERNELS or numpy)",
-    )
 
 
 def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
@@ -447,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=12)
     p.add_argument("--steps", type=int, default=1500)
     p.add_argument("--csv", type=str, default=None)
-    _add_kernels_flag(p)
     _add_telemetry_flag(p)
     _add_serve_flag(p)
     p.set_defaults(func=_cmd_shear)
@@ -455,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tube", help="Fig. 5 hematocrit maintenance")
     p.add_argument("--hematocrit", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=100)
-    _add_kernels_flag(p)
     _add_telemetry_flag(p)
     _add_serve_flag(p)
     p.set_defaults(func=_cmd_tube)
@@ -464,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("apr", "efsi"), default="apr")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=100)
-    _add_kernels_flag(p)
     _add_telemetry_flag(p)
     _add_serve_flag(p)
     p.set_defaults(func=_cmd_channel)
@@ -532,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: REPRO_PARALLEL_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None,
                    help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
-    _add_kernels_flag(p)
     _add_telemetry_flag(p)
     _add_serve_flag(p)
     p.set_defaults(func=_cmd_profile)
@@ -556,20 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: REPRO_PARALLEL_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None,
                    help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
-    _add_kernels_flag(p)
     _add_telemetry_flag(p)
     _add_serve_flag(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
         "kernels",
-        help="inspect compute-kernel backends: availability, the active "
-             "selection and its source, and optional JIT warmup timings",
+        help="report the compute dtype of the lattice kernels and "
+             "where it was selected (REPRO_DTYPE or the default)",
     )
-    _add_kernels_flag(p)
-    p.add_argument("--warmup", action="store_true",
-                   help="compile/first-call every kernel of the active "
-                        "backend and report per-kernel seconds")
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser(
@@ -613,13 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None) is not None:
-        # Experiments build their steppers internally, so the kernels
-        # choice travels via the env var (which resolve_kernels gives
-        # precedence over constructor arguments anyway).
-        import os
-
-        os.environ["REPRO_KERNELS"] = args.kernels
     tdir = getattr(args, "telemetry_dir", None)
     if tdir is not None and args.command not in ("profile", "trace"):
         # Opt-in telemetry wrapper for the plain experiment subcommands;

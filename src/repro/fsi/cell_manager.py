@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels import get_kernel_table, resolve_kernels
+from ..membrane.bending import bending_forces
 from ..membrane.cell import Cell, CellKind
+from ..membrane.constraints import area_volume_forces
+from ..membrane.skalak import skalak_forces
 from ..telemetry import get_telemetry
 from .pool import VertexPool
 
@@ -75,10 +77,7 @@ class CellManager:
         self,
         contact_cutoff: float = 0.5e-6,
         contact_stiffness: float = 2.0e-10,
-        kernels: str | None = None,
     ):
-        self.kernels = resolve_kernels(kernels)
-        self._kt = get_kernel_table(self.kernels)
         self._groups: dict[tuple, _Group] = {}
         self._by_id: dict[int, tuple[tuple, int]] = {}  # id -> (group key, idx)
         self._next_id = 0
@@ -290,7 +289,7 @@ class CellManager:
         key = (self._generation, self._position_version, float(cell_size))
         if self._subgrid is not None and self._subgrid_key == key:
             return self._subgrid
-        sg = UniformSubgrid(cell_size=cell_size, kernels=self.kernels)
+        sg = UniformSubgrid(cell_size=cell_size)
         p = self._refresh_packed_vertices()
         if p.cells:
             gids = np.fromiter(
@@ -335,11 +334,9 @@ class CellManager:
         ref = group.reference
         sample = group.cells[0]
         batch = group.pool.gather(slots)
-        f = self._kt["skalak_forces"](
-            batch, ref, sample.shear_modulus, sample.skalak_C
-        )
-        f += self._kt["bending_forces"](batch, ref.quads, ref.theta0, sample.k_bend)
-        f += self._kt["area_volume_forces"](
+        f = skalak_forces(batch, ref, sample.shear_modulus, sample.skalak_C)
+        f += bending_forces(batch, ref.quads, ref.theta0, sample.k_bend)
+        f += area_volume_forces(
             batch, ref.faces, ref.area0, ref.volume0,
             sample.k_area, sample.k_volume,
         )
@@ -379,8 +376,7 @@ class CellManager:
             f = self._group_membrane_forces(group, slots)
             p.forces[start:stop] = f.reshape(-1, 3)
         p.forces += contact_forces(
-            p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness,
-            table=self._kt,
+            p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness
         )
         return p.forces, p.verts, p.cells
 

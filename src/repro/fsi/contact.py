@@ -18,11 +18,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Reference kernel body lives in the registry's numpy backend (definition
-# site chosen to keep ``repro.kernels`` import-cycle-free); re-exported
-# here because this module is its natural API home.
-from ..kernels.numpy_backend import contact_scatter  # noqa: F401
-
 #: Reusable scratch arrays, keyed by role; the vertex count is stable
 #: between membership changes, so the per-step hot path reallocates
 #: nothing.  Callers fold the returned forces into their own accumulator
@@ -37,12 +32,38 @@ def _scratch_buf(key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return buf
 
 
+def contact_scatter(vertices, i, j, cutoff, stiffness, out):
+    """Contact pair force compute + equal-and-opposite scatter.
+
+    ``(i, j)`` are the inter-cell vertex pairs already found by the
+    KDTree in :func:`contact_forces`; ``out`` is the zeroed (N, 3) force
+    accumulator, overwritten per component.
+    """
+    n = len(vertices)
+    d = vertices[i] - vertices[j]
+    r = np.linalg.norm(d, axis=1)
+    r = np.maximum(r, 1e-12 * cutoff)
+    mag = stiffness * (1.0 - r / cutoff)
+    fij = (mag / r)[:, None] * d
+    # bincount over the stacked (i, j) index — same dense-scatter pattern
+    # as ibm.coupling.spread_with_stencil.  Summation order per vertex:
+    # +fij contributions in pair order, then -fij.
+    m = len(i)
+    idx = _scratch_buf("pair_idx", (2 * m,), np.int64)
+    idx[:m] = i
+    idx[m:] = j
+    w = _scratch_buf("pair_w", (2 * m,))
+    for axis in range(3):
+        w[:m] = fij[:, axis]
+        np.negative(fij[:, axis], out=w[m:])
+        out[:, axis] = np.bincount(idx, weights=w, minlength=n)
+
+
 def contact_forces(
     vertices: np.ndarray,
     cell_index: np.ndarray,
     cutoff: float,
     stiffness: float,
-    table: dict | None = None,
 ) -> np.ndarray:
     """Pairwise repulsive forces between vertices of different cells.
 
@@ -56,10 +77,6 @@ def contact_forces(
         Interaction range r_c [m].
     stiffness:
         Peak force k_c at contact [N].
-    table:
-        Optional resolved kernel table (``repro.kernels.get_kernel_table``);
-        its ``contact_scatter`` entry replaces the reference pair-force
-        compute + scatter.
 
     Returns
     -------
@@ -79,6 +96,5 @@ def contact_forces(
     i, j = i[inter], j[inter]
     if len(i) == 0:
         return forces
-    scatter = table["contact_scatter"] if table is not None else contact_scatter
-    scatter(vertices, i, j, cutoff, stiffness, forces)
+    contact_scatter(vertices, i, j, cutoff, stiffness, forces)
     return forces

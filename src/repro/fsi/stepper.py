@@ -69,11 +69,6 @@ class FSIStepper:
         Executor backend and worker count for the parallel FSI runtime
         (``None``: resolve from the ``REPRO_PARALLEL_*`` environment,
         defaulting to ``serial``).
-    kernels:
-        Kernels backend for the compiled hot paths (``"numpy"`` |
-        ``"numba"`` | ``"arrayapi:numpy"`` | ``"arrayapi:cupy"``;
-        ``None`` resolves via ``REPRO_KERNELS``, which also overrides an
-        explicit argument — see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -90,21 +85,14 @@ class FSIStepper:
         wall_stiffness: float = 2.0e-10,
         backend: str | None = None,
         workers: int | None = None,
-        kernels: str | None = None,
     ) -> None:
-        from ..kernels import resolve_kernels
-
         self.grid = grid
         self.units = units
-        self.kernels = resolve_kernels(kernels)
-        self.cells = (
-            cells if cells is not None else CellManager(kernels=self.kernels)
-        )
+        self.cells = cells if cells is not None else CellManager()
         # Retained for direct IBM access (tests, diagnostics); the hot
         # path routes through the parallel runtime instead.
-        self.coupler = IBMCoupler(grid, kernel=kernel, mode=mode,
-                                  kernels=self.kernels)
-        self.solver = LBMSolver(grid, boundaries, kernels=self.kernels)
+        self.coupler = IBMCoupler(grid, kernel=kernel, mode=mode)
+        self.solver = LBMSolver(grid, boundaries)
         self.kernel = kernel
         self.mode = mode
         self.wall_geometry = wall_geometry
@@ -141,7 +129,6 @@ class FSIStepper:
                 mode=self.mode,
                 backend=self.backend,
                 n_workers=self.n_workers,
-                kernels=self.kernels,
             )
         return self._runtime
 

@@ -23,31 +23,28 @@ from __future__ import annotations
 
 import numpy as np
 
-# Reference kernel body lives in the registry's numpy backend (definition
-# site chosen to keep ``repro.kernels`` import-cycle-free); re-exported
-# here because this module is its natural API home.
-from ..kernels.numpy_backend import subgrid_query  # noqa: F401
-
 #: The 27 neighbor-bin offsets of a one-ring search, shape (27, 3).
 _NEIGHBOR_OFFSETS = np.stack(
     np.meshgrid(*([np.arange(-1, 2)] * 3), indexing="ij"), axis=-1
 ).reshape(-1, 3)
 
 
-class UniformSubgrid:
-    """Hash grid over 3D points supporting fixed-radius neighbor queries.
+def subgrid_query(stored, slot, points, probe, radius):
+    """Candidate distance filter of the radius queries.
 
-    ``kernels`` selects the compute backend for the batched candidate
-    distance filter (the hot loop of :meth:`query_labels_near`); the bin
-    bookkeeping itself stays numpy.
+    ``(slot, probe)`` are the candidate pairs from the 27-bin ring;
+    returns the boolean hit mask ``|stored[slot] - points[probe]| <= r``.
     """
+    d2 = ((stored[slot] - points[probe]) ** 2).sum(axis=1)
+    return d2 <= radius * radius
 
-    def __init__(self, cell_size: float, kernels: str | None = None):
+
+class UniformSubgrid:
+    """Hash grid over 3D points supporting fixed-radius neighbor queries."""
+
+    def __init__(self, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
-        from ..kernels import get_kernel  # deferred: registry imports us
-
-        self._query_kernel = get_kernel("subgrid_query", kernels)
         self.cell_size = float(cell_size)
         self._points = np.empty((0, 3), dtype=np.float64)
         self._labels = np.empty(0, dtype=np.int64)
@@ -173,7 +170,7 @@ class UniformSubgrid:
         slot, probe = self._candidates(point)
         if len(slot) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        mask = self._query_kernel(self._points, slot, point, probe, radius)
+        mask = subgrid_query(self._points, slot, point, probe, radius)
         hit = np.asarray(slot[mask], dtype=np.int64)
         return hit, self._labels[hit]
 
@@ -188,6 +185,6 @@ class UniformSubgrid:
         slot, probe = self._candidates(points)
         if len(slot) == 0:
             return set()
-        mask = self._query_kernel(self._points, slot, points, probe, radius)
+        mask = subgrid_query(self._points, slot, points, probe, radius)
         hit = slot[mask]
         return set(np.unique(self._labels[hit]).tolist())

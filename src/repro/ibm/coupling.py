@@ -203,9 +203,6 @@ class IBMCoupler:
         Delta kernel name or instance (default: the paper's cosine4).
     mode:
         'clip' for bounded windows, 'wrap' for periodic domains.
-    kernels:
-        Kernels backend for the spread/interp inner loops (``"numpy"`` |
-        ``"numba"``; ``None`` resolves via ``REPRO_KERNELS``).
 
     Within one FSI step the stepper calls :meth:`begin_step` with the
     packed vertex array, then both :meth:`spread_forces` and
@@ -215,14 +212,10 @@ class IBMCoupler:
     """
 
     def __init__(self, grid, kernel: DeltaKernel | str = "cosine4",
-                 mode: str = "clip", kernels: str | None = None):
-        from ..kernels import get_kernel_table, resolve_kernels
-
+                 mode: str = "clip"):
         self.grid = grid
         self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
         self.mode = mode
-        self.kernels = resolve_kernels(kernels)
-        self._kt = get_kernel_table(self.kernels)
         self._stencil: Stencil | None = None
         self._stencil_pos: np.ndarray | None = None
         # Reusable scratch: the (N, S, S, S) weight tensor and the
@@ -290,12 +283,12 @@ class IBMCoupler:
     def interpolate_velocity(self, positions: np.ndarray, u_lattice: np.ndarray) -> np.ndarray:
         """Lattice-units velocity at physical marker positions."""
         stencil, _ = self._stencil_for(positions)
-        return self._kt["ibm_interp"](u_lattice, stencil)
+        return interpolate_with_stencil(u_lattice, stencil)
 
     def spread_forces(self, positions: np.ndarray, forces_lattice: np.ndarray) -> None:
         """Add lattice-units nodal forces into the grid's force field."""
         stencil, cached = self._stencil_for(positions)
-        self._kt["ibm_spread"](
+        spread_with_stencil(
             forces_lattice,
             stencil,
             self.grid.force,

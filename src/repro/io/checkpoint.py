@@ -95,9 +95,7 @@ def _restore_field(arr: np.ndarray, dtype: np.dtype, name: str) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def load_checkpoint(
-    path: str | Path, dtype=None, kernels: str | None = None
-) -> dict:
+def load_checkpoint(path: str | Path, dtype=None) -> dict:
     """Restore a checkpoint; returns a dict with step, fields, manager.
 
     Cells are rebuilt against freshly cached reference states of their
@@ -108,8 +106,7 @@ def load_checkpoint(
     into (``None`` resolves via ``REPRO_DTYPE``; see
     :func:`repro.kernels.resolve_dtype`) — restoring a float64 archive
     into a float32 run emits a :class:`RuntimeWarning` for the precision
-    loss, while a same-dtype restore stays bit-exact.  ``kernels``
-    selects the rebuilt :class:`CellManager`'s kernel backend.
+    loss, while a same-dtype restore stays bit-exact.
     """
     dtype = resolve_dtype(dtype)
     data = np.load(path, allow_pickle=False)
@@ -128,7 +125,7 @@ def load_checkpoint(
     if "f_fine" in data:
         out["f_fine"] = _restore_field(data["f_fine"], dtype, "f_fine")
     if "cell_ids" in data:
-        manager = CellManager(kernels=kernels)
+        manager = CellManager()
         ids = data["cell_ids"]
         kinds = data["cell_kinds"]
         gs = data["cell_gs"]

@@ -1,84 +1,22 @@
-"""Compiled-kernel dispatch layer for the FSI hot paths.
+"""Compute-dtype resolution, and the names the end-to-end benchmark reads.
 
-The four dominant per-step phases — BGK collide(+stream), Skalak and
-bending membrane forces, and IBM spread/interp — are registered here as
-named kernels with one implementation per *kernels backend*:
-
-* ``numpy`` — the existing allocation-free NumPy code, refactored behind
-  the interface as the reference implementation (bitwise identical to
-  the pre-dispatch hot path);
-* ``numba`` — ``@njit(parallel=True, cache=True, fastmath=False)``
-  compiled loops (:mod:`repro.kernels.numba_backend`), held to the NumPy
-  serial trajectory within 1e-12 by the golden kernels×backend matrix
-  (bitwise equality is not promised: compiled loops reassociate the
-  moment/force reductions);
-* ``arrayapi:numpy`` / ``arrayapi:cupy`` — one device-portable
-  implementation (:mod:`repro.kernels.array_api_backend`) written against
-  a duck-typed array namespace ``xp``.  On the numpy namespace it mirrors
-  the reference's elementary operation order, so ``arrayapi:numpy`` is
-  bitwise identical to ``numpy`` (CI-testable without a GPU); the cupy
-  namespace registers automatically when CuPy imports and keeps ``f``,
-  packed vertices, and IBM scratch resident on the device across steps.
-
-Selection follows the established ``REPRO_PARALLEL_*`` pattern with one
-deliberate inversion: the ``REPRO_KERNELS`` environment variable, when
-set, **wins over** the constructor argument, so a CI leg or an operator
-can force every solver in a process onto one backend without touching
-call sites.  When numba is requested but absent (or its import fails),
-selection falls back to NumPy with a one-time warning; likewise
-``arrayapi:cupy`` without an importable CuPy falls back to
-``arrayapi:numpy``.
-
-The compute dtype follows the same precedence via ``REPRO_DTYPE``
-(:func:`resolve_dtype`): ``float32`` halves the Eulerian memory
-bandwidth on CPU and is the native fast path on GPU; the Lagrangian
-membrane state stays float64 by design (see docs/performance.md).
-
-The seam is a plain name → backend → callable registry: a new backend
-registers its adapters under a backend name via :func:`register_backend`
-and every call site picks it up through the same
-:func:`get_kernel_table` — no call-site changes required.
+Every hot-path kernel has one implementation, which product code
+imports from its home module (``repro.lbm.collision``,
+``repro.lbm.streaming``, ``repro.membrane``, ``repro.ibm.coupling``,
+``repro.fsi.contact``, ...).  What lives here is :func:`resolve_dtype`
+and the two calls ``benchmarks/e2e`` makes to record its configuration
+and time the bare collide and stream (:func:`resolve_kernels`,
+:func:`get_kernel_table`).  docs/performance.md, "Backend decisions",
+says why the compiled and array-API backends were removed and what
+would bring one back.
 """
 
 from __future__ import annotations
 
 import os
-import time
-import warnings
 from typing import Callable
 
 import numpy as np
-
-#: Environment variable selecting the kernels backend process-wide.
-ENV_VAR = "REPRO_KERNELS"
-
-#: Backend used when neither ``REPRO_KERNELS`` nor a constructor argument
-#: selects one.
-DEFAULT_BACKEND = "numpy"
-
-#: Kernel names every backend must (or may) implement.  The numpy backend
-#: implements all of them; other backends may implement a subset and
-#: inherit the numpy reference for the rest (see :func:`get_kernel_table`).
-KERNEL_NAMES = (
-    "collide_bgk",
-    "collide_bgk_rim",
-    "collide_bgk_interior",
-    "stream_pull",
-    "stream_pull_padded",
-    "skalak_forces",
-    "bending_forces",
-    "area_volume_forces",
-    "local_area_forces",
-    "contact_scatter",
-    "subgrid_query",
-    "ibm_interp",
-    "ibm_spread",
-    "ibm_spread_contrib",
-    "ibm_spread_scatter",
-)
-
-#: Stable numeric ids for the ``kernels.backend`` telemetry gauge.
-BACKEND_IDS = {"numpy": 0, "numba": 1, "arrayapi:numpy": 2, "arrayapi:cupy": 3}
 
 #: Environment variable selecting the compute dtype process-wide.
 DTYPE_ENV_VAR = "REPRO_DTYPE"
@@ -90,22 +28,16 @@ DEFAULT_DTYPE = "float64"
 #: Supported compute dtypes for the Eulerian (lattice) state.
 DTYPE_NAMES = ("float32", "float64")
 
-#: name -> backend -> callable.  Populated by the backend modules below.
-_REGISTRY: dict[str, dict[str, Callable]] = {name: {} for name in KERNEL_NAMES}
-
-_warned_fallback = False
-_warned_cupy_fallback = False
-
 
 def resolve_dtype(dtype=None) -> "np.dtype":
     """Resolve a compute-dtype request against the environment.
 
-    Precedence matches :func:`resolve_kernels`: the ``REPRO_DTYPE``
-    environment variable, when set, **wins over** the ``dtype`` argument,
-    which wins over :data:`DEFAULT_DTYPE`.  Accepts dtype names, numpy
-    dtypes, or scalar types; only ``float32``/``float64`` are valid
-    compute dtypes (the Lagrangian membrane state stays float64
-    regardless — see docs/performance.md).
+    Precedence: the ``REPRO_DTYPE`` environment variable, when set,
+    **wins over** the ``dtype`` argument, which wins over
+    :data:`DEFAULT_DTYPE`.  Accepts dtype names, numpy dtypes, or scalar
+    types; only ``float32``/``float64`` are valid compute dtypes (the
+    Lagrangian membrane state stays float64 regardless — see
+    docs/performance.md).
     """
     env = os.environ.get(DTYPE_ENV_VAR)
     requested = env if env else (dtype if dtype is not None else DEFAULT_DTYPE)
@@ -126,196 +58,33 @@ def resolve_dtype(dtype=None) -> "np.dtype":
     return resolved
 
 
-def register_kernel(name: str, backend: str, fn: Callable | None = None) -> Callable:
-    """Register ``fn`` as the ``backend`` implementation of kernel ``name``.
-
-    Unknown names extend the registry (a backend may ship extra kernels);
-    re-registration overwrites, so reloading a backend module is safe.
-    Without ``fn`` returns a decorator: ``@register_kernel(name, backend)``.
-    """
-    if fn is None:
-        def deco(f: Callable) -> Callable:
-            _REGISTRY.setdefault(name, {})[backend] = f
-            return f
-
-        return deco
-    _REGISTRY.setdefault(name, {})[backend] = fn
-    return fn
-
-
-def register_backend(backend: str, table: dict[str, Callable]) -> None:
-    """Register a whole backend at once (``{kernel_name: callable}``)."""
-    for name, fn in table.items():
-        register_kernel(name, backend, fn)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Kernels backends usable in this process, reference first.
-
-    CLI, docs examples, and the test suite use this probe to skip the
-    numba legs gracefully when numba is not installed.
-    """
-    backends = ["numpy"]
-    if _numba_backend.NUMBA_AVAILABLE:
-        backends.append("numba")
-    # Any future registered backend (e.g. cupy) shows up automatically.
-    for name in _REGISTRY.values():
-        for backend in name:
-            if backend not in backends:
-                backends.append(backend)
-    return tuple(backends)
-
-
-def _known_backends() -> tuple[str, ...]:
-    # ``numba`` and ``arrayapi:cupy`` are always *known* (requesting them
-    # is never a typo) even when their imports are absent — requests fall
-    # back gracefully in :func:`resolve_kernels` instead of raising.
-    known = {"numpy", "numba", "arrayapi:cupy"}
-    for impls in _REGISTRY.values():
-        known.update(impls)
-    return tuple(sorted(known))
-
-
 def resolve_kernels(backend: str | None = None) -> str:
-    """Resolve a kernels-backend request against env and availability.
+    """Name of the kernel set in use: always ``"numpy"``.
 
-    Precedence: ``REPRO_KERNELS`` env var (when set) > ``backend``
-    argument > :data:`DEFAULT_BACKEND`.  A request for ``numba`` when
-    numba is absent (or failed to import) falls back to ``"numpy"`` with
-    a one-time :class:`RuntimeWarning`; a request for ``arrayapi:cupy``
-    when CuPy is absent likewise falls back to ``"arrayapi:numpy"`` (the
-    same device-portable code on the host namespace).  Unknown names
-    raise.
+    Any other name raises — there is nothing to select.
     """
-    global _warned_fallback, _warned_cupy_fallback
-    env = os.environ.get(ENV_VAR)
-    requested = env if env else (backend if backend is not None else DEFAULT_BACKEND)
-    if requested not in _known_backends():
-        source = f"{ENV_VAR}={env!r}" if env else f"backend={backend!r}"
+    if backend not in (None, "numpy"):
         raise ValueError(
-            f"unknown kernels backend {requested!r} (from {source}); "
-            f"pick one of {_known_backends()}"
+            f"unknown kernels backend {backend!r}; the only kernel set is "
+            "'numpy' (see docs/performance.md, 'Backend decisions')"
         )
-    if requested == "numba" and not _numba_backend.NUMBA_AVAILABLE:
-        if not _warned_fallback:
-            warnings.warn(
-                "kernels backend 'numba' requested but numba is not "
-                "importable; falling back to the NumPy reference kernels "
-                "(pip install 'repro[jit]' to enable compiled kernels)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_fallback = True
-        return "numpy"
-    if requested == "arrayapi:cupy" and not _array_api_backend.CUPY_AVAILABLE:
-        if not _warned_cupy_fallback:
-            warnings.warn(
-                "kernels backend 'arrayapi:cupy' requested but cupy is not "
-                "importable; falling back to the same array-API kernels on "
-                "the host numpy namespace ('arrayapi:numpy')",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_cupy_fallback = True
-        return "arrayapi:numpy"
-    return requested
+    return "numpy"
 
 
-def get_kernel(name: str, backend: str | None = None) -> Callable:
-    """The ``name`` kernel for the resolved ``backend``.
+def get_kernel_table() -> dict[str, Callable]:
+    """The collide and stream functions ``LBMSolver.step`` calls."""
+    # repro.lbm.grid imports resolve_dtype from this module.
+    from ..lbm.collision import collide_bgk
+    from ..lbm.streaming import stream_pull
 
-    Falls back to the numpy reference implementation when the resolved
-    backend does not provide this kernel (partial backends are allowed).
-    """
-    impls = _REGISTRY.get(name)
-    if not impls:
-        raise KeyError(
-            f"unknown kernel {name!r}; registered kernels: "
-            f"{tuple(sorted(_REGISTRY))}"
-        )
-    resolved = resolve_kernels(backend)
-    fn = impls.get(resolved)
-    if fn is None:
-        fn = impls["numpy"]
-    return fn
+    return {"collide_bgk": collide_bgk, "stream_pull": stream_pull}
 
-
-def get_kernel_table(backend: str | None = None) -> dict[str, Callable]:
-    """Resolved name → callable table for one backend.
-
-    Also publishes the resolved choice on the ``kernels.backend``
-    telemetry gauge (:data:`BACKEND_IDS` maps names to gauge values) —
-    a no-op when telemetry is inactive.
-    """
-    resolved = resolve_kernels(backend)
-    table = {
-        name: impls.get(resolved, impls.get("numpy"))
-        for name, impls in _REGISTRY.items()
-        if impls
-    }
-    from ..telemetry import get_telemetry
-
-    get_telemetry().gauge("kernels.backend").set(
-        float(BACKEND_IDS.get(resolved, -1))
-    )
-    return table
-
-
-def warmup(backend: str | None = None) -> dict[str, float]:
-    """Trigger JIT compilation of every kernel of the resolved backend.
-
-    Returns per-kernel wall seconds of the first (compiling) call on
-    tiny representative inputs — the number the hot-path benchmark
-    records so compile time is visibly excluded from its timed window.
-    Empty for the numpy backend (nothing to compile).  With numba's
-    ``cache=True`` a warmed disk cache makes subsequent runs cheap; the
-    reported times reflect whatever this process actually paid.
-    """
-    resolved = resolve_kernels(backend)
-    if resolved == "numba" and _numba_backend.NUMBA_AVAILABLE:
-        calls = _numba_backend.warmup_calls()
-    elif resolved.startswith("arrayapi:"):
-        # Nothing to compile on the host namespace; on cupy the tiny
-        # calls trigger the per-kernel RawModule/ufunc compilations and
-        # the initial device allocations outside any timed window.
-        calls = _array_api_backend.warmup_calls(resolved)
-    else:
-        return {}
-    times: dict[str, float] = {}
-    for name, call in calls:
-        t0 = time.perf_counter()
-        call()
-        times[name] = time.perf_counter() - t0
-    return times
-
-
-# Backend imports live at the bottom, after every registry function is
-# defined: the numpy backend reaches into ``repro.fsi`` (whose stepper
-# pulls ``repro.parallel``, which imports this module's resolve/table
-# functions at top level), so the registry API must be complete before
-# those modules execute.  Import order: numpy first (the reference), then
-# numba (gated — the module always imports, registration happens only
-# when numba itself imported cleanly), then the array-API backend
-# (``arrayapi:numpy`` always registers; ``arrayapi:cupy`` only when CuPy
-# itself imported cleanly).
-from . import numpy_backend as _numpy_backend  # noqa: E402
-from . import numba_backend as _numba_backend  # noqa: E402
-from . import array_api_backend as _array_api_backend  # noqa: E402
 
 __all__ = [
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
     "DTYPE_ENV_VAR",
     "DEFAULT_DTYPE",
     "DTYPE_NAMES",
-    "KERNEL_NAMES",
-    "BACKEND_IDS",
-    "available_backends",
-    "get_kernel",
     "get_kernel_table",
-    "register_kernel",
-    "register_backend",
     "resolve_dtype",
     "resolve_kernels",
-    "warmup",
 ]

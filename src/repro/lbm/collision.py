@@ -52,9 +52,6 @@ With ``scratch`` and ``out`` supplied the collide allocates only the
 19x19 operator; without them it allocates what it returns plus a
 throw-away scratch — same values either way.  Strided slab views are
 packed into contiguous buffers the scratch keeps per slab shape.
-
-The kernels resolve their array namespace from ``f``, so the same body
-serves the ``numpy`` and ``arrayapi:*`` backends.
 """
 
 from __future__ import annotations
@@ -146,15 +143,6 @@ def _rho_floor(dtype) -> float:
     return float(np.finfo(dtype).tiny)
 
 
-def _namespace(a):
-    """Array namespace of ``a``: numpy, or the module of a device array."""
-    if isinstance(a, np.ndarray):
-        return np
-    import cupy  # only a device array gets here
-
-    return cupy.get_array_module(a)
-
-
 def _is_field(tau) -> bool:
     return not (np.isscalar(tau) or np.ndim(tau) == 0)
 
@@ -169,40 +157,29 @@ class CollisionScratch:
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
-        self._allocate(shape, dtype, np)
-
-    @classmethod
-    def like(cls, f) -> "CollisionScratch":
-        """Scratch for the distributions ``f``, in ``f``'s array namespace."""
-        self = cls.__new__(cls)
-        self._allocate(f.shape[1:], f.dtype, _namespace(f))
-        return self
-
-    def _allocate(self, shape, dtype, xp) -> None:
         self.shape = tuple(shape)
         self.dtype = dt = np.dtype(dtype)
-        self._xp = xp
-        self.rho = xp.empty(self.shape, dtype=dt)
-        self.mom = xp.empty((3,) + self.shape, dtype=dt)
-        self.u = xp.empty((3,) + self.shape, dtype=dt)
-        self.den = xp.empty(self.shape, dtype=dt)
+        self.rho = np.empty(self.shape, dtype=dt)
+        self.mom = np.empty((3,) + self.shape, dtype=dt)
+        self.u = np.empty((3,) + self.shape, dtype=dt)
+        self.den = np.empty(self.shape, dtype=dt)
         #: Monomial rows ``[Phi; Psi]``, the GEMM result, and the
         #: ``(1 - omega) f`` term (its rows double as N-sized temporaries
         #: before that term is formed).
-        self.monomials = xp.empty((_N_MONOMIALS, PANEL), dtype=dt)
-        self.product = xp.empty((D3Q19.Q, PANEL), dtype=dt)
-        self.work = xp.empty((D3Q19.Q, PANEL), dtype=dt)
-        self._packed: dict[str, object] = {}
+        self.monomials = np.empty((_N_MONOMIALS, PANEL), dtype=dt)
+        self.product = np.empty((D3Q19.Q, PANEL), dtype=dt)
+        self.work = np.empty((D3Q19.Q, PANEL), dtype=dt)
+        self._packed: dict[str, np.ndarray] = {}
 
     def packed(self, name: str, a):
         """Contiguous buffer shaped like the strided view ``a``, kept per name."""
         buf = self._packed.get(name)
         if buf is None:
-            buf = self._packed[name] = self._xp.empty(a.shape, dtype=self.dtype)
+            buf = self._packed[name] = np.empty(a.shape, dtype=self.dtype)
         return buf
 
 
-def _panel_matmul(xp, a, x, out) -> None:
+def _panel_matmul(a, x, out) -> None:
     """``out[...] = a @ x``, one fixed-width column panel at a time.
 
     ``x`` is ``(k, n)`` and ``out`` ``(m, n)``, both with unit column
@@ -212,11 +189,11 @@ def _panel_matmul(xp, a, x, out) -> None:
     n = x.shape[1]
     full = n - n % GEMM_COLS
     for lo in range(0, full, GEMM_COLS):
-        xp.matmul(a, x[:, lo:lo + GEMM_COLS], out=out[:, lo:lo + GEMM_COLS])
+        np.matmul(a, x[:, lo:lo + GEMM_COLS], out=out[:, lo:lo + GEMM_COLS])
     if full < n:
-        tail = xp.zeros((x.shape[0], GEMM_COLS), dtype=x.dtype)
+        tail = np.zeros((x.shape[0], GEMM_COLS), dtype=x.dtype)
         tail[:, :n - full] = x[:, full:]
-        out[:, full:] = xp.matmul(a, tail)[:, :n - full]
+        out[:, full:] = np.matmul(a, tail)[:, :n - full]
 
 
 def moments(
@@ -229,16 +206,13 @@ def moments(
     The momentum sum ``c.T @ f`` runs over fixed-width column panels, so
     a node's momentum does not depend on the shape of ``f``.
     """
-    xp = _namespace(f)
     ct = lattice_constants(f.dtype)[1]
-    if xp is not np:
-        ct = xp.asarray(ct)
-    rho = xp.sum(f, axis=0, out=out_rho)
+    rho = np.sum(f, axis=0, out=out_rho)
     mom = out_mom
     if mom is None:
-        mom = xp.empty((3,) + f.shape[1:], dtype=f.dtype)
-    f2 = xp.ascontiguousarray(f).reshape(D3Q19.Q, -1)
-    _panel_matmul(xp, ct, f2, mom.reshape(3, -1))
+        mom = np.empty((3,) + f.shape[1:], dtype=f.dtype)
+    f2 = np.ascontiguousarray(f).reshape(D3Q19.Q, -1)
+    _panel_matmul(ct, f2, mom.reshape(3, -1))
     return rho, mom
 
 
@@ -314,11 +288,10 @@ def equilibrium(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operators(xp, dtype, omega: float = 1.0, guo: float = 1.0):
+def _operators(dtype, omega: float = 1.0, guo: float = 1.0):
     """``omega M`` (19x10) and ``[omega M | guo G]`` (19x19) in ``dtype``."""
     full = np.hstack([omega * _M, guo * _G]).astype(dtype)
-    phi = np.ascontiguousarray(full[:, :_N_PHI])
-    return xp.asarray(phi), xp.asarray(full)
+    return np.ascontiguousarray(full[:, :_N_PHI]), full
 
 
 def collide_bgk(
@@ -349,12 +322,11 @@ def collide_bgk(
     f_post : post-collision distributions (alias of ``out`` when given)
     rho, u : the pre-collision macroscopic fields used for the equilibrium
     """
-    xp = _namespace(f)
     q = D3Q19.Q
     if scratch is None:
-        scratch = CollisionScratch.like(f)
+        scratch = CollisionScratch(f.shape[1:], dtype=f.dtype)
     if out is None:
-        out = xp.empty(f.shape, dtype=f.dtype)
+        out = np.empty(f.shape, dtype=f.dtype)
     if moments_in is None:
         rho, mom = moments(f, out_rho=scratch.rho, out_mom=scratch.mom)
     else:
@@ -379,11 +351,11 @@ def collide_bgk(
     tau_field = _is_field(tau)
     if tau_field:
         tau2 = rows("tau", tau, 1)[0]
-        op_phi, op_full = _operators(xp, f.dtype)
+        op_phi, op_full = _operators(f.dtype)
     else:
         omega = 1.0 / float(tau)
         keep = 1.0 - omega
-        op_phi, op_full = _operators(xp, f.dtype, omega, 1.0 - 0.5 * omega)
+        op_phi, op_full = _operators(f.dtype, omega, 1.0 - 0.5 * omega)
 
     floor = _rho_floor(f.dtype)
     monomials, product, work = scratch.monomials, scratch.product, scratch.work
@@ -400,43 +372,43 @@ def collide_bgk(
         if force2 is not None and bool(force2[:, sl].any()):
             fp = force2[:, sl]
 
-        xp.maximum(r, floor, out=d)
+        np.maximum(r, floor, out=d)
         if fp is None:
-            xp.divide(m, d, out=u)
+            np.divide(m, d, out=u)
         else:
-            xp.multiply(fp, 0.5, out=u)
-            xp.add(u, m, out=u)
-            xp.divide(u, d, out=u)
+            np.multiply(fp, 0.5, out=u)
+            np.add(u, m, out=u)
+            np.divide(u, d, out=u)
 
         x[0] = r
-        xp.multiply(u, r, out=x[1:4])
-        xp.multiply(x[1:4], u, out=x[4:7])
+        np.multiply(u, r, out=x[1:4])
+        np.multiply(x[1:4], u, out=x[4:7])
         for row, (a, b) in enumerate(_PAIRS, start=7):
-            xp.multiply(x[1 + a], u[b], out=x[row])
+            np.multiply(x[1 + a], u[b], out=x[row])
         if fp is not None:
             psi = x[_N_PHI:]
             psi[0:3] = fp
-            xp.multiply(u, fp, out=psi[3:6])
+            np.multiply(u, fp, out=psi[3:6])
             t = work[0, :w]
             for row, (a, b) in enumerate(_PAIRS, start=6):
-                xp.multiply(u[a], fp[b], out=psi[row])
-                xp.multiply(u[b], fp[a], out=t)
-                xp.add(psi[row], t, out=psi[row])
+                np.multiply(u[a], fp[b], out=psi[row])
+                np.multiply(u[b], fp[a], out=t)
+                np.add(psi[row], t, out=psi[row])
 
         if tau_field:
             # den is free again: it carries omega, then (1 - omega).
-            xp.divide(1.0, tau2[sl], out=d)
-            xp.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
+            np.divide(1.0, tau2[sl], out=d)
+            np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
             if fp is not None:
-                xp.multiply(d, -0.5, out=t)
-                xp.add(t, 1.0, out=t)
-                xp.multiply(psi, t, out=psi)
-            xp.subtract(1.0, d, out=d)
+                np.multiply(d, -0.5, out=t)
+                np.add(t, 1.0, out=t)
+                np.multiply(psi, t, out=psi)
+            np.subtract(1.0, d, out=d)
             keep = d
 
         # (1 - omega) f first, so that ``out`` may alias ``f``; a full
         # panel's GEMM then lands in ``out`` directly.
-        xp.multiply(f2[:, sl], keep, out=work[:, :w])
+        np.multiply(f2[:, sl], keep, out=work[:, :w])
         target = out2[:, sl] if w == PANEL else product
         if fp is None:
             op, x_rows = op_phi, monomials[:_N_PHI]
@@ -444,8 +416,8 @@ def collide_bgk(
             op, x_rows = op_full, monomials
         for c in range(0, padded, GEMM_COLS):
             cols = slice(c, c + GEMM_COLS)
-            xp.matmul(op, x_rows[:, cols], out=target[:, cols])
-        xp.add(target[:, :w], work[:, :w], out=out2[:, sl])
+            np.matmul(op, x_rows[:, cols], out=target[:, cols])
+        np.add(target[:, :w], work[:, :w], out=out2[:, sl])
 
     if packed_out is not None:
         out[...] = packed_out
@@ -473,7 +445,7 @@ _DEEP_INTERIOR = (slice(2, -2), slice(2, -2), slice(2, -2))
 
 
 def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
-                   collide=None, moments_in=None):
+                   moments_in=None):
     """BGK-collide a set of spatial slabs of a padded block in place.
 
     The collision is pointwise per node and every lattice GEMM runs over
@@ -483,14 +455,10 @@ def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
     slab so the moment sums are computed once per block, not once per
     slab.  ``scratch_for`` maps ``(spatial_shape, dtype)`` to a
     :class:`CollisionScratch` so callers can cache per-slab-shape
-    scratch (and its pack buffers) across steps; ``collide`` lets a
-    caller substitute its kernels-backend collide so the split schedule
-    stays consistent with the backend's full-block collide.
+    scratch (and its pack buffers) across steps.
     """
     if out is None:
         out = np.empty_like(f)
-    if collide is None:
-        collide = collide_bgk
     tau_field = _is_field(tau)
     for sl in slabs:
         idx = (slice(None),) + sl
@@ -502,7 +470,7 @@ def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
             if scratch_for is not None
             else None
         )
-        collide(
+        collide_bgk(
             fv,
             tau[sl] if tau_field else tau,
             force=force[idx] if force is not None else None,
@@ -517,7 +485,7 @@ def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
 
 
 def collide_bgk_rim(f, tau, force=None, out=None, scratch_for=None,
-                    collide=None, moments_in=None):
+                    moments_in=None):
     """Collide only the one-node rim of a padded block's interior.
 
     First half of the fused distributed step: once the rim's
@@ -529,16 +497,16 @@ def collide_bgk_rim(f, tau, force=None, out=None, scratch_for=None,
     """
     return _collide_slabs(
         f, tau, _RIM_SLABS, force=force, out=out, scratch_for=scratch_for,
-        collide=collide, moments_in=moments_in,
+        moments_in=moments_in,
     )
 
 
 def collide_bgk_interior(f, tau, force=None, out=None, scratch_for=None,
-                         collide=None, moments_in=None):
+                         moments_in=None):
     """Collide the deep interior of a padded block (everything but the rim)."""
     return _collide_slabs(
         f, tau, (_DEEP_INTERIOR,), force=force, out=out,
-        scratch_for=scratch_for, collide=collide, moments_in=moments_in,
+        scratch_for=scratch_for, moments_in=moments_in,
     )
 
 

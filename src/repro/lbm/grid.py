@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..kernels import resolve_dtype
 from .lattice import D3Q19
 from .collision import equilibrium
 
@@ -49,8 +50,6 @@ class Grid:
     dtype: object = None
 
     def __post_init__(self) -> None:
-        from ..kernels import resolve_dtype  # deferred: import order
-
         self.dtype = resolve_dtype(self.dtype)
         nx, ny, nz = self.shape
         if min(self.shape) < 1:

@@ -21,14 +21,15 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..kernels import get_kernel_table, resolve_kernels
 from ..telemetry import get_telemetry
 from .collision import (
     CollisionScratch,
+    collide_bgk,
     moments,
     velocity_from_moments,
 )
 from .grid import Grid
+from .streaming import stream_pull
 
 
 class BoundaryHandler(Protocol):
@@ -50,10 +51,6 @@ class LBMSolver:
         Optional callable invoked with the solver before each collision;
         the FSI layer uses this to spread membrane forces into
         ``grid.force`` (Eq. 6 of the paper).
-    kernels:
-        Kernels backend for the collide/stream hot path (``"numpy"`` |
-        ``"numba"``; ``None`` resolves via ``REPRO_KERNELS``, which also
-        overrides an explicit argument — see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -62,7 +59,6 @@ class LBMSolver:
         boundaries: Sequence[BoundaryHandler] = (),
         pre_collision_hook: Callable[["LBMSolver"], None] | None = None,
         collision: str = "bgk",
-        kernels: str | None = None,
     ) -> None:
         self.grid = grid
         self.boundaries = list(boundaries)
@@ -72,8 +68,6 @@ class LBMSolver:
         if collision == "mrt" and isinstance(grid.tau, np.ndarray):
             raise ValueError("MRT collision requires a uniform tau")
         self.collision = collision
-        self.kernels = resolve_kernels(kernels)
-        self._kernel_table = get_kernel_table(self.kernels)
         self.step_count = 0
         # Last macroscopic fields, refreshed each step (pre-collision values).
         self.rho = np.ones(grid.shape, dtype=grid.dtype)
@@ -107,7 +101,7 @@ class LBMSolver:
 
             return collide_mrt(g.f, float(g.tau), out=g.f_post)
         rho, mom = self._moments()
-        return self._kernel_table["collide_bgk"](
+        return collide_bgk(
             g.f, g.tau, g.force,
             out=g.f_post, scratch=self._scratch, moments_in=(rho, mom),
         )
@@ -116,14 +110,13 @@ class LBMSolver:
         """Advance the lattice by ``n`` time steps."""
         g = self.grid
         tel = get_telemetry()
-        stream = self._kernel_table["stream_pull"]
         for _ in range(n):
             if self.pre_collision_hook is not None:
                 self.pre_collision_hook(self)
             with tel.phase("kernels/collide_bgk"):
                 f_post, self.rho, self.u = self._collide()
             with tel.phase("kernels/stream_pull"):
-                stream(f_post, out=g.f)
+                stream_pull(f_post, out=g.f)
             for bc in self.boundaries:
                 bc.apply(g.f, f_post)
             g.f_version += 1

@@ -240,27 +240,3 @@ class BlockDecomposition:
         local = self.local_shape(rank)
         padded = np.prod([local[d] + 2 * width for d in range(3)])
         return int(padded - np.prod(local))
-
-    def rebalance_hint(
-        self, seconds_by_rank: dict[int, float]
-    ) -> list[np.ndarray]:
-        """Fold measured per-rank seconds into per-axis split weights.
-
-        Each rank's measured seconds (e.g. summed
-        ``DistributedLBMSolver.rank_phase_seconds``) are spread uniformly
-        over its extent on every axis; the returned three 1-D profiles
-        feed the ``weights`` parameter of a fresh decomposition, moving
-        planes toward the slow ranks.  Ranks missing from the dict
-        contribute nothing (their cells keep whatever weight overlapping
-        ranks give them).
-        """
-        hints = [np.zeros(self.shape[d], dtype=np.float64) for d in range(3)]
-        for rank, seconds in seconds_by_rank.items():
-            b = self.blocks[rank]
-            s = float(seconds)
-            if s <= 0.0:
-                continue
-            for d in range(3):
-                extent = b.hi[d] - b.lo[d]
-                hints[d][b.lo[d] : b.hi[d]] += s / extent
-        return hints

@@ -41,6 +41,7 @@ import os
 
 import numpy as np
 
+from ..kernels import resolve_dtype
 from ..lbm.lattice import D3Q19
 from ..telemetry import get_telemetry
 from .decomposition import BlockDecomposition
@@ -61,7 +62,7 @@ _FALSY = frozenset(("0", "false", "no", "off"))
 
 
 def _resolve_env_flag(env_var: str, arg: bool | None) -> bool:
-    """Boolean knob resolution, ``REPRO_KERNELS`` precedence: env wins.
+    """Boolean knob resolution, ``REPRO_DTYPE`` precedence: env wins.
 
     The environment variable, when set (and non-empty), **wins over**
     the constructor argument, so a CI leg or an operator can force every
@@ -113,10 +114,6 @@ class DistributedLBMSolver:
     halo_mode:
         ``"exchange"`` (ship post-collision halos) or ``"recompute"``
         (pre-exchange ``f`` and redundantly collide the ghost rim).
-    kernels:
-        Kernels backend for the rank-local collide/stream
-        (``"numpy"`` | ``"numba"``; ``None`` resolves via
-        ``REPRO_KERNELS``, which also overrides an explicit argument).
     dtype:
         Compute dtype for the rank-local distribution blocks
         (``"float32"`` | ``"float64"``; ``None`` resolves via
@@ -141,7 +138,7 @@ class DistributedLBMSolver:
     halo_pack:
         Direction-aware halo packing (exchange mode only); ``None``
         resolves via ``REPRO_HALO_PACK``, which **wins over** an
-        explicit argument (``REPRO_KERNELS`` precedence).
+        explicit argument (``REPRO_DTYPE`` precedence).
     overlap:
         Fused single-round-trip step pipeline; ``None`` resolves via
         ``REPRO_DIST_OVERLAP`` (env wins, same precedence).
@@ -160,7 +157,6 @@ class DistributedLBMSolver:
         backend: str | None = None,
         n_workers: int | None = None,
         halo_mode: str = "exchange",
-        kernels: str | None = None,
         dtype=None,
         dims: tuple[int, int, int] | None = None,
         periodic: tuple[bool, bool, bool] = (True, True, True),
@@ -196,9 +192,6 @@ class DistributedLBMSolver:
         self.backend, self.n_workers = resolve_backend(
             backend, n_workers, n_tasks
         )
-        from ..kernels import resolve_dtype, resolve_kernels
-
-        self.kernels = resolve_kernels(kernels)
         self.dtype = resolve_dtype(dtype)
         self.blocks = RankBlocks(
             self.decomp, shared=(self.backend == "processes"),
@@ -216,8 +209,7 @@ class DistributedLBMSolver:
             }
         self.executor = make_executor(
             self.backend, self.blocks, self.tau, self.n_workers,
-            kernels=self.kernels, halo_mode=self.halo_mode,
-            pack=self.halo_pack, solid=rank_solid,
+            halo_mode=self.halo_mode, pack=self.halo_pack, solid=rank_solid,
         )
         self.step_count = 0
         self._steps_at_reset = 0
@@ -379,20 +371,6 @@ class DistributedLBMSolver:
         if steps == 0:
             return 0.0
         return self.halo.counters.bytes_sent / steps
-
-    def rebalance_hint(self) -> list:
-        """Per-axis split weights from the measured per-rank seconds.
-
-        Sums :attr:`rank_phase_seconds` across phases and folds the
-        totals into :meth:`BlockDecomposition.rebalance_hint` — feed the
-        result to a fresh decomposition's ``weights`` to move planes
-        toward the measured-slow ranks.
-        """
-        totals: dict[int, float] = {}
-        for acc in self.rank_phase_seconds.values():
-            for rank, seconds in acc.items():
-                totals[rank] = totals.get(rank, 0.0) + seconds
-        return self.decomp.rebalance_hint(totals)
 
     def reset_counters(self) -> None:
         """Zero comm counters and per-rank timers for a new bench phase.

@@ -56,11 +56,20 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..kernels import get_kernel_table, resolve_kernels
 from ..lbm.boundaries import apply_bounce_back
-from ..lbm.collision import CollisionScratch, moments
+from ..lbm.collision import (
+    CollisionScratch,
+    collide_bgk,
+    collide_bgk_interior,
+    collide_bgk_rim,
+    moments,
+)
 from ..lbm.lattice import D3Q19
-from ..lbm.streaming import _INTERIOR, padded_upwind_solid_masks
+from ..lbm.streaming import (
+    _INTERIOR,
+    padded_upwind_solid_masks,
+    stream_pull_padded,
+)
 from .decomposition import BlockDecomposition
 from .halo import fill_rank_halo
 
@@ -195,18 +204,11 @@ class ChunkRunner:
     """
 
     def __init__(self, ranks: list[int], decomp: BlockDecomposition,
-                 tau: float, kernels: str | None = None,
-                 halo_mode: str = "exchange", pack: bool = False,
+                 tau: float, halo_mode: str = "exchange", pack: bool = False,
                  solid: dict[int, np.ndarray] | None = None):
         self.ranks = list(ranks)
         self.decomp = decomp
         self.tau = float(tau)
-        self.kernels = resolve_kernels(kernels)
-        table = get_kernel_table(self.kernels)
-        self._collide = table["collide_bgk"]
-        self._collide_rim = table["collide_bgk_rim"]
-        self._collide_interior = table["collide_bgk_interior"]
-        self._stream_padded = table["stream_pull_padded"]
         self.halo_mode = halo_mode
         self.pack = bool(pack)
         self.solid = solid
@@ -238,7 +240,7 @@ class ChunkRunner:
 
     def _stream(self, r: int, f_arrs, post_arrs) -> None:
         """Pull-stream one rank's interior, then bounce back at walls."""
-        self._stream_padded(post_arrs[r], out=f_arrs[r])
+        stream_pull_padded(post_arrs[r], out=f_arrs[r])
         if self.solid is None:
             return
         solid_padded = self.solid.get(r)
@@ -277,7 +279,7 @@ class ChunkRunner:
                 # rim is overwritten by the halo fill; in recompute mode
                 # the rim was pre-exchanged, so colliding it *is* the
                 # paper's recompute-instead-of-communicate trick.
-                self._collide(
+                collide_bgk(
                     f_arrs[r],
                     self.tau,
                     out=post_arrs[r],
@@ -336,9 +338,9 @@ class ChunkRunner:
             # chunk clears the barrier — while interiors still collide.
             for r in self.ranks:
                 t0 = perf_counter()
-                self._collide_rim(
+                collide_bgk_rim(
                     f_arrs[r], self.tau, out=post_arrs[r],
-                    scratch_for=self._scratch_for, collide=self._collide,
+                    scratch_for=self._scratch_for,
                     moments_in=self._moments_for(r, f_arrs[r]),
                 )
                 mark(r, "collide", t0, perf_counter())
@@ -350,9 +352,9 @@ class ChunkRunner:
                 )
                 t1 = perf_counter()
                 mark(r, "halo", t0, t1)
-                self._collide_interior(
+                collide_bgk_interior(
                     f_arrs[r], self.tau, out=post_arrs[r],
-                    scratch_for=self._scratch_for, collide=self._collide,
+                    scratch_for=self._scratch_for,
                     moments_in=self._moments[r],
                 )
                 t2 = perf_counter()
@@ -371,7 +373,7 @@ class ChunkRunner:
             wait_s = self._barrier_wait(barrier)
             for r in self.ranks:
                 t0 = perf_counter()
-                self._collide(
+                collide_bgk(
                     f_arrs[r], self.tau, out=post_arrs[r],
                     scratch=self._scratch_for(
                         f_arrs[r].shape[1:], f_arrs[r].dtype
@@ -469,13 +471,12 @@ class SerialExecutor:
     backend = "serial"
 
     def __init__(self, blocks: RankBlocks, tau: float, n_workers: int = 1,
-                 kernels: str | None = None, halo_mode: str = "exchange",
-                 pack: bool = False,
+                 halo_mode: str = "exchange", pack: bool = False,
                  solid: dict[int, np.ndarray] | None = None):
         self.blocks = blocks
         self.n_workers = 1
         self._runner = ChunkRunner(
-            list(range(blocks.decomp.n_tasks)), blocks.decomp, tau, kernels,
+            list(range(blocks.decomp.n_tasks)), blocks.decomp, tau,
             halo_mode=halo_mode, pack=pack, solid=solid,
         )
         self._pending: PhaseResult | None = None
@@ -517,12 +518,11 @@ class ThreadExecutor:
     backend = "threads"
 
     def __init__(self, blocks: RankBlocks, tau: float, n_workers: int,
-                 kernels: str | None = None, halo_mode: str = "exchange",
-                 pack: bool = False,
+                 halo_mode: str = "exchange", pack: bool = False,
                  solid: dict[int, np.ndarray] | None = None):
         self.blocks = blocks
         self._runners = [
-            ChunkRunner(ranks, blocks.decomp, tau, kernels,
+            ChunkRunner(ranks, blocks.decomp, tau,
                         halo_mode=halo_mode, pack=pack, solid=solid)
             for ranks in _chunk_ranks(blocks.decomp.n_tasks, n_workers)
         ]
@@ -592,7 +592,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 def _worker_main(conn, ranks, segment_names, decomp, tau,
-                 kernels=None, dtype=np.float64, halo_mode="exchange",
+                 dtype=np.float64, halo_mode="exchange",
                  pack=False, solid=None, barrier=None) -> None:
     """Worker loop: attach the shared blocks, serve phase commands.
 
@@ -601,10 +601,6 @@ def _worker_main(conn, ranks, segment_names, decomp, tau,
     issuing the next phase — except for the fused ``step`` command,
     whose single mid-step synchronization is the shared ``barrier``
     (parties = worker count), so a whole step costs ONE pipe round-trip.
-    ``kernels`` arrives pre-resolved from the parent so every worker
-    runs the same kernels backend the parent selected (the child
-    re-resolves it against its own numba availability, falling back to
-    NumPy rather than dying).
     """
     segments = []
     pairs: list[np.ndarray] = []
@@ -622,7 +618,7 @@ def _worker_main(conn, ranks, segment_names, decomp, tau,
             pairs.append(pair)
             f_arrs.append(pair[0])
             post_arrs.append(pair[1])
-        runner = ChunkRunner(ranks, decomp, tau, kernels,
+        runner = ChunkRunner(ranks, decomp, tau,
                              halo_mode=halo_mode, pack=pack, solid=solid)
         while True:
             msg = conn.recv()
@@ -683,13 +679,11 @@ class ProcessExecutor:
     backend = "processes"
 
     def __init__(self, blocks: RankBlocks, tau: float, n_workers: int,
-                 kernels: str | None = None, halo_mode: str = "exchange",
-                 pack: bool = False,
+                 halo_mode: str = "exchange", pack: bool = False,
                  solid: dict[int, np.ndarray] | None = None):
         if not blocks.shared:
             raise ValueError("processes backend requires shared rank blocks")
         self.blocks = blocks
-        kernels = resolve_kernels(kernels)
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         chunks = _chunk_ranks(blocks.decomp.n_tasks, n_workers)
@@ -711,7 +705,7 @@ class ProcessExecutor:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, ranks, blocks.segment_names,
-                      blocks.decomp, tau, kernels, blocks.dtype,
+                      blocks.decomp, tau, blocks.dtype,
                       halo_mode, pack, chunk_solid, self._barrier),
                 daemon=True,
                 name=f"repro-rank-{ranks[0]}-{ranks[-1]}",
@@ -770,13 +764,12 @@ def make_executor(
     blocks: RankBlocks,
     tau: float,
     n_workers: int,
-    kernels: str | None = None,
     halo_mode: str = "exchange",
     pack: bool = False,
     solid: dict[int, np.ndarray] | None = None,
 ):
     """Build the executor for a resolved backend name."""
-    kw = dict(kernels=kernels, halo_mode=halo_mode, pack=pack, solid=solid)
+    kw = dict(halo_mode=halo_mode, pack=pack, solid=solid)
     if backend == "serial":
         return SerialExecutor(blocks, tau, **kw)
     if backend == "threads":

@@ -53,9 +53,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..ibm.coupling import make_stencil
+from ..ibm.coupling import interpolate_with_stencil, make_stencil
 from ..ibm.kernels import KERNELS, DeltaKernel
-from ..kernels import get_kernel_table, resolve_kernels
+from ..membrane.bending import bending_forces
+from ..membrane.constraints import area_volume_forces
+from ..membrane.skalak import skalak_forces
 from ..telemetry import get_telemetry
 from .executor import BACKENDS, _shutdown_workers, _unlink_segments
 
@@ -165,15 +167,12 @@ class FSIWorker:
 
     def __init__(self, kernel: DeltaKernel | str, mode: str,
                  grid_shape: tuple[int, int, int],
-                 origin: np.ndarray, spacing: float,
-                 kernels: str | None = None):
+                 origin: np.ndarray, spacing: float):
         self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
         self.mode = mode
         self.grid_shape = tuple(grid_shape)
         self.origin = np.asarray(origin, dtype=np.float64)
         self.spacing = float(spacing)
-        self.kernels = resolve_kernels(kernels)
-        self._kt = get_kernel_table(self.kernels)
         self.force_tasks: list[tuple[GroupSpec, int, int]] = []
         self.marker_range = (0, 0)
         self.node_range = (0, 0)
@@ -201,17 +200,14 @@ class FSIWorker:
         identical to ``CellManager._group_membrane_forces`` (the packed
         vertex rows are bitwise copies of the pool gather it uses).
         """
-        skalak = self._kt["skalak_forces"]
-        bending = self._kt["bending_forces"]
-        area_volume = self._kt["area_volume_forces"]
         for spec, c0, c1 in self.force_tasks:
             ref = spec.reference
             lo = spec.start + c0 * spec.n_vertices
             hi = spec.start + c1 * spec.n_vertices
             batch = verts[lo:hi].reshape(c1 - c0, spec.n_vertices, 3)
-            f = skalak(batch, ref, spec.shear_modulus, spec.skalak_C)
-            f += bending(batch, ref.quads, ref.theta0, spec.k_bend)
-            f += area_volume(
+            f = skalak_forces(batch, ref, spec.shear_modulus, spec.skalak_C)
+            f += bending_forces(batch, ref.quads, ref.theta0, spec.k_bend)
+            f += area_volume_forces(
                 batch, ref.faces, ref.area0, ref.volume0,
                 spec.k_area, spec.k_volume,
             )
@@ -247,30 +243,36 @@ class FSIWorker:
         if st is None or m1 <= m0:
             return
         s3 = self.kernel.support ** 3
-        self._kt["ibm_spread_contrib"](
-            st.w, forces_lat[m0:m1], contrib_out[:, m0 * s3:m1 * s3]
-        )
+        for d in range(3):
+            np.multiply(
+                st.w, forces_lat[m0:m1, d][:, None, None, None],
+                out=contrib_out[d, m0 * s3:m1 * s3].reshape(st.w.shape),
+            )
 
     def spread_scatter(self, flat: np.ndarray, contrib: np.ndarray,
                        field_flat: np.ndarray) -> None:
-        """Stage two of the spread: reduce this worker's node range.
+        """Stage two of the spread: bincount-reduce this node range.
 
-        Every backend's scatter kernel accumulates per node in ascending
-        flat-index position order (the bincount order), so the sharded
-        scatter stays bitwise equal to the serial spread under the numpy
-        backend and within the documented 1e-12 otherwise.
+        Masking the full flat array keeps the per-node summation order
+        identical to one global ``bincount`` (positions stay sorted), so
+        the sharded scatter is bitwise equal to the serial spread.
         """
         lo, hi = self.node_range
         if hi <= lo:
             return
-        self._kt["ibm_spread_scatter"](flat, contrib, field_flat, lo, hi)
+        mask = (flat >= lo) & (flat < hi)
+        idx = flat[mask] - lo
+        for d in range(3):
+            field_flat[d, lo:hi] += np.bincount(
+                idx, weights=contrib[d][mask], minlength=hi - lo
+            )
 
     def interpolate(self, field: np.ndarray, out: np.ndarray) -> None:
         """Interpolate the field at this worker's marker chunk."""
         m0, m1 = self.marker_range
         if self._stencil is None or m1 <= m0:
             return
-        out[m0:m1] = self._kt["ibm_interp"](field, self._stencil)
+        out[m0:m1] = interpolate_with_stencil(field, self._stencil)
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +300,12 @@ def _attach_arrays(
 
 
 def _fsi_worker_main(conn, kernel_name, mode, grid_shape, origin,
-                     spacing, kernels=None) -> None:
+                     spacing) -> None:
     """Process-backend worker loop: attach segments, serve stage commands.
 
     The parent acts as the barrier between stages by collecting every
     worker's reply before issuing the next command; array data never
-    crosses the pipe (it lives in the shared segments).  ``kernels`` is
-    the parent's resolved kernels-backend name (the child re-resolves it
-    so a numba-less child falls back to NumPy instead of dying).
+    crosses the pipe (it lives in the shared segments).
 
     Stage replies travel as ``(payload, t0, t1)`` with the interval
     stamped on ``time.perf_counter`` — system-wide ``CLOCK_MONOTONIC``
@@ -315,8 +315,7 @@ def _fsi_worker_main(conn, kernel_name, mode, grid_shape, origin,
     """
     from time import perf_counter
 
-    worker = FSIWorker(kernel_name, mode, grid_shape, origin, spacing,
-                       kernels=kernels)
+    worker = FSIWorker(kernel_name, mode, grid_shape, origin, spacing)
     segments: dict[str, shared_memory.SharedMemory] = {}
     arrays: dict[str, np.ndarray] = {}
     try:
@@ -426,11 +425,8 @@ class ParallelFSIRuntime:
         mode: str = "clip",
         backend: str | None = None,
         n_workers: int | None = None,
-        kernels: str | None = None,
     ):
         self.backend, self.n_workers = resolve_fsi_backend(backend, n_workers)
-        self.kernels = resolve_kernels(kernels)
-        self._kt = get_kernel_table(self.kernels)
         self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
         if self.backend == "processes" and self.kernel.name not in KERNELS:
             # Worker processes rebuild the kernel by name (callables may
@@ -470,7 +466,7 @@ class ParallelFSIRuntime:
         else:
             self._workers = [
                 FSIWorker(self.kernel, mode, self.grid_shape,
-                          self.origin, self.spacing, kernels=self.kernels)
+                          self.origin, self.spacing)
                 for _ in range(self.n_workers)
             ]
             if self.backend == "threads":
@@ -503,8 +499,7 @@ class ParallelFSIRuntime:
             proc = ctx.Process(
                 target=_fsi_worker_main,
                 args=(child_conn, self.kernel.name, self.mode,
-                      self.grid_shape, self.origin, self.spacing,
-                      self.kernels),
+                      self.grid_shape, self.origin, self.spacing),
                 daemon=True,
                 name=f"repro-fsi-{w}",
             )
@@ -685,7 +680,7 @@ class ParallelFSIRuntime:
                 self._run("membrane_forces", verts, forces, label="forces")
         forces += contact_forces(
             verts, ordinals, manager.contact_cutoff,
-            manager.contact_stiffness, table=self._kt,
+            manager.contact_stiffness,
         )
         return forces, verts, cells
 

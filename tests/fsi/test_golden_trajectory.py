@@ -118,3 +118,37 @@ def test_fluid_only_step_matches_reference():
             )
         g.mark_f_modified()
     assert np.abs(opt.grid.f - ref.grid.f).max() <= GOLDEN_TOL
+
+
+def _vertex_snapshots(st: FSIStepper, n_steps: int, every: int = 4):
+    snaps = []
+    for _ in range(n_steps // every):
+        st.step(every)
+        snaps.append(st.cells.all_vertices()[0].copy())
+    return snaps
+
+
+def test_float32_golden_trajectory_tolerance(monkeypatch):
+    """REPRO_DTYPE=float32 tracks the float64 trajectory to single-precision
+    tolerance: the Eulerian state computes in float32 while the Lagrangian
+    membrane state stays float64 (docs/performance.md, "Compute dtype")."""
+    from repro.kernels import DTYPE_ENV_VAR
+
+    n_steps = 16
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    ref, _ = _setup()
+    ref_snaps = _vertex_snapshots(ref, n_steps)
+    ref_f = ref.grid.f
+    monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
+    st, _ = _setup()
+    assert st.grid.dtype == np.float32
+    snaps = _vertex_snapshots(st, n_steps)
+
+    f = st.grid.f
+    assert f.dtype == np.float32
+    assert snaps[-1].dtype == np.float64  # Lagrangian stays double
+    for k, (got, want) in enumerate(zip(snaps, ref_snaps)):
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel < 1e-3, f"vertices@snap{k}: rel diff {rel:.3e}"
+    rel = np.abs(f.astype(np.float64) - ref_f).max() / np.abs(ref_f).max()
+    assert rel < 1e-3, f"populations: rel diff {rel:.3e}"

@@ -1,8 +1,9 @@
-"""Grid container: validation, coordinates, initialization."""
+"""Grid container: validation, coordinates, initialization, compute dtype."""
 
 import numpy as np
 import pytest
 
+from repro.kernels import DEFAULT_DTYPE, DTYPE_ENV_VAR, resolve_dtype
 from repro.lbm import Grid
 from repro.lbm.collision import macroscopic
 
@@ -86,3 +87,38 @@ def test_n_fluid_counts_non_solid():
 def test_nu_property():
     g = Grid((3, 3, 3), tau=1.1)
     assert np.isclose(g.nu, (1.1 - 0.5) / 3.0)
+
+
+# ----------------------------------------------------------------------
+# resolve_dtype precedence (env wins over the constructor argument)
+
+
+def test_resolve_dtype_default(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    assert resolve_dtype() == np.dtype(DEFAULT_DTYPE) == np.float64
+
+
+def test_resolve_dtype_ctor_arg(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    assert resolve_dtype("float32") == np.float32
+    assert resolve_dtype(np.float32) == np.float32
+    assert resolve_dtype(np.dtype(np.float64)) == np.float64
+
+
+def test_resolve_dtype_env_wins_over_arg(monkeypatch):
+    monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
+    assert resolve_dtype("float64") == np.float32
+
+
+def test_resolve_dtype_rejects_non_compute_dtypes(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    with pytest.raises(ValueError, match="float16"):
+        resolve_dtype("float16")
+    with pytest.raises(ValueError):
+        resolve_dtype("int32")
+
+
+def test_resolve_dtype_rejects_bad_env(monkeypatch):
+    monkeypatch.setenv(DTYPE_ENV_VAR, "float16")
+    with pytest.raises(ValueError, match=DTYPE_ENV_VAR):
+        resolve_dtype("float64")

@@ -160,21 +160,6 @@ def test_decomposition_fluid_weighted_shifts_planes():
     assert u.block(0).hi == legacy.block(0).hi
 
 
-def test_rebalance_hint_weights_slow_ranks():
-    d = BlockDecomposition((16, 8, 8), 2, dims=(2, 1, 1))
-    hints = d.rebalance_hint({0: 3.0, 1: 1.0})
-    assert len(hints) == 3
-    # rank 0 owns low x and measured 3x the seconds: its cells carry
-    # more weight, so a re-split shrinks its extent
-    assert hints[0][:8].sum() > hints[0][8:].sum()
-    resplit = BlockDecomposition((16, 8, 8), 2, dims=(2, 1, 1),
-                                 weights=hints)
-    assert resplit.block(0).hi[0] < 8
-    # zero-second ranks contribute nothing
-    flat = d.rebalance_hint({0: 0.0})
-    assert all(h.sum() == 0.0 for h in flat)
-
-
 def test_weights_shape_validation():
     with pytest.raises(ValueError):
         BlockDecomposition((8, 8, 8), 2, weights=np.ones((4, 4, 4)))

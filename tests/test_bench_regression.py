@@ -159,10 +159,10 @@ def test_configs_differ_on_dtype():
     assert not reg.configs_match(a, b)
 
 
-def test_configs_differ_on_kernels_backend():
+def test_configs_differ_from_legacy_default_dtype():
     a = _artifact(BASE_PHASES, config={"shape": [12, 12, 12]})
     b = _artifact(BASE_PHASES, config={"shape": [12, 12, 12],
-                                       "kernels": "numba"})
+                                       "dtype": "float32"})
     assert not reg.configs_match(a, b)
 
 

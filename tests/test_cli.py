@@ -87,24 +87,28 @@ def test_shear_command(tmp_path, capsys):
     assert len(data) > 0
 
 
-def test_kernels_command(capsys):
+def test_kernels_command(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_DTYPE", raising=False)
     assert main(["kernels"]) == 0
-    out = capsys.readouterr().out
-    assert "numpy" in out
-    assert "arrayapi:numpy" in out
-    assert "arrayapi:cupy" in out
-    assert "active" in out
-    assert "dtype" in out
+    assert "compute dtype: float64 [default]" in capsys.readouterr().out
+    monkeypatch.setenv("REPRO_DTYPE", "float32")
+    assert main(["kernels"]) == 0
+    assert "compute dtype: float32 [REPRO_DTYPE=float32]" in (
+        capsys.readouterr().out
+    )
 
 
-def test_kernels_command_warmup_and_flag(monkeypatch, capsys):
-    # main() publishes --kernels via REPRO_KERNELS; pin the pre-test
-    # state with monkeypatch so the mutation is rolled back afterwards.
-    monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    assert main(["kernels", "--kernels", "arrayapi:numpy", "--warmup"]) == 0
-    out = capsys.readouterr().out
-    assert "--kernels" in out  # the selection source is reported
-    assert "warmup" in out
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--kernels", "numpy"], ["kernels", "--warmup"],
+    ["shear", "--kernels", "numpy"], ["tube", "--kernels", "numpy"],
+    ["channel", "--kernels", "numpy"],
+    ["profile", "shear", "--kernels", "numpy"],
+    ["trace", "shear", "--kernels", "numpy"],
+])
+def test_removed_kernels_flags_are_rejected(argv):
+    """No parser takes ``--kernels`` any more (there is one kernel set)."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_unknown_command_rejected():
