@@ -2,11 +2,11 @@
 
 The scaling model's absolute rates are calibration constants; its
 communication structure (surface-to-volume halo growth) is validated here
-against the in-process runtime, which exchanges real bytes.  Since the
-executor backends landed, the runtime also *executes* the decomposition:
-run this file as a script with ``--measured`` to time the ``serial`` /
-``threads`` / ``processes`` backends on one lattice and record the
-wall-clock speedup curve alongside the model into ``BENCH_scaling.json``
+against the in-process runtime, which exchanges real bytes.  The
+runtime also *executes* the decomposition: run this file as a script
+with ``--measured`` to time the ``serial`` and ``processes`` backends on
+one lattice and record the wall-clock speedup curve alongside the model
+into ``BENCH_scaling.json``
 (same artifact format as ``BENCH_hotpaths.json``)::
 
     PYTHONPATH=src python benchmarks/bench_fig7_strong_scaling.py --measured
@@ -23,7 +23,7 @@ except ImportError:  # script mode: pytest's conftest is not on the path
     def banner(title):
         print(f"\n=== {title} ===")
 
-from repro.parallel import DistributedLBMSolver
+from repro.parallel import BACKENDS, DistributedLBMSolver
 from repro.perfmodel import strong_scaling_curve
 
 
@@ -92,11 +92,7 @@ def main(argv=None) -> int:
     import json
     from pathlib import Path
 
-    from repro.parallel import (
-        halo_pack_comparison,
-        measured_scaling_curve,
-        overlap_comparison,
-    )
+    from repro.parallel import measured_scaling_curve
 
     parser = argparse.ArgumentParser(
         description="Measured executor scaling + Fig. 7 model, recorded "
@@ -110,19 +106,10 @@ def main(argv=None) -> int:
                         help="rank count for the measured decomposition")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
                         help="worker counts to sweep per backend")
-    parser.add_argument("--backends", nargs="+",
-                        default=["threads", "processes"],
-                        choices=("serial", "threads", "processes"))
+    parser.add_argument("--backends", nargs="+", default=["processes"],
+                        choices=BACKENDS)
     parser.add_argument("--halo-mode", choices=("exchange", "recompute"),
                         default="exchange")
-    parser.add_argument("--halo-pack", action="store_true",
-                        help="direction-aware packed halo exchange for the "
-                             "measured sweep, plus a packed-vs-full "
-                             "comm-volume comparison")
-    parser.add_argument("--overlap", action="store_true",
-                        help="fused single-round-trip step pipeline for the "
-                             "measured sweep, plus a fused-vs-barriered "
-                             "ms/step comparison")
     parser.add_argument("--steps", type=int, default=10, help="timed steps")
     parser.add_argument("--warmup", type=int, default=2, help="untimed steps")
     parser.add_argument("--baseline", type=Path, default=None,
@@ -144,7 +131,6 @@ def main(argv=None) -> int:
             backends=tuple(b for b in args.backends if b != "serial"),
             halo_mode=args.halo_mode,
             steps=args.steps, warmup=args.warmup,
-            halo_pack=args.halo_pack, overlap=args.overlap,
         )
         result["strong"]["measured"] = measured
         banner("Fig. 7 measured: executor wall-clock scaling")
@@ -160,35 +146,6 @@ def main(argv=None) -> int:
             print("  note: single-CPU machine — worker pools cannot beat "
                   "serial here; rerun on a multi-core box for real curves")
 
-    if args.measured and args.halo_pack:
-        cmp = halo_pack_comparison(
-            tuple(args.shape), args.tasks,
-            steps=args.steps, warmup=args.warmup,
-        )
-        result["strong"]["halo_pack"] = cmp
-        banner("Fig. 7 comm volume: full vs packed halo exchange")
-        print(f"  full   : {cmp['full']['bytes_per_step']:12.0f} bytes/step "
-              f"({cmp['full']['messages_per_step']} msgs)")
-        print(f"  packed : {cmp['packed']['bytes_per_step']:12.0f} bytes/step "
-              f"({cmp['packed']['messages_per_step']} msgs)")
-        print(f"  reduction: {cmp['bytes_reduction']:.2f}x")
-
-    if args.measured and args.overlap:
-        backend = next(
-            (b for b in args.backends if b != "serial"), "serial"
-        )
-        cmp = overlap_comparison(
-            tuple(args.shape), args.tasks,
-            backend=backend, n_workers=max(args.workers),
-            halo_mode=args.halo_mode, halo_pack=args.halo_pack,
-            steps=args.steps, warmup=args.warmup,
-        )
-        result["strong"]["overlap"] = cmp
-        banner("Fig. 7 pipeline: barriered vs fused step")
-        print(f"  barriered: {cmp['barriered']['ms_per_step']:8.2f} ms/step")
-        print(f"  fused    : {cmp['fused']['ms_per_step']:8.2f} ms/step "
-              f"(speedup {cmp['speedup']:.2f}x, backend {backend})")
-
     record = {
         "benchmark": "scaling",
         "config": {
@@ -198,8 +155,6 @@ def main(argv=None) -> int:
             "workers": list(args.workers),
             "backends": list(args.backends),
             "halo_mode": args.halo_mode,
-            "halo_pack": bool(args.halo_pack),
-            "overlap": bool(args.overlap),
             "steps": args.steps,
             "warmup": args.warmup,
         },

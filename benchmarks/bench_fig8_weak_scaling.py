@@ -21,7 +21,7 @@ except ImportError:  # script mode: pytest's conftest is not on the path
     def banner(title):
         print(f"\n=== {title} ===")
 
-from repro.parallel import BlockDecomposition, DistributedLBMSolver
+from repro.parallel import BACKENDS, BlockDecomposition, DistributedLBMSolver
 from repro.perfmodel import weak_scaling_curve
 
 
@@ -108,13 +108,9 @@ def main(argv=None) -> int:
                         help="rank counts to sweep")
     parser.add_argument("--backends", nargs="+",
                         default=["serial", "processes"],
-                        choices=("serial", "threads", "processes"))
+                        choices=BACKENDS)
     parser.add_argument("--halo-mode", choices=("exchange", "recompute"),
                         default="exchange")
-    parser.add_argument("--halo-pack", action="store_true",
-                        help="direction-aware packed halo exchange")
-    parser.add_argument("--overlap", action="store_true",
-                        help="fused single-round-trip step pipeline")
     parser.add_argument("--steps", type=int, default=5, help="timed steps")
     parser.add_argument("--warmup", type=int, default=1, help="untimed steps")
     parser.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"),
@@ -137,7 +133,6 @@ def main(argv=None) -> int:
                 n_workers=max(args.tasks) if backend != "serial" else None,
                 halo_mode=args.halo_mode,
                 steps=args.steps, warmup=args.warmup,
-                halo_pack=args.halo_pack, overlap=args.overlap,
             )
             weak["measured"][backend] = m
             for n, r in m["points"].items():
@@ -172,8 +167,6 @@ def main(argv=None) -> int:
         "tasks": list(args.tasks),
         "backends": list(args.backends),
         "halo_mode": args.halo_mode,
-        "halo_pack": bool(args.halo_pack),
-        "overlap": bool(args.overlap),
         "steps": args.steps,
         "warmup": args.warmup,
     }

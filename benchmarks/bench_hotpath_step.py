@@ -37,6 +37,7 @@ from repro.fsi import CellManager, FSIStepper
 from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
+from repro.parallel import BACKENDS
 from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
 
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=5, help="untimed warmup steps")
     parser.add_argument("--seed", type=int, default=7, help="placement RNG seed")
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "threads", "processes"),
+                        choices=BACKENDS,
                         help="FSI executor backend for the main run "
                              "(default: REPRO_PARALLEL_BACKEND or serial)")
     parser.add_argument("--workers", type=int, default=None,
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
                         help="also record a float32-vs-float64 phase curve "
                              "(same backend as the main run)")
     parser.add_argument("--sweep-backends", nargs="+", default=None,
-                        choices=("serial", "threads", "processes"),
+                        choices=BACKENDS,
                         help="also record serial-vs-parallel phase curves "
                              "over these backends")
     parser.add_argument("--sweep-workers", type=int, nargs="+",

@@ -36,6 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .parallel.pool import BACKENDS
+
 
 def _cmd_shear(args: argparse.Namespace) -> int:
     from .experiments.shear_layers import run_shear_layers
@@ -144,17 +146,10 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         solid = _duct_solid(shape) if args.weighted_split else None
         kw = dict(
             halo_mode=args.halo_mode, steps=args.steps,
-            halo_pack=args.halo_pack, overlap=args.overlap,
             dims=dims, weighted_split=args.weighted_split, solid=solid,
         )
         serial = measure_throughput(shape, n_tasks, backend="serial", **kw)
-        flags = "".join(
-            f" {name}" for name, on in (
-                ("packed", serial["halo_pack"]),
-                ("fused", serial["overlap"]),
-                ("weighted", serial["weighted_split"]),
-            ) if on
-        )
+        flags = " weighted" if serial["weighted_split"] else ""
         print(f"measured ({shape[0]}x{shape[1]}x{shape[2]}, "
               f"{n_tasks} ranks, dims="
               f"{'x'.join(str(d) for d in serial['dims'])}, "
@@ -421,26 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the real executor backends instead of printing the model",
     )
     p.add_argument(
-        "--backend", choices=("serial", "threads", "processes"), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="executor backend to measure against the serial reference",
     )
     p.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for the pooled backends (default: one per CPU)",
+        help="worker count of the process pool (default: one per CPU)",
     )
     p.add_argument(
         "--halo-mode", choices=("exchange", "recompute"), default="exchange",
         help="ship post-collision halos, or recompute the ghost rim locally",
-    )
-    p.add_argument(
-        "--halo-pack", action="store_true", default=None,
-        help="ship only the populations the receiving block reads "
-             "(REPRO_HALO_PACK wins over this flag)",
-    )
-    p.add_argument(
-        "--overlap", action="store_true", default=None,
-        help="fused single-round-trip step pipeline "
-             "(REPRO_DIST_OVERLAP wins over this flag)",
     )
     p.add_argument(
         "--weighted-split", action="store_true",
@@ -470,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", default=None,
-                   choices=("serial", "threads", "processes"),
+                   choices=BACKENDS,
                    help="FSI executor backend "
                         "(default: REPRO_PARALLEL_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None,
@@ -493,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", default=None,
-                   choices=("serial", "threads", "processes"),
+                   choices=BACKENDS,
                    help="FSI executor backend "
                         "(default: REPRO_PARALLEL_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None,

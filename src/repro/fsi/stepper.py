@@ -15,9 +15,9 @@ reference simply uses it over the whole domain.
 The cell-side phases (1, 2 and 4) execute on a
 :class:`~repro.parallel.fsi.ParallelFSIRuntime`, which shards membrane
 forces by cell chunk and the IBM spread/interpolation by marker and
-lattice-node chunk across the ``serial`` | ``threads`` | ``processes``
-executor backends.  Every backend is bitwise identical to the serial
-step; pick one with ``backend=`` / ``workers=`` or the
+lattice-node chunk, inline (``serial``) or on a persistent worker pool
+(``processes``).  Both are bitwise identical to the serial step; pick
+one with ``backend=`` / ``workers=`` or the
 ``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` environment
 variables.  The worker pool and its shared-memory segments are created
 lazily on the first cell-laden step and released by :meth:`close` (or a

@@ -424,92 +424,6 @@ def collide_bgk(
     return out, rho, scratch.u
 
 
-#: Disjoint spatial slabs covering the outermost *interior* layer of a
-#: one-node-padded block (the rim whose post-collision values neighbors
-#: read during a halo exchange).  Together with :data:`_DEEP_INTERIOR`
-#: they partition the interior; the halo layer itself is never collided.
-#: Degenerate blocks stay correct: an axis of local extent 1 makes the
-#: two face slabs coincide (the slab is collided twice with identical
-#: results) and empties the deeper slabs.
-_RIM_SLABS = (
-    (slice(1, 2), slice(1, -1), slice(1, -1)),
-    (slice(-2, -1), slice(1, -1), slice(1, -1)),
-    (slice(2, -2), slice(1, 2), slice(1, -1)),
-    (slice(2, -2), slice(-2, -1), slice(1, -1)),
-    (slice(2, -2), slice(2, -2), slice(1, 2)),
-    (slice(2, -2), slice(2, -2), slice(-2, -1)),
-)
-
-#: Interior of a padded block minus the rim slabs above.
-_DEEP_INTERIOR = (slice(2, -2), slice(2, -2), slice(2, -2))
-
-
-def _collide_slabs(f, tau, slabs, force=None, out=None, scratch_for=None,
-                   moments_in=None):
-    """BGK-collide a set of spatial slabs of a padded block in place.
-
-    The collision is pointwise per node and every lattice GEMM runs over
-    fixed-width panels, so colliding a slab view yields bitwise the same
-    per-node values as colliding the whole block.  ``moments_in`` — the
-    full block's ``(rho, mom)`` from :func:`moments` — is sliced per
-    slab so the moment sums are computed once per block, not once per
-    slab.  ``scratch_for`` maps ``(spatial_shape, dtype)`` to a
-    :class:`CollisionScratch` so callers can cache per-slab-shape
-    scratch (and its pack buffers) across steps.
-    """
-    if out is None:
-        out = np.empty_like(f)
-    tau_field = _is_field(tau)
-    for sl in slabs:
-        idx = (slice(None),) + sl
-        fv = f[idx]
-        if fv.size == 0:
-            continue
-        scratch = (
-            scratch_for(fv.shape[1:], fv.dtype)
-            if scratch_for is not None
-            else None
-        )
-        collide_bgk(
-            fv,
-            tau[sl] if tau_field else tau,
-            force=force[idx] if force is not None else None,
-            out=out[idx],
-            scratch=scratch,
-            moments_in=(
-                None if moments_in is None
-                else (moments_in[0][sl], moments_in[1][idx])
-            ),
-        )
-    return out
-
-
-def collide_bgk_rim(f, tau, force=None, out=None, scratch_for=None,
-                    moments_in=None):
-    """Collide only the one-node rim of a padded block's interior.
-
-    First half of the fused distributed step: once the rim's
-    post-collision values exist, the halo exchange can ship them while
-    :func:`collide_bgk_interior` still runs — the overlap schedule of
-    the fused pipeline.  Pass the full block's precomputed ``(rho,
-    mom)`` as ``moments_in`` to compute the moment sums once per block
-    (see :func:`_collide_slabs`).
-    """
-    return _collide_slabs(
-        f, tau, _RIM_SLABS, force=force, out=out, scratch_for=scratch_for,
-        moments_in=moments_in,
-    )
-
-
-def collide_bgk_interior(f, tau, force=None, out=None, scratch_for=None,
-                         moments_in=None):
-    """Collide the deep interior of a padded block (everything but the rim)."""
-    return _collide_slabs(
-        f, tau, (_DEEP_INTERIOR,), force=force, out=out,
-        scratch_for=scratch_for, moments_in=moments_in,
-    )
-
-
 def non_equilibrium(f: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Non-equilibrium part f^neq = f - f^eq(rho, u).
 

@@ -1,35 +1,27 @@
 """Distributed LBM solver over the parallel rank runtime.
 
 Each rank owns a block of the global lattice in a one-node-padded local
-array; a step is run by an executor backend (``serial`` | ``threads`` |
-``processes``; see :mod:`repro.parallel.executor`) in one of two
-pipelines:
-
-* **barriered** (default) — three barrier-separated rank-parallel
-  phases (collide, halo, stream);
-* **fused** (``overlap=True`` / ``REPRO_DIST_OVERLAP``) — one executor
-  round-trip per step with a single worker-side barrier: ranks collide
-  their one-node rim first, the rim halo ships while interior collide
-  proceeds, then stream runs.
+array; a step is three barrier-separated rank-parallel phases (collide,
+halo, stream) run by an executor (``serial`` | ``processes``; see
+:mod:`repro.parallel.executor`).
 
 Two halo modes realize the same step:
 
 * ``exchange``  — collide, then ship post-collision halo layers from
-  neighbors; with ``halo_pack=True`` / ``REPRO_HALO_PACK`` only the
-  populations the pull stream actually reads are shipped (5 per face,
-  1 per edge — a ~3-4x volume cut, see
+  neighbors: only the populations the pull stream actually reads (5 per
+  face, 1 per edge — a ~4x volume cut over the full rim, see
   :data:`repro.parallel.halo.PACKED_QS`);
 * ``recompute`` — pre-exchange the *pre-collision* ``f`` rim, then
   redundantly collide the one-node ghost rim locally (the paper's
   Section 2.4.4 recompute-instead-of-communicate trick: trade a sliver
   of duplicate flops for never shipping post-collision data).  The
-  ghost collide couples all 19 populations, so this mode keeps the
-  full-``f`` rim exchange regardless of ``halo_pack``.
+  ghost collide couples all 19 populations, so this mode ships the full
+  ``f`` rim.
 
-For a fully periodic lattice every backend × halo-mode × packing ×
-overlap combination reproduces the single-grid solver bit-for-bit
-(asserted in the test suite) — with walls (``solid=``), bitwise on the
-fluid nodes for non-periodic decompositions too — and the
+For a fully periodic lattice every backend × halo-mode combination
+reproduces the single-grid solver bit-for-bit (asserted in the test
+suite) — with walls (``solid=``), bitwise on the fluid nodes for
+non-periodic decompositions too — and the
 :class:`~repro.parallel.halo.HaloAccountant` counters measure exactly
 the communication volume a real MPI run would ship — the quantity the
 strong-scaling breakdown of Fig. 7 hinges on.
@@ -37,60 +29,18 @@ strong-scaling breakdown of Fig. 7 hinges on.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..kernels import resolve_dtype
 from ..lbm.lattice import D3Q19
 from ..telemetry import get_telemetry
 from .decomposition import BlockDecomposition
-from .executor import RankBlocks, make_executor, resolve_backend
+from .executor import RankBlocks, make_executor
 from .halo import HaloAccountant
+from .pool import resolve_backend
 
 #: Supported halo handling modes.
 HALO_MODES = ("exchange", "recompute")
-
-#: Environment variable forcing direction-aware halo packing process-wide.
-ENV_HALO_PACK = "REPRO_HALO_PACK"
-
-#: Environment variable forcing the fused (overlapped) step pipeline.
-ENV_DIST_OVERLAP = "REPRO_DIST_OVERLAP"
-
-_TRUTHY = frozenset(("1", "true", "yes", "on"))
-_FALSY = frozenset(("0", "false", "no", "off"))
-
-
-def _resolve_env_flag(env_var: str, arg: bool | None) -> bool:
-    """Boolean knob resolution, ``REPRO_DTYPE`` precedence: env wins.
-
-    The environment variable, when set (and non-empty), **wins over**
-    the constructor argument, so a CI leg or an operator can force every
-    solver in a process onto one configuration without touching call
-    sites; unset/empty env falls back to the argument (default False).
-    """
-    env = os.environ.get(env_var)
-    if env:
-        value = env.strip().lower()
-        if value in _TRUTHY:
-            return True
-        if value in _FALSY:
-            return False
-        raise ValueError(
-            f"invalid {env_var}={env!r}; use one of "
-            f"{sorted(_TRUTHY)} / {sorted(_FALSY)}"
-        )
-    return bool(arg) if arg is not None else False
-
-
-def resolve_halo_pack(halo_pack: bool | None = None) -> bool:
-    """Resolve the direction-aware halo packing knob (env wins)."""
-    return _resolve_env_flag(ENV_HALO_PACK, halo_pack)
-
-
-def resolve_dist_overlap(overlap: bool | None = None) -> bool:
-    """Resolve the fused-step-pipeline knob (env wins)."""
-    return _resolve_env_flag(ENV_DIST_OVERLAP, overlap)
 
 
 class DistributedLBMSolver:
@@ -105,10 +55,10 @@ class DistributedLBMSolver:
     n_tasks:
         Number of ranks (subdomains).
     backend:
-        ``"serial"``, ``"threads"`` or ``"processes"``; ``None`` reads
+        ``"serial"`` or ``"processes"``; ``None`` reads
         ``REPRO_PARALLEL_BACKEND`` (default ``serial``).
     n_workers:
-        Worker count for the pooled backends; ``None`` reads
+        Worker count of the process pool; ``None`` reads
         ``REPRO_PARALLEL_WORKERS`` (default: one per CPU), capped at
         ``n_tasks``.
     halo_mode:
@@ -135,13 +85,6 @@ class DistributedLBMSolver:
         Place split planes by cumulative *fluid*-node count (from
         ``~solid``) instead of uniformly, equalizing per-rank collide
         work in walled geometries.  No-op without ``solid``.
-    halo_pack:
-        Direction-aware halo packing (exchange mode only); ``None``
-        resolves via ``REPRO_HALO_PACK``, which **wins over** an
-        explicit argument (``REPRO_DTYPE`` precedence).
-    overlap:
-        Fused single-round-trip step pipeline; ``None`` resolves via
-        ``REPRO_DIST_OVERLAP`` (env wins, same precedence).
 
     The processes backend holds OS resources (worker processes and
     shared-memory segments): call :meth:`close` when done, or use the
@@ -162,8 +105,6 @@ class DistributedLBMSolver:
         periodic: tuple[bool, bool, bool] = (True, True, True),
         solid: np.ndarray | None = None,
         weighted_split: bool = False,
-        halo_pack: bool | None = None,
-        overlap: bool | None = None,
     ):
         self.shape = tuple(shape)
         self.tau = float(tau)
@@ -172,8 +113,6 @@ class DistributedLBMSolver:
                 f"unknown halo_mode {halo_mode!r}; pick one of {HALO_MODES}"
             )
         self.halo_mode = halo_mode
-        self.halo_pack = resolve_halo_pack(halo_pack)
-        self.overlap = resolve_dist_overlap(overlap)
         self.weighted_split = bool(weighted_split)
         if solid is not None:
             solid = np.asarray(solid, dtype=bool)
@@ -209,14 +148,13 @@ class DistributedLBMSolver:
             }
         self.executor = make_executor(
             self.backend, self.blocks, self.tau, self.n_workers,
-            halo_mode=self.halo_mode, pack=self.halo_pack, solid=rank_solid,
+            solid=rank_solid,
         )
         self.step_count = 0
         self._steps_at_reset = 0
         self.last_step_bytes = 0
         self.last_step_messages = 0
         self.last_step_slabs = 0
-        self.last_overlap_efficiency = None
         #: Cumulative per-rank wall seconds by phase name.
         self.rank_phase_seconds: dict[str, dict[int, float]] = {
             "collide": {}, "halo": {}, "stream": {},
@@ -285,8 +223,7 @@ class DistributedLBMSolver:
         workers (through the Pipe for the processes backend) and their
         returned span intervals are merged into the driver's timeline as
         child spans — one track per rank, all on the shared monotonic
-        clock.  Fused-step intervals carry their sub-phase name as a 5th
-        element so the timeline keeps per-phase resolution.
+        clock.
         """
         tracer = tel.tracer
         with tel.phase(phase_path):
@@ -294,41 +231,13 @@ class DistributedLBMSolver:
                 exec_phase, None if tracer is None else tracer.current_id
             )
         if tracer is not None:
-            for span in res.spans:
-                if len(span) == 5:
-                    rank, parent, t0, t1, name = span
-                else:
-                    rank, parent, t0, t1 = span
-                    name = exec_phase
-                tracer.add(name, t0, t1, parent_id=parent,
+            for rank, parent, t0, t1 in res.spans:
+                tracer.add(exec_phase, t0, t1, parent_id=parent,
                            rank=rank, category="worker")
         return res
 
-    def _record_comm(self, tel, res) -> None:
-        self.halo.record(res.transfers)
-        self.last_step_bytes = res.bytes_sent
-        self.last_step_messages = res.messages
-        self.last_step_slabs = res.slabs
-        tel.inc("comm.bytes_sent", res.bytes_sent)
-        tel.inc("comm.messages", res.messages)
-        tel.inc("comm.slabs", res.slabs)
-
-    def _step_fused(self, tel) -> None:
-        """One fused step: a single executor round-trip, one barrier."""
-        res = self._run_traced(tel, "dist/step", "step")
-        self._record_comm(tel, res)
-        for name, seconds in res.phase_seconds.items():
-            self._accumulate(name, seconds)
-            if tel.enabled:
-                tel.record_rank_seconds(f"dist/{name}", seconds)
-        busy = sum(res.seconds_by_rank.values())
-        wait = sum(res.wait_seconds)
-        eff = 1.0 - wait / (busy + wait) if busy + wait > 0.0 else 1.0
-        self.last_overlap_efficiency = eff
-        tel.gauge("dist.overlap_efficiency").set(eff)
-
-    def _step_barriered(self, tel) -> None:
-        """One barriered step: three executor round-trips."""
+    def _step(self, tel) -> None:
+        """One step: three barriered executor phases."""
         if self.halo_mode == "recompute":
             # Pre-exchange f, then collide interior + ghost rim: the
             # rim's post-collision values are recomputed locally
@@ -341,7 +250,13 @@ class DistributedLBMSolver:
             res_halo = self._run_traced(tel, "dist/halo", "halo_post")
         res_stream = self._run_traced(tel, "dist/stream", "stream")
 
-        self._record_comm(tel, res_halo)
+        self.halo.record(res_halo.transfers)
+        self.last_step_bytes = res_halo.bytes_sent
+        self.last_step_messages = res_halo.messages
+        self.last_step_slabs = res_halo.slabs
+        tel.inc("comm.bytes_sent", res_halo.bytes_sent)
+        tel.inc("comm.messages", res_halo.messages)
+        tel.inc("comm.slabs", res_halo.slabs)
         self._accumulate("collide", res_collide.seconds_by_rank)
         self._accumulate("halo", res_halo.seconds_by_rank)
         self._accumulate("stream", res_stream.seconds_by_rank)
@@ -358,10 +273,7 @@ class DistributedLBMSolver:
         """Advance the lattice by ``n`` time steps."""
         tel = get_telemetry()
         for _ in range(n):
-            if self.overlap:
-                self._step_fused(tel)
-            else:
-                self._step_barriered(tel)
+            self._step(tel)
             self.step_count += 1
 
     # ------------------------------------------------------------------

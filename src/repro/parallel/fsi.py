@@ -1,14 +1,14 @@
-"""Executor-backed runtime for the cell-laden FSI step.
+"""Sharded runtime for the cell-laden FSI step.
 
 The window task's hot loop is the :class:`~repro.fsi.stepper.FSIStepper`
 sequence — membrane forces, IBM spread, collide/stream, IBM interpolate —
 and all of it except collide/stream is embarrassingly parallel over cells
-or markers.  This module shards those phases across the same
-``serial`` | ``threads`` | ``processes`` backends the distributed LBM
-solver uses (:mod:`repro.parallel.executor`), with one extra constraint
-the LBM phases never had: every backend must be **bitwise identical** to
-the serial step, because the golden-trajectory tests pin the stepper to a
-literal reference implementation.
+or markers.  This module shards those phases over the same ``serial`` |
+``processes`` backends the distributed LBM solver uses
+(:mod:`repro.parallel.pool`), with one extra constraint the LBM phases
+never had: both backends must be **bitwise identical** to the serial
+step, because the golden-trajectory tests pin the stepper to a literal
+reference implementation.
 
 Sharding scheme (each stage is race-free and order-preserving):
 
@@ -32,24 +32,21 @@ Sharding scheme (each stage is race-free and order-preserving):
 * ``interp``  — the velocity einsum reduces over the kernel support per
   marker, independent of how markers are chunked.
 
-For the ``processes`` backend the packed vertex/force arrays, flat
-indices, spread contributions and the Eulerian field all live in
-:mod:`multiprocessing.shared_memory` segments refreshed when the
+The ``serial`` backend runs one :class:`FSIWorker` inline on the
+caller's arrays.  For the ``processes`` backend the packed vertex/force
+arrays, flat indices, spread contributions and the Eulerian field all
+live in shared-memory segments refreshed when the
 :class:`~repro.fsi.cell_manager.CellManager` generation changes; workers
-attach by name and never ship array data over the command pipe.  Segment
-lifetime matches the PR 3 executor guarantees: explicit :meth:`close`,
-with a GC finalizer as the safety net.
+attach by name and never ship array data over the command pipe.  Pool
+and segments are released by an explicit :meth:`ParallelFSIRuntime.close`,
+with GC finalizers as the safety net.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import multiprocessing as mp
-from multiprocessing import shared_memory
+from time import perf_counter
 
 import numpy as np
 
@@ -59,7 +56,15 @@ from ..membrane.bending import bending_forces
 from ..membrane.constraints import area_volume_forces
 from ..membrane.skalak import skalak_forces
 from ..telemetry import get_telemetry
-from .executor import BACKENDS, _shutdown_workers, _unlink_segments
+from .pool import (
+    ProcessPool,
+    attach_segment,
+    create_segment,
+    resolve_backend,
+    serve,
+    split_range,
+    unlink_segments,
+)
 
 #: Parallel FSI phases, in per-step execution order.
 FSI_PHASES = ("forces", "stencil", "contrib", "scatter", "interp")
@@ -68,25 +73,8 @@ FSI_PHASES = ("forces", "stencil", "contrib", "scatter", "interp")
 def resolve_fsi_backend(
     backend: str | None, n_workers: int | None
 ) -> tuple[str, int]:
-    """Resolve the FSI backend/worker-count against env and hardware.
-
-    Same contract as :func:`repro.parallel.executor.resolve_backend`
-    (``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` fallbacks)
-    but without a rank-count cap: the FSI step shards cells and markers,
-    whose counts change at runtime, so the worker count is capped only by
-    the CPU count.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_PARALLEL_BACKEND", "serial")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
-    if n_workers is None:
-        env = os.environ.get("REPRO_PARALLEL_WORKERS")
-        n_workers = int(env) if env else (os.cpu_count() or 1)
-    n_workers = max(1, int(n_workers))
-    if backend == "serial":
-        n_workers = 1
-    return backend, n_workers
+    """:func:`repro.parallel.pool.resolve_backend` without a rank cap."""
+    return resolve_backend(backend, n_workers)
 
 
 # ----------------------------------------------------------------------
@@ -115,18 +103,6 @@ class GroupSpec:
     k_volume: float
 
 
-def _split_range(n: int, k: int) -> list[tuple[int, int]]:
-    """``k`` contiguous near-even half-open chunks of ``range(n)``."""
-    base, extra = divmod(n, k)
-    out = []
-    start = 0
-    for w in range(k):
-        size = base + (1 if w < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
 def _cell_chunks(
     specs: list[GroupSpec], n_workers: int
 ) -> list[list[tuple[int, int, int]]]:
@@ -140,7 +116,7 @@ def _cell_chunks(
     tasks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_workers)]
     if total == 0:
         return tasks
-    bounds = _split_range(total, n_workers)
+    bounds = split_range(total, n_workers)
     offset = 0  # flat cell ordinal of the current segment's first cell
     for si, spec in enumerate(specs):
         for w, (lo, hi) in enumerate(bounds):
@@ -159,10 +135,10 @@ def _cell_chunks(
 class FSIWorker:
     """Executes the sharded FSI stages for one worker's chunk.
 
-    The same object runs inline (serial), inside a thread pool (threads)
-    and inside a child process bound to shared-memory arrays (processes);
-    the arrays it reads and writes are handed in per call, so the class
-    itself holds only the decomposition and the cached marker stencil.
+    The same object runs inline (serial) and inside a child process bound
+    to shared-memory arrays (processes); the arrays it reads and writes
+    are handed in per call, so the class itself holds only the
+    decomposition and the cached marker stencil.
     """
 
     def __init__(self, kernel: DeltaKernel | str, mode: str,
@@ -276,15 +252,28 @@ class FSIWorker:
 
 
 # ----------------------------------------------------------------------
-# Process-backend worker loop
+# Stage vocabulary and the process-backend worker
+
+#: Stage command -> (:class:`FSIWorker` method, the shared arrays a pool
+#: worker hands it).  The serial backend calls the same method on the
+#: caller's own arrays.
+_STAGES = {
+    "forces": ("membrane_forces", ("verts", "io")),
+    "stencil": ("build_stencil", ("verts", "flat")),
+    "contrib": ("spread_contrib", ("io", "contrib")),
+    "scatter": ("spread_scatter", ("flat", "contrib", "field_flat")),
+    "interp": ("interpolate", ("field", "io")),
+}
 
 
 def _attach_arrays(
-    segments: dict[str, shared_memory.SharedMemory],
+    segments: dict,
     n_markers: int,
     s3: int,
     grid_shape: tuple[int, int, int],
 ) -> dict[str, np.ndarray]:
+    field = np.ndarray((3,) + tuple(grid_shape), np.float64,
+                       buffer=segments["field"].buf)
     return {
         "verts": np.ndarray((n_markers, 3), np.float64,
                             buffer=segments["verts"].buf),
@@ -294,103 +283,55 @@ def _attach_arrays(
                            buffer=segments["flat"].buf),
         "contrib": np.ndarray((3, n_markers * s3), np.float64,
                               buffer=segments["contrib"].buf),
-        "field": np.ndarray((3,) + tuple(grid_shape), np.float64,
-                            buffer=segments["field"].buf),
+        "field": field,
+        "field_flat": field.reshape(3, -1),
     }
 
 
 def _fsi_worker_main(conn, kernel_name, mode, grid_shape, origin,
                      spacing) -> None:
-    """Process-backend worker loop: attach segments, serve stage commands.
+    """Worker process: attach segments, serve stage commands.
 
-    The parent acts as the barrier between stages by collecting every
-    worker's reply before issuing the next command; array data never
-    crosses the pipe (it lives in the shared segments).
-
-    Stage replies travel as ``(payload, t0, t1)`` with the interval
-    stamped on ``time.perf_counter`` — system-wide ``CLOCK_MONOTONIC``
-    on Linux — so the parent can fold per-worker seconds into the
-    rank-balance rollup and, under tracing, merge the intervals into
-    the driver's span timeline.
+    ``("population", ...)`` re-attaches the segments and installs the
+    worker's share of the decomposition.  Every other command is a
+    :data:`_STAGES` key; its reply is ``(payload, t0, t1)`` with the
+    interval stamped on ``time.perf_counter`` — system-wide
+    ``CLOCK_MONOTONIC`` on Linux — so the parent can fold per-worker
+    seconds into the rank-balance rollup and, under tracing, merge the
+    intervals into the driver's span timeline.  Array data never crosses
+    the pipe (it lives in the shared segments).
     """
-    from time import perf_counter
-
     worker = FSIWorker(kernel_name, mode, grid_shape, origin, spacing)
-    segments: dict[str, shared_memory.SharedMemory] = {}
+    segments: dict = {}
     arrays: dict[str, np.ndarray] = {}
-    try:
-        while True:
-            msg = conn.recv()
-            # _shutdown_workers sends the bare "stop" string; stage
-            # commands arrive as tuples.
-            cmd = msg if isinstance(msg, str) else msg[0]
-            if cmd == "stop":
-                break
-            if cmd == "population":
-                _, specs, tasks, m_range, n_range, n_markers, names = msg
-                arrays.clear()  # views must die before segment close
-                for shm in segments.values():
-                    shm.close()
-                segments = {
-                    key: shared_memory.SharedMemory(name=name)
-                    for key, name in names.items()
-                }
-                arrays = _attach_arrays(
-                    segments, n_markers, worker.kernel.support ** 3,
-                    grid_shape,
-                )
-                worker.set_population(specs, tasks, m_range, n_range)
-                conn.send("ok")
-                continue
-            t0 = perf_counter()
-            if cmd == "forces":
-                worker.membrane_forces(arrays["verts"], arrays["io"])
-                payload = "ok"
-            elif cmd == "stencil":
-                payload = worker.build_stencil(
-                    arrays["verts"], arrays["flat"]
-                )
-            elif cmd == "contrib":
-                worker.spread_contrib(arrays["io"], arrays["contrib"])
-                payload = "ok"
-            elif cmd == "scatter":
-                worker.spread_scatter(
-                    arrays["flat"], arrays["contrib"],
-                    arrays["field"].reshape(3, -1),
-                )
-                payload = "ok"
-            elif cmd == "interp":
-                worker.interpolate(arrays["field"], arrays["io"])
-                payload = "ok"
-            else:
-                raise ValueError(f"unknown FSI worker command {cmd!r}")
-            conn.send((payload, t0, perf_counter()))
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        arrays.clear()
+
+    def detach() -> None:
+        arrays.clear()  # views must die before segment close
         for shm in segments.values():
             shm.close()
-        conn.close()
+        segments.clear()
 
+    def handle(msg):
+        if msg[0] == "population":
+            _, specs, tasks, m_range, n_range, n_markers, names = msg
+            detach()
+            segments.update(
+                (key, attach_segment(name)) for key, name in names.items()
+            )
+            arrays.update(_attach_arrays(
+                segments, n_markers, worker.kernel.support ** 3, grid_shape
+            ))
+            worker.set_population(specs, tasks, m_range, n_range)
+            return "ok"
+        method, keys = _STAGES[msg[0]]
+        t0 = perf_counter()
+        payload = getattr(worker, method)(*(arrays[k] for k in keys))
+        return payload, t0, perf_counter()
 
-def _timed_call(fn, args) -> tuple:
-    """Run ``fn(*args)`` stamping its wall interval (in-process paths)."""
-    from time import perf_counter
-
-    t0 = perf_counter()
-    reply = fn(*args)
-    return reply, t0, perf_counter()
-
-
-def _finalize_runtime(procs, conns, segments) -> None:
-    """GC safety net: stop workers, then unlink shared segments."""
-    if procs:
-        _shutdown_workers(procs, conns)
-        procs.clear()
-        conns.clear()
-    _unlink_segments(segments)
-    segments.clear()
+    try:
+        serve(conn, handle)
+    finally:
+        detach()
 
 
 # ----------------------------------------------------------------------
@@ -400,10 +341,10 @@ def _finalize_runtime(procs, conns, segments) -> None:
 class ParallelFSIRuntime:
     """Sharded membrane-force + IBM coupling engine for one lattice.
 
-    Owned by an :class:`~repro.fsi.stepper.FSIStepper`; every backend —
-    including ``serial`` — routes through it, and every backend is
-    bitwise identical to the pre-runtime serial stepper (see the module
-    docstring for the determinism argument).
+    Owned by an :class:`~repro.fsi.stepper.FSIStepper`; both backends
+    route through it, and both are bitwise identical to the pre-runtime
+    serial stepper (see the module docstring for the determinism
+    argument).
 
     Call order per step::
 
@@ -443,79 +384,43 @@ class ParallelFSIRuntime:
         self.spacing = float(grid.spacing)
         self._generation = -1
         self._n_markers = 0
-        self._specs: list[GroupSpec] = []
         self._stencil_valid = False
-        self._closed = False
+        self._warned_clip = False
 
-        # In-process workers (serial/threads) and their plain buffers.
-        self._workers: list[FSIWorker] = []
-        self._pool: ThreadPoolExecutor | None = None
+        # Serial backend: one inline worker on plain buffers.
+        self._worker: FSIWorker | None = None
         self._flat_buf: np.ndarray | None = None
         self._contrib_buf: np.ndarray | None = None
 
-        # Process backend: persistent worker pool + shared segments.
-        self._procs: list = []
-        self._conns: list = []
-        self._segments: list[shared_memory.SharedMemory] = []
+        # Processes backend: persistent pool + shared segments.
+        self._pool: ProcessPool | None = None
+        self._segments: list = []
         self._shm_names: dict[str, str] = {}
         self._shm_arrays: dict[str, np.ndarray] = {}
-        self._warned_clip = False
-
-        if self.backend == "processes":
-            self._start_processes()
-        else:
-            self._workers = [
-                FSIWorker(self.kernel, mode, self.grid_shape,
-                          self.origin, self.spacing)
-                for _ in range(self.n_workers)
-            ]
-            if self.backend == "threads":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    thread_name_prefix="repro-fsi",
-                )
         self._finalizer = weakref.finalize(
-            self, _finalize_runtime, self._procs, self._conns, self._segments
+            self, unlink_segments, self._segments
         )
-        if self._pool is not None:
-            self._pool_finalizer = weakref.finalize(
-                self, self._pool.shutdown, False
+
+        geometry = (mode, self.grid_shape, self.origin, self.spacing)
+        if self.backend == "processes":
+            self._pool = ProcessPool(
+                _fsi_worker_main,
+                [(self.kernel.name, *geometry)] * self.n_workers,
+                name="repro-fsi",
             )
+        else:
+            self._worker = FSIWorker(self.kernel, *geometry)
+
+    @property
+    def _procs(self) -> list:
+        return self._pool.procs if self._pool is not None else []
 
     # -- lifecycle -----------------------------------------------------
-    def _start_processes(self) -> None:
-        # Unlike the LBM executor, segments are created *after* the pool
-        # (their size tracks the cell population), so the parent tracker
-        # must already be running when workers fork — otherwise each
-        # child's attach-time register spawns a private tracker that
-        # never sees the parent's unlink and warns about leaks at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        for w in range(self.n_workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_fsi_worker_main,
-                args=(child_conn, self.kernel.name, self.mode,
-                      self.grid_shape, self.origin, self.spacing),
-                daemon=True,
-                name=f"repro-fsi-{w}",
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
     def close(self) -> None:
         """Stop workers and unlink shared segments (idempotent)."""
-        self._closed = True
         self._shm_arrays.clear()
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool_finalizer.detach()
-            self._pool = None
+            self._pool.close()
         self._finalizer()
 
     def __enter__(self):
@@ -546,19 +451,18 @@ class ParallelFSIRuntime:
             in manager.packed_segments()
         ]
         n_markers = sum(s.n_cells * s.n_vertices for s in specs)
-        self._specs = specs
         self._stencil_valid = False
         tasks = _cell_chunks(specs, self.n_workers)
-        marker_ranges = _split_range(n_markers, self.n_workers)
-        node_ranges = _split_range(self.grid_size, self.n_workers)
-        if self.backend == "processes":
+        marker_ranges = split_range(n_markers, self.n_workers)
+        node_ranges = split_range(self.grid_size, self.n_workers)
+        if self._pool is not None:
             if n_markers != self._n_markers or not self._segments:
                 self._remap_segments(n_markers)
-            for w, conn in enumerate(self._conns):
-                conn.send(("population", specs, tasks[w], marker_ranges[w],
-                           node_ranges[w], n_markers, self._shm_names))
-            for conn in self._conns:
-                conn.recv()
+            self._pool.request([
+                ("population", specs, tasks[w], marker_ranges[w],
+                 node_ranges[w], n_markers, self._shm_names)
+                for w in range(self.n_workers)
+            ])
         else:
             s3 = self.kernel.support ** 3
             if n_markers != self._n_markers:
@@ -566,9 +470,8 @@ class ParallelFSIRuntime:
                 self._contrib_buf = np.empty(
                     (3, n_markers * s3), dtype=np.float64
                 )
-            for w, worker in enumerate(self._workers):
-                worker.set_population(specs, tasks[w], marker_ranges[w],
-                                      node_ranges[w])
+            self._worker.set_population(specs, tasks[0], marker_ranges[0],
+                                        node_ranges[0])
         self._n_markers = n_markers
         self._generation = manager.generation
         get_telemetry().gauge("fsi.workers").set(self.n_workers)
@@ -580,8 +483,7 @@ class ParallelFSIRuntime:
         tracking the live set.
         """
         self._shm_arrays.clear()
-        _unlink_segments(self._segments)
-        self._segments.clear()
+        unlink_segments(self._segments)
         self._shm_names.clear()
         s3 = self.kernel.support ** 3
         n = max(1, n_markers)  # zero-byte segments are not allowed
@@ -594,7 +496,7 @@ class ParallelFSIRuntime:
         }
         shms = {}
         for key, nbytes in sizes.items():
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
+            shm = create_segment(nbytes)
             self._segments.append(shm)
             self._shm_names[key] = shm.name
             shms[key] = shm
@@ -602,62 +504,38 @@ class ParallelFSIRuntime:
                                           self.grid_shape)
 
     # -- stage dispatch ------------------------------------------------
-    def _run(self, stage: str, *args, label: str | None = None) -> list:
+    def _run(self, stage: str, *args, label: str) -> list:
         """Run one stage on every worker; returns per-worker replies.
 
+        The pool workers read and write the shared segments (``args`` is
+        empty); the serial worker is handed the caller's arrays.
         Collecting every reply before returning is the barrier between
         stages (the scatter must not start until all contribs landed).
 
-        When a live telemetry backend is installed and ``label`` is set,
-        each worker's wall interval is folded into the per-rank balance
-        accounting under ``fsi/<label>``, and — under tracing — merged
-        into the driver timeline as a child span of the enclosing phase.
-        The :class:`~repro.telemetry.backend.NullTelemetry` path takes
-        none of these branches, so the hot path is unchanged when
-        observability is off.
+        When a live telemetry backend is installed, each worker's wall
+        interval is folded into the per-rank balance accounting under
+        ``fsi/<label>``, and — under tracing — merged into the driver
+        timeline as a child span of the enclosing phase.
         """
+        if self._pool is not None:
+            raw = self._pool.broadcast((stage,))
+        else:
+            t0 = perf_counter()
+            reply = getattr(self._worker, _STAGES[stage][0])(*args)
+            raw = [(reply, t0, perf_counter())]
         tel = get_telemetry()
-        record = tel.enabled and label is not None
-        if self.backend == "processes":
-            for conn in self._conns:
-                conn.send((stage,) if not args else (stage, *args))
-            raw = [conn.recv() for conn in self._conns]
-            if record:
-                self._record_stage(tel, label, raw)
-            return [reply for reply, _, _ in raw]
-        if self.backend == "threads" and len(self._workers) > 1:
-            if record:
-                futures = [
-                    self._pool.submit(_timed_call, getattr(w, stage), args)
-                    for w in self._workers
-                ]
-                raw = [f.result() for f in futures]
-                self._record_stage(tel, label, raw)
-                return [reply for reply, _, _ in raw]
-            futures = [
-                self._pool.submit(getattr(w, stage), *args)
-                for w in self._workers
-            ]
-            return [f.result() for f in futures]
-        if record:
-            raw = [
-                _timed_call(getattr(w, stage), args) for w in self._workers
-            ]
-            self._record_stage(tel, label, raw)
-            return [reply for reply, _, _ in raw]
-        return [getattr(w, stage)(*args) for w in self._workers]
-
-    def _record_stage(self, tel, label: str, raw: list[tuple]) -> None:
-        """Fold ``(reply, t0, t1)`` worker intervals into telemetry."""
-        tel.record_rank_seconds(
-            f"fsi/{label}", {w: t1 - t0 for w, (_, t0, t1) in enumerate(raw)}
-        )
-        tracer = tel.tracer
-        if tracer is not None:
-            parent = tracer.current_id
-            for w, (_, t0, t1) in enumerate(raw):
-                tracer.add(label, t0, t1, parent_id=parent, rank=w,
-                           category="worker")
+        if tel.enabled:
+            tel.record_rank_seconds(
+                f"fsi/{label}",
+                {w: t1 - t0 for w, (_, t0, t1) in enumerate(raw)},
+            )
+            tracer = tel.tracer
+            if tracer is not None:
+                parent = tracer.current_id
+                for w, (_, t0, t1) in enumerate(raw):
+                    tracer.add(label, t0, t1, parent_id=parent, rank=w,
+                               category="worker")
+        return [reply for reply, _, _ in raw]
 
     # -- step operations -----------------------------------------------
     def total_forces(self, manager):
@@ -672,12 +550,12 @@ class ParallelFSIRuntime:
         self.sync_population(manager)
         verts, forces, ordinals, cells = manager.packed_arrays()
         with tel.phase("fsi/forces"):
-            if self.backend == "processes":
+            if self._pool is not None:
                 np.copyto(self._shm_arrays["verts"], verts)
                 self._run("forces", label="forces")
                 np.copyto(forces, self._shm_arrays["io"])
             else:
-                self._run("membrane_forces", verts, forces, label="forces")
+                self._run("forces", verts, forces, label="forces")
         forces += contact_forces(
             verts, ordinals, manager.contact_cutoff,
             manager.contact_stiffness,
@@ -688,11 +566,11 @@ class ParallelFSIRuntime:
         """Build the sharded marker stencil for the current positions."""
         tel = get_telemetry()
         with tel.phase("fsi/stencil"):
-            if self.backend == "processes":
+            if self._pool is not None:
                 np.copyto(self._shm_arrays["verts"], verts)
                 replies = self._run("stencil", label="stencil")
             else:
-                replies = self._run("build_stencil", verts, self._flat_buf,
+                replies = self._run("stencil", verts, self._flat_buf,
                                     label="stencil")
         n_clipped = int(sum(replies))
         if self.mode == "clip" and n_clipped:
@@ -709,7 +587,7 @@ class ParallelFSIRuntime:
             raise RuntimeError("spread() requires begin_step() first")
         tel = get_telemetry()
         with tel.phase("fsi/spread"):
-            if self.backend == "processes":
+            if self._pool is not None:
                 np.copyto(self._shm_arrays["io"], forces_lat)
                 self._run("contrib", label="spread_contrib")
                 field = self._shm_arrays["field"]
@@ -717,11 +595,10 @@ class ParallelFSIRuntime:
                 self._run("scatter", label="spread_scatter")
                 out_field += field
             else:
-                self._run("spread_contrib", forces_lat, self._contrib_buf,
+                self._run("contrib", forces_lat, self._contrib_buf,
                           label="spread_contrib")
-                self._run("spread_scatter", self._flat_buf,
-                          self._contrib_buf, out_field.reshape(3, -1),
-                          label="spread_scatter")
+                self._run("scatter", self._flat_buf, self._contrib_buf,
+                          out_field.reshape(3, -1), label="spread_scatter")
 
     def interpolate(self, field: np.ndarray) -> np.ndarray:
         """Interpolate ``field`` at the markers of the cached stencil."""
@@ -729,12 +606,12 @@ class ParallelFSIRuntime:
             raise RuntimeError("interpolate() requires begin_step() first")
         tel = get_telemetry()
         with tel.phase("fsi/interp"):
-            if self.backend == "processes":
+            if self._pool is not None:
                 np.copyto(self._shm_arrays["field"], field)
                 self._run("interp", label="interp")
                 return self._shm_arrays["io"][:self._n_markers].copy()
             out = np.empty((self._n_markers, 3), dtype=np.float64)
-            self._run("interpolate", field, out, label="interp")
+            self._run("interp", field, out, label="interp")
             return out
 
     def _record_clipped(self, n_clipped: int) -> None:

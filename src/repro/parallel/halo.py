@@ -3,19 +3,18 @@
 The distributed solver keeps each rank's lattice in a padded local array
 (one-node halo).  :func:`fill_rank_halo` performs one rank's fill by
 direct array copies (the "network" is memory — plain ndarrays for the
-serial/threads backends, ``shared_memory`` views for the processes
-backend) while reporting the bytes each transfer would ship over a real
-interconnect.  :class:`HaloAccountant` wraps it with cumulative counters
+serial backend, ``shared_memory`` views for the processes backend) while
+reporting the bytes each transfer would ship over a real interconnect.  :class:`HaloAccountant` wraps it with cumulative counters
 that feed the scaling model (Figs. 7-8).
 
 Direction-aware packing (``pack=True``): the pull stream only ever reads
 the halo populations whose lattice vector points *into* the receiving
 block — 5 of the 19 per face slab and 1 per edge slab for D3Q19
-(:data:`PACKED_QS`) — so exchange mode can ship just those, cutting the
-shipped volume ~3-4x without changing a single streamed value.  The
-recompute halo mode keeps the full-population ``f`` exchange it
-semantically needs (the ghost-rim collide couples all 19 populations at
-each ghost node).
+(:data:`PACKED_QS`) — so the post-collision exchange ships just those,
+cutting the shipped volume ~4x without changing a single streamed value.
+The pre-collision ``f`` exchange of the recompute halo mode ships all 19
+(the ghost-rim collide couples every population at each ghost node);
+which of the two a fill is, the step phase decides, not a user.
 
 The fill is race-free under rank-parallel execution: rank ``r`` writes
 only its *own* halo rim and reads only its neighbors' outermost

@@ -1,7 +1,7 @@
 """Measured wall-clock throughput of the parallel LBM backends.
 
 The scaling benches (Figs. 7-8) historically reported *modeled* numbers
-only; these helpers time the real executor backends so the benches and
+only; these helpers time the real executors so the benches and
 the ``python -m repro scaling --measured`` CLI record measured
 steps-per-second curves next to the model.  Results carry the machine's
 CPU count — a single-core box cannot show multi-worker speedup, and the
@@ -41,8 +41,6 @@ def measure_throughput(
     warmup: int = 2,
     tau: float = 0.9,
     seed: int = 0,
-    halo_pack: bool | None = None,
-    overlap: bool | None = None,
     dims: tuple[int, int, int] | None = None,
     weighted_split: bool = False,
     solid: np.ndarray | None = None,
@@ -50,19 +48,15 @@ def measure_throughput(
     """Time ``steps`` distributed LBM steps under one backend config.
 
     Returns a record with wall seconds, steps/s, per-step comm volume
-    and the resolved backend/worker configuration.  ``halo_pack`` /
-    ``overlap`` select the packed-halo exchange and fused step pipeline
-    (``None`` defers to the ``REPRO_HALO_PACK`` / ``REPRO_DIST_OVERLAP``
-    env knobs); ``dims`` forces a process grid and ``weighted_split``
-    places split planes by fluid-node count when a ``solid`` map is
-    given.
+    and the resolved backend/worker configuration.  ``dims`` forces a
+    process grid and ``weighted_split`` places split planes by
+    fluid-node count when a ``solid`` map is given.
     """
     f0 = _seeded_f(shape, tau, seed)
     with DistributedLBMSolver(
         shape, tau=tau, n_tasks=n_tasks,
         backend=backend, n_workers=n_workers, halo_mode=halo_mode,
-        halo_pack=halo_pack, overlap=overlap, dims=dims,
-        weighted_split=weighted_split, solid=solid,
+        dims=dims, weighted_split=weighted_split, solid=solid,
     ) as d:
         d.scatter(f0)
         if warmup:
@@ -75,8 +69,6 @@ def measure_throughput(
             "backend": d.backend,
             "n_workers": d.n_workers,
             "halo_mode": d.halo_mode,
-            "halo_pack": d.halo_pack,
-            "overlap": d.overlap,
             "weighted_split": d.weighted_split,
             "dims": list(d.decomp.dims),
             "n_tasks": n_tasks,
@@ -91,96 +83,15 @@ def measure_throughput(
         }
 
 
-def halo_pack_comparison(
-    shape: tuple[int, int, int],
-    n_tasks: int,
-    backend: str = "serial",
-    n_workers: int | None = None,
-    steps: int = 10,
-    warmup: int = 2,
-    tau: float = 0.9,
-) -> dict:
-    """Full-rim vs direction-aware packed halo exchange, side by side.
-
-    The packed exchange ships only the populations whose lattice vector
-    points into the receiving block (5 per face, 1 per edge, never the
-    corners D3Q19 cannot read), so ``bytes_reduction`` approaches
-    ``(2*19 + ...)/(2*5 + ...)`` ≈ 3.8-4.5x for cubic blocks — the Fig. 7
-    comm-volume term.
-    """
-    full = measure_throughput(
-        shape, n_tasks, backend=backend, n_workers=n_workers,
-        halo_mode="exchange", steps=steps, warmup=warmup, tau=tau,
-        halo_pack=False,
-    )
-    packed = measure_throughput(
-        shape, n_tasks, backend=backend, n_workers=n_workers,
-        halo_mode="exchange", steps=steps, warmup=warmup, tau=tau,
-        halo_pack=True,
-    )
-    return {
-        "shape": list(shape),
-        "n_tasks": n_tasks,
-        "full": full,
-        "packed": packed,
-        "bytes_reduction": (
-            full["bytes_per_step"] / packed["bytes_per_step"]
-            if packed["bytes_per_step"] else float("inf")
-        ),
-    }
-
-
-def overlap_comparison(
-    shape: tuple[int, int, int],
-    n_tasks: int,
-    backend: str = "serial",
-    n_workers: int | None = None,
-    halo_mode: str = "exchange",
-    halo_pack: bool | None = None,
-    steps: int = 10,
-    warmup: int = 2,
-    tau: float = 0.9,
-) -> dict:
-    """Barriered (3 round-trips/step) vs fused (1) pipeline, side by side.
-
-    ``speedup`` is the barriered/fused ms-per-step ratio; on the
-    processes backend it reflects the 3-to-1 pipe round-trip cut plus
-    the rim-first exchange overlap.
-    """
-    barriered = measure_throughput(
-        shape, n_tasks, backend=backend, n_workers=n_workers,
-        halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
-        halo_pack=halo_pack, overlap=False,
-    )
-    fused = measure_throughput(
-        shape, n_tasks, backend=backend, n_workers=n_workers,
-        halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
-        halo_pack=halo_pack, overlap=True,
-    )
-    return {
-        "shape": list(shape),
-        "n_tasks": n_tasks,
-        "halo_mode": halo_mode,
-        "barriered": barriered,
-        "fused": fused,
-        "speedup": (
-            barriered["ms_per_step"] / fused["ms_per_step"]
-            if fused["ms_per_step"] else float("inf")
-        ),
-    }
-
-
 def measured_scaling_curve(
     shape: tuple[int, int, int],
     n_tasks: int,
     worker_counts: tuple[int, ...] = (1, 2, 4),
-    backends: tuple[str, ...] = ("threads", "processes"),
+    backends: tuple[str, ...] = ("processes",),
     halo_mode: str = "exchange",
     steps: int = 10,
     warmup: int = 2,
     tau: float = 0.9,
-    halo_pack: bool | None = None,
-    overlap: bool | None = None,
 ) -> dict:
     """Serial reference plus per-backend worker sweeps on one lattice.
 
@@ -191,7 +102,6 @@ def measured_scaling_curve(
     serial = measure_throughput(
         shape, n_tasks, backend="serial", halo_mode=halo_mode,
         steps=steps, warmup=warmup, tau=tau,
-        halo_pack=halo_pack, overlap=overlap,
     )
     curves: dict[str, dict[str, dict]] = {}
     for backend in backends:
@@ -202,7 +112,6 @@ def measured_scaling_curve(
             r = measure_throughput(
                 shape, n_tasks, backend=backend, n_workers=w,
                 halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
-                halo_pack=halo_pack, overlap=overlap,
             )
             r["speedup_vs_serial"] = r["steps_per_s"] / serial["steps_per_s"]
             curves[backend][str(w)] = r
@@ -231,8 +140,6 @@ def measured_weak_scaling(
     steps: int = 5,
     warmup: int = 1,
     tau: float = 0.9,
-    halo_pack: bool | None = None,
-    overlap: bool | None = None,
 ) -> dict:
     """Fixed per-rank block, growing lattice: the Fig. 8 premise, timed.
 
@@ -261,7 +168,6 @@ def measured_weak_scaling(
         r = measure_throughput(
             shape, n, backend=backend, n_workers=n_workers,
             halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
-            halo_pack=halo_pack, overlap=overlap,
         )
         if t1 is None:
             t1 = r["wall_s"]

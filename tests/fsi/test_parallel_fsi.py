@@ -1,7 +1,7 @@
 """Parallel FSI runtime: backend matrix bitwise-exactness and lifecycle.
 
 The acceptance bar for the executor-backed FSI step is strict: every
-backend (``serial`` / ``threads`` / ``processes``) must reproduce the
+backend (``serial`` / ``processes``) must reproduce the
 *pre-runtime* serial stepper bit-for-bit — vertex trajectories and fluid
 populations — over the hot-path bench configuration.  The reference here
 is the literal pre-PR step composition (manager ``total_forces`` +
@@ -103,8 +103,7 @@ def reference_trajectory():
 
 @pytest.mark.parametrize(
     "backend,workers",
-    [("serial", None), ("threads", 2), ("threads", 3),
-     ("processes", 2), ("processes", 3)],
+    [("serial", None), ("processes", 2), ("processes", 3)],
 )
 def test_backend_matrix_bitwise_equal_to_reference(
     backend, workers, reference_trajectory
@@ -227,7 +226,7 @@ def test_many_short_fsi_runs_leak_nothing(recwarn):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         for i in range(4):
-            backend = "processes" if i % 2 == 0 else "threads"
+            backend = "processes" if i % 2 == 0 else "serial"
             st = build_stepper(backend=backend, workers=2, n_cells=2)
             try:
                 st.step(1)
@@ -282,27 +281,40 @@ def test_resolve_fsi_backend_defaults(monkeypatch):
 
 
 def test_resolve_fsi_backend_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-    assert resolve_fsi_backend(None, None) == ("threads", 3)
+    assert resolve_fsi_backend(None, None) == ("processes", 3)
     # Explicit arguments win over the environment.
     assert resolve_fsi_backend("serial", 5) == ("serial", 1)
     assert resolve_fsi_backend("processes", 2) == ("processes", 2)
+    # No rank cap (the lattice resolver has one), explicit counts clamp.
+    assert resolve_fsi_backend("processes", 64) == ("processes", 64)
+    assert resolve_fsi_backend("processes", 0) == ("processes", 1)
+    for bad in ("two", "0", "-3"):
+        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", bad)
+        with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS"):
+            resolve_fsi_backend(None, None)
 
 
-def test_resolve_fsi_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_fsi_backend("mpi", None)
+def test_resolve_fsi_backend_rejects_unknown(monkeypatch):
+    for backend in ("mpi", "threads"):  # threads: a name that used to exist
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_fsi_backend(backend, None)
+        with pytest.raises(ValueError, match="unknown backend"):
+            build_stepper(backend=backend)
+    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+    with pytest.raises(ValueError, match="unknown backend"):
+        build_stepper()
 
 
 def test_env_backend_reaches_stepper(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
     with build_stepper() as st:
-        assert st.backend == "threads"
+        assert st.backend == "processes"
         assert st.n_workers == 2
         st.step(1)
-        assert st.runtime.backend == "threads"
+        assert st.runtime.backend == "processes"
 
 
 def test_runtime_is_lazy_for_cell_free_steppers():

@@ -1,12 +1,12 @@
-"""Packed halo exchange, fused step pipeline, weighted decomposition.
+"""Packed halo exchange, golden matrices, weighted decomposition.
 
-The golden matrix here is the PR's contract: every executor backend ×
-halo mode × packing × overlap combination reproduces the single-grid
+The golden matrix here is the distributed runtime's contract: every
+executor backend × halo mode combination reproduces the single-grid
 :class:`~repro.lbm.solver.LBMSolver` bit-for-bit over ≥40 steps,
 including a walled lattice and a non-periodic decomposition.
 """
 
-import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,26 +14,11 @@ import pytest
 from repro.lbm import Grid, LBMSolver
 from repro.lbm.boundaries import BounceBackWalls
 from repro.lbm.lattice import D3Q19
-from repro.parallel import (
-    PACKED_QS,
-    DistributedLBMSolver,
-    resolve_dist_overlap,
-    resolve_halo_pack,
-)
-from repro.parallel.distributed import ENV_DIST_OVERLAP, ENV_HALO_PACK
+from repro.parallel import PACKED_QS, DistributedLBMSolver
 
 SHAPE = (12, 10, 8)
 TAU = 0.8
 STEPS = 40
-
-
-@pytest.fixture(autouse=True)
-def _pin_dist_env(monkeypatch):
-    """These tests assert on explicit ctor flags; clear the overriding
-    env knobs so a CI leg exporting them can't flip the pinned modes
-    (the env-driven path is covered by the rest of tests/parallel)."""
-    monkeypatch.delenv(ENV_HALO_PACK, raising=False)
-    monkeypatch.delenv(ENV_DIST_OVERLAP, raising=False)
 
 
 def _seeded_f(shape, tau=TAU, seed=7):
@@ -104,16 +89,14 @@ def test_packed_qs_direction_rule():
 # Golden matrix
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 @pytest.mark.parametrize("halo_mode", ["exchange", "recompute"])
-@pytest.mark.parametrize("pack", [False, True])
-@pytest.mark.parametrize("overlap", [False, True])
-def test_golden_matrix_bitwise(backend, halo_mode, pack, overlap):
+def test_golden_matrix_bitwise(backend, halo_mode):
     f0 = _seeded_f(SHAPE)
     ref = _single_grid_reference(f0)
     with DistributedLBMSolver(
         SHAPE, tau=TAU, n_tasks=4, backend=backend, n_workers=2,
-        halo_mode=halo_mode, halo_pack=pack, overlap=overlap,
+        halo_mode=halo_mode,
     ) as d:
         d.scatter(f0)
         d.step(STEPS)
@@ -122,17 +105,14 @@ def test_golden_matrix_bitwise(backend, halo_mode, pack, overlap):
 
 
 @pytest.mark.parametrize("halo_mode", ["exchange", "recompute"])
-@pytest.mark.parametrize("pack", [False, True])
-@pytest.mark.parametrize("overlap", [False, True])
-def test_golden_matrix_walled_periodic(halo_mode, pack, overlap):
+def test_golden_matrix_walled_periodic(halo_mode):
     """Solid shell on a periodic decomposition: full-array equality —
     even the garbage-but-deterministic solid nodes match."""
     solid = _shell_solid(SHAPE)
     f0 = _seeded_f(SHAPE)
     ref = _single_grid_reference(f0, solid=solid)
     with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, halo_mode=halo_mode,
-        halo_pack=pack, overlap=overlap, solid=solid,
+        SHAPE, tau=TAU, n_tasks=4, halo_mode=halo_mode, solid=solid,
     ) as d:
         d.scatter(f0)
         d.step(STEPS)
@@ -144,9 +124,7 @@ def test_golden_matrix_walled_periodic(halo_mode, pack, overlap):
     (False, False, False),
     (True, False, True),
 ])
-@pytest.mark.parametrize("pack", [False, True])
-@pytest.mark.parametrize("overlap", [False, True])
-def test_golden_matrix_walled_nonperiodic(periodic, pack, overlap):
+def test_golden_matrix_walled_nonperiodic(periodic):
     """Non-periodic decompositions have no wraparound neighbors; beyond
     the enclosing solid shell the dynamics never look outside, so every
     fluid node still matches the single-grid reference bitwise."""
@@ -157,7 +135,7 @@ def test_golden_matrix_walled_nonperiodic(periodic, pack, overlap):
     with np.errstate(over="ignore", invalid="ignore"):
         with DistributedLBMSolver(
             SHAPE, tau=TAU, n_tasks=4, halo_mode="exchange",
-            halo_pack=pack, overlap=overlap, solid=solid, periodic=periodic,
+            solid=solid, periodic=periodic,
         ) as d:
             d.scatter(f0)
             d.step(STEPS)
@@ -165,8 +143,7 @@ def test_golden_matrix_walled_nonperiodic(periodic, pack, overlap):
     np.testing.assert_array_equal(got[:, fluid], ref[:, fluid])
 
 
-@pytest.mark.parametrize("overlap", [False, True])
-def test_exchange_equals_recompute_nonperiodic_walled(overlap):
+def test_exchange_equals_recompute_nonperiodic_walled():
     """The two halo modes stay bitwise-interchangeable on a walled
     non-periodic lattice (fluid nodes; ghost rims differ by design)."""
     solid = _shell_solid(SHAPE)
@@ -176,7 +153,7 @@ def test_exchange_equals_recompute_nonperiodic_walled(overlap):
     with np.errstate(over="ignore", invalid="ignore"):
         for mode in ("exchange", "recompute"):
             with DistributedLBMSolver(
-                SHAPE, tau=TAU, n_tasks=4, halo_mode=mode, overlap=overlap,
+                SHAPE, tau=TAU, n_tasks=4, halo_mode=mode,
                 solid=solid, periodic=(False, False, False),
             ) as d:
                 d.scatter(f0)
@@ -195,7 +172,6 @@ def test_weighted_split_stays_bitwise():
     ref = _single_grid_reference(f0, solid=solid)
     with DistributedLBMSolver(
         SHAPE, tau=TAU, n_tasks=4, solid=solid, weighted_split=True,
-        halo_pack=True, overlap=True,
     ) as d:
         d.scatter(f0)
         d.step(STEPS)
@@ -208,22 +184,26 @@ def test_weighted_split_stays_bitwise():
 
 
 def test_packed_exchange_cuts_bytes_3x():
-    """The fig7-config acceptance bar: packed exchange ships ≥3x fewer
-    bytes per step than the full-rim exchange, with identical physics."""
+    """The fig7-config acceptance bar: the exchange mode's packed halos
+    ship ≥3x fewer bytes per step than the full rim ``recompute`` mode
+    still ships, in the same messages and with identical physics."""
     shape = (16, 16, 16)
     f0 = _seeded_f(shape)
     per_mode = {}
+    messages = {}
     fields = {}
-    for pack in (False, True):
+    for mode in ("exchange", "recompute"):
         with DistributedLBMSolver(
-            shape, tau=TAU, n_tasks=8, halo_pack=pack,
+            shape, tau=TAU, n_tasks=8, halo_mode=mode,
         ) as d:
             d.scatter(f0)
             d.step(2)
-            per_mode[pack] = d.bytes_per_step()
-            fields[pack] = d.gather()
-    assert per_mode[False] / per_mode[True] >= 3.0
-    np.testing.assert_array_equal(fields[False], fields[True])
+            per_mode[mode] = d.bytes_per_step()
+            messages[mode] = d.last_step_messages
+            fields[mode] = d.gather()
+    assert per_mode["recompute"] / per_mode["exchange"] >= 3.0
+    assert messages["exchange"] == messages["recompute"] > 0
+    np.testing.assert_array_equal(fields["exchange"], fields["recompute"])
 
 
 def test_messages_coalesced_slabs_raw():
@@ -244,136 +224,31 @@ def test_messages_coalesced_slabs_raw():
         assert d.last_step_bytes == d.halo.counters.bytes_sent
 
 
-def test_comm_counters_identical_between_pipelines():
-    """The fused pipeline reports exactly the barriered pipeline's
-    communication totals."""
-    totals = {}
-    for overlap in (False, True):
-        with DistributedLBMSolver(
-            SHAPE, tau=TAU, n_tasks=4, halo_pack=True, overlap=overlap,
-        ) as d:
-            d.scatter(_seeded_f(SHAPE))
-            d.step(3)
-            totals[overlap] = (
-                d.halo.counters.bytes_sent,
-                d.halo.counters.messages,
-                d.halo.counters.slabs,
-            )
-    assert totals[False] == totals[True]
-    assert totals[True][0] > 0
-
-
 # ----------------------------------------------------------------------
-# Fused pipeline: round-trips, timings, gauge
+# Removed switches are inert
 
 
-def test_processes_round_trips_3_to_1():
-    """One Pipe command per fused step vs three per barriered step —
-    asserted on the executor's command ledger."""
+def test_removed_env_switches_are_inert(monkeypatch):
+    """``REPRO_HALO_PACK`` / ``REPRO_DIST_OVERLAP`` no longer exist: set
+    to the values that used to select the deleted paths, the solver
+    builds without a warning, ships the packed byte count and matches
+    the single grid bitwise."""
     f0 = _seeded_f(SHAPE)
-    with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, backend="processes", n_workers=2,
-        overlap=False,
-    ) as d:
+    ref = _single_grid_reference(f0, steps=5)
+    with DistributedLBMSolver(SHAPE, tau=TAU, n_tasks=4) as d:
         d.scatter(f0)
         d.step(5)
-        barriered_log = list(d.executor.command_log)
-    with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, backend="processes", n_workers=2,
-        overlap=True,
-    ) as d:
-        d.scatter(f0)
-        d.step(5)
-        fused_log = list(d.executor.command_log)
-    assert len(barriered_log) == 15
-    assert set(barriered_log) == {"collide", "halo_post", "stream"}
-    assert fused_log == ["step"] * 5
-
-
-def test_fused_records_rank_phase_seconds():
-    with DistributedLBMSolver(SHAPE, tau=TAU, n_tasks=4, overlap=True) as d:
-        d.scatter(_seeded_f(SHAPE))
-        d.step(2)
-        for phase in ("collide", "halo", "stream"):
-            acc = d.rank_phase_seconds[phase]
-            assert set(acc) == set(range(4))
-            assert all(v >= 0.0 for v in acc.values())
-        assert 0.0 <= d.last_overlap_efficiency <= 1.0
-
-
-def test_overlap_efficiency_gauge_and_rank_seconds():
-    from repro.telemetry import Telemetry, active
-
-    tel = Telemetry()
-    with DistributedLBMSolver(SHAPE, tau=TAU, n_tasks=4, overlap=True) as d:
-        d.scatter(_seeded_f(SHAPE))
-        with active(tel):
-            d.step(2)
-    eff = tel.gauge("dist.overlap_efficiency").value
-    assert 0.0 <= eff <= 1.0
-    assert tel.counter("comm.slabs").value > 0
-    assert tel.counter("comm.messages").value < tel.counter("comm.slabs").value
-    # the fused step still feeds per-sub-phase rank-balance accumulators
-    for name in ("dist/collide", "dist/halo", "dist/stream"):
-        assert set(tel.rank_seconds[name]) == set(range(4))
-    # ... and the single driver phase is the fused step
-    assert tel.summary()["phases"]["dist/step"]["count"] == 2
-
-
-def test_fused_traced_spans_carry_subphases():
-    from repro.telemetry import Telemetry, active
-
-    tel = Telemetry(trace=True)
-    with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, backend="processes", n_workers=2,
-        overlap=True,
-    ) as d:
-        d.scatter(_seeded_f(SHAPE))
-        with active(tel):
-            d.step(2)
-    worker = [s for s in tel.tracer.spans if s.category == "worker"]
-    names = {s.name for s in worker}
-    assert names == {"collide", "halo", "stream"}
-    # every rank shows up in every sub-phase
-    for name in names:
-        ranks = {s.rank for s in worker if s.name == name}
-        assert ranks == set(range(4))
-
-
-# ----------------------------------------------------------------------
-# Env-knob precedence (REPRO_KERNELS rule: env wins)
-
-
-@pytest.mark.parametrize("env_var,resolve", [
-    (ENV_HALO_PACK, resolve_halo_pack),
-    (ENV_DIST_OVERLAP, resolve_dist_overlap),
-])
-def test_env_wins_over_ctor_arg(monkeypatch, env_var, resolve):
-    monkeypatch.delenv(env_var, raising=False)
-    assert resolve(None) is False
-    assert resolve(True) is True
-    monkeypatch.setenv(env_var, "1")
-    assert resolve(False) is True        # env wins over explicit arg
-    monkeypatch.setenv(env_var, "off")
-    assert resolve(True) is False
-    monkeypatch.setenv(env_var, "")
-    assert resolve(True) is True         # empty env falls back to arg
-    monkeypatch.setenv(env_var, "sideways")
-    with pytest.raises(ValueError):
-        resolve(None)
-
-
-def test_env_knobs_reach_solver(monkeypatch):
-    monkeypatch.setenv(ENV_HALO_PACK, "yes")
-    monkeypatch.setenv(ENV_DIST_OVERLAP, "true")
-    with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=2, halo_pack=False, overlap=False,
-    ) as d:
-        assert d.halo_pack is True
-        assert d.overlap is True
-        d.scatter(_seeded_f(SHAPE))
-        d.step(1)
-        assert d.last_step_bytes > 0
+        packed_bytes = d.bytes_per_step()
+    monkeypatch.setenv("REPRO_HALO_PACK", "0")
+    monkeypatch.setenv("REPRO_DIST_OVERLAP", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with DistributedLBMSolver(SHAPE, tau=TAU, n_tasks=4) as d:
+            d.scatter(f0)
+            d.step(5)
+            assert d.bytes_per_step() == packed_bytes
+            np.testing.assert_array_equal(d.gather(), ref)
+    assert not hasattr(d, "halo_pack") and not hasattr(d, "overlap")
 
 
 # ----------------------------------------------------------------------
@@ -383,28 +258,8 @@ def test_env_knobs_reach_solver(monkeypatch):
 def test_measure_records_new_fields():
     from repro.parallel import measure_throughput
 
-    r = measure_throughput(
-        (8, 8, 8), 2, steps=2, warmup=1, halo_pack=True, overlap=True,
-    )
-    assert r["halo_pack"] is True
-    assert r["overlap"] is True
+    r = measure_throughput((8, 8, 8), 2, steps=2, warmup=1)
+    assert "halo_pack" not in r and "overlap" not in r
     assert r["weighted_split"] is False
     assert r["slabs_per_step"] > 0
     assert len(r["dims"]) == 3
-
-
-def test_halo_pack_comparison_helper():
-    from repro.parallel import halo_pack_comparison
-
-    cmp = halo_pack_comparison((12, 12, 12), 4, steps=2, warmup=1)
-    assert cmp["bytes_reduction"] >= 3.0
-    assert cmp["packed"]["bytes_per_step"] < cmp["full"]["bytes_per_step"]
-
-
-def test_overlap_comparison_helper():
-    from repro.parallel import overlap_comparison
-
-    cmp = overlap_comparison((8, 8, 8), 2, steps=2, warmup=1)
-    assert cmp["barriered"]["overlap"] is False
-    assert cmp["fused"]["overlap"] is True
-    assert cmp["speedup"] > 0

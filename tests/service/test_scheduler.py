@@ -324,7 +324,7 @@ def test_worker_env_isolation(tmp_path, testjobs):
             JobSpec(
                 job_id="probe",
                 experiment=f"python:{testjobs}:run_env_probe",
-                backend="threads",
+                backend="processes",
                 workers=3,
                 max_attempts=1,
             )
@@ -333,6 +333,6 @@ def test_worker_env_isolation(tmp_path, testjobs):
     camp = tmp_path / "camp"
     report = CampaignRunner(manifest, camp, poll_interval=0.02).run()
     summary = report["jobs"]["probe"]["summary"]
-    assert summary["backend"] == "threads"
+    assert summary["backend"] == "processes"
     assert summary["workers"] == "3"
     assert summary["pid"] != os.getpid()  # really ran out-of-process

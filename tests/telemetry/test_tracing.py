@@ -152,7 +152,7 @@ def _init_distributed(shape, n_tasks, **kw):
     return g, d
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_worker_spans_nest_under_driver_phases(backend):
     """Worker intervals merge as children of the driver's phase span."""
     tel = Telemetry(trace=True)
@@ -173,7 +173,7 @@ def test_worker_spans_nest_under_driver_phases(backend):
         assert parent.rank is None
         assert parent.name.startswith("dist/")
         # the worker interval is contained in its parent's interval
-        # (same CLOCK_MONOTONIC for threads/processes on Linux)
+        # (same CLOCK_MONOTONIC across processes on Linux)
         assert parent.t0 <= w.t0
         assert w.t1 <= parent.t1
     assert len(drivers) == 6
@@ -217,7 +217,7 @@ def test_tracing_off_sends_plain_phase_protocol():
     assert "dist/collide" in tel.recorder.stats
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_fsi_stage_spans_merge_per_worker(backend):
     """The sharded FSI runtime's stage intervals join the timeline."""
     from repro.experiments.hotpath import build_hotpath_stepper

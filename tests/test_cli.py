@@ -29,15 +29,15 @@ def test_scaling_measured_serial(capsys):
                  "--tasks", "2", "--steps", "2"]) == 0
     out = capsys.readouterr().out
     assert "measured" in out and "serial" in out
-    assert "steps/s" in out
+    assert "steps/s" in out and "msgs" in out
 
 
 def test_scaling_measured_with_backend(capsys):
     assert main(["scaling", "--measured", "--shape", "8", "8", "8",
                  "--tasks", "2", "--steps", "2",
-                 "--backend", "threads", "--workers", "2"]) == 0
+                 "--backend", "processes", "--workers", "2"]) == 0
     out = capsys.readouterr().out
-    assert "threads" in out and "speedup" in out
+    assert "processes" in out and "speedup" in out
 
 
 def test_scaling_dims_forced(capsys):
@@ -56,13 +56,15 @@ def test_scaling_bad_dims_rejected(capsys):
     capsys.readouterr()
 
 
-def test_scaling_packed_fused_flags(capsys):
-    assert main(["scaling", "--measured", "--shape", "8", "8", "8",
-                 "--tasks", "2", "--steps", "2",
-                 "--halo-pack", "--overlap"]) == 0
-    out = capsys.readouterr().out
-    assert "packed" in out and "fused" in out
-    assert "msgs" in out
+@pytest.mark.parametrize("argv", [
+    ["--halo-pack"], ["--overlap"], ["--backend", "threads"],
+])
+def test_scaling_rejects_removed_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--measured", "--shape", "8", "8", "8",
+              "--tasks", "2", "--steps", "2", *argv])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_scaling_weighted_split_duct(capsys):

@@ -37,6 +37,4 @@ def test_env_variables_match_tuning_table():
         "REPRO_PARALLEL_BACKEND",
         "REPRO_PARALLEL_WORKERS",
         "REPRO_DTYPE",
-        "REPRO_HALO_PACK",
-        "REPRO_DIST_OVERLAP",
     }
