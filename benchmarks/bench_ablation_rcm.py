@@ -2,8 +2,9 @@
 
 The paper reorders cell-mesh vertices with reverse Cuthill-McKee so each
 element's twelve-vertex neighborhood sits close in memory.  This ablation
-measures the bandwidth reduction and the effect on batched Skalak+bending
-force evaluation over a pooled RBC population.
+measures the bandwidth reduction and the effect on the batched membrane
+force evaluation (the product-path ``membrane_forces``, Skalak + bending
+here) over a pooled RBC population.
 """
 
 import numpy as np
@@ -12,12 +13,11 @@ import pytest
 from conftest import banner
 from repro.membrane import (
     ReferenceState,
-    bending_forces,
     biconcave_rbc,
+    membrane_forces,
     mesh_bandwidth,
     rcm_ordering,
     reorder_mesh,
-    skalak_forces,
 )
 
 GS, C, KB = 5e-6, 100.0, 2.3e-19
@@ -54,9 +54,7 @@ def test_batched_membrane_forces_by_ordering(benchmark, ordering):
     )
 
     def forces():
-        f = skalak_forces(batch, ref, GS, C)
-        f += bending_forces(batch, ref.quads, ref.theta0, KB)
-        return f
+        return membrane_forces(batch, ref, GS, C, KB, 0.0, 0.0)
 
     result = benchmark(forces)
     assert np.isfinite(result).all()

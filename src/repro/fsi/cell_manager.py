@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..membrane.bending import bending_forces
 from ..membrane.cell import Cell, CellKind
-from ..membrane.constraints import area_volume_forces
-from ..membrane.skalak import skalak_forces
+from ..membrane.forces import membrane_forces
 from ..telemetry import get_telemetry
 from .pool import VertexPool
 
@@ -331,16 +329,12 @@ class CellManager:
     # -- mechanics -----------------------------------------------------------
     def _group_membrane_forces(self, group: _Group, slots: np.ndarray) -> np.ndarray:
         """Batched membrane forces (B, V, 3) for one group."""
-        ref = group.reference
         sample = group.cells[0]
-        batch = group.pool.gather(slots)
-        f = skalak_forces(batch, ref, sample.shear_modulus, sample.skalak_C)
-        f += bending_forces(batch, ref.quads, ref.theta0, sample.k_bend)
-        f += area_volume_forces(
-            batch, ref.faces, ref.area0, ref.volume0,
+        return membrane_forces(
+            group.pool.gather(slots), group.reference,
+            sample.shear_modulus, sample.skalak_C, sample.k_bend,
             sample.k_area, sample.k_volume,
         )
-        return f
 
     def membrane_force_batches(self):
         """Yield ``(cells, (B, V, 3) forces)`` per group, packed order.

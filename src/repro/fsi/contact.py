@@ -45,9 +45,9 @@ def contact_scatter(vertices, i, j, cutoff, stiffness, out):
     r = np.maximum(r, 1e-12 * cutoff)
     mag = stiffness * (1.0 - r / cutoff)
     fij = (mag / r)[:, None] * d
-    # bincount over the stacked (i, j) index — same dense-scatter pattern
-    # as ibm.coupling.spread_with_stencil.  Summation order per vertex:
-    # +fij contributions in pair order, then -fij.
+    # One bincount over the stacked (i, j) index (a dense scatter).
+    # Summation order per vertex: +fij contributions in pair order,
+    # then -fij.
     m = len(i)
     idx = _scratch_buf("pair_idx", (2 * m,), np.int64)
     idx[:m] = i

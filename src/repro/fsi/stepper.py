@@ -14,10 +14,10 @@ reference simply uses it over the whole domain.
 
 The cell-side phases (1, 2 and 4) execute on a
 :class:`~repro.parallel.fsi.ParallelFSIRuntime`, which shards membrane
-forces by cell chunk and the IBM spread/interpolation by marker and
-lattice-node chunk, inline (``serial``) or on a persistent worker pool
-(``processes``).  Both are bitwise identical to the serial step; pick
-one with ``backend=`` / ``workers=`` or the
+forces by cell chunk, the IBM interpolation by marker chunk and the
+spread by lattice-node range, inline (``serial``) or on a persistent
+worker pool (``processes``).  Both are bitwise identical to the serial
+step; pick one with ``backend=`` / ``workers=`` or the
 ``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` environment
 variables.  The worker pool and its shared-memory segments are created
 lazily on the first cell-laden step and released by :meth:`close` (or a
@@ -169,7 +169,8 @@ class FSIStepper:
         if tel is None:
             tel = get_telemetry()
         g = self.grid
-        g.force[:] = self.body_force_lattice[:, None, None, None]
+        with tel.phase("reset"):
+            g.force[:] = self.body_force_lattice[:, None, None, None]
         self._step_verts = None
         self._step_cells = None
         if self.cells.n_cells == 0:
@@ -177,9 +178,10 @@ class FSIStepper:
         rt = self.runtime
         with tel.phase("forces"):
             forces, verts, cells = rt.total_forces(self.cells)
-            if self.wall_geometry is not None:
-                forces = forces + self._wall_forces(verts)
-            forces_lat = forces * self.units.force_to_lattice(1.0)
+            with tel.phase("wall"):
+                if self.wall_geometry is not None:
+                    forces = forces + self._wall_forces(verts)
+                forces_lat = forces * self.units.force_to_lattice(1.0)
         with tel.phase("spread"):
             rt.begin_step(verts)
             rt.spread(forces_lat, g.force)
@@ -194,7 +196,8 @@ class FSIStepper:
             tel = get_telemetry()
         rt = self.runtime
         with tel.phase("advect"):
-            u = self.solver.velocity()
+            with tel.phase("velocity"):
+                u = self.solver.velocity()
             verts = self._step_verts
             if verts is None or self._step_generation != self.cells.generation:
                 # Population changed since the spread (or spread was
@@ -209,8 +212,11 @@ class FSIStepper:
             self._step_verts = None
             self._step_cells = None
             # One lattice time step: dx_lat = u_lat * 1, physical = u_lat * dx.
-            self.cells.update_vertices(v_lat * self.units.dx)
-            self.cells.set_velocities(v_lat * (self.units.dx / self.units.dt))
+            with tel.phase("move"):
+                self.cells.update_vertices(v_lat * self.units.dx)
+                self.cells.set_velocities(
+                    v_lat * (self.units.dx / self.units.dt)
+                )
 
     # ------------------------------------------------------------------
     def fluid_velocity(self) -> np.ndarray:

@@ -12,10 +12,12 @@ neighbor offsets (a, b, c) within the kernel support,
 Interpolation (Eq. 4):  V[m] = sum_abc u[:, i+a, j+b, k+c] w[m, a, b, c]
 Spreading (Eq. 6):      g[:, i+a, j+b, k+c] += G[m] w[m, a, b, c]
 
-Within one FSI step, spreading (pre-collision) and interpolation
-(post-stream) act on the *same* marker positions, so the weights and
-node indices are identical.  :class:`Stencil` packages that shared state
-and :meth:`IBMCoupler.begin_step` computes it exactly once per step; the
+i.e. both are products with one sparse operator S (markers x lattice
+nodes) holding the weights: V = S u and g += S^T G, adjoint by
+construction.  Within one FSI step, spreading (pre-collision) and
+interpolation (post-stream) act on the *same* marker positions, so S is
+the same.  :class:`Stencil` builds it as a CSR matrix and
+:meth:`IBMCoupler.begin_step` computes it exactly once per step; the
 stepper invalidates it after vertex advection.
 """
 
@@ -24,9 +26,14 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from ..telemetry import get_telemetry
 from .kernels import KERNELS, DeltaKernel
+
+#: Node indices are stored as int32: scipy then wraps the index arrays
+#: without the range scan and down-cast copy it applies to int64 input.
+INDEX_DTYPE = np.int32
 
 
 def _weights_and_indices(
@@ -42,12 +49,14 @@ def _weights_and_indices(
     -------
     idx : list of three (N, S) integer arrays (per axis)
     w : (N, S, S, S) combined weights (written into ``w_out`` when given)
+    n_clipped : markers whose support was clamped in ``mode='clip'``
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     offsets = kernel.offsets()
     base = np.floor(pos).astype(np.int64)  # (N, 3)
     idx = []
     w1d = []
+    clipped = np.zeros(pos.shape[0], dtype=bool)
     for d in range(3):
         nodes = base[:, d : d + 1] + offsets[None, :]  # (N, S)
         dist = pos[:, d : d + 1] - nodes
@@ -55,46 +64,73 @@ def _weights_and_indices(
         if mode == "wrap":
             nodes = np.mod(nodes, shape[d])
         elif mode == "clip":
+            clipped |= (nodes[:, 0] < 0) | (nodes[:, -1] > shape[d] - 1)
             nodes = np.clip(nodes, 0, shape[d] - 1)
         else:
             raise ValueError(f"unknown boundary mode {mode!r}")
         idx.append(nodes)
-    if w_out is not None and w_out.shape == (pos.shape[0],) + (len(offsets),) * 3:
-        w = np.einsum("na,nb,nc->nabc", w1d[0], w1d[1], w1d[2], out=w_out)
-    else:
-        w = np.einsum("na,nb,nc->nabc", w1d[0], w1d[1], w1d[2])
-    return idx, w
+    if w_out is not None:
+        w_out = w_out.reshape((pos.shape[0],) + (len(offsets),) * 3)
+    w = np.einsum("na,nb,nc->nabc", w1d[0], w1d[1], w1d[2], out=w_out)
+    return idx, w, int(np.count_nonzero(clipped))
 
 
 class Stencil:
     """Precomputed kernel support for one fixed set of marker positions.
 
-    Holds everything both coupling directions need: per-axis node indices,
-    the combined weight tensor, and (lazily) the flattened node indices
-    the spreading bincount uses.  ``n_clipped`` counts markers whose
-    support was clamped onto the boundary in ``mode='clip'``.
+    Holds what both coupling directions need: the per-axis node indices
+    ``idx``, the combined weight tensor ``w``, and the IBM operator
+    ``matrix`` (markers x lattice nodes, CSR).  Row m of the matrix holds
+    marker m's ``support**3`` weights in kernel-offset order, so ``w``
+    and the flat node indices *are* its ``data`` and ``indices`` —
+    wrapped, not copied or sorted — and ``indptr`` is an arithmetic
+    progression.  Interpolation is ``matrix @ u``, spreading is
+    ``matrix.T @ F``.  ``n_clipped`` counts markers whose support was
+    clamped onto the boundary in ``mode='clip'``.
     """
 
-    __slots__ = ("idx", "w", "shape", "n_markers", "n_clipped", "_flat")
+    __slots__ = ("idx", "w", "shape", "n_markers", "n_clipped", "matrix")
 
-    def __init__(self, idx, w, shape, n_clipped: int = 0):
+    def __init__(self, idx, w, flat, shape, n_clipped: int = 0):
         self.idx = idx
         self.w = w
         self.shape = tuple(shape)
-        self.n_markers = w.shape[0]
+        self.n_markers = n = w.shape[0]
         self.n_clipped = int(n_clipped)
-        self._flat = None
+        n_nodes = shape[0] * shape[1] * shape[2]
+        if max(n_nodes, w.size) > np.iinfo(INDEX_DTYPE).max:
+            raise ValueError(
+                f"{n} markers on a {self.shape} lattice overflow "
+                f"{np.dtype(INDEX_DTYPE).name} stencil indices"
+            )
+        per_row = w.size // n if n else 1
+        indptr = np.arange(0, n * per_row + 1, per_row, dtype=INDEX_DTYPE)
+        self.matrix = sparse.csr_matrix(
+            (w.reshape(-1), flat.reshape(-1), indptr), shape=(n, n_nodes)
+        )
 
     def flat_indices(self) -> np.ndarray:
         """Flattened lattice-node index per (marker, a, b, c) weight."""
-        if self._flat is None:
-            _, ny, nz = self.shape
-            self._flat = (
-                self.idx[0][:, :, None, None] * (ny * nz)
-                + self.idx[1][:, None, :, None] * nz
-                + self.idx[2][:, None, None, :]
-            ).reshape(-1)
-        return self._flat
+        return self.matrix.indices
+
+    def columns(self, lo: int, hi: int) -> sparse.csr_matrix:
+        """The sub-matrix of ``matrix`` over lattice nodes ``lo..hi-1``.
+
+        Masking keeps every retained entry in its row, in order, so
+        ``columns(lo, hi).T @ F`` accumulates each node's markers in the
+        same order as ``matrix.T @ F`` does.
+        """
+        flat = self.matrix.indices
+        mask = (flat >= lo) & (flat < hi)
+        indptr = np.zeros(self.n_markers + 1, dtype=INDEX_DTYPE)
+        np.cumsum(
+            np.count_nonzero(mask.reshape(self.n_markers, -1), axis=1),
+            out=indptr[1:],
+        )
+        return sparse.csr_matrix(
+            (self.matrix.data[mask], flat[mask] - INDEX_DTYPE(lo), indptr),
+            shape=(self.n_markers, hi - lo),
+        )
 
 
 def make_stencil(
@@ -103,64 +139,63 @@ def make_stencil(
     kernel: DeltaKernel | str = "cosine4",
     mode: str = "clip",
     w_out: np.ndarray | None = None,
+    flat_out: np.ndarray | None = None,
 ) -> Stencil:
-    """Build a :class:`Stencil` for fractional-coordinate ``positions``."""
+    """Build a :class:`Stencil` for fractional-coordinate ``positions``.
+
+    ``w_out`` / ``flat_out`` are optional preallocated homes for the
+    ``N * support**3`` weights and node indices (any shape of that size;
+    ``flat_out`` of :data:`INDEX_DTYPE`).
+    """
     if isinstance(kernel, str):
         kernel = KERNELS[kernel]
-    idx, w = _weights_and_indices(positions, shape, kernel, mode, w_out=w_out)
-    n_clipped = 0
-    if mode == "clip":
-        pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-        base = np.floor(pos).astype(np.int64)
-        offsets = kernel.offsets()
-        hi = np.asarray(shape, dtype=np.int64) - 1
-        clipped = ((base + offsets[0]) < 0).any(axis=1)
-        clipped |= ((base + offsets[-1]) > hi).any(axis=1)
-        n_clipped = int(np.count_nonzero(clipped))
-    return Stencil(idx, w, shape, n_clipped)
+    _, ny, nz = shape
+    idx, w, n_clipped = _weights_and_indices(
+        positions, shape, kernel, mode, w_out=w_out
+    )
+    if flat_out is None:
+        flat_out = np.empty(w.size, dtype=INDEX_DTYPE)
+    ia, ib, ic = (nodes.astype(INDEX_DTYPE) for nodes in idx)
+    ia *= INDEX_DTYPE(ny * nz)
+    ib *= INDEX_DTYPE(nz)
+    np.add((ia[:, :, None] + ib[:, None])[:, :, :, None],
+           ic[:, None, None, :], out=flat_out.reshape(w.shape))
+    return Stencil(idx, w, flat_out, shape, n_clipped)
 
 
 def interpolate_with_stencil(field: np.ndarray, stencil: Stencil) -> np.ndarray:
     """Interpolate an Eulerian field at the stencil's markers (Eq. 4)."""
-    ia = stencil.idx[0][:, :, None, None]
-    ib = stencil.idx[1][:, None, :, None]
-    ic = stencil.idx[2][:, None, None, :]
     if field.ndim == 4:
-        vals = field[:, ia, ib, ic]  # (3, N, S, S, S)
-        return np.einsum("dnabc,nabc->nd", vals, stencil.w)
-    vals = field[ia, ib, ic]
-    return np.einsum("nabc,nabc->n", vals, stencil.w)
+        return stencil.matrix @ field.reshape(field.shape[0], -1).T
+    return stencil.matrix @ field.reshape(-1)
 
 
 def spread_with_stencil(
     values: np.ndarray,
     stencil: Stencil,
     out_field: np.ndarray,
-    contrib_out: np.ndarray | None = None,
+    node_range: tuple[int, int] | None = None,
 ) -> None:
-    """Spread marker values onto the Eulerian field, in place (Eq. 6)."""
+    """Spread marker values onto the Eulerian field, in place (Eq. 6).
+
+    The adjoint of :func:`interpolate_with_stencil` by construction
+    (``S.T @ values``).  ``node_range=(lo, hi)`` restricts the scatter to
+    flat (C-order) lattice nodes ``lo..hi-1`` and touches no other entry
+    of ``out_field``; spreading over any partition of the lattice into
+    node ranges is bitwise equal to the unrestricted spread.
+    """
+    if not out_field.flags.c_contiguous:
+        raise ValueError("spreading needs a C-contiguous output field")
     vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    flat = stencil.flat_indices()
-    shape = stencil.shape
-    size = shape[0] * shape[1] * shape[2]
-    if contrib_out is not None and contrib_out.shape != stencil.w.shape:
-        contrib_out = None
-    # bincount is much faster than np.add.at for dense scatters.
+    matrix = stencil.matrix
+    lo, hi = (0, matrix.shape[1]) if node_range is None else node_range
+    if (lo, hi) != (0, matrix.shape[1]):
+        matrix = stencil.columns(lo, hi)
     if out_field.ndim == 4:
-        for d in range(3):
-            contrib = np.multiply(
-                stencil.w, vals[:, d][:, None, None, None], out=contrib_out
-            )
-            out_field[d] += np.bincount(
-                flat, weights=contrib.reshape(-1), minlength=size
-            ).reshape(shape)
+        out = out_field.reshape(out_field.shape[0], -1)
+        out[:, lo:hi] += (matrix.T @ vals).T
     else:
-        contrib = np.multiply(
-            stencil.w, vals[:, 0][:, None, None, None], out=contrib_out
-        )
-        out_field += np.bincount(
-            flat, weights=contrib.reshape(-1), minlength=size
-        ).reshape(shape)
+        out_field.reshape(-1)[lo:hi] += matrix.T @ vals[:, 0]
 
 
 def interpolate(
@@ -218,10 +253,10 @@ class IBMCoupler:
         self.mode = mode
         self._stencil: Stencil | None = None
         self._stencil_pos: np.ndarray | None = None
-        # Reusable scratch: the (N, S, S, S) weight tensor and the
-        # spreading contribution buffer, reallocated only when N changes.
+        # Reusable homes of the stencil's weights and node indices,
+        # reallocated only when N changes.
         self._w_buf: np.ndarray | None = None
-        self._contrib_buf: np.ndarray | None = None
+        self._flat_buf: np.ndarray | None = None
         self._warned_clip = False
 
     def to_fractional(self, positions: np.ndarray) -> np.ndarray:
@@ -240,9 +275,10 @@ class IBMCoupler:
         n, s = frac.shape[0], self.kernel.support
         if self._w_buf is None or self._w_buf.shape[0] != n:
             self._w_buf = np.empty((n, s, s, s), dtype=np.float64)
-            self._contrib_buf = np.empty_like(self._w_buf)
+            self._flat_buf = np.empty(n * s**3, dtype=INDEX_DTYPE)
         stencil = make_stencil(
-            frac, self.grid.shape, self.kernel, self.mode, w_out=self._w_buf
+            frac, self.grid.shape, self.kernel, self.mode,
+            w_out=self._w_buf, flat_out=self._flat_buf,
         )
         self._record_clipped(stencil)
         self._stencil = stencil
@@ -287,10 +323,5 @@ class IBMCoupler:
 
     def spread_forces(self, positions: np.ndarray, forces_lattice: np.ndarray) -> None:
         """Add lattice-units nodal forces into the grid's force field."""
-        stencil, cached = self._stencil_for(positions)
-        spread_with_stencil(
-            forces_lattice,
-            stencil,
-            self.grid.force,
-            contrib_out=self._contrib_buf if cached else None,
-        )
+        stencil, _ = self._stencil_for(positions)
+        spread_with_stencil(forces_lattice, stencil, self.grid.force)

@@ -32,6 +32,7 @@ from .constraints import (
     mesh_area,
     face_areas,
 )
+from .forces import membrane_forces
 from .localarea import local_area_energy, local_area_forces
 from .damping import edge_damping_forces, dissipation_rate
 from .analysis import (
@@ -60,6 +61,7 @@ __all__ = [
     "bending_energy",
     "dihedral_angles",
     "area_volume_forces",
+    "membrane_forces",
     "mesh_volume",
     "mesh_area",
     "face_areas",

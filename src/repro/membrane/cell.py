@@ -26,11 +26,11 @@ from ..constants import (
     RBC_SHEAR_MODULUS,
     SKALAK_C,
 )
-from .bending import bending_forces, dihedral_k_from_helfrich
-from .constraints import area_volume_forces, mesh_area, mesh_volume
+from .bending import dihedral_k_from_helfrich
+from .constraints import mesh_area, mesh_volume
+from .forces import membrane_forces
 from .meshgen import biconcave_rbc, sphere_cell
 from .reference import ReferenceState
-from .skalak import skalak_forces
 
 
 class CellKind(enum.Enum):
@@ -112,14 +112,10 @@ class Cell:
 
     def forces(self) -> np.ndarray:
         """Total membrane nodal forces (V, 3) [N] at the current shape."""
-        ref = self.reference
-        f = skalak_forces(self.vertices, ref, self.shear_modulus, self.skalak_C)
-        f += bending_forces(self.vertices, ref.quads, ref.theta0, self.k_bend)
-        f += area_volume_forces(
-            self.vertices, ref.faces, ref.area0, ref.volume0,
-            self.k_area, self.k_volume,
+        return membrane_forces(
+            self.vertices, self.reference, self.shear_modulus, self.skalak_C,
+            self.k_bend, self.k_area, self.k_volume,
         )
-        return f
 
     # -- copying (window-move deep copy, Section 2.4.3) --------------------
     def copy(self, new_id: int | None = None) -> "Cell":

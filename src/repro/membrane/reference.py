@@ -16,6 +16,7 @@ stored for the deformation-gradient computation in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,14 @@ class ReferenceState:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def force_operator(self):
+        """Gather index + incidence matrix of the fused force function,
+        built on first use (see :mod:`repro.membrane.forces`)."""
+        from .forces import ForceOperator  # local import avoids a cycle
+
+        return ForceOperator(self)
 
     @property
     def n_faces(self) -> int:

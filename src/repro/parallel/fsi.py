@@ -18,23 +18,24 @@ Sharding scheme (each stage is race-free and order-preserving):
   evaluation exactly.
 * ``stencil`` — kernel weights are per-marker elementwise work; each
   worker builds the :class:`~repro.ibm.coupling.Stencil` for a contiguous
-  marker chunk and publishes its flattened node indices.
-* ``spread``  — runs in two barriered stages.  Stage one multiplies
-  weights by marker forces per marker chunk (elementwise, exact).  Stage
-  two shards the *scatter* by disjoint lattice-node ranges: each worker
-  masks the full flat-index array for its range and ``bincount``-reduces
-  into its own slice of the force field.  ``np.bincount`` sums weights in
-  position order, and masking preserves that order per node, so the
-  result is bit-for-bit the single full bincount of the serial path —
-  per-worker partial accumulators summed across workers would not be
-  (floating-point association differs at chunk-straddling nodes), which
-  is why the reduction is sharded by output node instead of by marker.
-* ``interp``  — the velocity einsum reduces over the kernel support per
-  marker, independent of how markers are chunked.
+  marker chunk, writing its weights and flat node indices straight into
+  the population-wide arrays.  Together the chunks are the CSR operator
+  ``S`` (markers x lattice nodes) of the whole population.
+* ``spread``  — ``S.T @ F``, sharded by disjoint lattice-node ranges:
+  each worker masks ``S`` down to the columns of its range and multiplies
+  the transpose of that sub-matrix into its own slice of the force
+  field.  The sparse product accumulates each node's contributions in
+  row (marker) order and masking keeps that order, so the result is
+  bit-for-bit the unsharded product — per-worker partial fields over
+  marker chunks summed across workers would not be (floating-point
+  association differs at chunk-straddling nodes), which is why the
+  reduction is sharded by output node instead of by marker.
+* ``interp``  — ``S @ u`` reduces over the kernel support per marker
+  row, independent of how marker rows are chunked.
 
 The ``serial`` backend runs one :class:`FSIWorker` inline on the
 caller's arrays.  For the ``processes`` backend the packed vertex/force
-arrays, flat indices, spread contributions and the Eulerian field all
+arrays, stencil weights and indices and the Eulerian field all
 live in shared-memory segments refreshed when the
 :class:`~repro.fsi.cell_manager.CellManager` generation changes; workers
 attach by name and never ship array data over the command pipe.  Pool
@@ -50,11 +51,15 @@ from time import perf_counter
 
 import numpy as np
 
-from ..ibm.coupling import interpolate_with_stencil, make_stencil
+from ..ibm.coupling import (
+    INDEX_DTYPE,
+    Stencil,
+    interpolate_with_stencil,
+    make_stencil,
+    spread_with_stencil,
+)
 from ..ibm.kernels import KERNELS, DeltaKernel
-from ..membrane.bending import bending_forces
-from ..membrane.constraints import area_volume_forces
-from ..membrane.skalak import skalak_forces
+from ..membrane.forces import membrane_forces
 from ..telemetry import get_telemetry
 from .pool import (
     ProcessPool,
@@ -67,7 +72,7 @@ from .pool import (
 )
 
 #: Parallel FSI phases, in per-step execution order.
-FSI_PHASES = ("forces", "stencil", "contrib", "scatter", "interp")
+FSI_PHASES = ("forces", "stencil", "spread", "interp")
 
 
 def resolve_fsi_backend(
@@ -152,8 +157,7 @@ class FSIWorker:
         self.force_tasks: list[tuple[GroupSpec, int, int]] = []
         self.marker_range = (0, 0)
         self.node_range = (0, 0)
-        self._stencil = None
-        self._w_buf: np.ndarray | None = None
+        self._stencil: Stencil | None = None
 
     def set_population(
         self,
@@ -166,82 +170,59 @@ class FSIWorker:
         self.marker_range = tuple(marker_range)
         self.node_range = tuple(node_range)
         self._stencil = None
-        self._w_buf = None
 
     # -- stage kernels -------------------------------------------------
     def membrane_forces(self, verts: np.ndarray, out: np.ndarray) -> None:
         """Evaluate membrane forces for this worker's cell chunks.
 
-        Writes disjoint packed rows of ``out``; per-cell arithmetic is
-        identical to ``CellManager._group_membrane_forces`` (the packed
-        vertex rows are bitwise copies of the pool gather it uses).
+        Writes disjoint packed rows of ``out``.  The force function's
+        per-cell result does not depend on its batch, and the packed
+        vertex rows are bitwise copies of the pool gather
+        ``CellManager.total_forces`` evaluates, so chunks reproduce the
+        whole-group evaluation exactly.
         """
         for spec, c0, c1 in self.force_tasks:
-            ref = spec.reference
             lo = spec.start + c0 * spec.n_vertices
             hi = spec.start + c1 * spec.n_vertices
-            batch = verts[lo:hi].reshape(c1 - c0, spec.n_vertices, 3)
-            f = skalak_forces(batch, ref, spec.shear_modulus, spec.skalak_C)
-            f += bending_forces(batch, ref.quads, ref.theta0, spec.k_bend)
-            f += area_volume_forces(
-                batch, ref.faces, ref.area0, ref.volume0,
-                spec.k_area, spec.k_volume,
-            )
-            out[lo:hi] = f.reshape(-1, 3)
+            out[lo:hi] = membrane_forces(
+                verts[lo:hi].reshape(c1 - c0, spec.n_vertices, 3),
+                spec.reference, spec.shear_modulus, spec.skalak_C,
+                spec.k_bend, spec.k_area, spec.k_volume,
+            ).reshape(-1, 3)
 
-    def build_stencil(self, verts: np.ndarray, flat_out: np.ndarray) -> int:
+    def build_stencil(self, verts: np.ndarray, flat: np.ndarray,
+                      w: np.ndarray) -> int:
         """Build the stencil for this worker's marker chunk.
 
-        Publishes the chunk's flattened node indices into ``flat_out``
-        (the scatter stage reads the *full* array) and returns the number
-        of boundary-clipped markers in the chunk.
+        Writes the chunk's weights and node indices into its rows of the
+        population-wide ``w`` / ``flat`` (the spread stage reads *all*
+        rows) and returns the number of boundary-clipped markers.
         """
         m0, m1 = self.marker_range
         if m1 <= m0:
             self._stencil = None
             return 0
         frac = (verts[m0:m1] - self.origin) / self.spacing
-        n, s = m1 - m0, self.kernel.support
-        if self._w_buf is None or self._w_buf.shape[0] != n:
-            self._w_buf = np.empty((n, s, s, s), dtype=np.float64)
         st = make_stencil(frac, self.grid_shape, self.kernel, self.mode,
-                          w_out=self._w_buf)
-        s3 = s ** 3
-        flat_out[m0 * s3:m1 * s3] = st.flat_indices()
+                          w_out=w[m0:m1], flat_out=flat[m0:m1])
         self._stencil = st
         return st.n_clipped
 
-    def spread_contrib(self, forces_lat: np.ndarray,
-                       contrib_out: np.ndarray) -> None:
-        """Stage one of the spread: weights x forces per marker chunk."""
-        m0, m1 = self.marker_range
-        st = self._stencil
-        if st is None or m1 <= m0:
-            return
-        s3 = self.kernel.support ** 3
-        for d in range(3):
-            np.multiply(
-                st.w, forces_lat[m0:m1, d][:, None, None, None],
-                out=contrib_out[d, m0 * s3:m1 * s3].reshape(st.w.shape),
-            )
+    def spread(self, forces_lat: np.ndarray, flat: np.ndarray,
+               w: np.ndarray, field: np.ndarray) -> None:
+        """Spread every marker's force onto this worker's node range.
 
-    def spread_scatter(self, flat: np.ndarray, contrib: np.ndarray,
-                       field_flat: np.ndarray) -> None:
-        """Stage two of the spread: bincount-reduce this node range.
-
-        Masking the full flat array keeps the per-node summation order
-        identical to one global ``bincount`` (positions stay sorted), so
-        the sharded scatter is bitwise equal to the serial spread.
+        Column-masking the population-wide operator keeps each node's
+        accumulation order, so node-range shards are bitwise equal to
+        the one unsharded ``S.T @ F`` of the serial path.
         """
         lo, hi = self.node_range
-        if hi <= lo:
+        if hi <= lo or not len(forces_lat):
             return
-        mask = (flat >= lo) & (flat < hi)
-        idx = flat[mask] - lo
-        for d in range(3):
-            field_flat[d, lo:hi] += np.bincount(
-                idx, weights=contrib[d][mask], minlength=hi - lo
-            )
+        spread_with_stencil(
+            forces_lat, Stencil(None, w, flat, self.grid_shape), field,
+            node_range=(lo, hi),
+        )
 
     def interpolate(self, field: np.ndarray, out: np.ndarray) -> None:
         """Interpolate the field at this worker's marker chunk."""
@@ -259,9 +240,8 @@ class FSIWorker:
 #: caller's own arrays.
 _STAGES = {
     "forces": ("membrane_forces", ("verts", "io")),
-    "stencil": ("build_stencil", ("verts", "flat")),
-    "contrib": ("spread_contrib", ("io", "contrib")),
-    "scatter": ("spread_scatter", ("flat", "contrib", "field_flat")),
+    "stencil": ("build_stencil", ("verts", "flat", "w")),
+    "spread": ("spread", ("io", "flat", "w", "field")),
     "interp": ("interpolate", ("field", "io")),
 }
 
@@ -269,22 +249,20 @@ _STAGES = {
 def _attach_arrays(
     segments: dict,
     n_markers: int,
-    s3: int,
+    support: int,
     grid_shape: tuple[int, int, int],
 ) -> dict[str, np.ndarray]:
-    field = np.ndarray((3,) + tuple(grid_shape), np.float64,
-                       buffer=segments["field"].buf)
     return {
         "verts": np.ndarray((n_markers, 3), np.float64,
                             buffer=segments["verts"].buf),
         "io": np.ndarray((n_markers, 3), np.float64,
                          buffer=segments["io"].buf),
-        "flat": np.ndarray((n_markers * s3,), np.int64,
+        "flat": np.ndarray((n_markers, support ** 3), INDEX_DTYPE,
                            buffer=segments["flat"].buf),
-        "contrib": np.ndarray((3, n_markers * s3), np.float64,
-                              buffer=segments["contrib"].buf),
-        "field": field,
-        "field_flat": field.reshape(3, -1),
+        "w": np.ndarray((n_markers,) + (support,) * 3, np.float64,
+                        buffer=segments["w"].buf),
+        "field": np.ndarray((3,) + tuple(grid_shape), np.float64,
+                            buffer=segments["field"].buf),
     }
 
 
@@ -319,7 +297,7 @@ def _fsi_worker_main(conn, kernel_name, mode, grid_shape, origin,
                 (key, attach_segment(name)) for key, name in names.items()
             )
             arrays.update(_attach_arrays(
-                segments, n_markers, worker.kernel.support ** 3, grid_shape
+                segments, n_markers, worker.kernel.support, grid_shape
             ))
             worker.set_population(specs, tasks, m_range, n_range)
             return "ok"
@@ -350,7 +328,7 @@ class ParallelFSIRuntime:
 
         total_forces(manager)   # fsi/forces (+ serial contact pass)
         begin_step(verts)       # fsi/stencil, once per marker position
-        spread(forces_lat, F)   # fsi/spread (two barriered stages)
+        spread(forces_lat, F)   # fsi/spread (sharded by node range)
         interpolate(u)          # fsi/interp (reuses the cached stencil)
         end_step()
 
@@ -390,7 +368,7 @@ class ParallelFSIRuntime:
         # Serial backend: one inline worker on plain buffers.
         self._worker: FSIWorker | None = None
         self._flat_buf: np.ndarray | None = None
-        self._contrib_buf: np.ndarray | None = None
+        self._w_buf: np.ndarray | None = None
 
         # Processes backend: persistent pool + shared segments.
         self._pool: ProcessPool | None = None
@@ -464,12 +442,10 @@ class ParallelFSIRuntime:
                 for w in range(self.n_workers)
             ])
         else:
-            s3 = self.kernel.support ** 3
+            s = self.kernel.support
             if n_markers != self._n_markers:
-                self._flat_buf = np.empty(n_markers * s3, dtype=np.int64)
-                self._contrib_buf = np.empty(
-                    (3, n_markers * s3), dtype=np.float64
-                )
+                self._flat_buf = np.empty((n_markers, s ** 3), INDEX_DTYPE)
+                self._w_buf = np.empty((n_markers, s, s, s), np.float64)
             self._worker.set_population(specs, tasks[0], marker_ranges[0],
                                         node_ranges[0])
         self._n_markers = n_markers
@@ -490,8 +466,8 @@ class ParallelFSIRuntime:
         sizes = {
             "verts": n * 3 * 8,
             "io": n * 3 * 8,
-            "flat": n * s3 * 8,
-            "contrib": 3 * n * s3 * 8,
+            "flat": n * s3 * np.dtype(INDEX_DTYPE).itemsize,
+            "w": n * s3 * 8,
             "field": 3 * self.grid_size * 8,
         }
         shms = {}
@@ -500,21 +476,23 @@ class ParallelFSIRuntime:
             self._segments.append(shm)
             self._shm_names[key] = shm.name
             shms[key] = shm
-        self._shm_arrays = _attach_arrays(shms, n_markers, s3,
+        self._shm_arrays = _attach_arrays(shms, n_markers,
+                                          self.kernel.support,
                                           self.grid_shape)
 
     # -- stage dispatch ------------------------------------------------
-    def _run(self, stage: str, *args, label: str) -> list:
+    def _run(self, stage: str, *args) -> list:
         """Run one stage on every worker; returns per-worker replies.
 
         The pool workers read and write the shared segments (``args`` is
         empty); the serial worker is handed the caller's arrays.
         Collecting every reply before returning is the barrier between
-        stages (the scatter must not start until all contribs landed).
+        stages (the spread must not start until every stencil chunk
+        landed).
 
         When a live telemetry backend is installed, each worker's wall
         interval is folded into the per-rank balance accounting under
-        ``fsi/<label>``, and — under tracing — merged into the driver
+        ``fsi/<stage>``, and — under tracing — merged into the driver
         timeline as a child span of the enclosing phase.
         """
         if self._pool is not None:
@@ -526,14 +504,14 @@ class ParallelFSIRuntime:
         tel = get_telemetry()
         if tel.enabled:
             tel.record_rank_seconds(
-                f"fsi/{label}",
+                f"fsi/{stage}",
                 {w: t1 - t0 for w, (_, t0, t1) in enumerate(raw)},
             )
             tracer = tel.tracer
             if tracer is not None:
                 parent = tracer.current_id
                 for w, (_, t0, t1) in enumerate(raw):
-                    tracer.add(label, t0, t1, parent_id=parent, rank=w,
+                    tracer.add(stage, t0, t1, parent_id=parent, rank=w,
                                category="worker")
         return [reply for reply, _, _ in raw]
 
@@ -552,10 +530,10 @@ class ParallelFSIRuntime:
         with tel.phase("fsi/forces"):
             if self._pool is not None:
                 np.copyto(self._shm_arrays["verts"], verts)
-                self._run("forces", label="forces")
+                self._run("forces")
                 np.copyto(forces, self._shm_arrays["io"])
             else:
-                self._run("forces", verts, forces, label="forces")
+                self._run("forces", verts, forces)
         forces += contact_forces(
             verts, ordinals, manager.contact_cutoff,
             manager.contact_stiffness,
@@ -568,10 +546,10 @@ class ParallelFSIRuntime:
         with tel.phase("fsi/stencil"):
             if self._pool is not None:
                 np.copyto(self._shm_arrays["verts"], verts)
-                replies = self._run("stencil", label="stencil")
+                replies = self._run("stencil")
             else:
                 replies = self._run("stencil", verts, self._flat_buf,
-                                    label="stencil")
+                                    self._w_buf)
         n_clipped = int(sum(replies))
         if self.mode == "clip" and n_clipped:
             self._record_clipped(n_clipped)
@@ -589,16 +567,13 @@ class ParallelFSIRuntime:
         with tel.phase("fsi/spread"):
             if self._pool is not None:
                 np.copyto(self._shm_arrays["io"], forces_lat)
-                self._run("contrib", label="spread_contrib")
                 field = self._shm_arrays["field"]
                 field.fill(0.0)
-                self._run("scatter", label="spread_scatter")
+                self._run("spread")
                 out_field += field
             else:
-                self._run("contrib", forces_lat, self._contrib_buf,
-                          label="spread_contrib")
-                self._run("scatter", self._flat_buf, self._contrib_buf,
-                          out_field.reshape(3, -1), label="spread_scatter")
+                self._run("spread", forces_lat, self._flat_buf, self._w_buf,
+                          out_field)
 
     def interpolate(self, field: np.ndarray) -> np.ndarray:
         """Interpolate ``field`` at the markers of the cached stencil."""
@@ -608,10 +583,10 @@ class ParallelFSIRuntime:
         with tel.phase("fsi/interp"):
             if self._pool is not None:
                 np.copyto(self._shm_arrays["field"], field)
-                self._run("interp", label="interp")
+                self._run("interp")
                 return self._shm_arrays["io"][:self._n_markers].copy()
             out = np.empty((self._n_markers, 3), dtype=np.float64)
-            self._run("interp", field, out, label="interp")
+            self._run("interp", field, out)
             return out
 
     def _record_clipped(self, n_clipped: int) -> None:

@@ -8,8 +8,10 @@ This test drives two identical seeded cell-laden lattices:
   scratch buffers, slab streaming, moments cache all engaged), and
 * the **reference** one through the pre-optimization algorithm composed
   from the simple allocation paths: per-direction ``np.roll`` streaming,
-  no-scratch :func:`collide_bgk`, one-shot module-level ``spread`` /
-  ``interpolate``, and the dict-based membrane-force assembly.
+  no-scratch :func:`collide_bgk`, the per-term membrane force functions
+  summed cell by cell, and the bincount / gather-einsum IBM bodies the
+  sparse stencil operator replaced — none of which the optimized step
+  calls.
 
 After many steps the distributions and vertex positions must agree to
 1e-12 (the in-place paths mirror the original elementary operations, so
@@ -20,13 +22,20 @@ import numpy as np
 
 from repro.fsi import CellManager, FSIStepper
 from repro.fsi.contact import contact_forces
-from repro.ibm import interpolate, spread
+from repro.ibm import make_stencil
 from repro.lbm import Grid
 from repro.lbm.collision import collide_bgk, macroscopic
 from repro.lbm.lattice import D3Q19
-from repro.membrane import make_rbc
+from repro.membrane import (
+    area_volume_forces,
+    bending_forces,
+    make_rbc,
+    skalak_forces,
+)
 from repro.membrane.cell import random_rotation
 from repro.units import UnitSystem
+
+from ..ibm.reference_bodies import bincount_spread, gather_einsum_interpolate
 
 GOLDEN_TOL = 1e-12
 
@@ -55,21 +64,33 @@ def _setup(seed=3, shape=(16, 16, 16), n_cells=2):
     return st, units
 
 
+def _literal_membrane_forces(cell) -> np.ndarray:
+    ref = cell.reference
+    f = skalak_forces(cell.vertices, ref, cell.shear_modulus, cell.skalak_C)
+    f += bending_forces(cell.vertices, ref.quads, ref.theta0, cell.k_bend)
+    f += area_volume_forces(
+        cell.vertices, ref.faces, ref.area0, ref.volume0,
+        cell.k_area, cell.k_volume,
+    )
+    return f
+
+
 def _reference_step(st: FSIStepper, units: UnitSystem) -> None:
     """One pre-optimization FSI step on ``st``'s grid and cells."""
     g = st.grid
-    # 1. membrane + contact forces (dict-assembly path)
+    # 1. membrane + contact forces (per-term functions, cell by cell)
     g.force[:] = st.body_force_lattice[:, None, None, None]
     verts, ordinals, cells = st.cells.all_vertices()
-    membrane = st.cells.membrane_forces()
-    forces = np.vstack([membrane[c.global_id] for c in cells])
+    forces = np.vstack([_literal_membrane_forces(c) for c in cells])
     forces = forces + contact_forces(
         verts, ordinals, st.cells.contact_cutoff, st.cells.contact_stiffness
     )
     forces_lat = forces * units.force_to_lattice(1.0)
-    # 2. spread (one-shot module path)
+    # 2. spread (bincount body)
     frac = (verts - g.origin) / g.spacing
-    spread(forces_lat, frac, g.force, "cosine4", mode="wrap")
+    bincount_spread(
+        forces_lat, make_stencil(frac, g.shape, "cosine4", "wrap"), g.force
+    )
     # 3. collide (allocation path) + np.roll streaming, no boundaries
     f_post, _, _ = collide_bgk(g.f, g.tau, g.force)
     for i in range(D3Q19.Q):
@@ -80,7 +101,9 @@ def _reference_step(st: FSIStepper, units: UnitSystem) -> None:
     _, u = macroscopic(g.f, g.force)
     verts, _, _ = st.cells.all_vertices()
     frac = (verts - g.origin) / g.spacing
-    v_lat = interpolate(u, frac, "cosine4", mode="wrap")
+    v_lat = gather_einsum_interpolate(
+        u, make_stencil(frac, g.shape, "cosine4", "wrap")
+    )
     st.cells.update_vertices(v_lat * units.dx)
 
 

@@ -1,15 +1,19 @@
 """Per-step IBM stencil cache: reuse, invalidation, and conservation.
 
 The optimized coupling path computes the kernel stencil once per FSI step
-(:meth:`IBMCoupler.begin_step`) and shares it between the pre-collision
-spread and the post-stream interpolation.  These tests pin down the three
+(:meth:`IBMCoupler.begin_step`) — a CSR matrix S, markers x lattice
+nodes — and shares it between the pre-collision spread (``S.T @ F``) and
+the post-stream interpolation (``S @ u``).  These tests pin down the
 properties the cache must preserve:
 
 1. the cached path is numerically identical to the one-shot path
    (adjointness, conservation, constant-field reproduction),
-2. the stencil is invalidated whenever markers move or the population
+2. the sparse products agree with the bincount / gather-einsum bodies
+   they replaced, and a node-range-sharded spread is bitwise equal to the
+   unsharded one (what the ``processes`` backend relies on),
+3. the stencil is invalidated whenever markers move or the population
    changes (advection, cell insert/remove),
-3. the weights are computed exactly once per step.
+4. the weights are computed exactly once per step.
 """
 
 import contextlib
@@ -26,6 +30,8 @@ from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
+
+from .reference_bodies import bincount_spread, gather_einsum_interpolate
 
 
 @contextlib.contextmanager
@@ -62,7 +68,7 @@ def test_cached_spread_matches_module_spread(rng):
     spread(G, pos, ref, "cosine4")
     st = make_stencil(pos, shape, "cosine4")
     out = np.zeros((3,) + shape)
-    spread_with_stencil(G, st, out, contrib_out=np.empty_like(st.w))
+    spread_with_stencil(G, st, out)
     assert np.array_equal(out, ref)
 
 
@@ -98,7 +104,7 @@ def test_cached_adjoint_identity(rng):
     spread_with_stencil(G, st, out)
     lhs = float((out * u).sum())
     rhs = float((G * interpolate_with_stencil(u, st)).sum())
-    assert np.isclose(lhs, rhs, rtol=1e-12)
+    assert np.isclose(lhs, rhs, rtol=1e-13)
 
 
 def test_stencil_matches_one_shot_interpolate(rng):
@@ -109,6 +115,76 @@ def test_stencil_matches_one_shot_interpolate(rng):
     assert np.array_equal(
         interpolate_with_stencil(u, st), interpolate(u, pos, "cosine4")
     )
+
+
+# -- sparse products == the bincount / gather-einsum bodies ----------------
+
+
+def _edge_hugging_markers(rng, shape, n=40):
+    """Markers over the whole lattice, some with support off its edge."""
+    return rng.uniform(-0.4, np.asarray(shape) - 0.6, size=(n, 3))
+
+
+@pytest.mark.parametrize(
+    "kernel,mode",
+    [("cosine4", "clip"), ("cosine4", "wrap"),
+     ("linear2", "clip"), ("linear2", "wrap")],
+)
+def test_csr_products_match_retained_bodies(rng, kernel, mode):
+    shape = (9, 8, 7)
+    st = make_stencil(_edge_hugging_markers(rng, shape), shape, kernel, mode)
+    G = rng.standard_normal((st.n_markers, 3))
+    u = rng.standard_normal((3,) + shape)
+
+    want = np.zeros((3,) + shape)
+    bincount_spread(G, st, want)
+    got = np.zeros((3,) + shape)
+    spread_with_stencil(G, st, got)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    want = gather_einsum_interpolate(u, st)
+    got = interpolate_with_stencil(u, st)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # Scalar fields take the same operator.
+    want = np.zeros(shape)
+    bincount_spread(G[:, :1], st, want)
+    got = np.zeros(shape)
+    spread_with_stencil(G[:, :1], st, got)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.allclose(
+        interpolate_with_stencil(u[0], st),
+        gather_einsum_interpolate(u[0], st), rtol=0, atol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_node_range_sharded_spread_is_bitwise_unsharded(rng, n_shards):
+    shape = (9, 8, 7)
+    st = make_stencil(_edge_hugging_markers(rng, shape), shape, "cosine4")
+    G = rng.standard_normal((st.n_markers, 3))
+    whole = rng.standard_normal((3,) + shape)  # spreading adds in place
+    sharded = whole.copy()
+    spread_with_stencil(G, st, whole)
+    bounds = np.linspace(0, np.prod(shape), n_shards + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        spread_with_stencil(G, st, sharded, node_range=(int(lo), int(hi)))
+    assert np.array_equal(sharded, whole)
+
+
+def test_stencil_matrix_wraps_weights_without_copy(rng):
+    shape = (8, 8, 8)
+    st = make_stencil(rng.uniform(2.0, 5.0, size=(5, 3)), shape, "cosine4")
+    assert np.shares_memory(st.matrix.data, st.w)
+    assert st.matrix.shape == (5, 8 * 8 * 8)
+    assert np.array_equal(np.diff(st.matrix.indptr), np.full(5, 4**3))
+
+
+def test_spread_rejects_non_contiguous_field(rng):
+    st = make_stencil(rng.uniform(2.0, 5.0, size=(3, 3)), (8, 8, 8))
+    out = np.zeros((3, 8, 8, 16))[..., ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        spread_with_stencil(np.ones((3, 3)), st, out)
 
 
 # -- cache identity and invalidation ---------------------------------------
