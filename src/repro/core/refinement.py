@@ -322,7 +322,6 @@ class RefinedRegion:
         f_new = _equilibrium_points(state[0], state[1:4])
         f_new += scale * state[4:]
         _channels_flat(fg.f)[:, fine_flat] = f_new
-        fg.mark_f_modified()
 
     def initialize_fine_from_coarse(self) -> None:
         """Fill the whole fine lattice from the coarse solution.
@@ -340,6 +339,7 @@ class RefinedRegion:
         self._set_fine_nodes(
             fluid, self._interpolated_state(op, src), self._scale_to_fine(frac)
         )
+        self.fine.grid.mark_f_modified()
 
     def _impose_ghosts(self, theta: float) -> None:
         """Set the fine boundary shell from time-interpolated coarse state."""
@@ -353,6 +353,8 @@ class RefinedRegion:
         state = (1 - theta) * self._state_prev
         state += theta * self._state_next
         self._set_fine_nodes(self._ghost_flat, state, self._ghost_scale)
+        # Only the shell changed: cached moments are patched, not redone.
+        self.fine.grid.mark_f_modified(self._ghost_flat)
 
     def _restrict(self) -> None:
         """Overwrite interior coarse nodes from coincident fine nodes."""
@@ -368,7 +370,7 @@ class RefinedRegion:
         _channels_flat(cg.f)[:, self._restrict_coarse_flat] = (
             feq + self._restrict_scale * fneq
         )
-        cg.mark_f_modified()
+        cg.mark_f_modified(self._restrict_coarse_flat)
 
     # ------------------------------------------------------------------
     def _ghost_state(self) -> np.ndarray:

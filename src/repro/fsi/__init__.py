@@ -12,7 +12,7 @@ from .pool import VertexPool
 from .subgrid import UniformSubgrid
 from .cell_manager import CellManager
 from .overlap import find_overlapping_vertices, remove_overlaps, cell_overlaps_existing
-from .contact import contact_forces
+from .contact import ContactList, contact_forces
 from .walls import wall_repulsion_forces, wall_normals_from_sdf
 from .stepper import FSIStepper
 
@@ -23,6 +23,7 @@ __all__ = [
     "find_overlapping_vertices",
     "remove_overlaps",
     "cell_overlaps_existing",
+    "ContactList",
     "contact_forces",
     "wall_repulsion_forces",
     "wall_normals_from_sdf",

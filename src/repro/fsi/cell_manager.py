@@ -27,6 +27,7 @@ import numpy as np
 from ..membrane.cell import Cell, CellKind
 from ..membrane.forces import membrane_forces
 from ..telemetry import get_telemetry
+from .contact import ContactList
 from .pool import VertexPool
 
 
@@ -84,6 +85,7 @@ class CellManager:
         self._generation = 0
         self._position_version = 0
         self._packed: _PackedCache | None = None
+        self._contacts = ContactList()
         self._subgrid = None
         self._subgrid_key: tuple | None = None
 
@@ -355,23 +357,33 @@ class CellManager:
                 out[cell.global_id] = fi
         return out
 
+    def contact_forces(self) -> np.ndarray:
+        """Inter-cell contact forces (N, 3) at the packed vertices as
+        last refreshed (:meth:`packed_vertices` / :meth:`packed_arrays`).
+
+        The manager's :class:`~repro.fsi.contact.ContactList` is carried
+        across steps and keyed on the generation.  The result is scratch
+        storage: fold it into an accumulator before the next call.
+        """
+        p = self._packed_cache()
+        return self._contacts.forces(
+            p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness,
+            key=self._generation,
+        )
+
     def total_forces(self) -> tuple[np.ndarray, np.ndarray, list[Cell]]:
         """Membrane + contact forces aligned with :meth:`all_vertices`.
 
         Returns the manager-owned packed force and vertex arrays (see
         :meth:`packed_vertices` for the ownership contract).
         """
-        from .contact import contact_forces  # deferred: scipy import cost
-
         p = self._refresh_packed_vertices()
         if not p.cells:
             return np.empty((0, 3)), p.verts, []
         for group, slots, start, stop in p.segments:
             f = self._group_membrane_forces(group, slots)
             p.forces[start:stop] = f.reshape(-1, 3)
-        p.forces += contact_forces(
-            p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness
-        )
+        p.forces += self.contact_forces()
         return p.forces, p.verts, p.cells
 
     def update_vertices(self, displacements: np.ndarray) -> None:

@@ -10,13 +10,23 @@ closer than a cutoff:
 
 Pairs are found with a cKDTree over the pooled vertex array (C-speed;
 functionally equivalent to the uniform subgrid used for the rarer
-overlap-removal events).
+overlap-removal events).  Vertices move a small fraction of the cutoff
+per step, so the tree is not rebuilt every step: :class:`ContactList`
+keeps the pairs found within a skin distance beyond the cutoff and
+filters them exactly each step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from ..telemetry import get_telemetry
+
+#: Verlet skin as a multiple of the contact cutoff: candidates are
+#: collected out to ``(1 + SKIN_FACTOR) * cutoff`` and stay valid until a
+#: vertex has moved ``SKIN_FACTOR * cutoff / 2``.
+SKIN_FACTOR = 1.0
 
 #: Reusable scratch arrays, keyed by role; the vertex count is stable
 #: between membership changes, so the per-step hot path reallocates
@@ -32,12 +42,18 @@ def _scratch_buf(key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return buf
 
 
+def _sq_norm(d: np.ndarray) -> np.ndarray:
+    """Squared length of each row of ``d`` (N, 3), summed x, y, z in
+    turn — the squared distance ``cKDTree.query_pairs`` compares."""
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
 def contact_scatter(vertices, i, j, cutoff, stiffness, out):
     """Contact pair force compute + equal-and-opposite scatter.
 
-    ``(i, j)`` are the inter-cell vertex pairs already found by the
-    KDTree in :func:`contact_forces`; ``out`` is the zeroed (N, 3) force
-    accumulator, overwritten per component.
+    ``(i, j)`` are the active inter-cell vertex pairs of a
+    :class:`ContactList`; ``out`` is the zeroed (N, 3) force accumulator,
+    overwritten per component.
     """
     n = len(vertices)
     d = vertices[i] - vertices[j]
@@ -59,6 +75,86 @@ def contact_scatter(vertices, i, j, cutoff, stiffness, out):
         out[:, axis] = np.bincount(idx, weights=w, minlength=n)
 
 
+class ContactList:
+    """Inter-cell vertex pairs carried from step to step (a Verlet list).
+
+    One cKDTree query collects every inter-cell pair within ``cutoff +
+    skin`` (the *candidates*, sorted by ``(i, j)``); each step keeps the
+    candidates that pass the exact test ``r <= cutoff`` (the *active*
+    pairs).  No vertex pair can come within ``cutoff`` without being a
+    candidate until some vertex has moved more than ``skin / 2`` from
+    where the tree saw it, and that displacement is checked on every
+    call, so the active pairs always equal a fresh
+    ``query_pairs(cutoff)``: same set, in ``(i, j)`` order — a function
+    of the current positions alone, whatever the list's history.  The
+    skin equals the cutoff (:data:`SKIN_FACTOR`).
+
+    The candidates are rebuilt when ``key`` changes (the caller's token
+    for "vertex numbering or cell membership changed"; the
+    :class:`~repro.fsi.cell_manager.CellManager` passes its generation),
+    when the vertex count or cutoff changes, or when a vertex left its
+    half-skin ball.
+    """
+
+    def __init__(self) -> None:
+        self._key: object = None
+        self._cutoff = 0.0
+        #: Vertex positions the candidates were collected at.
+        self._built_at = np.empty((0, 3))
+        self._i = self._j = np.empty(0, dtype=np.intp)
+
+    def _build(self, vertices, cell_index, cutoff, key) -> None:
+        reach = (1.0 + SKIN_FACTOR) * cutoff
+        pairs = cKDTree(vertices).query_pairs(reach, output_type="ndarray")
+        i, j = pairs[:, 0], pairs[:, 1]
+        inter = cell_index[i] != cell_index[j]
+        i, j = i[inter], j[inter]
+        order = np.lexsort((j, i))
+        self._i, self._j = i[order], j[order]
+        self._built_at = vertices.copy()
+        self._cutoff = cutoff
+        self._key = key
+        get_telemetry().inc("fsi.contact.rebuilds")
+
+    def active_pairs(
+        self, vertices: np.ndarray, cell_index: np.ndarray, cutoff: float,
+        key: object = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays ``(i, j)``, ``i < j``, of the inter-cell vertex
+        pairs with ``r <= cutoff`` at ``vertices``, sorted by ``(i, j)``."""
+        stale = (
+            key != self._key
+            or cutoff != self._cutoff
+            or vertices.shape != self._built_at.shape
+        )
+        if not stale:
+            limit = 0.5 * SKIN_FACTOR * cutoff
+            stale = _sq_norm(vertices - self._built_at).max() > limit * limit
+        if stale:
+            self._build(vertices, cell_index, cutoff, key)
+        i, j = self._i, self._j
+        near = _sq_norm(vertices[i] - vertices[j]) <= cutoff * cutoff
+        tel = get_telemetry()
+        tel.inc("fsi.contact.candidates", len(i))
+        tel.inc("fsi.contact.pairs", int(np.count_nonzero(near)))
+        return i[near], j[near]
+
+    def forces(
+        self, vertices: np.ndarray, cell_index: np.ndarray, cutoff: float,
+        stiffness: float, key: object = None,
+    ) -> np.ndarray:
+        """Contact forces at ``vertices``; see :func:`contact_forces`."""
+        n = len(vertices)
+        forces = _scratch_buf("forces", (n, 3))
+        forces.fill(0.0)
+        if n == 0 or cutoff <= 0.0:
+            return forces
+        i, j = self.active_pairs(vertices, cell_index, cutoff, key)
+        if len(i):
+            contact_scatter(vertices, i, j, cutoff, stiffness, forces)
+        return forces
+
+
 def contact_forces(
     vertices: np.ndarray,
     cell_index: np.ndarray,
@@ -66,6 +162,9 @@ def contact_forces(
     stiffness: float,
 ) -> np.ndarray:
     """Pairwise repulsive forces between vertices of different cells.
+
+    The stateless entry (a :class:`ContactList` built for this one
+    call); a population stepped through time keeps its list.
 
     Parameters
     ----------
@@ -81,20 +180,9 @@ def contact_forces(
     Returns
     -------
     (N, 3) forces; equal and opposite within each pair (momentum-free).
+    Each vertex accumulates its pairs in ``(i, j)`` order.
     """
-    n = len(vertices)
-    forces = _scratch_buf("forces", (n, 3))
-    forces.fill(0.0)
-    if n == 0 or cutoff <= 0.0:
-        return forces
-    tree = cKDTree(vertices)
-    pairs = tree.query_pairs(cutoff, output_type="ndarray")
-    if len(pairs) == 0:
-        return forces
-    i, j = pairs[:, 0], pairs[:, 1]
-    inter = cell_index[i] != cell_index[j]
-    i, j = i[inter], j[inter]
-    if len(i) == 0:
-        return forces
-    contact_scatter(vertices, i, j, cutoff, stiffness, forces)
-    return forces
+    return ContactList().forces(
+        np.asarray(vertices, dtype=np.float64), np.asarray(cell_index),
+        cutoff, stiffness,
+    )

@@ -196,6 +196,10 @@ class FSIStepper:
             tel = get_telemetry()
         rt = self.runtime
         with tel.phase("advect"):
+            # The moment sums are shared with the next collide through
+            # the solver's cache; only ``velocity`` is advection's own.
+            with tel.phase("moments"):
+                self.solver.cached_moments()
             with tel.phase("velocity"):
                 u = self.solver.velocity()
             verts = self._step_verts

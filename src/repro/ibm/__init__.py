@@ -12,6 +12,7 @@ from .kernels import cosine4, peskin4, linear2, KERNELS, DeltaKernel
 from .coupling import (
     IBMCoupler,
     Stencil,
+    StencilBuilder,
     interpolate,
     interpolate_with_stencil,
     make_stencil,
@@ -29,6 +30,7 @@ __all__ = [
     "spread",
     "IBMCoupler",
     "Stencil",
+    "StencilBuilder",
     "make_stencil",
     "interpolate_with_stencil",
     "spread_with_stencil",

@@ -18,7 +18,11 @@ construction.  Within one FSI step, spreading (pre-collision) and
 interpolation (post-stream) act on the *same* marker positions, so S is
 the same.  :class:`Stencil` builds it as a CSR matrix and
 :meth:`IBMCoupler.begin_step` computes it exactly once per step; the
-stepper invalidates it after vertex advection.
+stepper invalidates it after vertex advection.  From one step to the
+next the weights all change but few markers change lattice cell, so
+:class:`StencilBuilder` carries the node indices across steps and
+rewrites only those markers' rows; :func:`make_stencil` is the stateless
+entry on the same routines.
 """
 
 from __future__ import annotations
@@ -36,43 +40,104 @@ from .kernels import KERNELS, DeltaKernel
 INDEX_DTYPE = np.int32
 
 
-def _weights_and_indices(
+def _marker_weights(
     positions: np.ndarray,
-    shape: tuple[int, int, int],
     kernel: DeltaKernel,
-    mode: str = "clip",
     w_out: np.ndarray | None = None,
 ):
-    """Kernel weights and node indices for each marker.
+    """Base cells and combined kernel weights of each marker.
+
+    The one weight evaluation of a stencil build (stateless and
+    incremental alike).
 
     Returns
     -------
-    idx : list of three (N, S) integer arrays (per axis)
-    w : (N, S, S, S) combined weights (written into ``w_out`` when given)
-    n_clipped : markers whose support was clamped in ``mode='clip'``
+    base : (N, 3) int64 base cells ``floor(positions)``
+    w : (N, S, S, S) weights ``phi(dx_a) phi(dy_b) phi(dz_c)``, written
+        into ``w_out`` when given.  Formed as ``(wa * wb) * wc``: the
+        ``(N, S*S)`` outer product of the first two axes, then one pass
+        per ``c`` with inner loops of ``S*S`` (length-``S`` inner loops
+        over all ``N * S**3`` entries cost twice as much).
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    n, s = pos.shape[0], kernel.support
+    base = np.floor(pos).astype(np.int64)
+    nodes = base[:, :, None] + kernel.offsets()  # (N, 3, S), unwrapped
+    wa, wb, wc = np.moveaxis(kernel.phi(pos[:, :, None] - nodes), 1, 0)
+    ab = (wa[:, :, None] * wb[:, None, :]).reshape(n, s * s)
+    if w_out is None:
+        w_out = np.empty((n, s, s, s), dtype=np.float64)
+    w = w_out.reshape(n, s * s, s)
+    for c in range(s):
+        np.multiply(ab, wc[:, c, None], out=w[:, :, c])
+    return base, w.reshape(n, s, s, s)
+
+
+def _edge_rows(base: np.ndarray, kernel: DeltaKernel,
+               shape: tuple[int, int, int]) -> np.ndarray:
+    """Mask of markers whose kernel support leaves the lattice box.
+
+    A function of the base cell alone.  These are the rows that
+    ``mode='clip'`` clamps (and counts) and ``mode='wrap'`` wraps; every
+    other row's nodes are ``base + offsets`` as they stand.
+    """
     offsets = kernel.offsets()
-    base = np.floor(pos).astype(np.int64)  # (N, 3)
+    hi = np.asarray(shape, dtype=np.int64) - 1 - offsets[-1]
+    return ((base < -offsets[0]) | (base > hi)).any(axis=1)
+
+
+def _axis_nodes(base: np.ndarray, kernel: DeltaKernel,
+                shape: tuple[int, int, int], mode: str) -> list[np.ndarray]:
+    """Per-axis lattice node indices, three ``(N, S)`` arrays, with the
+    boundary rule of ``mode`` applied."""
     idx = []
-    w1d = []
-    clipped = np.zeros(pos.shape[0], dtype=bool)
     for d in range(3):
-        nodes = base[:, d : d + 1] + offsets[None, :]  # (N, S)
-        dist = pos[:, d : d + 1] - nodes
-        w1d.append(kernel.phi(dist))
+        nodes = base[:, d : d + 1] + kernel.offsets()[None, :]
         if mode == "wrap":
             nodes = np.mod(nodes, shape[d])
-        elif mode == "clip":
-            clipped |= (nodes[:, 0] < 0) | (nodes[:, -1] > shape[d] - 1)
-            nodes = np.clip(nodes, 0, shape[d] - 1)
         else:
-            raise ValueError(f"unknown boundary mode {mode!r}")
+            nodes = np.clip(nodes, 0, shape[d] - 1)
         idx.append(nodes)
-    if w_out is not None:
-        w_out = w_out.reshape((pos.shape[0],) + (len(offsets),) * 3)
-    w = np.einsum("na,nb,nc->nabc", w1d[0], w1d[1], w1d[2], out=w_out)
-    return idx, w, int(np.count_nonzero(clipped))
+    return idx
+
+
+def _flat_nodes(base: np.ndarray, edge: np.ndarray, kernel: DeltaKernel,
+                shape: tuple[int, int, int], mode: str,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Flat (C-order) node index per (marker, a, b, c): ``(N, S**3)``.
+
+    Interior rows are ``base_flat[:, None] + offset_table[None, :]``;
+    only the ``edge`` rows go through the per-axis clip/wrap formula.
+    """
+    _, ny, nz = shape
+    off = kernel.offsets()
+    table = (
+        (off[:, None, None] * ny + off[None, :, None]) * nz
+        + off[None, None, :]
+    ).reshape(-1).astype(INDEX_DTYPE)
+    # Edge rows may wrap around in the cast; they are overwritten below.
+    base_flat = ((base[:, 0] * ny + base[:, 1]) * nz + base[:, 2]).astype(
+        INDEX_DTYPE
+    )
+    flat = np.add(base_flat[:, None], table[None, :], out=out)
+    rows = np.flatnonzero(edge)
+    if len(rows):
+        ia, ib, ic = (
+            nodes.astype(INDEX_DTYPE)
+            for nodes in _axis_nodes(base[rows], kernel, shape, mode)
+        )
+        ia *= INDEX_DTYPE(ny * nz)
+        ib *= INDEX_DTYPE(nz)
+        flat[rows] = (
+            (ia[:, :, None] + ib[:, None])[:, :, :, None]
+            + ic[:, None, None, :]
+        ).reshape(len(rows), -1)
+    return flat
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("clip", "wrap"):
+        raise ValueError(f"unknown boundary mode {mode!r}")
 
 
 class Stencil:
@@ -133,34 +198,84 @@ class Stencil:
         )
 
 
+def _n_clipped(edge: np.ndarray, mode: str) -> int:
+    return int(np.count_nonzero(edge)) if mode == "clip" else 0
+
+
 def make_stencil(
     positions: np.ndarray,
     shape: tuple[int, int, int],
     kernel: DeltaKernel | str = "cosine4",
     mode: str = "clip",
-    w_out: np.ndarray | None = None,
-    flat_out: np.ndarray | None = None,
 ) -> Stencil:
     """Build a :class:`Stencil` for fractional-coordinate ``positions``.
 
-    ``w_out`` / ``flat_out`` are optional preallocated homes for the
-    ``N * support**3`` weights and node indices (any shape of that size;
-    ``flat_out`` of :data:`INDEX_DTYPE`).
+    The stateless entry: everything is derived from ``positions`` alone.
+    A marker set stepped through time goes through
+    :class:`StencilBuilder`, which produces the same arrays.
     """
     if isinstance(kernel, str):
         kernel = KERNELS[kernel]
-    _, ny, nz = shape
-    idx, w, n_clipped = _weights_and_indices(
-        positions, shape, kernel, mode, w_out=w_out
-    )
-    if flat_out is None:
-        flat_out = np.empty(w.size, dtype=INDEX_DTYPE)
-    ia, ib, ic = (nodes.astype(INDEX_DTYPE) for nodes in idx)
-    ia *= INDEX_DTYPE(ny * nz)
-    ib *= INDEX_DTYPE(nz)
-    np.add((ia[:, :, None] + ib[:, None])[:, :, :, None],
-           ic[:, None, None, :], out=flat_out.reshape(w.shape))
-    return Stencil(idx, w, flat_out, shape, n_clipped)
+    _check_mode(mode)
+    base, w = _marker_weights(positions, kernel)
+    edge = _edge_rows(base, kernel, shape)
+    flat = _flat_nodes(base, edge, kernel, shape, mode)
+    return Stencil(_axis_nodes(base, kernel, shape, mode), w, flat, shape,
+                   _n_clipped(edge, mode))
+
+
+class StencilBuilder:
+    """Stencil of one marker set as it moves from step to step.
+
+    A marker's flat node indices depend on its base cell ``floor(x)``
+    alone, and markers move a small fraction of a lattice spacing per
+    step, so the builder keeps the base cells of its last build and
+    rewrites only the rows of the caller's persistent ``flat`` buffer
+    whose base cell moved.  Weights change with every position and are
+    evaluated in full, once per build.  The arrays equal those of
+    :func:`make_stencil` at the same positions, entry for entry.
+
+    The caller owns the buffers and must pass the same ``flat`` memory
+    on consecutive builds; :meth:`reset` (or a change in the number of
+    markers) forgets the carried base cells, after which the next build
+    writes every row.
+    """
+
+    def __init__(self, shape: tuple[int, int, int],
+                 kernel: DeltaKernel | str = "cosine4", mode: str = "clip"):
+        _check_mode(mode)
+        self.shape = tuple(shape)
+        self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
+        self.mode = mode
+        self._base: np.ndarray | None = None
+        #: Rows of ``flat`` the last build rewrote.
+        self.rows_reindexed = 0
+
+    def reset(self) -> None:
+        """Forget the carried base cells (``flat`` is about to change)."""
+        self._base = None
+
+    def build(self, positions: np.ndarray, w: np.ndarray,
+              flat: np.ndarray) -> Stencil:
+        """Stencil for fractional ``positions``, written into ``w`` /
+        ``flat`` (homes of ``N * support**3`` weights / node indices of
+        :data:`INDEX_DTYPE`, any shape of that size)."""
+        base, w = _marker_weights(positions, self.kernel, w_out=w)
+        flat = flat.reshape(len(base), -1)
+        edge = _edge_rows(base, self.kernel, self.shape)
+        geometry = (self.kernel, self.shape, self.mode)
+        prev = self._base
+        if prev is None or prev.shape != base.shape:
+            _flat_nodes(base, edge, *geometry, out=flat)
+            self.rows_reindexed = len(base)
+        else:
+            rows = np.flatnonzero((base != prev).any(axis=1))
+            if len(rows):
+                flat[rows] = _flat_nodes(base[rows], edge[rows], *geometry)
+            self.rows_reindexed = len(rows)
+        self._base = base
+        return Stencil(None, w, flat, self.shape,
+                       _n_clipped(edge, self.mode))
 
 
 def interpolate_with_stencil(field: np.ndarray, stencil: Stencil) -> np.ndarray:
@@ -254,7 +369,8 @@ class IBMCoupler:
         self._stencil: Stencil | None = None
         self._stencil_pos: np.ndarray | None = None
         # Reusable homes of the stencil's weights and node indices,
-        # reallocated only when N changes.
+        # reallocated only when N changes (which also resets the builder).
+        self._builder = StencilBuilder(grid.shape, self.kernel, mode)
         self._w_buf: np.ndarray | None = None
         self._flat_buf: np.ndarray | None = None
         self._warned_clip = False
@@ -276,9 +392,9 @@ class IBMCoupler:
         if self._w_buf is None or self._w_buf.shape[0] != n:
             self._w_buf = np.empty((n, s, s, s), dtype=np.float64)
             self._flat_buf = np.empty(n * s**3, dtype=INDEX_DTYPE)
-        stencil = make_stencil(
-            frac, self.grid.shape, self.kernel, self.mode,
-            w_out=self._w_buf, flat_out=self._flat_buf,
+        stencil = self._builder.build(frac, self._w_buf, self._flat_buf)
+        get_telemetry().inc(
+            "ibm.stencil.rows_reindexed", self._builder.rows_reindexed
         )
         self._record_clipped(stencil)
         self._stencil = stencil

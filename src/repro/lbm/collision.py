@@ -216,6 +216,29 @@ def moments(
     return rho, mom
 
 
+def patch_moments(
+    f: np.ndarray, nodes: np.ndarray, rho: np.ndarray, mom: np.ndarray
+) -> None:
+    """Recompute ``rho`` / ``mom`` in place at flat node indices ``nodes``.
+
+    Bitwise equal to what :func:`moments` writes there.  The columns are
+    gathered into a C-contiguous ``(19, G)`` block (``take``), so the
+    momentum is the same fixed-width GEMM; the density is accumulated
+    population by population, which is the order ``np.sum(f, axis=0)``
+    uses on a lattice — a NumPy reduction of the block itself may sum
+    pairwise instead (it does on the transposed result of fancy indexing,
+    and for ``G == 1``).
+    """
+    block = np.take(f.reshape(D3Q19.Q, -1), nodes, axis=1)
+    density = block[0].copy()
+    for row in block[1:]:
+        density += row
+    rho.reshape(-1)[nodes] = density
+    mom_block = np.empty((3, block.shape[1]), dtype=f.dtype)
+    _panel_matmul(lattice_constants(f.dtype)[1], block, mom_block)
+    mom.reshape(3, -1)[:, nodes] = mom_block
+
+
 def velocity_from_moments(
     rho: np.ndarray,
     mom: np.ndarray,

@@ -70,6 +70,11 @@ class Grid:
         #: Monotonic counter bumped whenever ``f`` changes; consumers
         #: (the solver's moments cache) key derived state on it.
         self.f_version = 0
+        #: Flat node indices of each write since the last whole-lattice
+        #: one (at ``_f_whole_version``) that touched only part of ``f``;
+        #: see :meth:`f_patches_since`.
+        self._f_patches: list[np.ndarray] = []
+        self._f_whole_version = 0
         self.init_equilibrium()
 
     # ------------------------------------------------------------------
@@ -88,15 +93,38 @@ class Grid:
         self.f[:] = equilibrium(rho_arr, u)
         self.mark_f_modified()
 
-    def mark_f_modified(self) -> None:
-        """Record an external write to ``f`` (invalidates cached moments).
+    #: Partial writes remembered between whole-lattice writes; one more
+    #: than this without a whole-lattice write in between drops the log
+    #: (consumers then recompute in full), which bounds its growth.
+    _MAX_F_PATCHES = 8
 
-        The solver bumps the version itself after each stream; any other
-        code that writes ``f`` in place (refinement coupling, checkpoint
-        restore, tests) must call this so cached macroscopic state is
-        recomputed.
+    def mark_f_modified(self, nodes: np.ndarray | None = None) -> None:
+        """Record a write to ``f`` (invalidates cached moments).
+
+        Any code that writes ``f`` in place (the solver's stream,
+        refinement coupling, checkpoint restore, tests) must call this so
+        cached macroscopic state is recomputed.  ``nodes`` are the flat
+        (C-order) indices of the only nodes the write touched, which lets
+        consumers patch instead of recomputing; omitted, the whole lattice
+        counts as rewritten.
         """
         self.f_version += 1
+        if nodes is None or len(self._f_patches) >= self._MAX_F_PATCHES:
+            self._f_patches = []
+            self._f_whole_version = self.f_version
+        else:
+            self._f_patches.append(nodes)
+
+    def f_patches_since(self, version: int | None) -> list[np.ndarray] | None:
+        """Node sets rewritten since ``f_version == version``, oldest
+        first, or ``None`` when the whole lattice may have changed."""
+        logged = self.f_version - self._f_whole_version
+        # One log entry per version since the last whole-lattice write,
+        # or ``f_version`` was bumped without going through the log.
+        if (version is None or version < self._f_whole_version
+                or logged != len(self._f_patches)):
+            return None
+        return self._f_patches[version - self._f_whole_version:]
 
     # ------------------------------------------------------------------
     @property

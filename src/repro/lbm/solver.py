@@ -12,7 +12,9 @@ moments computed for cell advection (post-stream) are the same moments
 the next collision needs, so one FSI step pays for the 19-population
 moment sums exactly once.  Code that writes ``grid.f`` outside the solver
 must call :meth:`~repro.lbm.grid.Grid.mark_f_modified` (all in-repo
-writers do).
+writers do); a writer that names the nodes it touched (the refinement
+ghost shell) costs a patch of those columns instead of a second full
+pass.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .collision import (
     CollisionScratch,
     collide_bgk,
     moments,
+    patch_moments,
     velocity_from_moments,
 )
 from .grid import Grid
@@ -77,13 +80,23 @@ class LBMSolver:
         self._moments_version: int | None = None
 
     # ------------------------------------------------------------------
-    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached density/momentum moments of the current ``grid.f``."""
+    def cached_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached density/momentum moments of the current ``grid.f``.
+
+        The solver's own buffers: read-only for callers, valid until
+        ``grid.f`` next changes.
+        """
         g = self.grid
+        rho, mom = self._scratch.rho, self._scratch.mom
         if self._moments_version != g.f_version:
-            moments(g.f, out_rho=self._scratch.rho, out_mom=self._scratch.mom)
+            patches = g.f_patches_since(self._moments_version)
+            if patches is None:
+                moments(g.f, out_rho=rho, out_mom=mom)
+            else:
+                for nodes in patches:
+                    patch_moments(g.f, nodes, rho, mom)
             self._moments_version = g.f_version
-        return self._scratch.rho, self._scratch.mom
+        return rho, mom
 
     def invalidate_macroscopic(self) -> None:
         """Drop the cached moments (after an untracked ``grid.f`` write)."""
@@ -100,7 +113,7 @@ class LBMSolver:
             from .mrt import collide_mrt
 
             return collide_mrt(g.f, float(g.tau), out=g.f_post)
-        rho, mom = self._moments()
+        rho, mom = self.cached_moments()
         return collide_bgk(
             g.f, g.tau, g.force,
             out=g.f_post, scratch=self._scratch, moments_in=(rho, mom),
@@ -119,7 +132,7 @@ class LBMSolver:
                 stream_pull(f_post, out=g.f)
             for bc in self.boundaries:
                 bc.apply(g.f, f_post)
-            g.f_version += 1
+            g.mark_f_modified()
             self.step_count += 1
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +141,13 @@ class LBMSolver:
         Served from the cached moments when ``grid.f`` is unchanged; the
         returned arrays are fresh copies the caller may keep.
         """
-        rho, mom = self._moments()
+        rho, mom = self.cached_moments()
         u = velocity_from_moments(rho, mom, self.grid.force)
         return rho.copy(), u
 
     def velocity(self) -> np.ndarray:
         """Current velocity field only (cheaper than :meth:`macroscopic`)."""
-        rho, mom = self._moments()
+        rho, mom = self.cached_moments()
         return velocity_from_moments(rho, mom, self.grid.force)
 
     def momentum(self) -> np.ndarray:

@@ -18,9 +18,12 @@ Sharding scheme (each stage is race-free and order-preserving):
   evaluation exactly.
 * ``stencil`` — kernel weights are per-marker elementwise work; each
   worker builds the :class:`~repro.ibm.coupling.Stencil` for a contiguous
-  marker chunk, writing its weights and flat node indices straight into
-  the population-wide arrays.  Together the chunks are the CSR operator
-  ``S`` (markers x lattice nodes) of the whole population.
+  marker chunk, writing its weights straight into the population-wide
+  array and repairing its rows of the population-wide flat node indices,
+  which persist between steps (a
+  :class:`~repro.ibm.coupling.StencilBuilder` per worker rewrites only
+  the markers that changed lattice cell).  Together the chunks are the
+  CSR operator ``S`` (markers x lattice nodes) of the whole population.
 * ``spread``  — ``S.T @ F``, sharded by disjoint lattice-node ranges:
   each worker masks ``S`` down to the columns of its range and multiplies
   the transpose of that sub-matrix into its own slice of the force
@@ -54,8 +57,8 @@ import numpy as np
 from ..ibm.coupling import (
     INDEX_DTYPE,
     Stencil,
+    StencilBuilder,
     interpolate_with_stencil,
-    make_stencil,
     spread_with_stencil,
 )
 from ..ibm.kernels import KERNELS, DeltaKernel
@@ -157,6 +160,7 @@ class FSIWorker:
         self.force_tasks: list[tuple[GroupSpec, int, int]] = []
         self.marker_range = (0, 0)
         self.node_range = (0, 0)
+        self._builder = StencilBuilder(self.grid_shape, self.kernel, mode)
         self._stencil: Stencil | None = None
 
     def set_population(
@@ -169,6 +173,8 @@ class FSIWorker:
         self.force_tasks = [(specs[si], c0, c1) for si, c0, c1 in force_tasks]
         self.marker_range = tuple(marker_range)
         self.node_range = tuple(node_range)
+        # The flat buffer may have been re-created for the new population.
+        self._builder.reset()
         self._stencil = None
 
     # -- stage kernels -------------------------------------------------
@@ -191,22 +197,23 @@ class FSIWorker:
             ).reshape(-1, 3)
 
     def build_stencil(self, verts: np.ndarray, flat: np.ndarray,
-                      w: np.ndarray) -> int:
+                      w: np.ndarray) -> tuple[int, int]:
         """Build the stencil for this worker's marker chunk.
 
-        Writes the chunk's weights and node indices into its rows of the
-        population-wide ``w`` / ``flat`` (the spread stage reads *all*
-        rows) and returns the number of boundary-clipped markers.
+        Writes the chunk's weights into its rows of the population-wide
+        ``w`` and repairs its rows of ``flat`` (the spread stage reads
+        *all* rows; ``flat`` persists between steps, so only markers
+        whose base cell moved are re-indexed).  Returns ``(boundary-
+        clipped markers, rows re-indexed)``.
         """
         m0, m1 = self.marker_range
         if m1 <= m0:
             self._stencil = None
-            return 0
+            return 0, 0
         frac = (verts[m0:m1] - self.origin) / self.spacing
-        st = make_stencil(frac, self.grid_shape, self.kernel, self.mode,
-                          w_out=w[m0:m1], flat_out=flat[m0:m1])
+        st = self._builder.build(frac, w[m0:m1], flat[m0:m1])
         self._stencil = st
-        return st.n_clipped
+        return st.n_clipped, self._builder.rows_reindexed
 
     def spread(self, forces_lat: np.ndarray, flat: np.ndarray,
                w: np.ndarray, field: np.ndarray) -> None:
@@ -326,7 +333,7 @@ class ParallelFSIRuntime:
 
     Call order per step::
 
-        total_forces(manager)   # fsi/forces (+ serial contact pass)
+        total_forces(manager)   # fsi/forces (+ the manager's contact list)
         begin_step(verts)       # fsi/stencil, once per marker position
         spread(forces_lat, F)   # fsi/spread (sharded by node range)
         interpolate(u)          # fsi/interp (reuses the cached stencil)
@@ -522,11 +529,9 @@ class ParallelFSIRuntime:
         Drop-in replacement for ``CellManager.total_forces``: returns the
         manager-owned packed force/vertex arrays and the cell list.
         """
-        from ..fsi.contact import contact_forces  # deferred: scipy cost
-
         tel = get_telemetry()
         self.sync_population(manager)
-        verts, forces, ordinals, cells = manager.packed_arrays()
+        verts, forces, _, cells = manager.packed_arrays()
         with tel.phase("fsi/forces"):
             if self._pool is not None:
                 np.copyto(self._shm_arrays["verts"], verts)
@@ -534,10 +539,7 @@ class ParallelFSIRuntime:
                 np.copyto(forces, self._shm_arrays["io"])
             else:
                 self._run("forces", verts, forces)
-        forces += contact_forces(
-            verts, ordinals, manager.contact_cutoff,
-            manager.contact_stiffness,
-        )
+        forces += manager.contact_forces()
         return forces, verts, cells
 
     def begin_step(self, verts: np.ndarray) -> None:
@@ -550,7 +552,8 @@ class ParallelFSIRuntime:
             else:
                 replies = self._run("stencil", verts, self._flat_buf,
                                     self._w_buf)
-        n_clipped = int(sum(replies))
+        n_clipped, n_reindexed = (int(sum(r)) for r in zip(*replies))
+        tel.inc("ibm.stencil.rows_reindexed", n_reindexed)
         if self.mode == "clip" and n_clipped:
             self._record_clipped(n_clipped)
         self._stencil_valid = True

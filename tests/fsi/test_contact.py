@@ -49,7 +49,8 @@ def test_zero_cutoff_disables():
 
 
 def _reference_contact(verts, cells, cutoff, stiffness):
-    """Pre-optimization scatter: two np.add.at passes over the pair list."""
+    """The stateless oracle: a fresh tree at the cutoff, pairs in
+    lexicographic ``(i, j)`` order, two np.add.at passes over them."""
     from scipy.spatial import cKDTree
 
     forces = np.zeros_like(verts, dtype=np.float64)
@@ -63,6 +64,8 @@ def _reference_contact(verts, cells, cutoff, stiffness):
     i, j = i[keep], j[keep]
     if len(i) == 0:
         return forces
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
     d = verts[i] - verts[j]
     dist = np.linalg.norm(d, axis=1)
     dist = np.maximum(dist, 1e-12 * cutoff)
@@ -74,8 +77,9 @@ def _reference_contact(verts, cells, cutoff, stiffness):
 
 
 def test_bincount_scatter_bitwise_equals_add_at(rng):
-    """The bincount scatter must reproduce the add.at path bit-for-bit
-    (same per-vertex summation order)."""
+    """The bincount scatter over the contact list's active pairs must
+    reproduce the add.at path over the lexicographically ordered pairs
+    of a fresh tree bit-for-bit (same per-vertex summation order)."""
     for n in (2, 17, 120):
         verts = rng.uniform(0.0, 1.5, size=(n, 3))
         cells = rng.integers(0, max(2, n // 8), size=n)

@@ -173,6 +173,21 @@ def test_fsi_phase_timers_present(backend):
     assert tel.gauge("fsi.workers").value == expected_workers
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reindexed_rows_counted_across_workers(backend):
+    """Every worker carries its own chunk of the flat-index buffer: the
+    first step writes every marker row once, later steps only repair."""
+    tel = Telemetry()
+    with build_stepper(backend=backend, workers=2) as st:
+        n_markers = len(st.cells.packed_vertices()[0])
+        with active(tel):
+            st.step(1)
+            assert tel.counter("ibm.stencil.rows_reindexed").value == n_markers
+            st.step(3)
+    repaired = tel.counter("ibm.stencil.rows_reindexed").value - n_markers
+    assert 0 <= repaired < n_markers // 2
+
+
 # ----------------------------------------------------------------------
 # Worker-pool and shared-memory lifecycle.
 

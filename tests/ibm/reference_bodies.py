@@ -39,3 +39,35 @@ def gather_einsum_interpolate(field, stencil) -> np.ndarray:
         vals = field[:, ia, ib, ic]  # (3, N, S, S, S)
         return np.einsum("dnabc,nabc->nd", vals, stencil.w)
     return np.einsum("nabc,nabc->n", field[ia, ib, ic], stencil.w)
+
+
+def reference_stencil(positions, shape, kernel, mode):
+    """The from-nothing stencil build that preceded the shared builder:
+    one three-operand ``einsum`` for the weights and the per-axis
+    clip/wrap formula for every marker's node indices.
+
+    Returns ``(w, flat, n_clipped)``: weights ``(N, S, S, S)``, flat node
+    indices ``(N, S**3)`` and the count of clamped markers.
+    """
+    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    offsets = kernel.offsets()
+    base = np.floor(pos).astype(np.int64)
+    idx, w1d = [], []
+    clipped = np.zeros(pos.shape[0], dtype=bool)
+    for d in range(3):
+        nodes = base[:, d : d + 1] + offsets[None, :]
+        w1d.append(kernel.phi(pos[:, d : d + 1] - nodes))
+        if mode == "wrap":
+            nodes = np.mod(nodes, shape[d])
+        else:
+            clipped |= (nodes[:, 0] < 0) | (nodes[:, -1] > shape[d] - 1)
+            nodes = np.clip(nodes, 0, shape[d] - 1)
+        idx.append(nodes)
+    w = np.einsum("na,nb,nc->nabc", *w1d)
+    _, ny, nz = shape
+    flat = (
+        idx[0][:, :, None, None] * (ny * nz)
+        + idx[1][:, None, :, None] * nz
+        + idx[2][:, None, None, :]
+    ).reshape(len(pos), -1)
+    return w, flat, int(np.count_nonzero(clipped))

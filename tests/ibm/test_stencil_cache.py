@@ -262,19 +262,21 @@ def test_generation_bumps_on_insert_and_remove():
 
 
 def test_exactly_one_weights_call_per_step(monkeypatch):
+    # ``_marker_weights`` is the one weight evaluation of the shared
+    # builder (``StencilBuilder.build`` and ``make_stencil`` alike).
     # Pinned to the serial backend: pooled backends build one stencil
     # chunk per worker (still once per marker), and process workers are
     # outside the monkeypatch's reach.
     monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
     st, _ = _stepper()
     calls = []
-    real = coupling._weights_and_indices
+    real = coupling._marker_weights
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(coupling, "_weights_and_indices", counting)
+    monkeypatch.setattr(coupling, "_marker_weights", counting)
     n_steps = 3
     st.step(n_steps)
     assert len(calls) == n_steps
@@ -283,13 +285,13 @@ def test_exactly_one_weights_call_per_step(monkeypatch):
 def test_fluid_only_step_builds_no_stencil(monkeypatch):
     st, _ = _stepper(n_cells=0)
     calls = []
-    real = coupling._weights_and_indices
+    real = coupling._marker_weights
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(coupling, "_weights_and_indices", counting)
+    monkeypatch.setattr(coupling, "_marker_weights", counting)
     st.step(2)
     assert calls == []
 

@@ -70,6 +70,32 @@ def test_fsi_step_records_expected_phases():
         assert stats[path].total > 0.0
 
 
+def test_fsi_step_splits_advection_and_counts_carried_state():
+    """``advect`` separates the moment sums (shared with the next collide
+    through the solver's cache) from its own velocity pass, and the
+    carried contact list / stencil rows report how often they were
+    repaired: a run that rebuilds every step must be visible."""
+    st = _fsi_stepper()
+    n_markers = sum(len(c.vertices) for c in st.cells.cells)
+    n_steps = 6
+    tel = Telemetry()
+    with active(tel):
+        st.step(n_steps)
+    stats = tel.recorder.stats
+    for path in ("advect/moments", "advect/velocity", "advect/move"):
+        assert stats[path].count == n_steps, path
+    assert tel.counter("fsi.contact.rebuilds").value == 1
+    assert tel.counter("fsi.contact.candidates").value == 0  # one cell
+    assert tel.counter("fsi.contact.pairs").value == 0
+    reindexed = tel.counter("ibm.stencil.rows_reindexed").value
+    assert n_markers <= reindexed < 2 * n_markers  # one full build + repairs
+    from repro.telemetry.report import render_summary, summarize
+
+    text = render_summary(summarize(tel))
+    for name in ("fsi.contact.rebuilds", "ibm.stencil.rows_reindexed"):
+        assert name in text
+
+
 def test_cell_manager_counters():
     tel = Telemetry()
     with active(tel):
