@@ -6,8 +6,7 @@ against the in-process runtime, which exchanges real bytes.  The
 runtime also *executes* the decomposition: run this file as a script
 with ``--measured`` to time the ``serial`` and ``processes`` backends on
 one lattice and record the wall-clock speedup curve alongside the model
-into ``BENCH_scaling.json``
-(same artifact format as ``BENCH_hotpaths.json``)::
+into ``BENCH_scaling.json``::
 
     PYTHONPATH=src python benchmarks/bench_fig7_strong_scaling.py --measured
 

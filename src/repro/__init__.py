@@ -22,13 +22,13 @@ Package map (details in DESIGN.md):
 * :mod:`repro.core` — the APR contribution: coupling, window, seeding,
   hematocrit maintenance, moving window, CTC tracking
 * :mod:`repro.kernels` — compute-dtype resolution (``REPRO_DTYPE``)
-* :mod:`repro.geometry` — SDF primitives, OFF I/O, synthetic vasculature
+* :mod:`repro.geometry` — SDF primitives, synthetic vasculature
 * :mod:`repro.parallel` — virtual-MPI runtime with halo accounting
 * :mod:`repro.perfmodel` — memory/scaling/cost models of the paper's
   hardware claims
 * :mod:`repro.analytics` — analytic solutions and rheology correlations
 * :mod:`repro.experiments` — per-figure experiment drivers
-* :mod:`repro.io` — CSV/VTK output, checkpointing
+* :mod:`repro.io` — CSV output, checkpointing
 * :mod:`repro.telemetry` — phase timers, metrics, structured run events
 """
 

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 def pries_mu45(diameter_um: float | np.ndarray) -> np.ndarray:
@@ -86,6 +85,9 @@ def discharge_from_tube_hematocrit(
         raise ValueError("tube hematocrit must be in [0, 1)")
     if hematocrit_tube == 0.0:
         return 0.0
+    # Imported here: ``import repro`` reaches this module, and loading
+    # scipy.optimize is a fifth of that import in every worker process.
+    from scipy.optimize import brentq
 
     def resid(htd: float) -> float:
         return htd * float(fahraeus_ratio(diameter_um, htd)) - hematocrit_tube

@@ -27,8 +27,8 @@ Experiment subcommands accept ``--telemetry-dir DIR`` to record phase
 timings, metrics and events for the run (``events.jsonl`` +
 ``summary.json`` in DIR); ``profile`` is the dedicated wrapper that also
 pretty-prints the per-phase breakdown.  See ``docs/observability.md``.
-For a recorded timing of the FSI hot path itself run
-``benchmarks/bench_hotpath_step.py`` (``docs/performance.md``).
+For recorded end-to-end timings run ``benchmarks/e2e/run.py``
+(``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations

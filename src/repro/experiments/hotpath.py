@@ -1,11 +1,11 @@
-"""Hot-path FSI micro-run: the benchmark workload as a campaign citizen.
+"""Hot-path FSI micro-run: the campaign's cheap job.
 
-The same seeded cell-laden periodic lattice that
-``benchmarks/bench_hotpath_step.py`` times, packaged behind the uniform
-``run_from_params`` seam so campaigns can schedule throughput probes
-alongside physics runs (e.g. one hotpath job per backend/worker setting
-to map a machine before launching a sweep).  Timing comes from the
-telemetry phase timers when a backend is installed, wall clock otherwise.
+A seeded cell-laden periodic lattice (16³, four RBCs by default) packaged
+behind the uniform ``run_from_params`` seam so campaigns can schedule
+throughput probes alongside physics runs (e.g. one hotpath job per
+backend/worker setting to map a machine before launching a sweep).
+Timing comes from the telemetry phase timers when a backend is
+installed, wall clock otherwise.
 """
 
 from __future__ import annotations

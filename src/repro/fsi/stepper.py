@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ibm.coupling import IBMCoupler
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
 from ..parallel.fsi import ParallelFSIRuntime, resolve_fsi_backend
@@ -89,9 +88,6 @@ class FSIStepper:
         self.grid = grid
         self.units = units
         self.cells = cells if cells is not None else CellManager()
-        # Retained for direct IBM access (tests, diagnostics); the hot
-        # path routes through the parallel runtime instead.
-        self.coupler = IBMCoupler(grid, kernel=kernel, mode=mode)
         self.solver = LBMSolver(grid, boundaries)
         self.kernel = kernel
         self.mode = mode

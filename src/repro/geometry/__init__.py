@@ -1,10 +1,11 @@
-"""Simulation geometries: SDF primitives, voxelization, OFF I/O, vasculature.
+"""Simulation geometries: SDF primitives, voxelization, vasculature.
 
 HARVEY consumes patient-derived vascular geometries as OFF surface meshes;
-those data are proprietary, so this package additionally provides synthetic
-Murray's-law vascular trees (:mod:`repro.geometry.vasculature`) that supply
-the same two things the APR machinery needs from a geometry: a wall mask for
-the lattice and a centerline path for the moving window.
+those data are proprietary, so every geometry here is a signed-distance
+function: analytic primitives and synthetic Murray's-law vascular trees
+(:mod:`repro.geometry.vasculature`) that supply the two things the APR
+machinery needs from a geometry: a wall mask for the lattice and a
+centerline path for the moving window.
 """
 
 from .primitives import (
@@ -14,7 +15,6 @@ from .primitives import (
     sdf_capsule,
 )
 from .voxelize import solid_mask_from_sdf, solid_mask_for_grid
-from .off_io import read_off, write_off
 from .vasculature import VascularTree, murray_tree, cerebral_tree, upper_body_tree
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "sdf_capsule",
     "solid_mask_from_sdf",
     "solid_mask_for_grid",
-    "read_off",
-    "write_off",
     "VascularTree",
     "murray_tree",
     "cerebral_tree",

@@ -1,13 +1,11 @@
 """Output and checkpointing utilities.
 
-HARVEY writes fluid profiles and cell trajectories as CSV and geometry
-as OFF (see the paper's artifact description); this package mirrors that:
-CSV time series and trajectories, legacy-VTK snapshots for visual
-inspection, and npz checkpoint/restore of full simulation state.
+HARVEY writes fluid profiles and cell trajectories as CSV (see the
+paper's artifact description); this package mirrors that: CSV time series
+and trajectories, and npz checkpoint/restore of full simulation state.
 """
 
 from .csvout import write_csv, read_csv, TrajectoryWriter, TimeSeriesWriter
-from .vtk import write_vtk_structured, write_vtk_mesh
 from .checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     load_checkpoint,
@@ -20,8 +18,6 @@ __all__ = [
     "read_csv",
     "TrajectoryWriter",
     "TimeSeriesWriter",
-    "write_vtk_structured",
-    "write_vtk_mesh",
     "save_checkpoint",
     "load_checkpoint",
 ]

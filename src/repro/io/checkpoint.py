@@ -103,8 +103,8 @@ def load_checkpoint(path: str | Path, dtype=None) -> dict:
     subdivision level is inferred from each cell's vertex count.
 
     ``dtype`` selects the compute dtype the lattice fields are restored
-    into (``None`` resolves via ``REPRO_DTYPE``; see
-    :func:`repro.kernels.resolve_dtype`) — restoring a float64 archive
+    into (``None`` resolves via ``REPRO_DTYPE``, an explicit value wins;
+    see :func:`repro.kernels.resolve_dtype`) — restoring a float64 archive
     into a float32 run emits a :class:`RuntimeWarning` for the precision
     loss, while a same-dtype restore stays bit-exact.
     """

@@ -32,25 +32,26 @@ DTYPE_NAMES = ("float32", "float64")
 def resolve_dtype(dtype=None) -> "np.dtype":
     """Resolve a compute-dtype request against the environment.
 
-    Precedence: the ``REPRO_DTYPE`` environment variable, when set,
-    **wins over** the ``dtype`` argument, which wins over
-    :data:`DEFAULT_DTYPE`.  Accepts dtype names, numpy dtypes, or scalar
-    types; only ``float32``/``float64`` are valid compute dtypes (the
-    Lagrangian membrane state stays float64 regardless — see
-    docs/performance.md).
+    Precedence, as for the ``REPRO_PARALLEL_*`` names: an explicit
+    ``dtype`` argument wins over the ``REPRO_DTYPE`` environment
+    variable, which wins over :data:`DEFAULT_DTYPE`.  Accepts dtype
+    names, numpy dtypes, or scalar types; only ``float32``/``float64``
+    are valid compute dtypes (the Lagrangian membrane state stays
+    float64 regardless — see docs/performance.md).
     """
     env = os.environ.get(DTYPE_ENV_VAR)
-    requested = env if env else (dtype if dtype is not None else DEFAULT_DTYPE)
+    if dtype is not None:
+        requested, source = dtype, f"dtype={dtype!r}"
+    else:
+        requested, source = env or DEFAULT_DTYPE, f"{DTYPE_ENV_VAR}={env!r}"
     try:
         resolved = np.dtype(requested)
     except TypeError as exc:
-        source = f"{DTYPE_ENV_VAR}={env!r}" if env else f"dtype={dtype!r}"
         raise ValueError(
             f"invalid compute dtype {requested!r} (from {source}); "
             f"pick one of {DTYPE_NAMES}"
         ) from exc
     if resolved.name not in DTYPE_NAMES:
-        source = f"{DTYPE_ENV_VAR}={env!r}" if env else f"dtype={dtype!r}"
         raise ValueError(
             f"unsupported compute dtype {resolved.name!r} (from {source}); "
             f"pick one of {DTYPE_NAMES}"

@@ -36,9 +36,9 @@ class Grid:
     dtype:
         Compute dtype of the Eulerian state (``f``, ``f_post``,
         ``force``): ``"float32"`` or ``"float64"``.  ``None`` resolves
-        via the ``REPRO_DTYPE`` environment variable (which also
-        overrides an explicit argument — see
-        :func:`repro.kernels.resolve_dtype`), defaulting to float64.
+        via the ``REPRO_DTYPE`` environment variable, defaulting to
+        float64; an explicit argument wins over the environment (see
+        :func:`repro.kernels.resolve_dtype`).
         Geometry (``origin``, coordinates) and the Lagrangian membrane
         state stay float64 regardless.
     """

@@ -19,7 +19,7 @@ pass.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -50,27 +50,15 @@ class LBMSolver:
         The lattice state to evolve.
     boundaries:
         Handlers applied in order after each streaming step.
-    pre_collision_hook:
-        Optional callable invoked with the solver before each collision;
-        the FSI layer uses this to spread membrane forces into
-        ``grid.force`` (Eq. 6 of the paper).
     """
 
     def __init__(
         self,
         grid: Grid,
         boundaries: Sequence[BoundaryHandler] = (),
-        pre_collision_hook: Callable[["LBMSolver"], None] | None = None,
-        collision: str = "bgk",
     ) -> None:
         self.grid = grid
         self.boundaries = list(boundaries)
-        self.pre_collision_hook = pre_collision_hook
-        if collision not in ("bgk", "mrt"):
-            raise ValueError(f"unknown collision operator {collision!r}")
-        if collision == "mrt" and isinstance(grid.tau, np.ndarray):
-            raise ValueError("MRT collision requires a uniform tau")
-        self.collision = collision
         self.step_count = 0
         # Last macroscopic fields, refreshed each step (pre-collision values).
         self.rho = np.ones(grid.shape, dtype=grid.dtype)
@@ -104,15 +92,6 @@ class LBMSolver:
 
     def _collide(self):
         g = self.grid
-        if self.collision == "mrt":
-            if np.any(g.force):
-                raise NotImplementedError(
-                    "MRT collision does not support body forces; use BGK "
-                    "for forced/FSI lattices (the paper's configuration)"
-                )
-            from .mrt import collide_mrt
-
-            return collide_mrt(g.f, float(g.tau), out=g.f_post)
         rho, mom = self.cached_moments()
         return collide_bgk(
             g.f, g.tau, g.force,
@@ -124,8 +103,6 @@ class LBMSolver:
         g = self.grid
         tel = get_telemetry()
         for _ in range(n):
-            if self.pre_collision_hook is not None:
-                self.pre_collision_hook(self)
             with tel.phase("kernels/collide_bgk"):
                 f_post, self.rho, self.u = self._collide()
             with tel.phase("kernels/stream_pull"):

@@ -33,8 +33,6 @@ from .constraints import (
     face_areas,
 )
 from .forces import membrane_forces
-from .localarea import local_area_energy, local_area_forces
-from .damping import edge_damping_forces, dissipation_rate
 from .analysis import (
     taylor_deformation,
     elongation_index,
@@ -65,10 +63,6 @@ __all__ = [
     "mesh_volume",
     "mesh_area",
     "face_areas",
-    "local_area_energy",
-    "local_area_forces",
-    "edge_damping_forces",
-    "dissipation_rate",
     "taylor_deformation",
     "elongation_index",
     "asphericity",

@@ -67,8 +67,8 @@ class DistributedLBMSolver:
     dtype:
         Compute dtype for the rank-local distribution blocks
         (``"float32"`` | ``"float64"``; ``None`` resolves via
-        ``REPRO_DTYPE``, which also overrides an explicit argument —
-        same policy as :class:`~repro.lbm.grid.Grid`).
+        ``REPRO_DTYPE``; an explicit argument wins — same policy as
+        :class:`~repro.lbm.grid.Grid`).
     dims:
         Optional explicit process grid ``(px, py, pz)``; ``None`` picks
         the surface-minimizing factorization.

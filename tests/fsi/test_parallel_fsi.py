@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.fsi import CellManager, FSIStepper
+from repro.ibm import IBMCoupler
 from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
@@ -22,7 +23,7 @@ from repro.parallel import BACKENDS, ParallelFSIRuntime, resolve_fsi_backend
 from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
 
-#: The hot-path bench configuration (benchmarks/bench_hotpath_step.py).
+#: A small seeded cell-laden periodic lattice (24³, six RBCs).
 SHAPE = (24, 24, 24)
 N_CELLS = 6
 SUBDIVISIONS = 2
@@ -31,7 +32,7 @@ N_STEPS = 40
 
 
 def build_stepper(backend=None, workers=None, n_cells=N_CELLS) -> FSIStepper:
-    """Seeded cell-laden periodic lattice (hotpath-bench configuration)."""
+    """Seeded cell-laden periodic lattice."""
     dx = 0.65e-6
     nu = 1.2e-3 / 1025.0
     dt = (1.0 / 6.0) * dx**2 / nu  # tau = 1
@@ -61,18 +62,23 @@ def build_stepper(backend=None, workers=None, n_cells=N_CELLS) -> FSIStepper:
     )
 
 
-def _reference_step(st: FSIStepper) -> None:
+def _reference_coupler(st: FSIStepper) -> IBMCoupler:
+    """The single-process IBM coupler the runtime is compared against."""
+    return IBMCoupler(st.grid, kernel=st.kernel, mode=st.mode)
+
+
+def _reference_step(st: FSIStepper, coupler: IBMCoupler) -> None:
     """One step of the literal pre-runtime serial composition."""
     g = st.grid
     g.force[:] = st.body_force_lattice[:, None, None, None]
     forces, verts, _cells = st.cells.total_forces()
     forces_lat = forces * st.units.force_to_lattice(1.0)
-    st.coupler.begin_step(verts)
-    st.coupler.spread_forces(verts, forces_lat)
+    coupler.begin_step(verts)
+    coupler.spread_forces(verts, forces_lat)
     st.solver.step()
     u = st.solver.velocity()
-    v_lat = st.coupler.interpolate_velocity(verts, u)
-    st.coupler.end_step()
+    v_lat = coupler.interpolate_velocity(verts, u)
+    coupler.end_step()
     st.cells.update_vertices(v_lat * st.units.dx)
     st.cells.set_velocities(v_lat * (st.units.dx / st.units.dt))
 
@@ -92,7 +98,9 @@ def _trajectory(st: FSIStepper, n_steps: int, stepper=None, every: int = 8):
 @pytest.fixture(scope="module")
 def reference_trajectory():
     st = build_stepper(backend="serial")
-    snaps, f = _trajectory(st, N_STEPS, stepper=lambda: _reference_step(st))
+    coupler = _reference_coupler(st)
+    snaps, f = _trajectory(st, N_STEPS,
+                           stepper=lambda: _reference_step(st, coupler))
     st.close()
     return snaps, f
 
@@ -135,11 +143,12 @@ def test_population_change_midrun_stays_exact(backend, reference_trajectory):
         )
 
     ref = build_stepper(backend="serial")
+    coupler = _reference_coupler(ref)
     for _ in range(6):
-        _reference_step(ref)
+        _reference_step(ref, coupler)
     ref.cells.add(extra_cell(ref))
     for _ in range(6):
-        _reference_step(ref)
+        _reference_step(ref, coupler)
     ref_verts, _, _ = ref.cells.packed_vertices()
     ref_verts = ref_verts.copy()
     ref_f = ref.grid.f.copy()

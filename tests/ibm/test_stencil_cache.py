@@ -217,7 +217,7 @@ def test_stencil_invalidated_after_advection():
     st, _ = _stepper()
     st.step(1)
     # The stepper must not leave a stale stencil behind once vertices move.
-    assert st.coupler._stencil is None
+    assert not st.runtime._stencil_valid
     assert st._step_verts is None
 
 

@@ -90,7 +90,7 @@ def test_nu_property():
 
 
 # ----------------------------------------------------------------------
-# resolve_dtype precedence (env wins over the constructor argument)
+# resolve_dtype precedence (argument > REPRO_DTYPE > float64)
 
 
 def test_resolve_dtype_default(monkeypatch):
@@ -105,9 +105,11 @@ def test_resolve_dtype_ctor_arg(monkeypatch):
     assert resolve_dtype(np.dtype(np.float64)) == np.float64
 
 
-def test_resolve_dtype_env_wins_over_arg(monkeypatch):
+def test_resolve_dtype_arg_wins_over_env(monkeypatch):
     monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
-    assert resolve_dtype("float64") == np.float32
+    assert resolve_dtype() == np.float32
+    assert resolve_dtype("float64") == np.float64
+    assert Grid((3, 3, 3), tau=0.8, dtype="float64").dtype == np.float64
 
 
 def test_resolve_dtype_rejects_non_compute_dtypes(monkeypatch):
@@ -121,4 +123,4 @@ def test_resolve_dtype_rejects_non_compute_dtypes(monkeypatch):
 def test_resolve_dtype_rejects_bad_env(monkeypatch):
     monkeypatch.setenv(DTYPE_ENV_VAR, "float16")
     with pytest.raises(ValueError, match=DTYPE_ENV_VAR):
-        resolve_dtype("float64")
+        resolve_dtype()

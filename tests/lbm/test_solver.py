@@ -1,4 +1,4 @@
-"""LBMSolver loop: conservation, hooks, diagnostics."""
+"""LBMSolver loop: conservation, diagnostics."""
 
 import numpy as np
 
@@ -40,14 +40,6 @@ def test_body_force_accelerates_periodic_fluid():
     assert np.allclose(u[1], 10.5 * 1e-5, rtol=rtol)
 
 
-def test_pre_collision_hook_called_each_step():
-    calls = []
-    g = Grid((3, 3, 3), tau=0.8)
-    s = LBMSolver(g, [], pre_collision_hook=lambda solver: calls.append(solver.step_count))
-    s.step(5)
-    assert calls == [0, 1, 2, 3, 4]
-
-
 def test_step_count_advances():
     g = Grid((3, 3, 3), tau=0.8)
     s = LBMSolver(g, [])
@@ -80,48 +72,3 @@ def test_decay_of_shear_wave_matches_viscosity():
     measured = np.abs(u[1, :, 2, 2]).max()
     expected = amp * np.exp(-g.nu * k**2 * steps)
     assert np.isclose(measured, expected, rtol=0.02)
-
-
-def test_mrt_collision_option_couette():
-    """solver(collision='mrt') reproduces the BGK Couette profile."""
-    ny, U = 16, 0.04
-
-    def run(collision):
-        g = Grid((4, ny, 4), tau=0.8)
-        g.solid[:, 0, :] = True
-        g.solid[:, -1, :] = True
-        uw = np.zeros((3,) + g.shape)
-        uw[0, :, -2, :] = U
-        s = LBMSolver(g, [BounceBackWalls(g.solid, wall_velocity=uw)],
-                      collision=collision)
-        s.step(1200)
-        _, u = s.macroscopic()
-        return u[0, 2, 1:-1, 2]
-
-    assert np.allclose(run("bgk"), run("mrt"), atol=3e-4)
-
-
-def test_mrt_rejects_body_force():
-    g = Grid((4, 4, 4), tau=0.8)
-    g.force[0] = 1e-5
-    s = LBMSolver(g, [], collision="mrt")
-    import pytest
-
-    with pytest.raises(NotImplementedError):
-        s.step()
-
-
-def test_unknown_collision_rejected():
-    import pytest
-
-    g = Grid((4, 4, 4), tau=0.8)
-    with pytest.raises(ValueError):
-        LBMSolver(g, [], collision="bogus")
-
-
-def test_mrt_rejects_tau_field():
-    import pytest
-
-    g = Grid((4, 4, 4), tau=np.full((4, 4, 4), 0.8))
-    with pytest.raises(ValueError):
-        LBMSolver(g, [], collision="mrt")

@@ -206,6 +206,26 @@ def test_packed_exchange_cuts_bytes_3x():
     np.testing.assert_array_equal(fields["exchange"], fields["recompute"])
 
 
+def test_packed_volume_closed_form():
+    """The machine-independent communication pin: 16³ on 8 periodic ranks
+    (2×2×2 blocks of 8³).  A rank ships the 5 populations that cross each
+    of its 6 face slabs (8×8 nodes) and the 1 that crosses each of its 12
+    edge slabs (8 nodes); nothing crosses a corner.  Periodic wrap folds
+    the 18 slabs onto 6 distinct neighbors (3 across a face, 3 across an
+    edge), one coalesced message each."""
+    shape = (16, 16, 16)
+    with DistributedLBMSolver(
+        shape, tau=TAU, n_tasks=8, dtype="float64",
+    ) as d:
+        assert d.decomp.dims == (2, 2, 2)
+        d.scatter(_seeded_f(shape))
+        d.step(2)
+        values_per_rank = 6 * 5 * 8 * 8 + 12 * 1 * 8
+        assert d.bytes_per_step() == 8 * values_per_rank * 8 == 129_024
+        assert d.last_step_messages == 8 * 6
+        assert d.last_step_slabs == 8 * 18
+
+
 def test_messages_coalesced_slabs_raw():
     """messages = distinct (dst, src) neighbor pairs after coalescing;
     slabs = raw q-direction copies (one per offset).  A 2x2x1 grid has 3

@@ -1,4 +1,5 @@
-"""``repro.lbm`` is a bottom layer: importing it pulls in no upper layer."""
+"""Import hygiene: ``repro.lbm`` pulls in no upper layer, and ``import
+repro`` pulls in no heavy dependency only one call needs."""
 
 import subprocess
 import sys
@@ -30,3 +31,14 @@ def test_lbm_imports_no_upper_layer():
     assert "repro.lbm.solver" in out
     pulled = [m for m in out if m.startswith(UPPER_LAYERS)]
     assert pulled == [], f"repro.lbm imports upper layers: {pulled}"
+
+
+def test_import_repro_does_not_load_scipy_optimize():
+    """Only ``discharge_from_tube_hematocrit`` needs it (one ``brentq``)."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import repro; "
+             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True,
+    ).stdout.strip()
+    assert out == "False"

@@ -1,0 +1,48 @@
+"""Names the third audit (PR 23) deleted are gone, not shadowed."""
+
+import importlib
+import importlib.util
+
+import pytest
+
+from repro.lbm import Grid, LBMSolver
+from repro.service.registry import known_experiments
+
+#: package -> (deleted submodules, deleted public names)
+REMOVED = {
+    "repro.lbm": (
+        ("mrt", "stability"),
+        ("collide_mrt", "check_parameters", "suggest_dt",
+         "membrane_coupling_limit"),
+    ),
+    "repro.membrane": (
+        ("localarea", "damping"),
+        ("local_area_energy", "local_area_forces", "edge_damping_forces",
+         "dissipation_rate"),
+    ),
+    "repro.io": (("vtk",), ("write_vtk_structured", "write_vtk_mesh")),
+    "repro.geometry": (("off_io",), ("read_off", "write_off")),
+    "repro.analytics": (("flow",), ("flow_rate_through_plane",)),
+}
+
+
+@pytest.mark.parametrize("kwarg", ["collision", "pre_collision_hook"])
+def test_solver_rejects_removed_parameters(kwarg):
+    g = Grid((3, 3, 3), tau=0.8)
+    with pytest.raises(TypeError):
+        LBMSolver(g, [], **{kwarg: "bgk"})
+
+
+@pytest.mark.parametrize("package", sorted(REMOVED))
+def test_exports_import_cleanly_without_removed_names(package):
+    modules, names = REMOVED[package]
+    pkg = importlib.import_module(package)
+    for name in pkg.__all__:
+        getattr(pkg, name)
+    assert not set(names) & (set(pkg.__all__) | set(vars(pkg)))
+    for module in modules:
+        assert importlib.util.find_spec(f"{package}.{module}") is None
+
+
+def test_hotpath_experiment_still_registered():
+    assert "hotpath" in known_experiments()
