@@ -43,7 +43,7 @@ import numpy as np
 from scipy import sparse
 
 from ..ibm.coupling import interpolate, make_stencil
-from ..lbm.collision import equilibrium, lattice_constants, macroscopic
+from ..lbm.collision import equilibrium, macroscopic
 from ..lbm.grid import Grid
 from ..telemetry import get_telemetry
 from .viscosity import (
@@ -363,8 +363,7 @@ class RefinedRegion:
         fg = self.fine.grid
         cg = self.coarse.grid
         f_fine = _channels_flat(fg.f)[:, self._restrict_fine_flat]
-        rho = f_fine.sum(axis=0)
-        u = (lattice_constants(np.float64)[1] @ f_fine) / rho  # (3, N)
+        rho, u = macroscopic(f_fine)
         feq = _equilibrium_points(rho, u)
         fneq = f_fine - feq
         _channels_flat(cg.f)[:, self._restrict_coarse_flat] = (

@@ -11,6 +11,7 @@ from .grid import Grid
 from .collision import collide_bgk, equilibrium, macroscopic
 from .streaming import stream_pull, stream_pull_padded
 from .boundaries import (
+    BounceBackLinks,
     BounceBackWalls,
     VelocityInlet,
     OutflowOutlet,
@@ -27,6 +28,7 @@ __all__ = [
     "macroscopic",
     "stream_pull",
     "stream_pull_padded",
+    "BounceBackLinks",
     "BounceBackWalls",
     "VelocityInlet",
     "OutflowOutlet",

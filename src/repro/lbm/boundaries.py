@@ -21,10 +21,30 @@ from .streaming import upwind_solid_masks
 Side = Literal["low", "high"]
 
 
+class BounceBackLinks:
+    """The bounce-back links of one solid map, as flat index arrays.
+
+    A link is a fluid node ``x`` and a direction ``i`` whose pull source
+    ``x - c_i`` is solid.  Built once from boolean ``masks`` (19, ...)
+    that flag them (:func:`repro.lbm.streaming.upwind_solid_masks` or
+    :func:`~repro.lbm.streaming.padded_upwind_solid_masks`); the masks
+    are not kept.  ``dirs`` and ``nodes`` list the links direction by
+    direction (flat node index into ``masks[0]``'s shape); ``dst`` and
+    ``src`` are the flat indices ``i*N + x`` and ``opp(i)*N + x`` into
+    a C-contiguous ``(19,) + masks[0].shape`` lattice.
+    """
+
+    def __init__(self, masks: np.ndarray):
+        n = masks[0].size
+        self.dirs, self.nodes = np.nonzero(masks.reshape(D3Q19.Q, n))
+        self.dst = self.dirs * n + self.nodes
+        self.src = D3Q19.opp[self.dirs] * n + self.nodes
+
+
 def apply_bounce_back(
     f_new: np.ndarray,
     f_post: np.ndarray,
-    masks: np.ndarray,
+    links: BounceBackLinks,
     wall_velocity: np.ndarray | None = None,
     rho_wall: float = 1.0,
 ) -> None:
@@ -35,39 +55,33 @@ def apply_bounce_back(
 
         f_i(x) = f*_opp(i)(x) + 2 w_i rho_w (c_i . u_w) / cs^2
 
-    which reduces to plain bounce-back for a resting wall.
+    which reduces to plain bounce-back for a resting wall.  Every link
+    is one gather from ``f_post`` and one scatter into ``f_new``.
 
     Parameters
     ----------
     f_new:
-        Streamed distributions to correct, (19, nx, ny, nz).
+        Streamed distributions to correct, C-contiguous (19, nx, ny, nz).
     f_post:
-        Post-collision distributions from the same step.
-    masks:
-        Output of :func:`repro.lbm.streaming.upwind_solid_masks`.
+        Post-collision distributions from the same step, same layout.
+    links:
+        The walls' :class:`BounceBackLinks`, built for this lattice shape.
     wall_velocity:
         Either ``None`` (resting walls), a constant (3,) vector, or a full
         (3, nx, ny, nz) field giving the wall velocity seen from each fluid
-        node (only entries under the masks matter).
+        node (only entries at link nodes matter).
     rho_wall:
         Wall density used in the momentum correction (1.0 is standard).
     """
-    cs2 = D3Q19.cs2
-    for i in range(1, D3Q19.Q):
-        m = masks[i]
-        if not m.any():
-            continue
-        f_new[i][m] = f_post[D3Q19.opp[i]][m]
-        if wall_velocity is not None:
-            uw = np.asarray(wall_velocity, dtype=np.float64)
-            ci = D3Q19.c[i].astype(np.float64)
-            if uw.ndim == 1:
-                cu = float(ci @ uw)
-                if cu != 0.0:
-                    f_new[i][m] += 2.0 * D3Q19.w[i] * rho_wall * cu / cs2
-            else:
-                cu = np.einsum("a,a...->...", ci, uw)[m]
-                f_new[i][m] += 2.0 * D3Q19.w[i] * rho_wall * cu / cs2
+    if not (f_new.flags.c_contiguous and f_post.flags.c_contiguous):
+        raise ValueError("bounce-back links index C-contiguous lattices")
+    values = f_post.reshape(-1)[links.src]
+    if wall_velocity is not None:
+        uw = np.asarray(wall_velocity, dtype=np.float64)
+        u = uw[:, None] if uw.ndim == 1 else uw.reshape(3, -1)[:, links.nodes]
+        cu = (D3Q19.c[links.dirs].T * u).sum(axis=0)
+        values = values + 2.0 * D3Q19.w[links.dirs] * rho_wall * cu / D3Q19.cs2
+    f_new.reshape(-1)[links.dst] = values
 
 
 @dataclass
@@ -80,11 +94,11 @@ class BounceBackWalls:
 
     def __post_init__(self) -> None:
         self.solid = np.asarray(self.solid, dtype=bool)
-        self._masks = upwind_solid_masks(self.solid)
+        self._links = BounceBackLinks(upwind_solid_masks(self.solid))
 
     def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None:
         apply_bounce_back(
-            f_new, f_post, self._masks, self.wall_velocity, self.rho_wall
+            f_new, f_post, self._links, self.wall_velocity, self.rho_wall
         )
 
 

@@ -25,29 +25,37 @@ handful of per-node monomials:
 (:func:`moment_operators`).  :func:`collide_bgk` builds the ``N``-sized
 monomial rows :data:`PANEL` columns at a time and hands the 19-row work
 to BLAS GEMM plus one axpy, instead of walking ``(19, N)`` arrays once
-per elementary operation.
+per elementary operation.  The density and momentum are one more GEMM,
+``[1; c^T] @ f`` (:func:`moments`), which reads ``f`` once.
 
 Fixed-width panels
 ------------------
 BLAS rounds a column differently depending on how many columns the call
 has (tail columns take another micro-kernel), so ``A @ X[:, a:b]`` is
 *not* the same numbers as ``(A @ X)[:, a:b]``.  Every lattice GEMM here
-— the collide operator and the momentum sum in :func:`moments` — is
+— the collide operator and the moment sums in :func:`moments` — is
 therefore issued over column panels of the flattened lattice that are
 always :data:`GEMM_COLS` wide, the last one zero-padded in a contiguous
 scratch.  Each call has the identical shape, a column's result does not
 depend on its position inside the panel, and so a node's result cannot
 depend on the shape of the lattice, block or slab it sits in: a
-decomposed lattice stays bitwise equal to the single grid.  A stretch
-of nodes whose force is identically zero multiplies by the 19x10
-``omega M`` alone; extra zero terms do not change a sum, so that rule
-is invisible in the results too.
+decomposed lattice stays bitwise equal to the single grid.
+
+Exact-zero rules
+----------------
+Two terms of the update are skipped where they are exactly zero; extra
+zero terms do not change a sum, so neither rule is visible in the
+results.  A stretch of nodes whose force is identically zero multiplies
+by the 19x10 ``omega M`` alone.  A scalar ``tau`` that makes ``omega``
+exactly 1 has ``(1 - omega) f = 0``, and that whole relaxation pass is
+left out.
 
 Allocation discipline
 ---------------------
-:class:`CollisionScratch` holds the lattice-sized ``rho``/``mom``/``u``/
-``den`` rows and three ``(19, PANEL)`` work buffers; nothing
-``(19, N)``-sized is allocated besides ``f`` and ``out`` themselves.
+:class:`CollisionScratch` holds the lattice-sized ``rho``/``mom`` rows
+(one ``(4, N)`` buffer), ``u``/``den`` and three ``(19, PANEL)`` work
+buffers; nothing ``(19, N)``-sized is allocated besides ``f`` and
+``out`` themselves.
 With ``scratch`` and ``out`` supplied the collide allocates only the
 19x19 operator; without them it allocates what it returns plus a
 throw-away scratch — same values either way.  Strided slab views are
@@ -60,16 +68,21 @@ import numpy as np
 
 from .lattice import D3Q19
 
-#: Lattice velocity matrices as floats, laid out for BLAS matmul.
+#: Lattice velocity matrix as floats, laid out for BLAS matmul.
 _C = np.ascontiguousarray(D3Q19.c.astype(np.float64))        # (Q, 3)
-_CT = np.ascontiguousarray(D3Q19.c.T.astype(np.float64))     # (3, Q)
+#: Moment operator ``[1; c^T]`` (4, Q): row 0 gives the density, rows
+#: 1-3 the momentum.  The all-ones row adds each population exactly and
+#: in population order, the order ``np.sum(f, axis=0)`` uses.
+_MOMENTS = np.ascontiguousarray(
+    np.vstack([np.ones(D3Q19.Q), D3Q19.c.T]).astype(np.float64)
+)
 
-#: Per-compute-dtype ``(c, c.T, w)`` lattice constants.  The float64
-#: entry is seeded with the module's original arrays; other dtypes get
-#: cached cast copies (mixed-dtype matmuls would silently upcast every
-#: float32 collision back to float64).
+#: Per-compute-dtype ``(c, [1; c^T], w)`` lattice constants.  The
+#: float64 entry is seeded with the module's original arrays; other
+#: dtypes get cached cast copies (mixed-dtype matmuls would silently
+#: upcast every float32 collision back to float64).
 _CONSTS: dict[np.dtype, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-    np.dtype(np.float64): (_C, _CT, np.asarray(D3Q19.w, dtype=np.float64)),
+    np.dtype(np.float64): (_C, _MOMENTS, np.asarray(D3Q19.w, dtype=np.float64)),
 }
 
 #: Columns of every lattice GEMM call (see "Fixed-width panels").
@@ -96,13 +109,13 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def lattice_constants(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(c, c.T, w)`` lattice matrices in the requested compute dtype."""
+    """``(c, [1; c^T], w)`` lattice matrices in the requested compute dtype."""
     dt = np.dtype(dtype)
     entry = _CONSTS.get(dt)
     if entry is None:
         entry = _CONSTS[dt] = (
             np.ascontiguousarray(_C.astype(dt)),
-            np.ascontiguousarray(_CT.astype(dt)),
+            np.ascontiguousarray(_MOMENTS.astype(dt)),
             D3Q19.w.astype(dt),
         )
     return entry
@@ -159,8 +172,10 @@ class CollisionScratch:
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
         self.shape = tuple(shape)
         self.dtype = dt = np.dtype(dtype)
-        self.rho = np.empty(self.shape, dtype=dt)
-        self.mom = np.empty((3,) + self.shape, dtype=dt)
+        #: :func:`moments` output; ``rho`` and ``mom`` are its rows.
+        self.moments = np.empty((4,) + self.shape, dtype=dt)
+        self.rho = self.moments[0]
+        self.mom = self.moments[1:]
         self.u = np.empty((3,) + self.shape, dtype=dt)
         self.den = np.empty(self.shape, dtype=dt)
         #: Monomial rows ``[Phi; Psi]``, the GEMM result, and the
@@ -197,23 +212,21 @@ def _panel_matmul(a, x, out) -> None:
 
 
 def moments(
-    f: np.ndarray,
-    out_rho: np.ndarray | None = None,
-    out_mom: np.ndarray | None = None,
+    f: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density and bare momentum (no force shift) of the distributions.
 
-    The momentum sum ``c.T @ f`` runs over fixed-width column panels, so
-    a node's momentum does not depend on the shape of ``f``.
+    One ``[1; c^T] @ f`` GEMM over fixed-width column panels, so ``f`` is
+    read once and a node's moments do not depend on the shape of ``f``
+    (or on whether ``f`` is a lattice or a gathered ``(19, G)`` block).
+    ``out`` is a C-contiguous ``(4,) + f.shape[1:]`` buffer; the return
+    value is its rows ``(out[0], out[1:])``.
     """
-    ct = lattice_constants(f.dtype)[1]
-    rho = np.sum(f, axis=0, out=out_rho)
-    mom = out_mom
-    if mom is None:
-        mom = np.empty((3,) + f.shape[1:], dtype=f.dtype)
+    if out is None:
+        out = np.empty((4,) + f.shape[1:], dtype=f.dtype)
     f2 = np.ascontiguousarray(f).reshape(D3Q19.Q, -1)
-    _panel_matmul(ct, f2, mom.reshape(3, -1))
-    return rho, mom
+    _panel_matmul(lattice_constants(f.dtype)[1], f2, out.reshape(4, -1))
+    return out[0], out[1:]
 
 
 def patch_moments(
@@ -221,22 +234,14 @@ def patch_moments(
 ) -> None:
     """Recompute ``rho`` / ``mom`` in place at flat node indices ``nodes``.
 
-    Bitwise equal to what :func:`moments` writes there.  The columns are
-    gathered into a C-contiguous ``(19, G)`` block (``take``), so the
-    momentum is the same fixed-width GEMM; the density is accumulated
-    population by population, which is the order ``np.sum(f, axis=0)``
-    uses on a lattice — a NumPy reduction of the block itself may sum
-    pairwise instead (it does on the transposed result of fancy indexing,
-    and for ``G == 1``).
+    Bitwise equal to what :func:`moments` writes there: the columns are
+    gathered into a C-contiguous ``(19, G)`` block (``take``) and go
+    through the same fixed-width GEMM.
     """
     block = np.take(f.reshape(D3Q19.Q, -1), nodes, axis=1)
-    density = block[0].copy()
-    for row in block[1:]:
-        density += row
-    rho.reshape(-1)[nodes] = density
-    mom_block = np.empty((3, block.shape[1]), dtype=f.dtype)
-    _panel_matmul(lattice_constants(f.dtype)[1], block, mom_block)
-    mom.reshape(3, -1)[:, nodes] = mom_block
+    block_rho, block_mom = moments(block)
+    rho.reshape(-1)[nodes] = block_rho
+    mom.reshape(3, -1)[:, nodes] = block_mom
 
 
 def velocity_from_moments(
@@ -331,8 +336,9 @@ def collide_bgk(
     realizes a spatially varying kinematic viscosity, which the coarse
     bulk lattice uses to represent the effective-viscosity map (whole
     blood outside the window region, the window fluid inside it).  A
-    scalar ``tau`` is folded into the operator; a field scales the
-    monomial rows and the ``(1 - omega)`` factor node by node.
+    scalar ``tau`` is folded into the operator (at ``tau == 1`` the
+    ``(1 - omega) f`` term is exactly zero and is not formed); a field
+    scales the monomial rows and the ``(1 - omega)`` factor node by node.
 
     ``scratch`` supplies preallocated temporaries (no lattice-sized
     allocation when both ``scratch`` and ``out`` are given);
@@ -351,7 +357,7 @@ def collide_bgk(
     if out is None:
         out = np.empty(f.shape, dtype=f.dtype)
     if moments_in is None:
-        rho, mom = moments(f, out_rho=scratch.rho, out_mom=scratch.mom)
+        rho, mom = moments(f, out=scratch.moments)
     else:
         rho, mom = moments_in
 
@@ -375,10 +381,13 @@ def collide_bgk(
     if tau_field:
         tau2 = rows("tau", tau, 1)[0]
         op_phi, op_full = _operators(f.dtype)
+        relax = True
     else:
         omega = 1.0 / float(tau)
         keep = 1.0 - omega
         op_phi, op_full = _operators(f.dtype, omega, 1.0 - 0.5 * omega)
+        # (1 - omega) f is exactly zero at omega == 1: not formed at all
+        relax = keep != 0.0
 
     floor = _rho_floor(f.dtype)
     monomials, product, work = scratch.monomials, scratch.product, scratch.work
@@ -431,7 +440,8 @@ def collide_bgk(
 
         # (1 - omega) f first, so that ``out`` may alias ``f``; a full
         # panel's GEMM then lands in ``out`` directly.
-        np.multiply(f2[:, sl], keep, out=work[:, :w])
+        if relax:
+            np.multiply(f2[:, sl], keep, out=work[:, :w])
         target = out2[:, sl] if w == PANEL else product
         if fp is None:
             op, x_rows = op_phi, monomials[:_N_PHI]
@@ -440,7 +450,10 @@ def collide_bgk(
         for c in range(0, padded, GEMM_COLS):
             cols = slice(c, c + GEMM_COLS)
             np.matmul(op, x_rows[:, cols], out=target[:, cols])
-        np.add(target[:, :w], work[:, :w], out=out2[:, sl])
+        if relax:
+            np.add(target[:, :w], work[:, :w], out=out2[:, sl])
+        elif w < PANEL:
+            out2[:, sl] = product[:, :w]
 
     if packed_out is not None:
         out[...] = packed_out

@@ -79,7 +79,7 @@ class LBMSolver:
         if self._moments_version != g.f_version:
             patches = g.f_patches_since(self._moments_version)
             if patches is None:
-                moments(g.f, out_rho=rho, out_mom=mom)
+                moments(g.f, out=self._scratch.moments)
             else:
                 for nodes in patches:
                     patch_moments(g.f, nodes, rho, mom)

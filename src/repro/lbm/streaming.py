@@ -125,17 +125,18 @@ def padded_upwind_solid_masks(solid_padded: np.ndarray) -> np.ndarray:
 
     ``solid_padded`` is the rank-local solid map including its halo rim
     (filled from the neighbors, or marked solid beyond a non-periodic
-    domain edge).  Returns a boolean (19, lx, ly, lz) array over the
-    block *interior*: entry ``[i, x]`` is True when the pull source
-    ``x - c_i`` is solid and ``x`` itself is fluid — exactly
-    :func:`upwind_solid_masks` restricted to this block, since the halo
-    carries the same values ``np.roll`` would wrap in.
+    domain edge).  Returns a boolean (19, lx+2, ly+2, lz+2) array shaped
+    like the padded block and False on its rim: at an *interior* node
+    ``x``, entry ``[i, x]`` is True when the pull source ``x - c_i`` is
+    solid and ``x`` itself is fluid — exactly :func:`upwind_solid_masks`
+    restricted to this block, since the halo carries the same values
+    ``np.roll`` would wrap in.
     """
-    shape = tuple(n - 2 for n in solid_padded.shape)
-    masks = np.zeros((D3Q19.Q,) + shape, dtype=bool)
+    masks = np.zeros((D3Q19.Q,) + solid_padded.shape, dtype=bool)
+    interior = masks[(slice(None),) + _INTERIOR]
     for i in range(1, D3Q19.Q):
-        masks[i] = solid_padded[_PADDED_SEGMENTS[i]]
-    masks &= ~solid_padded[_INTERIOR][None]
+        interior[i] = solid_padded[_PADDED_SEGMENTS[i]]
+    interior &= ~solid_padded[_INTERIOR][None]
     return masks
 
 

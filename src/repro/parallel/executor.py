@@ -38,14 +38,10 @@ from time import perf_counter
 
 import numpy as np
 
-from ..lbm.boundaries import apply_bounce_back
+from ..lbm.boundaries import BounceBackLinks, apply_bounce_back
 from ..lbm.collision import CollisionScratch, collide_bgk
 from ..lbm.lattice import D3Q19
-from ..lbm.streaming import (
-    _INTERIOR,
-    padded_upwind_solid_masks,
-    stream_pull_padded,
-)
+from ..lbm.streaming import padded_upwind_solid_masks, stream_pull_padded
 from .decomposition import BlockDecomposition
 from .halo import fill_rank_halo
 from .pool import (
@@ -140,7 +136,7 @@ class ChunkRunner:
         self.decomp = decomp
         self.tau = float(tau)
         self.solid = solid
-        self._masks: dict[int, np.ndarray] = {}
+        self._links: dict[int, BounceBackLinks] = {}
         self._scratch: dict[tuple, CollisionScratch] = {}
 
     def _scratch_for(
@@ -160,11 +156,12 @@ class ChunkRunner:
         solid_padded = self.solid.get(r)
         if solid_padded is None:
             return
-        masks = self._masks.get(r)
-        if masks is None:
-            masks = self._masks[r] = padded_upwind_solid_masks(solid_padded)
-        idx = (slice(None),) + _INTERIOR
-        apply_bounce_back(f_arrs[r][idx], post_arrs[r][idx], masks)
+        links = self._links.get(r)
+        if links is None:
+            links = self._links[r] = BounceBackLinks(
+                padded_upwind_solid_masks(solid_padded)
+            )
+        apply_bounce_back(f_arrs[r], post_arrs[r], links)
 
     def run(
         self,

@@ -1,14 +1,81 @@
 """Bounce-back walls (static and moving), inlet and outlet handlers."""
 
 import numpy as np
+import pytest
 
 from repro.lbm import (
+    BounceBackLinks,
     BounceBackWalls,
     Grid,
     LBMSolver,
     OutflowOutlet,
     VelocityInlet,
+    apply_bounce_back,
 )
+from repro.lbm.streaming import (
+    _INTERIOR,
+    padded_upwind_solid_masks,
+    upwind_solid_masks,
+)
+
+from .reference_bodies import mask_bounce_back
+
+
+def _wall_velocity(rng, shape, kind):
+    if kind == "constant":
+        # a zero component: some directions see c . u_w == 0 exactly
+        return np.array([0.02, 0.0, -0.01])
+    if kind == "field":
+        return 0.03 * rng.standard_normal((3,) + shape)
+    return None
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("wall", ["resting", "constant", "field"])
+def test_link_table_equals_mask_oracle(rng, wall, dtype):
+    shape = (9, 11, 13)
+    solid = rng.random(shape) < 0.3
+    f_new = rng.random((19,) + shape).astype(dtype)
+    f_post = rng.random((19,) + shape).astype(dtype)
+    uw = _wall_velocity(rng, shape, wall)
+    want = f_new.copy()
+    masks = upwind_solid_masks(solid)
+    mask_bounce_back(want, f_post, masks, uw, rho_wall=1.02)
+    got = f_new.copy()
+    apply_bounce_back(got, f_post, BounceBackLinks(masks), uw, rho_wall=1.02)
+    assert np.array_equal(got, want)
+
+    walls = BounceBackWalls(solid, wall_velocity=uw, rho_wall=1.02)
+    again = f_new.copy()
+    walls.apply(again, f_post)
+    assert np.array_equal(again, want)
+    # the walls keep 1-D link arrays, no (19, ...) mask
+    arrays = [*vars(walls).values(), *vars(walls._links).values()]
+    assert not any(
+        a.dtype == bool and a.ndim == 4
+        for a in arrays if isinstance(a, np.ndarray)
+    )
+    with pytest.raises(ValueError):
+        walls.apply(np.asfortranarray(again), f_post)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_padded_link_table_equals_mask_oracle_on_interior(rng, dtype):
+    """The executor's variant: links index the whole padded block and
+    touch only interior nodes, as the oracle on the interior views."""
+    shape = (6, 7, 8)
+    padded = tuple(n + 2 for n in shape)
+    solid_padded = rng.random(padded) < 0.3
+    masks = padded_upwind_solid_masks(solid_padded)
+    idx = (slice(None),) + _INTERIOR
+    assert masks.sum() == masks[idx].sum() > 0
+    f_new = rng.random((19,) + padded).astype(dtype)
+    f_post = rng.random((19,) + padded).astype(dtype)
+    want = f_new.copy()
+    mask_bounce_back(want[idx], f_post[idx], masks[idx])
+    got = f_new.copy()
+    apply_bounce_back(got, f_post, BounceBackLinks(masks))
+    assert np.array_equal(got, want)
 
 
 def _plate_grid(shape=(4, 12, 4), tau=0.8):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lbm import D3Q19
@@ -15,6 +15,7 @@ from repro.lbm.collision import (
     macroscopic,
     moments,
     non_equilibrium,
+    patch_moments,
 )
 
 SHAPE = (4, 5, 6)
@@ -229,9 +230,15 @@ def _force(rng, shape, kind, dtype=np.float64):
     return force
 
 
+#: ``"one"`` is the scalar tau = 1 whose (1 - omega) f pass is skipped.
+_TAUS = ["scalar", "field", "one"]
+
+
 def _tau(rng, shape, kind, dtype=np.float64):
     if kind == "scalar":
         return 0.8
+    if kind == "one":
+        return 1.0
     return (0.6 + rng.random(shape)).astype(dtype)
 
 
@@ -245,7 +252,7 @@ def test_shapes_cover_the_panel_cases():
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
-@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("tau_kind", _TAUS)
 @pytest.mark.parametrize("force_kind", _FORCES)
 @pytest.mark.parametrize("shape", _SHAPES)
 def test_collide_matches_multipass_oracle(rng, shape, force_kind, tau_kind,
@@ -269,7 +276,7 @@ def test_collide_matches_multipass_oracle(rng, shape, force_kind, tau_kind,
     assert np.array_equal(again, got)
 
 
-@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("tau_kind", _TAUS)
 @pytest.mark.parametrize("force_kind", _FORCES)
 def test_collide_on_strided_slab_views(rng, force_kind, tau_kind):
     """Strided views of every operand give the packed copy's result."""
@@ -306,14 +313,13 @@ def test_collide_and_moments_do_not_depend_on_block_shape(data):
 
     Random sub-blocks of a random lattice, copied contiguous, against
     the same nodes of the full-lattice result: this is what keeps a
-    decomposed lattice equal to the single grid, whatever the shapes.
-    (A block of one node is left out: there ``f.sum(axis=0)`` runs along
-    a contiguous axis, which NumPy sums pairwise.)
+    decomposed lattice equal to the single grid, whatever the shapes,
+    down to a block of one node.
     """
     dims = st.integers(5, 30)
     shape = (data.draw(dims), data.draw(dims), data.draw(dims))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    tau_kind = data.draw(st.sampled_from(["scalar", "field"]))
+    tau_kind = data.draw(st.sampled_from(_TAUS))
     force_kind = data.draw(st.sampled_from(_FORCES))
     f = _perturbed_state(rng, shape)
     force = _force(rng, shape, force_kind)
@@ -328,7 +334,6 @@ def test_collide_and_moments_do_not_depend_on_block_shape(data):
         sl = tuple(sl)
         idx = (slice(None),) + sl
         f_blk = np.ascontiguousarray(f[idx])
-        assume(f_blk[0].size > 1)
         rho_blk, mom_blk = moments(f_blk)
         assert np.array_equal(rho_blk, rho_full[sl])
         assert np.array_equal(mom_blk, mom_full[idx])
@@ -341,7 +346,7 @@ def test_collide_and_moments_do_not_depend_on_block_shape(data):
         assert np.array_equal(post_blk, post_full[idx])
 
 
-@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("tau_kind", _TAUS)
 @pytest.mark.parametrize("force_kind", _FORCES)
 def test_collide_exact_invariants(rng, force_kind, tau_kind):
     """Sum_i f_post = rho and Sum_i c_i f_post = mom + F, to round-off."""
@@ -357,7 +362,7 @@ def test_collide_exact_invariants(rng, force_kind, tau_kind):
     assert np.abs(mom_post - (mom + gained)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("tau_kind", ["scalar", "field"])
+@pytest.mark.parametrize("tau_kind", _TAUS)
 def test_zero_force_array_equals_no_force(rng, tau_kind):
     shape = (13, 14, 15)
     f = _perturbed_state(rng, shape)
@@ -366,3 +371,62 @@ def test_zero_force_array_equals_no_force(rng, tau_kind):
     zeroed, _, u1 = collide_bgk(f, tau, np.zeros((3,) + shape))
     assert np.array_equal(unforced, zeroed)
     assert np.array_equal(u0, u1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("force_kind", _FORCES)
+def test_tau_one_skip_equals_relaxation_through_tau_field(rng, force_kind,
+                                                          dtype):
+    """At scalar tau = 1 the (1 - omega) f pass is left out; a tau field
+    of ones still forms it (as exact zeros) and scales the Guo rows by
+    exactly 1/2, so both give the same bits."""
+    shape = (17, 16, 23)
+    f = _perturbed_state(rng, shape, dtype)
+    force = _force(rng, shape, force_kind, dtype)
+    skipped, rho_s, u_s = collide_bgk(f, 1.0, force)
+    relaxed, rho_r, u_r = collide_bgk(f, np.ones(shape, dtype=dtype), force)
+    assert np.array_equal(skipped, relaxed)
+    assert np.array_equal(rho_s, rho_r) and np.array_equal(u_s, u_r)
+    # in place, as the distributed collide may run it
+    aliased = f.copy()
+    collide_bgk(aliased, 1.0, force, out=aliased)
+    assert np.array_equal(aliased, skipped)
+
+
+# ----------------------------------------------------------------------
+# Moments: one [1; c^T] GEMM
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_moments_agree_across_layouts_and_with_plain_sums(rng, dtype):
+    """The lattice, a sub-block, a transposed gather and ``patch_moments``
+    give the same bits; against ``f.sum(axis=0)`` / ``c^T @ f`` the GEMM
+    is held to round-off only, because equality depends on the BLAS
+    kernel."""
+    shape = (21, 22, 23)
+    f = _perturbed_state(rng, shape, dtype)
+    rho, mom = moments(f)
+    flat_rho, flat_mom = rho.reshape(-1), mom.reshape(3, -1)
+
+    sl = (slice(3, 17), slice(5, 6), slice(0, 19))
+    blk_rho, blk_mom = moments(np.ascontiguousarray(f[(slice(None),) + sl]))
+    assert np.array_equal(blk_rho, rho[sl])
+    assert np.array_equal(blk_mom, mom[(slice(None),) + sl])
+
+    nodes = rng.permutation(f[0].size)[: 2 * GEMM_COLS + 7]
+    gathered = f.reshape(19, -1)[:, nodes]
+    assert not gathered.flags.c_contiguous
+    g_rho, g_mom = moments(gathered)
+    assert np.array_equal(g_rho, flat_rho[nodes])
+    assert np.array_equal(g_mom, flat_mom[:, nodes])
+
+    p_rho, p_mom = np.zeros_like(rho), np.zeros_like(mom)
+    patch_moments(f, nodes, p_rho, p_mom)
+    assert np.array_equal(p_rho.reshape(-1)[nodes], flat_rho[nodes])
+    assert np.array_equal(p_mom.reshape(3, -1)[:, nodes], flat_mom[:, nodes])
+
+    tol = 1e-15 if dtype == np.float64 else 1e-6
+    scale = np.abs(rho).max()
+    c = D3Q19.c.T.astype(dtype)
+    assert np.abs(rho - f.sum(axis=0)).max() <= tol * scale
+    assert np.abs(mom - np.tensordot(c, f, axes=1)).max() <= tol * scale

@@ -104,15 +104,19 @@ def test_golden_matrix_bitwise(backend, halo_mode):
     np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("halo_mode", ["exchange", "recompute"])
-def test_golden_matrix_walled_periodic(halo_mode):
+@pytest.mark.parametrize("halo_mode,tau", [
+    ("exchange", TAU), ("recompute", TAU), ("exchange", 1.0),
+    ("recompute", 1.0),
+], ids=["exchange", "recompute", "exchange-tau1", "recompute-tau1"])
+def test_golden_matrix_walled_periodic(halo_mode, tau):
     """Solid shell on a periodic decomposition: full-array equality —
-    even the garbage-but-deterministic solid nodes match."""
+    even the garbage-but-deterministic solid nodes match.  tau = 1 runs
+    the collide without its (1 - omega) f pass on every rank."""
     solid = _shell_solid(SHAPE)
-    f0 = _seeded_f(SHAPE)
-    ref = _single_grid_reference(f0, solid=solid)
+    f0 = _seeded_f(SHAPE, tau=tau)
+    ref = _single_grid_reference(f0, tau=tau, solid=solid)
     with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, halo_mode=halo_mode, solid=solid,
+        SHAPE, tau=tau, n_tasks=4, halo_mode=halo_mode, solid=solid,
     ) as d:
         d.scatter(f0)
         d.step(STEPS)
