@@ -109,7 +109,6 @@ class WindowMover:
                 )
 
         lo_int, hi_int = new_window.interior_bounds()
-        lo_cap, hi_cap = new_window.interior_bounds()
 
         # Deep-copy all old-window cells, shift into the new frame, keep
         # the ones that land in the fill region (interior minus capture).

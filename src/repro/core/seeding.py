@@ -20,6 +20,7 @@ from ..constants import RBC_DIAMETER
 from ..fsi.cell_manager import CellManager
 from ..fsi.subgrid import UniformSubgrid
 from ..membrane.cell import Cell, CellKind, make_rbc, random_rotation
+from ..telemetry import get_telemetry
 from .window import Window
 
 
@@ -174,6 +175,7 @@ def stamp_tile(
         # bump invalidates the cache for later callers.
         existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
 
+    rejected_predicate = rejected_overlap = 0
     for center, rot, tile_idx in candidates:
         gid = manager.allocate_id()
         if tile.shapes is not None:
@@ -191,12 +193,18 @@ def stamp_tile(
                 **kwargs,
             )
         if keep_predicate is not None and not keep_predicate(cell):
+            rejected_predicate += 1
             continue
         if existing.query_labels_near(cell.vertices, overlap_cutoff):
+            rejected_overlap += 1
             continue
         manager.add(cell)
         existing.insert(cell.vertices, gid)
         added.append(cell)
+    tel = get_telemetry()
+    tel.inc("seeding.candidates", len(candidates))
+    tel.inc("seeding.rejected_predicate", rejected_predicate)
+    tel.inc("seeding.rejected_overlap", rejected_overlap)
     return added
 
 

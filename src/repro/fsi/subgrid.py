@@ -6,17 +6,23 @@ subgrid".  :class:`UniformSubgrid` is that structure: points are binned
 into cubic cells of the query cutoff size, so a radius query touches only
 the 27 surrounding bins.
 
-The index is CSR-style over sorted bin arrays rather than a dict of
-Python lists: per-axis bin coordinates are compressed with ``np.unique``
-(which also sidesteps integer overflow when tiny cell sizes produce huge
-raw bin coordinates), linearized, and stably argsorted into one
-``order`` array with per-bin start offsets.  Queries — including the
-batched :meth:`query_labels_near` over thousands of probe points — run as
-pure array operations with zero per-point Python work.  ``insert`` only
-appends and caches the new points' bin keys; the sort index is rebuilt
-lazily on the next query, so interleaved insert/query patterns (tile
-stamping, overlap removal) pay one incremental re-sort per flush instead
-of per-point dictionary churn.
+The index is a linear spatial hash kept sorted incrementally.  A point's
+bin key ``k = floor(x / cell_size)`` maps to ``h(k) = k . P`` with three
+large odd constants and wrapping int64 arithmetic.  The hash is linear,
+``h(k + o) = h(k) + h(o)``, so a probe's 27 neighbor hashes are 27
+additions.  Stored points are held in hash order: ``insert`` sorts only
+the new batch and merges it in with ``searchsorted`` + ``np.insert`` (one
+O(N) copy, no re-sort of stored points), and a query finds each
+candidate bin's run with a left/right ``searchsorted``.  The sequential
+accept-then-insert loops of seeding and overlap removal therefore cost
+O(N) per accepted cell instead of a full re-sort.
+
+Results are exact.  Any point within ``radius <= cell_size`` of a probe
+sits in one of the probe's 27 bins, so it is a candidate.  Two bins
+sharing a hash only add candidates, and the exact distance filter of
+:func:`subgrid_query` removes those.  The 27 offset hashes are distinct,
+so the 27 candidate hashes of one probe are too, and each stored point
+comes back at most once per probe.
 """
 
 from __future__ import annotations
@@ -27,6 +33,22 @@ import numpy as np
 _NEIGHBOR_OFFSETS = np.stack(
     np.meshgrid(*([np.arange(-1, 2)] * 3), indexing="ij"), axis=-1
 ).reshape(-1, 3)
+
+#: Odd 64-bit multipliers of the linear bin hash (two's-complement int64).
+_HASH_P = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+    dtype=np.uint64,
+).view(np.int64)
+
+
+def _bin_hash(keys: np.ndarray) -> np.ndarray:
+    """Wrapping int64 hash ``k . P`` of integer bin keys, shape (..., 3)."""
+    return (keys * _HASH_P).sum(axis=-1)
+
+
+#: Hashes of the 27 neighbor offsets; a probe's candidates are
+#: ``h(k) + _OFFSET_HASH``.
+_OFFSET_HASH = _bin_hash(_NEIGHBOR_OFFSETS.astype(np.int64))
 
 
 def subgrid_query(stored, slot, points, probe, radius):
@@ -46,62 +68,56 @@ class UniformSubgrid:
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = float(cell_size)
-        self._points = np.empty((0, 3), dtype=np.float64)
-        self._labels = np.empty(0, dtype=np.int64)
-        #: Per-point 3D bin keys, computed once at insert time.
-        self._keys = np.empty((0, 3), dtype=np.int64)
-        #: Number of points covered by the current CSR index.
-        self._n_indexed = 0
-        # CSR index state (valid when _n_indexed == len(self._points)):
-        self._axis_coords: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * 3
-        self._bin_lin = np.empty(0, dtype=np.int64)  # sorted unique bin ids
-        self._bin_start = np.empty(0, dtype=np.intp)
-        self._bin_count = np.empty(0, dtype=np.intp)
-        self._order = np.empty(0, dtype=np.intp)  # point index, bin-sorted
+        self._n = 0
+        # Capacity-doubling point and label buffers; rows [0, _n) are live.
+        self._point_buf = np.empty((0, 3), dtype=np.float64)
+        self._label_buf = np.empty(0, dtype=np.int64)
+        #: Bin hashes of the stored points in ascending order, and the
+        #: point index of each entry (ties in insertion order).
+        self._hashes = np.empty(0, dtype=np.int64)
+        self._order = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._n
+
+    @property
+    def _points(self) -> np.ndarray:
+        return self._point_buf[: self._n]
+
+    @property
+    def _labels(self) -> np.ndarray:
+        return self._label_buf[: self._n]
+
+    def _hash_points(self, points: np.ndarray) -> np.ndarray:
+        return _bin_hash(np.floor(points / self.cell_size).astype(np.int64))
 
     # ------------------------------------------------------------------
     def insert(self, points: np.ndarray, labels: np.ndarray | int) -> None:
         """Insert points with integer labels (e.g. owning cell global IDs)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         labels = np.broadcast_to(np.asarray(labels, dtype=np.int64), len(points))
-        self._points = np.vstack([self._points, points])
-        self._labels = np.concatenate([self._labels, labels])
-        keys = np.floor(points / self.cell_size).astype(np.int64)
-        self._keys = np.vstack([self._keys, keys])
-        # The CSR index is now stale; rebuilt lazily by the next query.
-
-    def _rebuild(self) -> None:
-        """(Re)build the CSR bin index over every stored point."""
-        n = len(self._points)
-        if self._n_indexed == n:
+        m = len(points)
+        if m == 0:
             return
-        # Per-axis coordinate compression: raw bin coordinates can be huge
-        # for tiny cell sizes, so linearize compressed ordinals instead.
-        inv = []
-        dims = []
-        for d in range(3):
-            uniq, inv_d = np.unique(self._keys[:, d], return_inverse=True)
-            self._axis_coords[d] = uniq
-            inv.append(inv_d.astype(np.int64))
-            dims.append(len(uniq))
-        lin = (inv[0] * dims[1] + inv[1]) * dims[2] + inv[2]
-        order = np.argsort(lin, kind="stable")
-        sorted_lin = lin[order]
-        if n:
-            is_start = np.empty(n, dtype=bool)
-            is_start[0] = True
-            np.not_equal(sorted_lin[1:], sorted_lin[:-1], out=is_start[1:])
-            starts = np.flatnonzero(is_start)
-        else:
-            starts = np.empty(0, dtype=np.intp)
-        self._order = order
-        self._bin_lin = sorted_lin[starts]
-        self._bin_start = starts.astype(np.intp)
-        self._bin_count = np.diff(np.concatenate([starts, [n]])).astype(np.intp)
-        self._n_indexed = n
+        n = self._n
+        if n + m > len(self._point_buf):
+            cap = max(n + m, 2 * len(self._point_buf))
+            point_buf = np.empty((cap, 3), dtype=np.float64)
+            label_buf = np.empty(cap, dtype=np.int64)
+            point_buf[:n] = self._point_buf[:n]
+            label_buf[:n] = self._label_buf[:n]
+            self._point_buf, self._label_buf = point_buf, label_buf
+        self._point_buf[n : n + m] = points
+        self._label_buf[n : n + m] = labels
+        self._n = n + m
+        # Sort the batch only, then merge it after equal stored hashes so
+        # every run stays in insertion order.
+        h = self._hash_points(points)
+        batch_order = np.argsort(h, kind="stable")
+        h = h[batch_order]
+        at = np.searchsorted(self._hashes, h, side="right")
+        self._hashes = np.insert(self._hashes, at, h)
+        self._order = np.insert(self._order, at, batch_order + n)
 
     # ------------------------------------------------------------------
     def _candidates(
@@ -111,48 +127,38 @@ class UniformSubgrid:
 
         Returns ``(slot, probe)`` arrays of equal length: ``slot`` indexes
         the stored points, ``probe`` the query points.  Each stored point
-        appears at most once per probe (bins partition the points and the
-        27 candidate bins of one probe are distinct).
+        appears at most once per probe (its hash equals at most one of the
+        probe's 27 distinct candidate hashes).
         """
-        self._rebuild()
         m = len(points)
-        if m == 0 or len(self._points) == 0:
+        if m == 0 or self._n == 0:
             e = np.empty(0, dtype=np.intp)
             return e, e
-        probe_keys = np.floor(points / self.cell_size).astype(np.int64)
-        # (M, 27, 3) candidate bin keys, flattened to (M*27, 3).
-        cand = (probe_keys[:, None, :] + _NEIGHBOR_OFFSETS[None, :, :]).reshape(
-            -1, 3
+        cand = (self._hash_points(points)[:, None] + _OFFSET_HASH).reshape(-1)
+        # Neighboring probes share most of their ring bins: search each
+        # distinct hash once, in ascending (cache-local) order.
+        uniq, inverse = np.unique(cand, return_inverse=True)
+        start = np.searchsorted(self._hashes, uniq, side="left")
+        found = self._hashes[np.minimum(start, self._n - 1)] == uniq
+        counts = np.zeros(len(uniq), dtype=np.intp)
+        counts[found] = (
+            np.searchsorted(self._hashes, uniq[found], side="right")
+            - start[found]
         )
-        probe = np.repeat(np.arange(m, dtype=np.intp), len(_NEIGHBOR_OFFSETS))
-        # Per-axis compressed lookup; bins absent on any axis cannot match.
-        valid = np.ones(len(cand), dtype=bool)
-        comp = np.empty((len(cand), 3), dtype=np.int64)
-        for d in range(3):
-            uniq = self._axis_coords[d]
-            pos = np.searchsorted(uniq, cand[:, d])
-            pos_c = np.minimum(pos, len(uniq) - 1)
-            valid &= uniq[pos_c] == cand[:, d]
-            comp[:, d] = pos_c
-        dims = [len(self._axis_coords[d]) for d in range(3)]
-        lin = (comp[:, 0] * dims[1] + comp[:, 1]) * dims[2] + comp[:, 2]
-        bpos = np.searchsorted(self._bin_lin, lin[valid])
-        bpos_c = np.minimum(bpos, len(self._bin_lin) - 1)
-        hit = self._bin_lin[bpos_c] == lin[valid]
-        bins = bpos_c[hit]
-        probe = probe[valid][hit]
-        # Ragged expansion of each matched bin's CSR run, loop-free.
-        counts = self._bin_count[bins]
-        total = int(counts.sum())
-        if total == 0:
+        counts = counts[inverse]
+        hit = np.flatnonzero(counts)
+        if len(hit) == 0:
             e = np.empty(0, dtype=np.intp)
             return e, e
-        run_start = np.repeat(self._bin_start[bins], counts)
+        counts = counts[hit]
+        total = int(counts.sum())
+        # Ragged expansion of each matched run, loop-free.
+        run_start = np.repeat(start[inverse[hit]], counts)
         within = np.arange(total, dtype=np.intp) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
         slot = self._order[run_start + within]
-        return slot, np.repeat(probe, counts)
+        return slot, np.repeat(hit // len(_OFFSET_HASH), counts)
 
     def _check_radius(self, radius: float) -> None:
         if radius > self.cell_size * (1 + 1e-12):

@@ -84,6 +84,11 @@ class Grid:
         velocity: np.ndarray | None = None,
     ) -> None:
         """Set distributions to the Maxwell-Boltzmann equilibrium."""
+        if velocity is None and np.ndim(rho) == 0 and rho == 1.0:
+            # equilibrium(1, 0) is exactly w: every other term is zero.
+            self.f[:] = D3Q19.w[:, None, None, None]
+            self.mark_f_modified()
+            return
         nx, ny, nz = self.shape
         rho_arr = np.broadcast_to(np.asarray(rho, float), self.shape)
         if velocity is None:

@@ -33,28 +33,27 @@ def bending_pairs(faces: np.ndarray) -> np.ndarray:
     boundary edges (closed cell surfaces have none).
     """
     faces = np.asarray(faces, dtype=np.int64)
-    half_edges: dict[tuple[int, int], int] = {}
-    for f_idx, (a, b, c) in enumerate(faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in half_edges:
-                raise ValueError("non-manifold or inconsistently oriented mesh")
-            half_edges[(u, v)] = f_idx
-
-    quads = []
-    seen = set()
-    for (u, v), f_idx in half_edges.items():
-        if (v, u) in seen or (u, v) in seen:
-            continue
-        twin = half_edges.get((v, u))
-        if twin is None:
-            raise ValueError(f"boundary edge {(u, v)}: cell meshes must be closed")
-        tri_a = faces[f_idx]
-        tri_b = faces[twin]
-        w_a = int(tri_a[~np.isin(tri_a, (u, v))][0])
-        w_b = int(tri_b[~np.isin(tri_b, (u, v))][0])
-        quads.append((u, v, w_a, w_b))
-        seen.add((u, v))
-    return np.array(quads, dtype=np.int64)
+    # Half-edge h = 3f + k runs u[h] -> v[h]; w[h] is the face's third corner.
+    u = faces.reshape(-1)
+    v = np.roll(faces, -1, axis=1).reshape(-1)
+    w = np.roll(faces, -2, axis=1).reshape(-1)
+    n = int(u.max(initial=-1)) + 1
+    key, twin_key = u * n + v, v * n + u
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ValueError("non-manifold or inconsistently oriented mesh")
+    pos = np.minimum(np.searchsorted(sorted_keys, twin_key), len(u) - 1)
+    has_twin = sorted_keys[pos] == twin_key
+    if not has_twin.all():
+        h = int(np.argmin(has_twin))
+        raise ValueError(
+            f"boundary edge {(u[h], v[h])}: cell meshes must be closed"
+        )
+    twin = order[pos]
+    # One quad per edge, from whichever half-edge comes first.
+    first = np.arange(len(u)) < twin
+    return np.stack([u[first], v[first], w[first], w[twin[first]]], axis=1)
 
 
 def euler_characteristic(n_vertices: int, faces: np.ndarray) -> int:

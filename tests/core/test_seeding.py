@@ -81,6 +81,27 @@ def test_stamp_respects_keep_predicate(tile, rng):
         assert c.centroid()[0] < 10e-6
 
 
+def test_stamp_counts_candidates_and_rejections(tile, rng):
+    """Every candidate is accepted, rejected by the predicate or rejected
+    for overlap, and the three telemetry counters say which."""
+    from repro.telemetry import Telemetry, active
+
+    m = CellManager()
+    lo, hi = np.zeros(3), np.full(3, 25e-6)
+    stamp(m, tile, lo, hi, rng, subdivisions=2)
+    tel = Telemetry()
+    with active(tel):
+        added = stamp(
+            m, tile, lo, hi, rng, subdivisions=2,
+            keep_predicate=lambda c: c.centroid()[0] < 15e-6,
+        )
+    candidates = tel.counter("seeding.candidates").value
+    overlap = tel.counter("seeding.rejected_overlap").value
+    predicate = tel.counter("seeding.rejected_predicate").value
+    assert overlap > 0 and predicate > 0
+    assert candidates == len(added) + overlap + predicate
+
+
 def test_stamp_reaches_reasonable_density(tile, rng):
     m = CellManager()
     side = 30e-6

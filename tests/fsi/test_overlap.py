@@ -1,10 +1,13 @@
 """Deterministic overlap removal by global ID (Section 2.4.2)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.fsi import cell_overlaps_existing, find_overlapping_vertices, remove_overlaps
 from repro.fsi.overlap import build_subgrid
 from repro.membrane import make_rbc
+from repro.membrane.cell import random_rotation
 
 CUTOFF = 0.5e-6
 D = 7.8e-6
@@ -74,3 +77,78 @@ def test_bounding_box_rejection_fast_path():
     """Disjoint bounding boxes short-circuit the vertex check."""
     a, b = _rbc(0, 0), _rbc(100, 1)
     assert not find_overlapping_vertices(a, b, CUTOFF)
+
+
+# -- seeding parity with the brute-force oracle ------------------------------
+
+
+def _dense_population(n=40, seed=4, sub=1):
+    """RBCs at random centers packed so that many pairs overlap."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_rbc(
+            rng.uniform(0.0, 16e-6, size=3),
+            global_id=int(gid),
+            rotation=random_rotation(rng),
+            subdivisions=sub,
+        )
+        for gid in rng.permutation(n)
+    ]
+
+
+def _brute_remove_overlaps(cells, cutoff):
+    kept = []
+    for cell in sorted(cells, key=lambda c: c.global_id):
+        if not any(find_overlapping_vertices(cell, k, cutoff) for k in kept):
+            kept.append(cell)
+    return kept
+
+
+def test_remove_overlaps_matches_brute_force_on_dense_population():
+    cells = _dense_population()
+    want = [c.global_id for c in _brute_remove_overlaps(cells, CUTOFF)]
+    got = [c.global_id for c in remove_overlaps(cells, CUTOFF)]
+    assert got == want
+    assert 1 < len(got) < len(cells)  # dense: some, not all, survive
+
+
+class _BruteIndex:
+    """``UniformSubgrid`` stand-in answering overlaps by brute force."""
+
+    def __init__(self, cells):
+        self.cells = [(c.global_id, c) for c in cells]
+
+    def query_labels_near(self, points, radius):
+        probe = SimpleNamespace(vertices=np.asarray(points))
+        return {
+            gid for gid, c in self.cells
+            if find_overlapping_vertices(probe, c, radius)
+        }
+
+    def insert(self, points, label):
+        self.cells.append((int(label), SimpleNamespace(vertices=points)))
+
+
+def test_stamp_tile_matches_brute_force_on_dense_population():
+    """Stamping into an occupied box rejects exactly the candidates the
+    brute-force oracle rejects."""
+    from repro.core.seeding import RBCTile, stamp_tile
+    from repro.fsi import CellManager
+
+    tile = RBCTile.build(hematocrit=0.3, side=16e-6, seed=2)
+    lo, hi = np.zeros(3), np.full(3, 16e-6)
+    accepted = []
+    for index in (None, "brute"):
+        manager = CellManager()
+        for cell in _dense_population(n=12, seed=8):
+            manager.add(cell.copy(new_id=manager.allocate_id()))
+        existing = None if index is None else _BruteIndex(manager.cells)
+        added = stamp_tile(
+            manager, tile, lo, hi, np.random.default_rng(5),
+            overlap_cutoff=CUTOFF, subdivisions=1, existing=existing,
+        )
+        accepted.append([(c.global_id, c.vertices) for c in added])
+    got, want = accepted
+    assert [g for g, _ in got] == [g for g, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+    assert 0 < len(got) < tile.n_cells

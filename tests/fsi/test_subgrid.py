@@ -168,3 +168,122 @@ def test_batched_labels_match_brute_force(seed, radius, cell_size):
     d2 = ((pts[None, :, :] - probes[:, None, :]) ** 2).sum(axis=-1)
     hit = (d2 <= radius * radius).any(axis=0)
     assert got == set(np.unique(labels[hit]).tolist())
+
+
+# -- incrementally merged hash index -----------------------------------------
+
+
+def _brute_query(pts, probe, radius):
+    return np.flatnonzero(((pts - probe) ** 2).sum(axis=1) <= radius * radius)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 1_000_000),
+    cell_size=st.sampled_from([1e-9, 1e-6, 0.3, 1.0, 2.5]),
+    n_batches=st.integers(1, 6),
+)
+def test_interleaved_inserts_match_brute_force(seed, cell_size, n_batches):
+    """Property (>=100 examples): after every insert batch, ``query`` and
+    ``query_labels_near`` equal brute force.  Coordinates are negative and
+    positive, batches repeat earlier points exactly, and a tiny cell size
+    gives bin keys whose hash products wrap."""
+    rng = np.random.default_rng(seed)
+    radius = cell_size * float(rng.uniform(0.05, 1.0))
+    span = 3.0 * cell_size * 10.0 ** float(rng.uniform(0, 3))
+    g = UniformSubgrid(cell_size=cell_size)
+    pts = np.empty((0, 3))
+    labels = np.empty(0, dtype=np.int64)
+    for _ in range(n_batches):
+        m = int(rng.integers(0, 40))
+        new = rng.uniform(-span, span, size=(m, 3))
+        if len(pts) and m > 2:  # exact duplicates of stored points
+            new[:2] = pts[rng.integers(0, len(pts), size=2)]
+        new_labels = rng.integers(0, 15, size=m)
+        g.insert(new, new_labels)
+        pts = np.vstack([pts, new])
+        labels = np.concatenate([labels, new_labels])
+        assert len(g) == len(pts)
+        if not len(pts):
+            continue
+        # Probes near stored points (hits) and anywhere (mostly misses).
+        near = pts[rng.integers(0, len(pts), size=6)]
+        near = near + rng.uniform(-radius, radius, size=near.shape)
+        probes = np.vstack([near, rng.uniform(-span, span, size=(4, 3))])
+        for probe in probes:
+            idx, found = g.query(probe, radius)
+            brute = _brute_query(pts, probe, radius)
+            assert len(np.unique(idx)) == len(idx)
+            assert sorted(idx.tolist()) == brute.tolist()
+            assert np.array_equal(found, labels[idx])
+        d2 = ((pts[None, :, :] - probes[:, None, :]) ** 2).sum(axis=-1)
+        hit = (d2 <= radius * radius).any(axis=0)
+        assert g.query_labels_near(probes, radius) == set(
+            np.unique(labels[hit]).tolist()
+        )
+
+
+def test_neighbor_offset_hashes_distinct():
+    """Distinct offset hashes make a probe's 27 candidate hashes distinct,
+    so no stored point is a candidate twice for one probe."""
+    from repro.fsi.subgrid import _OFFSET_HASH
+
+    assert len(_OFFSET_HASH) == 27
+    assert len(np.unique(_OFFSET_HASH)) == 27
+    g = UniformSubgrid(cell_size=1.0)
+    pts = np.random.default_rng(0).uniform(-1.5, 1.5, size=(300, 3))
+    g.insert(pts, 0)
+    slot, probe = g._candidates(np.zeros((1, 3)))
+    assert len(np.unique(slot)) == len(slot)
+    idx, _ = g.query(np.zeros(3), radius=1.0)
+    assert len(np.unique(idx)) == len(idx) > 0
+
+
+def test_forced_hash_collision_stays_exact(monkeypatch):
+    """Two bins sharing a hash add candidates the distance filter drops."""
+    import repro.fsi.subgrid as subgrid
+
+    p = np.array([1, 1000, 1_000_000], dtype=np.int64)
+    monkeypatch.setattr(subgrid, "_HASH_P", p)
+    monkeypatch.setattr(
+        subgrid, "_OFFSET_HASH", subgrid._bin_hash(subgrid._NEIGHBOR_OFFSETS)
+    )
+    assert len(np.unique(subgrid._OFFSET_HASH)) == 27
+    g = UniformSubgrid(cell_size=1.0)
+    # Bins (0, 1, 0) and (1000, 0, 0) both hash to 1000.
+    g.insert(np.array([[0.5, 1.5, 0.5], [1000.5, 0.5, 0.5]]),
+             labels=np.array([1, 2]))
+    probe = np.array([0.5, 1.6, 0.5])
+    slot, _ = g._candidates(probe[None])
+    assert sorted(slot.tolist()) == [0, 1]  # the collision is exercised
+    idx, labels = g.query(probe, radius=0.5)
+    assert idx.tolist() == [0] and labels.tolist() == [1]
+    assert g.query_labels_near(probe[None], 0.5) == {1}
+    idx, labels = g.query(np.array([1000.5, 0.6, 0.5]), radius=0.5)
+    assert idx.tolist() == [1] and labels.tolist() == [2]
+
+
+def test_sequential_accepts_sort_only_the_new_batch(monkeypatch):
+    """Work-count guard: while 50 cells are accepted one by one, no
+    ``np.argsort`` call sorts more points than the cell being inserted
+    (stored points are merged, never re-sorted)."""
+    from repro.fsi import remove_overlaps
+    from repro.membrane import make_rbc
+
+    cells = [
+        make_rbc(np.array([10e-6 * i, 0.0, 0.0]), global_id=i, subdivisions=1)
+        for i in range(50)
+    ]
+    n_vertices = len(cells[0].vertices)
+    sizes = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    survivors = remove_overlaps(cells, 0.5e-6)
+    assert len(survivors) == 50
+    assert len(sizes) >= 50
+    assert max(sizes) <= n_vertices

@@ -5,7 +5,7 @@ import pytest
 
 from repro.kernels import DEFAULT_DTYPE, DTYPE_ENV_VAR, resolve_dtype
 from repro.lbm import Grid
-from repro.lbm.collision import macroscopic
+from repro.lbm.collision import equilibrium, macroscopic
 
 
 def test_rejects_unstable_tau():
@@ -41,6 +41,20 @@ def test_initial_state_is_rest_equilibrium():
     rho, u = macroscopic(g.f)
     assert np.allclose(rho, 1.0)
     assert np.allclose(u, 0.0)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_rest_fill_is_the_equilibrium_bit_for_bit(dtype):
+    """The rest-state fill writes w, which is what equilibrium(1, 0)
+    evaluates to, so skipping the evaluation changes no value."""
+    g = Grid((3, 4, 5), tau=0.8, dtype=dtype)
+    full = equilibrium(np.ones(g.shape), np.zeros((3,) + g.shape))
+    assert np.array_equal(g.f, full.astype(dtype))
+    g.f[:] = 0.0
+    version = g.f_version
+    g.init_equilibrium(1.0)
+    assert np.array_equal(g.f, full.astype(dtype))
+    assert g.f_version == version + 1
 
 
 def test_init_equilibrium_with_fields(rng):

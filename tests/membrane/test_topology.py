@@ -13,6 +13,8 @@ from repro.membrane import (
     vertex_adjacency_matrix,
 )
 
+from .reference_bodies import dict_bending_pairs
+
 
 def test_edge_count_closed_triangulation():
     """Closed triangle mesh: E = 3F/2."""
@@ -121,3 +123,46 @@ def test_reorder_roundtrip():
 
 def test_bandwidth_empty_mesh():
     assert mesh_bandwidth(np.empty((0, 3), dtype=np.int64), 0) == 0
+
+
+# -- sort-matched half-edges vs the dict-walk oracle -------------------------
+
+
+def _meshes():
+    from repro.membrane.meshgen import biconcave_rbc
+
+    rng = np.random.default_rng(11)
+    for sub in (0, 1, 2, 3):
+        _, faces = icosphere(sub)
+        yield faces
+        # Arbitrary vertex labels and face order exercise the twin search.
+        scramble = rng.permutation(faces.max() + 1)
+        yield scramble[faces][rng.permutation(len(faces))]
+        # Rotating each face's corners keeps the orientation.
+        yield np.roll(faces, int(rng.integers(1, 3)), axis=1)
+    yield biconcave_rbc(7.8e-6, 3)[1]
+
+
+@pytest.mark.parametrize("faces", list(_meshes()))
+def test_bending_pairs_match_dict_oracle(faces):
+    got = bending_pairs(faces)
+    want = dict_bending_pairs(faces)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        np.array([[0, 1, 2]]),  # boundary edge
+        np.array([[0, 1, 2], [0, 1, 3]]),  # repeated half-edge
+        np.array([[0, 1, 2], [2, 1, 0], [0, 1, 3]]),  # both, repeat first
+        icosphere(1)[1][1:],  # closed mesh with one face removed
+    ],
+)
+def test_bending_pairs_errors_match_dict_oracle(faces):
+    with pytest.raises(ValueError) as want:
+        dict_bending_pairs(faces)
+    with pytest.raises(ValueError) as got:
+        bending_pairs(faces)
+    assert str(got.value) == str(want.value)
