@@ -35,7 +35,7 @@ from ..telemetry import get_telemetry
 from ..units import UnitSystem
 from .moving import MoveReport, WindowMover
 from .refinement import RefinedRegion
-from .seeding import HematocritController, RBCTile, stamp_tile
+from .seeding import HematocritController, RBCTile, rbc_census, stamp_tile
 from .tracking import CTCTracker
 from .viscosity import lambda_from_viscosities, tau_fine_from_coarse
 from .window import Window, WindowSpec
@@ -235,7 +235,12 @@ class APRSimulation:
         )
         self.coupling = RefinedRegion(self.coarse, self.fine, n)
         self.coupling.initialize_fine_from_coarse()
-        if cfg.hematocrit is not None:
+        if self.controller is not None:
+            # One controller per simulation: its counters run across
+            # moves, and it recomputes the subregion geometry for the new
+            # placement on its next pass.
+            self.controller.window = self.window
+        elif cfg.hematocrit is not None:
             assert self.tile is not None
             subregion_filter = None
             fluid_fraction_fn = None
@@ -344,14 +349,11 @@ class APRSimulation:
         the vessel wall.
         """
         from ..analytics.hematocrit import region_hematocrit
-        from ..membrane.cell import CellKind
 
         assert self.window is not None and self.fine is not None
-        rbcs = [c for c in self.cells.cells if c.kind is CellKind.RBC]
-        if not rbcs:
+        vols, cents = rbc_census(self.cells)
+        if len(vols) == 0:
             return 0.0
-        vols = np.array([c.volume() for c in rbcs])
-        cents = np.array([c.centroid() for c in rbcs])
         lo, hi = self.window.bounds()
         ht_box = region_hematocrit(vols, cents, lo, hi)
         fluid_fraction = float((~self.fine.grid.solid).mean())

@@ -7,6 +7,28 @@ counting the RBCs whose centroid lies within it.  When a subregion's
 hematocrit falls below a threshold, new undeformed cells are added —
 skipping any candidate that would overlap an existing cell (detected with
 the background uniform subgrid).
+
+Stamping visits only the periodic tile copies that can reach the box.
+Copy ``s`` places cell ``i`` at ``R (c_i + o + s - L (n + 1/2)) + b``
+(stamp rotation ``R``, offset ``o``, tile side ``L``, box centre ``b``).
+With ``c̄`` and ``r_t`` the centre and half-diagonal of the bounding box of
+the tile centres, every centre of the copy lies within ``r_t`` of
+``m_s = c̄ + o + s - L (n + 1/2)`` before rotation, so, since a rotation
+keeps distances, within ``r_t`` of ``R m_s + b`` after it.  A copy whose
+point ``R m_s + b`` is farther than ``r_t`` from the box therefore has no
+centre in it, and skipping the copy removes no candidate.  Because every
+point of the box lies within ``|hi - lo| / 2`` of ``b``, a surviving copy
+also has ``|m_s| <= r_t + |hi - lo| / 2``; that weaker bound, applied to
+each axis of ``m_s`` alone, discards most copies before the rotated
+test.  ``r_t`` carries a relative margin far above floating-point
+rounding.  The surviving copies run the full scan's per-copy code in its
+nested order, so the candidate list is exactly the full scan's
+(``tests/core/reference_bodies.py`` keeps that scan as the oracle).
+
+The hematocrit controller computes the geometry of a window placement —
+subregion boxes, the wall filter and the fluid fractions — once per
+placement, and takes the volumes and centroids of all RBCs from one
+batched evaluation over the packed vertices (:func:`rbc_census`).
 """
 
 from __future__ import annotations
@@ -20,6 +42,7 @@ from ..constants import RBC_DIAMETER
 from ..fsi.cell_manager import CellManager
 from ..fsi.subgrid import UniformSubgrid
 from ..membrane.cell import Cell, CellKind, make_rbc, random_rotation
+from ..membrane.constraints import mesh_volume
 from ..telemetry import get_telemetry
 from .window import Window
 
@@ -108,6 +131,58 @@ class RBCTile:
         return len(self.centers)
 
 
+def tile_candidates(
+    tile: RBCTile,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    stamp_rot: np.ndarray,
+    offset: np.ndarray,
+) -> tuple[list[tuple[np.ndarray, np.ndarray, int]], int]:
+    """Cells of a rotated, offset periodic copy of ``tile`` inside [lo, hi).
+
+    Returns ``(candidates, copies examined)``; each candidate is (centre,
+    orientation, tile index), in the order of a full scan over the
+    ``(2n + 1)^3`` tile copies, of which only those that can reach the box
+    are examined (the bound is in the module docstring).
+    """
+    # Periodic copies of the tile cover the box after rotation: the tile
+    # lattice translations whose rotated images can reach the box.
+    diag = float(np.linalg.norm(hi - lo))
+    n_copies = int(np.ceil((diag + tile.side) / tile.side))
+    shifts = np.arange(-n_copies, n_copies + 1) * tile.side
+    box_center = 0.5 * (lo + hi)
+    candidates: list[tuple[np.ndarray, np.ndarray, int]] = []
+    if len(tile.centers) == 0:
+        return candidates, 0
+
+    cmin, cmax = tile.centers.min(axis=0), tile.centers.max(axis=0)
+    r_t = 0.5 * float(np.linalg.norm(cmax - cmin))
+    # Margin: relative to every term that enters a computed centre.
+    scale = (r_t + diag + np.abs(tile.centers).max() + np.abs(offset).max()
+             + tile.side * (2 * n_copies + 1) + np.abs(box_center).max())
+    r_t += 1e-9 * float(scale)
+    # m_s, one row per axis: |m_s| <= r_t + |hi - lo| / 2 bounds each
+    # axis alone, which rules out most copies before any 3-D work.
+    m = (0.5 * (cmin + cmax) + offset - tile.side * (n_copies + 0.5))[:, None] + shifts
+    axes = [np.nonzero(np.abs(row) <= r_t + 0.5 * diag)[0] for row in m]
+    # Meshgrid in "ij" order lists the copies in the full scan's order.
+    ijk = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    # The copy's centres lie within r_t of R m_s + b: keep it if that
+    # point is within r_t of the box.
+    p = m[(0, 1, 2), ijk] @ stamp_rot.T + box_center
+    gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    copies = ijk[np.einsum("ij,ij->i", gap, gap) <= r_t * r_t]
+
+    for i, j, k in copies:
+        base = tile.centers + offset + np.array([shifts[i], shifts[j], shifts[k]])
+        local = base - tile.side * (n_copies + 0.5)  # center the cloud
+        world = local @ stamp_rot.T + box_center
+        inside = np.all((world >= lo) & (world < hi), axis=1)
+        for ci in np.nonzero(inside)[0]:
+            candidates.append((world[ci], stamp_rot @ tile.rotations[ci], int(ci)))
+    return candidates, len(copies)
+
+
 def stamp_tile(
     manager: CellManager,
     tile: RBCTile,
@@ -138,32 +213,13 @@ def stamp_tile(
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    box_size = hi - lo
     stamp_rot = random_rotation(rng)
     offset = rng.uniform(0.0, tile.side, size=3)
-
-    # Periodic copies of the tile cover the box after rotation: enumerate
-    # the tile lattice translations whose rotated images can reach the box.
-    reach = float(np.linalg.norm(box_size)) + tile.side
-    n_copies = int(np.ceil(reach / tile.side))
+    candidates, n_examined = tile_candidates(tile, lo, hi, stamp_rot, offset)
+    tel = get_telemetry()
+    tel.inc("seeding.tile_copies", n_examined)
     added: list[Cell] = []
     kwargs = {} if shear_modulus is None else {"shear_modulus": shear_modulus}
-
-    # Collect candidate centers, orientations and tile indices, then filter.
-    candidates: list[tuple[np.ndarray, np.ndarray, int]] = []
-    box_center = 0.5 * (lo + hi)
-    shifts = np.arange(-n_copies, n_copies + 1) * tile.side
-    for sx in shifts:
-        for sy in shifts:
-            for sz in shifts:
-                base = tile.centers + offset + np.array([sx, sy, sz])
-                local = base - tile.side * (n_copies + 0.5)  # center the cloud
-                world = local @ stamp_rot.T + box_center
-                inside = np.all((world >= lo) & (world < hi), axis=1)
-                for ci in np.nonzero(inside)[0]:
-                    candidates.append(
-                        (world[ci], stamp_rot @ tile.rotations[ci], int(ci))
-                    )
 
     if not candidates:
         return added
@@ -201,7 +257,6 @@ def stamp_tile(
         manager.add(cell)
         existing.insert(cell.vertices, gid)
         added.append(cell)
-    tel = get_telemetry()
     tel.inc("seeding.candidates", len(candidates))
     tel.inc("seeding.rejected_predicate", rejected_predicate)
     tel.inc("seeding.rejected_overlap", rejected_overlap)
@@ -315,6 +370,28 @@ def equilibrate_tile(
     return dataclasses.replace(tile, shapes=tuple(shapes))
 
 
+def rbc_census(manager: CellManager) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes (N,) and centroids (N, 3) of the manager's RBCs, in
+    ``manager.cells`` order.
+
+    One batched evaluation per packed group; the values are bitwise those
+    of ``Cell.volume()`` / ``Cell.centroid()`` (the same reductions over
+    the same vertex rows).
+    """
+    verts, _, cells = manager.packed_vertices()
+    vols = np.empty(len(cells))
+    cents = np.empty((len(cells), 3))
+    row = 0
+    for reference, _, start, n, v in manager.packed_segments():
+        block = verts[start:start + n * v].reshape(n, v, 3)
+        c = block.mean(axis=1)
+        cents[row:row + n] = c
+        vols[row:row + n] = mesh_volume(block - c[:, None], reference.faces)
+        row += n
+    is_rbc = np.fromiter((c.kind is CellKind.RBC for c in cells), bool, len(cells))
+    return vols[is_rbc], cents[is_rbc]
+
+
 @dataclass
 class HematocritController:
     """Maintains the target hematocrit per insertion subregion.
@@ -353,9 +430,34 @@ class HematocritController:
     #: controller overfills toward the packing limit.
     gate_on_shell: bool = True
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    #: Counters for diagnostics / Fig. 5B-style time series.
+    #: Counters for diagnostics / Fig. 5B-style time series; they run over
+    #: every placement of the window the controller is pointed at.
     n_inserted: int = 0
     n_removed: int = 0
+    #: (placement key, all subregion boxes, monitored (lo, hi, box volume,
+    #: fluid fraction or None)), recomputed when the key changes.
+    _placement: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _subregions(self) -> tuple[list, list]:
+        """Subregion boxes of the current window placement, and the
+        monitored ones with their box volume and fluid fraction."""
+        key = (
+            self.window.center.tobytes(), self.window.spec, self.subregion_size,
+            self.subregion_filter, self.fluid_fraction_fn,
+        )
+        if self._placement is None or self._placement[0] != key:
+            boxes = self.window.insertion_subregions(self.subregion_size)
+            monitored = [
+                (
+                    lo, hi, float(np.prod(hi - lo)),
+                    None if self.fluid_fraction_fn is None
+                    else float(self.fluid_fraction_fn(lo, hi)),
+                )
+                for lo, hi in boxes
+                if self.subregion_filter is None or self.subregion_filter(lo, hi)
+            ]
+            self._placement = (key, boxes, monitored)
+        return self._placement[1], self._placement[2]
 
     def remove_departed(self, manager: CellManager, protect: set[int] = frozenset()) -> int:
         """Remove cells (except protected IDs) that left the window."""
@@ -373,61 +475,37 @@ class HematocritController:
 
     def subregion_hematocrits(self, manager: CellManager) -> np.ndarray:
         """Current hematocrit of every insertion subregion."""
-        cells = [c for c in manager.cells if c.kind is CellKind.RBC]
-        vols = np.array([c.volume() for c in cells])
-        cents = (
-            np.array([c.centroid() for c in cells])
-            if cells
-            else np.empty((0, 3))
-        )
-        out = []
-        for lo, hi in self.window.insertion_subregions(self.subregion_size):
-            out.append(region_hematocrit(vols, cents, lo, hi))
-        return np.array(out)
+        vols, cents = rbc_census(manager)
+        boxes, _ = self._subregions()
+        return np.array([region_hematocrit(vols, cents, lo, hi) for lo, hi in boxes])
 
     def maintain(self, manager: CellManager, protect: set[int] = frozenset()) -> int:
         """One monitoring pass; returns the number of cells inserted."""
         self.remove_departed(manager, protect)
-        cells = [c for c in manager.cells if c.kind is CellKind.RBC]
-        vols = np.array([c.volume() for c in cells])
-        cents = (
-            np.array([c.centroid() for c in cells])
-            if cells
-            else np.empty((0, 3))
-        )
+        vols, cents = rbc_census(manager)
+        _, monitored = self._subregions()
+        hts = [region_hematocrit(vols, cents, lo, hi) for lo, hi, _, _ in monitored]
         inserted = 0
-        subregions = self.window.insertion_subregions(self.subregion_size)
-        if self.gate_on_shell and subregions:
+        if self.gate_on_shell:
             shell_vol = 0.0
             shell_cells = 0.0
             fluid_weight = 0.0
-            for lo, hi in subregions:
-                if self.subregion_filter is not None and not self.subregion_filter(lo, hi):
-                    continue
-                box = float(np.prod(hi - lo))
-                frac = (
-                    float(self.fluid_fraction_fn(lo, hi))
-                    if self.fluid_fraction_fn is not None
-                    else 1.0
-                )
+            for (_, _, box, frac), ht in zip(monitored, hts):
                 shell_vol += box
-                fluid_weight += frac * box
-                shell_cells += region_hematocrit(vols, cents, lo, hi) * box
+                fluid_weight += (1.0 if frac is None else frac) * box
+                shell_cells += ht * box
             if shell_vol > 0.0 and fluid_weight > 0.0:
                 shell_ht = shell_cells / shell_vol
                 shell_target = self.target * (fluid_weight / shell_vol)
                 if shell_ht >= self.threshold * shell_target:
                     return 0
         existing: UniformSubgrid | None = None
-        for lo, hi in subregions:
-            if self.subregion_filter is not None and not self.subregion_filter(lo, hi):
-                continue
+        for (lo, hi, _, frac), ht in zip(monitored, hts):
             local_target = self.target
-            if self.fluid_fraction_fn is not None:
-                local_target *= float(self.fluid_fraction_fn(lo, hi))
+            if frac is not None:
+                local_target *= frac
                 if local_target <= 0.0:
                     continue
-            ht = region_hematocrit(vols, cents, lo, hi)
             if ht < self.threshold * local_target:
                 if existing is None:
                     # One shared overlap index for the whole pass, from

@@ -293,25 +293,31 @@ def macroscopic(
     return rho, u
 
 
-def equilibrium(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+def equilibrium(
+    rho: float | np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Maxwell-Boltzmann equilibrium distribution f_i^eq(rho, u).
 
     Second-order expansion in the lattice velocity:
     f_i^eq = w_i rho [1 + cu/cs2 + cu^2/(2 cs4) - u.u/(2 cs2)].
+
+    ``rho`` is a field or a scalar; ``out`` (same dtype as ``u``) receives
+    the result instead of a new array.
     """
     cs2 = D3Q19.cs2
     c, _, w = lattice_constants(u.dtype)
     # tensordot dispatches to BLAS and beats einsum on large lattices.
     cu = np.tensordot(c, u, axes=([1], [0]))
     usq = (u * u).sum(axis=0)
-    out = cu / cs2
+    out = np.divide(cu, cs2, out=out)
     np.multiply(cu, cu, out=cu)
     cu /= 2.0 * cs2**2
     out += cu
     usq /= 2.0 * cs2
     np.subtract(1.0, usq, out=usq)
     out += usq[None]
-    out *= rho[None]
+    if np.ndim(rho) or rho != 1.0:  # x * 1.0 == x: skip the pass
+        out *= np.asarray(rho)[None]
     out *= w[:, None, None, None]
     return out
 

@@ -90,12 +90,17 @@ class Grid:
             self.mark_f_modified()
             return
         nx, ny, nz = self.shape
-        rho_arr = np.broadcast_to(np.asarray(rho, float), self.shape)
+        rho_arr = np.asarray(rho, float)
         if velocity is None:
             u = np.zeros((3, nx, ny, nz))
         else:
             u = np.broadcast_to(np.asarray(velocity, float), (3, nx, ny, nz))
-        self.f[:] = equilibrium(rho_arr, u)
+        if self.f.dtype == u.dtype:
+            equilibrium(rho_arr, u, out=self.f)
+        else:
+            # Evaluated in float64 and rounded once, as the narrower
+            # lattice has always been initialised.
+            self.f[:] = equilibrium(rho_arr, u)
         self.mark_f_modified()
 
     #: Partial writes remembered between whole-lattice writes; one more

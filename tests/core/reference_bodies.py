@@ -1,0 +1,92 @@
+"""Pre-pruning seeding and controller bodies, kept as test oracles.
+
+Until stamping pruned the periodic tile copies, ``stamp_tile`` ran its
+per-copy code for every one of the ``(2n + 1)^3`` copies, and the
+hematocrit controller recomputed the subregion tiling, the wall filter
+and the fluid fractions, and read every RBC's volume and centroid cell by
+cell, on every pass.
+"""
+
+import numpy as np
+
+from repro.analytics import region_hematocrit
+from repro.membrane import CellKind
+
+
+def full_scan_candidates(tile, lo, hi, stamp_rot, offset):
+    """(centre, orientation, tile index) of every cell that a full scan
+    over all ``(2n + 1)^3`` tile copies lands in [lo, hi), in scan order,
+    and the number of copies scanned."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    reach = float(np.linalg.norm(hi - lo)) + tile.side
+    n_copies = int(np.ceil(reach / tile.side))
+    candidates = []
+    box_center = 0.5 * (lo + hi)
+    shifts = np.arange(-n_copies, n_copies + 1) * tile.side
+    for sx in shifts:
+        for sy in shifts:
+            for sz in shifts:
+                base = tile.centers + offset + np.array([sx, sy, sz])
+                local = base - tile.side * (n_copies + 0.5)
+                world = local @ stamp_rot.T + box_center
+                inside = np.all((world >= lo) & (world < hi), axis=1)
+                for ci in np.nonzero(inside)[0]:
+                    candidates.append(
+                        (world[ci], stamp_rot @ tile.rotations[ci], int(ci))
+                    )
+    return candidates, len(shifts) ** 3
+
+
+def per_cell_census(manager):
+    """RBC volumes and centroids from one ``Cell`` method call each."""
+    cells = [c for c in manager.cells if c.kind is CellKind.RBC]
+    vols = np.array([c.volume() for c in cells])
+    cents = (
+        np.array([c.centroid() for c in cells]) if cells else np.empty((0, 3))
+    )
+    return vols, cents
+
+
+def uncached_maintain(ctrl, manager, stamp, protect=frozenset()):
+    """One controller pass that recomputes the placement geometry at every
+    use, with ``stamp(lo, hi, existing)`` doing the stamping."""
+    ctrl.remove_departed(manager, protect)
+    vols, cents = per_cell_census(manager)
+    inserted = 0
+    subregions = ctrl.window.insertion_subregions(ctrl.subregion_size)
+    if ctrl.gate_on_shell and subregions:
+        shell_vol = shell_cells = fluid_weight = 0.0
+        for lo, hi in subregions:
+            if ctrl.subregion_filter is not None and not ctrl.subregion_filter(lo, hi):
+                continue
+            box = float(np.prod(hi - lo))
+            frac = (
+                float(ctrl.fluid_fraction_fn(lo, hi))
+                if ctrl.fluid_fraction_fn is not None
+                else 1.0
+            )
+            shell_vol += box
+            fluid_weight += frac * box
+            shell_cells += region_hematocrit(vols, cents, lo, hi) * box
+        if shell_vol > 0.0 and fluid_weight > 0.0:
+            shell_ht = shell_cells / shell_vol
+            shell_target = ctrl.target * (fluid_weight / shell_vol)
+            if shell_ht >= ctrl.threshold * shell_target:
+                return 0
+    existing = None
+    for lo, hi in subregions:
+        if ctrl.subregion_filter is not None and not ctrl.subregion_filter(lo, hi):
+            continue
+        local_target = ctrl.target
+        if ctrl.fluid_fraction_fn is not None:
+            local_target *= float(ctrl.fluid_fraction_fn(lo, hi))
+            if local_target <= 0.0:
+                continue
+        ht = region_hematocrit(vols, cents, lo, hi)
+        if ht < ctrl.threshold * local_target:
+            if existing is None:
+                existing = manager.vertex_subgrid(max(ctrl.overlap_cutoff, 1e-12))
+            inserted += len(stamp(lo, hi, existing))
+    ctrl.n_inserted += inserted
+    return inserted

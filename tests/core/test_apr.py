@@ -137,6 +137,39 @@ def test_window_hematocrit_zero_without_cells():
     assert sim.window_hematocrit() == 0.0
 
 
+def test_controller_counters_run_across_window_moves():
+    """One controller per simulation: ``n_inserted`` is the sum of every
+    maintain pass, including the reseed of a window move."""
+    dx_c = 2e-6
+    units = UnitSystem(dx_c, (1.0 - 0.5) / 3.0 * dx_c**2 / NU_BULK, RHO)
+    coarse = LBMSolver(Grid((24,) * 3, tau=1.0, spacing=dx_c), [])
+    cfg = APRConfig(
+        window_spec=WindowSpec(12e-6, 3e-6, 3e-6), refinement=2,
+        nu_bulk=NU_BULK, nu_window=NU_PLASMA, rho=RHO, hematocrit=0.1,
+        rbc_diameter=4e-6, rbc_subdivisions=1, maintain_interval=2,
+    )
+    sim = APRSimulation(cfg, coarse, np.full(3, 23e-6), units)
+    ctc = make_ctc(sim.window.center, global_id=sim.cells.allocate_id(),
+                   diameter=4e-6, subdivisions=1)
+    sim.add_ctc(ctc)
+    ctrl = sim.controller
+    returns = []
+    maintain = ctrl.maintain
+
+    def recording(*args, **kwargs):
+        returns.append(maintain(*args, **kwargs))
+        return returns[-1]
+
+    ctrl.maintain = recording
+    sim.step(2)
+    ctc.translate(np.array([4 * dx_c, 0.0, 0.0]))
+    report = sim.move_window()
+    sim.step(2)
+    assert sim.controller is ctrl and len(returns) == 3
+    assert report.n_inserted == returns[1]
+    assert ctrl.n_inserted == sum(returns) > returns[-1]
+
+
 @pytest.mark.slow
 def test_checkpoint_roundtrip(tmp_path):
     sim, units, dx_c = _fluid_only_sim(box_cells=20)

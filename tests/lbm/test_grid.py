@@ -57,6 +57,22 @@ def test_rest_fill_is_the_equilibrium_bit_for_bit(dtype):
     assert g.f_version == version + 1
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("rho_kind", ["one", "scalar", "field"])
+def test_warm_start_is_the_equilibrium_bit_for_bit(dtype, rho_kind, rng):
+    """init_equilibrium(rho, u) writes into f what equilibrium() of the
+    broadcast density field gives, with no multiply for a scalar 1."""
+    g = Grid((3, 4, 5), tau=0.8, dtype=dtype)
+    rho = {"one": 1.0, "scalar": 1.02,
+           "field": 1.0 + 0.01 * rng.standard_normal(g.shape)}[rho_kind]
+    vel = 0.02 * rng.standard_normal((3,) + g.shape)
+    want = equilibrium(np.broadcast_to(np.asarray(rho), g.shape), vel)
+    f, version = g.f, g.f_version
+    g.init_equilibrium(rho, vel)
+    assert g.f is f and g.f_version == version + 1
+    assert np.array_equal(g.f, want.astype(dtype))
+
+
 def test_init_equilibrium_with_fields(rng):
     g = Grid((4, 4, 4), tau=0.8)
     rho = 1.0 + 0.01 * rng.standard_normal(g.shape)
