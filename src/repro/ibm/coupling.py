@@ -279,9 +279,18 @@ class StencilBuilder:
 
 
 def interpolate_with_stencil(field: np.ndarray, stencil: Stencil) -> np.ndarray:
-    """Interpolate an Eulerian field at the stencil's markers (Eq. 4)."""
+    """Interpolate an Eulerian field at the stencil's markers (Eq. 4).
+
+    A vector field goes one component at a time into the columns of the
+    ``(N, 3)`` result: each is a sparse mat-vec over the contiguous
+    component, where one product with the transposed field would first
+    copy it to C order.  Every row sums its terms in the same order
+    either way.
+    """
     if field.ndim == 4:
-        return stencil.matrix @ field.reshape(field.shape[0], -1).T
+        return np.column_stack(
+            [stencil.matrix @ component.reshape(-1) for component in field]
+        )
     return stencil.matrix @ field.reshape(-1)
 
 

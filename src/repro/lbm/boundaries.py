@@ -41,14 +41,13 @@ class BounceBackLinks:
         self.src = D3Q19.opp[self.dirs] * n + self.nodes
 
 
-def apply_bounce_back(
-    f_new: np.ndarray,
+def bounce_back_values(
     f_post: np.ndarray,
     links: BounceBackLinks,
     wall_velocity: np.ndarray | None = None,
     rho_wall: float = 1.0,
-) -> None:
-    """Halfway bounce-back, in place on the streamed distributions.
+) -> np.ndarray:
+    """What halfway bounce-back writes at each link, in link order.
 
     For each fluid node ``x`` and direction ``i`` whose pull source
     ``x - c_i`` is solid, the streamed value is replaced with
@@ -56,14 +55,12 @@ def apply_bounce_back(
         f_i(x) = f*_opp(i)(x) + 2 w_i rho_w (c_i . u_w) / cs^2
 
     which reduces to plain bounce-back for a resting wall.  Every link
-    is one gather from ``f_post`` and one scatter into ``f_new``.
+    is one gather from the post-collision ``f_post``.
 
     Parameters
     ----------
-    f_new:
-        Streamed distributions to correct, C-contiguous (19, nx, ny, nz).
     f_post:
-        Post-collision distributions from the same step, same layout.
+        Post-collision distributions, C-contiguous (19, nx, ny, nz).
     links:
         The walls' :class:`BounceBackLinks`, built for this lattice shape.
     wall_velocity:
@@ -73,7 +70,7 @@ def apply_bounce_back(
     rho_wall:
         Wall density used in the momentum correction (1.0 is standard).
     """
-    if not (f_new.flags.c_contiguous and f_post.flags.c_contiguous):
+    if not f_post.flags.c_contiguous:
         raise ValueError("bounce-back links index C-contiguous lattices")
     values = f_post.reshape(-1)[links.src]
     if wall_velocity is not None:
@@ -81,12 +78,46 @@ def apply_bounce_back(
         u = uw[:, None] if uw.ndim == 1 else uw.reshape(3, -1)[:, links.nodes]
         cu = (D3Q19.c[links.dirs].T * u).sum(axis=0)
         values = values + 2.0 * D3Q19.w[links.dirs] * rho_wall * cu / D3Q19.cs2
+    return values
+
+
+def _scatter_links(f_new: np.ndarray, links: BounceBackLinks,
+                   values: np.ndarray) -> None:
+    if not f_new.flags.c_contiguous:
+        raise ValueError("bounce-back links index C-contiguous lattices")
     f_new.reshape(-1)[links.dst] = values
+
+
+def apply_bounce_back(
+    f_new: np.ndarray,
+    f_post: np.ndarray,
+    links: BounceBackLinks,
+    wall_velocity: np.ndarray | None = None,
+    rho_wall: float = 1.0,
+) -> None:
+    """Halfway bounce-back on streamed ``f_new`` from a separate ``f_post``.
+
+    The two-lattice form, for blocks streamed out of place (the
+    decomposed executor); :class:`BounceBackWalls` gathers the same
+    :func:`bounce_back_values` before an in-place stream instead.
+    """
+    _scatter_links(
+        f_new, links, bounce_back_values(f_post, links, wall_velocity, rho_wall)
+    )
 
 
 @dataclass
 class BounceBackWalls:
-    """No-slip (optionally moving) walls defined by a solid-node mask."""
+    """No-slip (optionally moving) walls defined by a solid-node mask.
+
+    The solver streams its one lattice in place, which overwrites the
+    post-collision values bounce-back reflects; :meth:`before_stream`
+    gathers them (one value per link) and :meth:`apply` writes them
+    after the stream.  Gathering before any handler's ``apply`` keeps
+    the reflected values those of the collision wherever the walls sit
+    in the handler list (an inlet or outlet rewrites whole faces, solid
+    nodes included).
+    """
 
     solid: np.ndarray
     wall_velocity: np.ndarray | None = None
@@ -95,11 +126,20 @@ class BounceBackWalls:
     def __post_init__(self) -> None:
         self.solid = np.asarray(self.solid, dtype=bool)
         self._links = BounceBackLinks(upwind_solid_masks(self.solid))
+        self._values: np.ndarray | None = None
 
-    def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None:
-        apply_bounce_back(
-            f_new, f_post, self._links, self.wall_velocity, self.rho_wall
+    def before_stream(self, f: np.ndarray) -> None:
+        """Gather the reflected values from the post-collision ``f``."""
+        self._values = bounce_back_values(
+            f, self._links, self.wall_velocity, self.rho_wall
         )
+
+    def apply(self, f: np.ndarray) -> None:
+        """Write the gathered values into the streamed ``f``."""
+        values, self._values = self._values, None
+        if values is None:
+            raise RuntimeError("BounceBackWalls.apply needs before_stream first")
+        _scatter_links(f, self._links, values)
 
 
 def _slab(shape: tuple[int, int, int], axis: int, side: Side, index: int = 0):
@@ -123,11 +163,11 @@ class VelocityInlet:
     side: Side
     velocity: np.ndarray  # (3,) constant or (3, *face_shape) profile
 
-    def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None:
-        shape = f_new.shape[1:]
+    def apply(self, f: np.ndarray) -> None:
+        shape = f.shape[1:]
         face = _slab(shape, self.axis, self.side, 0)
         interior = _slab(shape, self.axis, self.side, 1)
-        fn = f_new[(slice(None),) + interior][:, None]  # fake axis for xyz ops
+        fn = f[(slice(None),) + interior][:, None]  # fake axis for xyz ops
         fn = np.ascontiguousarray(fn)
         # Reshape neighbor slab to a (19, 1, a, b) pseudo-3D block so the
         # collision kernels (which expect 3 spatial axes) can be reused.
@@ -141,7 +181,7 @@ class VelocityInlet:
         else:
             u_face = u_bc.reshape((3, 1) + fn.shape[2:])
         feq_bc = equilibrium(rho_n, u_face)
-        f_new[(slice(None),) + face] = (feq_bc + (fn - feq_n))[:, 0]
+        f[(slice(None),) + face] = (feq_bc + (fn - feq_n))[:, 0]
 
 
 @dataclass
@@ -151,11 +191,11 @@ class OutflowOutlet:
     axis: int
     side: Side
 
-    def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None:
-        shape = f_new.shape[1:]
+    def apply(self, f: np.ndarray) -> None:
+        shape = f.shape[1:]
         face = _slab(shape, self.axis, self.side, 0)
         interior = _slab(shape, self.axis, self.side, 1)
-        f_new[(slice(None),) + face] = f_new[(slice(None),) + interior]
+        f[(slice(None),) + face] = f[(slice(None),) + interior]
 
 
 @dataclass
@@ -172,13 +212,13 @@ class PressureOutlet:
     side: Side
     rho: float = 1.0
 
-    def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None:
-        shape = f_new.shape[1:]
+    def apply(self, f: np.ndarray) -> None:
+        shape = f.shape[1:]
         face = _slab(shape, self.axis, self.side, 0)
         interior = _slab(shape, self.axis, self.side, 1)
-        fn = np.ascontiguousarray(f_new[(slice(None),) + interior][:, None])
+        fn = np.ascontiguousarray(f[(slice(None),) + interior][:, None])
         rho_n, u_n = macroscopic(fn)
         feq_n = equilibrium(rho_n, u_n)
         rho_bc = np.full_like(rho_n, self.rho)
         feq_bc = equilibrium(rho_bc, u_n)
-        f_new[(slice(None),) + face] = (feq_bc + (fn - feq_n))[:, 0]
+        f[(slice(None),) + face] = (feq_bc + (fn - feq_n))[:, 0]

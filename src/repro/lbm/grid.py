@@ -34,8 +34,8 @@ class Grid:
     spacing:
         Physical lattice spacing of this level [m].
     dtype:
-        Compute dtype of the Eulerian state (``f``, ``f_post``,
-        ``force``): ``"float32"`` or ``"float64"``.  ``None`` resolves
+        Compute dtype of the Eulerian state (``f``, ``force``):
+        ``"float32"`` or ``"float64"``.  ``None`` resolves
         via the ``REPRO_DTYPE`` environment variable, defaulting to
         float64; an explicit argument wins over the environment (see
         :func:`repro.kernels.resolve_dtype`).
@@ -62,8 +62,7 @@ class Grid:
             raise ValueError("tau field must match the grid shape")
         self.origin = np.asarray(self.origin, dtype=np.float64)
         self.f = np.empty((D3Q19.Q, nx, ny, nz), dtype=self.dtype)
-        #: Post-collision scratch buffer, reused every step to avoid churn.
-        self.f_post = np.empty_like(self.f)
+        self._f_post: np.ndarray | None = None
         self.solid = np.zeros(self.shape, dtype=bool)
         #: Body-force density per node (3, nx, ny, nz), lattice units.
         self.force = np.zeros((3, nx, ny, nz), dtype=self.dtype)
@@ -135,6 +134,18 @@ class Grid:
                 or logged != len(self._f_patches)):
             return None
         return self._f_patches[version - self._f_whole_version:]
+
+    @property
+    def f_post(self) -> np.ndarray:
+        """A second lattice shaped like ``f``, allocated on first access.
+
+        For out-of-place kernel calls (``stream_pull(f_post, out=f)``)
+        only: the solver collides and streams ``f`` in place and never
+        touches it.
+        """
+        if self._f_post is None:
+            self._f_post = np.empty_like(self.f)
+        return self._f_post
 
     # ------------------------------------------------------------------
     @property

@@ -4,9 +4,12 @@
 list of boundary handlers.  It is the building block both for the coarse
 bulk solver and for the fine window solver (which additionally runs the
 immersed-boundary fluid-structure interaction; see :mod:`repro.fsi`).
+It advances the grid's one copy of the distributions in place: the
+collision overwrites ``grid.f`` with the post-collision values and the
+stream shifts them within it.
 
 The solver keeps a :class:`~repro.lbm.collision.CollisionScratch` so the
-collide-stream loop performs O(1) large allocations, and caches the
+collide-stream loop allocates nothing lattice-sized, and caches the
 post-stream density/momentum moments keyed on ``grid.f_version``: the
 moments computed for cell advection (post-stream) are the same moments
 the next collision needs, so one FSI step pays for the 19-population
@@ -36,9 +39,15 @@ from .streaming import stream_pull
 
 
 class BoundaryHandler(Protocol):
-    """Anything with apply(f_new, f_post) called after streaming."""
+    """Anything with ``apply(f)``, called on the streamed lattice.
 
-    def apply(self, f_new: np.ndarray, f_post: np.ndarray) -> None: ...
+    A handler that needs post-collision values, which the in-place
+    stream overwrites, also defines ``before_stream(f)``: the solver
+    calls it on the post-collision lattice, before any handler's
+    ``apply`` (see :class:`~repro.lbm.boundaries.BounceBackWalls`).
+    """
+
+    def apply(self, f: np.ndarray) -> None: ...
 
 
 class LBMSolver:
@@ -60,9 +69,6 @@ class LBMSolver:
         self.grid = grid
         self.boundaries = list(boundaries)
         self.step_count = 0
-        # Last macroscopic fields, refreshed each step (pre-collision values).
-        self.rho = np.ones(grid.shape, dtype=grid.dtype)
-        self.u = np.zeros((3,) + grid.shape, dtype=grid.dtype)
         self._scratch = CollisionScratch(grid.shape, dtype=grid.dtype)
         #: ``grid.f_version`` the cached (rho, mom) moments belong to.
         self._moments_version: int | None = None
@@ -90,12 +96,12 @@ class LBMSolver:
         """Drop the cached moments (after an untracked ``grid.f`` write)."""
         self._moments_version = None
 
-    def _collide(self):
+    def _collide(self) -> None:
         g = self.grid
         rho, mom = self.cached_moments()
-        return collide_bgk(
+        collide_bgk(
             g.f, g.tau, g.force,
-            out=g.f_post, scratch=self._scratch, moments_in=(rho, mom),
+            out=g.f, scratch=self._scratch, moments_in=(rho, mom),
         )
 
     def step(self, n: int = 1) -> None:
@@ -104,11 +110,15 @@ class LBMSolver:
         tel = get_telemetry()
         for _ in range(n):
             with tel.phase("kernels/collide_bgk"):
-                f_post, self.rho, self.u = self._collide()
-            with tel.phase("kernels/stream_pull"):
-                stream_pull(f_post, out=g.f)
+                self._collide()
             for bc in self.boundaries:
-                bc.apply(g.f, f_post)
+                before_stream = getattr(bc, "before_stream", None)
+                if before_stream is not None:
+                    before_stream(g.f)
+            with tel.phase("kernels/stream_pull"):
+                stream_pull(g.f, out=g.f)
+            for bc in self.boundaries:
+                bc.apply(g.f)
             g.mark_f_modified()
             self.step_count += 1
 

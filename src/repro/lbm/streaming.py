@@ -5,11 +5,25 @@ direction ``c_i`` from its upwind neighbor ``x - c_i``.  The base operation
 is periodic; boundary handlers (bounce-back walls, inlets, outlets) then
 overwrite the populations that wrapped around or crossed a solid boundary.
 
-The periodic shift is performed with direct slice-slab copies into the
-destination array: a shift by +/-1 along one axis decomposes into a bulk
-slab plus a wrapped face, so a full D3Q19 stream is at most 8 assignments
-per direction and allocates nothing (``np.roll`` would build a fresh
-full-lattice temporary for each of the 19 directions).
+Flat shift plus seams
+---------------------
+In a C-ordered population of shape ``(nx, ny, nz)`` the upwind node of
+every node that does not wrap sits a fixed distance back in the flat
+array, ``s_i = c_x ny nz + c_y nz + c_z``, so the whole bulk of a
+direction is one shift of the flattened population: one slice
+assignment.  The nodes whose upwind neighbor wraps around the box (the
+*seams*: at most three faces per direction, one per nonzero component
+of ``c_i``) get a wrong value from that shift and are rewritten from
+their periodic sources afterwards.
+
+The stream runs in place (``stream_pull(f, out=f)``): the seams'
+sources are copied out before the shift and written back after it.
+NumPy performs an overlapping one-dimensional assignment as if from a
+copy, by walking against the direction of the shift rather than through
+a temporary, so the in-place stream allocates only the seam copies.
+Out of place the same body copies straight across.  Only copies are
+involved: the result is the same bits either way, and the same as
+``np.roll`` per direction.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ def _axis_segments(shift: int):
 
     Shape-independent because D3Q19 shifts are only -1/0/+1: the bulk slab
     and the single wrapped face are expressible with relative slices.
+    The bulk pair comes first.
     """
     if shift == 0:
         return ((slice(None), slice(None)),)
@@ -40,23 +55,60 @@ def _axis_segments(shift: int):
     raise ValueError(f"unsupported shift {shift}")
 
 
-def _build_segments():
-    segments = []
+def _build_seams():
+    seams = []
     for i in range(D3Q19.Q):
         cx, cy, cz = (int(v) for v in D3Q19.c[i])
-        per_dir = []
-        for sx_dst, sx_src in _axis_segments(cx):
-            for sy_dst, sy_src in _axis_segments(cy):
-                for sz_dst, sz_src in _axis_segments(cz):
-                    per_dir.append(
-                        ((sx_dst, sy_dst, sz_dst), (sx_src, sy_src, sz_src))
-                    )
-        segments.append(tuple(per_dir))
-    return tuple(segments)
+        per_dir = [
+            ((sx_dst, sy_dst, sz_dst), (sx_src, sy_src, sz_src))
+            for sx_dst, sx_src in _axis_segments(cx)
+            for sy_dst, sy_src in _axis_segments(cy)
+            for sz_dst, sz_src in _axis_segments(cz)
+        ]
+        # the first combination is the bulk, which the flat shift covers
+        seams.append(tuple(per_dir[1:]))
+    return tuple(seams)
 
 
-#: Per-direction (dst, src) slice tuples for the pull stream.
-_STREAM_SEGMENTS = _build_segments()
+#: Per-direction (dst, src) slice tuples of the wrapped seams.
+_SEAMS = _build_seams()
+
+#: Lattice velocities as Python ints, for the flat shifts.
+_VELOCITIES = tuple(tuple(int(v) for v in c) for c in D3Q19.c)
+
+
+def stream_pull(f_post: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic pull streaming: out_i(x) = f_post_i(x - c_i).
+
+    Parameters
+    ----------
+    f_post:
+        Post-collision distributions (19, nx, ny, nz), C-contiguous.
+    out:
+        Optional C-contiguous destination: ``f_post`` itself (stream in
+        place) or an array that does not overlap it.
+    """
+    if out is None:
+        out = np.empty_like(f_post)
+    in_place = out is f_post
+    if not in_place and np.may_share_memory(out, f_post):
+        raise ValueError("out must be f_post itself or not overlap it")
+    if not (f_post.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("streaming needs C-contiguous lattices")
+    _, nx, ny, nz = f_post.shape
+    n = nx * ny * nz
+    for (cx, cy, cz), seams, src_i, dst_i in zip(
+            _VELOCITIES, _SEAMS, f_post, out):
+        shift = (cx * ny + cy) * nz + cz
+        sources = [src_i[src] for _, src in seams]
+        if in_place:
+            sources = [values.copy() for values in sources]
+        lo, hi = max(shift, 0), n + min(shift, 0)
+        if lo < hi and not (in_place and shift == 0):
+            dst_i.reshape(-1)[lo:hi] = src_i.reshape(-1)[lo - shift:hi - shift]
+        for (dst, _), values in zip(seams, sources):
+            dst_i[dst] = values
+    return out
 
 
 def _padded_axis_slice(shift: int) -> slice:
@@ -81,28 +133,6 @@ _PADDED_SEGMENTS = _build_padded_segments()
 _INTERIOR = (slice(1, -1), slice(1, -1), slice(1, -1))
 
 
-def stream_pull(f_post: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic pull streaming: out_i(x) = f_post_i(x - c_i).
-
-    Parameters
-    ----------
-    f_post:
-        Post-collision distributions (19, nx, ny, nz).
-    out:
-        Optional destination array (must not alias ``f_post``).
-    """
-    if out is None:
-        out = np.empty_like(f_post)
-    if out is f_post:
-        raise ValueError("streaming cannot be done in place")
-    for i, segments in enumerate(_STREAM_SEGMENTS):
-        src_i = f_post[i]
-        dst_i = out[i]
-        for dst, src in segments:
-            dst_i[dst] = src_i[src]
-    return out
-
-
 def stream_pull_padded(f_post: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Pull streaming for a one-node-padded local block (halo runtime).
 
@@ -110,8 +140,8 @@ def stream_pull_padded(f_post: np.ndarray, out: np.ndarray) -> np.ndarray:
     for interior x, with sources drawn from the padded ``f_post`` (interior
     plus halo rim).  No periodic wrap is applied — the halo exchange has
     already placed the wrapped/neighbor values in the rim — so each of the
-    19 directions is a single precomputed slice-slab copy, the same
-    mechanism (and allocation discipline) as :func:`stream_pull`.
+    19 directions is a single precomputed slice-slab copy and nothing is
+    allocated.
     """
     if out is f_post:
         raise ValueError("streaming cannot be done in place")

@@ -238,3 +238,47 @@ def test_restored_mixed_population_supports_further_dynamics(tmp_path):
     m2.add(fresh)
     # New IDs never collide with restored ones.
     assert len({c.global_id for c in m2.cells}) == m2.n_cells
+
+
+def test_archive_members_equal_savez_compressed(tmp_path, rng):
+    """Streamed members are the bytes ``np.savez_compressed`` writes —
+    0-d, unicode and empty arrays included — and a name without the
+    suffix gets ``.npz`` appended the same way."""
+    import zipfile
+
+    from repro.io.checkpoint import _write_npz
+
+    payload = {
+        "step": np.array(5, dtype=np.int64),
+        "f": rng.random((19, 3, 4, 5)).astype(np.float32),
+        "kinds": np.array(["rbc", "ctc"], dtype="U8"),
+        "none": np.zeros((0, 3)),
+        "strided": rng.random((6, 4))[::2].T,
+    }
+    np.savez_compressed(tmp_path / "want", **payload)
+    _write_npz(tmp_path / "got", payload)
+    want = zipfile.ZipFile(tmp_path / "want.npz")
+    got = zipfile.ZipFile(tmp_path / "got.npz")
+    assert got.namelist() == want.namelist()
+    for name in want.namelist():
+        if name == "strided.npy":  # the streamed copy is C-ordered
+            continue
+        assert got.read(name) == want.read(name), name
+    loaded = np.load(tmp_path / "got.npz")
+    for key, value in payload.items():
+        assert loaded[key].dtype == value.dtype
+        assert np.array_equal(loaded[key], value)
+
+
+def test_save_holds_no_copy_of_a_lattice(tmp_path):
+    import tracemalloc
+
+    f = np.arange(19 * 36**3, dtype=np.float64).reshape(19, 36, 36, 36)
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "ck.npz", step=1, f_coarse=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes / 4
+    assert np.array_equal(load_checkpoint(tmp_path / "ck.npz")["f_coarse"], f)

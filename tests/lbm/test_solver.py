@@ -1,8 +1,21 @@
-"""LBMSolver loop: conservation, diagnostics."""
+"""LBMSolver loop: conservation, diagnostics, the in-place step."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.lbm import BounceBackWalls, Grid, LBMSolver
+from repro.lbm import (
+    BounceBackWalls,
+    Grid,
+    LBMSolver,
+    OutflowOutlet,
+    PressureOutlet,
+    VelocityInlet,
+)
+
+from .reference_bodies import two_buffer_step
 
 
 def test_periodic_mass_momentum_conserved(rng):
@@ -72,3 +85,68 @@ def test_decay_of_shear_wave_matches_viscosity():
     measured = np.abs(u[1, :, 2, 2]).max()
     expected = amp * np.exp(-g.nu * k**2 * steps)
     assert np.isclose(measured, expected, rtol=0.02)
+
+
+def _channel(rng, tau_kind, wall, shape=(6, 8, 10)):
+    """A walled channel with an inlet/outlet pair and a patchy force."""
+    tau = {"one": 1.0, "other": 0.83,
+           "field": rng.uniform(0.6, 1.6, shape)}[tau_kind]
+    g = Grid(shape, tau=tau)
+    vel = 0.02 * rng.standard_normal((3,) + shape)
+    g.init_equilibrium(1.0 + 0.01 * rng.standard_normal(shape), vel)
+    g.force[0, :3] = 1e-4  # zero elsewhere: both collide branches
+    g.solid[:, 0] = g.solid[:, -1] = True
+    uw = {"resting": None, "constant": np.array([0.02, 0.0, -0.01]),
+          "field": 0.03 * rng.standard_normal((3,) + shape)}[wall]
+    walls = BounceBackWalls(g.solid, wall_velocity=uw, rho_wall=1.01)
+    inlet = VelocityInlet(axis=2, side="low", velocity=np.array([0, 0, 0.02]))
+    outlet = (PressureOutlet(axis=2, side="high", rho=0.999)
+              if wall == "field" else OutflowOutlet(axis=2, side="high"))
+    return g, [walls, inlet, outlet]
+
+
+@pytest.mark.parametrize("tau_kind", ["one", "other", "field"])
+@pytest.mark.parametrize("wall", ["resting", "constant", "field"])
+def test_in_place_step_equals_two_buffer_step(rng, tau_kind, wall):
+    """Collide, stream and bounce back in one lattice: every handler
+    order gives the bits of the two-lattice step with that order."""
+    g0, handlers = _channel(rng, tau_kind, wall)
+    for order in itertools.permutations(handlers):
+        g = Grid(g0.shape, tau=g0.tau)
+        g.f[:] = g0.f
+        g.force[:] = g0.force
+        ref = Grid(g0.shape, tau=g0.tau)
+        ref.f[:] = g0.f
+        ref.force[:] = g0.force
+        LBMSolver(g, list(order)).step(3)
+        for _ in range(3):
+            two_buffer_step(ref, order)
+        assert np.array_equal(g.f, ref.f), [type(h).__name__ for h in order]
+        assert g._f_post is None
+
+
+def test_step_allocates_nothing_lattice_sized():
+    """Work-count guard: after warm-up, three steps of a walled, forced
+    lattice with moving walls allocate well under a quarter of ``f`` at
+    their peak, and never the second lattice."""
+    g = Grid((24, 64, 32), tau=0.9)
+    g.solid[:, 0] = g.solid[:, -1] = True
+    g.force[0] = 1e-6
+    s = LBMSolver(g, [BounceBackWalls(g.solid, np.array([0.01, 0, 0]))])
+    s.step(2)
+    tracemalloc.start()
+    try:
+        s.step(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.f.nbytes / 4
+    assert g._f_post is None
+
+
+def test_f_post_is_allocated_on_first_access():
+    g = Grid((3, 4, 5), tau=0.8)
+    assert g._f_post is None
+    post = g.f_post
+    assert post.shape == g.f.shape and post.dtype == g.f.dtype
+    assert g.f_post is post

@@ -1,10 +1,21 @@
 """Streaming step and solid-upwind mask construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lbm import D3Q19, stream_pull, stream_pull_padded
 from repro.lbm.streaming import upwind_solid_masks
+
+
+def _rolled(f):
+    out = np.empty_like(f)
+    for i, c in enumerate(D3Q19.c):
+        out[i] = np.roll(f[i], shift=tuple(int(v) for v in c), axis=(0, 1, 2))
+    return out
 
 
 def test_stream_moves_pulse_along_velocity(rng):
@@ -34,10 +45,44 @@ def test_stream_conserves_mass(rng):
         assert np.isclose(out[q].sum(), f[q].sum())
 
 
-def test_stream_rejects_in_place():
-    f = np.zeros((19, 3, 3, 3))
-    with pytest.raises(ValueError):
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 5)] * 3),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_stream_equals_roll_and_out_of_place(shape, dtype, seed):
+    """Every shift and seam geometry, down to axes of length 1 (all seam)
+    and flat shifts of one element (the most overlapped)."""
+    f = np.random.default_rng(seed).random((19,) + shape).astype(dtype)
+    want = _rolled(f)
+    assert np.array_equal(stream_pull(f), want)
+    g = f.copy()
+    assert stream_pull(g, out=g) is g
+    assert np.array_equal(g, want)
+
+
+def test_in_place_stream_allocates_less_than_a_population(rng):
+    """The overlapping flat shift runs without a temporary: only the seam
+    copies are allocated."""
+    f = rng.random((19, 20, 24, 28))
+    stream_pull(f, out=f)
+    tracemalloc.start()
+    try:
         stream_pull(f, out=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f[0].nbytes
+
+
+def test_stream_rejects_overlapping_out():
+    buf = np.zeros(19 * 27 + 1)
+    f = buf[:-1].reshape(19, 3, 3, 3)
+    with pytest.raises(ValueError):
+        stream_pull(f, out=buf[1:].reshape(19, 3, 3, 3))
+    with pytest.raises(ValueError):
+        stream_pull(np.zeros((3, 3, 3, 19)).transpose(3, 0, 1, 2))
 
 
 def test_stream_roundtrip_with_opposites(rng):
