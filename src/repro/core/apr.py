@@ -202,6 +202,14 @@ class APRSimulation:
         cg: Grid = self.coarse.grid
         n = cfg.refinement
         i0, snapped, w_cells = self._snap_window(center)
+        if self.fine is not None:
+            # The outgoing stepper's parallel runtime holds a worker pool
+            # and shared-memory segments; release them deterministically
+            # instead of waiting for the GC finalizer.  The outgoing
+            # lattice goes too, before the incoming one is allocated, so
+            # a move never holds two windows at once.
+            self.fine.close()
+            self.fine = self.coupling = None
         self.window = Window(center=snapped, spec=cfg.window_spec)
         origin = cg.origin + cg.spacing * i0
         shape = (n * w_cells + 1,) * 3
@@ -217,11 +225,6 @@ class APRSimulation:
             from ..lbm.boundaries import BounceBackWalls
 
             boundaries.append(BounceBackWalls(fine_grid.solid))
-        if self.fine is not None:
-            # The outgoing stepper's parallel runtime holds a worker pool
-            # and shared-memory segments; release them deterministically
-            # instead of waiting for the GC finalizer.
-            self.fine.close()
         self.fine = FSIStepper(
             fine_grid,
             self.units_fine,

@@ -27,22 +27,33 @@ which the three-layer Couette verification of Section 3.1 uses: the
 window covers all of the middle viscosity layer, with ghost coupling only
 on its +/-y faces.
 
-The trilinear weights of step 3 depend only on where the window sits, so
-they are built once per placement as a sparse operator
-(:func:`interpolation_operator`) over the coarse nodes the shell actually
-reads.  Spatial interpolation and the time blend are both linear and
-commute: the coarse state is interpolated onto the shell twice per coarse
-step (before and after the coarse advance) and every sub-step only blends
-those two shell-sized arrays.  Nothing per sub-step scales with the
-coarse lattice.
+Separable prolongation
+----------------------
+Because the window origin sits on a coarse node and the fine spacing is
+``1/n`` of the coarse one, trilinear interpolation onto fine nodes is a
+product of three 1-D rules: along each axis, fine node ``k`` reads the
+coarse pair ``(k // n, k // n + 1)`` of the window's coarse block with
+weights ``(1 - t, t)``, ``t = (k mod n) / n`` (:func:`_prolong`).  The
+block is the ``w + 1`` coarse nodes under the window on each axis; on a
+periodic axis its last entry is coarse node 0 again, so bounded and
+periodic windows share one code path.  The window fill prolongs the
+block's ``(rho, u, f^neq[, tau])`` channels with three 1-D passes; the
+ghost shell, whose nodes all lie on window faces, prolongs the coarse
+face planes with two.  Spatial interpolation and the time blend are both
+linear and commute: the coarse state goes onto the shell twice per
+coarse step (before and after the coarse advance), with f^neq already
+rescaled, and every sub-step only blends those two shell-sized arrays.
+Nothing per sub-step scales with the coarse lattice.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+import functools
+import math
 
-from ..ibm.coupling import interpolate, make_stencil
+import numpy as np
+
+from ..ibm.coupling import interpolate
 from ..lbm.collision import equilibrium, macroscopic
 from ..lbm.grid import Grid
 from ..telemetry import get_telemetry
@@ -50,6 +61,14 @@ from .viscosity import (
     stress_match_scale_to_coarse,
     stress_match_scale_to_fine,
 )
+
+#: Rows of the coarse state: rho, u (3) and f^neq (19).
+_N_STATE = 23
+
+#: Multiply-adds per prolongation GEMM call, kept well below the size at
+#: which OpenBLAS hands a GEMM to its thread pool (see
+#: :data:`repro.lbm.collision.GEMM_COLS`).
+_GEMM_MAX = 2**18
 
 
 def trilinear(
@@ -63,35 +82,47 @@ def trilinear(
     return interpolate(field, frac_coords, kernel="linear2", mode=mode)
 
 
-def interpolation_operator(
-    frac_coords: np.ndarray, coarse_shape: tuple[int, int, int], mode: str = "clip"
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """:func:`trilinear` at fixed points as a sparse matrix ``(W, src)``.
+@functools.lru_cache(maxsize=None)
+def _prolongation_matrix(n: int, length: int, m: int, dtype) -> np.ndarray:
+    """The 1-D rule of :func:`_prolong` as a ``(length, m)`` matrix."""
+    p = np.zeros((length, m), dtype=dtype)
+    k = np.arange(length)
+    j, r = np.divmod(k, n)
+    p[k, j] = 1.0 - r / n
+    up = r > 0
+    p[k[up], j[up] + 1] = r[up] / n
+    return p
 
-    ``src`` holds the sorted flat (C-order) indices of the coarse nodes
-    the points read, and ``W`` is CSR of shape ``(N, len(src))`` with at
-    most 8 entries per row (zero weights dropped, so a point coincident
-    with a coarse node reads that node alone).  For any field ``phi`` of
-    shape ``coarse_shape``, ``W @ phi.reshape(-1)[src]`` equals
-    ``trilinear(phi, frac_coords, mode)`` to rounding.
+
+def _prolong(
+    a: np.ndarray, axis: int, n: int, length: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Linear coarse -> fine prolongation of ``a`` along ``axis``.
+
+    Fine sample ``k`` (``0 <= k < length``) lies at coarse coordinate
+    ``k / n`` and takes ``(1 - t) a[j] + t a[j + 1]`` with ``j = k // n``,
+    ``t = (k mod n) / n``; at ``t = 0`` it is ``a[j]`` itself.  Applied
+    as small GEMMs with the ``(length, m)`` weight matrix: the other
+    weights of a row are exact zeros, which add nothing.  ``out``, if
+    given, must reshape to ``(pre, length, post)`` without a copy.
     """
-    stencil = make_stencil(frac_coords, coarse_shape, "linear2", mode)
-    weights = stencil.w.reshape(-1)
-    keep = np.flatnonzero(weights)
-    nodes = stencil.flat_indices()[keep]
-    # Compress columns to the nodes read (a mask pass; np.unique would
-    # sort all 8N entries).
-    read = np.zeros(int(np.prod(coarse_shape)), dtype=bool)
-    read[nodes] = True
-    src = np.flatnonzero(read)
-    cols = (np.cumsum(read) - 1)[nodes]
-    rows = keep // 8  # 2 x 2 x 2 weights per point, in point order
-    # Duplicate (row, col) pairs -- two clipped corners landing on one
-    # boundary node -- are summed by the COO -> CSR conversion.
-    op = sparse.csr_matrix(
-        (weights[keep], (rows, cols)), shape=(stencil.n_markers, len(src))
-    )
-    return op, src
+    m = a.shape[axis]
+    p = _prolongation_matrix(n, length, m, a.dtype)
+    pre = math.prod(a.shape[:axis])
+    post = math.prod(a.shape[axis + 1:])
+    if out is None:
+        out = np.empty(a.shape[:axis] + (length,) + a.shape[axis + 1:], a.dtype)
+    src = np.ascontiguousarray(a).reshape(pre, m, post)
+    dst = out.reshape(pre, length, post)
+    # GEMMs small enough to stay single-threaded
+    step = max(1, _GEMM_MAX // (m * length))
+    if post > 1:
+        for lo in range(0, post, step):
+            np.matmul(p, src[:, :, lo:lo + step], out=dst[:, :, lo:lo + step])
+    else:
+        for lo in range(0, pre, step):
+            np.matmul(src[lo:lo + step, :, 0], p.T, out=dst[lo:lo + step, :, 0])
+    return out
 
 
 def _channels_flat(a: np.ndarray) -> np.ndarray:
@@ -100,12 +131,6 @@ def _channels_flat(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("flat node indexing needs a C-contiguous lattice array")
     return a.reshape(a.shape[0], -1)
-
-
-def _equilibrium_points(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """f^eq at scattered points: rho (N,), u (3, N) -> (19, N)."""
-    feq = equilibrium(rho.reshape(-1, 1, 1), u.reshape(3, -1, 1, 1))
-    return feq[:, :, 0, 0]
 
 
 class RefinedRegion:
@@ -176,53 +201,117 @@ class RefinedRegion:
                     raise ValueError(
                         f"axis {d}: window must be strictly interior to the coarse grid"
                     )
-        self._interp_mode = "wrap" if self.periodic_axes else "clip"
         if isinstance(fg.tau, np.ndarray):
             raise ValueError("the fine window must have a uniform tau")
+        #: Flat coarse indices of the window's coarse block, (w+1,)*3 per
+        #: axis; periodic axes wrap, so their last entry is node 0.
+        self._block_nodes = np.ravel_multi_index(
+            np.ix_(*[
+                (self._i0[d] + np.arange(self._w[d] + 1)) % cg.shape[d]
+                for d in range(3)
+            ]),
+            cg.shape,
+        )
         tel = get_telemetry()
         with tel.phase("build_coupling"):
             self._build_ghost_shell()
             self._build_restriction()
         tel.sample("refinement.ghost_nodes", len(self._ghost_flat))
-        tel.sample("refinement.ghost_source_nodes", len(self._ghost_src))
-        tel.sample("refinement.operator_nnz", self._ghost_op.nnz)
-        #: Coarse (rho, u, f^neq) on the shell, (23, N_ghost), at the start
-        #: and at the end of the current coarse step.
+        #: Coarse (rho, u, scale * f^neq) on the shell, (23, N_ghost), at
+        #: the start and at the end of the current coarse step.
         self._state_prev: np.ndarray | None = None
         self._state_next: np.ndarray | None = None
+        #: Shell-sized work buffers of the sub-step blend and f^eq.
+        self._blend: np.ndarray | None = None
+        self._f_shell: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def _coarse_frac(self, fine_flat: np.ndarray) -> np.ndarray:
-        """Fractional coarse-lattice coordinates (N, 3) of flat fine nodes."""
-        fg = self.fine.grid
-        idx = np.stack(np.unravel_index(fine_flat, fg.shape), axis=1)
-        return self.coarse.grid.physical_to_index(fg.origin + fg.spacing * idx)
-
     def _build_ghost_shell(self) -> None:
-        """Fine boundary-shell nodes and the operator that fills them.
+        """Fine boundary-shell nodes and what fills them.
 
-        Everything that depends only on the window placement: the flat
-        shell indices, the interpolation operator with the coarse source
-        nodes it reads, and the per-node f^neq rescale factor.
+        Everything that depends only on the window placement.  Every
+        shell node lies on a window face, where the normal axis has
+        ``t = 0``, so the shell is the two face planes of each bounded
+        axis prolonged over their other two axes.  ``_faces`` lists, per
+        bounded axis with shell nodes, the columns of its coarse face pair
+        in ``_face_src`` — laid out ``(a, 2, b)`` with the normal axis in
+        the middle, and cut to the coarse cells that hold its shell nodes
+        — and the pair's fine lengths along ``a`` and ``b``; the
+        prolonged pairs, one after the other, are ``_face_nodes`` fine
+        face positions.  ``_face_take`` picks the shell from them: each
+        fluid face node once, an edge node from the first face that has
+        it.  ``_ghost_flat`` is the shell in that order and
+        ``_ghost_scale`` its f^neq rescale factor.
         """
         fg = self.fine.grid
-        mask = np.zeros(fg.shape, dtype=bool)
+        n = self.n
+        claimed = np.zeros(fg.shape, dtype=bool).reshape(-1)
+        solid = fg.solid.reshape(-1)
+        self._faces = []
+        sources = [np.zeros(0, dtype=np.int64)]
+        ghosts = [np.zeros(0, dtype=np.int64)]
+        takes = [np.zeros(0, dtype=np.int64)]
+        start = offset = 0
         for d in range(3):
             if d in self.periodic_axes:
                 continue
-            sl_lo = [slice(None)] * 3
-            sl_hi = [slice(None)] * 3
-            sl_lo[d] = 0
-            sl_hi[d] = fg.shape[d] - 1
-            mask[tuple(sl_lo)] = True
-            mask[tuple(sl_hi)] = True
-        mask &= ~fg.solid
-        self._ghost_flat = np.flatnonzero(mask)
-        frac = self._coarse_frac(self._ghost_flat)
-        self._ghost_op, self._ghost_src = interpolation_operator(
-            frac, self.coarse.grid.shape, self._interp_mode
-        )
-        self._ghost_scale = self._scale_to_fine(frac)
+            # the pair of faces normal to d, laid out (a, 2, b)
+            ends = [0, fg.shape[d] - 1]
+            fine_a, fine_b = (fg.shape[e] for e in range(3) if e != d)
+            fine_nodes = np.moveaxis(np.ravel_multi_index(
+                np.ix_(*[ends if e == d else np.arange(fg.shape[e])
+                         for e in range(3)]),
+                fg.shape,
+            ), d, 1)
+            keep = ~(solid[fine_nodes] | claimed[fine_nodes])
+            claimed[fine_nodes] = True
+            if not keep.any():
+                continue
+            # Only the coarse cells under the pair's shell nodes: a walled
+            # window's faces are mostly solid.
+            ka, _, kb = np.nonzero(keep)
+            box = []
+            for k, length in ((ka, fine_a), (kb, fine_b)):
+                lo, hi = k.min() // n, -(-k.max() // n)
+                box.append((slice(lo, hi + 1),
+                            slice(n * lo, min(n * hi + 1, length))))
+            (coarse_a, sub_a), (coarse_b, sub_b) = box
+            keep = keep[sub_a, :, sub_b]
+            coarse_nodes = np.moveaxis(
+                np.take(self._block_nodes, [0, self._w[d]], axis=d), d, 1
+            )[coarse_a, :, coarse_b]
+            cols = slice(start, start + coarse_nodes.size)
+            start = cols.stop
+            self._faces.append((cols, coarse_nodes.shape, keep.shape[0],
+                                keep.shape[2]))
+            sources.append(coarse_nodes.reshape(-1))
+            ghosts.append(fine_nodes[sub_a, :, sub_b][keep])
+            takes.append(offset + np.flatnonzero(keep))
+            offset += keep.size
+        self._face_src = np.concatenate(sources)
+        self._face_nodes = offset
+        self._face_take = np.concatenate(takes)
+        self._ghost_flat = np.concatenate(ghosts)
+        cg = self.coarse.grid
+        if isinstance(cg.tau, np.ndarray):
+            tau_c = self._onto_shell(cg.tau.reshape(1, -1)[:, self._face_src])[0]
+        else:
+            tau_c = float(cg.tau)
+        self._ghost_scale = stress_match_scale_to_fine(tau_c, fg.tau)
+
+    def _onto_shell(self, values: np.ndarray) -> np.ndarray:
+        """Channels ``(C, len(_face_src))`` at the coarse face nodes,
+        prolonged onto the shell in :attr:`_ghost_flat` order."""
+        c = values.shape[0]
+        faces = np.empty((c, self._face_nodes), dtype=values.dtype)
+        lo = 0
+        for cols, shape, len_a, len_b in self._faces:
+            pair = values[:, cols].reshape((c,) + shape)
+            pair = _prolong(pair, 3, self.n, len_b)
+            hi = lo + len_a * 2 * len_b
+            _prolong(pair, 1, self.n, len_a, out=faces[:, lo:hi])
+            lo = hi
+        return np.take(faces, self._face_take, axis=1)
 
     def _build_restriction(self) -> None:
         """Coarse interior nodes overwritten from coincident fine nodes.
@@ -286,96 +375,134 @@ class RefinedRegion:
         return self._restrict_fine
 
     # ------------------------------------------------------------------
-    def _scale_to_fine(self, frac_coords: np.ndarray) -> np.ndarray:
-        """Per-point f^neq rescale factor coarse -> fine.
+    def _coarse_state(self, nodes: np.ndarray, with_tau: bool = False) -> np.ndarray:
+        """Stacked ``(rho, u, f^neq)`` rows of the coarse grid right now
+        at flat node indices ``nodes`` (any shape), plus a ``tau`` row
+        when ``with_tau``: ``(23 or 24,) + nodes.shape``.
 
-        Traction continuity against the local coarse viscosity; see
-        :func:`repro.core.viscosity.stress_match_scale_to_fine`.
+        The rows are formed in the lattice dtype and held in float64, so
+        that a float32 lattice is interpolated in float64 and rounded
+        once, where it is written.
         """
         cg = self.coarse.grid
-        if isinstance(cg.tau, np.ndarray):
-            tau_c = trilinear(cg.tau, frac_coords, self._interp_mode)
-        else:
-            tau_c = np.full(len(np.atleast_2d(frac_coords)), float(cg.tau))
-        return stress_match_scale_to_fine(tau_c, self.fine.grid.tau)
-
-    def _coarse_state_at(self, src: np.ndarray) -> np.ndarray:
-        """Stacked ``(rho, u, f^neq)`` rows, shape (23, len(src)), of the
-        coarse grid right now at flat node indices ``src``."""
-        cg = self.coarse.grid
-        f = _channels_flat(cg.f)[:, src]
-        rho, u = macroscopic(f, _channels_flat(cg.force)[:, src])
-        return np.concatenate([rho[None], u, f - _equilibrium_points(rho, u)])
-
-    def _interpolated_state(
-        self, op: sparse.csr_matrix, src: np.ndarray
-    ) -> np.ndarray:
-        """Coarse state interpolated by ``op`` from nodes ``src``: (23, N)."""
-        return np.ascontiguousarray((op @ self._coarse_state_at(src).T).T)
-
-    def _set_fine_nodes(
-        self, fine_flat: np.ndarray, state: np.ndarray, scale: np.ndarray
-    ) -> None:
-        """Write ``f^eq(rho, u) + scale * f^neq`` of an interpolated
-        (23, N) ``state`` into the fine nodes ``fine_flat``."""
-        fg = self.fine.grid
-        f_new = _equilibrium_points(state[0], state[1:4])
-        f_new += scale * state[4:]
-        _channels_flat(fg.f)[:, fine_flat] = f_new
+        f = _channels_flat(cg.f)[:, nodes]
+        rho, u = macroscopic(f, _channels_flat(cg.force)[:, nodes])
+        state = np.empty((_N_STATE + with_tau,) + f.shape[1:])
+        state[0] = rho
+        state[1:4] = u
+        state[4:_N_STATE] = f - equilibrium(rho, u)
+        if with_tau:
+            state[_N_STATE] = cg.tau.reshape(-1)[nodes]
+        return state
 
     def initialize_fine_from_coarse(self) -> None:
         """Fill the whole fine lattice from the coarse solution.
 
-        Used at start-up and after every window move: macroscopic fields
-        are interpolated trilinearly and the non-equilibrium part is
-        rescaled, so the fine window starts from a consistent flow state
-        instead of quiescent fluid.
+        Used at start-up and after every window move, so the fine window
+        starts from a consistent flow state instead of quiescent fluid.
+        The coarse block's ``(rho, u, f^neq)`` — and ``tau``, where the
+        coarse tau is a field — are prolonged along z and y, then along x;
+        each fluid fine node gets f^eq of the interpolated macroscopic
+        fields plus the rescaled f^neq.  Solid fine nodes are not written.
         """
-        fluid = np.flatnonzero(~self.fine.grid.solid)
-        frac = self._coarse_frac(fluid)
-        op, src = interpolation_operator(
-            frac, self.coarse.grid.shape, self._interp_mode
-        )
-        self._set_fine_nodes(
-            fluid, self._interpolated_state(op, src), self._scale_to_fine(frac)
-        )
-        self.fine.grid.mark_f_modified()
+        cg, fg, n = self.coarse.grid, self.fine.grid, self.n
+        tau_field = isinstance(cg.tau, np.ndarray)
+        block = self._coarse_state(self._block_nodes, with_tau=tau_field)
+        nx, ny, nz = fg.shape
+        # Innermost axes first, so that the last pass makes whole planes.
+        yz = _prolong(_prolong(block, 3, n, nz), 2, n, ny)
+        # Then x, one coarse cell of fine planes at a time: the fill's
+        # temporaries stay a fraction of the fine lattice.
+        w = int(self._w[0])
+        for j in range(w):
+            planes = nx - n * j if j == w - 1 else n
+            part = _prolong(yz[:, j:j + 2], 1, n, planes)
+            self._fill_nodes(part.reshape(len(part), -1), n * j * ny * nz)
+            del part  # before the next cell's is made
+        fg.mark_f_modified()
+
+    def _fill_nodes(self, state: np.ndarray, start: int) -> None:
+        """Write ``f^eq + scale * f^neq`` of prolonged ``state`` columns
+        into the fluid ones of the fine nodes ``start, start + 1, ...``;
+        ``state`` is used as scratch."""
+        fg = self.fine.grid
+        cols = slice(start, start + state.shape[1])
+        f2 = _channels_flat(fg.f)
+        nodes = np.flatnonzero(~fg.solid.reshape(-1)[cols])
+        all_fluid = len(nodes) == state.shape[1]
+        if not all_fluid:
+            state = state[:, nodes]
+        fneq = state[4:_N_STATE]
+        if len(state) > _N_STATE:  # the coarse tau row
+            fneq *= stress_match_scale_to_fine(state[_N_STATE], fg.tau)
+        else:
+            fneq *= stress_match_scale_to_fine(float(self.coarse.grid.tau), fg.tau)
+        if all_fluid and f2.dtype == state.dtype:
+            equilibrium(state[0], state[1:4], out=f2[:, cols])
+            f2[:, cols] += fneq
+        else:
+            f_new = equilibrium(state[0], state[1:4])
+            f_new += fneq
+            f2[:, start + nodes] = f_new
 
     def _impose_ghosts(self, theta: float) -> None:
         """Set the fine boundary shell from time-interpolated coarse state."""
         if len(self._ghost_flat) == 0:
             return
-        if self._state_prev is None or self._state_next is None:
+        prev, nxt = self._state_prev, self._state_next
+        if prev is None or nxt is None:
             raise RuntimeError(
                 "ghost shell imposed before the coarse state was captured; "
                 "advance the coupling through step()"
             )
-        state = (1 - theta) * self._state_prev
-        state += theta * self._state_next
-        self._set_fine_nodes(self._ghost_flat, state, self._ghost_scale)
+        if theta == 0.0:
+            state = prev
+        elif theta == 1.0:
+            state = nxt
+        else:
+            if self._blend is None:
+                self._blend = np.empty_like(prev)
+            state = np.subtract(nxt, prev, out=self._blend)
+            state *= theta
+            state += prev
+        if self._f_shell is None:
+            self._f_shell = np.empty((len(prev) - 4, prev.shape[1]), prev.dtype)
+        f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
+        f_new += state[4:]
+        fg = self.fine.grid
+        _channels_flat(fg.f)[:, self._ghost_flat] = f_new
         # Only the shell changed: cached moments are patched, not redone.
-        self.fine.grid.mark_f_modified(self._ghost_flat)
+        fg.mark_f_modified(self._ghost_flat)
 
     def _restrict(self) -> None:
-        """Overwrite interior coarse nodes from coincident fine nodes."""
+        """Overwrite interior coarse nodes from coincident fine nodes.
+
+        Like everything the coupling computes, in float64 whatever the
+        lattice dtype: a float32 lattice is rounded once, where it is
+        written.
+        """
         if self._restrict_coarse is None:
             return
         fg = self.fine.grid
         cg = self.coarse.grid
-        f_fine = _channels_flat(fg.f)[:, self._restrict_fine_flat]
-        rho, u = macroscopic(f_fine)
-        feq = _equilibrium_points(rho, u)
-        fneq = f_fine - feq
-        _channels_flat(cg.f)[:, self._restrict_coarse_flat] = (
-            feq + self._restrict_scale * fneq
-        )
+        f = _channels_flat(fg.f)[:, self._restrict_fine_flat]
+        f = f.astype(np.float64, copy=False)
+        rho, u = macroscopic(f)
+        feq = equilibrium(rho, u)
+        f -= feq
+        f *= self._restrict_scale
+        f += feq
+        _channels_flat(cg.f)[:, self._restrict_coarse_flat] = f
         cg.mark_f_modified(self._restrict_coarse_flat)
 
     # ------------------------------------------------------------------
     def _ghost_state(self) -> np.ndarray:
-        """Coarse state right now, interpolated onto the ghost shell."""
+        """Coarse state right now on the ghost shell, with f^neq already
+        multiplied by the rescale factor: (23, N_ghost)."""
         with get_telemetry().phase("ghost_state"):
-            return self._interpolated_state(self._ghost_op, self._ghost_src)
+            state = self._onto_shell(self._coarse_state(self._face_src))
+            state[4:] *= self._ghost_scale
+            return state
 
     def step(self, n_coarse: int = 1) -> None:
         """Advance the coupled system by ``n_coarse`` coarse time steps."""

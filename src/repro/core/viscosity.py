@@ -45,39 +45,6 @@ def tau_coarse_from_fine(tau_fine: float, n: int, lam: float) -> float:
     return 0.5 + (tau_fine - 0.5) / (n * lam)
 
 
-def non_equilibrium_rescale_to_fine(
-    tau_coarse: float, tau_fine: float, n: int, lam: float = 1.0
-) -> float:
-    """Factor multiplying coarse f^neq when handed to the fine grid.
-
-    The coupling criterion is *physical stress continuity* across the
-    interface (the paper's stated requirement).  f^neq on grid g scales as
-    tau_g * dt_g * S_g, where S_g is the physical strain rate that grid
-    represents; traction continuity at a viscosity jump demands
-    nu_f S_f = nu_c S_c, i.e. S_f = S_c / lambda.  Hence
-
-        f^neq_f / f^neq_c = (tau_f dt_f S_f) / (tau_c dt_c S_c)
-                          = tau_f / (n lambda tau_c)
-
-    which reduces to the single-viscosity Dupuis-Chopard factor
-    tau_f / (n tau_c) when lambda = 1.
-    """
-    return tau_fine / (n * lam * tau_coarse)
-
-
-def non_equilibrium_rescale_to_coarse(
-    tau_coarse: float, tau_fine: float, n: int, lam: float = 1.0
-) -> float:
-    """Factor multiplying fine f^neq when restricted onto the coarse grid.
-
-    Exact inverse of :func:`non_equilibrium_rescale_to_fine`: the coarse
-    representation of the window interior then carries the same physical
-    stress as the bulk fluid, so the coarse stress field is continuous
-    across the (coarse-side) interface.
-    """
-    return n * lam * tau_coarse / tau_fine
-
-
 def stress_match_scale_to_fine(tau_coarse_local, tau_fine: float):
     """Per-node f^neq rescale factor coarse -> fine, by traction continuity.
 

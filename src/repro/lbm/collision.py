@@ -22,7 +22,8 @@ handful of per-node monomials:
     Psi = (F_a, u_a F_a, u_a F_b + u_b F_a)                    9 rows
 
 ``M`` (19x10) and ``G`` (19x9) depend only on ``D3Q19.c``/``w``
-(:func:`moment_operators`).  :func:`collide_bgk` builds the ``N``-sized
+(:func:`moment_operators`); ``f^eq`` alone is ``M @ Phi``
+(:func:`equilibrium`).  :func:`collide_bgk` builds the ``N``-sized
 monomial rows :data:`PANEL` columns at a time and hands the 19-row work
 to BLAS GEMM plus one axpy, instead of walking ``(19, N)`` arrays once
 per elementary operation.  The density and momentum are one more GEMM,
@@ -33,7 +34,8 @@ Fixed-width panels
 BLAS rounds a column differently depending on how many columns the call
 has (tail columns take another micro-kernel), so ``A @ X[:, a:b]`` is
 *not* the same numbers as ``(A @ X)[:, a:b]``.  Every lattice GEMM here
-— the collide operator and the moment sums in :func:`moments` — is
+— the collide operator, the moment sums in :func:`moments` and the
+equilibrium — is
 therefore issued over column panels of the flattened lattice that are
 always :data:`GEMM_COLS` wide, the last one zero-padded in a contiguous
 scratch.  Each call has the identical shape, a column's result does not
@@ -56,13 +58,20 @@ Allocation discipline
 (one ``(4, N)`` buffer), ``u``/``den`` and three ``(19, PANEL)`` work
 buffers; nothing ``(19, N)``-sized is allocated besides ``f`` and
 ``out`` themselves.
-With ``scratch`` and ``out`` supplied the collide allocates only the
-19x19 operator; without them it allocates what it returns plus a
-throw-away scratch — same values either way.  Strided slab views are
-packed into contiguous buffers the scratch keeps per slab shape.
+With ``scratch`` and ``out`` supplied the collide allocates nothing (the
+19x19 operators are cached per dtype and ``omega``); without them it
+allocates what it returns plus a throw-away scratch — same values
+either way.  Strided slab views are packed into contiguous buffers the
+scratch keeps per slab shape.  :func:`equilibrium` evaluates
+``M @ Phi`` with the same monomials and panels; besides what it returns
+it allocates one ``(10, PANEL)`` monomial panel, or for fewer than
+:data:`GEMM_COLS` nodes one zero-padded ``(10 + 19, GEMM_COLS)`` panel
+and product.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -77,13 +86,9 @@ _MOMENTS = np.ascontiguousarray(
     np.vstack([np.ones(D3Q19.Q), D3Q19.c.T]).astype(np.float64)
 )
 
-#: Per-compute-dtype ``(c, [1; c^T], w)`` lattice constants.  The
-#: float64 entry is seeded with the module's original arrays; other
-#: dtypes get cached cast copies (mixed-dtype matmuls would silently
-#: upcast every float32 collision back to float64).
-_CONSTS: dict[np.dtype, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
-    np.dtype(np.float64): (_C, _MOMENTS, np.asarray(D3Q19.w, dtype=np.float64)),
-}
+#: Per-compute-dtype copies of ``[1; c^T]`` (mixed-dtype matmuls would
+#: silently upcast every float32 moment sum back to float64).
+_MOMENTS_BY_DTYPE: dict[np.dtype, np.ndarray] = {np.dtype(np.float64): _MOMENTS}
 
 #: Columns of every lattice GEMM call (see "Fixed-width panels").
 #: Results do not depend on the value, only speed does: 19 x 19 x 2048
@@ -108,17 +113,13 @@ _N_MONOMIALS = 19
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def lattice_constants(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(c, [1; c^T], w)`` lattice matrices in the requested compute dtype."""
+def _moments_operator(dtype) -> np.ndarray:
+    """``[1; c^T]`` in the requested compute dtype."""
     dt = np.dtype(dtype)
-    entry = _CONSTS.get(dt)
-    if entry is None:
-        entry = _CONSTS[dt] = (
-            np.ascontiguousarray(_C.astype(dt)),
-            np.ascontiguousarray(_MOMENTS.astype(dt)),
-            D3Q19.w.astype(dt),
-        )
-    return entry
+    op = _MOMENTS_BY_DTYPE.get(dt)
+    if op is None:
+        op = _MOMENTS_BY_DTYPE[dt] = np.ascontiguousarray(_MOMENTS.astype(dt))
+    return op
 
 
 def moment_operators() -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +226,7 @@ def moments(
     if out is None:
         out = np.empty((4,) + f.shape[1:], dtype=f.dtype)
     f2 = np.ascontiguousarray(f).reshape(D3Q19.Q, -1)
-    _panel_matmul(lattice_constants(f.dtype)[1], f2, out.reshape(4, -1))
+    _panel_matmul(_moments_operator(f.dtype), f2, out.reshape(4, -1))
     return out[0], out[1:]
 
 
@@ -293,39 +294,99 @@ def macroscopic(
     return rho, u
 
 
+def _node_columns(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``a`` broadcast to ``(k,) + shape`` as ``(k, N)`` node columns, or
+    as one ``(k, 1)`` column when it is the same at every node; copied
+    only when neither view exists."""
+    k = a.shape[0]
+    if a.shape[1:] != shape:
+        a = np.broadcast_to(a, (k,) + shape)
+    if not any(a.strides[1:]):
+        return a[(slice(None),) + (0,) * (a.ndim - 1)][:, None]
+    return np.ascontiguousarray(a).reshape(k, -1)
+
+
 def equilibrium(
     rho: float | np.ndarray, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Maxwell-Boltzmann equilibrium distribution f_i^eq(rho, u).
 
-    Second-order expansion in the lattice velocity:
-    f_i^eq = w_i rho [1 + cu/cs2 + cu^2/(2 cs4) - u.u/(2 cs2)].
+    Second-order expansion in the lattice velocity,
+    f_i^eq = w_i rho [1 + cu/cs2 + cu^2/(2 cs4) - u.u/(2 cs2)], evaluated
+    as ``M @ Phi`` with the collide's own operator and monomials (see the
+    module docstring) over fixed-width :data:`GEMM_COLS` panels, so a
+    node's f^eq does not depend on the shape it is evaluated in, and
+    ``collide_bgk(f, 1.0)`` without a force is bit for bit
+    ``equilibrium(rho, mom / rho)``.
 
-    ``rho`` is a field or a scalar; ``out`` (same dtype as ``u``) receives
-    the result instead of a new array.
+    ``rho`` is a scalar or a field and ``u`` is ``(3,) + shape``; both may
+    be broadcasts (a node-constant ``u`` is read as one column).  The
+    result has shape ``(19,) + broadcast(rho, u[0])`` in ``u``'s dtype;
+    ``out`` receives it instead of a new array.
     """
-    cs2 = D3Q19.cs2
-    c, _, w = lattice_constants(u.dtype)
-    # tensordot dispatches to BLAS and beats einsum on large lattices.
-    cu = np.tensordot(c, u, axes=([1], [0]))
-    usq = (u * u).sum(axis=0)
-    out = np.divide(cu, cs2, out=out)
-    np.multiply(cu, cu, out=cu)
-    cu /= 2.0 * cs2**2
-    out += cu
-    usq /= 2.0 * cs2
-    np.subtract(1.0, usq, out=usq)
-    out += usq[None]
-    if np.ndim(rho) or rho != 1.0:  # x * 1.0 == x: skip the pass
-        out *= np.asarray(rho)[None]
-    out *= w[:, None, None, None]
+    u = np.asarray(u)
+    shape = np.broadcast_shapes(np.shape(rho), u.shape[1:])
+    dtype = np.result_type(u.dtype, np.float32)
+    if out is None:
+        out = np.empty((D3Q19.Q,) + shape, dtype=dtype)
+    out2 = out.reshape(D3Q19.Q, -1)
+    # reshape copies an ``out`` with no (19, N) view: fill that, copy back
+    copied = not np.may_share_memory(out2, out)
+    n = out2.shape[1]
+    if n == 0:
+        return out
+    rho2 = _node_columns(np.asarray(rho)[None], shape)
+    u2 = _node_columns(u, shape)
+    op = _operators(dtype)[0]
+
+    # GEMM windows: full GEMM_COLS-wide blocks, and for a ragged end the
+    # last GEMM_COLS columns again (a column's value does not depend on
+    # its place in the window, so the overlap is rewritten unchanged).
+    # Fewer columns than one window go through a zero-padded one.
+    small = n < GEMM_COLS
+    starts = list(range(0, n - GEMM_COLS + 1, GEMM_COLS))
+    if n % GEMM_COLS and not small:
+        starts.append(n - GEMM_COLS)
+    if small:
+        buf = np.empty((_N_PHI + D3Q19.Q) * GEMM_COLS, dtype=dtype)
+        panel = buf[:_N_PHI * GEMM_COLS].reshape(_N_PHI, GEMM_COLS)
+        panel[:, n:] = 0.0
+        product = buf[_N_PHI * GEMM_COLS:].reshape(D3Q19.Q, GEMM_COLS)
+        starts = [0]
+    else:
+        panel = np.empty((_N_PHI, PANEL), dtype=dtype)
+    per_panel = PANEL // GEMM_COLS
+    for p in range(0, len(starts), per_panel):
+        group = starts[p:p + per_panel]
+        lo, hi = group[0], min(group[-1] + GEMM_COLS, n)
+        x = panel[:, :hi - lo]
+        r = rho2[:, lo:hi] if rho2.shape[1] > 1 else rho2
+        v = u2[:, lo:hi] if u2.shape[1] > 1 else u2
+        x[0] = r[0]
+        np.multiply(v, r, out=x[1:4])
+        np.multiply(x[1:4], v, out=x[4:7])
+        for row, (a, b) in enumerate(_PAIRS, start=7):
+            np.multiply(x[1 + a], v[b], out=x[row])
+        for s in group:
+            cols = slice(s - lo, s - lo + GEMM_COLS)
+            if small:
+                np.matmul(op, panel[:, cols], out=product)
+                out2[:] = product[:, :n]
+            else:
+                np.matmul(op, panel[:, cols], out=out2[:, s:s + GEMM_COLS])
+    if copied:
+        out[...] = out2.reshape(out.shape)
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _operators(dtype, omega: float = 1.0, guo: float = 1.0):
-    """``omega M`` (19x10) and ``[omega M | guo G]`` (19x19) in ``dtype``."""
+    """``omega M`` (19x10) and ``[omega M | guo G]`` (19x19) in ``dtype``,
+    read-only (cached)."""
     full = np.hstack([omega * _M, guo * _G]).astype(dtype)
-    return np.ascontiguousarray(full[:, :_N_PHI]), full
+    phi = np.ascontiguousarray(full[:, :_N_PHI])
+    full.flags.writeable = phi.flags.writeable = False
+    return phi, full
 
 
 def collide_bgk(
@@ -464,12 +525,3 @@ def collide_bgk(
     if packed_out is not None:
         out[...] = packed_out
     return out, rho, scratch.u
-
-
-def non_equilibrium(f: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Non-equilibrium part f^neq = f - f^eq(rho, u).
-
-    The APR fine/coarse coupling rescales this part across grid levels
-    (Dupuis-Chopard); see :mod:`repro.core.refinement`.
-    """
-    return f - equilibrium(rho, u)

@@ -82,18 +82,27 @@ class Grid:
         rho: float | np.ndarray = 1.0,
         velocity: np.ndarray | None = None,
     ) -> None:
-        """Set distributions to the Maxwell-Boltzmann equilibrium."""
+        """Set distributions to the Maxwell-Boltzmann equilibrium.
+
+        ``rho`` is a scalar or an ``(nx, ny, nz)`` field; ``velocity`` is
+        ``None`` (rest), one ``(3,)`` vector for every node, or a
+        ``(3, nx, ny, nz)`` field.
+        """
         if velocity is None and np.ndim(rho) == 0 and rho == 1.0:
             # equilibrium(1, 0) is exactly w: every other term is zero.
             self.f[:] = D3Q19.w[:, None, None, None]
             self.mark_f_modified()
             return
-        nx, ny, nz = self.shape
         rho_arr = np.asarray(rho, float)
-        if velocity is None:
-            u = np.zeros((3, nx, ny, nz))
-        else:
-            u = np.broadcast_to(np.asarray(velocity, float), (3, nx, ny, nz))
+        u = np.zeros(3) if velocity is None else np.asarray(velocity, float)
+        if u.shape == (3,):
+            u = u.reshape(3, 1, 1, 1)
+        elif u.shape != (3,) + tuple(self.shape):
+            raise ValueError(
+                f"velocity must have shape (3,) or {(3,) + tuple(self.shape)},"
+                f" got {u.shape}"
+            )
+        u = np.broadcast_to(u, (3,) + tuple(self.shape))
         if self.f.dtype == u.dtype:
             equilibrium(rho_arr, u, out=self.f)
         else:

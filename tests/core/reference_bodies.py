@@ -1,16 +1,28 @@
-"""Pre-pruning seeding and controller bodies, kept as test oracles.
+"""Earlier seeding, controller and window-fill bodies, kept as test oracles.
 
 Until stamping pruned the periodic tile copies, ``stamp_tile`` ran its
 per-copy code for every one of the ``(2n + 1)^3`` copies, and the
 hematocrit controller recomputed the subregion tiling, the wall filter
 and the fluid fractions, and read every RBC's volume and centroid cell by
 cell, on every pass.
+
+Until the window fill became a separable prolongation, it built a sparse
+trilinear operator over every fluid fine node (:func:`interpolation_operator`),
+applied it once to the coarse ``(rho, u, f^neq)`` rows of the nodes it
+read, and formed f^eq term by term (:func:`operator_fill`).
 """
 
 import numpy as np
+from scipy import sparse
 
 from repro.analytics import region_hematocrit
+from repro.core.refinement import trilinear
+from repro.core.viscosity import stress_match_scale_to_fine
+from repro.ibm.coupling import make_stencil
+from repro.lbm.collision import macroscopic
 from repro.membrane import CellKind
+
+from ..lbm.reference_bodies import tensordot_equilibrium
 
 
 def full_scan_candidates(tile, lo, hi, stamp_rot, offset):
@@ -90,3 +102,51 @@ def uncached_maintain(ctrl, manager, stamp, protect=frozenset()):
             inserted += len(stamp(lo, hi, existing))
     ctrl.n_inserted += inserted
     return inserted
+
+
+def interpolation_operator(frac_coords, coarse_shape, mode="clip"):
+    """:func:`trilinear` at fixed points as a sparse matrix ``(W, src)``.
+
+    ``src`` holds the sorted flat (C-order) indices of the coarse nodes
+    the points read, and ``W`` is CSR of shape ``(N, len(src))`` with at
+    most 8 entries per row (zero weights dropped, so a point coincident
+    with a coarse node reads that node alone).  For any field ``phi`` of
+    shape ``coarse_shape``, ``W @ phi.reshape(-1)[src]`` equals
+    ``trilinear(phi, frac_coords, mode)`` to rounding.
+    """
+    stencil = make_stencil(frac_coords, coarse_shape, "linear2", mode)
+    weights = stencil.w.reshape(-1)
+    keep = np.flatnonzero(weights)
+    nodes = stencil.flat_indices()[keep]
+    read = np.zeros(int(np.prod(coarse_shape)), dtype=bool)
+    read[nodes] = True
+    src = np.flatnonzero(read)
+    cols = (np.cumsum(read) - 1)[nodes]
+    rows = keep // 8  # 2 x 2 x 2 weights per point, in point order
+    # Duplicate (row, col) pairs are summed by the COO -> CSR conversion.
+    op = sparse.csr_matrix(
+        (weights[keep], (rows, cols)), shape=(stencil.n_markers, len(src))
+    )
+    return op, src
+
+
+def operator_fill(rr):
+    """What the operator-based ``initialize_fine_from_coarse`` wrote:
+    ``(flat fluid fine nodes, (19, N) populations)``."""
+    cg, fg = rr.coarse.grid, rr.fine.grid
+    mode = "wrap" if rr.periodic_axes else "clip"
+    fluid = np.flatnonzero(~fg.solid)
+    idx = np.stack(np.unravel_index(fluid, fg.shape), axis=1)
+    frac = cg.physical_to_index(fg.origin + fg.spacing * idx)
+    op, src = interpolation_operator(frac, cg.shape, mode)
+    f = cg.f.reshape(19, -1)[:, src]
+    rho, u = macroscopic(f, cg.force.reshape(3, -1)[:, src])
+    state = np.concatenate([rho[None], u, f - tensordot_equilibrium(rho, u)])
+    state = np.ascontiguousarray((op @ state.T).T)
+    if isinstance(cg.tau, np.ndarray):
+        tau_c = trilinear(cg.tau, frac, mode)
+    else:
+        tau_c = np.full(len(frac), float(cg.tau))
+    scale = stress_match_scale_to_fine(tau_c, fg.tau)
+    feq = tensordot_equilibrium(state[0], state[1:4])
+    return fluid, feq + scale * state[4:]

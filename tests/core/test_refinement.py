@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import RefinedRegion, tau_fine_from_coarse, trilinear
-from repro.core.refinement import interpolation_operator
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.lbm import D3Q19, Grid, LBMSolver
-from repro.lbm.collision import equilibrium, macroscopic
+from repro.lbm.collision import macroscopic
+
+from ..lbm.reference_bodies import tensordot_equilibrium
+from .reference_bodies import interpolation_operator, operator_fill
 
 
 def _coupled(n=2, coarse_shape=(12, 12, 12), w=4, tau_c=0.9, lam=1.0, i0=(3, 3, 3)):
@@ -172,13 +174,12 @@ def test_shear_verification_small_scale():
 
 
 # ----------------------------------------------------------------------
-# Ghost coupling as a precomputed operator: the implementation it
-# replaced -- time-blend the whole coarse fields, then three `trilinear`
-# passes -- is kept here as the oracle.
+# Ghost coupling: the first implementation -- time-blend the whole coarse
+# fields, then three `trilinear` passes -- is kept here as the oracle.
 
 def _oracle_coarse_state(cg):
     rho, u = macroscopic(cg.f, cg.force)
-    return rho, u, cg.f - equilibrium(rho, u)
+    return rho, u, cg.f - tensordot_equilibrium(rho, u)
 
 
 def _oracle_populations(rr, state, idx):
@@ -196,8 +197,8 @@ def _oracle_populations(rr, state, idx):
     else:
         tau_c = np.full(len(frac), float(cg.tau))
     scale = stress_match_scale_to_fine(tau_c, fg.tau)
-    feq = equilibrium(rho_i.reshape(-1, 1, 1), u_i.T.reshape(3, -1, 1, 1))
-    return feq[:, :, 0, 0] + scale[None, :] * fneq_i
+    feq = tensordot_equilibrium(rho_i, np.ascontiguousarray(u_i.T))
+    return feq + scale[None, :] * fneq_i
 
 
 def _oracle_shell(rr):
@@ -396,10 +397,10 @@ def test_impose_allocation_is_shell_sized_and_independent_of_coarse_grid():
     assert peak_doubled <= 1.05 * peak
 
 
-def test_one_step_applies_operator_twice_and_imposes_n_plus_one_times():
+def test_one_step_captures_shell_state_twice_and_imposes_n_plus_one_times():
     n = 4
     _, _, rr = _coupled(n=n, coarse_shape=(10, 10, 10), w=3)
-    calls = {"apply": 0, "impose": 0}
+    calls = {"capture": 0, "impose": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -408,9 +409,126 @@ def test_one_step_applies_operator_twice_and_imposes_n_plus_one_times():
 
         return wrapper
 
-    rr._interpolated_state = counted("apply", rr._interpolated_state)
+    rr._ghost_state = counted("capture", rr._ghost_state)
     rr._impose_ghosts = counted("impose", rr._impose_ghosts)
     rr.step(1)
-    assert calls == {"apply": 2, "impose": n + 1}
+    assert calls == {"capture": 2, "impose": n + 1}
     rr.step(2)
-    assert calls == {"apply": 6, "impose": 3 * (n + 1)}
+    assert calls == {"capture": 6, "impose": 3 * (n + 1)}
+
+
+# ----------------------------------------------------------------------
+# The window fill as a separable prolongation: the operator-based fill it
+# replaced (`tests/core/reference_bodies.py`) is the oracle.
+
+def _fill_case(case, n):
+    """(coarse, fine, rr) for one float64 fill configuration, coarse
+    perturbed."""
+    rng = np.random.default_rng(17 + n)
+    tau_c = 0.9
+    periodic = ()
+    if case == "wrap":
+        cshape, w = (5, 9, 4), (5, 3, 4)
+        origin = np.array([0.0, 3.0, 0.0])
+        periodic = (0, 2)
+    else:
+        cshape, w = (9, 8, 10), (3, 2, 4)
+        origin = np.array([2.0, 3.0, 4.0])
+    fshape = tuple(
+        n * w[d] if d in periodic else n * w[d] + 1 for d in range(3)
+    )
+    tau = 0.7 + 0.5 * rng.random(cshape) if case == "tau_field" else tau_c
+    cg = Grid(cshape, tau=tau, spacing=float(n), dtype="float64")
+    fg = Grid(fshape, tau=tau_fine_from_coarse(tau_c, n, 0.6),
+              origin=origin * n, spacing=1.0, dtype="float64")
+    if case == "walled":
+        x, y, z = np.meshgrid(*[np.arange(s) for s in fshape], indexing="ij")
+        r2 = (y - fshape[1] / 2) ** 2 + (z - fshape[2] / 2) ** 2
+        fg.solid[:] = r2 > (0.4 * min(fshape[1:])) ** 2
+    cg.force[:] = 1e-3 * rng.standard_normal(cg.force.shape)
+    coarse, fine = LBMSolver(cg, []), LBMSolver(fg, [])
+    rr = RefinedRegion(coarse, fine, n, periodic_axes=periodic)
+    _perturb(cg, rng)
+    return coarse, fine, rr
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", ["clip", "wrap", "walled", "tau_field"])
+def test_fill_matches_operator_fill(case, n):
+    _, fine, rr = _fill_case(case, n)
+    fg = fine.grid
+    nodes, expected = operator_fill(rr)
+    fg.f[:] = np.nan
+    rr.initialize_fine_from_coarse()
+    got = fg.f.reshape(19, -1)
+    # solid nodes untouched, every fluid node written
+    assert np.isnan(np.delete(got, nodes, axis=1)).all()
+    assert np.abs(got[:, nodes] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_fill_and_shell_agree_on_the_shell(n):
+    """The fill and the θ = 0 shell prolong the same coarse rows with the
+    same 1-D rules, so on the shell they write the same populations (to
+    the last ulp: their GEMMs have different shapes)."""
+    _, fine, rr = _fill_case("walled", n)
+    fg = fine.grid
+    rr.initialize_fine_from_coarse()
+    filled = fg.f.reshape(19, -1)[:, rr._ghost_flat].copy()
+    rr._state_prev = rr._state_next = rr._ghost_state()
+    rr._impose_ghosts(0.0)
+    gap = np.abs(fg.f.reshape(19, -1)[:, rr._ghost_flat] - filled).max()
+    assert gap <= 4 * np.finfo(np.float64).eps * np.abs(filled).max()
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_shell_endpoints_write_the_captured_state(theta):
+    """At θ = 0 and θ = 1 the shell takes the captured state as is: f^eq
+    of its (rho, u) rows plus its (already rescaled) f^neq rows."""
+    from repro.lbm.collision import equilibrium
+
+    coarse, fine, rr = _coupling_case("tau_field", "float64")
+    rr._state_prev = rr._ghost_state()
+    coarse.step()
+    rr._state_next = rr._ghost_state()
+    state = rr._state_next if theta else rr._state_prev
+    before = state.copy()
+    rr._impose_ghosts(theta)
+    want = equilibrium(state[0], state[1:4]) + state[4:]
+    assert np.array_equal(fine.grid.f.reshape(19, -1)[:, rr._ghost_flat], want)
+    assert np.array_equal(state, before)
+
+
+def _fill_peak_bytes(walled):
+    import tracemalloc
+
+    n = 4
+    cg = Grid((20, 20, 20), tau=0.9, spacing=float(n))
+    fg = Grid((33,) * 3, tau=0.9, origin=np.array([12.0, 12.0, 12.0]),
+              spacing=1.0)
+    if walled:
+        x, y, z = np.meshgrid(*[np.arange(33)] * 3, indexing="ij")
+        fg.solid[:] = (y - 16) ** 2 + (z - 16) ** 2 > 10.5 ** 2
+    coarse, fine = LBMSolver(cg, []), LBMSolver(fg, [])
+    rr = RefinedRegion(coarse, fine, n)
+    _perturb(cg, np.random.default_rng(2))
+    rr.initialize_fine_from_coarse()  # warm every cache
+    tracemalloc.start()
+    try:
+        rr.initialize_fine_from_coarse()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the fill works in float64 whatever the lattice dtype
+    return peak, 8 * fg.f.size, float((~fg.solid).mean())
+
+
+@pytest.mark.parametrize("walled", [False, True])
+def test_fill_allocates_a_fraction_of_the_fine_lattice(walled):
+    """The fill prolongs one coarse cell of fine planes at a time: its
+    peak allocation stays below the (float64) fine lattice it writes
+    (measured 0.62x all-fluid, 0.76x walled at ~32% fluid), where the
+    operator fill allocated 3.96x and 1.28x."""
+    peak, lattice_bytes, fluid = _fill_peak_bytes(walled)
+    assert (0.3 < fluid < 0.34) if walled else fluid == 1.0
+    assert peak <= 0.85 * lattice_bytes

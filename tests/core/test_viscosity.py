@@ -12,8 +12,6 @@ from repro.core import (
 )
 from repro.core.viscosity import (
     max_stable_ratio,
-    non_equilibrium_rescale_to_coarse,
-    non_equilibrium_rescale_to_fine,
     stress_match_scale_to_coarse,
     stress_match_scale_to_fine,
 )
@@ -69,20 +67,6 @@ def test_validation():
         tau_fine_from_coarse(1.0, 2, 0.0)
     with pytest.raises(ValueError):
         lambda_from_viscosities(0.0, 1.0)
-
-
-def test_rescale_factors_are_inverses():
-    f = non_equilibrium_rescale_to_fine(1.0, 1.75, 5, 0.5)
-    c = non_equilibrium_rescale_to_coarse(1.0, 1.75, 5, 0.5)
-    assert np.isclose(f * c, 1.0)
-
-
-def test_rescale_reduces_to_dupuis_chopard_at_lambda_one():
-    tau_c, n = 1.0, 4
-    tau_f = tau_fine_from_coarse(tau_c, n, 1.0)
-    assert np.isclose(
-        non_equilibrium_rescale_to_fine(tau_c, tau_f, n, 1.0), tau_f / (n * tau_c)
-    )
 
 
 def test_stress_match_reduces_to_dupuis_chopard_single_fluid():

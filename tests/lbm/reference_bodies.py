@@ -10,6 +10,9 @@
   advanced one lattice in place, every grid held a second one: the step
   collided ``f`` into it, streamed it back with up to eight slab copies
   per direction, and bounce-back read the reflected values from it.
+* :func:`tensordot_equilibrium` — until f^eq went through the collide's
+  moment operator (``M @ Phi``), it was formed term by term from
+  ``c . u`` (a tensordot) and ``u . u`` in lattice-sized passes.
 """
 
 import numpy as np
@@ -75,3 +78,23 @@ def mask_bounce_back(f_new, f_post, masks, wall_velocity=None, rho_wall=1.0):
             else:
                 cu = np.einsum("a,a...->...", ci, uw)[m]
                 f_new[i][m] += 2.0 * D3Q19.w[i] * rho_wall * cu / cs2
+
+
+def tensordot_equilibrium(rho, u, out=None):
+    """f^eq = w rho [1 + cu/cs2 + cu^2/(2 cs4) - u.u/(2 cs2)], term by term."""
+    cs2 = D3Q19.cs2
+    c = D3Q19.c.astype(u.dtype)
+    w = D3Q19.w.astype(u.dtype)
+    cu = np.tensordot(c, u, axes=([1], [0]))
+    usq = (u * u).sum(axis=0)
+    out = np.divide(cu, cs2, out=out)
+    np.multiply(cu, cu, out=cu)
+    cu /= 2.0 * cs2**2
+    out += cu
+    usq /= 2.0 * cs2
+    np.subtract(1.0, usq, out=usq)
+    out += usq[None]
+    if np.ndim(rho) or rho != 1.0:
+        out *= np.asarray(rho)[None]
+    out *= w.reshape((-1,) + (1,) * (out.ndim - 1))
+    return out

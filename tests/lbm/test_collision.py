@@ -14,9 +14,10 @@ from repro.lbm.collision import (
     equilibrium,
     macroscopic,
     moments,
-    non_equilibrium,
     patch_moments,
 )
+
+from .reference_bodies import tensordot_equilibrium
 
 SHAPE = (4, 5, 6)
 
@@ -50,7 +51,7 @@ def collide_multipass(f, tau, force=None):
     if force is not None:
         mom = mom + 0.5 * force
     u = mom / rho
-    feq = equilibrium(rho, u)
+    feq = tensordot_equilibrium(rho, u)
     out = (f - feq) * (1.0 - 1.0 / tau) + feq
     if force is not None:
         out += guo_source(u, force, tau)
@@ -171,13 +172,6 @@ def test_guo_source_zero_without_force(rng):
     u = 0.01 * rng.standard_normal((3,) + SHAPE)
     src = guo_source(u, np.zeros((3,) + SHAPE), tau=0.8)
     assert np.allclose(src, 0.0)
-
-
-def test_non_equilibrium_definition(rng):
-    rho, u = _random_state(rng)
-    f = equilibrium(rho, u) * (1.0 + 0.01 * rng.standard_normal((19,) + SHAPE))
-    fneq = non_equilibrium(f, rho, u)
-    assert np.allclose(f - fneq, equilibrium(rho, u))
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,6 +385,95 @@ def test_tau_one_skip_equals_relaxation_through_tau_field(rng, force_kind,
     aliased = f.copy()
     collide_bgk(aliased, 1.0, force, out=aliased)
     assert np.array_equal(aliased, skipped)
+
+
+# ----------------------------------------------------------------------
+# Equilibrium as M @ Phi vs the term-by-term oracle
+
+
+def _rho_input(rng, shape, kind):
+    if kind == "one":
+        return 1.0
+    if kind == "scalar":
+        return 1.03
+    return 1.0 + 0.05 * rng.standard_normal(shape)
+
+
+def _u_input(rng, shape, kind, dtype):
+    if kind == "constant":
+        vec = (0.05 * rng.standard_normal(3)).astype(dtype)
+        return np.broadcast_to(vec.reshape(3, 1, 1, 1), (3,) + shape)
+    return (0.05 * rng.standard_normal((3,) + shape)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-14), (np.float32, 1e-6)])
+@pytest.mark.parametrize("u_kind", ["field", "constant"])
+@pytest.mark.parametrize("rho_kind", ["one", "scalar", "field"])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_equilibrium_matches_tensordot_oracle(rng, shape, rho_kind, u_kind,
+                                              dtype, tol):
+    rho = _rho_input(rng, shape, rho_kind)
+    u = _u_input(rng, shape, u_kind, dtype)
+    got = equilibrium(rho, u)
+    want = tensordot_equilibrium(rho, np.ascontiguousarray(u))
+    assert got.shape == (19,) + shape and got.dtype == dtype
+    assert np.abs(got / want - 1.0).max() <= tol
+    out = np.full_like(got, np.nan)
+    assert equilibrium(rho, u, out=out) is out
+    assert np.array_equal(out, got)
+
+
+def test_equilibrium_into_strided_out(rng):
+    """``out`` may be a view that has no ``(19, N)`` form."""
+    shape = (6, 7, 8)
+    rho = _rho_input(rng, shape, "field")
+    u = _u_input(rng, shape, "field", np.float64)
+    want = equilibrium(rho, u)
+    buf = np.full((19,) + (6, 9, 8), np.nan)
+    view = buf[:, :, 1:8]
+    assert equilibrium(rho, u, out=view) is view
+    assert np.array_equal(view, want)
+    assert np.isnan(buf[:, :, [0, 8]]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_tau_one_collide_is_the_equilibrium_bit_for_bit(rng, shape, dtype):
+    """Without a force, ``collide_bgk(f, 1)`` is ``M @ Phi(rho, mom/rho)``,
+    which is what ``equilibrium`` evaluates."""
+    f = _perturbed_state(rng, shape, dtype)
+    post, _, _ = collide_bgk(f, 1.0)
+    rho, mom = moments(f)
+    assert np.array_equal(post, equilibrium(rho, mom / rho))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equilibrium_does_not_depend_on_block_shape(data):
+    """f^eq of a sub-block is bitwise the same columns of the whole."""
+    dims = st.integers(1, 30)
+    shape = (data.draw(dims), data.draw(dims), data.draw(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rho = _rho_input(rng, shape, data.draw(st.sampled_from(["one", "field"])))
+    u = _u_input(rng, shape, "field", np.float64)
+    full = equilibrium(rho, u)
+    for _ in range(3):
+        sl = []
+        for n in shape:
+            lo = data.draw(st.integers(0, n - 1))
+            sl.append(slice(lo, data.draw(st.integers(lo + 1, n))))
+        sl = tuple(sl)
+        idx = (slice(None),) + sl
+        blk = equilibrium(
+            rho if np.ndim(rho) == 0 else np.ascontiguousarray(rho[sl]),
+            np.ascontiguousarray(u[idx]),
+        )
+        assert np.array_equal(blk, full[idx])
+        flat = equilibrium(
+            rho if np.ndim(rho) == 0 else rho[sl].reshape(-1),
+            u[idx].reshape(3, -1),
+        )
+        assert np.array_equal(flat, full[idx].reshape(19, -1))
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,28 @@ def test_init_equilibrium_with_fields(rng):
     assert np.allclose(u2, vel, atol=atol)
 
 
+@pytest.mark.parametrize("shape", [(4, 4, 3), (5, 6, 7)])
+def test_init_equilibrium_with_one_velocity_for_every_node(shape):
+    """A ``(3,)`` velocity is the same vector at every node, on any shape
+    (on a grid with nz == 3 it is not three values along z)."""
+    g = Grid(shape, tau=0.8)
+    vel = np.array([0.05, 0.0, -0.01])
+    g.init_equilibrium(1.0, vel)
+    _, u = macroscopic(g.f)
+    tol = 1e-15 if g.dtype == np.float64 else 1e-7
+    assert np.abs(u - vel[:, None, None, None]).max() <= tol
+    field = np.ascontiguousarray(np.broadcast_to(vel[:, None, None, None],
+                                                 (3,) + shape))
+    assert np.array_equal(g.f, equilibrium(1.0, field).astype(g.dtype))
+
+
+@pytest.mark.parametrize("bad", [(1, 3), (3, 4), (3, 4, 4, 1), (2, 4, 4, 3)])
+def test_init_equilibrium_rejects_other_velocity_shapes(bad):
+    g = Grid((4, 4, 3), tau=0.8)
+    with pytest.raises(ValueError, match=r"\(3, 4, 4, 3\)"):
+        g.init_equilibrium(1.0, np.zeros(bad))
+
+
 def test_node_positions_and_axis_coords():
     g = Grid((3, 4, 5), tau=0.8, origin=np.array([1.0, 2.0, 3.0]), spacing=0.5)
     pos = g.node_positions()

@@ -145,13 +145,8 @@ def test_coupling_build_phase_and_gauges():
     n_ghost = tel.gauge("refinement.ghost_nodes").value
     fshape = np.array(sim.fine.grid.shape)
     assert n_ghost == np.prod(fshape) - np.prod(fshape - 2)
-    n_src = tel.gauge("refinement.ghost_source_nodes").value
-    nnz = tel.gauge("refinement.operator_nnz").value
-    assert coupling._ghost_op.shape == (n_ghost, n_src)
-    # every shell node lies on a window face, so it reads at most the 4
-    # coarse nodes of one face cell, and at least itself
-    assert n_ghost <= nnz <= 4 * n_ghost
-    assert 0 < n_src < sim.coarse.grid.f[0].size
+    assert len(coupling._ghost_flat) == n_ghost
+    assert len(np.unique(coupling._ghost_flat)) == n_ghost
 
 
 def test_apr_diagnostics_sampled_on_cadence(tmp_path):
