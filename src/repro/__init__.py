@@ -30,37 +30,26 @@ Package map (details in DESIGN.md):
 * :mod:`repro.experiments` — per-figure experiment drivers
 * :mod:`repro.io` — CSV output, checkpointing
 * :mod:`repro.telemetry` — phase timers, metrics, structured run events
+
+Every package root binds its names on first access, so a process loads
+only the layers its run uses (DESIGN.md §3, "Import rule").
 """
 
-from .constants import (
-    PLASMA_VISCOSITY_CP,
-    WHOLE_BLOOD_VISCOSITY_CP,
-    RBC_DIAMETER,
-    CTC_DIAMETER,
-)
-from .units import UnitSystem
-from .core import APRConfig, APRSimulation, Window, WindowSpec
-from .fsi import CellManager, FSIStepper
-from .membrane import make_ctc, make_rbc
-from .telemetry import NullTelemetry, Telemetry
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "UnitSystem",
-    "APRConfig",
-    "APRSimulation",
-    "Window",
-    "WindowSpec",
-    "CellManager",
-    "FSIStepper",
-    "make_rbc",
-    "make_ctc",
-    "Telemetry",
-    "NullTelemetry",
-    "PLASMA_VISCOSITY_CP",
-    "WHOLE_BLOOD_VISCOSITY_CP",
-    "RBC_DIAMETER",
-    "CTC_DIAMETER",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".units": ("UnitSystem",),
+    ".core": ("APRConfig", "APRSimulation", "Window", "WindowSpec"),
+    ".fsi": ("CellManager", "FSIStepper"),
+    ".membrane": ("make_rbc", "make_ctc"),
+    ".telemetry": ("Telemetry", "NullTelemetry"),
+    ".constants": (
+        "PLASMA_VISCOSITY_CP",
+        "WHOLE_BLOOD_VISCOSITY_CP",
+        "RBC_DIAMETER",
+        "CTC_DIAMETER",
+    ),
+})
+__all__.append("__version__")

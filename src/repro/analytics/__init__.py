@@ -10,39 +10,28 @@ Everything the paper's evaluation compares against lives here:
 * hematocrit measurement utilities for Fig. 5B
 """
 
-from .shear import (
-    three_layer_couette_profile,
-    three_layer_shear_stress,
-    l2_error_norm,
-)
-from .rheology import (
-    pries_mu45,
-    pries_shape_C,
-    pries_relative_viscosity,
-    fahraeus_ratio,
-    tube_from_discharge_hematocrit,
-    discharge_from_tube_hematocrit,
-    poiseuille_effective_viscosity,
-    poiseuille_pressure_drop,
-)
-from .trajectory import radial_displacement, margination_metrics, trajectory_rms_difference
-from .hematocrit import region_hematocrit, cell_volume_in_box
+from .._lazy import lazy_exports
 
-__all__ = [
-    "three_layer_couette_profile",
-    "three_layer_shear_stress",
-    "l2_error_norm",
-    "pries_mu45",
-    "pries_shape_C",
-    "pries_relative_viscosity",
-    "fahraeus_ratio",
-    "tube_from_discharge_hematocrit",
-    "discharge_from_tube_hematocrit",
-    "poiseuille_effective_viscosity",
-    "poiseuille_pressure_drop",
-    "radial_displacement",
-    "margination_metrics",
-    "trajectory_rms_difference",
-    "region_hematocrit",
-    "cell_volume_in_box",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".shear": (
+        "three_layer_couette_profile",
+        "three_layer_shear_stress",
+        "l2_error_norm",
+    ),
+    ".rheology": (
+        "pries_mu45",
+        "pries_shape_C",
+        "pries_relative_viscosity",
+        "fahraeus_ratio",
+        "tube_from_discharge_hematocrit",
+        "discharge_from_tube_hematocrit",
+        "poiseuille_effective_viscosity",
+        "poiseuille_pressure_drop",
+    ),
+    ".trajectory": (
+        "radial_displacement",
+        "margination_metrics",
+        "trajectory_rms_difference",
+    ),
+    ".hematocrit": ("region_hematocrit", "cell_volume_in_box"),
+})

@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -85,14 +87,93 @@ def discharge_from_tube_hematocrit(
         raise ValueError("tube hematocrit must be in [0, 1)")
     if hematocrit_tube == 0.0:
         return 0.0
-    # Imported here: ``import repro`` reaches this module, and loading
-    # scipy.optimize is a fifth of that import in every worker process.
-    from scipy.optimize import brentq
 
     def resid(htd: float) -> float:
         return htd * float(fahraeus_ratio(diameter_um, htd)) - hematocrit_tube
 
-    return float(brentq(resid, 1e-9, 1.0 - 1e-9))
+    return _brentq(resid, 1e-9, 1.0 - 1e-9)
+
+
+#: ``scipy.optimize.brentq``'s default tolerances and iteration cap.
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f, a: float, b: float) -> float:
+    """A root of ``f`` in ``[a, b]`` by Brent's method.
+
+    ``scipy.optimize.brentq`` with its default tolerances, operation for
+    operation, so the root is bit-identical; ported so that one scalar
+    inversion does not load ``scipy.optimize`` (8 MiB and a hundred
+    modules).  Raises scipy's errors: ``ValueError`` when ``f(a)`` and
+    ``f(b)`` have the same sign or ``f`` returns NaN, ``RuntimeError``
+    after ``_BRENTQ_MAXITER`` iterations without convergence.
+    """
+    xtol, rtol = _BRENTQ_XTOL, _BRENTQ_RTOL
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENTQ_MAXITER} iterations."
+    )
 
 
 def poiseuille_effective_viscosity(

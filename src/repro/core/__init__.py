@@ -15,34 +15,23 @@ the vasculature tracking a circulating tumor cell:
 * :mod:`repro.core.apr` — the full APR simulation driver.
 """
 
-from .viscosity import (
-    tau_fine_from_coarse,
-    tau_coarse_from_fine,
-    lambda_from_viscosities,
-)
-from .refinement import RefinedRegion, trilinear
-from .window import WindowSpec, Window, Region
-from .seeding import RBCTile, stamp_tile, HematocritController, equilibrate_tile
-from .moving import WindowMover, classify_for_move
-from .tracking import CTCTracker
-from .apr import APRSimulation, APRConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "tau_fine_from_coarse",
-    "tau_coarse_from_fine",
-    "lambda_from_viscosities",
-    "RefinedRegion",
-    "trilinear",
-    "WindowSpec",
-    "Window",
-    "Region",
-    "RBCTile",
-    "stamp_tile",
-    "HematocritController",
-    "equilibrate_tile",
-    "WindowMover",
-    "classify_for_move",
-    "CTCTracker",
-    "APRSimulation",
-    "APRConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".viscosity": (
+        "tau_fine_from_coarse",
+        "tau_coarse_from_fine",
+        "lambda_from_viscosities",
+    ),
+    ".refinement": ("RefinedRegion", "trilinear"),
+    ".window": ("WindowSpec", "Window", "Region"),
+    ".seeding": (
+        "RBCTile",
+        "stamp_tile",
+        "HematocritController",
+        "equilibrate_tile",
+    ),
+    ".moving": ("WindowMover", "classify_for_move"),
+    ".tracking": ("CTCTracker",),
+    ".apr": ("APRSimulation", "APRConfig"),
+})

@@ -8,24 +8,18 @@ for overlap detection (Section 2.4.2), deterministic overlap removal by
 global ID, intercellular contact forces, and the coupled IBM time stepper.
 """
 
-from .pool import VertexPool
-from .subgrid import UniformSubgrid
-from .cell_manager import CellManager
-from .overlap import find_overlapping_vertices, remove_overlaps, cell_overlaps_existing
-from .contact import ContactList, contact_forces
-from .walls import wall_repulsion_forces, wall_normals_from_sdf
-from .stepper import FSIStepper
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VertexPool",
-    "UniformSubgrid",
-    "CellManager",
-    "find_overlapping_vertices",
-    "remove_overlaps",
-    "cell_overlaps_existing",
-    "ContactList",
-    "contact_forces",
-    "wall_repulsion_forces",
-    "wall_normals_from_sdf",
-    "FSIStepper",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pool": ("VertexPool",),
+    ".subgrid": ("UniformSubgrid",),
+    ".cell_manager": ("CellManager",),
+    ".overlap": (
+        "find_overlapping_vertices",
+        "remove_overlaps",
+        "cell_overlaps_existing",
+    ),
+    ".contact": ("ContactList", "contact_forces"),
+    ".walls": ("wall_repulsion_forces", "wall_normals_from_sdf"),
+    ".stepper": ("FSIStepper",),
+})

@@ -8,24 +8,15 @@ machinery needs from a geometry: a wall mask for the lattice and a
 centerline path for the moving window.
 """
 
-from .primitives import (
-    BoxChannel,
-    Tube,
-    ExpandingChannel,
-    sdf_capsule,
-)
-from .voxelize import solid_mask_from_sdf, solid_mask_for_grid
-from .vasculature import VascularTree, murray_tree, cerebral_tree, upper_body_tree
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BoxChannel",
-    "Tube",
-    "ExpandingChannel",
-    "sdf_capsule",
-    "solid_mask_from_sdf",
-    "solid_mask_for_grid",
-    "VascularTree",
-    "murray_tree",
-    "cerebral_tree",
-    "upper_body_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".primitives": ("BoxChannel", "Tube", "ExpandingChannel", "sdf_capsule"),
+    ".voxelize": ("solid_mask_from_sdf", "solid_mask_for_grid"),
+    ".vasculature": (
+        "VascularTree",
+        "murray_tree",
+        "cerebral_tree",
+        "upper_body_tree",
+    ),
+})

@@ -8,30 +8,18 @@ approximation with four-point support that the paper uses; Peskin's
 ablation benchmark.
 """
 
-from .kernels import cosine4, peskin4, linear2, KERNELS, DeltaKernel
-from .coupling import (
-    IBMCoupler,
-    Stencil,
-    StencilBuilder,
-    interpolate,
-    interpolate_with_stencil,
-    make_stencil,
-    spread,
-    spread_with_stencil,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "cosine4",
-    "peskin4",
-    "linear2",
-    "KERNELS",
-    "DeltaKernel",
-    "interpolate",
-    "spread",
-    "IBMCoupler",
-    "Stencil",
-    "StencilBuilder",
-    "make_stencil",
-    "interpolate_with_stencil",
-    "spread_with_stencil",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".kernels": ("cosine4", "peskin4", "linear2", "KERNELS", "DeltaKernel"),
+    ".coupling": (
+        "IBMCoupler",
+        "Stencil",
+        "StencilBuilder",
+        "interpolate",
+        "interpolate_with_stencil",
+        "make_stencil",
+        "spread",
+        "spread_with_stencil",
+    ),
+})

@@ -40,6 +40,12 @@ from .kernels import KERNELS, DeltaKernel
 INDEX_DTYPE = np.int32
 
 
+#: Markers per pass of the weight evaluation.  The pass temporaries (the
+#: ``(m, 3, S)`` kernel arguments and the ``(m, S*S)`` outer product)
+#: then stay cache-sized instead of growing with the population.
+WEIGHT_CHUNK = 2048
+
+
 def _marker_weights(
     positions: np.ndarray,
     kernel: DeltaKernel,
@@ -48,28 +54,32 @@ def _marker_weights(
     """Base cells and combined kernel weights of each marker.
 
     The one weight evaluation of a stencil build (stateless and
-    incremental alike).
+    incremental alike), made :data:`WEIGHT_CHUNK` markers at a time.
 
     Returns
     -------
     base : (N, 3) int64 base cells ``floor(positions)``
     w : (N, S, S, S) weights ``phi(dx_a) phi(dy_b) phi(dz_c)``, written
         into ``w_out`` when given.  Formed as ``(wa * wb) * wc``: the
-        ``(N, S*S)`` outer product of the first two axes, then one pass
+        ``(m, S*S)`` outer product of the first two axes, then one pass
         per ``c`` with inner loops of ``S*S`` (length-``S`` inner loops
-        over all ``N * S**3`` entries cost twice as much).
+        over all ``m * S**3`` entries cost twice as much).
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     n, s = pos.shape[0], kernel.support
     base = np.floor(pos).astype(np.int64)
-    nodes = base[:, :, None] + kernel.offsets()  # (N, 3, S), unwrapped
-    wa, wb, wc = np.moveaxis(kernel.phi(pos[:, :, None] - nodes), 1, 0)
-    ab = (wa[:, :, None] * wb[:, None, :]).reshape(n, s * s)
+    offsets = kernel.offsets()
     if w_out is None:
         w_out = np.empty((n, s, s, s), dtype=np.float64)
     w = w_out.reshape(n, s * s, s)
-    for c in range(s):
-        np.multiply(ab, wc[:, c, None], out=w[:, :, c])
+    for lo in range(0, n, WEIGHT_CHUNK):
+        hi = min(lo + WEIGHT_CHUNK, n)
+        nodes = base[lo:hi, :, None] + offsets  # (m, 3, S), unwrapped
+        phi = kernel.phi(pos[lo:hi, :, None] - nodes)
+        wa, wb, wc = np.moveaxis(phi, 1, 0)
+        ab = (wa[:, :, None] * wb[:, None, :]).reshape(hi - lo, s * s)
+        for c in range(s):
+            np.multiply(ab, wc[:, c, None], out=w[lo:hi, :, c])
     return base, w.reshape(n, s, s, s)
 
 

@@ -5,19 +5,18 @@ paper's artifact description); this package mirrors that: CSV time series
 and trajectories, and npz checkpoint/restore of full simulation state.
 """
 
-from .csvout import write_csv, read_csv, TrajectoryWriter, TimeSeriesWriter
-from .checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
-    "write_csv",
-    "read_csv",
-    "TrajectoryWriter",
-    "TimeSeriesWriter",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".csvout": (
+        "write_csv",
+        "read_csv",
+        "TrajectoryWriter",
+        "TimeSeriesWriter",
+    ),
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA_VERSION",
+        "load_checkpoint",
+        "save_checkpoint",
+    ),
+})

@@ -6,33 +6,20 @@ with an external force field (Eq. 1), halfway bounce-back walls, and
 velocity/pressure boundary conditions.
 """
 
-from .lattice import D3Q19
-from .grid import Grid
-from .collision import collide_bgk, equilibrium, macroscopic
-from .streaming import stream_pull, stream_pull_padded
-from .boundaries import (
-    BounceBackLinks,
-    BounceBackWalls,
-    VelocityInlet,
-    OutflowOutlet,
-    PressureOutlet,
-    apply_bounce_back,
-)
-from .solver import LBMSolver
+from .._lazy import lazy_exports
 
-__all__ = [
-    "D3Q19",
-    "Grid",
-    "collide_bgk",
-    "equilibrium",
-    "macroscopic",
-    "stream_pull",
-    "stream_pull_padded",
-    "BounceBackLinks",
-    "BounceBackWalls",
-    "VelocityInlet",
-    "OutflowOutlet",
-    "PressureOutlet",
-    "apply_bounce_back",
-    "LBMSolver",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".lattice": ("D3Q19",),
+    ".grid": ("Grid",),
+    ".collision": ("collide_bgk", "equilibrium", "macroscopic"),
+    ".streaming": ("stream_pull", "stream_pull_padded"),
+    ".boundaries": (
+        "BounceBackLinks",
+        "BounceBackWalls",
+        "VelocityInlet",
+        "OutflowOutlet",
+        "PressureOutlet",
+        "apply_bounce_back",
+    ),
+    ".solver": ("LBMSolver",),
+})

@@ -13,62 +13,34 @@ set of array operations — the Python analog of the paper's pooled cell
 memory layout (Section 2.4.5).
 """
 
-from .meshgen import icosphere, biconcave_rbc, sphere_cell
-from .topology import (
-    unique_edges,
-    bending_pairs,
-    euler_characteristic,
-    vertex_adjacency_matrix,
-    rcm_ordering,
-    reorder_mesh,
-    mesh_bandwidth,
-)
-from .reference import ReferenceState
-from .skalak import skalak_forces, skalak_energy
-from .bending import bending_forces, bending_energy, dihedral_angles
-from .constraints import (
-    area_volume_forces,
-    mesh_volume,
-    mesh_area,
-    face_areas,
-)
-from .forces import membrane_forces
-from .analysis import (
-    taylor_deformation,
-    elongation_index,
-    asphericity,
-    deformation_report,
-)
-from .cell import Cell, CellKind, make_rbc, make_ctc
+from .._lazy import lazy_exports
 
-__all__ = [
-    "icosphere",
-    "biconcave_rbc",
-    "sphere_cell",
-    "unique_edges",
-    "bending_pairs",
-    "euler_characteristic",
-    "vertex_adjacency_matrix",
-    "rcm_ordering",
-    "reorder_mesh",
-    "mesh_bandwidth",
-    "ReferenceState",
-    "skalak_forces",
-    "skalak_energy",
-    "bending_forces",
-    "bending_energy",
-    "dihedral_angles",
-    "area_volume_forces",
-    "membrane_forces",
-    "mesh_volume",
-    "mesh_area",
-    "face_areas",
-    "taylor_deformation",
-    "elongation_index",
-    "asphericity",
-    "deformation_report",
-    "Cell",
-    "CellKind",
-    "make_rbc",
-    "make_ctc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".meshgen": ("icosphere", "biconcave_rbc", "sphere_cell"),
+    ".topology": (
+        "unique_edges",
+        "bending_pairs",
+        "euler_characteristic",
+        "vertex_adjacency_matrix",
+        "rcm_ordering",
+        "reorder_mesh",
+        "mesh_bandwidth",
+    ),
+    ".reference": ("ReferenceState",),
+    ".skalak": ("skalak_forces", "skalak_energy"),
+    ".bending": ("bending_forces", "bending_energy", "dihedral_angles"),
+    ".constraints": (
+        "area_volume_forces",
+        "mesh_volume",
+        "mesh_area",
+        "face_areas",
+    ),
+    ".forces": ("membrane_forces",),
+    ".analysis": (
+        "taylor_deformation",
+        "elongation_index",
+        "asphericity",
+        "deformation_report",
+    ),
+    ".cell": ("Cell", "CellKind", "make_rbc", "make_ctc"),
+})

@@ -16,46 +16,28 @@ and ``docs/performance.md`` ("Backend decisions" records why there are
 exactly two backends and one step pipeline).
 """
 
-from .decomposition import BlockDecomposition, balanced_dims, weighted_splits
-from .halo import PACKED_QS, CommCounters, HaloAccountant, fill_rank_halo
-from .pool import BACKENDS, resolve_backend
-from .executor import (
-    ProcessExecutor,
-    RankBlocks,
-    SerialExecutor,
-    make_executor,
-)
-from .distributed import HALO_MODES, DistributedLBMSolver
-from .fsi import FSI_PHASES, ParallelFSIRuntime, resolve_fsi_backend
-from .measure import (
-    measure_throughput,
-    measured_scaling_curve,
-    measured_weak_scaling,
-)
-from .taskmap import TaskMap, summit_task_map
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "HALO_MODES",
-    "PACKED_QS",
-    "BlockDecomposition",
-    "balanced_dims",
-    "weighted_splits",
-    "CommCounters",
-    "HaloAccountant",
-    "fill_rank_halo",
-    "RankBlocks",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "resolve_backend",
-    "DistributedLBMSolver",
-    "FSI_PHASES",
-    "ParallelFSIRuntime",
-    "resolve_fsi_backend",
-    "measure_throughput",
-    "measured_scaling_curve",
-    "measured_weak_scaling",
-    "TaskMap",
-    "summit_task_map",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".decomposition": (
+        "BlockDecomposition",
+        "balanced_dims",
+        "weighted_splits",
+    ),
+    ".halo": ("PACKED_QS", "CommCounters", "HaloAccountant", "fill_rank_halo"),
+    ".pool": ("BACKENDS", "resolve_backend"),
+    ".executor": (
+        "ProcessExecutor",
+        "RankBlocks",
+        "SerialExecutor",
+        "make_executor",
+    ),
+    ".distributed": ("HALO_MODES", "DistributedLBMSolver"),
+    ".fsi": ("FSI_PHASES", "ParallelFSIRuntime", "resolve_fsi_backend"),
+    ".measure": (
+        "measure_throughput",
+        "measured_scaling_curve",
+        "measured_weak_scaling",
+    ),
+    ".taskmap": ("TaskMap", "summit_task_map"),
+})

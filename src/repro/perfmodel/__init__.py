@@ -15,29 +15,17 @@ access.  This package rebuilds them as explicit models:
   (Section 3.3's >10x saving, Fig. 9's mm/day projection).
 """
 
-from .machine import MachineSpec, SUMMIT, AWS_P3_16XL
-from .memory import (
-    MemoryModel,
-    fluid_points_for_volume,
-    rbc_count_for_volume,
-    table2_fluid_volumes,
-    table3_memory,
-)
-from .scaling import ScalingModel, strong_scaling_curve, weak_scaling_curve
-from .costmodel import CostModel, node_hour_ratio
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MachineSpec",
-    "SUMMIT",
-    "AWS_P3_16XL",
-    "MemoryModel",
-    "fluid_points_for_volume",
-    "rbc_count_for_volume",
-    "table2_fluid_volumes",
-    "table3_memory",
-    "ScalingModel",
-    "strong_scaling_curve",
-    "weak_scaling_curve",
-    "CostModel",
-    "node_hour_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".machine": ("MachineSpec", "SUMMIT", "AWS_P3_16XL"),
+    ".memory": (
+        "MemoryModel",
+        "fluid_points_for_volume",
+        "rbc_count_for_volume",
+        "table2_fluid_volumes",
+        "table3_memory",
+    ),
+    ".scaling": ("ScalingModel", "strong_scaling_curve", "weak_scaling_curve"),
+    ".costmodel": ("CostModel", "node_hour_ratio"),
+})

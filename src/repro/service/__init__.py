@@ -9,41 +9,20 @@ append-only run ledger plus an aggregate report (:mod:`.ledger`,
 run|status|resume``.
 """
 
-from .checkpointing import JobCheckpointer
-from .ledger import Ledger, JobLedgerState, job_states, read_ledger
-from .manifest import (
-    CampaignManifest,
-    JobSpec,
-    load_manifest,
-    manifest_from_dict,
-)
-from .registry import EXPERIMENTS, resolve
-from .report import build_report, render_report, write_report
-from .scheduler import CampaignRunner, run_campaign
-from .status import campaign_status, fetch_live_status, render_status
-from .worker import derive_seed, job_dir, run_job
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignManifest",
-    "CampaignRunner",
-    "EXPERIMENTS",
-    "JobCheckpointer",
-    "JobLedgerState",
-    "JobSpec",
-    "Ledger",
-    "build_report",
-    "campaign_status",
-    "derive_seed",
-    "fetch_live_status",
-    "job_dir",
-    "job_states",
-    "load_manifest",
-    "manifest_from_dict",
-    "read_ledger",
-    "render_report",
-    "render_status",
-    "resolve",
-    "run_campaign",
-    "run_job",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpointing": ("JobCheckpointer",),
+    ".ledger": ("Ledger", "JobLedgerState", "job_states", "read_ledger"),
+    ".manifest": (
+        "CampaignManifest",
+        "JobSpec",
+        "load_manifest",
+        "manifest_from_dict",
+    ),
+    ".registry": ("EXPERIMENTS", "resolve"),
+    ".report": ("build_report", "render_report", "write_report"),
+    ".scheduler": ("CampaignRunner", "run_campaign"),
+    ".status": ("campaign_status", "fetch_live_status", "render_status"),
+    ".worker": ("derive_seed", "job_dir", "run_job"),
+})

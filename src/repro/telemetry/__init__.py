@@ -26,83 +26,53 @@ See ``docs/observability.md`` for the event schema and how to read a
 run summary.
 """
 
-from .backend import (
-    NULL,
-    NullTelemetry,
-    Telemetry,
-    active,
-    get_telemetry,
-    set_telemetry,
-)
-from .events import EventSink, heal_truncated_tail, read_events, tail_events
-from .metrics import (
-    Counter,
-    Gauge,
-    MetricRegistry,
-    prometheus_text,
-    sanitize_metric_name,
-)
-from .report import (
-    phase_coverage,
-    rank_balance,
-    render_summary,
-    summarize,
-    write_summary,
-)
-from .server import (
-    ServeHandle,
-    StatusSnapshotter,
-    TelemetryServer,
-    build_status,
-    metrics_text,
-    read_endpoint_file,
-    serve_status,
-    write_endpoint_file,
-)
-from .timers import PhaseRecorder, PhaseStat, Timer
-from .tracing import (
-    Span,
-    SpanRecorder,
-    read_chrome_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL",
-    "NullTelemetry",
-    "Telemetry",
-    "active",
-    "get_telemetry",
-    "set_telemetry",
-    "EventSink",
-    "heal_truncated_tail",
-    "read_events",
-    "tail_events",
-    "Counter",
-    "Gauge",
-    "MetricRegistry",
-    "prometheus_text",
-    "sanitize_metric_name",
-    "phase_coverage",
-    "rank_balance",
-    "render_summary",
-    "summarize",
-    "write_summary",
-    "ServeHandle",
-    "StatusSnapshotter",
-    "TelemetryServer",
-    "build_status",
-    "metrics_text",
-    "read_endpoint_file",
-    "serve_status",
-    "write_endpoint_file",
-    "PhaseRecorder",
-    "PhaseStat",
-    "Timer",
-    "Span",
-    "SpanRecorder",
-    "read_chrome_trace",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": (
+        "NULL",
+        "NullTelemetry",
+        "Telemetry",
+        "active",
+        "get_telemetry",
+        "set_telemetry",
+    ),
+    ".events": (
+        "EventSink",
+        "heal_truncated_tail",
+        "read_events",
+        "tail_events",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "MetricRegistry",
+        "prometheus_text",
+        "sanitize_metric_name",
+    ),
+    ".report": (
+        "phase_coverage",
+        "rank_balance",
+        "render_summary",
+        "summarize",
+        "write_summary",
+    ),
+    ".server": (
+        "ServeHandle",
+        "StatusSnapshotter",
+        "TelemetryServer",
+        "build_status",
+        "metrics_text",
+        "read_endpoint_file",
+        "serve_status",
+        "write_endpoint_file",
+    ),
+    ".timers": ("PhaseRecorder", "PhaseStat", "Timer"),
+    ".tracing": (
+        "Span",
+        "SpanRecorder",
+        "read_chrome_trace",
+        "to_chrome_trace",
+        "write_chrome_trace",
+    ),
+})

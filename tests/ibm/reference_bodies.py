@@ -6,6 +6,9 @@ flattened node indices, and interpolation fancy-index-gathered a
 ``(3, N, S, S, S)`` block and contracted it with ``einsum``.  Both work
 from a stencil's ``idx`` and ``w`` alone, so they check ``Stencil.matrix``
 without going through it.
+
+The weight evaluation itself is kept in its whole-population form
+(``whole_population_weights``) as the oracle of the chunked one.
 """
 
 import numpy as np
@@ -71,3 +74,19 @@ def reference_stencil(positions, shape, kernel, mode):
         + idx[2][:, None, None, :]
     ).reshape(len(pos), -1)
     return w, flat, int(np.count_nonzero(clipped))
+
+
+def whole_population_weights(positions, kernel):
+    """The weight evaluation before it went in marker chunks: one
+    ``(N, 3, S)`` kernel call over every marker, then the ``(N, S*S)``
+    outer product times each ``c`` slice.  Returns ``(base, w)`` like ``_marker_weights``."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    n, s = pos.shape[0], kernel.support
+    base = np.floor(pos).astype(np.int64)
+    nodes = base[:, :, None] + kernel.offsets()
+    wa, wb, wc = np.moveaxis(kernel.phi(pos[:, :, None] - nodes), 1, 0)
+    ab = (wa[:, :, None] * wb[:, None, :]).reshape(n, s * s)
+    w = np.empty((n, s * s, s), dtype=np.float64)
+    for c in range(s):
+        np.multiply(ab, wc[:, c, None], out=w[:, :, c])
+    return base, w.reshape(n, s, s, s)

@@ -1,44 +1,119 @@
-"""Import hygiene: ``repro.lbm`` pulls in no upper layer, and ``import
-repro`` pulls in no heavy dependency only one call needs."""
+"""Import hygiene: each entry point loads only the layers it uses.
 
+Package roots bind their public names on first access (``repro._lazy``),
+so importing a module pulls in its own imports and nothing that a sibling
+re-exported.  Every probe runs in a fresh interpreter, since this test
+process has long since imported everything.
+"""
+
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Packages that sit above the lattice solver (they import it).
 UPPER_LAYERS = ("repro.membrane", "repro.ibm", "repro.fsi", "repro.parallel")
 
-# ``repro/__init__.py`` re-exports the public API and so imports every
-# layer; a bare namespace stands in for it so that what lands in
-# ``sys.modules`` is the import closure of ``repro.lbm`` alone.
-PROBE = f"""
-import sys, types
-root = types.ModuleType("repro")
-root.__path__ = [{str(SRC / "repro")!r}]
-sys.modules["repro"] = root
-import repro.lbm
-print("\\n".join(sorted(m for m in sys.modules if m.startswith("repro."))))
-"""
+#: Entry point -> the code that loads it in a fresh interpreter (with
+#: ``sys`` imported).  ``benchmarks/import_cost.py`` measures this table.
+ENTRIES = {
+    "repro.lbm.solver": "import repro.lbm.solver",
+    "repro.experiments.tube_window": "import repro.experiments.tube_window",
+    "repro.experiments.expanding_channel":
+        "import repro.experiments.expanding_channel",
+    # The CLI start-up every subcommand pays.
+    "python -m repro --help": (
+        "import runpy\nsys.argv = ['repro', '--help']\n"
+        "try:\n    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit:\n    pass"
+    ),
+}
+
+#: Entry point -> what it must not load (packages, with their submodules).
+FORBIDDEN = {
+    "repro.lbm.solver": (
+        "scipy", "networkx", "http.server", "repro.fsi", "repro.membrane",
+        "repro.ibm", "repro.core",
+    ),
+    "repro.experiments.tube_window": ("networkx",),
+    "repro.experiments.expanding_channel": ("networkx",),
+    "python -m repro --help": ("scipy",),
+}
+
+
+def _run(code: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+         + code],
+        check=True, capture_output=True, text=True,
+    ).stdout
+
+
+def loaded_by(entry: str) -> set[str]:
+    """``sys.modules`` after loading ``entry`` (an :data:`ENTRIES` key or
+    any module name)."""
+    code = ENTRIES.get(entry, f"import {entry}")
+    out = _run(code + "\nprint('--modules--', *sys.modules)")
+    return set(out.rsplit("--modules--", 1)[1].split())
+
+
+def _within(modules, packages) -> list[str]:
+    return sorted(
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in packages)
+    )
 
 
 def test_lbm_imports_no_upper_layer():
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], check=True, capture_output=True,
-        text=True,
-    ).stdout.split()
+    probe = ("import pkgutil, repro.lbm\n"
+             "for info in pkgutil.iter_modules(repro.lbm.__path__):\n"
+             "    __import__('repro.lbm.' + info.name)\n"
+             "print('\\n'.join(sys.modules))")
+    out = _run(probe).split()
     assert "repro.lbm.solver" in out
-    pulled = [m for m in out if m.startswith(UPPER_LAYERS)]
+    pulled = _within(out, UPPER_LAYERS)
     assert pulled == [], f"repro.lbm imports upper layers: {pulled}"
 
 
 def test_import_repro_does_not_load_scipy_optimize():
-    """Only ``discharge_from_tube_hematocrit`` needs it (one ``brentq``)."""
-    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import repro; "
-             "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], check=True, capture_output=True,
-        text=True,
-    ).stdout.strip()
-    assert out == "False"
+    assert "scipy.optimize" not in loaded_by("repro")
+
+
+@pytest.mark.parametrize("entry", sorted(FORBIDDEN))
+def test_entry_point_loads_only_what_it_uses(entry):
+    pulled = _within(loaded_by(entry), FORBIDDEN[entry])
+    assert pulled == [], f"{entry} loads {pulled}"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.parallel"])
+def test_lazy_root_names_resolve_and_are_listed(package):
+    probe = (f"import importlib, json, types\n"
+             f"pkg = importlib.import_module({package!r})\n"
+             "listed = set(dir(pkg))\n"
+             "print(json.dumps({\n"
+             "    'all': list(pkg.__all__),\n"
+             "    'unlisted': [n for n in pkg.__all__ if n not in listed],\n"
+             "    'unresolved': [n for n in pkg.__all__\n"
+             "                   if getattr(pkg, n, None) is None],\n"
+             "    'core': isinstance(getattr(pkg, 'core', None),\n"
+             "                       types.ModuleType),\n"
+             "}))")
+    report = json.loads(_run(probe))
+    assert report["all"]
+    assert report["unlisted"] == []
+    assert report["unresolved"] == []
+    if package == "repro":
+        # ``repro.core`` is an attribute right after a bare ``import repro``.
+        assert report["core"]
+
+
+def test_lazy_root_rejects_unknown_names():
+    import repro
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        repro.no_such_name  # noqa: B018
+    assert not hasattr(repro.parallel, "no_such_name")
