@@ -40,10 +40,24 @@ periodic windows share one code path.  The window fill prolongs the
 block's ``(rho, u, f^neq[, tau])`` channels with three 1-D passes; the
 ghost shell, whose nodes all lie on window faces, prolongs the coarse
 face planes with two.  Spatial interpolation and the time blend are both
-linear and commute: the coarse state goes onto the shell twice per
-coarse step (before and after the coarse advance), with f^neq already
-rescaled, and every sub-step only blends those two shell-sized arrays.
-Nothing per sub-step scales with the coarse lattice.
+linear and commute: the coarse state goes onto the shell at both ends
+of a coarse step (before and after the coarse advance), with f^neq
+already rescaled, and every sub-step only blends those two shell-sized
+arrays.  Nothing per sub-step scales with the coarse lattice.
+
+One impose per fine sub-step
+----------------------------
+A coarse step ends with the θ = 1 impose; the next one would capture the
+same coarse state again and impose it at θ = 0.  The step keeps what its
+end state was made from (:meth:`RefinedRegion._shell_inputs`: coarse
+``f`` and ``force`` at the face nodes) and the fine ``f_version`` after
+that impose.  When both are unchanged at the next step, the end state is
+reused as the start state and the θ = 0 impose is left out: the shell
+already holds exactly those populations.  Shell gathers and scatters go
+one channel row at a time (:func:`~repro.lbm.collision.take_columns`,
+:func:`~repro.lbm.collision.put_columns`), and each impose hands the
+columns it wrote to the patch log, so the fine solver's cached moments
+are patched from them instead of gathering the shell back out of ``f``.
 """
 
 from __future__ import annotations
@@ -54,8 +68,15 @@ import math
 import numpy as np
 
 from ..ibm.coupling import interpolate
-from ..lbm.collision import equilibrium, macroscopic
+from ..lbm.collision import (
+    equilibrium,
+    flat_columns,
+    macroscopic,
+    put_columns,
+    take_columns,
+)
 from ..lbm.grid import Grid
+from ..lbm.lattice import D3Q19
 from ..telemetry import get_telemetry
 from .viscosity import (
     stress_match_scale_to_coarse,
@@ -125,12 +146,25 @@ def _prolong(
     return out
 
 
-def _channels_flat(a: np.ndarray) -> np.ndarray:
-    """Lattice array ``(C, nx, ny, nz)`` as a ``(C, nx*ny*nz)`` *view*,
-    so that writes through flat node indices land in ``a`` itself."""
-    if not a.flags.c_contiguous:
-        raise ValueError("flat node indexing needs a C-contiguous lattice array")
-    return a.reshape(a.shape[0], -1)
+def _state_rows(
+    f: np.ndarray, force: np.ndarray, tau: np.ndarray | None = None
+) -> np.ndarray:
+    """Stacked ``(rho, u, f^neq)`` rows of gathered coarse columns ``f``
+    (19, ...) and ``force`` (3, ...), plus a ``tau`` row when given:
+    ``(23 or 24,) + f.shape[1:]``.
+
+    The rows are formed in the lattice dtype and held in float64, so
+    that a float32 lattice is interpolated in float64 and rounded once,
+    where it is written.
+    """
+    rho, u = macroscopic(f, force)
+    state = np.empty((_N_STATE + (tau is not None),) + f.shape[1:])
+    state[0] = rho
+    state[1:4] = u
+    state[4:_N_STATE] = f - equilibrium(rho, u)
+    if tau is not None:
+        state[_N_STATE] = tau
+    return state
 
 
 class RefinedRegion:
@@ -221,6 +255,10 @@ class RefinedRegion:
         #: the start and at the end of the current coarse step.
         self._state_prev: np.ndarray | None = None
         self._state_next: np.ndarray | None = None
+        #: The :meth:`_shell_inputs` ``_state_next`` was made from, and
+        #: the fine ``f_version`` right after it was last imposed.
+        self._next_inputs: np.ndarray | None = None
+        self._next_imposed_version: int | None = None
         #: Shell-sized work buffers of the sub-step blend and f^eq.
         self._blend: np.ndarray | None = None
         self._f_shell: np.ndarray | None = None
@@ -294,7 +332,7 @@ class RefinedRegion:
         self._ghost_flat = np.concatenate(ghosts)
         cg = self.coarse.grid
         if isinstance(cg.tau, np.ndarray):
-            tau_c = self._onto_shell(cg.tau.reshape(1, -1)[:, self._face_src])[0]
+            tau_c = self._onto_shell(take_columns(cg.tau[None], self._face_src))[0]
         else:
             tau_c = float(cg.tau)
         self._ghost_scale = stress_match_scale_to_fine(tau_c, fg.tau)
@@ -375,26 +413,6 @@ class RefinedRegion:
         return self._restrict_fine
 
     # ------------------------------------------------------------------
-    def _coarse_state(self, nodes: np.ndarray, with_tau: bool = False) -> np.ndarray:
-        """Stacked ``(rho, u, f^neq)`` rows of the coarse grid right now
-        at flat node indices ``nodes`` (any shape), plus a ``tau`` row
-        when ``with_tau``: ``(23 or 24,) + nodes.shape``.
-
-        The rows are formed in the lattice dtype and held in float64, so
-        that a float32 lattice is interpolated in float64 and rounded
-        once, where it is written.
-        """
-        cg = self.coarse.grid
-        f = _channels_flat(cg.f)[:, nodes]
-        rho, u = macroscopic(f, _channels_flat(cg.force)[:, nodes])
-        state = np.empty((_N_STATE + with_tau,) + f.shape[1:])
-        state[0] = rho
-        state[1:4] = u
-        state[4:_N_STATE] = f - equilibrium(rho, u)
-        if with_tau:
-            state[_N_STATE] = cg.tau.reshape(-1)[nodes]
-        return state
-
     def initialize_fine_from_coarse(self) -> None:
         """Fill the whole fine lattice from the coarse solution.
 
@@ -406,8 +424,11 @@ class RefinedRegion:
         fields plus the rescaled f^neq.  Solid fine nodes are not written.
         """
         cg, fg, n = self.coarse.grid, self.fine.grid, self.n
-        tau_field = isinstance(cg.tau, np.ndarray)
-        block = self._coarse_state(self._block_nodes, with_tau=tau_field)
+        nodes = self._block_nodes
+        tau = cg.tau.reshape(-1)[nodes] if isinstance(cg.tau, np.ndarray) else None
+        block = _state_rows(
+            take_columns(cg.f, nodes), take_columns(cg.force, nodes), tau
+        )
         nx, ny, nz = fg.shape
         # Innermost axes first, so that the last pass makes whole planes.
         yz = _prolong(_prolong(block, 3, n, nz), 2, n, ny)
@@ -427,11 +448,11 @@ class RefinedRegion:
         ``state`` is used as scratch."""
         fg = self.fine.grid
         cols = slice(start, start + state.shape[1])
-        f2 = _channels_flat(fg.f)
+        f2 = flat_columns(fg.f)
         nodes = np.flatnonzero(~fg.solid.reshape(-1)[cols])
         all_fluid = len(nodes) == state.shape[1]
         if not all_fluid:
-            state = state[:, nodes]
+            state = take_columns(state, nodes)
         fneq = state[4:_N_STATE]
         if len(state) > _N_STATE:  # the coarse tau row
             fneq *= stress_match_scale_to_fine(state[_N_STATE], fg.tau)
@@ -443,7 +464,7 @@ class RefinedRegion:
         else:
             f_new = equilibrium(state[0], state[1:4])
             f_new += fneq
-            f2[:, start + nodes] = f_new
+            put_columns(fg.f, start + nodes, f_new)
 
     def _impose_ghosts(self, theta: float) -> None:
         """Set the fine boundary shell from time-interpolated coarse state."""
@@ -470,9 +491,13 @@ class RefinedRegion:
         f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
         f_new += state[4:]
         fg = self.fine.grid
-        _channels_flat(fg.f)[:, self._ghost_flat] = f_new
-        # Only the shell changed: cached moments are patched, not redone.
-        fg.mark_f_modified(self._ghost_flat)
+        # Rounded once, here, so that the patch log holds what f holds.
+        f_new = f_new.astype(fg.f.dtype, copy=False)
+        put_columns(fg.f, self._ghost_flat, f_new)
+        # Only the shell changed: cached moments are patched from the
+        # columns just written, not redone.
+        fg.mark_f_modified(self._ghost_flat, f_new)
+        get_telemetry().inc("refinement.shell_imposes")
 
     def _restrict(self) -> None:
         """Overwrite interior coarse nodes from coincident fine nodes.
@@ -485,39 +510,70 @@ class RefinedRegion:
             return
         fg = self.fine.grid
         cg = self.coarse.grid
-        f = _channels_flat(fg.f)[:, self._restrict_fine_flat]
+        f = take_columns(fg.f, self._restrict_fine_flat)
         f = f.astype(np.float64, copy=False)
         rho, u = macroscopic(f)
         feq = equilibrium(rho, u)
         f -= feq
         f *= self._restrict_scale
         f += feq
-        _channels_flat(cg.f)[:, self._restrict_coarse_flat] = f
-        cg.mark_f_modified(self._restrict_coarse_flat)
+        f = f.astype(cg.f.dtype, copy=False)
+        put_columns(cg.f, self._restrict_coarse_flat, f)
+        cg.mark_f_modified(self._restrict_coarse_flat, f)
 
     # ------------------------------------------------------------------
-    def _ghost_state(self) -> np.ndarray:
-        """Coarse state right now on the ghost shell, with f^neq already
+    def _shell_inputs(self) -> np.ndarray:
+        """Everything the shell state is made from: coarse ``f`` and
+        ``force`` right now at the face nodes, stacked ``(22, F)``."""
+        cg = self.coarse.grid
+        return np.concatenate([take_columns(cg.f, self._face_src),
+                               take_columns(cg.force, self._face_src)])
+
+    def _ghost_state(self, inputs: np.ndarray | None = None) -> np.ndarray:
+        """Coarse state on the ghost shell from ``inputs`` (default: the
+        :meth:`_shell_inputs` of right now), with f^neq already
         multiplied by the rescale factor: (23, N_ghost)."""
+        if inputs is None:
+            inputs = self._shell_inputs()
         with get_telemetry().phase("ghost_state"):
-            state = self._onto_shell(self._coarse_state(self._face_src))
+            q = D3Q19.Q
+            state = self._onto_shell(_state_rows(inputs[:q], inputs[q:]))
             state[4:] *= self._ghost_scale
             return state
+
+    def _shell_holds_next(self, inputs: np.ndarray) -> bool:
+        """Whether the shell still holds the last θ = 1 impose and the
+        coarse state it came from is unchanged, so that ``_state_next``
+        is bitwise this step's ``_state_prev`` and its θ = 0 impose would
+        write the values already there."""
+        return (len(self._ghost_flat) > 0
+                and self._next_imposed_version == self.fine.grid.f_version
+                and np.array_equal(inputs, self._next_inputs))
 
     def step(self, n_coarse: int = 1) -> None:
         """Advance the coupled system by ``n_coarse`` coarse time steps."""
         tel = get_telemetry()
+        fg = self.fine.grid
         for _ in range(n_coarse):
             with tel.phase("coarse"):
-                self._state_prev = self._ghost_state()
+                inputs = self._shell_inputs()
+                reuse = self._shell_holds_next(inputs)
+                self._state_prev = (
+                    self._state_next if reuse else self._ghost_state(inputs)
+                )
                 self.coarse.step()
-                self._state_next = self._ghost_state()
+                self._next_inputs = self._shell_inputs()
+                self._state_next = self._ghost_state(self._next_inputs)
             for s in range(self.n):
                 with tel.phase("interpolate"):
-                    self._impose_ghosts(theta=s / self.n)
+                    if s == 0 and reuse:
+                        tel.inc("refinement.shell_reimposes_skipped")
+                    else:
+                        self._impose_ghosts(theta=s / self.n)
                 with tel.phase("fine"):
                     self.fine.step()
             with tel.phase("interpolate"):
                 self._impose_ghosts(theta=1.0)
+                self._next_imposed_version = fg.f_version
             with tel.phase("restrict"):
                 self._restrict()

@@ -212,6 +212,32 @@ def _panel_matmul(a, x, out) -> None:
         out[:, full:] = np.matmul(a, tail)[:, :n - full]
 
 
+def flat_columns(a: np.ndarray) -> np.ndarray:
+    """``(C,) + shape`` array as a ``(C, N)`` *view*, so that writes
+    through flat node indices land in ``a`` itself."""
+    if not a.flags.c_contiguous:
+        raise ValueError("flat node indexing needs a C-contiguous array")
+    return a.reshape(a.shape[0], -1)
+
+
+def take_columns(a: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``a[:, nodes]`` for a C-contiguous ``(C,) + shape`` array and flat
+    node indices ``nodes`` (any shape): ``(C,) + nodes.shape``.
+
+    Copied one channel row at a time (``np.take`` along the node axis)
+    rather than node by node, which would touch ``C`` far-apart cache
+    lines per node.
+    """
+    return np.take(flat_columns(a), nodes, axis=1)
+
+
+def put_columns(a: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> None:
+    """``a[:, nodes] = values`` for a C-contiguous ``(C,) + shape`` array,
+    one channel row at a time (see :func:`take_columns`)."""
+    for row, row_values in zip(flat_columns(a), values):
+        row[nodes] = row_values
+
+
 def moments(
     f: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,18 +257,24 @@ def moments(
 
 
 def patch_moments(
-    f: np.ndarray, nodes: np.ndarray, rho: np.ndarray, mom: np.ndarray
+    f: np.ndarray,
+    nodes: np.ndarray,
+    rho: np.ndarray,
+    mom: np.ndarray,
+    columns: np.ndarray | None = None,
 ) -> None:
     """Recompute ``rho`` / ``mom`` in place at flat node indices ``nodes``.
 
-    Bitwise equal to what :func:`moments` writes there: the columns are
-    gathered into a C-contiguous ``(19, G)`` block (``take``) and go
-    through the same fixed-width GEMM.
+    Bitwise equal to what :func:`moments` writes there: the columns go
+    through the same fixed-width GEMM as a ``(19, G)`` block.  That block
+    is ``columns`` when given — the ``(19, G)`` values ``f`` holds at
+    ``nodes``, in ``f``'s dtype, as the writer just stored them — and is
+    gathered from ``f`` otherwise.
     """
-    block = np.take(f.reshape(D3Q19.Q, -1), nodes, axis=1)
+    block = take_columns(f, nodes) if columns is None else columns
     block_rho, block_mom = moments(block)
     rho.reshape(-1)[nodes] = block_rho
-    mom.reshape(3, -1)[:, nodes] = block_mom
+    put_columns(mom, nodes, block_mom)
 
 
 def velocity_from_moments(

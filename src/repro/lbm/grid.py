@@ -69,10 +69,10 @@ class Grid:
         #: Monotonic counter bumped whenever ``f`` changes; consumers
         #: (the solver's moments cache) key derived state on it.
         self.f_version = 0
-        #: Flat node indices of each write since the last whole-lattice
+        #: ``(nodes, columns)`` of each write since the last whole-lattice
         #: one (at ``_f_whole_version``) that touched only part of ``f``;
         #: see :meth:`f_patches_since`.
-        self._f_patches: list[np.ndarray] = []
+        self._f_patches: list[tuple[np.ndarray, np.ndarray | None]] = []
         self._f_whole_version = 0
         self.init_equilibrium()
 
@@ -116,7 +116,9 @@ class Grid:
     #: (consumers then recompute in full), which bounds its growth.
     _MAX_F_PATCHES = 8
 
-    def mark_f_modified(self, nodes: np.ndarray | None = None) -> None:
+    def mark_f_modified(
+        self, nodes: np.ndarray | None = None, columns: np.ndarray | None = None
+    ) -> None:
         """Record a write to ``f`` (invalidates cached moments).
 
         Any code that writes ``f`` in place (the solver's stream,
@@ -124,18 +126,28 @@ class Grid:
         cached macroscopic state is recomputed.  ``nodes`` are the flat
         (C-order) indices of the only nodes the write touched, which lets
         consumers patch instead of recomputing; omitted, the whole lattice
-        counts as rewritten.
+        counts as rewritten.  ``columns``, if given, are the ``(19, G)``
+        values just stored at ``nodes`` (in ``f``'s dtype), so a patch
+        need not gather them again; they must stay unchanged until the
+        writer logs its next write with the same ``nodes`` array.
         """
+        if columns is not None and columns.dtype != self.f.dtype:
+            raise ValueError(
+                f"columns are {columns.dtype}, the lattice is {self.f.dtype}"
+            )
         self.f_version += 1
         if nodes is None or len(self._f_patches) >= self._MAX_F_PATCHES:
             self._f_patches = []
             self._f_whole_version = self.f_version
         else:
-            self._f_patches.append(nodes)
+            self._f_patches.append((nodes, columns))
 
-    def f_patches_since(self, version: int | None) -> list[np.ndarray] | None:
-        """Node sets rewritten since ``f_version == version``, oldest
-        first, or ``None`` when the whole lattice may have changed."""
+    def f_patches_since(
+        self, version: int | None
+    ) -> list[tuple[np.ndarray, np.ndarray | None]] | None:
+        """``(nodes, columns)`` of the writes since ``f_version ==
+        version``, oldest first, or ``None`` when the whole lattice may
+        have changed (see :meth:`mark_f_modified`)."""
         logged = self.f_version - self._f_whole_version
         # One log entry per version since the last whole-lattice write,
         # or ``f_version`` was bumped without going through the log.

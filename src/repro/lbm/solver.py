@@ -17,7 +17,8 @@ moment sums exactly once.  Code that writes ``grid.f`` outside the solver
 must call :meth:`~repro.lbm.grid.Grid.mark_f_modified` (all in-repo
 writers do); a writer that names the nodes it touched (the refinement
 ghost shell) costs a patch of those columns instead of a second full
-pass.
+pass, and one that also hands over the columns it stored saves the
+patch their gather.
 """
 
 from __future__ import annotations
@@ -87,8 +88,12 @@ class LBMSolver:
             if patches is None:
                 moments(g.f, out=self._scratch.moments)
             else:
-                for nodes in patches:
-                    patch_moments(g.f, nodes, rho, mom)
+                # A node set written again later is patched once, from
+                # its latest columns.
+                last = {id(nodes): k for k, (nodes, _) in enumerate(patches)}
+                for k, (nodes, columns) in enumerate(patches):
+                    if last[id(nodes)] == k:
+                        patch_moments(g.f, nodes, rho, mom, columns)
             self._moments_version = g.f_version
         return rho, mom
 

@@ -10,16 +10,25 @@ Until the window fill became a separable prolongation, it built a sparse
 trilinear operator over every fluid fine node (:func:`interpolation_operator`),
 applied it once to the coarse ``(rho, u, f^neq)`` rows of the nodes it
 read, and formed f^eq term by term (:func:`operator_fill`).
+
+Until each fine sub-step paid for the ghost shell once, every coarse step
+captured the shell state twice and imposed it ``n + 1`` times (the
+``θ = 0`` impose rewriting what the previous step's ``θ = 1`` impose left
+there), every channel x node gather and scatter walked node by node, and
+the solver patched its cached moments after a partial write by gathering
+the rewritten columns back out of ``f``, once per logged write
+(:class:`ReferenceRefinedRegion`, :func:`reference_cached_moments`).
 """
 
 import numpy as np
 from scipy import sparse
 
 from repro.analytics import region_hematocrit
-from repro.core.refinement import trilinear
+from repro.core.refinement import _N_STATE, RefinedRegion, trilinear
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.ibm.coupling import make_stencil
-from repro.lbm.collision import macroscopic
+from repro.lbm.collision import equilibrium, macroscopic, moments
+from repro.telemetry import get_telemetry
 from repro.membrane import CellKind
 
 from ..lbm.reference_bodies import tensordot_equilibrium
@@ -150,3 +159,104 @@ def operator_fill(rr):
     scale = stress_match_scale_to_fine(tau_c, fg.tau)
     feq = tensordot_equilibrium(state[0], state[1:4])
     return fluid, feq + scale * state[4:]
+
+
+def gather_patch_moments(f, nodes, rho, mom):
+    """``patch_moments`` re-gathering the rewritten columns from ``f``."""
+    block = np.take(f.reshape(19, -1), nodes, axis=1)
+    block_rho, block_mom = moments(block)
+    rho.reshape(-1)[nodes] = block_rho
+    mom.reshape(3, -1)[:, nodes] = block_mom
+
+
+def reference_cached_moments(solver):
+    """``LBMSolver.cached_moments`` patching every logged write in turn,
+    from ``f`` (any columns the writer logged are ignored)."""
+    g = solver.grid
+    rho, mom = solver._scratch.rho, solver._scratch.mom
+    if solver._moments_version != g.f_version:
+        patches = g.f_patches_since(solver._moments_version)
+        if patches is None:
+            moments(g.f, out=solver._scratch.moments)
+        else:
+            for nodes, _ in patches:
+                gather_patch_moments(g.f, nodes, rho, mom)
+        solver._moments_version = g.f_version
+    return rho, mom
+
+
+class ReferenceRefinedRegion(RefinedRegion):
+    """The coupling step with two shell captures and ``n + 1`` imposes
+    per coarse step, node-major gathers and scatters, and writes logged
+    by node set only."""
+
+    def _coarse_state(self, nodes, with_tau=False):
+        cg = self.coarse.grid
+        f = cg.f.reshape(19, -1)[:, nodes]
+        rho, u = macroscopic(f, cg.force.reshape(3, -1)[:, nodes])
+        state = np.empty((_N_STATE + with_tau,) + f.shape[1:])
+        state[0] = rho
+        state[1:4] = u
+        state[4:_N_STATE] = f - equilibrium(rho, u)
+        if with_tau:
+            state[_N_STATE] = cg.tau.reshape(-1)[nodes]
+        return state
+
+    def _ghost_state(self, inputs=None):
+        state = self._onto_shell(self._coarse_state(self._face_src))
+        state[4:] *= self._ghost_scale
+        return state
+
+    def _impose_ghosts(self, theta):
+        if len(self._ghost_flat) == 0:
+            return
+        prev, nxt = self._state_prev, self._state_next
+        if theta == 0.0:
+            state = prev
+        elif theta == 1.0:
+            state = nxt
+        else:
+            if self._blend is None:
+                self._blend = np.empty_like(prev)
+            state = np.subtract(nxt, prev, out=self._blend)
+            state *= theta
+            state += prev
+        if self._f_shell is None:
+            self._f_shell = np.empty((len(prev) - 4, prev.shape[1]), prev.dtype)
+        f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
+        f_new += state[4:]
+        fg = self.fine.grid
+        fg.f.reshape(19, -1)[:, self._ghost_flat] = f_new
+        fg.mark_f_modified(self._ghost_flat)
+
+    def _restrict(self):
+        if self._restrict_coarse is None:
+            return
+        fg = self.fine.grid
+        cg = self.coarse.grid
+        f = fg.f.reshape(19, -1)[:, self._restrict_fine_flat]
+        f = f.astype(np.float64, copy=False)
+        rho, u = macroscopic(f)
+        feq = equilibrium(rho, u)
+        f -= feq
+        f *= self._restrict_scale
+        f += feq
+        cg.f.reshape(19, -1)[:, self._restrict_coarse_flat] = f
+        cg.mark_f_modified(self._restrict_coarse_flat)
+
+    def step(self, n_coarse=1):
+        tel = get_telemetry()
+        for _ in range(n_coarse):
+            with tel.phase("coarse"):
+                self._state_prev = self._ghost_state()
+                self.coarse.step()
+                self._state_next = self._ghost_state()
+            for s in range(self.n):
+                with tel.phase("interpolate"):
+                    self._impose_ghosts(theta=s / self.n)
+                with tel.phase("fine"):
+                    self.fine.step()
+            with tel.phase("interpolate"):
+                self._impose_ghosts(theta=1.0)
+            with tel.phase("restrict"):
+                self._restrict()

@@ -398,8 +398,15 @@ def test_impose_allocation_is_shell_sized_and_independent_of_coarse_grid():
 
 
 def test_one_step_captures_shell_state_twice_and_imposes_n_plus_one_times():
+    """The first step captures the shell state at both ends of the coarse
+    step and imposes it n + 1 times.  A later step reuses the previous
+    step's θ = 1 state and skips its θ = 0 impose (one capture, n
+    imposes), unless the coarse f or force at the face nodes changed or
+    the fine lattice was written since that θ = 1 impose."""
     n = 4
-    _, _, rr = _coupled(n=n, coarse_shape=(10, 10, 10), w=3)
+    coarse, fine, rr = _coupled(n=n, coarse_shape=(10, 10, 10), w=3)
+    cg, fg = coarse.grid, fine.grid
+    _perturb(cg, np.random.default_rng(4))
     calls = {"capture": 0, "impose": 0}
 
     def counted(key, fn):
@@ -411,10 +418,38 @@ def test_one_step_captures_shell_state_twice_and_imposes_n_plus_one_times():
 
     rr._ghost_state = counted("capture", rr._ghost_state)
     rr._impose_ghosts = counted("impose", rr._impose_ghosts)
-    rr.step(1)
-    assert calls == {"capture": 2, "impose": n + 1}
-    rr.step(2)
-    assert calls == {"capture": 6, "impose": 3 * (n + 1)}
+
+    def step_costs(write=None):
+        if write is not None:
+            write()
+        before = dict(calls)
+        rr.step(1)
+        return calls["capture"] - before["capture"], calls["impose"] - before["impose"]
+
+    def coarse_write():
+        cg.f *= 1.0 + 1e-7
+        cg.mark_f_modified()
+
+    def force_change():
+        cg.force[0] += 1e-6  # no version bump: compared by value
+
+    def fine_write():
+        fg.f[:, 2, 2, 2] *= 1.0 + 1e-7  # away from the shell
+        fg.mark_f_modified()
+
+    def coarse_write_off_shell():
+        cg.f[:, 0, 0, 0] *= 1.0 + 1e-7  # outside the window
+        cg.mark_f_modified()
+
+    assert step_costs() == (2, n + 1)
+    assert step_costs() == (1, n)
+    assert step_costs() == (1, n)
+    for write in (coarse_write, force_change, fine_write):
+        assert step_costs(write) == (2, n + 1)
+        assert step_costs() == (1, n)
+    # The face nodes' f and force are unchanged: the shell still holds
+    # what θ = 0 would write.
+    assert step_costs(coarse_write_off_shell) == (1, n)
 
 
 # ----------------------------------------------------------------------

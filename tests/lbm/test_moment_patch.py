@@ -30,10 +30,12 @@ def test_patch_moments_bitwise_equals_full_recompute(shape, dtype, rng):
     f = rng.random((19,) + shape).astype(dtype)
     rho, mom = (a.copy() for a in moments(f))
     some = rng.permutation(f[0].size)[: f[0].size // 3]
-    for nodes in (_shell(shape), some, some[:1], some[:0]):
+    for k, nodes in enumerate((_shell(shape), some, some[:1], some[:0])):
         # Shell of the larger lattice: full GEMM panels and a padded tail.
-        f.reshape(19, -1)[:, nodes] = rng.random((19, len(nodes))).astype(dtype)
-        patch_moments(f, nodes, rho, mom)
+        columns = rng.random((19, len(nodes))).astype(dtype)
+        f.reshape(19, -1)[:, nodes] = columns
+        # Gathered from f, or handed over by the writer.
+        patch_moments(f, nodes, rho, mom, columns if k % 2 else None)
         want_rho, want_mom = moments(f)
         assert np.array_equal(rho, want_rho)
         assert np.array_equal(mom, want_mom)
@@ -98,6 +100,29 @@ def test_solver_patches_named_nodes_and_recomputes_otherwise(monkeypatch, rng):
     assert calls == {"moments": 5, "patch_moments": 2}
 
 
+def test_node_set_written_again_is_patched_once_from_its_latest_columns(
+    monkeypatch, rng
+):
+    g = Grid((8, 9, 10), tau=0.8)
+    g.init_equilibrium(1.0 + 0.01 * rng.standard_normal(g.shape))
+    solver = LBMSolver(g, [])
+    solver.cached_moments()
+    calls = _count_calls(monkeypatch)
+    shell, few = _shell(g.shape), np.array([3, 77, 401])
+
+    def write(nodes):
+        columns = rng.random((19, len(nodes)))
+        g.f.reshape(19, -1)[:, nodes] = columns
+        g.mark_f_modified(nodes, columns)
+
+    for nodes in (shell, few, shell, shell):
+        write(nodes)
+    rho, mom = solver.cached_moments()
+    want_rho, want_mom = moments(g.f)
+    assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
+    assert calls == {"moments": 0, "patch_moments": 2}
+
+
 def test_patch_log_is_bounded(rng):
     g = Grid((4, 4, 4), tau=0.8)
     solver = LBMSolver(g, [])
@@ -111,6 +136,23 @@ def test_patch_log_is_bounded(rng):
     assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
 
 
+class _ReadingSolver(LBMSolver):
+    """What the FSI stepper does after every fine step: read the
+    post-stream moments, which the next collide then reuses (patched
+    where the ghost shell was imposed in between), or, with
+    ``patch=False``, recomputes."""
+
+    def __init__(self, grid, patch: bool):
+        super().__init__(grid, [])
+        self.patch = patch
+
+    def step(self, n: int = 1) -> None:
+        super().step(n)
+        self.velocity()
+        if not self.patch:
+            self.invalidate_macroscopic()
+
+
 def _coupled_run(steps, patch: bool):
     n, tau_c = 2, 0.9
     cg = Grid((12, 12, 12), tau=tau_c, spacing=float(n))
@@ -118,26 +160,26 @@ def _coupled_run(steps, patch: bool):
               origin=np.full(3, 3.0 * n), spacing=1.0)
     rng = np.random.default_rng(5)
     cg.init_equilibrium(1.0, 0.02 * rng.standard_normal((3,) + cg.shape))
-    coarse, fine = LBMSolver(cg, []), LBMSolver(fg, [])
+    coarse, fine = _ReadingSolver(cg, patch), _ReadingSolver(fg, patch)
     rr = RefinedRegion(coarse, fine, n)
     rr.initialize_fine_from_coarse()
     for _ in range(steps):
         rr.step()
-        # What the FSI stepper does after every fine step: read the
-        # post-stream moments, which the next collide then reuses.
-        fine.velocity()
-        if not patch:
-            fine.invalidate_macroscopic()
-            coarse.invalidate_macroscopic()
     return cg.f.copy(), fg.f.copy()
 
 
 def test_coupled_run_is_bitwise_unchanged_by_patching(monkeypatch):
-    """Ghost-shell imposes and the restriction name their nodes; a coupled
-    run must not be able to tell (same bits as full recomputes)."""
+    """Ghost-shell imposes and the restriction name their nodes and hand
+    over the columns they wrote; a coupled run must not be able to tell
+    (same bits as full recomputes)."""
     calls = _count_calls(monkeypatch)
     patched = _coupled_run(5, patch=True)
-    assert calls["patch_moments"] >= 4
+    # Every coarse step after the first patches both lattices: the fine
+    # one before each of its n = 2 collides (the skipped θ = 0 impose
+    # leaves the previous θ = 1 impose to patch), the coarse one where the
+    # restriction wrote.  The first step has moments cached only before
+    # its second fine collide.
+    assert calls["patch_moments"] == 1 + 4 * (2 + 1)
     patches = calls["patch_moments"]
     full = _coupled_run(5, patch=False)
     assert calls["patch_moments"] == patches

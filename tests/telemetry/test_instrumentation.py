@@ -125,11 +125,16 @@ def test_apr_step_phases_nest_and_cover():
         "step/restrict",
     ):
         assert sub in phases, sub
-    # The coarse state goes onto the shell twice per coarse step (before
-    # and after the coarse advance); the shell is imposed n + 1 times.
+    # The coarse state goes onto the shell after the coarse advance, and
+    # before it only on the first step: later steps start from the
+    # previous step's end state, whose θ = 0 impose the shell already
+    # holds.  The interpolate phase also times the skipped imposes.
     n = sim.coupling.n
-    assert phases["step/coarse/ghost_state"]["count"] == 2 * 4
+    assert phases["step/coarse/ghost_state"]["count"] == 4 + 1
     assert phases["step/interpolate"]["count"] == (n + 1) * 4
+    counters = summary["counters"]
+    assert counters["refinement.shell_reimposes_skipped"]["value"] == 3
+    assert counters["refinement.shell_imposes"]["value"] == n * 4 + 1
     # The instrumented children explain >= 90% of the step wall time
     # (the acceptance bar for the per-phase accounting).
     assert summary["phase_coverage"]["step"] >= 0.9
