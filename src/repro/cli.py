@@ -11,17 +11,15 @@ downstream user can regenerate any paper artifact without writing code:
     python -m repro scaling --measured --backend processes --workers 4
     python -m repro profile tube --steps 50 --telemetry-dir out/
     python -m repro trace tube --steps 20 --backend processes --out t.json
-    python -m repro campaign run sweep.toml --out out/sweep --serve-status 0
+    python -m repro campaign run sweep.toml --out out/sweep
     python -m repro campaign status out/sweep
     python -m repro campaign resume out/sweep
 
 ``trace`` records per-occurrence spans (driver phases plus per-rank
-worker intervals) and exports a Chrome-trace JSON loadable in Perfetto;
-``--serve-status PORT`` on experiment/campaign runs exposes live
-``/status``, ``/metrics`` (Prometheus) and ``/events/tail`` over HTTP
-while the run is in flight, and ``campaign status`` automatically
-queries the live endpoint of a running campaign before falling back to
-on-disk artifacts.
+worker intervals) and exports a Chrome-trace JSON loadable in Perfetto.
+``campaign status`` reads the campaign's ledger and result files, so it
+is current to the last job transition whether or not the campaign is
+still running.
 
 Experiment subcommands accept ``--telemetry-dir DIR`` to record phase
 timings, metrics and events for the run (``events.jsonl`` +
@@ -212,34 +210,6 @@ def _run_instrumented_experiment(args: argparse.Namespace) -> None:
               f"z -> {r.trajectory[-1, 2] * 1e6:.1f} um")
 
 
-def _maybe_serve(tel, args: argparse.Namespace):
-    """Start the live /status endpoint when ``--serve-status`` was given.
-
-    Returns a ServeHandle to close after the run, or None.  The snapshot
-    and discovery files need a directory, so serving requires
-    ``--telemetry-dir``.
-    """
-    port = getattr(args, "serve_status", None)
-    if port is None:
-        return None
-    if tel.out_dir is None:
-        print("error: --serve-status requires --telemetry-dir",
-              file=sys.stderr)
-        raise SystemExit(2)
-    from .telemetry import build_status
-    from .telemetry.server import serve_status
-
-    handle = serve_status(
-        lambda: build_status(tel),
-        tel.out_dir,
-        port=port,
-        events_path=tel.out_dir / "events.jsonl",
-        kind=args.command,
-    )
-    print(f"live status: {handle.url}/status")
-    return handle
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry, active
 
@@ -248,22 +218,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         out_dir=args.telemetry_dir,
         meta={"experiment": args.experiment, "steps": args.steps},
     )
-    serve = None
-    try:
-        with tel, active(tel):
-            serve = _maybe_serve(tel, args)
-            tel.event("run_start", experiment=args.experiment,
-                      steps=args.steps)
-            _run_instrumented_experiment(args)
-            tel.event("run_end")
-            if args.telemetry_dir is not None:
-                summary_path = tel.write_summary()
-                print(f"wrote {tel.out_dir / 'events.jsonl'} "
-                      f"and {summary_path}")
-            print(tel.render_summary())
-    finally:
-        if serve is not None:
-            serve.close()
+    with tel, active(tel):
+        tel.event("run_start", experiment=args.experiment, steps=args.steps)
+        _run_instrumented_experiment(args)
+        tel.event("run_end")
+        if args.telemetry_dir is not None:
+            summary_path = tel.write_summary()
+            print(f"wrote {tel.out_dir / 'events.jsonl'} and {summary_path}")
+        print(tel.render_summary())
     return 0
 
 
@@ -276,19 +238,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace=True,
         meta={"experiment": args.experiment, "steps": args.steps},
     )
-    serve = None
-    try:
-        with tel, active(tel):
-            serve = _maybe_serve(tel, args)
-            tel.event("run_start", experiment=args.experiment,
-                      steps=args.steps)
-            _run_instrumented_experiment(args)
-            tel.event("run_end")
-            if args.telemetry_dir is not None:
-                tel.write_summary()
-    finally:
-        if serve is not None:
-            serve.close()
+    with tel, active(tel):
+        tel.event("run_start", experiment=args.experiment, steps=args.steps)
+        _run_instrumented_experiment(args)
+        tel.event("run_end")
+        if args.telemetry_dir is not None:
+            tel.write_summary()
     path = tel.write_trace(args.out)
     print(f"wrote {len(tel.tracer)} spans to {path}")
     print("open in https://ui.perfetto.dev or chrome://tracing")
@@ -314,30 +269,31 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.campaign_command == "run":
         manifest = load_manifest(args.manifest)
-        report = CampaignRunner(
-            manifest, args.out, serve_port=args.serve_status
-        ).run()
+        report = CampaignRunner(manifest, args.out).run()
         print(render_report(report))
         return 0 if report["counts"]["failed"] == 0 else 1
-    if args.campaign_command == "resume":
-        from pathlib import Path
 
-        if not (Path(args.dir) / MANIFEST_FILENAME).exists():
-            print(f"error: {args.dir} has no {MANIFEST_FILENAME}; "
-                  "was this directory created by 'campaign run'?",
-                  file=sys.stderr)
-            return 2
+    # resume / status work on an existing campaign directory.
+    from pathlib import Path
+
+    if not (Path(args.dir) / MANIFEST_FILENAME).exists():
+        print(f"error: {args.dir} has no {MANIFEST_FILENAME}; "
+              "was this directory created by 'campaign run'?",
+              file=sys.stderr)
+        return 2
+    try:
         manifest = load_campaign_manifest(args.dir)
-        report = CampaignRunner(
-            manifest, args.dir, serve_port=args.serve_status
-        ).run(resume=True)
+    except ValueError as exc:
+        print(f"error: {Path(args.dir) / MANIFEST_FILENAME}: {exc}",
+              file=sys.stderr)
+        return 2
+    if args.campaign_command == "resume":
+        report = CampaignRunner(manifest, args.dir).run(resume=True)
         print(render_report(report))
         return 0 if report["counts"]["failed"] == 0 else 1
-    # status: prefer the live endpoint of a still-running campaign, fall
-    # back to the last snapshot, then the offline ledger/result report.
-    from .service.status import campaign_status, render_status
-
-    print(render_status(campaign_status(args.dir)))
+    # status: the ledger records every job transition as it happens, so
+    # the report built from it is current for a running campaign too.
+    print(render_report(build_report(args.dir)))
     return 0
 
 
@@ -364,18 +320,6 @@ def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--serve-status",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live /status, /metrics and /events/tail on "
-             "127.0.0.1:PORT while running (0 = ephemeral port; "
-             "requires --telemetry-dir)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="APR blood-flow reproduction experiments"
@@ -389,14 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1500)
     p.add_argument("--csv", type=str, default=None)
     _add_telemetry_flag(p)
-    _add_serve_flag(p)
     p.set_defaults(func=_cmd_shear)
 
     p = sub.add_parser("tube", help="Fig. 5 hematocrit maintenance")
     p.add_argument("--hematocrit", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=100)
     _add_telemetry_flag(p)
-    _add_serve_flag(p)
     p.set_defaults(func=_cmd_tube)
 
     p = sub.add_parser("channel", help="Fig. 6 expanding-channel trajectory")
@@ -404,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=100)
     _add_telemetry_flag(p)
-    _add_serve_flag(p)
     p.set_defaults(func=_cmd_channel)
 
     p = sub.add_parser("tables", help="Tables 2-3 capability arithmetic")
@@ -461,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
     _add_telemetry_flag(p)
-    _add_serve_flag(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -484,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
     _add_telemetry_flag(p)
-    _add_serve_flag(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
@@ -505,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("manifest", help="TOML or JSON campaign manifest")
     pc.add_argument("--out", required=True, metavar="DIR",
                     help="campaign output directory (ledger, jobs/, report)")
-    _add_serve_flag(pc)
     pc.set_defaults(func=_cmd_campaign)
 
     pc = csub.add_parser(
@@ -520,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the rest restart from their last checkpoint shard",
     )
     pc.add_argument("dir", help="campaign directory from 'campaign run'")
-    _add_serve_flag(pc)
     pc.set_defaults(func=_cmd_campaign)
 
     # Internal: one-job worker subprocess launched by the scheduler.
@@ -542,25 +479,13 @@ def main(argv: list[str] | None = None) -> int:
         from .telemetry import Telemetry, active
 
         tel = Telemetry(out_dir=tdir, meta={"command": args.command})
-        serve = None
-        try:
-            with tel, active(tel):
-                serve = _maybe_serve(tel, args)
-                tel.event("run_start", command=args.command)
-                rc = args.func(args)
-                tel.event("run_end", returncode=rc)
-                summary_path = tel.write_summary()
-                print(f"wrote {tel.out_dir / 'events.jsonl'} "
-                      f"and {summary_path}")
-        finally:
-            if serve is not None:
-                serve.close()
+        with tel, active(tel):
+            tel.event("run_start", command=args.command)
+            rc = args.func(args)
+            tel.event("run_end", returncode=rc)
+            summary_path = tel.write_summary()
+            print(f"wrote {tel.out_dir / 'events.jsonl'} and {summary_path}")
         return rc
-    if (getattr(args, "serve_status", None) is not None
-            and args.command not in ("profile", "trace", "campaign")):
-        print("error: --serve-status requires --telemetry-dir",
-              file=sys.stderr)
-        return 2
     return args.func(args)
 
 

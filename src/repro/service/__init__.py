@@ -23,6 +23,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".registry": ("EXPERIMENTS", "resolve"),
     ".report": ("build_report", "render_report", "write_report"),
     ".scheduler": ("CampaignRunner", "run_campaign"),
-    ".status": ("campaign_status", "fetch_live_status", "render_status"),
     ".worker": ("derive_seed", "job_dir", "run_job"),
 })

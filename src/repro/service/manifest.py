@@ -52,10 +52,7 @@ _DEFAULTABLE = (
     "timeout_s",
     "checkpoint_every",
     "priority",
-    "isolation",
 )
-
-_ISOLATION_MODES = ("process", "inline")
 
 
 @dataclass
@@ -75,7 +72,6 @@ class JobSpec:
     timeout_s: float | None = None  # wall-clock kill per attempt
     checkpoint_every: int = 0  # steps between checkpoint shards
     seed: int | None = None  # explicit RNG seed (default: derived per job)
-    isolation: str = "process"  # "process" (subprocess) or "inline"
 
     def validate(self) -> None:
         if not self.job_id or not all(
@@ -96,11 +92,6 @@ class JobSpec:
             raise ValueError(f"job {self.job_id}: checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 1:
             raise ValueError(f"job {self.job_id}: steps must be >= 1")
-        if self.isolation not in _ISOLATION_MODES:
-            raise ValueError(
-                f"job {self.job_id}: isolation must be one of "
-                f"{_ISOLATION_MODES}"
-            )
 
 
 @dataclass
@@ -154,7 +145,7 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
     if not isinstance(doc, dict):
         raise ValueError("manifest root must be a table/object")
     defaults = doc.get("defaults", {})
-    unknown_defaults = set(defaults) - set(_DEFAULTABLE)
+    unknown_defaults = set(defaults) - {*_DEFAULTABLE, "isolation"}
     if unknown_defaults:
         raise ValueError(
             f"unknown [defaults] key(s) {sorted(unknown_defaults)}; "
@@ -170,6 +161,16 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
         if job_id is None or experiment is None:
             raise ValueError(f"jobs[{i}]: 'id' and 'experiment' are required")
         merged = {**{k: v for k, v in defaults.items()}, **j}
+        # Manifests written before inline isolation was removed carry
+        # ``"isolation": "process"`` (every persisted ``manifest.json``
+        # does); it names what every job now does, so it is dropped.
+        mode = merged.pop("isolation", "process")
+        if mode != "process":
+            raise ValueError(
+                f"job {job_id}: isolation {mode!r} is not supported; "
+                "inline isolation was removed and every job runs in its "
+                "own worker subprocess"
+            )
         known = {f for f in JobSpec.__dataclass_fields__ if f != "job_id"}
         unknown = set(merged) - known
         if unknown:

@@ -9,15 +9,15 @@ attempts:
 * **isolation** — each attempt runs in its own subprocess (``python -m
   repro campaign _worker``) with its own telemetry directory, RNG seed
   and ``REPRO_PARALLEL_*`` environment; a crashing job takes down only
-  itself.  ``isolation = "inline"`` trades that hardening for zero
-  process overhead (tests, very short jobs);
+  itself;
 * **robustness** — per-attempt wall-clock timeouts (terminate, then
   kill), crash capture (exit code + log tail into the ledger), and
   retry with exponential backoff up to ``max_attempts``; a job that
   checkpointed before dying resumes from its shard, not step 0;
-* **observability** — every transition is one flushed JSONL ledger
-  line, and the end of the campaign writes the aggregate ``report.json``
-  (:mod:`repro.service.report`).
+* **observability** — every transition is one fsync'd JSONL ledger
+  line, the only status source: ``campaign status`` folds it (plus the
+  result files) into the same report the end of the campaign writes as
+  ``report.json`` (:mod:`repro.service.report`).
 
 ``resume=True`` re-admits exactly the jobs without a ``result.json`` —
 completed work is never re-run, and partially-run jobs restart from
@@ -42,7 +42,6 @@ from .worker import (
     MANIFEST_FILENAME,
     RESULT_FILENAME,
     job_dir,
-    run_job,
 )
 from .util import read_json, tail_lines
 
@@ -58,10 +57,9 @@ class _Attempt:
     attempt: int
     started: float
     deadline: float | None
-    proc: subprocess.Popen | None = None  # None => inline thread
-    thread: object | None = None  # threading.Thread for inline attempts
-    error: str | None = None  # inline failure capture
-    log_path: Path | None = None
+    proc: subprocess.Popen
+    log_path: Path
+    error: str | None = None
 
 
 class CampaignRunner:
@@ -72,26 +70,12 @@ class CampaignRunner:
         manifest: CampaignManifest,
         out_dir: str | Path,
         poll_interval: float = 0.05,
-        serve_port: int | None = None,
-        serve_interval: float = 0.25,
     ):
         manifest.validate()
         self.manifest = manifest
         self.out_dir = Path(out_dir)
         self.poll_interval = float(poll_interval)
         self.ledger_path = self.out_dir / LEDGER_FILENAME
-        #: When set, the run serves live /status + /metrics on this port
-        #: (0 = ephemeral); ``serve_url`` is filled in once bound.
-        self.serve_port = serve_port
-        self.serve_interval = float(serve_interval)
-        self.serve_url: str | None = None
-        # Live scheduler state the status snapshotter reads from its own
-        # thread: per-job state strings plus the campaign start stamp.
-        # Plain dict/float writes are atomic under the GIL, so the
-        # scheduling loop never takes a lock for observability.
-        self._job_states: dict[str, str] = {}
-        self._t_start: float | None = None
-        self._finished = False
 
     # -- setup ---------------------------------------------------------
     def prepare(self) -> None:
@@ -101,54 +85,6 @@ class CampaignRunner:
 
     def _completed(self, job_id: str) -> bool:
         return (job_dir(self.out_dir, job_id) / RESULT_FILENAME).exists()
-
-    # -- live status ---------------------------------------------------
-    def _status_payload(self) -> dict:
-        """Scheduler-level rollup served as the campaign's ``/status``.
-
-        Called from the snapshotter sidecar thread; reads only
-        GIL-consistent in-memory state plus cheap per-job file stats
-        (checkpoint mtimes, completed results).
-        """
-        states = dict(self._job_states)
-        counts = {
-            key: sum(1 for v in states.values() if v == key)
-            for key in ("pending", "running", "waiting",
-                        "completed", "failed")
-        }
-        counts["jobs"] = len(states)
-        now = time.monotonic()
-        uptime = 0.0 if self._t_start is None else now - self._t_start
-        checkpoint_age = None
-        steps_resumed = 0
-        for job_id, state in states.items():
-            jdir = job_dir(self.out_dir, job_id)
-            try:
-                age = time.time() - (jdir / CHECKPOINT_FILENAME).stat().st_mtime
-            except OSError:
-                age = None
-            if age is not None and (checkpoint_age is None
-                                    or age < checkpoint_age):
-                checkpoint_age = age
-            if state == "completed":
-                try:
-                    steps_resumed += int(
-                        read_json(jdir / RESULT_FILENAME).get("start_step", 0)
-                    )
-                except (OSError, ValueError):
-                    pass
-        return {
-            "state": "done" if self._finished else "running",
-            "uptime_s": uptime,
-            "campaign": {
-                "name": self.manifest.name,
-                "max_parallel": self.manifest.max_parallel,
-                **counts,
-            },
-            "jobs": states,
-            "checkpoint_age_s": checkpoint_age,
-            "steps_resumed": steps_resumed,
-        }
 
     # -- main loop -----------------------------------------------------
     def run(self, resume: bool = False) -> dict:
@@ -162,24 +98,20 @@ class CampaignRunner:
             max_parallel=self.manifest.max_parallel,
         )
         t_start = time.monotonic()
-        self._t_start = t_start
-        self._finished = False
 
         ready: list[JobSpec] = []
         for order, spec in enumerate(self.manifest.jobs):
             if resume and self._completed(spec.job_id):
                 ledger.append("skipped_completed", job=spec.job_id)
-                self._job_states[spec.job_id] = "completed"
                 continue
             ready.append(spec)
-            self._job_states[spec.job_id] = "pending"
             ledger.append(
                 "submitted",
                 job=spec.job_id,
                 experiment=spec.experiment,
                 priority=spec.priority,
                 resumable=(
-                    job_dir(self.out_dir, spec.job_id) / "checkpoint.npz"
+                    job_dir(self.out_dir, spec.job_id) / CHECKPOINT_FILENAME
                 ).exists(),
             )
         # Admission order: priority first, manifest order as tiebreak.
@@ -191,22 +123,6 @@ class CampaignRunner:
         running: list[_Attempt] = []
         failed: list[str] = []
         completed: list[str] = []
-
-        serve = None
-        if self.serve_port is not None:
-            from ..telemetry.server import serve_status
-
-            serve = serve_status(
-                self._status_payload,
-                self.out_dir,
-                port=self.serve_port,
-                events_path=self.ledger_path,
-                interval=self.serve_interval,
-                kind="campaign",
-                name=self.manifest.name,
-            )
-            self.serve_url = serve.url
-            ledger.append("serving", url=serve.url, port=serve.port)
 
         try:
             while ready or waiting or running:
@@ -222,7 +138,6 @@ class CampaignRunner:
                     running.append(
                         self._launch(ledger, spec, attempts_done)
                     )
-                    self._job_states[spec.job_id] = "running"
                 still: list[_Attempt] = []
                 for att in running:
                     outcome = self._poll(ledger, att)
@@ -230,7 +145,6 @@ class CampaignRunner:
                         still.append(att)
                     elif outcome == "completed":
                         completed.append(att.spec.job_id)
-                        self._job_states[att.spec.job_id] = "completed"
                     else:  # crashed / timeout -> retry or fail
                         n = attempts_done[att.spec.job_id]
                         if n < att.spec.max_attempts:
@@ -248,7 +162,6 @@ class CampaignRunner:
                             waiting.append(
                                 (time.monotonic() + delay, att.spec)
                             )
-                            self._job_states[att.spec.job_id] = "waiting"
                         else:
                             ledger.append(
                                 "failed",
@@ -257,7 +170,6 @@ class CampaignRunner:
                                 error=att.error,
                             )
                             failed.append(att.spec.job_id)
-                            self._job_states[att.spec.job_id] = "failed"
                 running = still
                 if running or waiting:
                     time.sleep(self.poll_interval)
@@ -270,11 +182,6 @@ class CampaignRunner:
                 failed=len(failed),
             )
         finally:
-            self._finished = True
-            if serve is not None:
-                # Final snapshot flips state to "done"; the discovery
-                # file is removed so status falls back to artifacts.
-                serve.close()
             ledger.close()
         report = build_report(self.out_dir)
         write_report(self.out_dir, report)
@@ -293,54 +200,36 @@ class CampaignRunner:
         deadline = None if spec.timeout_s is None else now + spec.timeout_s
         jdir = job_dir(self.out_dir, spec.job_id)
         jdir.mkdir(parents=True, exist_ok=True)
+        log_path = jdir / f"attempt-{attempt}.log"
+        env = dict(os.environ)
+        # Workers import repro from the same tree the scheduler runs.
+        src_root = str(Path(__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [src_root, env.get("PYTHONPATH")] if p
+        )
+        if spec.backend is not None:
+            env["REPRO_PARALLEL_BACKEND"] = spec.backend
+        if spec.workers is not None:
+            env["REPRO_PARALLEL_WORKERS"] = str(spec.workers)
+        with open(log_path, "ab") as log:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "campaign", "_worker",
+                    "--dir", str(self.out_dir),
+                    "--job", spec.job_id,
+                    "--attempt", str(attempt),
+                ],
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                env=env,
+            )
         att = _Attempt(spec=spec, attempt=attempt, started=now,
-                       deadline=deadline)
-        if spec.isolation == "inline":
-            import threading
-
-            def target() -> None:
-                try:
-                    run_job(
-                        self.out_dir, spec.job_id, attempt=attempt,
-                        set_parallel_env=self.manifest.max_parallel == 1,
-                    )
-                except BaseException as exc:  # captured, not fatal
-                    att.error = f"{type(exc).__name__}: {exc}"
-
-            att.thread = threading.Thread(
-                target=target, name=f"repro-job-{spec.job_id}", daemon=True
-            )
-            att.thread.start()
-        else:
-            att.log_path = jdir / f"attempt-{attempt}.log"
-            env = dict(os.environ)
-            # Workers import repro from the same tree the scheduler runs.
-            src_root = str(Path(__file__).resolve().parents[2])
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in [src_root, env.get("PYTHONPATH")] if p
-            )
-            if spec.backend is not None:
-                env["REPRO_PARALLEL_BACKEND"] = spec.backend
-            if spec.workers is not None:
-                env["REPRO_PARALLEL_WORKERS"] = str(spec.workers)
-            with open(att.log_path, "ab") as log:
-                att.proc = subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro", "campaign", "_worker",
-                        "--dir", str(self.out_dir),
-                        "--job", spec.job_id,
-                        "--attempt", str(attempt),
-                    ],
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                    env=env,
-                )
+                       deadline=deadline, proc=proc, log_path=log_path)
         ledger.append(
             "started",
             job=spec.job_id,
             attempt=attempt,
-            isolation=spec.isolation,
-            pid=None if att.proc is None else att.proc.pid,
+            pid=proc.pid,
         )
         return att
 
@@ -350,49 +239,32 @@ class CampaignRunner:
         Returns None while running, else "completed"/"crashed"/"timeout".
         """
         now = time.monotonic()
-        if att.proc is not None:
-            rc = att.proc.poll()
-            if rc is None:
-                if att.deadline is not None and now > att.deadline:
-                    self._kill(att.proc)
-                    att.error = f"timeout after {att.spec.timeout_s}s"
-                    ledger.append(
-                        "timeout",
-                        job=att.spec.job_id,
-                        attempt=att.attempt,
-                        timeout_s=att.spec.timeout_s,
-                        wall_s=now - att.started,
-                        error=att.error,
-                    )
-                    return "timeout"
-                return None
-            if rc == 0:
-                return self._record_completed(ledger, att, now)
-            att.error = f"exit code {rc}"
-            ledger.append(
-                "crashed",
-                job=att.spec.job_id,
-                attempt=att.attempt,
-                exit_code=rc,
-                wall_s=now - att.started,
-                error=att.error,
-                log_tail=(
-                    tail_lines(att.log_path) if att.log_path else ""
-                ),
-            )
-            return "crashed"
-        # Inline attempt.
-        assert att.thread is not None
-        if att.thread.is_alive():
+        rc = att.proc.poll()
+        if rc is None:
+            if att.deadline is not None and now > att.deadline:
+                self._kill(att.proc)
+                att.error = f"timeout after {att.spec.timeout_s}s"
+                ledger.append(
+                    "timeout",
+                    job=att.spec.job_id,
+                    attempt=att.attempt,
+                    timeout_s=att.spec.timeout_s,
+                    wall_s=now - att.started,
+                    error=att.error,
+                )
+                return "timeout"
             return None
-        if att.error is None:
+        if rc == 0:
             return self._record_completed(ledger, att, now)
+        att.error = f"exit code {rc}"
         ledger.append(
             "crashed",
             job=att.spec.job_id,
             attempt=att.attempt,
+            exit_code=rc,
             wall_s=now - att.started,
             error=att.error,
+            log_tail=tail_lines(att.log_path),
         )
         return "crashed"
 
@@ -431,8 +303,6 @@ def run_campaign(
     manifest: CampaignManifest,
     out_dir: str | Path,
     resume: bool = False,
-    serve_port: int | None = None,
 ) -> dict:
     """Convenience wrapper: schedule ``manifest`` into ``out_dir``."""
-    runner = CampaignRunner(manifest, out_dir, serve_port=serve_port)
-    return runner.run(resume=resume)
+    return CampaignRunner(manifest, out_dir).run(resume=resume)

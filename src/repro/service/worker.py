@@ -1,8 +1,7 @@
 """Job worker: runs exactly one campaign job in the current process.
 
-The scheduler launches this through ``python -m repro campaign _worker``
-(one subprocess per attempt — crash isolation, killable on timeout) or
-calls :func:`run_job` directly for ``isolation = "inline"`` jobs.
+The scheduler launches this through ``python -m repro campaign _worker``,
+one subprocess per attempt: crash isolation, killable on timeout.
 
 Per-job isolation:
 
@@ -11,9 +10,10 @@ Per-job isolation:
 * **RNG seeds** — a job without an explicit ``seed`` gets a stable
   per-job seed derived from the campaign and job names, so sibling jobs
   never share RBC placements and re-running a campaign reproduces it;
-* **executor runtime** — ``backend``/``workers`` land in the
-  ``REPRO_PARALLEL_*`` environment the PR 3/4 runtimes already honor
-  (safe here: the env is this subprocess's own).
+* **executor runtime** — the scheduler puts ``backend``/``workers`` in
+  the ``REPRO_PARALLEL_*`` environment of the worker subprocess it
+  launches, which the parallel runtimes already honor; the worker never
+  writes ``os.environ`` itself.
 
 On success the worker atomically writes ``jobs/<id>/result.json``; its
 presence is the scheduler's (and ``campaign resume``'s) completion
@@ -23,7 +23,6 @@ reruns the tail of the job from its last checkpoint.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from pathlib import Path
@@ -76,27 +75,14 @@ def run_job(
     campaign_dir: str | Path,
     job_id: str,
     attempt: int = 1,
-    set_parallel_env: bool = True,
 ) -> dict:
-    """Execute one job attempt; returns (and persists) the result record.
-
-    ``set_parallel_env=False`` skips the ``REPRO_PARALLEL_*`` overrides —
-    the inline scheduler passes it when sharing its process with
-    concurrent siblings, where mutating the global environment would
-    race.
-    """
+    """Execute one job attempt; returns (and persists) the result record."""
     campaign_dir = Path(campaign_dir)
     manifest = load_campaign_manifest(campaign_dir)
     spec = manifest.job(job_id)
     entry = resolve(spec.experiment)
     jdir = job_dir(campaign_dir, job_id)
     jdir.mkdir(parents=True, exist_ok=True)
-
-    if set_parallel_env:
-        if spec.backend is not None:
-            os.environ["REPRO_PARALLEL_BACKEND"] = spec.backend
-        if spec.workers is not None:
-            os.environ["REPRO_PARALLEL_WORKERS"] = str(spec.workers)
 
     checkpointer = None
     if entry.supports_checkpoint and (

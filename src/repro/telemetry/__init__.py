@@ -41,14 +41,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "EventSink",
         "heal_truncated_tail",
         "read_events",
-        "tail_events",
     ),
     ".metrics": (
         "Counter",
         "Gauge",
         "MetricRegistry",
-        "prometheus_text",
-        "sanitize_metric_name",
     ),
     ".report": (
         "phase_coverage",
@@ -56,16 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "render_summary",
         "summarize",
         "write_summary",
-    ),
-    ".server": (
-        "ServeHandle",
-        "StatusSnapshotter",
-        "TelemetryServer",
-        "build_status",
-        "metrics_text",
-        "read_endpoint_file",
-        "serve_status",
-        "write_endpoint_file",
     ),
     ".timers": ("PhaseRecorder", "PhaseStat", "Timer"),
     ".tracing": (

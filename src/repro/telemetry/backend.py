@@ -17,8 +17,7 @@ Instrumented library code never takes a telemetry argument; it calls
 
 The installed backend lives in a :class:`contextvars.ContextVar`: every
 thread starts from the null backend and installs its own, so concurrent
-jobs (the campaign scheduler's inline threads) cannot leave a stale
-backend behind for one another.
+threads cannot leave a stale backend behind for one another.
 """
 
 from __future__ import annotations

@@ -58,11 +58,10 @@ class EventSink:
     and ``tail -f`` followers see events as they happen.
 
     Writes are thread-safe: serialization happens outside the lock, but
-    open-on-first-event, the write and the flush hold it, so concurrent
-    emitters (an inline campaign's sibling jobs, a snapshot thread next
-    to the driver) can never interleave partial lines.  Opening heals a
-    torn tail first — the same discipline the service ledger applies —
-    so appending to a killed run's stream stays safe.
+    open-on-first-event, the write and the flush hold it, so threads
+    emitting into one sink can never interleave partial lines.  Opening
+    heals a torn tail first — the same discipline the service ledger
+    applies — so appending to a killed run's stream stays safe.
     """
 
     def __init__(self, path: str | Path):
@@ -115,31 +114,3 @@ def read_events(path: str | Path) -> list[dict]:
             ) from None
     return out
 
-
-def tail_events(
-    path: str | Path, n: int = 50, max_bytes: int = 262144
-) -> list[dict]:
-    """Last ``n`` events of a JSONL stream, reading at most ``max_bytes``.
-
-    Built for the live ``/events/tail`` endpoint: bounded I/O regardless
-    of stream length, tolerant of both a torn final line (in-flight
-    write) and a torn *first* line (the seek landed mid-record).
-    """
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-        with open(path, "rb") as fh:
-            fh.seek(max(0, size - max_bytes))
-            data = fh.read().decode("utf-8", errors="replace")
-    except OSError:
-        return []
-    out: list[dict] = []
-    for line in data.splitlines()[-n - 1:]:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn first/last line of the window
-    return out[-n:]

@@ -10,79 +10,6 @@ there is no global mutable state beyond the installed backend itself.
 from __future__ import annotations
 
 import math
-import re
-
-#: Valid Prometheus metric-name characters (anything else becomes "_").
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def sanitize_metric_name(name: str, prefix: str = "repro_") -> str:
-    """Dotted/slashed metric name -> legal Prometheus metric name.
-
-    ``cells.inserted`` becomes ``repro_cells_inserted``; any character
-    outside ``[a-zA-Z0-9_:]`` maps to ``_``, and a leading digit (after
-    the prefix is applied) gains a ``_`` guard.
-    """
-    out = prefix + _PROM_INVALID.sub("_", name)
-    if out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def prometheus_text(
-    counters: dict[str, dict],
-    gauges: dict[str, dict],
-    prefix: str = "repro_",
-) -> str:
-    """Render counters/gauges in the Prometheus text exposition format.
-
-    Input is the ``as_dict()`` shape (``{name: {"value": ...}}``), so the
-    same renderer serves a live :class:`MetricRegistry` and a summary or
-    snapshot JSON read back from disk.  Counters get the conventional
-    ``_total`` suffix and ``# TYPE ... counter``; gauges additionally
-    expose their observed ``_min``/``_max`` when sampled.  Output is
-    sorted by exposed name, so the text is byte-stable for a given metric
-    state; if two raw names sanitize to the same exposed name, the first
-    (in sorted raw order) wins and the rest are dropped rather than
-    emitting an invalid duplicate family.
-    """
-    lines: list[str] = []
-    seen: set[str] = set()
-    for name in sorted(counters):
-        metric = sanitize_metric_name(name, prefix) + "_total"
-        if metric in seen:
-            continue
-        seen.add(metric)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_prom_value(counters[name]['value'])}")
-    for name in sorted(gauges):
-        metric = sanitize_metric_name(name, prefix)
-        if metric in seen:
-            continue
-        seen.add(metric)
-        g = gauges[name]
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_value(g['value'])}")
-        if g.get("n_samples"):
-            for bound in ("min", "max"):
-                if bound in g:
-                    lines.append(f"# TYPE {metric}_{bound} gauge")
-                    lines.append(
-                        f"{metric}_{bound} {_prom_value(g[bound])}"
-                    )
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _prom_value(v) -> str:
-    """Prometheus sample formatting (inf/nan spellings included)."""
-    v = float(v)
-    if math.isinf(v):
-        return "+Inf" if v > 0 else "-Inf"
-    if math.isnan(v):
-        return "NaN"
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
 
 
 class Counter:

@@ -111,7 +111,7 @@ def test_node_set_written_again_is_patched_once_from_its_latest_columns(
     shell, few = _shell(g.shape), np.array([3, 77, 401])
 
     def write(nodes):
-        columns = rng.random((19, len(nodes)))
+        columns = rng.random((19, len(nodes))).astype(g.f.dtype)
         g.f.reshape(19, -1)[:, nodes] = columns
         g.mark_f_modified(nodes, columns)
 

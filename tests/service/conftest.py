@@ -7,8 +7,6 @@ checkpointing jobs through the ``python:module:function`` escape hatch.
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 TESTJOBS_SRC = '''\
@@ -73,10 +71,6 @@ def testjobs(tmp_path_factory, monkeypatch):
     """Importable module path usable as ``python:campaign_testjobs:<fn>``."""
     root = tmp_path_factory.mktemp("testjobs")
     (root / "campaign_testjobs.py").write_text(TESTJOBS_SRC)
-    # Subprocess workers inherit PYTHONPATH; the in-process (inline)
-    # path needs sys.path too.
+    # Worker subprocesses inherit PYTHONPATH.
     monkeypatch.setenv("PYTHONPATH", str(root))
-    monkeypatch.syspath_prepend(str(root))
-    sys.modules.pop("campaign_testjobs", None)
-    yield "campaign_testjobs"
-    sys.modules.pop("campaign_testjobs", None)
+    return "campaign_testjobs"

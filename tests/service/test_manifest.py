@@ -147,6 +147,15 @@ def test_json_manifest_and_normalized_save(tmp_path):
             },
             "timeout_s",
         ),
+        (
+            {
+                "name": "x",
+                "jobs": [
+                    {"id": "a", "experiment": "hotpath", "isolation": "inline"}
+                ],
+            },
+            "inline isolation was removed",
+        ),
     ],
 )
 def test_validation_errors(doc, match):
@@ -173,10 +182,21 @@ def test_python_spec_experiments_allowed():
     assert m.jobs[0].experiment == "python:some.module:run"
 
 
+@pytest.mark.parametrize("where", ["job", "defaults"])
+def test_isolation_process_from_older_manifests_is_dropped(where):
+    job = {"id": "a", "experiment": "hotpath"}
+    doc = {"name": "x", "jobs": [job]}
+    if where == "job":
+        job["isolation"] = "process"
+    else:
+        doc["defaults"] = {"isolation": "process"}
+    m = manifest_from_dict(doc)
+    assert "isolation" not in m.to_dict()["jobs"][0]
+
+
 def test_jobspec_defaults():
     spec = JobSpec(job_id="j", experiment="hotpath")
     spec.validate()
-    assert spec.isolation == "process"
     assert spec.max_attempts == 2
     assert spec.checkpoint_every == 0
     m = CampaignManifest(name="c", jobs=[spec])

@@ -24,13 +24,11 @@ def _run_mixed_campaign(tmp_path, testjobs):
             JobSpec(
                 job_id="ok-1",
                 experiment=f"python:{testjobs}:run_ok",
-                isolation="inline",
                 max_attempts=1,
             ),
             JobSpec(
                 job_id="bad-1",
                 experiment=f"python:{testjobs}:run_crash",
-                isolation="inline",
                 max_attempts=2,
             ),
         ],

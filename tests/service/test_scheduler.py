@@ -139,14 +139,12 @@ def test_priority_orders_admission(tmp_path, testjobs):
                 job_id="low",
                 experiment=f"python:{testjobs}:run_ok",
                 priority=0,
-                isolation="inline",
                 max_attempts=1,
             ),
             JobSpec(
                 job_id="high",
                 experiment=f"python:{testjobs}:run_ok",
                 priority=5,
-                isolation="inline",
                 max_attempts=1,
             ),
         ],
@@ -161,21 +159,19 @@ def test_priority_orders_admission(tmp_path, testjobs):
     assert starts == ["high", "low"]
 
 
-def test_inline_isolation_runs_and_records(tmp_path, testjobs):
+def test_crash_retries_then_sibling_runs_one_at_a_time(tmp_path, testjobs):
     manifest = CampaignManifest(
-        name="inline",
+        name="serial-crash",
         max_parallel=1,
         jobs=[
             JobSpec(
                 job_id="crashy",
                 experiment=f"python:{testjobs}:run_crash",
-                isolation="inline",
                 max_attempts=2,
             ),
             JobSpec(
                 job_id="fine",
                 experiment=f"python:{testjobs}:run_ok",
-                isolation="inline",
                 max_attempts=1,
             ),
         ],
@@ -185,7 +181,15 @@ def test_inline_isolation_runs_and_records(tmp_path, testjobs):
         manifest, tmp_path / "camp", poll_interval=0.01
     ).run()
     assert report["jobs"]["crashy"]["status"] == "failed"
-    assert "RuntimeError" in report["jobs"]["crashy"]["last_error"]
+    assert report["jobs"]["crashy"]["last_error"] == "exit code 1"
+    # the worker's traceback reaches the ledger through the log tail
+    crashes = [
+        r
+        for r in read_ledger(tmp_path / "camp" / LEDGER_FILENAME)
+        if r.get("event") == "crashed"
+    ]
+    assert len(crashes) == 2
+    assert all("RuntimeError" in r["log_tail"] for r in crashes)
     assert report["jobs"]["fine"]["status"] == "completed"
 
 
@@ -299,7 +303,6 @@ def test_resume_skips_completed_jobs(tmp_path, testjobs):
             JobSpec(
                 job_id="only",
                 experiment=f"python:{testjobs}:run_ok",
-                isolation="inline",
                 max_attempts=1,
             )
         ],

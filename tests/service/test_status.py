@@ -1,153 +1,96 @@
-"""Live campaign observability: /status while running, fallback after."""
+"""Campaign status while a campaign runs: the ledger is the status source.
+
+The scheduler writes one fsync'd ledger line per job transition, so the
+report folded from the ledger (``build_report``, what ``campaign status``
+prints) is current to the last transition even mid-run.
+"""
 
 from __future__ import annotations
 
-import json
+import os
+import re
+import subprocess
+import sys
 import threading
-import urllib.request
-
-import pytest
+import time
 
 from repro.service import (
     CampaignManifest,
     CampaignRunner,
     JobSpec,
-    campaign_status,
-    fetch_live_status,
-    render_status,
+    build_report,
+    read_ledger,
 )
-from repro.service.status import read_status_snapshot
-from repro.telemetry.server import read_endpoint_file
+from repro.service.worker import LEDGER_FILENAME
 
 
-def _manifest(testjobs, n_jobs=2, steps=20, dt=0.02):
-    return CampaignManifest(
+def _cli_status(camp) -> str:
+    """``python -m repro campaign status`` in a fresh interpreter."""
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [src_root, env.get("PYTHONPATH")] if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "status", str(camp)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _row_status(text: str, job: str) -> str:
+    match = re.search(rf"^\s+{job}\s+\S+\s+(\S+)", text, re.MULTILINE)
+    assert match is not None, text
+    return match.group(1)
+
+
+def test_status_while_running_reads_the_ledger(tmp_path, testjobs):
+    # j0 sleeps ~3 s, long enough to be queried twice while it runs;
+    # max_parallel = 1 keeps j1 waiting behind it.
+    manifest = CampaignManifest(
         name="live",
         max_parallel=1,
         jobs=[
             JobSpec(
-                job_id=f"j{i}",
+                job_id=job_id,
                 experiment=f"python:{testjobs}:run_slow",
-                isolation="inline",
-                params={"steps": steps, "dt": dt},
+                params={"steps": steps, "dt": 0.05},
                 max_attempts=1,
             )
-            for i in range(n_jobs)
+            for job_id, steps in (("j0", 60), ("j1", 2))
         ],
     )
-
-
-def _get_json(url, timeout=5.0):
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return json.loads(resp.read())
-
-
-def test_campaign_serves_live_status_and_metrics(tmp_path, testjobs):
-    """Acceptance: a running campaign answers live HTTP queries."""
     camp = tmp_path / "camp"
-    runner = CampaignRunner(
-        _manifest(testjobs), camp, serve_port=0, serve_interval=0.05
-    )
-    t = threading.Thread(target=runner.run)
+    runner = CampaignRunner(manifest, camp, poll_interval=0.02)
+    result: dict = {}
+    t = threading.Thread(target=lambda: result.update(runner.run()))
     t.start()
     try:
-        while runner.serve_url is None:
-            pass
-        # discovery file points at the bound endpoint
-        endpoint = read_endpoint_file(camp)
-        assert endpoint is not None
-        assert endpoint["url"] == runner.serve_url
-        assert endpoint["kind"] == "campaign"
-
-        status = _get_json(runner.serve_url + "/status")
-        assert status["state"] == "running"
-        assert status["campaign"]["name"] == "live"
-        assert status["campaign"]["jobs"] == 2
-        assert set(status["jobs"]) == {"j0", "j1"}
-
-        with urllib.request.urlopen(
-            runner.serve_url + "/metrics", timeout=5.0
-        ) as resp:
-            assert "version=0.0.4" in resp.headers["Content-Type"]
-            text = resp.read().decode()
-        assert "repro_campaign_jobs_jobs 2" in text
-
-        tail = _get_json(runner.serve_url + "/events/tail?n=5")
-        assert any(e.get("event") == "campaign_start" for e in tail)
-
-        # the live query path resolves through the discovery file too
-        live = campaign_status(camp)
-        assert live["source"] == "live"
-        assert "running:" in render_status(live) or "jobs:" in render_status(
-            live
-        )
+        deadline = time.monotonic() + 30.0
+        while not any(
+            r.get("event") == "started"
+            for r in read_ledger(camp / LEDGER_FILENAME)
+        ):
+            assert time.monotonic() < deadline, "no job ever started"
+            time.sleep(0.02)
+        jobs = build_report(camp)["jobs"]
+        assert jobs["j0"]["status"] == "running"
+        assert jobs["j1"]["status"] == "pending"
+        text = _cli_status(camp)
+        assert _row_status(text, "j0") == "running"
+        assert _row_status(text, "j1") == "pending"
     finally:
         t.join(timeout=60)
     assert not t.is_alive()
+    assert result["counts"]["completed"] == 2
 
-
-def test_status_falls_back_after_campaign_ends(tmp_path, testjobs):
-    camp = tmp_path / "camp"
-    runner = CampaignRunner(
-        _manifest(testjobs, n_jobs=1, steps=2, dt=0.0),
-        camp,
-        serve_port=0,
-        serve_interval=0.05,
-    )
-    report = runner.run()
-    assert report["counts"]["failed"] == 0
-    # endpoint file removed on clean shutdown -> no live answer
-    assert read_endpoint_file(camp) is None
-    assert fetch_live_status(camp) is None
-    # final snapshot recorded the terminal state
-    snap = read_status_snapshot(camp)
-    assert snap["state"] == "done"
-    assert snap["jobs"] == {"j0": "completed"}
-    status = campaign_status(camp)
-    assert status["source"] == "snapshot"
-    assert status["campaign"]["completed"] == 1
-
-
-def test_status_falls_back_to_report_without_snapshot(tmp_path, testjobs):
-    camp = tmp_path / "camp"
-    # no serving at all: neither server.json nor status.json exist
-    report = CampaignRunner(
-        _manifest(testjobs, n_jobs=1, steps=2, dt=0.0), camp
-    ).run()
-    assert report["counts"]["completed"] == 1
-    status = campaign_status(camp)
-    assert status["source"] == "report"
-    assert status["report"]["counts"]["completed"] == 1
-    assert "completed" in render_status(status)
-
-
-def test_stale_endpoint_file_is_ignored(tmp_path, testjobs):
-    # a server.json pointing at a dead port must not raise, just fall
-    # through to the artifact-backed answer
-    camp = tmp_path / "camp"
-    CampaignRunner(
-        _manifest(testjobs, n_jobs=1, steps=2, dt=0.0), camp
-    ).run()
-    (camp / "server.json").write_text(
-        json.dumps({"url": "http://127.0.0.1:1", "port": 1})
-    )
-    assert fetch_live_status(camp, timeout=0.5) is None
-    status = campaign_status(camp, timeout=0.5)
-    assert status["source"] == "report"
-
-
-def test_cli_campaign_status_renders_snapshot(tmp_path, testjobs, capsys):
-    from repro.cli import main
-
-    camp = tmp_path / "camp"
-    CampaignRunner(
-        _manifest(testjobs, n_jobs=1, steps=2, dt=0.0),
-        camp,
-        serve_port=0,
-        serve_interval=0.05,
-    ).run()
-    rc = main(["campaign", "status", str(camp)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "campaign live" in out
-    assert "1 completed" in out
+    jobs = build_report(camp)["jobs"]
+    assert {j: jobs[j]["status"] for j in jobs} == {
+        "j0": "completed", "j1": "completed",
+    }
+    text = _cli_status(camp)
+    assert _row_status(text, "j0") == "completed"
+    assert _row_status(text, "j1") == "completed"

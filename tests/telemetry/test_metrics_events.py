@@ -1,4 +1,4 @@
-"""Counters/gauges, Prometheus exposition, and the JSONL event sink."""
+"""Counters/gauges and the JSONL event sink."""
 
 import threading
 
@@ -9,14 +9,11 @@ from repro.telemetry.events import (
     EventSink,
     heal_truncated_tail,
     read_events,
-    tail_events,
 )
 from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     MetricRegistry,
-    prometheus_text,
-    sanitize_metric_name,
 )
 
 
@@ -56,89 +53,6 @@ def test_null_metrics_are_inert():
     assert NULL_COUNTER.value == 0
     assert NULL_GAUGE.set(3.0) == 0.0
     assert NULL_GAUGE.value == 0.0
-
-
-def test_sanitize_metric_name():
-    assert sanitize_metric_name("cells.inserted") == "repro_cells_inserted"
-    assert sanitize_metric_name("halo/bytes-sent") == "repro_halo_bytes_sent"
-    # colon is legal in the exposition format and survives
-    assert sanitize_metric_name("ns:metric") == "repro_ns:metric"
-
-
-def test_sanitize_handles_leading_digit_without_prefix():
-    assert sanitize_metric_name("9lives", prefix="")[0] == "_"
-    assert sanitize_metric_name("ok", prefix="") == "ok"
-
-
-def test_prometheus_counters_get_total_suffix_and_type():
-    reg = MetricRegistry()
-    reg.counter("cells.inserted").inc(3)
-    d = reg.as_dict()
-    text = prometheus_text(d["counters"], d["gauges"])
-    lines = text.splitlines()
-    assert "# TYPE repro_cells_inserted_total counter" in lines
-    assert "repro_cells_inserted_total 3" in lines
-
-
-def test_prometheus_gauges_get_min_max_series():
-    reg = MetricRegistry()
-    g = reg.gauge("ht")
-    g.set(0.1)
-    g.set(0.3)
-    d = reg.as_dict()
-    text = prometheus_text(d["counters"], d["gauges"])
-    lines = text.splitlines()
-    assert "# TYPE repro_ht gauge" in lines
-    assert "repro_ht 0.3" in lines
-    assert "repro_ht_min 0.1" in lines
-    assert "repro_ht_max 0.3" in lines
-
-
-def test_prometheus_output_order_is_stable():
-    reg = MetricRegistry()
-    for name in ("zeta", "alpha", "mid.point"):
-        reg.counter(name).inc()
-    reg.gauge("g2").set(1.0)
-    reg.gauge("g1").set(2.0)
-    d = reg.as_dict()
-    text = prometheus_text(d["counters"], d["gauges"])
-    # insertion order above was scrambled; exposition sorts each block
-    names = [
-        line.split()[0] for line in text.splitlines()
-        if line and not line.startswith("#")
-    ]
-    counters = [n for n in names if n.endswith("_total")]
-    gauges = [n for n in names if not n.endswith("_total")]
-    assert counters == sorted(counters) == [
-        "repro_alpha_total", "repro_mid_point_total", "repro_zeta_total",
-    ]
-    # gauges sort by base name, each followed by its min/max series
-    assert gauges == [
-        "repro_g1", "repro_g1_min", "repro_g1_max",
-        "repro_g2", "repro_g2_min", "repro_g2_max",
-    ]
-    # byte-for-byte deterministic across calls
-    assert prometheus_text(d["counters"], d["gauges"]) == text
-
-
-def test_prometheus_name_collision_keeps_first_sorted():
-    text = prometheus_text(
-        {"a.b": {"value": 1}, "a/b": {"value": 2}}, {}
-    )
-    # both sanitize to repro_a_b_total; only the first sorted name wins
-    values = [
-        line for line in text.splitlines() if not line.startswith("#")
-    ]
-    assert values == ["repro_a_b_total 1"]
-
-
-def test_prometheus_nonfinite_values():
-    text = prometheus_text(
-        {}, {"inf": {"value": float("inf")},
-             "nan": {"value": float("nan")}}
-    )
-    assert "repro_inf +Inf" in text
-    assert "repro_nan NaN" in text
 
 
 def test_event_sink_jsonl_roundtrip(tmp_path):
@@ -247,28 +161,6 @@ def test_heal_truncated_tail_cases(tmp_path):
     path.write_text('{"never-finished')
     heal_truncated_tail(path)
     assert path.read_text() == ""
-
-
-def test_tail_events_returns_last_n(tmp_path):
-    path = tmp_path / "events.jsonl"
-    sink = EventSink(path)
-    for i in range(20):
-        sink.emit({"type": "tick", "i": i})
-    sink.close()
-    assert [e["i"] for e in tail_events(path, n=5)] == [15, 16, 17, 18, 19]
-    assert [e["i"] for e in tail_events(path, n=100)] == list(range(20))
-    assert tail_events(tmp_path / "missing.jsonl", n=5) == []
-
-
-def test_tail_events_skips_torn_final_line(tmp_path):
-    path = tmp_path / "events.jsonl"
-    sink = EventSink(path)
-    for i in range(4):
-        sink.emit({"type": "tick", "i": i})
-    sink.close()
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-7])  # chop into the final record
-    assert [e["i"] for e in tail_events(path, n=10)] == [0, 1, 2]
 
 
 def test_mid_file_corruption_raises(tmp_path):

@@ -202,34 +202,6 @@ def test_trace_command_writes_chrome_trace(tmp_path, capsys):
     assert any(n.startswith("fine/kernels/") for n in names)
 
 
-def test_serve_status_requires_telemetry_dir(capsys):
-    assert main(["shear", "--steps", "20", "--serve-status", "0"]) == 2
-    assert "--telemetry-dir" in capsys.readouterr().err
-
-
-def test_serve_status_answers_during_run(tmp_path, capsys):
-    import json
-    import urllib.request
-
-    from repro.telemetry.server import read_endpoint_file
-
-    out_dir = tmp_path / "tel"
-    # the snapshotter's eager first write happens before the run starts,
-    # so even a short run leaves a queryable snapshot + discovery file
-    # while in flight; probe the server from a mid-run event hook is
-    # overkill here — assert the artifacts the endpoint serves from.
-    assert main(["shear", "--steps", "20",
-                 "--telemetry-dir", str(out_dir),
-                 "--serve-status", "0"]) == 0
-    stdout = capsys.readouterr().out
-    assert "live status" in stdout
-    snap = json.loads((out_dir / "status.json").read_text())
-    assert snap["state"] == "running"
-    assert "summary" in snap
-    # clean shutdown removed the discovery file
-    assert read_endpoint_file(out_dir) is None
-
-
 # ----------------------------------------------------------------------
 # Campaign subcommands (the service layer has its own deeper suite).
 
@@ -245,7 +217,6 @@ def _write_campaign_manifest(tmp_path):
         'experiment = "hotpath"\n'
         "steps = 3\n"
         "max_attempts = 1\n"
-        'isolation = "inline"\n'
         "[jobs.params]\n"
         "n_cells = 1\n"
         "warmup = 0\n"
@@ -283,6 +254,74 @@ def test_campaign_resume_rejects_non_campaign_dir(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_campaign_status_rejects_non_campaign_dir(tmp_path, capsys):
+    assert main(["campaign", "status", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+#: ``manifest.json`` as ``campaign run`` persisted it before inline
+#: isolation was removed: every job carries ``"isolation": "process"``.
+LEGACY_MANIFEST_JSON = """\
+{
+  "jobs": [
+    {
+      "backend": null,
+      "checkpoint_every": 0,
+      "experiment": "hotpath",
+      "isolation": "process",
+      "job_id": "hot",
+      "max_attempts": 1,
+      "params": {
+        "n_cells": 1,
+        "shape": [
+          8,
+          8,
+          8
+        ],
+        "warmup": 0
+      },
+      "priority": 0,
+      "seed": null,
+      "steps": 3,
+      "timeout_s": null,
+      "workers": null
+    }
+  ],
+  "max_parallel": 2,
+  "name": "cli-smoke",
+  "retry_backoff_s": 0.5
+}
+"""
+
+
+def test_campaign_dir_from_older_release_still_loads(tmp_path, capsys):
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "manifest.json").write_text(LEGACY_MANIFEST_JSON)
+    assert main(["campaign", "status", str(camp)]) == 0
+    assert "0/1 completed" in capsys.readouterr().out
+    assert main(["campaign", "resume", str(camp)]) == 0
+    assert "1/1 completed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["resume", "status"])
+def test_campaign_dir_with_inline_isolation_is_rejected(
+    tmp_path, capsys, command
+):
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "manifest.json").write_text(
+        LEGACY_MANIFEST_JSON.replace('"process"', '"inline"')
+    )
+    assert main(["campaign", command, str(camp)]) == 2
+    err = capsys.readouterr().err
+    assert "inline isolation was removed" in err
+    assert err.count("\n") == 1
+    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+
+
 def test_campaign_run_exits_nonzero_on_failures(tmp_path, capsys):
     manifest = tmp_path / "bad.toml"
     manifest.write_text(
@@ -291,7 +330,6 @@ def test_campaign_run_exits_nonzero_on_failures(tmp_path, capsys):
         'id = "boom"\n'
         'experiment = "python:nonexistent_module_xyz:run"\n'
         "max_attempts = 1\n"
-        'isolation = "inline"\n'
     )
     out = tmp_path / "camp"
     assert main(["campaign", "run", str(manifest), "--out", str(out)]) == 1

@@ -1,4 +1,4 @@
-"""Names the third audit (PR 23) deleted are gone, not shadowed."""
+"""Names the audits deleted are gone, not shadowed."""
 
 import importlib
 import importlib.util
@@ -23,6 +23,9 @@ REMOVED = {
     "repro.io": (("vtk",), ("write_vtk_structured", "write_vtk_mesh")),
     "repro.geometry": (("off_io",), ("read_off", "write_off")),
     "repro.analytics": (("flow",), ("flow_rate_through_plane",)),
+    # the live HTTP status plane: ``campaign status`` reads the ledger
+    "repro.telemetry": (("server",), ("build_status", "metrics_text")),
+    "repro.service": (("status",), ("campaign_status", "render_status")),
 }
 
 
