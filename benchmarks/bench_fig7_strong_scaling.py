@@ -107,8 +107,6 @@ def main(argv=None) -> int:
                         help="worker counts to sweep per backend")
     parser.add_argument("--backends", nargs="+", default=["processes"],
                         choices=BACKENDS)
-    parser.add_argument("--halo-mode", choices=("exchange", "recompute"),
-                        default="exchange")
     parser.add_argument("--steps", type=int, default=10, help="timed steps")
     parser.add_argument("--warmup", type=int, default=2, help="untimed steps")
     parser.add_argument("--baseline", type=Path, default=None,
@@ -128,14 +126,13 @@ def main(argv=None) -> int:
             tuple(args.shape), args.tasks,
             worker_counts=tuple(args.workers),
             backends=tuple(b for b in args.backends if b != "serial"),
-            halo_mode=args.halo_mode,
             steps=args.steps, warmup=args.warmup,
         )
         result["strong"]["measured"] = measured
         banner("Fig. 7 measured: executor wall-clock scaling")
         s = measured["serial"]
         print(f"  lattice {args.shape}, {args.tasks} ranks, "
-              f"halo={args.halo_mode}, cpu_count={measured['cpu_count']}")
+              f"cpu_count={measured['cpu_count']}")
         print(f"  serial              : {s['steps_per_s']:8.2f} steps/s")
         for backend, curve in measured["curves"].items():
             for w, r in curve.items():
@@ -153,7 +150,6 @@ def main(argv=None) -> int:
             "tasks": args.tasks,
             "workers": list(args.workers),
             "backends": list(args.backends),
-            "halo_mode": args.halo_mode,
             "steps": args.steps,
             "warmup": args.warmup,
         },

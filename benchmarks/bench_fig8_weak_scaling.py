@@ -109,8 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backends", nargs="+",
                         default=["serial", "processes"],
                         choices=BACKENDS)
-    parser.add_argument("--halo-mode", choices=("exchange", "recompute"),
-                        default="exchange")
     parser.add_argument("--steps", type=int, default=5, help="timed steps")
     parser.add_argument("--warmup", type=int, default=1, help="untimed steps")
     parser.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"),
@@ -131,8 +129,7 @@ def main(argv=None) -> int:
                 tuple(args.block), tuple(args.tasks),
                 backend=backend,
                 n_workers=max(args.tasks) if backend != "serial" else None,
-                halo_mode=args.halo_mode,
-                steps=args.steps, warmup=args.warmup,
+                    steps=args.steps, warmup=args.warmup,
             )
             weak["measured"][backend] = m
             for n, r in m["points"].items():
@@ -166,7 +163,6 @@ def main(argv=None) -> int:
         "block": list(args.block),
         "tasks": list(args.tasks),
         "backends": list(args.backends),
-        "halo_mode": args.halo_mode,
         "steps": args.steps,
         "warmup": args.warmup,
     }

@@ -102,36 +102,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_dims(text: str | None) -> tuple[int, int, int] | None:
-    """``"PXxPYxPZ"`` -> process-grid tuple (``None`` passes through)."""
-    if text is None:
-        return None
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"dims must look like PXxPYxPZ (got {text!r})"
-        )
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"dims must be three integers (got {text!r})"
-        ) from None
-    if any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive (got {text!r})")
-    return dims
-
-
-def _duct_solid(shape: tuple[int, int, int]):
-    """A y/z-walled duct: the weighted-split demo geometry."""
-    import numpy as np
-
-    solid = np.zeros(shape, dtype=bool)
-    solid[:, 0, :] = solid[:, -1, :] = True
-    solid[:, :, 0] = solid[:, :, -1] = True
-    return solid
-
-
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from .perfmodel import strong_scaling_curve, weak_scaling_curve
 
@@ -140,18 +110,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
         shape = tuple(args.shape)
         n_tasks = args.tasks
-        dims = args.dims
-        solid = _duct_solid(shape) if args.weighted_split else None
-        kw = dict(
-            halo_mode=args.halo_mode, steps=args.steps,
-            dims=dims, weighted_split=args.weighted_split, solid=solid,
+        serial = measure_throughput(
+            shape, n_tasks, backend="serial", steps=args.steps
         )
-        serial = measure_throughput(shape, n_tasks, backend="serial", **kw)
-        flags = " weighted" if serial["weighted_split"] else ""
         print(f"measured ({shape[0]}x{shape[1]}x{shape[2]}, "
               f"{n_tasks} ranks, dims="
-              f"{'x'.join(str(d) for d in serial['dims'])}, "
-              f"halo={args.halo_mode}{flags}):")
+              f"{'x'.join(str(d) for d in serial['dims'])}):")
         print(f"  serial              : {serial['steps_per_s']:8.2f} steps/s "
               f"({serial['ms_per_step']:.2f} ms/step, "
               f"{serial['bytes_per_step'] / 1e6:.2f} MB/step halo, "
@@ -159,7 +123,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         if args.backend and args.backend != "serial":
             r = measure_throughput(
                 shape, n_tasks, backend=args.backend, n_workers=args.workers,
-                **kw,
+                steps=args.steps,
             )
             speedup = r["steps_per_s"] / serial["steps_per_s"]
             print(f"  {r['backend']:>9s} x{r['n_workers']:<8d} : "
@@ -363,20 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=None,
         help="worker count of the process pool (default: one per CPU)",
-    )
-    p.add_argument(
-        "--halo-mode", choices=("exchange", "recompute"), default="exchange",
-        help="ship post-collision halos, or recompute the ghost rim locally",
-    )
-    p.add_argument(
-        "--weighted-split", action="store_true",
-        help="place split planes by fluid-node count on a y/z-walled "
-             "duct geometry instead of uniformly",
-    )
-    p.add_argument(
-        "--dims", type=_parse_dims, default=None, metavar="PXxPYxPZ",
-        help="force the process grid, e.g. 4x2x1 "
-             "(default: surface-minimizing factorization)",
     )
     p.add_argument("--shape", type=int, nargs=3, default=[32, 32, 32],
                    metavar=("NX", "NY", "NZ"), help="measured lattice shape")

@@ -1,30 +1,18 @@
 """Distributed LBM solver over the parallel rank runtime.
 
-Each rank owns a block of the global lattice in a one-node-padded local
-array; a step is three barrier-separated rank-parallel phases (collide,
-halo, stream) run by an executor (``serial`` | ``processes``; see
-:mod:`repro.parallel.executor`).
+Each rank owns a block of a periodic, uniformly split global lattice in
+a one-node-padded local array; a step is three barrier-separated
+rank-parallel phases run by an executor (``serial`` | ``processes``;
+see :mod:`repro.parallel.executor`): collide, ship the post-collision
+halo layers the pull stream reads from each neighbor (5 populations
+per face, 1 per edge — a ~4x volume cut over the full rim, see
+:data:`repro.parallel.halo.PACKED_QS`), then pull-stream.
 
-Two halo modes realize the same step:
-
-* ``exchange``  — collide, then ship post-collision halo layers from
-  neighbors: only the populations the pull stream actually reads (5 per
-  face, 1 per edge — a ~4x volume cut over the full rim, see
-  :data:`repro.parallel.halo.PACKED_QS`);
-* ``recompute`` — pre-exchange the *pre-collision* ``f`` rim, then
-  redundantly collide the one-node ghost rim locally (the paper's
-  Section 2.4.4 recompute-instead-of-communicate trick: trade a sliver
-  of duplicate flops for never shipping post-collision data).  The
-  ghost collide couples all 19 populations, so this mode ships the full
-  ``f`` rim.
-
-For a fully periodic lattice every backend × halo-mode combination
-reproduces the single-grid solver bit-for-bit (asserted in the test
-suite) — with walls (``solid=``), bitwise on the fluid nodes for
-non-periodic decompositions too — and the
-:class:`~repro.parallel.halo.HaloAccountant` counters measure exactly
-the communication volume a real MPI run would ship — the quantity the
-strong-scaling breakdown of Fig. 7 hinges on.
+The step reproduces the single-grid solver bit-for-bit (asserted in the
+test suite) — with walls (``solid=``), bitwise on the fluid nodes — and
+the :class:`~repro.parallel.halo.HaloAccountant` counters measure
+exactly the communication volume a real MPI run would ship — the
+quantity the strong-scaling breakdown of Fig. 7 hinges on.
 """
 
 from __future__ import annotations
@@ -39,9 +27,6 @@ from .executor import RankBlocks, make_executor
 from .halo import HaloAccountant
 from .pool import resolve_backend
 
-#: Supported halo handling modes.
-HALO_MODES = ("exchange", "recompute")
-
 
 class DistributedLBMSolver:
     """LBM lattice stepped as ``n_tasks`` cooperating ranks.
@@ -49,7 +34,7 @@ class DistributedLBMSolver:
     Parameters
     ----------
     shape:
-        Global lattice shape (periodic unless ``periodic`` says not).
+        Global lattice shape (periodic; walls come from ``solid``).
     tau:
         Uniform relaxation time.
     n_tasks:
@@ -61,30 +46,15 @@ class DistributedLBMSolver:
         Worker count of the process pool; ``None`` reads
         ``REPRO_PARALLEL_WORKERS`` (default: one per CPU), capped at
         ``n_tasks``.
-    halo_mode:
-        ``"exchange"`` (ship post-collision halos) or ``"recompute"``
-        (pre-exchange ``f`` and redundantly collide the ghost rim).
     dtype:
         Compute dtype for the rank-local distribution blocks
         (``"float32"`` | ``"float64"``; ``None`` resolves via
         ``REPRO_DTYPE``; an explicit argument wins — same policy as
         :class:`~repro.lbm.grid.Grid`).
-    dims:
-        Optional explicit process grid ``(px, py, pz)``; ``None`` picks
-        the surface-minimizing factorization.
-    periodic:
-        Per-axis periodicity of the *decomposition*: a non-periodic axis
-        has no wraparound neighbors and its outward halo is treated as
-        wall (combine with an enclosing ``solid`` shell for a physical
-        no-slip domain).
     solid:
         Optional global boolean wall map; walls get halfway bounce-back
         after every stream, matching the single-grid
         :class:`~repro.lbm.boundaries.BounceBackWalls` bitwise.
-    weighted_split:
-        Place split planes by cumulative *fluid*-node count (from
-        ``~solid``) instead of uniformly, equalizing per-rank collide
-        work in walled geometries.  No-op without ``solid``.
 
     The processes backend holds OS resources (worker processes and
     shared-memory segments): call :meth:`close` when done, or use the
@@ -99,21 +69,11 @@ class DistributedLBMSolver:
         n_tasks: int,
         backend: str | None = None,
         n_workers: int | None = None,
-        halo_mode: str = "exchange",
         dtype=None,
-        dims: tuple[int, int, int] | None = None,
-        periodic: tuple[bool, bool, bool] = (True, True, True),
         solid: np.ndarray | None = None,
-        weighted_split: bool = False,
     ):
         self.shape = tuple(shape)
         self.tau = float(tau)
-        if halo_mode not in HALO_MODES:
-            raise ValueError(
-                f"unknown halo_mode {halo_mode!r}; pick one of {HALO_MODES}"
-            )
-        self.halo_mode = halo_mode
-        self.weighted_split = bool(weighted_split)
         if solid is not None:
             solid = np.asarray(solid, dtype=bool)
             if solid.shape != self.shape:
@@ -121,12 +81,7 @@ class DistributedLBMSolver:
                     f"solid map shape {solid.shape} != lattice {self.shape}"
                 )
         self.solid = solid
-        weights = None
-        if self.weighted_split and solid is not None:
-            weights = (~solid).astype(np.float64)
-        self.decomp = BlockDecomposition(
-            shape, n_tasks, dims=dims, periodic=periodic, weights=weights
-        )
+        self.decomp = BlockDecomposition(shape, n_tasks)
         self.halo = HaloAccountant(self.decomp)
         self.backend, self.n_workers = resolve_backend(
             backend, n_workers, n_tasks
@@ -136,10 +91,6 @@ class DistributedLBMSolver:
             self.decomp, shared=(self.backend == "processes"),
             dtype=self.dtype,
         )
-        #: Per-rank padded local arrays (kept name-compatible with the
-        #: original virtual runtime; shared-memory views under processes).
-        self.locals = self.blocks.f
-        self._scratch = self.blocks.post
         rank_solid = None
         if solid is not None:
             rank_solid = {
@@ -152,9 +103,6 @@ class DistributedLBMSolver:
         )
         self.step_count = 0
         self._steps_at_reset = 0
-        self.last_step_bytes = 0
-        self.last_step_messages = 0
-        self.last_step_slabs = 0
         #: Cumulative per-rank wall seconds by phase name.
         self.rank_phase_seconds: dict[str, dict[int, float]] = {
             "collide": {}, "halo": {}, "stream": {},
@@ -164,37 +112,21 @@ class DistributedLBMSolver:
     def _padded_solid(self, rank: int) -> np.ndarray:
         """Rank-local solid map including the one-node halo rim.
 
-        Periodic axes wrap the global map into the rim (the same values
-        ``np.roll`` would see); beyond a non-periodic domain edge the rim
-        is marked solid — outside the domain is wall.
+        The rim wraps the global map around periodically (the same
+        values ``np.roll`` would see).
         """
         b = self.decomp.block(rank)
-        idx = []
-        oob = []
-        for d in range(3):
-            ax = np.arange(b.lo[d] - 1, b.hi[d] + 1)
-            if self.decomp.periodic[d]:
-                oob.append(np.zeros(ax.size, dtype=bool))
-                ax = ax % self.shape[d]
-            else:
-                bad = (ax < 0) | (ax >= self.shape[d])
-                oob.append(bad)
-                ax = np.clip(ax, 0, self.shape[d] - 1)
-            idx.append(ax)
-        padded = self.solid[np.ix_(*idx)].copy()
-        padded[
-            oob[0][:, None, None]
-            | oob[1][None, :, None]
-            | oob[2][None, None, :]
-        ] = True
-        return padded
+        return self.solid[np.ix_(*(
+            np.arange(b.lo[d] - 1, b.hi[d] + 1) % self.shape[d]
+            for d in range(3)
+        ))]
 
     # ------------------------------------------------------------------
     def scatter(self, f_global: np.ndarray) -> None:
         """Distribute a global distribution array to the rank blocks."""
         if f_global.shape != (D3Q19.Q,) + self.shape:
             raise ValueError("global array shape mismatch")
-        for rank, arr in enumerate(self.locals):
+        for rank, arr in enumerate(self.blocks.f):
             b = self.decomp.block(rank)
             arr[:, 1:-1, 1:-1, 1:-1] = f_global[
                 :, b.lo[0] : b.hi[0], b.lo[1] : b.hi[1], b.lo[2] : b.hi[2]
@@ -203,7 +135,7 @@ class DistributedLBMSolver:
     def gather(self) -> np.ndarray:
         """Reassemble the global distribution array from all ranks."""
         out = np.empty((D3Q19.Q,) + self.shape, dtype=self.dtype)
-        for rank, arr in enumerate(self.locals):
+        for rank, arr in enumerate(self.blocks.f):
             b = self.decomp.block(rank)
             out[:, b.lo[0] : b.hi[0], b.lo[1] : b.hi[1], b.lo[2] : b.hi[2]] = arr[
                 :, 1:-1, 1:-1, 1:-1
@@ -238,25 +170,14 @@ class DistributedLBMSolver:
 
     def _step(self, tel) -> None:
         """One step: three barriered executor phases."""
-        if self.halo_mode == "recompute":
-            # Pre-exchange f, then collide interior + ghost rim: the
-            # rim's post-collision values are recomputed locally
-            # instead of communicated (pointwise collide makes them
-            # bit-identical to the neighbor's own results).
-            res_halo = self._run_traced(tel, "dist/halo", "halo_f")
-            res_collide = self._run_traced(tel, "dist/collide", "collide")
-        else:
-            res_collide = self._run_traced(tel, "dist/collide", "collide")
-            res_halo = self._run_traced(tel, "dist/halo", "halo_post")
+        res_collide = self._run_traced(tel, "dist/collide", "collide")
+        res_halo = self._run_traced(tel, "dist/halo", "halo_post")
         res_stream = self._run_traced(tel, "dist/stream", "stream")
 
         self.halo.record(res_halo.transfers)
-        self.last_step_bytes = res_halo.bytes_sent
-        self.last_step_messages = res_halo.messages
-        self.last_step_slabs = res_halo.slabs
-        tel.inc("comm.bytes_sent", res_halo.bytes_sent)
-        tel.inc("comm.messages", res_halo.messages)
-        tel.inc("comm.slabs", res_halo.slabs)
+        tel.inc("comm.bytes_sent", self.last_step_bytes)
+        tel.inc("comm.messages", self.last_step_messages)
+        tel.inc("comm.slabs", self.last_step_slabs)
         self._accumulate("collide", res_collide.seconds_by_rank)
         self._accumulate("halo", res_halo.seconds_by_rank)
         self._accumulate("stream", res_stream.seconds_by_rank)
@@ -277,6 +198,21 @@ class DistributedLBMSolver:
             self.step_count += 1
 
     # ------------------------------------------------------------------
+    @property
+    def last_step_bytes(self) -> int:
+        """Bytes shipped by the most recent step's halo exchange."""
+        return self.halo.last_exchange_bytes
+
+    @property
+    def last_step_messages(self) -> int:
+        """Coalesced per-neighbor-pair messages of the most recent step."""
+        return self.halo.last_exchange_messages
+
+    @property
+    def last_step_slabs(self) -> int:
+        """Raw q-direction slab copies of the most recent step."""
+        return self.halo.last_exchange_slabs
+
     def bytes_per_step(self) -> float:
         """Average bytes shipped per step since the last counter reset."""
         steps = self.step_count - self._steps_at_reset
@@ -293,9 +229,6 @@ class DistributedLBMSolver:
         """
         self.halo.reset()
         self._steps_at_reset = self.step_count
-        self.last_step_bytes = 0
-        self.last_step_messages = 0
-        self.last_step_slabs = 0
         for acc in self.rank_phase_seconds.values():
             acc.clear()
 

@@ -5,11 +5,10 @@ each one:
 
 * ``collide``    — BGK-collide each rank's full padded block (reads own
   ``f``, writes own ``post``);
-* ``halo_f`` / ``halo_post`` — fill each rank's halo rim from its
-  neighbors' interiors (reads neighbor interiors, writes own rim);
-  ``halo_post`` ships only the populations the pull stream reads
-  (:data:`repro.parallel.halo.PACKED_QS`), ``halo_f`` the full rim the
-  ghost collide of ``recompute`` mode needs;
+* ``halo_post``  — fill each rank's ``post`` halo rim from its
+  neighbors' interiors (reads neighbor interiors, writes own rim),
+  shipping only the populations the pull stream reads
+  (:data:`repro.parallel.halo.PACKED_QS`);
 * ``stream``     — pull-stream each rank's interior from its padded
   ``post`` (reads own ``post``, writes own ``f`` interior).
 
@@ -53,10 +52,6 @@ from .pool import (
     split_range,
     unlink_segments,
 )
-
-#: Step phases an executor can run (the halo variant depends on the mode).
-PHASES = ("collide", "halo_f", "halo_post", "stream")
-
 
 # ----------------------------------------------------------------------
 # Rank block storage
@@ -105,8 +100,8 @@ class RankBlocks:
     def close(self) -> None:
         """Release shared-memory segments (idempotent).
 
-        Clears the view lists *in place* so aliases (the solver's
-        ``locals``) drop their references too.
+        Clears the view lists *in place* so every holder of them drops
+        its references too.
         """
         self.f.clear()
         self.post.clear()
@@ -186,10 +181,8 @@ class ChunkRunner:
             if phase == "collide":
                 # Full padded block: the stale rim costs a sliver of
                 # redundant flops but keeps the arrays contiguous (no
-                # per-step ascontiguousarray copy).  In exchange mode the
-                # rim is overwritten by the halo fill; in recompute mode
-                # the rim was pre-exchanged, so colliding it *is* the
-                # paper's recompute-instead-of-communicate trick.
+                # per-step ascontiguousarray copy); the halo fill then
+                # overwrites the rim.
                 collide_bgk(
                     f_arrs[r],
                     self.tau,
@@ -198,13 +191,8 @@ class ChunkRunner:
                         f_arrs[r].shape[1:], f_arrs[r].dtype
                     ),
                 )
-            elif phase == "halo_f":
-                # The ghost collide couples all 19 populations.
-                transfers.extend(fill_rank_halo(r, f_arrs, self.decomp))
             elif phase == "halo_post":
-                transfers.extend(
-                    fill_rank_halo(r, post_arrs, self.decomp, pack=True)
-                )
+                transfers.extend(fill_rank_halo(r, post_arrs, self.decomp))
             elif phase == "stream":
                 self._stream(r, f_arrs, post_arrs)
             else:
@@ -226,20 +214,6 @@ class PhaseResult:
     #: ``(rank, parent_span_id, t0, t1)`` worker intervals; populated
     #: only when the driver requested tracing for the phase.
     spans: list[tuple] = field(default_factory=list)
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(t[2] for t in self.transfers)
-
-    @property
-    def messages(self) -> int:
-        """Coalesced per-neighbor-pair message count."""
-        return len({(t[0], t[1]) for t in self.transfers})
-
-    @property
-    def slabs(self) -> int:
-        """Raw q-direction slab copy count (pre-coalescing)."""
-        return len(self.transfers)
 
 
 # ----------------------------------------------------------------------

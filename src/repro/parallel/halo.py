@@ -1,20 +1,19 @@
-"""Halo exchange with byte/message accounting.
+"""Packed halo exchange with byte/message accounting.
 
 The distributed solver keeps each rank's lattice in a padded local array
-(one-node halo).  :func:`fill_rank_halo` performs one rank's fill by
-direct array copies (the "network" is memory — plain ndarrays for the
-serial backend, ``shared_memory`` views for the processes backend) while
-reporting the bytes each transfer would ship over a real interconnect.  :class:`HaloAccountant` wraps it with cumulative counters
-that feed the scaling model (Figs. 7-8).
+(one-node halo).  :func:`fill_rank_halo` performs one rank's fill of
+post-collision populations by direct array copies (the "network" is
+memory — plain ndarrays for the serial backend, ``shared_memory`` views
+for the processes backend) while reporting the bytes each transfer
+would ship over a real interconnect.  :class:`HaloAccountant` folds
+those records into cumulative counters that feed the scaling model
+(Figs. 7-8).
 
-Direction-aware packing (``pack=True``): the pull stream only ever reads
-the halo populations whose lattice vector points *into* the receiving
-block — 5 of the 19 per face slab and 1 per edge slab for D3Q19
-(:data:`PACKED_QS`) — so the post-collision exchange ships just those,
-cutting the shipped volume ~4x without changing a single streamed value.
-The pre-collision ``f`` exchange of the recompute halo mode ships all 19
-(the ghost-rim collide couples every population at each ghost node);
-which of the two a fill is, the step phase decides, not a user.
+The fill is direction-aware: the pull stream only ever reads the halo
+populations whose lattice vector points *into* the receiving block —
+5 of the 19 per face slab and 1 per edge slab for D3Q19
+(:data:`PACKED_QS`) — so only those are shipped, ~4x less than the
+full rim, without changing a single streamed value.
 
 The fill is race-free under rank-parallel execution: rank ``r`` writes
 only its *own* halo rim and reads only its neighbors' outermost
@@ -88,31 +87,22 @@ def fill_rank_halo(
     rank: int,
     arrays: list[np.ndarray],
     decomp: BlockDecomposition,
-    pack: bool = False,
 ) -> list[tuple[int, int, int]]:
     """Fill one rank's halo rim from its neighbors' interiors.
 
-    ``arrays[r]`` has shape (C, lx+2, ly+2, lz+2) for rank r.  With
-    ``pack=True`` only the :data:`PACKED_QS` populations of each slab are
-    copied (requires ``C == 19``); the skipped entries are stale but the
-    pull stream never reads them.  Returns the would-be network transfers
-    as ``(dst_rank, src_rank, nbytes)`` triples — one per direction slab,
-    so the accountant can both count raw slabs and coalesce per neighbor
-    pair; self-wrap copies on unsplit periodic axes are performed but not
-    reported.
+    ``arrays[r]`` has shape (19, lx+2, ly+2, lz+2) for rank r.  Only the
+    :data:`PACKED_QS` populations of each slab are copied; the skipped
+    entries are stale but the pull stream never reads them.  Returns the
+    would-be network transfers as ``(dst_rank, src_rank, nbytes)``
+    triples — one per direction slab, so the accountant can both count
+    raw slabs and coalesce per neighbor pair; self-wrap copies on
+    unsplit axes are performed but not reported.
     """
     arr = arrays[rank]
-    if pack and arr.shape[0] != D3Q19.Q:
-        raise ValueError(
-            "packed halo fill needs all 19 population channels; got "
-            f"{arr.shape[0]}"
-        )
     transfers: list[tuple[int, int, int]] = []
     for q in range(1, D3Q19.Q):
         off = tuple(int(v) for v in D3Q19.c[q])
         nb = decomp.neighbor(rank, off)
-        if nb is None:
-            continue
         src = arrays[nb]
         # Source slab: neighbor's interior layer adjacent to us;
         # destination: our halo layer in direction `off`.
@@ -133,36 +123,28 @@ def fill_rank_halo(
                 dst_sl.append(slice(0, 1))
         src_sp = tuple(src_sl)
         dst_sp = tuple(dst_sl)
-        if pack:
-            # One plain slab copy per packed population: no fancy-index
-            # temporaries, and the unpacked entries keep whatever they
-            # held (never read by the stream).
-            nbytes = 0
-            for qi in PACKED_QS[off]:
-                chunk = src[qi][src_sp]
-                arr[qi][dst_sp] = chunk
-                nbytes += chunk.nbytes
-        else:
-            chunk = src[(slice(None),) + src_sp]
-            arr[(slice(None),) + dst_sp] = chunk
-            nbytes = chunk.nbytes
+        # One plain slab copy per packed population: no fancy-index
+        # temporaries, and the unpacked entries keep whatever they held
+        # (never read by the stream).
+        nbytes = 0
+        for qi in PACKED_QS[off]:
+            chunk = src[qi][src_sp]
+            arr[qi][dst_sp] = chunk
+            nbytes += chunk.nbytes
         if nb != rank:  # self-wrap copies are not network traffic
             transfers.append((rank, nb, nbytes))
     return transfers
 
 
 class HaloAccountant:
-    """Performs and accounts halo exchanges over a block decomposition.
+    """Accounts the halo exchanges of a block decomposition.
 
-    Local arrays are padded by one node on every face; the exchange fills
-    each rank's halo from the neighbor's outermost interior layer, with
-    periodic wrap handled by the decomposition's neighbor map.
-
-    Counters are cumulative; :meth:`reset` zeroes them so a solver reused
-    across bench phases reports correct per-step averages.  The most
-    recent exchange's totals are always available as
-    ``last_exchange_bytes`` / ``last_exchange_messages`` /
-    ``last_exchange_slabs``.
+    The executors fill halos rank-parallel with :func:`fill_rank_halo`
+    and hand the per-slab transfer records to :meth:`record`.  Counters
+    are cumulative; :meth:`reset` zeroes them so a solver reused across
+    bench phases reports correct per-step averages.  The most recent
+    exchange's totals are always available as ``last_exchange_bytes`` /
+    ``last_exchange_messages`` / ``last_exchange_slabs``.
     """
 
     def __init__(self, decomp: BlockDecomposition):
@@ -172,25 +154,13 @@ class HaloAccountant:
         self.last_exchange_messages = 0
         self.last_exchange_slabs = 0
 
-    def exchange(self, locals_: list[np.ndarray], pack: bool = False) -> None:
-        """Fill halos of all ranks' padded arrays, counting traffic.
-
-        ``locals_[r]`` has shape (C, lx+2, ly+2, lz+2) for rank r.
-        """
-        transfers: list[tuple[int, int, int]] = []
-        for rank in range(len(locals_)):
-            transfers.extend(fill_rank_halo(rank, locals_, self.decomp, pack))
-        self.record(transfers)
-
     def record(self, transfers: list[tuple[int, int, int]]) -> None:
         """Fold externally performed transfers into the counters.
 
-        The executor backends fill halos rank-parallel (possibly in worker
-        processes) and hand the per-slab records back here so the
-        accounting is identical to an in-process :meth:`exchange`.  Slabs
-        between the same ``(dst, src)`` pair coalesce into one message
-        (they ship as one packed buffer); ``by_rank`` stays keyed by the
-        source neighbor.
+        The records are :func:`fill_rank_halo`'s, gathered over all ranks
+        (possibly from worker processes).  Slabs between the same
+        ``(dst, src)`` pair coalesce into one message (they ship as one
+        packed buffer); ``by_rank`` stays keyed by the source neighbor.
         """
         coalesced: dict[tuple[int, int], list[int]] = {}
         for dst, src, nbytes in transfers:
@@ -212,6 +182,3 @@ class HaloAccountant:
         self.last_exchange_bytes = 0
         self.last_exchange_messages = 0
         self.last_exchange_slabs = 0
-
-    # Backwards-compatible alias.
-    reset_counters = reset

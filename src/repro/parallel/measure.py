@@ -36,27 +36,20 @@ def measure_throughput(
     n_tasks: int,
     backend: str = "serial",
     n_workers: int | None = None,
-    halo_mode: str = "exchange",
     steps: int = 10,
     warmup: int = 2,
     tau: float = 0.9,
     seed: int = 0,
-    dims: tuple[int, int, int] | None = None,
-    weighted_split: bool = False,
-    solid: np.ndarray | None = None,
 ) -> dict:
     """Time ``steps`` distributed LBM steps under one backend config.
 
     Returns a record with wall seconds, steps/s, per-step comm volume
-    and the resolved backend/worker configuration.  ``dims`` forces a
-    process grid and ``weighted_split`` places split planes by
-    fluid-node count when a ``solid`` map is given.
+    and the resolved backend/worker configuration.
     """
     f0 = _seeded_f(shape, tau, seed)
     with DistributedLBMSolver(
         shape, tau=tau, n_tasks=n_tasks,
-        backend=backend, n_workers=n_workers, halo_mode=halo_mode,
-        dims=dims, weighted_split=weighted_split, solid=solid,
+        backend=backend, n_workers=n_workers,
     ) as d:
         d.scatter(f0)
         if warmup:
@@ -68,8 +61,6 @@ def measure_throughput(
         return {
             "backend": d.backend,
             "n_workers": d.n_workers,
-            "halo_mode": d.halo_mode,
-            "weighted_split": d.weighted_split,
             "dims": list(d.decomp.dims),
             "n_tasks": n_tasks,
             "shape": list(shape),
@@ -88,7 +79,6 @@ def measured_scaling_curve(
     n_tasks: int,
     worker_counts: tuple[int, ...] = (1, 2, 4),
     backends: tuple[str, ...] = ("processes",),
-    halo_mode: str = "exchange",
     steps: int = 10,
     warmup: int = 2,
     tau: float = 0.9,
@@ -100,7 +90,7 @@ def measured_scaling_curve(
     domain split.
     """
     serial = measure_throughput(
-        shape, n_tasks, backend="serial", halo_mode=halo_mode,
+        shape, n_tasks, backend="serial",
         steps=steps, warmup=warmup, tau=tau,
     )
     curves: dict[str, dict[str, dict]] = {}
@@ -111,7 +101,7 @@ def measured_scaling_curve(
                 continue
             r = measure_throughput(
                 shape, n_tasks, backend=backend, n_workers=w,
-                halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
+                steps=steps, warmup=warmup, tau=tau,
             )
             r["speedup_vs_serial"] = r["steps_per_s"] / serial["steps_per_s"]
             curves[backend][str(w)] = r
@@ -122,7 +112,6 @@ def measured_scaling_curve(
     return {
         "shape": list(shape),
         "n_tasks": n_tasks,
-        "halo_mode": halo_mode,
         "steps": steps,
         "cpu_count": os.cpu_count(),
         "serial": serial,
@@ -136,7 +125,6 @@ def measured_weak_scaling(
     task_counts: tuple[int, ...] = (1, 2, 4),
     backend: str = "serial",
     n_workers: int | None = None,
-    halo_mode: str = "exchange",
     steps: int = 5,
     warmup: int = 1,
     tau: float = 0.9,
@@ -167,7 +155,7 @@ def measured_weak_scaling(
         shape = tuple(block[i] * dims[i] for i in range(3))
         r = measure_throughput(
             shape, n, backend=backend, n_workers=n_workers,
-            halo_mode=halo_mode, steps=steps, warmup=warmup, tau=tau,
+            steps=steps, warmup=warmup, tau=tau,
         )
         if t1 is None:
             t1 = r["wall_s"]
@@ -176,7 +164,6 @@ def measured_weak_scaling(
     return {
         "block": list(block),
         "backend": backend,
-        "halo_mode": halo_mode,
         "steps": steps,
         "cpu_count": os.cpu_count(),
         "points": points,

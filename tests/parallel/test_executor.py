@@ -1,4 +1,4 @@
-"""Executor backends: bit-exact equivalence, halo modes, pool lifecycle."""
+"""Executor backends: bit-exact equivalence, pool lifecycle."""
 
 import numpy as np
 import pytest
@@ -24,18 +24,17 @@ def _reference(shape, tau, seed, steps):
 
 
 # ----------------------------------------------------------------------
-# Backend x halo-mode matrix: every combination must reproduce the
-# single-grid solver bit-for-bit on a periodic lattice.
+# Backend matrix: every backend must reproduce the single-grid solver
+# bit-for-bit on a periodic lattice.
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("halo_mode", ["exchange", "recompute"])
-def test_backend_matrix_matches_single_grid(backend, halo_mode):
+@pytest.mark.parametrize("backend", BACKENDS,
+                         ids=[f"exchange-{b}" for b in BACKENDS])
+def test_backend_matrix_matches_single_grid(backend):
     shape = (12, 10, 8)
     f0, f_ref = _reference(shape, tau=0.8, seed=0, steps=4)
     with DistributedLBMSolver(
-        shape, tau=0.8, n_tasks=4,
-        backend=backend, n_workers=2, halo_mode=halo_mode,
+        shape, tau=0.8, n_tasks=4, backend=backend, n_workers=2,
     ) as d:
         d.scatter(f0)
         d.step(4)
@@ -55,37 +54,11 @@ def test_workers_fewer_than_ranks(backend):
         assert np.array_equal(d.gather(), f_ref)
 
 
-def test_halo_recompute_equals_exchange():
-    """Recompute mode ships f pre-collision and redundantly collides the
-    ghost rim; it must agree bitwise with the exchange mode, in the same
-    messages (it ships the full rim, the exchange only the populations
-    the stream reads)."""
-    shape = (12, 12, 8)
-    f0, _ = _reference(shape, tau=0.85, seed=2, steps=0)
-    results = {}
-    counters = {}
-    for mode in ("exchange", "recompute"):
-        with DistributedLBMSolver(
-            shape, tau=0.85, n_tasks=6, halo_mode=mode,
-        ) as d:
-            d.scatter(f0)
-            d.step(3)
-            results[mode] = d.gather()
-            counters[mode] = (d.halo.counters.bytes_sent,
-                              d.halo.counters.messages)
-    assert np.array_equal(results["exchange"], results["recompute"])
-    assert counters["exchange"][1] == counters["recompute"][1]
-    assert 0 < counters["exchange"][0] < counters["recompute"][0]
-
-
-def test_invalid_backend_and_halo_mode_rejected(monkeypatch):
+def test_invalid_backend_rejected(monkeypatch):
     for backend in ("mpi", "threads"):  # threads: a name that used to exist
         with pytest.raises(ValueError, match="unknown backend"):
             DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=2,
                                  backend=backend)
-    with pytest.raises(ValueError):
-        DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=2,
-                             halo_mode="telepathy")
     monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
     with pytest.raises(ValueError, match="unknown backend"):
         DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=2)

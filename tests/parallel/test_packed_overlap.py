@@ -1,9 +1,9 @@
-"""Packed halo exchange, golden matrices, weighted decomposition.
+"""Packed halo exchange and golden matrices.
 
 The golden matrix here is the distributed runtime's contract: every
-executor backend × halo mode combination reproduces the single-grid
+executor backend reproduces the single-grid
 :class:`~repro.lbm.solver.LBMSolver` bit-for-bit over ≥40 steps,
-including a walled lattice and a non-periodic decomposition.
+including a walled lattice.
 """
 
 import warnings
@@ -89,14 +89,13 @@ def test_packed_qs_direction_rule():
 # Golden matrix
 
 
-@pytest.mark.parametrize("backend", ["serial", "processes"])
-@pytest.mark.parametrize("halo_mode", ["exchange", "recompute"])
-def test_golden_matrix_bitwise(backend, halo_mode):
+@pytest.mark.parametrize("backend", ["serial", "processes"],
+                         ids=["exchange-serial", "exchange-processes"])
+def test_golden_matrix_bitwise(backend):
     f0 = _seeded_f(SHAPE)
     ref = _single_grid_reference(f0)
     with DistributedLBMSolver(
         SHAPE, tau=TAU, n_tasks=4, backend=backend, n_workers=2,
-        halo_mode=halo_mode,
     ) as d:
         d.scatter(f0)
         d.step(STEPS)
@@ -104,79 +103,15 @@ def test_golden_matrix_bitwise(backend, halo_mode):
     np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("halo_mode,tau", [
-    ("exchange", TAU), ("recompute", TAU), ("exchange", 1.0),
-    ("recompute", 1.0),
-], ids=["exchange", "recompute", "exchange-tau1", "recompute-tau1"])
-def test_golden_matrix_walled_periodic(halo_mode, tau):
-    """Solid shell on a periodic decomposition: full-array equality —
+@pytest.mark.parametrize("tau", [TAU, 1.0], ids=["exchange", "exchange-tau1"])
+def test_golden_matrix_walled_periodic(tau):
+    """Solid shell on the periodic decomposition: full-array equality —
     even the garbage-but-deterministic solid nodes match.  tau = 1 runs
     the collide without its (1 - omega) f pass on every rank."""
     solid = _shell_solid(SHAPE)
     f0 = _seeded_f(SHAPE, tau=tau)
     ref = _single_grid_reference(f0, tau=tau, solid=solid)
-    with DistributedLBMSolver(
-        SHAPE, tau=tau, n_tasks=4, halo_mode=halo_mode, solid=solid,
-    ) as d:
-        d.scatter(f0)
-        d.step(STEPS)
-        got = d.gather()
-    np.testing.assert_array_equal(got, ref)
-
-
-@pytest.mark.parametrize("periodic", [
-    (False, False, False),
-    (True, False, True),
-])
-def test_golden_matrix_walled_nonperiodic(periodic):
-    """Non-periodic decompositions have no wraparound neighbors; beyond
-    the enclosing solid shell the dynamics never look outside, so every
-    fluid node still matches the single-grid reference bitwise."""
-    solid = _shell_solid(SHAPE)
-    fluid = ~solid
-    f0 = _seeded_f(SHAPE)
-    ref = _single_grid_reference(f0, solid=solid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with DistributedLBMSolver(
-            SHAPE, tau=TAU, n_tasks=4, halo_mode="exchange",
-            solid=solid, periodic=periodic,
-        ) as d:
-            d.scatter(f0)
-            d.step(STEPS)
-            got = d.gather()
-    np.testing.assert_array_equal(got[:, fluid], ref[:, fluid])
-
-
-def test_exchange_equals_recompute_nonperiodic_walled():
-    """The two halo modes stay bitwise-interchangeable on a walled
-    non-periodic lattice (fluid nodes; ghost rims differ by design)."""
-    solid = _shell_solid(SHAPE)
-    fluid = ~solid
-    f0 = _seeded_f(SHAPE)
-    results = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for mode in ("exchange", "recompute"):
-            with DistributedLBMSolver(
-                SHAPE, tau=TAU, n_tasks=4, halo_mode=mode,
-                solid=solid, periodic=(False, False, False),
-            ) as d:
-                d.scatter(f0)
-                d.step(STEPS)
-                results[mode] = d.gather()
-    np.testing.assert_array_equal(
-        results["exchange"][:, fluid], results["recompute"][:, fluid]
-    )
-
-
-def test_weighted_split_stays_bitwise():
-    """Fluid-weighted split planes change the decomposition, never the
-    physics: still bit-identical to the single grid."""
-    solid = _shell_solid(SHAPE)
-    f0 = _seeded_f(SHAPE)
-    ref = _single_grid_reference(f0, solid=solid)
-    with DistributedLBMSolver(
-        SHAPE, tau=TAU, n_tasks=4, solid=solid, weighted_split=True,
-    ) as d:
+    with DistributedLBMSolver(SHAPE, tau=tau, n_tasks=4, solid=solid) as d:
         d.scatter(f0)
         d.step(STEPS)
         got = d.gather()
@@ -188,26 +123,21 @@ def test_weighted_split_stays_bitwise():
 
 
 def test_packed_exchange_cuts_bytes_3x():
-    """The fig7-config acceptance bar: the exchange mode's packed halos
-    ship ≥3x fewer bytes per step than the full rim ``recompute`` mode
-    still ships, in the same messages and with identical physics."""
+    """The fig7-config acceptance bar: the packed halos ship ≥3x fewer
+    bytes per step than the full 19-population rim (every halo node a
+    D3Q19 stencil reaches: the padded 10³ shell of an 8³ block minus its
+    8 corners), with identical physics."""
     shape = (16, 16, 16)
     f0 = _seeded_f(shape)
-    per_mode = {}
-    messages = {}
-    fields = {}
-    for mode in ("exchange", "recompute"):
-        with DistributedLBMSolver(
-            shape, tau=TAU, n_tasks=8, halo_mode=mode,
-        ) as d:
-            d.scatter(f0)
-            d.step(2)
-            per_mode[mode] = d.bytes_per_step()
-            messages[mode] = d.last_step_messages
-            fields[mode] = d.gather()
-    assert per_mode["recompute"] / per_mode["exchange"] >= 3.0
-    assert messages["exchange"] == messages["recompute"] > 0
-    np.testing.assert_array_equal(fields["exchange"], fields["recompute"])
+    ref = _single_grid_reference(f0, shape=shape, steps=2)
+    with DistributedLBMSolver(shape, tau=TAU, n_tasks=8) as d:
+        assert d.decomp.dims == (2, 2, 2)
+        d.scatter(f0)
+        d.step(2)
+        full_rim = 8 * 19 * 8 * (10**3 - 8**3 - 8)
+        assert full_rim / d.bytes_per_step() >= 3.0
+        assert d.last_step_messages > 0
+        np.testing.assert_array_equal(d.gather(), ref)
 
 
 def test_packed_volume_closed_form():
@@ -232,13 +162,11 @@ def test_packed_volume_closed_form():
 
 def test_messages_coalesced_slabs_raw():
     """messages = distinct (dst, src) neighbor pairs after coalescing;
-    slabs = raw q-direction copies (one per offset).  A 2x2x1 grid has 3
+    slabs = raw q-direction copies (one per offset).  A 1x2x2 grid has 3
     distinct neighbors per rank (after periodic wrap collapses
     duplicates) and 16 non-self offsets."""
-    with DistributedLBMSolver(
-        (16, 16, 16), tau=TAU, n_tasks=4, dims=(2, 2, 1),
-    ) as d:
-        assert d.decomp.dims == (2, 2, 1)
+    with DistributedLBMSolver((16, 16, 16), tau=TAU, n_tasks=4) as d:
+        assert d.decomp.dims == (1, 2, 2)
         d.scatter(_seeded_f((16, 16, 16)))
         d.step(1)
         assert d.last_step_slabs == 64          # 16 offsets x 4 ranks
@@ -284,6 +212,5 @@ def test_measure_records_new_fields():
 
     r = measure_throughput((8, 8, 8), 2, steps=2, warmup=1)
     assert "halo_pack" not in r and "overlap" not in r
-    assert r["weighted_split"] is False
     assert r["slabs_per_step"] > 0
     assert len(r["dims"]) == 3

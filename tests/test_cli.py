@@ -40,24 +40,9 @@ def test_scaling_measured_with_backend(capsys):
     assert "processes" in out and "speedup" in out
 
 
-def test_scaling_dims_forced(capsys):
-    assert main(["scaling", "--measured", "--shape", "8", "8", "8",
-                 "--tasks", "4", "--steps", "2", "--dims", "4x1x1"]) == 0
-    out = capsys.readouterr().out
-    assert "dims=4x1x1" in out
-
-
-def test_scaling_bad_dims_rejected(capsys):
-    for bad in ("4x1", "axbxc", "0x2x2", "4"):
-        with pytest.raises(SystemExit) as exc:
-            main(["scaling", "--measured", "--shape", "8", "8", "8",
-                  "--tasks", "4", "--dims", bad])
-        assert exc.value.code == 2
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("argv", [
     ["--halo-pack"], ["--overlap"], ["--backend", "threads"],
+    ["--halo-mode", "recompute"], ["--weighted-split"], ["--dims", "4x1x1"],
 ])
 def test_scaling_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -65,13 +50,6 @@ def test_scaling_rejects_removed_flags(argv, capsys):
               "--tasks", "2", "--steps", "2", *argv])
     assert exc.value.code == 2
     capsys.readouterr()
-
-
-def test_scaling_weighted_split_duct(capsys):
-    assert main(["scaling", "--measured", "--shape", "12", "8", "8",
-                 "--tasks", "2", "--steps", "2", "--weighted-split"]) == 0
-    out = capsys.readouterr().out
-    assert "weighted" in out
 
 
 @pytest.mark.slow

@@ -6,6 +6,11 @@ import importlib.util
 import pytest
 
 from repro.lbm import Grid, LBMSolver
+from repro.parallel import (
+    BlockDecomposition,
+    DistributedLBMSolver,
+    measure_throughput,
+)
 from repro.service.registry import known_experiments
 
 #: package -> (deleted submodules, deleted public names)
@@ -26,6 +31,17 @@ REMOVED = {
     # the live HTTP status plane: ``campaign status`` reads the ledger
     "repro.telemetry": (("server",), ("build_status", "metrics_text")),
     "repro.service": (("status",), ("campaign_status", "render_status")),
+    # the decomposed lattice steps one way: packed exchange, uniform split
+    "repro.parallel": ((), ("HALO_MODES", "weighted_splits")),
+}
+
+#: callable -> (valid positional arguments, keywords it no longer takes)
+REMOVED_KWARGS = {
+    DistributedLBMSolver: (((8, 8, 8), 0.8, 2),
+                           ("halo_mode", "weighted_split", "dims", "periodic")),
+    BlockDecomposition: (((8, 8, 8), 2), ("weights", "dims", "periodic")),
+    measure_throughput: (((8, 8, 8), 2),
+                         ("halo_mode", "dims", "weighted_split", "solid")),
 }
 
 
@@ -34,6 +50,16 @@ def test_solver_rejects_removed_parameters(kwarg):
     g = Grid((3, 3, 3), tau=0.8)
     with pytest.raises(TypeError):
         LBMSolver(g, [], **{kwarg: "bgk"})
+
+
+@pytest.mark.parametrize("func,kwarg", [
+    (func, kwarg) for func, (_, kwargs) in REMOVED_KWARGS.items()
+    for kwarg in kwargs
+], ids=lambda v: getattr(v, "__name__", v))
+def test_decomposed_lattice_rejects_removed_keywords(func, kwarg):
+    args = REMOVED_KWARGS[func][0]
+    with pytest.raises(TypeError, match=kwarg):
+        func(*args, **{kwarg: None})
 
 
 @pytest.mark.parametrize("package", sorted(REMOVED))
