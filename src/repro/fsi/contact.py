@@ -8,20 +8,20 @@ closer than a cutoff:
 
     F(r) = k_c (1 - r/r_c) r_hat      for r < r_c
 
-Pairs are found with a cKDTree over the pooled vertex array (C-speed;
-functionally equivalent to the uniform subgrid used for the rarer
-overlap-removal events).  Vertices move a small fraction of the cutoff
-per step, so the tree is not rebuilt every step: :class:`ContactList`
-keeps the pairs found within a skin distance beyond the cutoff and
-filters them exactly each step.
+Pairs are found on the background uniform subgrid of Section 2.4.2
+(:func:`repro.fsi.subgrid.inter_label_pairs`, a self-join of the pooled
+vertex array that never forms a same-cell pair).  Vertices move a small
+fraction of the cutoff per step, so the pair search is not rerun every
+step: :class:`ContactList` keeps the pairs found within a skin distance
+beyond the cutoff and filters them exactly each step.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..telemetry import get_telemetry
+from .subgrid import inter_label_pairs, sq_norm
 
 #: Verlet skin as a multiple of the contact cutoff: candidates are
 #: collected out to ``(1 + SKIN_FACTOR) * cutoff`` and stay valid until a
@@ -40,12 +40,6 @@ def _scratch_buf(key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         buf = _scratch[key] = np.empty(shape, dtype=dtype)
     return buf
-
-
-def _sq_norm(d: np.ndarray) -> np.ndarray:
-    """Squared length of each row of ``d`` (N, 3), summed x, y, z in
-    turn — the squared distance ``cKDTree.query_pairs`` compares."""
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
 def contact_scatter(vertices, i, j, cutoff, stiffness, out):
@@ -78,16 +72,16 @@ def contact_scatter(vertices, i, j, cutoff, stiffness, out):
 class ContactList:
     """Inter-cell vertex pairs carried from step to step (a Verlet list).
 
-    One cKDTree query collects every inter-cell pair within ``cutoff +
+    One pair search collects every inter-cell pair within ``cutoff +
     skin`` (the *candidates*, sorted by ``(i, j)``); each step keeps the
     candidates that pass the exact test ``r <= cutoff`` (the *active*
     pairs).  No vertex pair can come within ``cutoff`` without being a
     candidate until some vertex has moved more than ``skin / 2`` from
-    where the tree saw it, and that displacement is checked on every
-    call, so the active pairs always equal a fresh
-    ``query_pairs(cutoff)``: same set, in ``(i, j)`` order — a function
-    of the current positions alone, whatever the list's history.  The
-    skin equals the cutoff (:data:`SKIN_FACTOR`).
+    where the search saw it, and that displacement is checked on every
+    call, so the active pairs always equal a fresh search at ``cutoff``:
+    same set, in ``(i, j)`` order — a function of the current positions
+    alone, whatever the list's history.  The skin equals the cutoff
+    (:data:`SKIN_FACTOR`).
 
     The candidates are rebuilt when ``key`` changes (the caller's token
     for "vertex numbering or cell membership changed"; the
@@ -105,12 +99,7 @@ class ContactList:
 
     def _build(self, vertices, cell_index, cutoff, key) -> None:
         reach = (1.0 + SKIN_FACTOR) * cutoff
-        pairs = cKDTree(vertices).query_pairs(reach, output_type="ndarray")
-        i, j = pairs[:, 0], pairs[:, 1]
-        inter = cell_index[i] != cell_index[j]
-        i, j = i[inter], j[inter]
-        order = np.lexsort((j, i))
-        self._i, self._j = i[order], j[order]
+        self._i, self._j = inter_label_pairs(vertices, cell_index, reach)
         self._built_at = vertices.copy()
         self._cutoff = cutoff
         self._key = key
@@ -129,11 +118,11 @@ class ContactList:
         )
         if not stale:
             limit = 0.5 * SKIN_FACTOR * cutoff
-            stale = _sq_norm(vertices - self._built_at).max() > limit * limit
+            stale = sq_norm(vertices - self._built_at).max() > limit * limit
         if stale:
             self._build(vertices, cell_index, cutoff, key)
         i, j = self._i, self._j
-        near = _sq_norm(vertices[i] - vertices[j]) <= cutoff * cutoff
+        near = sq_norm(vertices[i] - vertices[j]) <= cutoff * cutoff
         tel = get_telemetry()
         tel.inc("fsi.contact.candidates", len(i))
         tel.inc("fsi.contact.pairs", int(np.count_nonzero(near)))

@@ -23,6 +23,12 @@ sharing a hash only add candidates, and the exact distance filter of
 :func:`subgrid_query` removes those.  The 27 offset hashes are distinct,
 so the 27 candidate hashes of one probe are too, and each stored point
 comes back at most once per probe.
+
+:func:`inter_label_pairs` is the same grid used the other way round: a
+self-join of one point set, for the contact list's pair search.  It bins
+every point at once by the search radius with dense, collision-free bin
+keys and pairs each bin with itself and its 13 half-shell neighbour bins,
+so every pair of neighbouring bins is visited once.
 """
 
 from __future__ import annotations
@@ -49,6 +55,107 @@ def _bin_hash(keys: np.ndarray) -> np.ndarray:
 #: Hashes of the 27 neighbor offsets; a probe's candidates are
 #: ``h(k) + _OFFSET_HASH``.
 _OFFSET_HASH = _bin_hash(_NEIGHBOR_OFFSETS.astype(np.int64))
+
+
+#: One offset of each ``(o, -o)`` pair of the 26 nonzero one-ring
+#: offsets (the lexicographically positive one), shape (13, 3).
+_HALF_SHELL = _NEIGHBOR_OFFSETS[len(_NEIGHBOR_OFFSETS) // 2 + 1:]
+
+#: Self-join bins are the radius times ``1 + _BIN_SLACK``.  A pair at
+#: exactly the radius then still lies in neighbouring bins where rounding
+#: puts one of its points a hair across a bin edge.
+_BIN_SLACK = 1e-6
+
+
+def sq_norm(d: np.ndarray) -> np.ndarray:
+    """Squared length of each row of ``d`` (N, 3), summed x, y, z in
+    turn — the squared distance ``cKDTree.query_pairs`` compares."""
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``,
+    loop-free."""
+    within = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(starts, counts) + within
+
+
+def inter_label_pairs(
+    points: np.ndarray, labels: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of points with different labels
+    within ``radius`` of each other, lexsorted by ``(i, j)``.
+
+    The same pairs as ``cKDTree(points).query_pairs(radius)`` with the
+    same-label pairs removed: a pair is kept when its :func:`sq_norm` is
+    at most ``radius * radius``.
+
+    Points are binned by the radius.  Each bin is paired with itself and
+    its 13 half-shell neighbours, so every pair of neighbouring bins is
+    visited once.  A bin pair whose points all carry one label is dropped
+    as a whole, and the same-label point pairs of the rest are dropped
+    before the distance test.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = len(points)
+    empty = np.empty(0, dtype=np.intp)
+    if n < 2:
+        return empty, empty
+    # Dense bin keys with an empty rim bin on every side, so every
+    # neighbour of an occupied bin has a key in [0, prod(dims)) and no two
+    # bins share one.
+    cell = np.floor(
+        (points - points.min(axis=0)) / (radius * (1.0 + _BIN_SLACK))
+    ).astype(np.int64) + 1
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    offsets = (_HALF_SHELL[:, 0] * dims[1] + _HALF_SHELL[:, 1]) * dims[2] \
+        + _HALF_SHELL[:, 2]
+    order = np.argsort(key)
+    key, label = key[order], labels[order]
+
+    new_bin = np.empty(n, dtype=bool)
+    new_bin[0] = True
+    np.not_equal(key[1:], key[:-1], out=new_bin[1:])
+    start = np.flatnonzero(new_bin)
+    size = np.diff(np.append(start, n))
+    bins = key[start]
+    low = np.minimum.reduceat(label, start)
+    high = np.maximum.reduceat(label, start)
+
+    # Occupied half-shell neighbour of each bin, or -1, from a table over
+    # every bin of the bounding grid.
+    table = np.full(int(np.prod(dims)), -1, dtype=np.int32)
+    table[bins] = np.arange(len(bins), dtype=np.int32)
+    nb = table[bins[:, None] + offsets]
+    b, o = np.nonzero(nb >= 0)
+    nb = nb[b, o]
+    # Bin pairs whose points do not all carry one label.
+    mixed = (low[b] != high[nb]) | (high[b] != low[nb])
+    b, nb = b[mixed], nb[mixed]
+    own = np.flatnonzero(low != high)
+
+    # Per point of a kept bin, the range of sorted positions it pairs
+    # with: the later points of its own bin, all points of a neighbour.
+    a = np.concatenate([_ragged(start[own], size[own]),
+                        _ragged(start[b], size[b])])
+    lo = np.concatenate([a[:size[own].sum()] + 1,
+                         np.repeat(start[nb], size[b])])
+    hi = np.concatenate([np.repeat(start[own] + size[own], size[own]),
+                         np.repeat(start[nb] + size[nb], size[b])])
+    width = hi - lo
+    a = np.repeat(a, width)
+    c = _ragged(lo, width)
+    other = label[a] != label[c]
+    i, j = order[a[other]], order[c[other]]
+    hit = sq_norm(points[i] - points[j]) <= radius * radius
+    i, j = i[hit], j[hit]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def subgrid_query(stored, slot, points, probe, radius):
@@ -151,13 +258,8 @@ class UniformSubgrid:
             e = np.empty(0, dtype=np.intp)
             return e, e
         counts = counts[hit]
-        total = int(counts.sum())
         # Ragged expansion of each matched run, loop-free.
-        run_start = np.repeat(start[inverse[hit]], counts)
-        within = np.arange(total, dtype=np.intp) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        slot = self._order[run_start + within]
+        slot = self._order[_ragged(start[inverse[hit]], counts)]
         return slot, np.repeat(hit // len(_OFFSET_HASH), counts)
 
     def _check_radius(self, radius: float) -> None:

@@ -108,13 +108,18 @@ class WallProximityPrefilter:
             lipschitz = getattr(sdf, "sdf_lipschitz", 1.0)
         self.margin = float(lipschitz) * np.sqrt(3.0) * self.spacing
         fn = sdf.sdf if hasattr(sdf, "sdf") else sdf
-        nodes = (
-            self.origin
-            + self.spacing * np.indices(self.shape).reshape(3, -1).T
-        )
-        self._node_sdf = np.asarray(fn(nodes), dtype=np.float64).reshape(
-            self.shape
-        )
+        # One x-slab of nodes at a time, so the node coordinates and the
+        # SDF's temporaries are slab-sized.  An elementwise SDF gives the
+        # whole-lattice samples bit for bit; one that projects through a
+        # BLAS product (a vessel network's capsules) may differ in the
+        # last bit.  The skip test needs each sample only to within its
+        # Lipschitz margin, so the forces stay the exact pass's.
+        self._node_sdf = np.empty(self.shape)
+        index = np.indices((1,) + self.shape[1:]).reshape(3, -1).T
+        for x in range(self.shape[0]):
+            index[:, 0] = x
+            nodes = self.origin + self.spacing * index
+            self._node_sdf[x] = np.reshape(fn(nodes), self.shape[1:])
 
     def matches(self, grid) -> bool:
         """True while the sampled window placement is still current."""

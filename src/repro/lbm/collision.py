@@ -55,9 +55,9 @@ left out.
 Allocation discipline
 ---------------------
 :class:`CollisionScratch` holds the lattice-sized ``rho``/``mom`` rows
-(one ``(4, N)`` buffer), ``u``/``den`` and three ``(19, PANEL)`` work
-buffers; nothing ``(19, N)``-sized is allocated besides ``f`` and
-``out`` themselves.
+(one ``(4, N)`` buffer) and panel-sized rest: ``u``/``den`` and three
+``(19, PANEL)`` work buffers.  Nothing ``(19, N)``-sized is allocated
+besides ``f`` and ``out`` themselves.
 With ``scratch`` and ``out`` supplied the collide allocates nothing (the
 19x19 operators are cached per dtype and ``omega``); without them it
 allocates what it returns plus a throw-away scratch — same values
@@ -166,8 +166,9 @@ class CollisionScratch:
 
     One instance per :class:`~repro.lbm.grid.Grid` shape; handing it to
     :func:`collide_bgk` removes every lattice-sized allocation from the
-    collision step.  ``dtype`` matches the grid's compute dtype.  The
-    ``(19, N)`` work happens in three :data:`PANEL`-wide buffers.
+    collision step.  ``dtype`` matches the grid's compute dtype.  Only
+    ``moments`` is lattice-sized; the velocity, the density floor and the
+    ``(19, N)`` work live in :data:`PANEL`-wide buffers.
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
@@ -177,8 +178,9 @@ class CollisionScratch:
         self.moments = np.empty((4,) + self.shape, dtype=dt)
         self.rho = self.moments[0]
         self.mom = self.moments[1:]
-        self.u = np.empty((3,) + self.shape, dtype=dt)
-        self.den = np.empty(self.shape, dtype=dt)
+        #: One panel's velocity and floored density.
+        self.u = np.empty((3, PANEL), dtype=dt)
+        self.den = np.empty(PANEL, dtype=dt)
         #: Monomial rows ``[Phi; Psi]``, the GEMM result, and the
         #: ``(1 - omega) f`` term (its rows double as N-sized temporaries
         #: before that term is formed).
@@ -428,7 +430,7 @@ def collide_bgk(
     out: np.ndarray | None = None,
     scratch: CollisionScratch | None = None,
     moments_in: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One BGK collision step, in moment space (see the module docstring).
 
     ``tau`` may be a scalar or a per-node (nx, ny, nz) field — the latter
@@ -445,10 +447,9 @@ def collide_bgk(
     so the moment sums are not recomputed.  ``f``, ``out``, ``force``,
     ``tau`` and ``moments_in`` may be strided slab views.
 
-    Returns
-    -------
-    f_post : post-collision distributions (alias of ``out`` when given)
-    rho, u : the pre-collision macroscopic fields used for the equilibrium
+    Returns the post-collision distributions (``out`` when given).  The
+    pre-collision ``rho, u`` it relaxes towards are
+    :func:`macroscopic` ``(f, force)``.
     """
     q = D3Q19.Q
     if scratch is None:
@@ -473,8 +474,6 @@ def collide_bgk(
     force2 = None if force is None else rows("force", force, 3)
     packed_out = None if out.flags.c_contiguous else scratch.packed("out", out)
     out2 = (out if packed_out is None else packed_out).reshape(q, -1)
-    u2 = scratch.u.reshape(3, -1)
-    den2 = scratch.den.reshape(-1)
 
     tau_field = _is_field(tau)
     if tau_field:
@@ -498,7 +497,7 @@ def collide_bgk(
         padded = -(-w // GEMM_COLS) * GEMM_COLS
         monomials[:, w:padded] = 0.0
         x = monomials[:, :w]
-        r, m, u, d = rho2[sl], mom2[:, sl], u2[:, sl], den2[sl]
+        r, m, u, d = rho2[sl], mom2[:, sl], scratch.u[:, :w], scratch.den[:w]
         fp = None
         if force2 is not None and bool(force2[:, sl].any()):
             fp = force2[:, sl]
@@ -556,4 +555,4 @@ def collide_bgk(
 
     if packed_out is not None:
         out[...] = packed_out
-    return out, rho, scratch.u
+    return out

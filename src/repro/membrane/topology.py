@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 def unique_edges(faces: np.ndarray) -> np.ndarray:
@@ -75,6 +74,10 @@ def rcm_ordering(faces: np.ndarray, n_vertices: int) -> np.ndarray:
 
     Returns ``perm`` such that new vertex ``k`` is old vertex ``perm[k]``.
     """
+    # Imported here: csgraph loads scipy.linalg and scipy.special, which
+    # no stepping process otherwise needs.
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     adj = vertex_adjacency_matrix(faces, n_vertices)
     return np.asarray(reverse_cuthill_mckee(adj, symmetric_mode=True))
 

@@ -92,7 +92,7 @@ def _reference_step(st: FSIStepper, units: UnitSystem) -> None:
         forces_lat, make_stencil(frac, g.shape, "cosine4", "wrap"), g.force
     )
     # 3. collide (allocation path) + np.roll streaming, no boundaries
-    f_post, _, _ = collide_bgk(g.f, g.tau, g.force)
+    f_post = collide_bgk(g.f, g.tau, g.force)
     for i in range(D3Q19.Q):
         cx, cy, cz = D3Q19.c[i]
         g.f[i] = np.roll(f_post[i], shift=(int(cx), int(cy), int(cz)), axis=(0, 1, 2))
@@ -133,7 +133,7 @@ def test_fluid_only_step_matches_reference():
     for _ in range(10):
         g = ref.grid
         g.force[:] = ref.body_force_lattice[:, None, None, None]
-        f_post, _, _ = collide_bgk(g.f, g.tau, g.force)
+        f_post = collide_bgk(g.f, g.tau, g.force)
         for i in range(D3Q19.Q):
             cx, cy, cz = D3Q19.c[i]
             g.f[i] = np.roll(

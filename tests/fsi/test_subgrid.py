@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fsi import UniformSubgrid
+from repro.fsi.subgrid import inter_label_pairs
+from repro.membrane import make_rbc
 
 
 def test_query_finds_inserted_point():
@@ -287,3 +289,91 @@ def test_sequential_accepts_sort_only_the_new_batch(monkeypatch):
     assert len(survivors) == 50
     assert len(sizes) >= 50
     assert max(sizes) <= n_vertices
+
+
+# -- inter-label self-join (the contact list's pair search) -----------------
+
+
+def _query_pairs_oracle(points, labels, radius):
+    """``cKDTree.query_pairs`` with the same-label pairs removed, lexsorted."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    keep = labels[i] != labels[j]
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _assert_pairs_equal_oracle(points, labels, radius):
+    i, j = inter_label_pairs(points, labels, radius)
+    want_i, want_j = _query_pairs_oracle(points, labels, radius)
+    assert i.dtype == j.dtype == np.intp
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    return len(i)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale,offset,radius", [
+    (1.0, 0.0, 0.15),
+    (2.0, -1.0, 0.3),
+    (50.0, -1.0e3, 4.0),
+    (1.0e-5, -3.0e-5, 1.0e-6),
+    (3.0e-5, 2.0e-5, 0.7e-6),
+])
+def test_inter_label_pairs_match_query_pairs(seed, scale, offset, radius):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 700))
+    points = offset + scale * rng.uniform(size=(n, 3))
+    labels = rng.integers(0, 9, size=n)
+    assert _assert_pairs_equal_oracle(points, labels, radius) > 0
+
+
+def test_inter_label_pairs_on_stacked_rbcs():
+    """Stacked, randomly rotated RBC meshes: the contact list's input."""
+    rng = np.random.default_rng(3)
+    verts, labels = [], []
+    for k in range(6):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        cell = make_rbc(np.array([0.0, 0.0, 1.2e-6 * k]), global_id=10 + k,
+                        rotation=q, subdivisions=2)
+        verts.append(cell.vertices)
+        labels.append(np.full(len(cell.vertices), 10 + k))
+    points, labels = np.concatenate(verts), np.concatenate(labels)
+    assert _assert_pairs_equal_oracle(points, labels, 0.5e-6) > 0
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.1, 0.37e-6])
+def test_inter_label_pairs_keep_pairs_at_exactly_the_radius(spacing):
+    """Lattice points one spacing apart, searched at that spacing: the
+    bound is inclusive, and a point a hair across a bin edge still finds
+    its neighbour."""
+    index = np.indices((7, 6, 5)).reshape(3, -1).T
+    points = -2.0 * spacing + spacing * index
+    labels = index.sum(axis=1) % 2      # every lattice neighbour differs
+    found = _assert_pairs_equal_oracle(points, labels, spacing)
+    if spacing == 0.25:
+        # Exact arithmetic: every lattice edge is a pair.
+        assert found == 6 * 6 * 5 + 7 * 5 * 5 + 7 * 6 * 4
+
+
+def test_inter_label_pairs_pair_two_bin_edges_apart():
+    """``b - a`` rounds to exactly the radius, though ``a / r`` sits a
+    hair below the first bin edge and ``b / r`` on the second one."""
+    a, b = np.nextafter(1.0, 0.0), 2.0
+    points = np.array([[0.0, 5.0, 0.0], [a, 0.0, 0.0], [b, 0.0, 0.0]])
+    assert _assert_pairs_equal_oracle(points, np.arange(3), 1.0) == 1
+
+
+def test_inter_label_pairs_single_label_and_tiny_inputs():
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(50, 3))
+    for pts, labels in [
+        (points, np.full(50, 4)),
+        (np.empty((0, 3)), np.empty(0, dtype=np.int64)),
+        (points[:1], np.array([1])),
+    ]:
+        i, j = inter_label_pairs(pts, labels, 0.5)
+        assert len(i) == len(j) == 0
+        assert i.dtype == j.dtype == np.intp

@@ -4,7 +4,8 @@ import numpy as np
 
 from repro.fsi import wall_normals_from_sdf, wall_repulsion_forces
 from repro.fsi.walls import WallProximityPrefilter
-from repro.geometry import Tube
+from repro.geometry import ExpandingChannel, Tube
+from repro.geometry.vasculature import VascularTree
 from repro.lbm import Grid
 
 CUTOFF = 1.0e-6
@@ -122,3 +123,38 @@ def test_prefilter_plain_callable_sdf():
     want = wall_repulsion_forces(sdf, verts, CUTOFF, K)
     assert np.array_equal(got, want)
     assert got[0, 0] < 0 and np.allclose(got[1], 0.0)
+
+
+def test_prefilter_samples_equal_whole_lattice_sampling():
+    """Slab-by-slab sampling of an elementwise SDF gives the whole-lattice
+    samples bit for bit."""
+    grid = _tube_grid(shape=(9, 12, 7))
+    channel = ExpandingChannel(radius_in=5e-6, radius_out=10e-6,
+                               z_expand=3e-6, taper=2e-6)
+    index = np.indices(grid.shape).reshape(3, -1).T
+    for sdf in (Tube(radius=10e-6), channel, lambda p: p[..., 0] - 5e-6):
+        pf = WallProximityPrefilter(sdf, grid, CUTOFF)
+        fn = sdf.sdf if hasattr(sdf, "sdf") else sdf
+        want = fn(grid.origin + grid.spacing * index).reshape(grid.shape)
+        assert np.array_equal(pf._node_sdf, want)
+
+
+def test_prefilter_blas_backed_sdf_forces_equal_unfiltered(rng):
+    """A vessel network's SDF projects through a BLAS matrix-vector
+    product, so its slab samples may differ from whole-lattice ones in
+    the last bit; the prefiltered forces are still the exact pass's."""
+    tree = VascularTree()
+    tree.add_vessel(0, 1, [-2e-6, 0.3e-6, 0.1e-6], [6e-6, 1.7e-6, 9e-6], 3e-6)
+    tree.add_vessel(1, 2, [6e-6, 1.7e-6, 9e-6], [1e-6, 9e-6, 4e-6], 2e-6)
+    grid = Grid((5, 13, 11), tau=0.9, origin=np.array([-3e-6, -5e-6, -2e-6]),
+                spacing=1e-6)
+    pf = WallProximityPrefilter(tree, grid, CUTOFF)
+    index = np.indices(grid.shape).reshape(3, -1).T
+    whole = tree.sdf(grid.origin + grid.spacing * index).reshape(grid.shape)
+    assert np.allclose(pf._node_sdf, whole, rtol=1e-12, atol=0.0)
+    verts = grid.origin + rng.uniform(-1.0, 14.0, size=(600, 3)) * 1e-6
+    got = pf.forces(verts, CUTOFF, K)
+    want = wall_repulsion_forces(tree, verts, CUTOFF, K)
+    assert np.array_equal(got, want)
+    pushed = np.any(want != 0.0, axis=1)
+    assert pushed.any() and not pushed.all()

@@ -48,8 +48,8 @@ def two_buffer_step(grid, handlers):
     :func:`mask_bounce_back` from the second lattice; any other handler's
     ``apply`` runs as is, in list order.
     """
-    f_post, _, _ = collide_bgk(grid.f, grid.tau, grid.force,
-                               out=np.empty_like(grid.f))
+    f_post = collide_bgk(grid.f, grid.tau, grid.force,
+                         out=np.empty_like(grid.f))
     slab_stream_pull(f_post, grid.f)
     for bc in handlers:
         if isinstance(bc, BounceBackWalls):

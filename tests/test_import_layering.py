@@ -33,14 +33,21 @@ ENTRIES = {
     ),
 }
 
+#: What a cell-laden run never loads, stepping included: the contact
+#: pairs come from the repo's own grid and csgraph serves only the RCM
+#: vertex reordering.
+CELL_RUN_FORBIDDEN = (
+    "scipy.spatial", "scipy.sparse.csgraph", "scipy.linalg", "scipy.special",
+)
+
 #: Entry point -> what it must not load (packages, with their submodules).
 FORBIDDEN = {
     "repro.lbm.solver": (
         "scipy", "networkx", "http.server", "repro.fsi", "repro.membrane",
         "repro.ibm", "repro.core",
     ),
-    "repro.experiments.tube_window": ("networkx",),
-    "repro.experiments.expanding_channel": ("networkx",),
+    "repro.experiments.tube_window": ("networkx", *CELL_RUN_FORBIDDEN),
+    "repro.experiments.expanding_channel": ("networkx", *CELL_RUN_FORBIDDEN),
     "python -m repro --help": ("scipy",),
 }
 
@@ -87,6 +94,24 @@ def test_import_repro_does_not_load_scipy_optimize():
 def test_entry_point_loads_only_what_it_uses(entry):
     pulled = _within(loaded_by(entry), FORBIDDEN[entry])
     assert pulled == [], f"{entry} loads {pulled}"
+
+
+def test_cell_laden_steps_load_nothing_more(tmp_path):
+    """A lazy import inside the step would slip past the import probes:
+    run both cell-laden drivers a step or two, then look again."""
+    probe = ("import os, warnings\n"
+             f"os.chdir({str(tmp_path)!r})\n"
+             "warnings.simplefilter('ignore')\n"
+             "from repro.experiments.tube_window import run_tube_window\n"
+             "from repro.experiments.expanding_channel import (\n"
+             "    run_expanding_channel_efsi)\n"
+             "run_tube_window(steps=2)\n"
+             "run_expanding_channel_efsi(steps=1)\n"
+             "print('--modules--', *sys.modules)")
+    out = _run(probe)
+    pulled = _within(out.rsplit("--modules--", 1)[1].split(),
+                     CELL_RUN_FORBIDDEN)
+    assert pulled == [], f"stepping a cell-laden run loads {pulled}"
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.parallel"])
