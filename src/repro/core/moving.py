@@ -7,9 +7,9 @@ re-center it.  To avoid re-initializing a full load of undeformed cells:
    (proper + on-ramp) box of the *new* window position, whose boundary by
    construction aligns with the new insertion shell's inner edge — and
    the rest of the window;
-2. every window cell is deep-copied and the copies are shifted by the
-   window displacement; copies landing in the **fill region** (new
-   interior minus capture region) are kept, so the fill volume receives
+2. every window cell is shifted by the window displacement, and the
+   ones landing in the **fill region** (new interior minus capture
+   region) are deep-copied there, so the fill volume receives
    already-equilibrated, deformed cell shapes rather than fresh spheres;
 3. cells outside the new window are removed, overlaps are resolved
    deterministically by global ID, and the insertion shell is re-seeded
@@ -110,23 +110,25 @@ class WindowMover:
 
         lo_int, hi_int = new_window.interior_bounds()
 
-        # Deep-copy all old-window cells, shift into the new frame, keep
-        # the ones that land in the fill region (interior minus capture).
-        n_filled = 0
-        fills: list[Cell] = []
+        # Shift every old-window cell into the new frame under a fresh ID;
+        # deep-copy the ones that land in the fill region (interior minus
+        # capture) and keep those clear of captured and earlier-filled
+        # cells, resolved in ID order in one pass.
         with tel.phase("fill"):
+            landed: list[Cell] = []
             for cell in sorted(rbcs, key=lambda c: c.global_id):
-                clone = cell.copy(new_id=manager.allocate_id())
-                clone.translate(displacement)
-                c = clone.centroid()
-                if not (np.all(c >= lo_int) and np.all(c <= hi_int)):
-                    continue
-                # Skip clones overlapping captured/earlier-filled cells.
-                if occupied.query_labels_near(clone.vertices, self.overlap_cutoff):
-                    continue
-                fills.append(clone)
-                occupied.insert(clone.vertices, clone.global_id)
-                n_filled += 1
+                gid = manager.allocate_id()
+                centroid = (cell.vertices + displacement).mean(axis=0)
+                if np.all(centroid >= lo_int) and np.all(centroid <= hi_int):
+                    clone = cell.copy(new_id=gid)
+                    clone.translate(displacement)
+                    landed.append(clone)
+            keep = occupied.admit(
+                [c.vertices for c in landed], [c.global_id for c in landed],
+                self.overlap_cutoff,
+            )
+            fills = [clone for clone, k in zip(landed, keep) if k]
+            n_filled = len(fills)
 
             # Remove old cells that were not captured.
             doomed = [c.global_id for c in rest]

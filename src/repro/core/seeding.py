@@ -202,36 +202,54 @@ def stamp_tile(
     a whole; cells whose centroid falls inside the box are instantiated
     (undeformed, with the tile's per-cell orientation composed with the
     stamp rotation).  Candidates that would overlap existing cells in the
-    manager are skipped — matching the paper's repopulation rule that "no
-    new cells are added if they overlap with existing cells".
+    manager, or a candidate accepted before them, are skipped — matching
+    the paper's repopulation rule that "no new cells are added if they
+    overlap with existing cells".
 
     ``existing`` optionally supplies a pre-built vertex subgrid of the
-    current population (accepted cells are inserted into it), so a
-    controller pass over many subregions builds the index once.
+    current population (accepted cells are inserted into it).
 
     Returns the cells actually added.
+    """
+    n_candidates, cells = _stamp_cells(
+        manager, tile, lo, hi, rng, diameter, subdivisions, shear_modulus,
+        keep_predicate,
+    )
+    if not n_candidates:
+        return []
+    if existing is None:
+        # The manager's cached vertex index (rebuilt only when membership
+        # or positions changed).  Accepted cells are inserted into it; the
+        # membership bump invalidates the cache for later callers.
+        existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
+    return _admit_cells(manager, existing, n_candidates, cells, overlap_cutoff)
+
+
+def _stamp_cells(
+    manager: CellManager,
+    tile: RBCTile,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rng: np.random.Generator,
+    diameter: float,
+    subdivisions: int,
+    shear_modulus: float | None,
+    keep_predicate,
+) -> tuple[int, list[Cell]]:
+    """Instantiate the candidates of a random rigid copy of ``tile`` in
+    [lo, hi]; every candidate takes the next global ID, kept or not.
+
+    Returns the number of candidates and the cells ``keep_predicate``
+    passes, in ascending ID order.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     stamp_rot = random_rotation(rng)
     offset = rng.uniform(0.0, tile.side, size=3)
     candidates, n_examined = tile_candidates(tile, lo, hi, stamp_rot, offset)
-    tel = get_telemetry()
-    tel.inc("seeding.tile_copies", n_examined)
-    added: list[Cell] = []
+    get_telemetry().inc("seeding.tile_copies", n_examined)
     kwargs = {} if shear_modulus is None else {"shear_modulus": shear_modulus}
-
-    if not candidates:
-        return added
-
-    if existing is None:
-        # Existing-cell subgrid for overlap rejection: the manager's
-        # cached vertex index (rebuilt only when membership or positions
-        # changed).  Accepted cells are inserted below; the membership
-        # bump invalidates the cache for later callers.
-        existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
-
-    rejected_predicate = rejected_overlap = 0
+    passed: list[Cell] = []
     for center, rot, tile_idx in candidates:
         gid = manager.allocate_id()
         if tile.shapes is not None:
@@ -248,18 +266,32 @@ def stamp_tile(
                 subdivisions=subdivisions,
                 **kwargs,
             )
-        if keep_predicate is not None and not keep_predicate(cell):
-            rejected_predicate += 1
-            continue
-        if existing.query_labels_near(cell.vertices, overlap_cutoff):
-            rejected_overlap += 1
-            continue
+        if keep_predicate is None or keep_predicate(cell):
+            passed.append(cell)
+    return len(candidates), passed
+
+
+def _admit_cells(
+    manager: CellManager,
+    existing: UniformSubgrid,
+    n_candidates: int,
+    cells: list[Cell],
+    overlap_cutoff: float,
+) -> list[Cell]:
+    """Add the ``cells`` (ascending ID) that overlap no cell in
+    ``existing`` and no cell added before them, resolved in one
+    ``existing.admit`` pass; returns them."""
+    keep = existing.admit(
+        [c.vertices for c in cells], [c.global_id for c in cells],
+        overlap_cutoff,
+    )
+    added = [cell for cell, k in zip(cells, keep) if k]
+    for cell in added:
         manager.add(cell)
-        existing.insert(cell.vertices, gid)
-        added.append(cell)
-    tel.inc("seeding.candidates", len(candidates))
-    tel.inc("seeding.rejected_predicate", rejected_predicate)
-    tel.inc("seeding.rejected_overlap", rejected_overlap)
+    tel = get_telemetry()
+    tel.inc("seeding.candidates", n_candidates)
+    tel.inc("seeding.rejected_predicate", n_candidates - len(cells))
+    tel.inc("seeding.rejected_overlap", len(cells) - len(added))
     return added
 
 
@@ -499,7 +531,10 @@ class HematocritController:
                 shell_target = self.target * (fluid_weight / shell_vol)
                 if shell_ht >= self.threshold * shell_target:
                     return 0
-        existing: UniformSubgrid | None = None
+        # Stamp every subregion below target, then resolve all of the
+        # pass's candidates at once: their IDs ascend across the stamps,
+        # so one greedy pass decides what stamping them in turn would.
+        n_candidates, cells = 0, []
         for (lo, hi, _, frac), ht in zip(monitored, hts):
             local_target = self.target
             if frac is not None:
@@ -507,25 +542,17 @@ class HematocritController:
                 if local_target <= 0.0:
                     continue
             if ht < self.threshold * local_target:
-                if existing is None:
-                    # One shared overlap index for the whole pass, from
-                    # the manager's generation/position-keyed cache.
-                    existing = manager.vertex_subgrid(
-                        max(self.overlap_cutoff, 1e-12)
-                    )
-                added = stamp_tile(
-                    manager,
-                    self.tile,
-                    lo,
-                    hi,
-                    self.rng,
-                    overlap_cutoff=self.overlap_cutoff,
-                    diameter=self.diameter,
-                    subdivisions=self.subdivisions,
-                    shear_modulus=self.shear_modulus,
-                    keep_predicate=self.keep_predicate,
-                    existing=existing,
+                n, passed = _stamp_cells(
+                    manager, self.tile, lo, hi, self.rng, self.diameter,
+                    self.subdivisions, self.shear_modulus, self.keep_predicate,
                 )
-                inserted += len(added)
+                n_candidates += n
+                cells += passed
+        if n_candidates:
+            # The manager's generation/position-keyed cached index.
+            existing = manager.vertex_subgrid(max(self.overlap_cutoff, 1e-12))
+            inserted = len(_admit_cells(
+                manager, existing, n_candidates, cells, self.overlap_cutoff
+            ))
         self.n_inserted += inserted
         return inserted

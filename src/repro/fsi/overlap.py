@@ -20,10 +20,11 @@ from .subgrid import UniformSubgrid
 def find_overlapping_vertices(
     cell_a: "Cell", cell_b: "Cell", cutoff: float
 ) -> bool:
-    """True when any vertex pair across the two cells is closer than cutoff.
+    """True when any vertex pair across the two cells lies within cutoff.
 
     Brute-force reference implementation used by tests to validate the
-    subgrid-accelerated path.
+    subgrid-accelerated path; like it, a pair at exactly the cutoff
+    overlaps.
     """
     a = cell_a.vertices
     b = cell_b.vertices
@@ -32,7 +33,7 @@ def find_overlapping_vertices(
     if np.any(b.max(axis=0) < lo_a) or np.any(b.min(axis=0) > hi_a):
         return False
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-    return bool((d2 < cutoff * cutoff).any())
+    return bool((d2 <= cutoff * cutoff).any())
 
 
 def build_subgrid(cells: list["Cell"], cutoff: float) -> UniformSubgrid:
@@ -64,17 +65,14 @@ def cell_overlaps_existing(
 def remove_overlaps(cells: list["Cell"], cutoff: float) -> list["Cell"]:
     """Return the subset of cells surviving deterministic overlap removal.
 
-    Cells are tested in ascending global-ID order against a subgrid of
-    already-accepted cells; an overlapping cell (higher ID by
-    construction) is dropped.  The result is independent of the input
-    ordering and — because IDs are global — of how cells were distributed
-    across tasks when they were created.
+    Cells are accepted in ascending global-ID order unless they overlap an
+    already-accepted cell (one :meth:`UniformSubgrid.admit` pass); an
+    overlapping cell (higher ID by construction) is dropped.  The result is
+    independent of the input ordering and — because IDs are global — of
+    how cells were distributed across tasks when they were created.
     """
-    survivors: list[Cell] = []
-    subgrid = UniformSubgrid(cell_size=cutoff)
-    for cell in sorted(cells, key=lambda c: c.global_id):
-        if subgrid.query_labels_near(cell.vertices, cutoff):
-            continue
-        subgrid.insert(cell.vertices, cell.global_id)
-        survivors.append(cell)
-    return survivors
+    ordered = sorted(cells, key=lambda c: c.global_id)
+    keep = UniformSubgrid(cell_size=cutoff).admit(
+        [c.vertices for c in ordered], [c.global_id for c in ordered], cutoff
+    )
+    return [cell for cell, k in zip(ordered, keep) if k]

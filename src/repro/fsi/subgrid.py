@@ -13,9 +13,7 @@ large odd constants and wrapping int64 arithmetic.  The hash is linear,
 additions.  Stored points are held in hash order: ``insert`` sorts only
 the new batch and merges it in with ``searchsorted`` + ``np.insert`` (one
 O(N) copy, no re-sort of stored points), and a query finds each
-candidate bin's run with a left/right ``searchsorted``.  The sequential
-accept-then-insert loops of seeding and overlap removal therefore cost
-O(N) per accepted cell instead of a full re-sort.
+candidate bin's run with a left/right ``searchsorted``.
 
 Results are exact.  Any point within ``radius <= cell_size`` of a probe
 sits in one of the probe's 27 bins, so it is a candidate.  Two bins
@@ -29,11 +27,22 @@ self-join of one point set, for the contact list's pair search.  It bins
 every point at once by the search radius with dense, collision-free bin
 keys and pairs each bin with itself and its 13 half-shell neighbour bins,
 so every pair of neighbouring bins is visited once.
+
+Seeding, window fills and overlap removal accept cells greedily by global
+ID: a cell is kept unless it comes within the cutoff of a stored cell or
+of a cell kept before it.  :meth:`UniformSubgrid.admit` resolves a whole
+batch of such cells in one pass.  One :func:`inter_label_pairs` self-join
+over the batch and the stored points near it finds every conflict, one
+ordered walk over the conflicting cell pairs applies the rule, and one
+``insert`` stores the kept cells.  The stored points, labels and hash
+order afterwards are those of the one-cell-at-a-time query and insert.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..telemetry import get_telemetry
 
 #: The 27 neighbor-bin offsets of a one-ring search, shape (27, 3).
 _NEIGHBOR_OFFSETS = np.stack(
@@ -225,6 +234,68 @@ class UniformSubgrid:
         at = np.searchsorted(self._hashes, h, side="right")
         self._hashes = np.insert(self._hashes, at, h)
         self._order = np.insert(self._order, at, batch_order + n)
+
+    def admit(
+        self, blocks: list[np.ndarray], labels: list[int] | np.ndarray,
+        radius: float,
+    ) -> np.ndarray:
+        """Insert, in order, each point block that lies within ``radius``
+        of no stored point and no block admitted before it.
+
+        ``blocks`` are (V_k, 3) arrays (one cell's vertices each), in the
+        order of the greedy rule, i.e. ascending global ID; ``labels`` is
+        one label per block.  Returns the boolean mask of the admitted
+        blocks.  Results, stored points, labels and hash order equal those
+        of testing each block with :meth:`query_labels_near` and inserting
+        it when nothing was found.
+
+        Block ``k`` conflicts with a stored point or with block ``j`` when
+        one of the pairs :func:`inter_label_pairs` finds over the blocks and
+        the stored points near them links the two; the same squared
+        distance :func:`subgrid_query` compares decides.  Walking the
+        block-block conflicts by their later block rejects ``k`` exactly
+        when an admitted ``j < k`` conflicts with it, because every conflict
+        of ``j`` with an earlier block is walked before ``j``'s own.
+        """
+        self._check_radius(radius)
+        n_blocks = len(blocks)
+        counts = np.array([len(b) for b in blocks], dtype=np.intp)
+        if not counts.sum():
+            return np.ones(n_blocks, dtype=bool)
+        points = np.concatenate(blocks).astype(np.float64, copy=False)
+        # Stored points that can pair with a block point; the box is padded
+        # by twice the radius so rounding cannot drop a pair at the radius.
+        stored = self._points
+        pad = 2.0 * radius
+        inside = (stored >= points.min(axis=0) - pad) \
+            & (stored <= points.max(axis=0) + pad)
+        near = stored[inside[:, 0] & inside[:, 1] & inside[:, 2]]
+        # Stored points all carry label -1, so pairs among them are never
+        # formed; block k's points carry k.
+        owner = np.concatenate([
+            np.full(len(near), -1, dtype=np.intp),
+            np.repeat(np.arange(n_blocks, dtype=np.intp), counts),
+        ])
+        i, j = inter_label_pairs(np.concatenate([near, points]), owner, radius)
+        get_telemetry().inc("overlap.pairs", len(i))
+        # i < j and the owners ascend with the row, so owner[i] < owner[j].
+        first, second = owner[i], owner[j]
+        keep = np.ones(n_blocks, dtype=bool)
+        keep[second[first < 0]] = False
+        # Distinct block-block conflicts, ordered by the later block.
+        inner = first >= 0
+        ok = keep.tolist()
+        for edge in np.unique(second[inner] * n_blocks + first[inner]).tolist():
+            later, earlier = divmod(edge, n_blocks)
+            if ok[earlier]:
+                ok[later] = False
+        keep = np.array(ok, dtype=bool)
+        if keep.any():
+            rows = np.repeat(keep, counts)
+            self.insert(points[rows],
+                        np.repeat(np.asarray(labels, dtype=np.int64)[keep],
+                                  counts[keep]))
+        return keep
 
     # ------------------------------------------------------------------
     def _candidates(

@@ -1,5 +1,13 @@
 """Earlier seeding, controller and window-fill bodies, kept as test oracles.
 
+Until overlap resolution became one :meth:`UniformSubgrid.admit` pass per
+stamp, controller pass, window fill and removal call, each of those
+accepted cells one at a time: query the subgrid, then insert the cell if
+nothing was found (:func:`sequential_admit`, :func:`sequential_stamp_tile`
+— which the controller ran once per subregion —,
+:func:`sequential_move_cells`, :func:`sequential_remove_overlaps`), and the
+window fill deep-copied every old-window cell before testing its centroid.
+
 Until stamping pruned the periodic tile copies, ``stamp_tile`` ran its
 per-copy code for every one of the ``(2n + 1)^3`` copies, and the
 hematocrit controller recomputed the subregion tiling, the wall filter
@@ -24,12 +32,17 @@ import numpy as np
 from scipy import sparse
 
 from repro.analytics import region_hematocrit
+from repro.constants import RBC_DIAMETER
+from repro.core.moving import MoveReport, classify_for_move
 from repro.core.refinement import _N_STATE, RefinedRegion, trilinear
+from repro.core.seeding import _cell_from_shape, tile_candidates
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.ibm.coupling import make_stencil
 from repro.lbm.collision import equilibrium, macroscopic, moments
+from repro.fsi.subgrid import UniformSubgrid
 from repro.telemetry import get_telemetry
 from repro.membrane import CellKind
+from repro.membrane.cell import make_rbc, random_rotation
 
 from ..lbm.reference_bodies import tensordot_equilibrium
 
@@ -57,6 +70,125 @@ def full_scan_candidates(tile, lo, hi, stamp_rot, offset):
                         (world[ci], stamp_rot @ tile.rotations[ci], int(ci))
                     )
     return candidates, len(shifts) ** 3
+
+
+def sequential_stamp_tile(
+    manager, tile, lo, hi, rng, overlap_cutoff=0.5e-6, diameter=RBC_DIAMETER,
+    subdivisions=3, shear_modulus=None, keep_predicate=None, existing=None,
+):
+    """``stamp_tile`` querying and inserting one candidate at a time."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    stamp_rot = random_rotation(rng)
+    offset = rng.uniform(0.0, tile.side, size=3)
+    candidates, n_examined = tile_candidates(tile, lo, hi, stamp_rot, offset)
+    tel = get_telemetry()
+    tel.inc("seeding.tile_copies", n_examined)
+    added = []
+    kwargs = {} if shear_modulus is None else {"shear_modulus": shear_modulus}
+    if not candidates:
+        return added
+    if existing is None:
+        existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
+    rejected_predicate = rejected_overlap = 0
+    for center, rot, tile_idx in candidates:
+        gid = manager.allocate_id()
+        if tile.shapes is not None:
+            cell = _cell_from_shape(
+                tile.shapes[tile_idx], center, stamp_rot, gid,
+                diameter, subdivisions, shear_modulus,
+            )
+        else:
+            cell = make_rbc(
+                center=center, global_id=gid, rotation=rot,
+                diameter=diameter, subdivisions=subdivisions, **kwargs,
+            )
+        if keep_predicate is not None and not keep_predicate(cell):
+            rejected_predicate += 1
+            continue
+        if existing.query_labels_near(cell.vertices, overlap_cutoff):
+            rejected_overlap += 1
+            continue
+        manager.add(cell)
+        existing.insert(cell.vertices, gid)
+        added.append(cell)
+    tel.inc("seeding.candidates", len(candidates))
+    tel.inc("seeding.rejected_predicate", rejected_predicate)
+    tel.inc("seeding.rejected_overlap", rejected_overlap)
+    return added
+
+
+def sequential_move_cells(mover, manager, old_window, new_window,
+                          protect=frozenset()):
+    """``WindowMover.move_cells`` deep-copying every old-window cell and
+    testing the fill-region clones one at a time."""
+    tel = get_telemetry()
+    displacement = new_window.center - old_window.center
+    rbcs = [
+        c for c in manager.cells
+        if c.kind is CellKind.RBC and c.global_id not in protect
+    ]
+    capture, rest = classify_for_move(rbcs, old_window, new_window)
+    capture_ids = {c.global_id for c in capture}
+    occupied = UniformSubgrid(cell_size=mover.overlap_cutoff)
+    kept = [
+        cell for cell in manager.cells
+        if cell.global_id in capture_ids or cell.global_id in protect
+    ]
+    if kept:
+        occupied.insert(
+            np.concatenate([c.vertices for c in kept]),
+            np.repeat(
+                np.array([c.global_id for c in kept], dtype=np.int64),
+                [len(c.vertices) for c in kept],
+            ),
+        )
+    lo_int, hi_int = new_window.interior_bounds()
+    fills = []
+    for cell in sorted(rbcs, key=lambda c: c.global_id):
+        clone = cell.copy(new_id=manager.allocate_id())
+        clone.translate(displacement)
+        c = clone.centroid()
+        if not (np.all(c >= lo_int) and np.all(c <= hi_int)):
+            continue
+        if occupied.query_labels_near(clone.vertices, mover.overlap_cutoff):
+            continue
+        fills.append(clone)
+        occupied.insert(clone.vertices, clone.global_id)
+    doomed = [c.global_id for c in rest]
+    for gid in doomed:
+        manager.remove(gid)
+    for clone in fills:
+        manager.add(clone)
+    tel.inc("window.cells_captured", len(capture))
+    tel.inc("window.cells_filled", len(fills))
+    tel.inc("window.cells_dropped", len(doomed))
+    return MoveReport(
+        displacement=displacement, n_captured=len(capture),
+        n_filled=len(fills), n_removed=len(doomed), n_inserted=0,
+    )
+
+
+def sequential_remove_overlaps(cells, cutoff):
+    """``remove_overlaps`` querying and inserting one cell at a time."""
+    survivors = []
+    subgrid = UniformSubgrid(cell_size=cutoff)
+    for cell in sorted(cells, key=lambda c: c.global_id):
+        if subgrid.query_labels_near(cell.vertices, cutoff):
+            continue
+        subgrid.insert(cell.vertices, cell.global_id)
+        survivors.append(cell)
+    return survivors
+
+
+def sequential_admit(index, blocks, labels, radius):
+    """``UniformSubgrid.admit`` as one query and one insert per block."""
+    keep = []
+    for points, label in zip(blocks, labels):
+        keep.append(not index.query_labels_near(points, radius))
+        if keep[-1]:
+            index.insert(points, label)
+    return np.array(keep, dtype=bool)
 
 
 def per_cell_census(manager):

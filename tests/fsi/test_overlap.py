@@ -9,6 +9,8 @@ from repro.fsi.overlap import build_subgrid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
 
+from ..core.reference_bodies import sequential_admit, sequential_remove_overlaps
+
 CUTOFF = 0.5e-6
 D = 7.8e-6
 
@@ -73,6 +75,22 @@ def test_single_cell_survives():
     assert remove_overlaps([a], CUTOFF) == [a]
 
 
+def test_vertex_pair_at_exactly_the_cutoff_overlaps():
+    """The oracle keeps ``d2 <= cutoff²`` like the subgrid paths do: a
+    vertex pair at exactly the cutoff overlaps, one ulp farther does not."""
+    def block(x, gid):
+        verts = np.array([[x, 0.0, 0.0], [x, 3 * D, 0.0]])
+        return SimpleNamespace(vertices=verts, global_id=gid)
+
+    a = block(0.0, 0)
+    for x, overlap in ((CUTOFF, True), (np.nextafter(CUTOFF, 1.0), False)):
+        b = block(x, 1)
+        assert find_overlapping_vertices(a, b, CUTOFF) is overlap
+        assert cell_overlaps_existing(b, build_subgrid([a], CUTOFF), CUTOFF) is overlap
+        survivors = [c.global_id for c in remove_overlaps([b, a], CUTOFF)]
+        assert survivors == ([0] if overlap else [0, 1])
+
+
 def test_bounding_box_rejection_fast_path():
     """Disjoint bounding boxes short-circuit the vertex check."""
     a, b = _rbc(0, 0), _rbc(100, 1)
@@ -109,6 +127,7 @@ def test_remove_overlaps_matches_brute_force_on_dense_population():
     want = [c.global_id for c in _brute_remove_overlaps(cells, CUTOFF)]
     got = [c.global_id for c in remove_overlaps(cells, CUTOFF)]
     assert got == want
+    assert got == [c.global_id for c in sequential_remove_overlaps(cells, CUTOFF)]
     assert 1 < len(got) < len(cells)  # dense: some, not all, survive
 
 
@@ -127,6 +146,10 @@ class _BruteIndex:
 
     def insert(self, points, label):
         self.cells.append((int(label), SimpleNamespace(vertices=points)))
+
+    def admit(self, blocks, labels, radius):
+        """``UniformSubgrid.admit`` one block at a time: query, then insert."""
+        return sequential_admit(self, blocks, labels, radius)
 
 
 def test_stamp_tile_matches_brute_force_on_dense_population():

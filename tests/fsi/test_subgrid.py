@@ -266,10 +266,9 @@ def test_forced_hash_collision_stays_exact(monkeypatch):
 
 
 def test_sequential_accepts_sort_only_the_new_batch(monkeypatch):
-    """Work-count guard: while 50 cells are accepted one by one, no
-    ``np.argsort`` call sorts more points than the cell being inserted
-    (stored points are merged, never re-sorted)."""
-    from repro.fsi import remove_overlaps
+    """Work-count guard: while 50 cells are accepted one by one (query,
+    then insert), no ``np.argsort`` call sorts more points than the cell
+    being inserted (stored points are merged, never re-sorted)."""
     from repro.membrane import make_rbc
 
     cells = [
@@ -285,8 +284,11 @@ def test_sequential_accepts_sort_only_the_new_batch(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording_argsort)
-    survivors = remove_overlaps(cells, 0.5e-6)
-    assert len(survivors) == 50
+    g = UniformSubgrid(cell_size=0.5e-6)
+    for cell in cells:
+        assert not g.query_labels_near(cell.vertices, 0.5e-6)
+        g.insert(cell.vertices, cell.global_id)
+    assert len(g) == 50 * n_vertices
     assert len(sizes) >= 50
     assert max(sizes) <= n_vertices
 
