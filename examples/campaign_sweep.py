@@ -5,11 +5,11 @@ Two built-in shapes:
 
 * default — a hematocrit x shear sweep (6 jobs, mixed experiments),
   the demo campaign from docs/campaign.md: checkpointed jobs, two at a
-  time on the process backend, retries enabled.  Kill it mid-flight and
+  time, retries enabled.  Kill it mid-flight and
   `python -m repro campaign resume <out>` finishes the remainder from
   the checkpoint shards;
-* ``--smoke`` — the 3-job CI manifest: tiny step budgets, 2-worker
-  process backend, seconds of wall time.
+* ``--smoke`` — the 3-job CI manifest: tiny step budgets, seconds of
+  wall time.
 
 The generator emits TOML (JSON with ``--json``) so the manifest stays a
 reviewable artifact rather than an opaque pickle::
@@ -101,8 +101,6 @@ def build_doc(name: str, jobs: list[dict], max_parallel: int) -> dict:
         "max_parallel": max_parallel,
         "retry_backoff_s": 0.5,
         "defaults": {
-            "backend": "processes",
-            "workers": 2,
             "max_attempts": 2,
         },
         "jobs": jobs,

@@ -10,13 +10,13 @@ downstream user can regenerate any paper artifact without writing code:
     python -m repro scaling
     python -m repro scaling --measured --backend processes --workers 4
     python -m repro profile tube --steps 50 --telemetry-dir out/
-    python -m repro trace tube --steps 20 --backend processes --out t.json
+    python -m repro trace tube --steps 20 --out t.json
     python -m repro campaign run sweep.toml --out out/sweep
     python -m repro campaign status out/sweep
     python -m repro campaign resume out/sweep
 
-``trace`` records per-occurrence spans (driver phases plus per-rank
-worker intervals) and exports a Chrome-trace JSON loadable in Perfetto.
+``trace`` records one span per phase occurrence and exports a
+Chrome-trace JSON loadable in Perfetto.
 ``campaign status`` reads the campaign's ledger and result files, so it
 is current to the last job transition whether or not the campaign is
 still running.
@@ -141,17 +141,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _set_parallel_env(args: argparse.Namespace) -> None:
-    # Experiments build their steppers internally, so the backend choice
-    # travels via the env vars resolve_fsi_backend already honors.
-    import os
-
-    if getattr(args, "backend", None) is not None:
-        os.environ["REPRO_PARALLEL_BACKEND"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        os.environ["REPRO_PARALLEL_WORKERS"] = str(args.workers)
-
-
 def _run_instrumented_experiment(args: argparse.Namespace) -> None:
     """The shared experiment dispatch behind ``profile`` and ``trace``."""
     if args.experiment == "tube":
@@ -177,7 +166,6 @@ def _run_instrumented_experiment(args: argparse.Namespace) -> None:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry, active
 
-    _set_parallel_env(args)
     tel = Telemetry(
         out_dir=args.telemetry_dir,
         meta={"experiment": args.experiment, "steps": args.steps},
@@ -196,7 +184,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry, active
 
-    _set_parallel_env(args)
     tel = Telemetry(
         out_dir=args.telemetry_dir,
         trace=True,
@@ -345,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default=None,
-                   choices=BACKENDS,
-                   help="FSI executor backend "
-                        "(default: REPRO_PARALLEL_BACKEND or serial)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
     _add_telemetry_flag(p)
     p.set_defaults(func=_cmd_profile)
 
@@ -367,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default=None,
-                   choices=BACKENDS,
-                   help="FSI executor backend "
-                        "(default: REPRO_PARALLEL_BACKEND or serial)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="FSI worker count (default: REPRO_PARALLEL_WORKERS)")
     _add_telemetry_flag(p)
     p.set_defaults(func=_cmd_trace)
 

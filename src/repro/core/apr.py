@@ -203,12 +203,8 @@ class APRSimulation:
         n = cfg.refinement
         i0, snapped, w_cells = self._snap_window(center)
         if self.fine is not None:
-            # The outgoing stepper's parallel runtime holds a worker pool
-            # and shared-memory segments; release them deterministically
-            # instead of waiting for the GC finalizer.  The outgoing
-            # lattice goes too, before the incoming one is allocated, so
-            # a move never holds two windows at once.
-            self.fine.close()
+            # The outgoing lattice goes before the incoming one is
+            # allocated, so a move never holds two windows at once.
             self.fine = self.coupling = None
         self.window = Window(center=snapped, spec=cfg.window_spec)
         origin = cg.origin + cg.spacing * i0
@@ -485,21 +481,13 @@ class APRSimulation:
         return data
 
     def close(self) -> None:
-        """Release the fine stepper's parallel runtime (idempotent).
+        """Mark the end of a run.
 
-        Back-to-back short runs in one process (campaign jobs, parameter
-        sweeps) must tear their worker pools and shared-memory segments
-        down deterministically instead of leaning on GC finalizers.
+        The simulation holds no OS resources, so this releases nothing
+        and leaves every field readable.  The experiment drivers call it
+        once after their last step; ``benchmarks/e2e/spans.py`` takes the
+        finished simulation for its health report at this call.
         """
-        if self.fine is not None:
-            self.fine.close()
-
-    def __enter__(self) -> "APRSimulation":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     def move_window(self) -> MoveReport:
         """Relocate the window onto the CTC (capture/fill algorithm)."""

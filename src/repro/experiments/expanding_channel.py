@@ -217,53 +217,50 @@ def run_expanding_channel_efsi(
     # Remove cells that exit downstream so they do not pile on the outlet.
     z_exit = origin[2] + dx * (nz - 3)
 
-    try:
-        traj = [ctc.centroid().copy()]
-        times = [0.0]
-        step_done = 0
-        if checkpointer is not None:
-            data = checkpointer.load()
-            if data is not None:
-                step_done = data["step"]
-                grid.f[:] = data["f_coarse"]
-                grid.mark_f_modified()
-                _replace_population(manager, data["manager"])
-                ctc = next(
-                    c for c in manager.cells if c.kind is CellKind.CTC
+    traj = [ctc.centroid().copy()]
+    times = [0.0]
+    step_done = 0
+    if checkpointer is not None:
+        data = checkpointer.load()
+        if data is not None:
+            step_done = data["step"]
+            grid.f[:] = data["f_coarse"]
+            grid.mark_f_modified()
+            _replace_population(manager, data["manager"])
+            ctc = next(
+                c for c in manager.cells if c.kind is CellKind.CTC
+            )
+            traj = [r.copy() for r in data["extra"]["traj"]]
+            times = list(data["extra"]["times"])
+    every = checkpoint_interval(checkpointer)
+    for seg in iter_segments(step_done, steps, every):
+        for _ in range(seg):
+            stepper.step()
+            step_done += 1
+            if step_done % sample_every == 0:
+                manager.remove_where(
+                    lambda c: c.global_id != ctc.global_id
+                    and c.centroid()[2] > z_exit
                 )
-                traj = [r.copy() for r in data["extra"]["traj"]]
-                times = list(data["extra"]["times"])
-        every = checkpoint_interval(checkpointer)
-        for seg in iter_segments(step_done, steps, every):
-            for _ in range(seg):
-                stepper.step()
-                step_done += 1
-                if step_done % sample_every == 0:
-                    manager.remove_where(
-                        lambda c: c.global_id != ctc.global_id
-                        and c.centroid()[2] > z_exit
-                    )
-                    traj.append(ctc.centroid().copy())
-                    times.append(step_done * dt)
-            if checkpointer is not None and every > 0:
-                checkpointer.save(
-                    step=step_done,
-                    f_coarse=grid.f,
-                    manager=manager,
-                    extra={"traj": np.array(traj), "times": np.array(times)},
-                )
-        return ExpandingChannelResult(
-            method="efsi",
-            trajectory=np.array(traj),
-            times=np.array(times),
-            n_rbcs=n_rbc,
-            n_fluid_nodes=int((~grid.solid).sum()),
-            seed=seed,
-            params=params,
-            extras={"steps": steps},
-        )
-    finally:
-        stepper.close()
+                traj.append(ctc.centroid().copy())
+                times.append(step_done * dt)
+        if checkpointer is not None and every > 0:
+            checkpointer.save(
+                step=step_done,
+                f_coarse=grid.f,
+                manager=manager,
+                extra={"traj": np.array(traj), "times": np.array(times)},
+            )
+    return ExpandingChannelResult(
+        method="efsi",
+        trajectory=np.array(traj),
+        times=np.array(times),
+        n_rbcs=n_rbc,
+        n_fluid_nodes=int((~grid.solid).sum()),
+        seed=seed,
+        params=params,
+        extras={"steps": steps},
+    )
 
 
 def run_expanding_channel_apr(
@@ -330,65 +327,63 @@ def run_expanding_channel_apr(
         coarse_units=units,
         geometry=channel,
     )
-    try:
-        if steps is None:
-            # Same physical duration as the default eFSI run (dt_c = n * dt_f).
-            steps = 1500 // n
-        resume_data = None
-        if checkpointer is not None:
-            resume_data = checkpointer.load()
-        if resume_data is not None:
-            sim.restore(checkpointer.path)
-            assert sim.ctc is not None
-            ctc = sim.ctc
-            n_rbc = int(resume_data["extra"]["n_rbc"])
-            traj = [r.copy() for r in resume_data["extra"]["traj"]]
-            times = list(resume_data["extra"]["times"])
-        else:
-            ctc = make_ctc(
-                ctc_center,
-                global_id=sim.cells.allocate_id(),
-                diameter=params.ctc_diameter,
-                subdivisions=params.rbc_subdivisions,
-            )
-            sim.add_ctc(ctc)
-            n_rbc = sim.fill_window()
-            traj = [ctc.centroid().copy()]
-            times = [0.0]
-        every = checkpoint_interval(checkpointer)
-        for seg in iter_segments(sim.coarse_step_count, steps, every):
-            for _ in range(seg):
-                sim.step()
-                # A window move swaps the tracked CTC instance.
-                ctc = sim.ctc if sim.ctc is not None else ctc
-                if sim.coarse_step_count % sample_every == 0:
-                    traj.append(ctc.centroid().copy())
-                    times.append(sim.time)
-            if checkpointer is not None and every > 0:
-                checkpointer.save_with(
-                    lambda p: sim.save(
-                        p,
-                        extra={
-                            "n_rbc": n_rbc,
-                            "traj": np.array(traj),
-                            "times": np.array(times),
-                        },
-                    )
-                )
-        assert sim.fine is not None
-        return ExpandingChannelResult(
-            method="apr",
-            trajectory=np.array(traj),
-            times=np.array(times),
-            n_rbcs=n_rbc,
-            n_fluid_nodes=int((~cg.solid).sum())
-            + int((~sim.fine.grid.solid).sum()),
-            seed=seed,
-            params=params,
-            extras={"steps": steps, "window_moves": len(sim.move_reports)},
+    if steps is None:
+        # Same physical duration as the default eFSI run (dt_c = n * dt_f).
+        steps = 1500 // n
+    resume_data = None
+    if checkpointer is not None:
+        resume_data = checkpointer.load()
+    if resume_data is not None:
+        sim.restore(checkpointer.path)
+        assert sim.ctc is not None
+        ctc = sim.ctc
+        n_rbc = int(resume_data["extra"]["n_rbc"])
+        traj = [r.copy() for r in resume_data["extra"]["traj"]]
+        times = list(resume_data["extra"]["times"])
+    else:
+        ctc = make_ctc(
+            ctc_center,
+            global_id=sim.cells.allocate_id(),
+            diameter=params.ctc_diameter,
+            subdivisions=params.rbc_subdivisions,
         )
-    finally:
-        sim.close()
+        sim.add_ctc(ctc)
+        n_rbc = sim.fill_window()
+        traj = [ctc.centroid().copy()]
+        times = [0.0]
+    every = checkpoint_interval(checkpointer)
+    for seg in iter_segments(sim.coarse_step_count, steps, every):
+        for _ in range(seg):
+            sim.step()
+            # A window move swaps the tracked CTC instance.
+            ctc = sim.ctc if sim.ctc is not None else ctc
+            if sim.coarse_step_count % sample_every == 0:
+                traj.append(ctc.centroid().copy())
+                times.append(sim.time)
+        if checkpointer is not None and every > 0:
+            checkpointer.save_with(
+                lambda p: sim.save(
+                    p,
+                    extra={
+                        "n_rbc": n_rbc,
+                        "traj": np.array(traj),
+                        "times": np.array(times),
+                    },
+                )
+            )
+    assert sim.fine is not None
+    sim.close()
+    return ExpandingChannelResult(
+        method="apr",
+        trajectory=np.array(traj),
+        times=np.array(times),
+        n_rbcs=n_rbc,
+        n_fluid_nodes=int((~cg.solid).sum())
+        + int((~sim.fine.grid.solid).sum()),
+        seed=seed,
+        params=params,
+        extras={"steps": steps, "window_moves": len(sim.move_reports)},
+    )
 
 
 def run_from_params(params: dict, *, checkpointer=None) -> dict:

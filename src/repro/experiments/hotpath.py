@@ -2,8 +2,7 @@
 
 A seeded cell-laden periodic lattice (16³, four RBCs by default) packaged
 behind the uniform ``run_from_params`` seam so campaigns can schedule
-throughput probes alongside physics runs (e.g. one hotpath job per
-backend/worker setting to map a machine before launching a sweep).
+throughput probes alongside physics runs.
 Timing comes from the telemetry phase timers when a backend is
 installed, wall clock otherwise.
 """
@@ -33,8 +32,6 @@ class HotpathResult:
     steps_per_s: float
     n_cells: int
     n_vertices: int
-    backend: str
-    workers: int
     extras: dict = field(default_factory=dict)
 
 
@@ -43,8 +40,6 @@ def build_hotpath_stepper(
     n_cells: int = 4,
     subdivisions: int = 1,
     seed: int = 0,
-    backend: str | None = None,
-    workers: int | None = None,
 ) -> FSIStepper:
     """Seeded cell-laden periodic lattice driven by a body force."""
     dx = 0.65e-6
@@ -71,8 +66,6 @@ def build_hotpath_stepper(
         manager,
         mode="wrap",
         body_force=np.array([500.0, 0.0, 0.0]),
-        backend=backend,
-        workers=workers,
     )
 
 
@@ -83,8 +76,6 @@ def run_hotpath(
     steps: int = 20,
     warmup: int = 2,
     seed: int = 0,
-    backend: str | None = None,
-    workers: int | None = None,
     checkpointer=None,
 ) -> HotpathResult:
     """Time ``steps`` FSI steps on the benchmark lattice.
@@ -93,54 +84,47 @@ def run_hotpath(
     preempted probe resumes its remaining step budget (the recorded
     timing then covers the resumed portion only).
     """
-    stepper = build_hotpath_stepper(
-        shape, n_cells, subdivisions, seed, backend=backend, workers=workers
-    )
+    stepper = build_hotpath_stepper(shape, n_cells, subdivisions, seed)
     grid = stepper.grid
     manager = stepper.cells
-    try:
-        step_done = 0
-        if checkpointer is not None:
-            data = checkpointer.load()
-            if data is not None:
-                step_done = data["step"]
-                grid.f[:] = data["f_coarse"]
-                grid.mark_f_modified()
-                for gid in [c.global_id for c in manager.cells]:
-                    manager.remove(gid)
-                for cell in sorted(
-                    data["manager"].cells, key=lambda c: c.global_id
-                ):
-                    manager.add(cell.copy())
-        if step_done == 0 and warmup > 0:
-            stepper.step(warmup)
-        every = checkpoint_interval(checkpointer)
-        t0 = time.perf_counter()
-        timed = 0
-        for seg in iter_segments(step_done, steps, every):
-            stepper.step(seg)
-            step_done += seg
-            timed += seg
-            if checkpointer is not None and every > 0:
-                checkpointer.save(
-                    step=step_done, f_coarse=grid.f, manager=manager
-                )
-        wall_s = time.perf_counter() - t0
-        timed = max(timed, 1)
-        n_vertices = sum(len(c.vertices) for c in manager.cells)
-        return HotpathResult(
-            steps=steps,
-            wall_s=wall_s,
-            ms_per_step=1e3 * wall_s / timed,
-            steps_per_s=timed / wall_s if wall_s > 0 else float("inf"),
-            n_cells=manager.n_cells,
-            n_vertices=n_vertices,
-            backend=stepper.backend,
-            workers=stepper.n_workers,
-            extras={"timed_steps": timed},
-        )
-    finally:
-        stepper.close()
+    step_done = 0
+    if checkpointer is not None:
+        data = checkpointer.load()
+        if data is not None:
+            step_done = data["step"]
+            grid.f[:] = data["f_coarse"]
+            grid.mark_f_modified()
+            for gid in [c.global_id for c in manager.cells]:
+                manager.remove(gid)
+            for cell in sorted(
+                data["manager"].cells, key=lambda c: c.global_id
+            ):
+                manager.add(cell.copy())
+    if step_done == 0 and warmup > 0:
+        stepper.step(warmup)
+    every = checkpoint_interval(checkpointer)
+    t0 = time.perf_counter()
+    timed = 0
+    for seg in iter_segments(step_done, steps, every):
+        stepper.step(seg)
+        step_done += seg
+        timed += seg
+        if checkpointer is not None and every > 0:
+            checkpointer.save(
+                step=step_done, f_coarse=grid.f, manager=manager
+            )
+    wall_s = time.perf_counter() - t0
+    timed = max(timed, 1)
+    n_vertices = sum(len(c.vertices) for c in manager.cells)
+    return HotpathResult(
+        steps=steps,
+        wall_s=wall_s,
+        ms_per_step=1e3 * wall_s / timed,
+        steps_per_s=timed / wall_s if wall_s > 0 else float("inf"),
+        n_cells=manager.n_cells,
+        n_vertices=n_vertices,
+        extras={"timed_steps": timed},
+    )
 
 
 def run_from_params(params: dict, *, checkpointer=None) -> dict:
@@ -156,6 +140,4 @@ def run_from_params(params: dict, *, checkpointer=None) -> dict:
         "steps_per_s": float(r.steps_per_s),
         "n_cells": int(r.n_cells),
         "n_vertices": int(r.n_vertices),
-        "backend": r.backend,
-        "workers": int(r.workers),
     }

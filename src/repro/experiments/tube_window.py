@@ -149,58 +149,54 @@ def run_tube_window(
         geometry=tube,
         window_body_force=np.array([0.0, 0.0, force_density]),
     )
-    try:
-        resume_data = None
-        if checkpointer is not None:
-            resume_data = checkpointer.load()
-        if resume_data is not None:
-            # Restore replaces the (not-yet-seeded) population and both
-            # lattices; the step counter resumes where the checkpoint
-            # left off.  Controller counters restart at zero — the
-            # summary reports churn of the resumed portion only.
-            sim.restore(checkpointer.path)
-            n0 = int(resume_data["extra"].get("n_cells_initial", sim.cells.n_cells))
-        else:
-            n0 = sim.fill_window()
+    resume_data = None
+    if checkpointer is not None:
+        resume_data = checkpointer.load()
+    if resume_data is not None:
+        # Restore replaces the (not-yet-seeded) population and both
+        # lattices; the step counter resumes where the checkpoint
+        # left off.  Controller counters restart at zero — the
+        # summary reports churn of the resumed portion only.
+        sim.restore(checkpointer.path)
+        n0 = int(resume_data["extra"].get("n_cells_initial", sim.cells.n_cells))
+    else:
+        n0 = sim.fill_window()
 
-        sim.ht_history.append((sim.time, sim.window_hematocrit()))
-        every = checkpoint_interval(checkpointer)
-        for seg in iter_segments(sim.coarse_step_count, steps, every):
-            sim.step(seg)
-            if checkpointer is not None and every > 0:
-                checkpointer.save_with(
-                    lambda p: sim.save(p, extra={"n_cells_initial": n0})
-                )
+    sim.ht_history.append((sim.time, sim.window_hematocrit()))
+    every = checkpoint_interval(checkpointer)
+    for seg in iter_segments(sim.coarse_step_count, steps, every):
+        sim.step(seg)
+        if checkpointer is not None and every > 0:
+            checkpointer.save_with(
+                lambda p: sim.save(p, extra={"n_cells_initial": n0})
+            )
 
-        # Flow rate from the coarse velocity field (mid-tube cross-section).
-        _, u_lat = coarse.macroscopic()
-        fluid = ~cg.solid
-        ksec = nz // 4  # away from the window
-        uz_phys = u_lat[2, :, :, ksec] * (units.dx / units.dt)
-        q = float(uz_phys[fluid[:, :, ksec]].sum()) * coarse_spacing**2
-        dp = force_density * tube_length
-        mu_eff = poiseuille_effective_viscosity(dp, q, R, tube_length)
+    # Flow rate from the coarse velocity field (mid-tube cross-section).
+    _, u_lat = coarse.macroscopic()
+    fluid = ~cg.solid
+    ksec = nz // 4  # away from the window
+    uz_phys = u_lat[2, :, :, ksec] * (units.dx / units.dt)
+    q = float(uz_phys[fluid[:, :, ksec]].sum()) * coarse_spacing**2
+    dp = force_density * tube_length
+    mu_eff = poiseuille_effective_viscosity(dp, q, R, tube_length)
 
-        times = np.array([t for t, _ in sim.ht_history])
-        hts = np.array([h for _, h in sim.ht_history])
-        ctrl = sim.controller
-        return TubeWindowResult(
-            target_hematocrit=hematocrit,
-            times=times,
-            hematocrit=hts,
-            mu_effective=mu_eff,
-            mu_pries=mu_bulk,
-            n_cells_final=sim.cells.n_cells,
-            n_inserted=0 if ctrl is None else ctrl.n_inserted,
-            n_removed=0 if ctrl is None else ctrl.n_removed,
-            flow_rate=q,
-            tube_diameter=tube_diameter,
-            extras={"n_cells_initial": n0, "mu_bulk_set": mu_bulk},
-        )
-    finally:
-        # Deterministic worker-pool/shared-memory teardown so repeated
-        # short runs in one process (campaign jobs) never leak segments.
-        sim.close()
+    times = np.array([t for t, _ in sim.ht_history])
+    hts = np.array([h for _, h in sim.ht_history])
+    ctrl = sim.controller
+    sim.close()
+    return TubeWindowResult(
+        target_hematocrit=hematocrit,
+        times=times,
+        hematocrit=hts,
+        mu_effective=mu_eff,
+        mu_pries=mu_bulk,
+        n_cells_final=sim.cells.n_cells,
+        n_inserted=0 if ctrl is None else ctrl.n_inserted,
+        n_removed=0 if ctrl is None else ctrl.n_removed,
+        flow_rate=q,
+        tube_diameter=tube_diameter,
+        extras={"n_cells_initial": n0, "mu_bulk_set": mu_bulk},
+    )
 
 
 def run_from_params(params: dict, *, checkpointer=None) -> dict:

@@ -249,19 +249,6 @@ class CellManager:
         p = self._refresh_packed_vertices()
         return p.verts, p.ordinals, p.cells
 
-    def packed_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Cell]]:
-        """Refreshed packed vertices, force buffer, ordinals, cell list.
-
-        The force buffer's contents are whatever the last force pass left
-        there; callers overwrite it.  Same manager-owned snapshot contract
-        as :meth:`packed_vertices`.  This is the entry point the parallel
-        FSI runtime shards over.
-        """
-        p = self._refresh_packed_vertices()
-        return p.verts, p.forces, p.ordinals, p.cells
-
     def packed_segments(self):
         """Yield ``(reference, sample cell, start row, n_cells, n_vertices)``
         for every packed group segment (packed order).
@@ -329,11 +316,12 @@ class CellManager:
         return sums / counts[:, None]
 
     # -- mechanics -----------------------------------------------------------
-    def _group_membrane_forces(self, group: _Group, slots: np.ndarray) -> np.ndarray:
-        """Batched membrane forces (B, V, 3) for one group."""
+    def _group_membrane_forces(self, group: _Group, verts: np.ndarray) -> np.ndarray:
+        """Batched membrane forces (B, V, 3) for one group at its (B, V, 3)
+        vertex positions."""
         sample = group.cells[0]
         return membrane_forces(
-            group.pool.gather(slots), group.reference,
+            verts, group.reference,
             sample.shear_modulus, sample.skalak_C, sample.k_bend,
             sample.k_area, sample.k_volume,
         )
@@ -347,7 +335,9 @@ class CellManager:
         """
         p = self._packed_cache()
         for group, slots, _, _ in p.segments:
-            yield group.cells, self._group_membrane_forces(group, slots)
+            yield group.cells, self._group_membrane_forces(
+                group, group.pool.gather(slots)
+            )
 
     def membrane_forces(self) -> dict[int, np.ndarray]:
         """Batched membrane forces for every cell, keyed by global ID [N]."""
@@ -359,7 +349,7 @@ class CellManager:
 
     def contact_forces(self) -> np.ndarray:
         """Inter-cell contact forces (N, 3) at the packed vertices as
-        last refreshed (:meth:`packed_vertices` / :meth:`packed_arrays`).
+        last refreshed (:meth:`packed_vertices` / :meth:`total_forces`).
 
         The manager's :class:`~repro.fsi.contact.ContactList` is carried
         across steps and keyed on the generation.  The result is scratch
@@ -381,7 +371,9 @@ class CellManager:
         if not p.cells:
             return np.empty((0, 3)), p.verts, []
         for group, slots, start, stop in p.segments:
-            f = self._group_membrane_forces(group, slots)
+            f = self._group_membrane_forces(
+                group, p.verts[start:stop].reshape(len(slots), -1, 3)
+            )
             p.forces[start:stop] = f.reshape(-1, 3)
         p.forces += self.contact_forces()
         return p.forces, p.verts, p.cells

@@ -12,16 +12,10 @@ a single lattice:
 The same stepper drives the fine window inside the APR model; the eFSI
 reference simply uses it over the whole domain.
 
-The cell-side phases (1, 2 and 4) execute on a
-:class:`~repro.parallel.fsi.ParallelFSIRuntime`, which shards membrane
-forces by cell chunk, the IBM interpolation by marker chunk and the
-spread by lattice-node range, inline (``serial``) or on a persistent
-worker pool (``processes``).  Both are bitwise identical to the serial
-step; pick one with ``backend=`` / ``workers=`` or the
-``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` environment
-variables.  The worker pool and its shared-memory segments are created
-lazily on the first cell-laden step and released by :meth:`close` (or a
-GC finalizer when the stepper is dropped unclosed).
+The cell-side phases (1, 2 and 4) run on a
+:class:`~repro.parallel.fsi.ParallelFSIRuntime`, inline on the
+manager's packed arrays: one batched force pass per cell group, one IBM
+stencil per step shared by the spread and the interpolation.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import numpy as np
 
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
-from ..parallel.fsi import ParallelFSIRuntime, resolve_fsi_backend
+from ..parallel.fsi import ParallelFSIRuntime
 from ..telemetry import get_telemetry
 from ..units import UnitSystem
 from .cell_manager import CellManager
@@ -64,10 +58,6 @@ class FSIStepper:
         Optional SDF geometry: vertices within ``wall_cutoff`` of the
         wall receive a short-range repulsion keeping cells out of the
         unresolved lubrication layer (see :mod:`repro.fsi.walls`).
-    backend, workers:
-        Executor backend and worker count for the parallel FSI runtime
-        (``None``: resolve from the ``REPRO_PARALLEL_*`` environment,
-        defaulting to ``serial``).
     """
 
     def __init__(
@@ -82,8 +72,6 @@ class FSIStepper:
         wall_geometry=None,
         wall_cutoff: float = 0.5e-6,
         wall_stiffness: float = 2.0e-10,
-        backend: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self.grid = grid
         self.units = units
@@ -94,8 +82,7 @@ class FSIStepper:
         self.wall_geometry = wall_geometry
         self.wall_cutoff = wall_cutoff
         self.wall_stiffness = wall_stiffness
-        self.backend, self.n_workers = resolve_fsi_backend(backend, workers)
-        self._runtime: ParallelFSIRuntime | None = None
+        self.runtime = ParallelFSIRuntime(grid, kernel=kernel, mode=mode)
         self._wall_prefilter: WallProximityPrefilter | None = None
         self.body_force_lattice = np.zeros(3)
         if body_force is not None:
@@ -109,37 +96,6 @@ class FSIStepper:
         self._step_verts: np.ndarray | None = None
         self._step_cells = None
         self._step_generation = -1
-
-    # ------------------------------------------------------------------
-    @property
-    def runtime(self) -> ParallelFSIRuntime:
-        """The parallel FSI runtime (created lazily on first use).
-
-        Lazy so that short-lived helper steppers (seeding equilibration)
-        and cell-free runs never pay for a worker pool.
-        """
-        if self._runtime is None:
-            self._runtime = ParallelFSIRuntime(
-                self.grid,
-                kernel=self.kernel,
-                mode=self.mode,
-                backend=self.backend,
-                n_workers=self.n_workers,
-            )
-        return self._runtime
-
-    def close(self) -> None:
-        """Release the runtime's worker pool and shared memory (idempotent)."""
-        if self._runtime is not None:
-            self._runtime.close()
-            self._runtime = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:

@@ -188,25 +188,6 @@ class Stencil:
         """Flattened lattice-node index per (marker, a, b, c) weight."""
         return self.matrix.indices
 
-    def columns(self, lo: int, hi: int) -> sparse.csr_matrix:
-        """The sub-matrix of ``matrix`` over lattice nodes ``lo..hi-1``.
-
-        Masking keeps every retained entry in its row, in order, so
-        ``columns(lo, hi).T @ F`` accumulates each node's markers in the
-        same order as ``matrix.T @ F`` does.
-        """
-        flat = self.matrix.indices
-        mask = (flat >= lo) & (flat < hi)
-        indptr = np.zeros(self.n_markers + 1, dtype=INDEX_DTYPE)
-        np.cumsum(
-            np.count_nonzero(mask.reshape(self.n_markers, -1), axis=1),
-            out=indptr[1:],
-        )
-        return sparse.csr_matrix(
-            (self.matrix.data[mask], flat[mask] - INDEX_DTYPE(lo), indptr),
-            shape=(self.n_markers, hi - lo),
-        )
-
 
 def _n_clipped(edge: np.ndarray, mode: str) -> int:
     return int(np.count_nonzero(edge)) if mode == "clip" else 0
@@ -308,28 +289,22 @@ def spread_with_stencil(
     values: np.ndarray,
     stencil: Stencil,
     out_field: np.ndarray,
-    node_range: tuple[int, int] | None = None,
 ) -> None:
     """Spread marker values onto the Eulerian field, in place (Eq. 6).
 
     The adjoint of :func:`interpolate_with_stencil` by construction
-    (``S.T @ values``).  ``node_range=(lo, hi)`` restricts the scatter to
-    flat (C-order) lattice nodes ``lo..hi-1`` and touches no other entry
-    of ``out_field``; spreading over any partition of the lattice into
-    node ranges is bitwise equal to the unrestricted spread.
+    (``S.T @ values``).
     """
     if not out_field.flags.c_contiguous:
         raise ValueError("spreading needs a C-contiguous output field")
     vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
     matrix = stencil.matrix
-    lo, hi = (0, matrix.shape[1]) if node_range is None else node_range
-    if (lo, hi) != (0, matrix.shape[1]):
-        matrix = stencil.columns(lo, hi)
     if out_field.ndim == 4:
         out = out_field.reshape(out_field.shape[0], -1)
-        out[:, lo:hi] += (matrix.T @ vals).T
+        out += (matrix.T @ vals).T
     else:
-        out_field.reshape(-1)[lo:hi] += matrix.T @ vals[:, 0]
+        out = out_field.reshape(-1)
+        out += matrix.T @ vals[:, 0]
 
 
 def interpolate(

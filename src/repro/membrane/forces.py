@@ -24,8 +24,7 @@ and the edge vector and face normals between angle and gradient.
 Per-cell results do not depend on the batch they are evaluated in: the
 elementwise work has no cross-cell term, the per-cell area and volume
 are reduced along a contiguous face axis, and the incidence matrix adds
-contributions in a fixed column order.  The ``processes`` FSI backend
-relies on this to shard a group by cell chunks bit for bit.
+contributions in a fixed column order.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ structure* and executes it: a uniform periodic block decomposition with
 a direction-aware packed D3Q19 halo exchange, a distributed LBM solver
 that is bit-identical to the single-grid solver and steps its ranks
 inline (``serial``) or on a persistent shared-memory worker pool
-(``processes``), the cell-side FSI runtime on the same pool substrate
-(:mod:`repro.parallel.pool`), per-task byte/message/slab accounting,
-and the CPU/GPU task-mapping rules.  (The paper's
+(``processes``, :mod:`repro.parallel.pool`), the cell-side FSI runtime
+(inline, :mod:`repro.parallel.fsi`), per-task byte/message/slab
+accounting, and the CPU/GPU task-mapping rules.  (The paper's
 recompute-instead-of-communicate trick is about the forces of IBM halo
 *cells*, not lattice halos; ``benchmarks/bench_ablation_comm.py``
 models it.)  Measured communication volumes and
@@ -31,7 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "make_executor",
     ),
     ".distributed": ("DistributedLBMSolver",),
-    ".fsi": ("FSI_PHASES", "ParallelFSIRuntime", "resolve_fsi_backend"),
+    ".fsi": ("ParallelFSIRuntime", "resolve_fsi_backend"),
     ".measure": (
         "measure_throughput",
         "measured_scaling_curve",

@@ -1,22 +1,22 @@
-"""The one worker-pool substrate of the two parallel runtimes.
+"""The worker-pool substrate of the block-decomposed lattice.
 
-The block-decomposed lattice (:mod:`repro.parallel.executor`) and the
-cell-side FSI step (:mod:`repro.parallel.fsi`) run on the same two
+The decomposed lattice (:mod:`repro.parallel.executor`) runs on two
 backends:
 
-* ``serial``    — the work runs inline in the calling thread;
+* ``serial``    — the ranks step inline in the calling thread;
 * ``processes`` — a persistent :class:`ProcessPool` of daemon workers,
   one pipe each, with all array data in :mod:`multiprocessing.shared_memory`
   segments the parent creates and the workers attach by name — the
   in-process analogue of the paper's CPU-tasks-per-node layout
   (Section 2.4.4).
 
-This module owns everything the two runtimes share: the backend /
-worker-count resolver (the only reader of ``REPRO_PARALLEL_BACKEND`` /
-``REPRO_PARALLEL_WORKERS``), the near-even contiguous work split, the
-pool with its shutdown guarantees, and shared-segment create / attach /
-unlink.  The runtimes keep only their worker handlers and message
-vocabularies.
+This module owns the backend / worker-count resolver (the only reader
+of ``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS``), the
+near-even contiguous work split, the pool with its shutdown guarantees,
+and shared-segment create / attach / unlink.  The executor keeps only
+its worker handler and message vocabulary.  The cell side of the FSI
+step has no pool (docs/performance.md, "Backend decisions → FSI process
+pool").
 """
 
 from __future__ import annotations
@@ -39,17 +39,15 @@ STOP = "stop"
 def resolve_backend(
     backend: str | None,
     n_workers: int | None,
-    n_tasks: int | None = None,
+    n_tasks: int,
 ) -> tuple[str, int]:
     """Resolve backend/worker-count requests against env and hardware.
 
     ``None`` values fall back to ``REPRO_PARALLEL_BACKEND`` (default
     ``serial``) and ``REPRO_PARALLEL_WORKERS`` (default: one worker per
-    CPU).  The count is capped at ``n_tasks`` when given (a lattice has
-    a fixed rank count; the FSI step shards cells and markers, whose
-    counts change at run time, and passes ``None``).  An explicit
-    ``n_workers`` below 1 is clamped to 1; the environment variable must
-    be an integer >= 1.
+    CPU).  The count is capped at the lattice's rank count ``n_tasks``.
+    An explicit ``n_workers`` below 1 is clamped to 1; the environment
+    variable must be an integer >= 1.
     """
     if backend is None:
         backend = os.environ.get(ENV_BACKEND, "serial")
@@ -58,9 +56,7 @@ def resolve_backend(
     if n_workers is None:
         env = os.environ.get(ENV_WORKERS)
         n_workers = _env_workers(env) if env else (os.cpu_count() or 1)
-    n_workers = max(1, int(n_workers))
-    if n_tasks is not None:
-        n_workers = min(n_workers, n_tasks)
+    n_workers = min(max(1, int(n_workers)), n_tasks)
     if backend == "serial":
         n_workers = 1
     return backend, n_workers
@@ -178,11 +174,10 @@ class ProcessPool:
     """
 
     def __init__(self, target, worker_args: list[tuple], name: str):
-        # Segments may be created after the pool (the FSI ones track the
-        # cell population), so the parent's tracker must already be
-        # running when workers fork — otherwise each child's attach-time
-        # register spawns a private tracker that never sees the parent's
-        # unlink and warns about leaks at exit.
+        # The parent's tracker must already be running when workers
+        # fork — otherwise each child's attach-time register spawns a
+        # private tracker that never sees the parent's unlink and warns
+        # about leaks at exit.
         resource_tracker.ensure_running()
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")

@@ -7,8 +7,6 @@ jobs, each naming an experiment plus overrides::
     max_parallel = 2
 
     [defaults]
-    backend = "processes"
-    workers = 2
     max_attempts = 3
     checkpoint_every = 20
 
@@ -46,13 +44,31 @@ from .util import atomic_write_json, read_json
 
 #: Job fields ``[defaults]`` may set.
 _DEFAULTABLE = (
-    "backend",
-    "workers",
     "max_attempts",
     "timeout_s",
     "checkpoint_every",
     "priority",
 )
+
+
+#: Job fields that older manifests carry -> (the values that name what
+#: every job now does, and are dropped on load; why any other fails).
+#: Every persisted ``manifest.json`` of those releases has all three.
+_RETIRED = {
+    "isolation": (
+        (None, "process"),
+        "inline isolation was removed and every job runs in its own "
+        "worker subprocess",
+    ),
+    "backend": (
+        (None, "serial"),
+        "the FSI process pool was removed and every job runs serial",
+    ),
+    "workers": (
+        (None, 1),
+        "the FSI process pool was removed and every job runs serial",
+    ),
+}
 
 
 @dataclass
@@ -65,8 +81,6 @@ class JobSpec:
     #: Step budget mapped onto the experiment's steps parameter
     #: (``steps_per_stop`` for the upper-body sweep, ``steps`` elsewhere).
     steps: int | None = None
-    backend: str | None = None  # REPRO_PARALLEL_BACKEND for this job
-    workers: int | None = None  # REPRO_PARALLEL_WORKERS for this job
     priority: int = 0  # higher runs earlier
     max_attempts: int = 2
     timeout_s: float | None = None  # wall-clock kill per attempt
@@ -145,7 +159,7 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
     if not isinstance(doc, dict):
         raise ValueError("manifest root must be a table/object")
     defaults = doc.get("defaults", {})
-    unknown_defaults = set(defaults) - {*_DEFAULTABLE, "isolation"}
+    unknown_defaults = set(defaults) - {*_DEFAULTABLE, *_RETIRED}
     if unknown_defaults:
         raise ValueError(
             f"unknown [defaults] key(s) {sorted(unknown_defaults)}; "
@@ -161,16 +175,12 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
         if job_id is None or experiment is None:
             raise ValueError(f"jobs[{i}]: 'id' and 'experiment' are required")
         merged = {**{k: v for k, v in defaults.items()}, **j}
-        # Manifests written before inline isolation was removed carry
-        # ``"isolation": "process"`` (every persisted ``manifest.json``
-        # does); it names what every job now does, so it is dropped.
-        mode = merged.pop("isolation", "process")
-        if mode != "process":
-            raise ValueError(
-                f"job {job_id}: isolation {mode!r} is not supported; "
-                "inline isolation was removed and every job runs in its "
-                "own worker subprocess"
-            )
+        for key, (allowed, why) in _RETIRED.items():
+            value = merged.pop(key, None)
+            if value not in allowed:
+                raise ValueError(
+                    f"job {job_id}: {key} {value!r} is not supported; {why}"
+                )
         known = {f for f in JobSpec.__dataclass_fields__ if f != "job_id"}
         unknown = set(merged) - known
         if unknown:

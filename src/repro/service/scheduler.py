@@ -7,9 +7,8 @@ attempts:
   ready jobs are admitted by descending ``priority`` (manifest order
   breaks ties), so cheap smoke jobs can be pushed ahead of long sweeps;
 * **isolation** — each attempt runs in its own subprocess (``python -m
-  repro campaign _worker``) with its own telemetry directory, RNG seed
-  and ``REPRO_PARALLEL_*`` environment; a crashing job takes down only
-  itself;
+  repro campaign _worker``) with its own telemetry directory and RNG
+  seed; a crashing job takes down only itself;
 * **robustness** — per-attempt wall-clock timeouts (terminate, then
   kill), crash capture (exit code + log tail into the ledger), and
   retry with exponential backoff up to ``max_attempts``; a job that
@@ -207,10 +206,6 @@ class CampaignRunner:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in [src_root, env.get("PYTHONPATH")] if p
         )
-        if spec.backend is not None:
-            env["REPRO_PARALLEL_BACKEND"] = spec.backend
-        if spec.workers is not None:
-            env["REPRO_PARALLEL_WORKERS"] = str(spec.workers)
         with open(log_path, "ab") as log:
             proc = subprocess.Popen(
                 [

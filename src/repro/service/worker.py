@@ -9,11 +9,7 @@ Per-job isolation:
   stream + summary; nothing is shared with siblings;
 * **RNG seeds** — a job without an explicit ``seed`` gets a stable
   per-job seed derived from the campaign and job names, so sibling jobs
-  never share RBC placements and re-running a campaign reproduces it;
-* **executor runtime** — the scheduler puts ``backend``/``workers`` in
-  the ``REPRO_PARALLEL_*`` environment of the worker subprocess it
-  launches, which the parallel runtimes already honor; the worker never
-  writes ``os.environ`` itself.
+  never share RBC placements and re-running a campaign reproduces it.
 
 On success the worker atomically writes ``jobs/<id>/result.json``; its
 presence is the scheduler's (and ``campaign resume``'s) completion

@@ -8,14 +8,13 @@ executed it.  Spans are the per-occurrence complement to the aggregated
 each call happened and on *which* worker, which is what load-imbalance
 and barrier-stall questions actually need.
 
-Cross-worker propagation: the parallel executors
-(:mod:`repro.parallel.executor`, :mod:`repro.parallel.fsi`) ship the
-driver's current span id to their workers through the existing
-Pipe/shared-memory command protocol; workers stamp their intervals on
-the same clock (``time.perf_counter`` is system-wide ``CLOCK_MONOTONIC``
-on Linux, so child-process timestamps are directly comparable) and the
-driver merges the returned intervals into one run timeline via
-:meth:`SpanRecorder.add`.
+Cross-worker propagation: the decomposed lattice's executor
+(:mod:`repro.parallel.executor`) ships the driver's current span id to
+its workers through the existing Pipe/shared-memory command protocol;
+workers stamp their intervals on the same clock (``time.perf_counter``
+is system-wide ``CLOCK_MONOTONIC`` on Linux, so child-process
+timestamps are directly comparable) and the driver merges the returned
+intervals into one run timeline via :meth:`SpanRecorder.add`.
 
 Export is the Chrome trace-event JSON format (``"X"`` complete events),
 loadable by ``chrome://tracing`` and https://ui.perfetto.dev — see

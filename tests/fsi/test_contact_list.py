@@ -4,7 +4,7 @@
 steps; what it hands out each step must be exactly what a tree built
 from nothing at the current positions would find — same pairs, in
 ``(i, j)`` order — so that forces cannot depend on when the list was
-built (restart and backend independence).
+built (restart independence).
 """
 
 import numpy as np

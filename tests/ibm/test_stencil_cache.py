@@ -9,8 +9,7 @@ properties the cache must preserve:
 1. the cached path is numerically identical to the one-shot path
    (adjointness, conservation, constant-field reproduction),
 2. the sparse products agree with the bincount / gather-einsum bodies
-   they replaced, and a node-range-sharded spread is bitwise equal to the
-   unsharded one (what the ``processes`` backend relies on),
+   they replaced,
 3. the stencil is invalidated whenever markers move or the population
    changes (advection, cell insert/remove),
 4. the weights are computed exactly once per step.
@@ -158,20 +157,6 @@ def test_csr_products_match_retained_bodies(rng, kernel, mode):
     )
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 3])
-def test_node_range_sharded_spread_is_bitwise_unsharded(rng, n_shards):
-    shape = (9, 8, 7)
-    st = make_stencil(_edge_hugging_markers(rng, shape), shape, "cosine4")
-    G = rng.standard_normal((st.n_markers, 3))
-    whole = rng.standard_normal((3,) + shape)  # spreading adds in place
-    sharded = whole.copy()
-    spread_with_stencil(G, st, whole)
-    bounds = np.linspace(0, np.prod(shape), n_shards + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        spread_with_stencil(G, st, sharded, node_range=(int(lo), int(hi)))
-    assert np.array_equal(sharded, whole)
-
-
 def test_stencil_matrix_wraps_weights_without_copy(rng):
     shape = (8, 8, 8)
     st = make_stencil(rng.uniform(2.0, 5.0, size=(5, 3)), shape, "cosine4")
@@ -217,7 +202,7 @@ def test_stencil_invalidated_after_advection():
     st, _ = _stepper()
     st.step(1)
     # The stepper must not leave a stale stencil behind once vertices move.
-    assert not st.runtime._stencil_valid
+    assert st.runtime._stencil is None
     assert st._step_verts is None
 
 
@@ -264,10 +249,6 @@ def test_generation_bumps_on_insert_and_remove():
 def test_exactly_one_weights_call_per_step(monkeypatch):
     # ``_marker_weights`` is the one weight evaluation of the shared
     # builder (``StencilBuilder.build`` and ``make_stencil`` alike).
-    # Pinned to the serial backend: pooled backends build one stencil
-    # chunk per worker (still once per marker), and process workers are
-    # outside the monkeypatch's reach.
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "serial")
     st, _ = _stepper()
     calls = []
     real = coupling._marker_weights

@@ -1,7 +1,7 @@
 """The fused membrane force function against its per-term oracle.
 
 :func:`repro.membrane.membrane_forces` is what every product path calls
-(``Cell.forces``, ``CellManager``, the parallel FSI workers); the
+(``Cell.forces``, ``CellManager``); the
 per-term ``skalak_forces`` / ``bending_forces`` / ``area_volume_forces``
 it replaced there stay as the public per-term API and are the oracle
 here.
@@ -113,9 +113,10 @@ def test_net_force_and_torque_vanish_per_cell(cell, force_scale):
     "bounds", [(0, 1, 50), (0, 17, 34, 50), (0, 49, 50), (0, 33, 50)]
 )
 def test_cell_chunks_are_bitwise_the_whole_batch(cell, bounds):
-    """The ``processes`` backend shards a group by cell chunks and must
-    reproduce the whole-group evaluation bit for bit — including chunks
-    of one cell and chunks that straddle the internal evaluation blocks."""
+    """A cell's forces do not depend on the batch it is evaluated in:
+    cell chunks reproduce the whole-group evaluation bit for bit —
+    including chunks of one cell and chunks that straddle the internal
+    evaluation blocks."""
     batch = _shapes(cell, 50, 0.05)
     args = (cell.reference, *_moduli(cell))
     whole = membrane_forces(batch, *args)

@@ -158,6 +158,8 @@ def test_resolve_backend_defaults():
     backend, workers = resolve_backend(None, None, n_tasks=4)
     assert backend in BACKENDS
     assert 1 <= workers <= 4
+    with pytest.raises(TypeError, match="n_tasks"):
+        resolve_backend(None, None)  # only the lattice resolves a backend
 
 
 def test_resolve_backend_env(monkeypatch):
@@ -177,7 +179,7 @@ def test_resolve_backend_env(monkeypatch):
         with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS.*>= 1"):
             resolve_backend(None, None, n_tasks=8)
         assert resolve_backend(None, 0, n_tasks=8) == ("processes", 1)
-        assert resolve_backend("processes", -3) == ("processes", 1)
+        assert resolve_backend("processes", -3, n_tasks=8) == ("processes", 1)
 
 
 def test_env_backend_reaches_solver(monkeypatch):

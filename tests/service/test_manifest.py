@@ -19,8 +19,6 @@ max_parallel = 3
 retry_backoff_s = 0.25
 
 [defaults]
-backend = "processes"
-workers = 2
 max_attempts = 3
 checkpoint_every = 25
 
@@ -37,7 +35,6 @@ id = "shear-a"
 experiment = "shear"
 steps = 400
 max_attempts = 1
-backend = "serial"
 [jobs.params]
 lam = 0.5
 n = 2
@@ -54,15 +51,12 @@ def test_toml_round_trip(tmp_path):
     assert [j.job_id for j in m.jobs] == ["tube-ht20", "shear-a"]
     tube = m.job("tube-ht20")
     # defaults merged in
-    assert tube.backend == "processes"
-    assert tube.workers == 2
     assert tube.max_attempts == 3
     assert tube.checkpoint_every == 25
     assert tube.params == {"hematocrit": 0.20}
     assert tube.priority == 10
     # per-job overrides beat defaults
     shear = m.job("shear-a")
-    assert shear.backend == "serial"
     assert shear.max_attempts == 1
     assert shear.experiment == "shear"  # alias kept verbatim; resolve() maps
 
@@ -156,6 +150,24 @@ def test_json_manifest_and_normalized_save(tmp_path):
             },
             "inline isolation was removed",
         ),
+        (
+            {
+                "name": "x",
+                "jobs": [
+                    {"id": "a", "experiment": "hotpath",
+                     "backend": "processes"}
+                ],
+            },
+            "backend 'processes' .* FSI process pool was removed",
+        ),
+        (
+            {
+                "name": "x",
+                "defaults": {"workers": 2},
+                "jobs": [{"id": "a", "experiment": "hotpath"}],
+            },
+            "workers 2 .* FSI process pool was removed",
+        ),
     ],
 )
 def test_validation_errors(doc, match):
@@ -192,6 +204,24 @@ def test_isolation_process_from_older_manifests_is_dropped(where):
         doc["defaults"] = {"isolation": "process"}
     m = manifest_from_dict(doc)
     assert "isolation" not in m.to_dict()["jobs"][0]
+
+
+@pytest.mark.parametrize("where", ["job", "defaults"])
+@pytest.mark.parametrize("backend,workers", [
+    (None, None), ("serial", 1), ("serial", None), (None, 1),
+])
+def test_serial_backend_from_older_manifests_is_dropped(
+    where, backend, workers
+):
+    job = {"id": "a", "experiment": "hotpath"}
+    doc = {"name": "x", "jobs": [job]}
+    retired = {"backend": backend, "workers": workers}
+    if where == "job":
+        job.update(retired)
+    else:
+        doc["defaults"] = retired
+    saved = manifest_from_dict(doc).to_dict()["jobs"][0]
+    assert not {"backend", "workers"} & set(saved)
 
 
 def test_jobspec_defaults():

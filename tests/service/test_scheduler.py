@@ -319,16 +319,17 @@ def test_resume_skips_completed_jobs(tmp_path, testjobs):
     assert ev.count("started") == 1
 
 
-def test_worker_env_isolation(tmp_path, testjobs):
-    """backend/workers knobs reach the worker subprocess environment."""
+def test_worker_env_isolation(tmp_path, testjobs, monkeypatch):
+    """A job runs in its own subprocess, and the scheduler sets no
+    ``REPRO_PARALLEL_*`` for it (no job has a backend to pick)."""
+    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
     manifest = CampaignManifest(
         name="envcheck",
         jobs=[
             JobSpec(
                 job_id="probe",
                 experiment=f"python:{testjobs}:run_env_probe",
-                backend="processes",
-                workers=3,
                 max_attempts=1,
             )
         ],
@@ -336,6 +337,6 @@ def test_worker_env_isolation(tmp_path, testjobs):
     camp = tmp_path / "camp"
     report = CampaignRunner(manifest, camp, poll_interval=0.02).run()
     summary = report["jobs"]["probe"]["summary"]
-    assert summary["backend"] == "processes"
-    assert summary["workers"] == "3"
+    assert summary["backend"] is None
+    assert summary["workers"] is None
     assert summary["pid"] != os.getpid()  # really ran out-of-process

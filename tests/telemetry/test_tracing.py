@@ -217,27 +217,21 @@ def test_tracing_off_sends_plain_phase_protocol():
     assert "dist/collide" in tel.recorder.stats
 
 
-@pytest.mark.parametrize("backend", ["serial", "processes"])
-def test_fsi_stage_spans_merge_per_worker(backend):
-    """The sharded FSI runtime's stage intervals join the timeline."""
+def test_fsi_stages_trace_as_driver_spans():
+    """The cell side runs inline: its stages are driver spans, with no
+    worker intervals to merge."""
     from repro.experiments.hotpath import build_hotpath_stepper
 
     tel = Telemetry(trace=True)
     with active(tel):
-        stepper = build_hotpath_stepper(
-            shape=(8, 8, 8), n_cells=2, backend=backend, workers=2
-        )
-        try:
-            with tel.phase("step"):
-                stepper.step(1)
-        finally:
-            stepper.close()
-    workers = [sp for sp in tel.tracer.spans if sp.category == "worker"]
-    assert workers, "no FSI worker spans recorded"
-    assert {sp.name for sp in workers} >= {"forces", "interp"}
-    by_id = {sp.span_id: sp for sp in tel.tracer.spans}
-    for w in workers:
-        assert by_id[w.parent_id].rank is None
+        stepper = build_hotpath_stepper(shape=(8, 8, 8), n_cells=2)
+        with tel.phase("step"):
+            stepper.step(1)
+    spans = tel.tracer.spans
+    assert all(sp.rank is None and sp.category != "worker" for sp in spans)
+    names = {sp.name for sp in spans}
+    for stage in ("forces", "stencil", "spread", "interp"):
+        assert any(n.endswith(f"fsi/{stage}") for n in names), stage
 
 
 def test_trace_json_is_valid_json(tmp_path):

@@ -91,6 +91,19 @@ def test_removed_kernels_flags_are_rejected(argv):
         build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "tube", "--backend", "processes"],
+    ["profile", "tube", "--workers", "2"],
+    ["trace", "tube", "--backend", "serial"],
+    ["trace", "tube", "--workers", "1"],
+])
+def test_removed_fsi_pool_flags_are_rejected(argv):
+    """``profile`` / ``trace`` have no backend to pick (the FSI process
+    pool was removed); ``scaling --measured`` keeps its lattice flags."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
@@ -296,6 +309,26 @@ def test_campaign_dir_with_inline_isolation_is_rejected(
     assert main(["campaign", command, str(camp)]) == 2
     err = capsys.readouterr().err
     assert "inline isolation was removed" in err
+    assert err.count("\n") == 1
+    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+
+
+@pytest.mark.parametrize("command", ["resume", "status"])
+@pytest.mark.parametrize("field,value", [
+    ("backend", '"processes"'), ("workers", "2"),
+], ids=["backend", "workers"])
+def test_campaign_dir_with_fsi_pool_job_is_rejected(
+    tmp_path, capsys, command, field, value
+):
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "manifest.json").write_text(
+        LEGACY_MANIFEST_JSON.replace(f'"{field}": null', f'"{field}": {value}')
+    )
+    assert main(["campaign", command, str(camp)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} " in err
+    assert "the FSI process pool was removed" in err
     assert err.count("\n") == 1
     assert not (camp / "ledger.jsonl").exists()  # nothing was run
 

@@ -34,10 +34,12 @@ ENTRIES = {
 }
 
 #: What a cell-laden run never loads, stepping included: the contact
-#: pairs come from the repo's own grid and csgraph serves only the RCM
-#: vertex reordering.
+#: pairs come from the repo's own grid, csgraph serves only the RCM
+#: vertex reordering, and the cell side steps inline (the process pool
+#: serves only the decomposed lattice).
 CELL_RUN_FORBIDDEN = (
     "scipy.spatial", "scipy.sparse.csgraph", "scipy.linalg", "scipy.special",
+    "multiprocessing", "repro.parallel.pool",
 )
 
 #: Entry point -> what it must not load (packages, with their submodules).

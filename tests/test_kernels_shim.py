@@ -43,10 +43,10 @@ def _stepped(n_steps: int = 4):
     cells = CellManager()
     cells.add(make_rbc(dx * 5.5 * np.ones(3), global_id=cells.allocate_id(),
                        subdivisions=1))
-    with FSIStepper(grid, UnitSystem(dx, dt, 1025.0), cells, mode="wrap",
-                    body_force=np.array([500.0, 0.0, 0.0])) as st:
-        st.step(n_steps)
-        return grid.f.copy(), cells.all_vertices()[0].copy()
+    st = FSIStepper(grid, UnitSystem(dx, dt, 1025.0), cells, mode="wrap",
+                    body_force=np.array([500.0, 0.0, 0.0]))
+    st.step(n_steps)
+    return grid.f.copy(), cells.all_vertices()[0].copy()
 
 
 def test_removed_env_variable_is_not_read(monkeypatch):

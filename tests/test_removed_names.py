@@ -3,8 +3,12 @@
 import importlib
 import importlib.util
 
+import numpy as np
 import pytest
 
+from repro.fsi import FSIStepper
+from repro.ibm import make_stencil
+from repro.ibm.coupling import spread_with_stencil
 from repro.lbm import Grid, LBMSolver
 from repro.parallel import (
     BlockDecomposition,
@@ -12,6 +16,7 @@ from repro.parallel import (
     measure_throughput,
 )
 from repro.service.registry import known_experiments
+from repro.units import UnitSystem
 
 #: package -> (deleted submodules, deleted public names)
 REMOVED = {
@@ -31,8 +36,10 @@ REMOVED = {
     # the live HTTP status plane: ``campaign status`` reads the ledger
     "repro.telemetry": (("server",), ("build_status", "metrics_text")),
     "repro.service": (("status",), ("campaign_status", "render_status")),
-    # the decomposed lattice steps one way: packed exchange, uniform split
-    "repro.parallel": ((), ("HALO_MODES", "weighted_splits")),
+    # the decomposed lattice steps one way: packed exchange, uniform split;
+    # the cell side of the FSI step runs inline, without a process pool
+    "repro.parallel": ((), ("HALO_MODES", "weighted_splits", "FSI_PHASES")),
+    "repro.parallel.fsi": ((), ("FSIWorker", "GroupSpec", "FSI_PHASES")),
 }
 
 #: callable -> (valid positional arguments, keywords it no longer takes)
@@ -42,6 +49,12 @@ REMOVED_KWARGS = {
     BlockDecomposition: (((8, 8, 8), 2), ("weights", "dims", "periodic")),
     measure_throughput: (((8, 8, 8), 2),
                          ("halo_mode", "dims", "weighted_split", "solid")),
+    FSIStepper: ((Grid((4, 4, 4), tau=1.0), UnitSystem(1e-6, 1e-7, 1025.0)),
+                 ("backend", "workers")),
+    spread_with_stencil: ((np.zeros((1, 3)),
+                           make_stencil(np.full((1, 3), 1.5), (4, 4, 4)),
+                           np.zeros((3, 4, 4, 4))),
+                          ("node_range",)),
 }
 
 
@@ -66,9 +79,10 @@ def test_decomposed_lattice_rejects_removed_keywords(func, kwarg):
 def test_exports_import_cleanly_without_removed_names(package):
     modules, names = REMOVED[package]
     pkg = importlib.import_module(package)
-    for name in pkg.__all__:
+    exported = getattr(pkg, "__all__", ())
+    for name in exported:
         getattr(pkg, name)
-    assert not set(names) & (set(pkg.__all__) | set(vars(pkg)))
+    assert not set(names) & (set(exported) | set(vars(pkg)))
     for module in modules:
         assert importlib.util.find_spec(f"{package}.{module}") is None
 
