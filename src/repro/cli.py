@@ -163,6 +163,15 @@ def _run_instrumented_experiment(args: argparse.Namespace) -> None:
               f"z -> {r.trajectory[-1, 2] * 1e6:.1f} um")
 
 
+def _sample_peak_rss(tel) -> None:
+    """The process's peak resident set size so far (``ru_maxrss``, KiB
+    on Linux) as the ``process.peak_rss_mb`` gauge, in MiB."""
+    import resource
+
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tel.sample("process.peak_rss_mb", peak_kib / 1024.0)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry, active
 
@@ -173,6 +182,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with tel, active(tel):
         tel.event("run_start", experiment=args.experiment, steps=args.steps)
         _run_instrumented_experiment(args)
+        _sample_peak_rss(tel)
         tel.event("run_end")
         if args.telemetry_dir is not None:
             summary_path = tel.write_summary()

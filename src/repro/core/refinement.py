@@ -259,7 +259,8 @@ class RefinedRegion:
         #: the fine ``f_version`` right after it was last imposed.
         self._next_inputs: np.ndarray | None = None
         self._next_imposed_version: int | None = None
-        #: Shell-sized work buffers of the sub-step blend and f^eq.
+        #: Shell-sized work buffers: the sub-step blend of the four
+        #: macroscopic rows, (4, N_ghost), and the imposed f, (19, N_ghost).
         self._blend: np.ndarray | None = None
         self._f_shell: np.ndarray | None = None
 
@@ -430,14 +431,22 @@ class RefinedRegion:
             take_columns(cg.f, nodes), take_columns(cg.force, nodes), tau
         )
         nx, ny, nz = fg.shape
-        # Innermost axes first, so that the last pass makes whole planes.
-        yz = _prolong(_prolong(block, 3, n, nz), 2, n, ny)
-        # Then x, one coarse cell of fine planes at a time: the fill's
-        # temporaries stay a fraction of the fine lattice.
+        # Innermost axis first, so that the last pass makes whole planes.
+        z = _prolong(block, 3, n, nz)
+        del block
+        # Then y and x, one coarse cell of fine planes at a time: the
+        # fill's temporaries stay a fraction of the fine lattice.  Each
+        # coarse x-plane is prolonged along y on its own, by the same
+        # GEMMs as within the whole block, into the upper half of the
+        # cell's plane pair.
         w = int(self._w[0])
+        pair = np.empty((len(z), 2, ny, nz), z.dtype)
+        _prolong(z[:, :1], 2, n, ny, out=pair[:, 1:])
         for j in range(w):
+            pair[:, 0] = pair[:, 1]
+            _prolong(z[:, j + 1:j + 2], 2, n, ny, out=pair[:, 1:])
             planes = nx - n * j if j == w - 1 else n
-            part = _prolong(yz[:, j:j + 2], 1, n, planes)
+            part = _prolong(pair, 1, n, planes)
             self._fill_nodes(part.reshape(len(part), -1), n * j * ny * nz)
             del part  # before the next cell's is made
         fg.mark_f_modified()
@@ -476,20 +485,28 @@ class RefinedRegion:
                 "ghost shell imposed before the coarse state was captured; "
                 "advance the coupling through step()"
             )
-        if theta == 0.0:
-            state = prev
-        elif theta == 1.0:
-            state = nxt
-        else:
-            if self._blend is None:
-                self._blend = np.empty_like(prev)
-            state = np.subtract(nxt, prev, out=self._blend)
-            state *= theta
-            state += prev
         if self._f_shell is None:
             self._f_shell = np.empty((len(prev) - 4, prev.shape[1]), prev.dtype)
-        f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
-        f_new += state[4:]
+            self._blend = np.empty((4, prev.shape[1]), prev.dtype)
+        if theta in (0.0, 1.0):
+            state = prev if theta == 0.0 else nxt
+            f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
+            f_new += state[4:]
+        else:
+            # (nxt - prev) theta + prev: the four macroscopic rows into
+            # the blend buffer, then each f^neq row through one of its
+            # rows, added to f^eq as it is formed.
+            state = self._blend
+            np.subtract(nxt[:4], prev[:4], out=state)
+            state *= theta
+            state += prev[:4]
+            f_new = equilibrium(state[0], state[1:4], out=self._f_shell)
+            row = state[0]  # free once f^eq is formed
+            for f_row, p_row, n_row in zip(f_new, prev[4:], nxt[4:]):
+                np.subtract(n_row, p_row, out=row)
+                row *= theta
+                row += p_row
+                f_row += row
         fg = self.fine.grid
         # Rounded once, here, so that the patch log holds what f holds.
         f_new = f_new.astype(fg.f.dtype, copy=False)

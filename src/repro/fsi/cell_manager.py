@@ -316,14 +316,16 @@ class CellManager:
         return sums / counts[:, None]
 
     # -- mechanics -----------------------------------------------------------
-    def _group_membrane_forces(self, group: _Group, verts: np.ndarray) -> np.ndarray:
+    def _group_membrane_forces(
+        self, group: _Group, verts: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Batched membrane forces (B, V, 3) for one group at its (B, V, 3)
-        vertex positions."""
+        vertex positions, into ``out`` when given."""
         sample = group.cells[0]
         return membrane_forces(
             verts, group.reference,
             sample.shear_modulus, sample.skalak_C, sample.k_bend,
-            sample.k_area, sample.k_volume,
+            sample.k_area, sample.k_volume, out=out,
         )
 
     def membrane_force_batches(self):
@@ -371,10 +373,11 @@ class CellManager:
         if not p.cells:
             return np.empty((0, 3)), p.verts, []
         for group, slots, start, stop in p.segments:
-            f = self._group_membrane_forces(
-                group, p.verts[start:stop].reshape(len(slots), -1, 3)
+            shape = (len(slots), -1, 3)
+            self._group_membrane_forces(
+                group, p.verts[start:stop].reshape(shape),
+                out=p.forces[start:stop].reshape(shape),
             )
-            p.forces[start:stop] = f.reshape(-1, 3)
         p.forces += self.contact_forces()
         return p.forces, p.verts, p.cells
 

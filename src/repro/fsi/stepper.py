@@ -115,7 +115,7 @@ class FSIStepper:
             pf = self._wall_prefilter = WallProximityPrefilter(
                 self.wall_geometry, self.grid, self.wall_cutoff
             )
-        return pf.forces(verts, self.wall_cutoff, self.wall_stiffness)
+        return pf.forces(verts, self.wall_stiffness)
 
     def _spread_forces(self, tel=None) -> None:
         if tel is None:

@@ -91,6 +91,8 @@ class WallProximityPrefilter:
     identical to the unfiltered evaluation (skipped rows are exactly the
     zero rows the full pass would produce).
 
+    The test is decided at construction, so the prefilter keeps one
+    boolean per node (not the float64 sample) and owns its ``cutoff``.
     The sampling is valid for one ``(origin, spacing, shape)`` window
     placement; the stepper rebuilds it via :meth:`matches` when the APR
     window moves.
@@ -114,12 +116,15 @@ class WallProximityPrefilter:
         # BLAS product (a vessel network's capsules) may differ in the
         # last bit.  The skip test needs each sample only to within its
         # Lipschitz margin, so the forces stay the exact pass's.
-        self._node_sdf = np.empty(self.shape)
+        #: Per node: may a vertex in the cell it floors be within reach?
+        self._near = np.empty(self.shape, dtype=bool)
+        reach = -(self.cutoff + self.margin)
         index = np.indices((1,) + self.shape[1:]).reshape(3, -1).T
         for x in range(self.shape[0]):
             index[:, 0] = x
             nodes = self.origin + self.spacing * index
-            self._node_sdf[x] = np.reshape(fn(nodes), self.shape[1:])
+            s_node = np.asarray(fn(nodes), dtype=np.float64)
+            self._near[x] = s_node.reshape(self.shape[1:]) >= reach
 
     def matches(self, grid) -> bool:
         """True while the sampled window placement is still current."""
@@ -132,11 +137,12 @@ class WallProximityPrefilter:
     def forces(
         self,
         vertices: np.ndarray,
-        cutoff: float,
         stiffness: float,
         fd_step: float | None = None,
     ) -> np.ndarray:
-        """Wall forces, bitwise equal to :func:`wall_repulsion_forces`."""
+        """Wall forces at the prefilter's cutoff, bitwise equal to
+        :func:`wall_repulsion_forces`."""
+        cutoff = self.cutoff
         verts = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
         out = np.zeros_like(verts)
         if cutoff <= 0.0 or len(verts) == 0:
@@ -148,8 +154,7 @@ class WallProximityPrefilter:
         cand = ~inb
         if inb.any():
             ci = cell[inb]
-            s_node = self._node_sdf[ci[:, 0], ci[:, 1], ci[:, 2]]
-            cand[inb] = s_node >= -(cutoff + self.margin)
+            cand[inb] = self._near[ci[:, 0], ci[:, 1], ci[:, 2]]
         if cand.any():
             out[cand] = wall_repulsion_forces(
                 self.sdf, verts[cand], cutoff, stiffness, fd_step

@@ -56,7 +56,8 @@ Allocation discipline
 ---------------------
 :class:`CollisionScratch` holds the lattice-sized ``rho``/``mom`` rows
 (one ``(4, N)`` buffer) and panel-sized rest: ``u``/``den`` and three
-``(19, PANEL)`` work buffers.  Nothing ``(19, N)``-sized is allocated
+``(19, PANEL)`` work buffers, one set per process and dtype shared by
+every lattice.  Nothing ``(19, N)``-sized is allocated
 besides ``f`` and ``out`` themselves.
 With ``scratch`` and ``out`` supplied the collide allocates nothing (the
 19x19 operators are cached per dtype and ``omega``); without them it
@@ -161,14 +162,36 @@ def _is_field(tau) -> bool:
     return not (np.isscalar(tau) or np.ndim(tau) == 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _panel_buffers(dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """The process's one set of :data:`PANEL`-wide collide buffers in
+    ``dtype``: velocity, floored density, monomial rows, GEMM result and
+    work rows.
+
+    Every :func:`collide_bgk` call writes each panel column before it
+    reads it, and no call is in flight while another runs (the lattices
+    of a process step one after the other; a process pool's workers each
+    have their own), so every :class:`CollisionScratch` of a dtype
+    shares them.
+    """
+    return (
+        np.empty((3, PANEL), dtype=dtype),
+        np.empty(PANEL, dtype=dtype),
+        np.empty((_N_MONOMIALS, PANEL), dtype=dtype),
+        np.empty((D3Q19.Q, PANEL), dtype=dtype),
+        np.empty((D3Q19.Q, PANEL), dtype=dtype),
+    )
+
+
 class CollisionScratch:
     """Preallocated temporaries for the collide hot path.
 
     One instance per :class:`~repro.lbm.grid.Grid` shape; handing it to
     :func:`collide_bgk` removes every lattice-sized allocation from the
     collision step.  ``dtype`` matches the grid's compute dtype.  Only
-    ``moments`` is lattice-sized; the velocity, the density floor and the
-    ``(19, N)`` work live in :data:`PANEL`-wide buffers.
+    ``moments`` is lattice-sized and the instance's own; the velocity,
+    the density floor and the ``(19, N)`` work live in :data:`PANEL`-wide
+    buffers that all instances of a dtype share (:func:`_panel_buffers`).
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
@@ -178,15 +201,12 @@ class CollisionScratch:
         self.moments = np.empty((4,) + self.shape, dtype=dt)
         self.rho = self.moments[0]
         self.mom = self.moments[1:]
-        #: One panel's velocity and floored density.
-        self.u = np.empty((3, PANEL), dtype=dt)
-        self.den = np.empty(PANEL, dtype=dt)
-        #: Monomial rows ``[Phi; Psi]``, the GEMM result, and the
-        #: ``(1 - omega) f`` term (its rows double as N-sized temporaries
-        #: before that term is formed).
-        self.monomials = np.empty((_N_MONOMIALS, PANEL), dtype=dt)
-        self.product = np.empty((D3Q19.Q, PANEL), dtype=dt)
-        self.work = np.empty((D3Q19.Q, PANEL), dtype=dt)
+        #: One panel's velocity and floored density; the monomial rows
+        #: ``[Phi; Psi]``, the GEMM result, and the ``(1 - omega) f``
+        #: term (its rows double as N-sized temporaries before that term
+        #: is formed).
+        (self.u, self.den, self.monomials, self.product,
+         self.work) = _panel_buffers(dt)
         self._packed: dict[str, np.ndarray] = {}
 
     def packed(self, name: str, a):

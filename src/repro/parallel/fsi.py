@@ -67,9 +67,10 @@ class ParallelFSIRuntime:
         interpolate(u)          # fsi/interp (reuses the cached stencil)
         end_step()
 
-    ``sync_population`` is generation-keyed: the stencil buffers are
-    resized, and the carried node indices forgotten, only when the
-    population changes.
+    ``sync_population`` is generation-keyed: the carried node indices
+    are forgotten only when the population changes.  The stencil buffers
+    are pooled: they grow to the largest marker count seen, and a
+    population takes their leading rows.
     """
 
     def __init__(self, grid, kernel: DeltaKernel | str = "cosine4",
@@ -81,30 +82,34 @@ class ParallelFSIRuntime:
         self.spacing = float(grid.spacing)
         self._builder = StencilBuilder(self.grid_shape, self.kernel, mode)
         self._generation = -1
-        self._n_markers = 0
         s = self.kernel.support
-        self._flat = np.empty((0, s ** 3), INDEX_DTYPE)
-        self._w = np.empty((0, s, s, s), np.float64)
+        #: Pooled stencil buffers and the current population's rows.
+        self._flat = self._flat_pool = np.empty((0, s ** 3), INDEX_DTYPE)
+        self._w = self._w_pool = np.empty((0, s, s, s), np.float64)
         self._stencil: Stencil | None = None
         self._warned_clip = False
 
     # -- population sync -----------------------------------------------
     def sync_population(self, manager) -> None:
-        """Resize the stencil buffers when the cell population changed."""
+        """Fit the stencil buffers to the population when it changed."""
         if manager.generation == self._generation:
             return
         n_markers = sum(
             n_cells * n_vertices
             for _, _, _, n_cells, n_vertices in manager.packed_segments()
         )
-        if n_markers != self._n_markers:
+        if n_markers > len(self._flat_pool):
             s = self.kernel.support
-            self._flat = np.empty((n_markers, s ** 3), INDEX_DTYPE)
-            self._w = np.empty((n_markers, s, s, s), np.float64)
+            # The outgrown pool goes before the new one is allocated.
+            self._stencil = self._flat = self._w = None
+            self._flat_pool = self._w_pool = None
+            self._flat_pool = np.empty((n_markers, s ** 3), INDEX_DTYPE)
+            self._w_pool = np.empty((n_markers, s, s, s), np.float64)
+        self._flat = self._flat_pool[:n_markers]
+        self._w = self._w_pool[:n_markers]
         # The rows of ``flat`` now belong to other markers.
         self._builder.reset()
         self._stencil = None
-        self._n_markers = n_markers
         self._generation = manager.generation
 
     # -- step operations -----------------------------------------------

@@ -19,6 +19,10 @@ trilinear operator over every fluid fine node (:func:`interpolation_operator`),
 applied it once to the coarse ``(rho, u, f^neq)`` rows of the nodes it
 read, and formed f^eq term by term (:func:`operator_fill`).
 
+Until the separable fill prolonged one coarse x-plane along y at a time,
+it prolonged the whole coarse block along z and then y before the x
+passes (:func:`whole_block_fill`).
+
 Until each fine sub-step paid for the ghost shell once, every coarse step
 captured the shell state twice and imposed it ``n + 1`` times (the
 ``θ = 0`` impose rewriting what the previous step's ``θ = 1`` impose left
@@ -34,11 +38,17 @@ from scipy import sparse
 from repro.analytics import region_hematocrit
 from repro.constants import RBC_DIAMETER
 from repro.core.moving import MoveReport, classify_for_move
-from repro.core.refinement import _N_STATE, RefinedRegion, trilinear
+from repro.core.refinement import (
+    _N_STATE,
+    RefinedRegion,
+    _prolong,
+    _state_rows,
+    trilinear,
+)
 from repro.core.seeding import _cell_from_shape, tile_candidates
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.ibm.coupling import make_stencil
-from repro.lbm.collision import equilibrium, macroscopic, moments
+from repro.lbm.collision import equilibrium, macroscopic, moments, take_columns
 from repro.fsi.subgrid import UniformSubgrid
 from repro.telemetry import get_telemetry
 from repro.membrane import CellKind
@@ -291,6 +301,26 @@ def operator_fill(rr):
     scale = stress_match_scale_to_fine(tau_c, fg.tau)
     feq = tensordot_equilibrium(state[0], state[1:4])
     return fluid, feq + scale * state[4:]
+
+
+def whole_block_fill(rr):
+    """``initialize_fine_from_coarse`` with the whole coarse block
+    prolonged along z and y, ``(rows, w + 1, ny, nz)``, before the x
+    passes."""
+    cg, fg, n = rr.coarse.grid, rr.fine.grid, rr.n
+    nodes = rr._block_nodes
+    tau = cg.tau.reshape(-1)[nodes] if isinstance(cg.tau, np.ndarray) else None
+    block = _state_rows(
+        take_columns(cg.f, nodes), take_columns(cg.force, nodes), tau
+    )
+    nx, ny, nz = fg.shape
+    yz = _prolong(_prolong(block, 3, n, nz), 2, n, ny)
+    w = int(rr._w[0])
+    for j in range(w):
+        planes = nx - n * j if j == w - 1 else n
+        part = _prolong(yz[:, j:j + 2], 1, n, planes)
+        rr._fill_nodes(part.reshape(len(part), -1), n * j * ny * nz)
+    fg.mark_f_modified()
 
 
 def gather_patch_moments(f, nodes, rho, mom):

@@ -9,7 +9,11 @@ from repro.lbm import D3Q19, Grid, LBMSolver
 from repro.lbm.collision import macroscopic
 
 from ..lbm.reference_bodies import tensordot_equilibrium
-from .reference_bodies import interpolation_operator, operator_fill
+from .reference_bodies import (
+    interpolation_operator,
+    operator_fill,
+    whole_block_fill,
+)
 
 
 def _coupled(n=2, coarse_shape=(12, 12, 12), w=4, tau_c=0.9, lam=1.0, i0=(3, 3, 3)):
@@ -499,6 +503,21 @@ def test_fill_matches_operator_fill(case, n):
     # solid nodes untouched, every fluid node written
     assert np.isnan(np.delete(got, nodes, axis=1)).all()
     assert np.abs(got[:, nodes] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", ["clip", "wrap", "walled", "tau_field"])
+def test_fill_is_bitwise_the_whole_block_fill(case, n):
+    """Prolonging one coarse x-plane along y at a time runs the GEMMs of
+    the whole-block prolongation, so the fill is the same bits."""
+    _, fine, rr = _fill_case(case, n)
+    fg = fine.grid
+    fg.f[:] = np.nan
+    whole_block_fill(rr)
+    want = fg.f.copy()
+    fg.f[:] = np.nan
+    rr.initialize_fine_from_coarse()
+    assert np.array_equal(fg.f, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -139,6 +139,39 @@ def test_population_change_midrun_stays_exact():
     assert np.array_equal(st.grid.f, ref.grid.f)
 
 
+def test_shrunk_population_steps_in_the_stencil_pool():
+    """Removing cells keeps the pooled stencil buffers — the smaller
+    population takes their leading rows — and adding one back reuses
+    them; the steps stay bitwise equal to the reference composition."""
+    ref = build_stepper()
+    coupler = _reference_coupler(ref)
+    st = build_stepper()
+    st.step(3)
+    pool = st.runtime._flat_pool
+    n_markers = len(pool)
+    for sim, step in ((ref, lambda: _reference_step(ref, coupler)),
+                      (st, st.step)):
+        if sim is ref:
+            for _ in range(3):
+                step()
+        for gid in (1, 4):
+            sim.cells.remove(gid)
+        for _ in range(3):
+            step()
+        sim.cells.add(make_rbc(
+            np.full(3, 8e-6), global_id=sim.cells.allocate_id(),
+            subdivisions=SUBDIVISIONS,
+        ))
+        for _ in range(3):
+            step()
+    rt = st.runtime
+    assert rt._flat_pool is pool and len(rt._flat) < n_markers
+    assert rt._flat.base is pool and rt._w.base is rt._w_pool
+    verts, _, _ = st.cells.packed_vertices()
+    assert np.array_equal(verts, ref.cells.packed_vertices()[0])
+    assert np.array_equal(st.grid.f, ref.grid.f)
+
+
 # ----------------------------------------------------------------------
 # Telemetry: per-phase fsi/* timers and the stencil repair counter.
 

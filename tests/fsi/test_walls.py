@@ -97,7 +97,7 @@ def test_prefilter_bitwise_equals_unfiltered(rng):
                   [10.3e-6, 0, 0]]),                     # near / past wall
         np.array([[25e-6, 25e-6, 25e-6]]),               # outside window
     ])
-    got = pf.forces(verts, CUTOFF, K)
+    got = pf.forces(verts, K)
     want = wall_repulsion_forces(tube, verts, CUTOFF, K)
     assert np.array_equal(got, want)
     # The deep-fluid block must actually have been skipped, not recomputed.
@@ -119,7 +119,7 @@ def test_prefilter_plain_callable_sdf():
     grid = Grid((10, 10, 10), tau=0.9, origin=np.zeros(3), spacing=1e-6)
     pf = WallProximityPrefilter(sdf, grid, CUTOFF)
     verts = np.array([[4.6e-6, 2e-6, 2e-6], [1e-6, 2e-6, 2e-6]])
-    got = pf.forces(verts, CUTOFF, K)
+    got = pf.forces(verts, K)
     want = wall_repulsion_forces(sdf, verts, CUTOFF, K)
     assert np.array_equal(got, want)
     assert got[0, 0] < 0 and np.allclose(got[1], 0.0)
@@ -127,7 +127,8 @@ def test_prefilter_plain_callable_sdf():
 
 def test_prefilter_samples_equal_whole_lattice_sampling():
     """Slab-by-slab sampling of an elementwise SDF gives the whole-lattice
-    samples bit for bit."""
+    samples bit for bit, so the per-node flags are the whole-lattice
+    samples' skip test."""
     grid = _tube_grid(shape=(9, 12, 7))
     channel = ExpandingChannel(radius_in=5e-6, radius_out=10e-6,
                                z_expand=3e-6, taper=2e-6)
@@ -136,7 +137,10 @@ def test_prefilter_samples_equal_whole_lattice_sampling():
         pf = WallProximityPrefilter(sdf, grid, CUTOFF)
         fn = sdf.sdf if hasattr(sdf, "sdf") else sdf
         want = fn(grid.origin + grid.spacing * index).reshape(grid.shape)
-        assert np.array_equal(pf._node_sdf, want)
+        near = want >= -(CUTOFF + pf.margin)
+        assert pf._near.dtype == bool
+        assert np.array_equal(pf._near, near)
+        assert near.any() and not near.all()
 
 
 def test_prefilter_blas_backed_sdf_forces_equal_unfiltered(rng):
@@ -151,9 +155,9 @@ def test_prefilter_blas_backed_sdf_forces_equal_unfiltered(rng):
     pf = WallProximityPrefilter(tree, grid, CUTOFF)
     index = np.indices(grid.shape).reshape(3, -1).T
     whole = tree.sdf(grid.origin + grid.spacing * index).reshape(grid.shape)
-    assert np.allclose(pf._node_sdf, whole, rtol=1e-12, atol=0.0)
+    assert np.array_equal(pf._near, whole >= -(CUTOFF + pf.margin))
     verts = grid.origin + rng.uniform(-1.0, 14.0, size=(600, 3)) * 1e-6
-    got = pf.forces(verts, CUTOFF, K)
+    got = pf.forces(verts, K)
     want = wall_repulsion_forces(tree, verts, CUTOFF, K)
     assert np.array_equal(got, want)
     pushed = np.any(want != 0.0, axis=1)

@@ -150,3 +150,44 @@ def test_f_post_is_allocated_on_first_access():
     post = g.f_post
     assert post.shape == g.f.shape and post.dtype == g.f.dtype
     assert g.f_post is post
+
+
+def _forced_lattice(seed, shape, dtype, tau):
+    """A periodic lattice with a patchy force: both collide branches."""
+    rng = np.random.default_rng(seed)
+    if tau == "field":
+        tau = rng.uniform(0.6, 1.6, shape)
+    g = Grid(shape, tau=tau, dtype=dtype)
+    g.init_equilibrium(1.0 + 0.01 * rng.standard_normal(shape),
+                       0.02 * rng.standard_normal((3,) + shape))
+    half = shape[0] // 2
+    g.force[:, :half] = 1e-4 * rng.standard_normal((3, half) + shape[1:])
+    return g
+
+
+def test_lattices_sharing_panel_scratch_step_as_if_alone():
+    """The collide's panel buffers are one set per process and dtype:
+    lattices of either dtype and of different shapes (several panels
+    with a ragged end, less than one GEMM panel) stepped in turn give
+    the bits of each stepped on its own."""
+    specs = [((17, 16, 19), np.float64, 0.8),
+             ((10, 11, 12), np.float64, "field"),
+             ((13, 14, 15), np.float32, 0.9)]
+
+    def solvers():
+        return [LBMSolver(_forced_lattice(seed, shape, dtype, tau))
+                for seed, (shape, dtype, tau) in enumerate(specs)]
+
+    alone = solvers()
+    for s in alone:
+        s.step(4)
+    in_turn = solvers()
+    for _ in range(4):
+        for s in in_turn:
+            s.step()
+    a, b, c = (s._scratch for s in in_turn)
+    assert a.work is b.work and a.monomials is b.monomials
+    assert c.work is not a.work and c.work.dtype == np.float32
+    for s, t in zip(alone, in_turn):
+        assert t.grid.f.dtype == s.grid.f.dtype
+        assert np.array_equal(t.grid.f, s.grid.f)

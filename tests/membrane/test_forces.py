@@ -7,6 +7,8 @@ it replaced there stay as the public per-term API and are the oracle
 here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.membrane import (
     skalak_forces,
 )
 from repro.membrane.cell import random_rotation
+
+from .reference_bodies import row_major_block_forces
 
 REL_TOL = 1e-13
 
@@ -133,3 +137,53 @@ def test_operator_is_built_once_per_reference(cell):
     n_rows = 3 * len(ref.faces) + 4 * len(ref.quads)
     assert op.incidence.shape == (ref.n_vertices, n_rows)
     assert op.incidence.nnz == n_rows
+
+
+@pytest.mark.parametrize("n_cells", [1, 25, 32, 33, 70])
+@pytest.mark.parametrize("penalties", [True, False], ids=["all", "no-av"])
+def test_workspace_pass_is_bitwise_the_row_major_pass(cell, n_cells,
+                                                       penalties):
+    """The component-major workspace pass against the row-major block
+    pass it replaced, block by block — including batches that end inside
+    a block and batches across block boundaries."""
+    batch = _shapes(cell, n_cells, 0.05, seed=n_cells)
+    ref = cell.reference
+    op = ref.force_operator
+    moduli = _moduli(cell) if penalties else _moduli(cell)[:3] + (0.0, 0.0)
+    got = membrane_forces(batch, ref, *moduli)
+    want = np.concatenate([
+        row_major_block_forces(batch[lo:lo + op.block_cells], op, *moduli)
+        for lo in range(0, n_cells, op.block_cells)
+    ])
+    assert np.array_equal(got, want)
+
+
+def test_out_receives_the_forces(cell):
+    batch = _shapes(cell, 3, 0.05)
+    args = (cell.reference, *_moduli(cell))
+    out = np.full(batch.shape, np.nan)
+    assert membrane_forces(batch, *args, out=out) is out
+    assert np.array_equal(out, membrane_forces(batch, *args))
+    with pytest.raises(ValueError):
+        membrane_forces(batch, *args, out=np.empty((3, 3) + batch.shape[1:2]))
+    with pytest.raises(ValueError):
+        membrane_forces(batch, *args, out=np.empty(batch.shape, order="F"))
+
+
+def test_one_call_on_25_rbcs_holds_at_most_4_mib():
+    """Traced peak of one call above its entry, plus the operator's
+    persistent workspace: at most 4 MiB for 25 RBCs (one block)."""
+    rbc = make_rbc(np.zeros(3), global_id=0, subdivisions=2)
+    batch = _shapes(rbc, 25, 0.05)
+    args = (rbc.reference, *_moduli(rbc))
+    op = rbc.reference.force_operator
+    membrane_forces(batch, *args)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        membrane_forces(batch, *args)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert op.block_cells >= 25
+    assert peak + op.workspace_nbytes <= 4 * 2**20

@@ -160,6 +160,10 @@ def test_profile_writes_telemetry_artifacts(tmp_path, capsys):
     # total step wall time.
     assert summary["phase_coverage"]["step"] >= 0.9
     assert summary["counters"]["cells.inserted"]["value"] > 0
+    # The process's peak RSS, sampled once at run end, in both outputs.
+    peak = summary["gauges"]["process.peak_rss_mb"]
+    assert peak["n_samples"] == 1 and peak["value"] > 0
+    assert "process.peak_rss_mb" in capsys.readouterr().out
 
 
 def test_telemetry_dir_flag_on_plain_subcommand(tmp_path, capsys):
