@@ -163,13 +163,17 @@ def _run_instrumented_experiment(args: argparse.Namespace) -> None:
               f"z -> {r.trajectory[-1, 2] * 1e6:.1f} um")
 
 
-def _sample_peak_rss(tel) -> None:
+def _sample_run_gauges(tel) -> None:
     """The process's peak resident set size so far (``ru_maxrss``, KiB
-    on Linux) as the ``process.peak_rss_mb`` gauge, in MiB."""
+    on Linux) as the ``process.peak_rss_mb`` gauge, in MiB, and the
+    lattice halves in use as ``lbm.halves``."""
     import resource
+
+    from .lbm.halves import lattice_halves
 
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tel.sample("process.peak_rss_mb", peak_kib / 1024.0)
+    tel.sample("lbm.halves", lattice_halves())
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -182,7 +186,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with tel, active(tel):
         tel.event("run_start", experiment=args.experiment, steps=args.steps)
         _run_instrumented_experiment(args)
-        _sample_peak_rss(tel)
+        _sample_run_gauges(tel)
         tel.event("run_end")
         if args.telemetry_dir is not None:
             summary_path = tel.write_summary()
@@ -259,14 +263,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    """Report the compute dtype of the lattice kernels and its source."""
+    """Report the compute dtype of the lattice kernels and the lattice
+    halves in use, each with its source."""
     import os
 
     from .kernels import DTYPE_ENV_VAR, resolve_dtype
+    from .lbm.collision import PANEL
+    from .lbm.halves import SPLIT_PANELS, affinity_cpus, lattice_halves
 
     env = os.environ.get(DTYPE_ENV_VAR)
     source = f"{DTYPE_ENV_VAR}={env}" if env else "default"
     print(f"compute dtype: {resolve_dtype().name} [{source}]")
+    halves, cpus = lattice_halves(), affinity_cpus()
+    line = (f"lattice halves: {halves} "
+            f"[CPU affinity: {cpus} CPU{'s' * (cpus > 1)}]")
+    if halves > 1:
+        line += (f", for passes of >= {SPLIT_PANELS} panels "
+                 f"({SPLIT_PANELS * PANEL:,} nodes)")
+    print(line)
     return 0
 
 
@@ -364,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "kernels",
         help="report the compute dtype of the lattice kernels and "
-             "where it was selected (REPRO_DTYPE or the default)",
+             "where it was selected (REPRO_DTYPE or the default), and the "
+             "lattice halves in use (from the CPU affinity)",
     )
     p.set_defaults(func=_cmd_kernels)
 

@@ -52,13 +52,23 @@ by the 19x10 ``omega M`` alone.  A scalar ``tau`` that makes ``omega``
 exactly 1 has ``(1 - omega) f = 0``, and that whole relaxation pass is
 left out.
 
+Two halves
+----------
+A collide or moment GEMM of at least ``halves.SPLIT_PANELS`` panels runs
+as two halves split at a :data:`PANEL` boundary, the second on a helper
+thread (:mod:`repro.lbm.halves`).  Each half walks its own panels
+through the same calls, in its own panel buffers, so a column's result
+is the same bits split or inline.  Packing strided views and copying
+``out`` back happen on the calling thread, before and after the split.
+
 Allocation discipline
 ---------------------
 :class:`CollisionScratch` holds the lattice-sized ``rho``/``mom`` rows
-(one ``(4, N)`` buffer) and panel-sized rest: ``u``/``den`` and three
-``(19, PANEL)`` work buffers, one set per process and dtype shared by
-every lattice.  Nothing ``(19, N)``-sized is allocated
-besides ``f`` and ``out`` themselves.
+(one ``(4, N)`` buffer).  The panel-sized rest — ``u``/``den`` and three
+``(19, PANEL)`` work buffers — is one set per process, dtype and half,
+shared by every lattice (:func:`_panel_buffers`); the moment GEMM's
+zero-padded ragged tail lives there too.  Nothing ``(19, N)``-sized is
+allocated besides ``f`` and ``out`` themselves.
 With ``scratch`` and ``out`` supplied the collide allocates nothing (the
 19x19 operators are cached per dtype and ``omega``); without them it
 allocates what it returns plus a throw-away scratch — same values
@@ -76,6 +86,7 @@ import functools
 
 import numpy as np
 
+from .halves import run_halves, split_column
 from .lattice import D3Q19
 
 #: Lattice velocity matrix as floats, laid out for BLAS matmul.
@@ -94,10 +105,10 @@ _MOMENTS_BY_DTYPE: dict[np.dtype, np.ndarray] = {np.dtype(np.float64): _MOMENTS}
 #: Columns of every lattice GEMM call (see "Fixed-width panels").
 #: Results do not depend on the value, only speed does: 19 x 19 x 2048
 #: multiply-adds is under the size (~1e6) at which OpenBLAS hands a GEMM
-#: to its thread pool.  A second thread gains nothing on operands this
-#: small, and waking a BLAS worker that has gone to sleep cost 14-16 ms
-#: per call on the 2-CPU reference VM — more than the whole collide of a
-#: small lattice.
+#: to its thread pool.  Waking a BLAS worker that has gone to sleep cost
+#: 14-16 ms per call on the 2-CPU reference VM — more than the whole
+#: collide of a small lattice.  A large pass gets its second CPU from
+#: the two halves (see "Two halves"), not from OpenBLAS's pool.
 GEMM_COLS = 2048
 
 #: Columns the collide works on at a time: the monomial rows are built
@@ -163,16 +174,16 @@ def _is_field(tau) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _panel_buffers(dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """The process's one set of :data:`PANEL`-wide collide buffers in
-    ``dtype``: velocity, floored density, monomial rows, GEMM result and
-    work rows.
+def _panel_buffers(dtype: np.dtype, half: int) -> tuple[np.ndarray, ...]:
+    """The process's :data:`PANEL`-wide buffers in ``dtype`` for one half
+    of a pass (0 inline or on the calling thread, 1 on the helper):
+    velocity, floored density, monomial rows, GEMM result and work rows.
 
-    Every :func:`collide_bgk` call writes each panel column before it
-    reads it, and no call is in flight while another runs (the lattices
-    of a process step one after the other; a process pool's workers each
-    have their own), so every :class:`CollisionScratch` of a dtype
-    shares them.
+    Every :func:`collide_bgk` and :func:`moments` call writes each panel
+    column before it reads it, and no call is in flight while another
+    runs (the lattices of a process step one after the other; a process
+    pool's workers each have their own), so every lattice of a dtype
+    shares them; the two halves of a split pass each use their own.
     """
     return (
         np.empty((3, PANEL), dtype=dtype),
@@ -191,7 +202,7 @@ class CollisionScratch:
     collision step.  ``dtype`` matches the grid's compute dtype.  Only
     ``moments`` is lattice-sized and the instance's own; the velocity,
     the density floor and the ``(19, N)`` work live in :data:`PANEL`-wide
-    buffers that all instances of a dtype share (:func:`_panel_buffers`).
+    buffers that all lattices of a dtype share (:func:`_panel_buffers`).
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
@@ -201,12 +212,6 @@ class CollisionScratch:
         self.moments = np.empty((4,) + self.shape, dtype=dt)
         self.rho = self.moments[0]
         self.mom = self.moments[1:]
-        #: One panel's velocity and floored density; the monomial rows
-        #: ``[Phi; Psi]``, the GEMM result, and the ``(1 - omega) f``
-        #: term (its rows double as N-sized temporaries before that term
-        #: is formed).
-        (self.u, self.den, self.monomials, self.product,
-         self.work) = _panel_buffers(dt)
         self._packed: dict[str, np.ndarray] = {}
 
     def packed(self, name: str, a):
@@ -217,21 +222,39 @@ class CollisionScratch:
         return buf
 
 
+def _by_halves(n: int, body) -> None:
+    """``body(half, lo, hi)`` over the columns ``[0, n)``: in one call, or
+    in two halves split at a :data:`PANEL` boundary (see "Two halves")."""
+    mid = split_column(n, PANEL)
+    if mid is None:
+        body(0, 0, n)
+    else:
+        run_halves(lambda: body(0, 0, mid), lambda: body(1, mid, n))
+
+
 def _panel_matmul(a, x, out) -> None:
     """``out[...] = a @ x``, one fixed-width column panel at a time.
 
     ``x`` is ``(k, n)`` and ``out`` ``(m, n)``, both with unit column
-    stride.  Full panels go to BLAS as strided views; the tail is
-    zero-padded to :data:`GEMM_COLS` columns so that it is the same call.
+    stride and at most 19 rows.  Full panels go to BLAS as strided views;
+    the tail is zero-padded to :data:`GEMM_COLS` columns so that it is the
+    same call.
     """
-    n = x.shape[1]
-    full = n - n % GEMM_COLS
-    for lo in range(0, full, GEMM_COLS):
-        np.matmul(a, x[:, lo:lo + GEMM_COLS], out=out[:, lo:lo + GEMM_COLS])
-    if full < n:
-        tail = np.zeros((x.shape[0], GEMM_COLS), dtype=x.dtype)
-        tail[:, :n - full] = x[:, full:]
-        out[:, full:] = np.matmul(a, tail)[:, :n - full]
+
+    def columns(half, lo, hi):
+        full = hi - (hi - lo) % GEMM_COLS
+        for c in range(lo, full, GEMM_COLS):
+            np.matmul(a, x[:, c:c + GEMM_COLS], out=out[:, c:c + GEMM_COLS])
+        if full < hi:
+            _, _, tail, product, _ = _panel_buffers(x.dtype, half)
+            tail = tail[:x.shape[0], :GEMM_COLS]
+            product = product[:a.shape[0], :GEMM_COLS]
+            tail[:, :hi - full] = x[:, full:hi]
+            tail[:, hi - full:] = 0.0
+            np.matmul(a, tail, out=product)
+            out[:, full:hi] = product[:, :hi - full]
+
+    _by_halves(x.shape[1], columns)
 
 
 def flat_columns(a: np.ndarray) -> np.ndarray:
@@ -508,70 +531,73 @@ def collide_bgk(
         relax = keep != 0.0
 
     floor = _rho_floor(f.dtype)
-    monomials, product, work = scratch.monomials, scratch.product, scratch.work
-    n = f2.shape[1]
-    for lo in range(0, n, PANEL):
-        sl = slice(lo, min(lo + PANEL, n))
-        w = sl.stop - lo
-        # columns the GEMM pieces cover: w rounded up, the excess zeroed
-        padded = -(-w // GEMM_COLS) * GEMM_COLS
-        monomials[:, w:padded] = 0.0
-        x = monomials[:, :w]
-        r, m, u, d = rho2[sl], mom2[:, sl], scratch.u[:, :w], scratch.den[:w]
-        fp = None
-        if force2 is not None and bool(force2[:, sl].any()):
-            fp = force2[:, sl]
 
-        np.maximum(r, floor, out=d)
-        if fp is None:
-            np.divide(m, d, out=u)
-        else:
-            np.multiply(fp, 0.5, out=u)
-            np.add(u, m, out=u)
-            np.divide(u, d, out=u)
+    def panels(half, start, n):
+        u_buf, den, monomials, product, work = _panel_buffers(f.dtype, half)
+        for lo in range(start, n, PANEL):
+            sl = slice(lo, min(lo + PANEL, n))
+            w = sl.stop - lo
+            # columns the GEMM pieces cover: w rounded up, the excess zeroed
+            padded = -(-w // GEMM_COLS) * GEMM_COLS
+            monomials[:, w:padded] = 0.0
+            x = monomials[:, :w]
+            r, m, u, d = rho2[sl], mom2[:, sl], u_buf[:, :w], den[:w]
+            fp = None
+            if force2 is not None and bool(force2[:, sl].any()):
+                fp = force2[:, sl]
 
-        x[0] = r
-        np.multiply(u, r, out=x[1:4])
-        np.multiply(x[1:4], u, out=x[4:7])
-        for row, (a, b) in enumerate(_PAIRS, start=7):
-            np.multiply(x[1 + a], u[b], out=x[row])
-        if fp is not None:
-            psi = x[_N_PHI:]
-            psi[0:3] = fp
-            np.multiply(u, fp, out=psi[3:6])
-            t = work[0, :w]
-            for row, (a, b) in enumerate(_PAIRS, start=6):
-                np.multiply(u[a], fp[b], out=psi[row])
-                np.multiply(u[b], fp[a], out=t)
-                np.add(psi[row], t, out=psi[row])
+            np.maximum(r, floor, out=d)
+            if fp is None:
+                np.divide(m, d, out=u)
+            else:
+                np.multiply(fp, 0.5, out=u)
+                np.add(u, m, out=u)
+                np.divide(u, d, out=u)
 
-        if tau_field:
-            # den is free again: it carries omega, then (1 - omega).
-            np.divide(1.0, tau2[sl], out=d)
-            np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
+            x[0] = r
+            np.multiply(u, r, out=x[1:4])
+            np.multiply(x[1:4], u, out=x[4:7])
+            for row, (a, b) in enumerate(_PAIRS, start=7):
+                np.multiply(x[1 + a], u[b], out=x[row])
             if fp is not None:
-                np.multiply(d, -0.5, out=t)
-                np.add(t, 1.0, out=t)
-                np.multiply(psi, t, out=psi)
-            np.subtract(1.0, d, out=d)
-            keep = d
+                psi = x[_N_PHI:]
+                psi[0:3] = fp
+                np.multiply(u, fp, out=psi[3:6])
+                t = work[0, :w]
+                for row, (a, b) in enumerate(_PAIRS, start=6):
+                    np.multiply(u[a], fp[b], out=psi[row])
+                    np.multiply(u[b], fp[a], out=t)
+                    np.add(psi[row], t, out=psi[row])
 
-        # (1 - omega) f first, so that ``out`` may alias ``f``; a full
-        # panel's GEMM then lands in ``out`` directly.
-        if relax:
-            np.multiply(f2[:, sl], keep, out=work[:, :w])
-        target = out2[:, sl] if w == PANEL else product
-        if fp is None:
-            op, x_rows = op_phi, monomials[:_N_PHI]
-        else:
-            op, x_rows = op_full, monomials
-        for c in range(0, padded, GEMM_COLS):
-            cols = slice(c, c + GEMM_COLS)
-            np.matmul(op, x_rows[:, cols], out=target[:, cols])
-        if relax:
-            np.add(target[:, :w], work[:, :w], out=out2[:, sl])
-        elif w < PANEL:
-            out2[:, sl] = product[:, :w]
+            if tau_field:
+                # den is free again: it carries omega, then (1 - omega).
+                np.divide(1.0, tau2[sl], out=d)
+                np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
+                if fp is not None:
+                    np.multiply(d, -0.5, out=t)
+                    np.add(t, 1.0, out=t)
+                    np.multiply(psi, t, out=psi)
+                np.subtract(1.0, d, out=d)
+
+            # (1 - omega) f first, so that ``out`` may alias ``f``; a full
+            # panel's GEMM then lands in ``out`` directly.
+            if relax:
+                np.multiply(f2[:, sl], d if tau_field else keep,
+                            out=work[:, :w])
+            target = out2[:, sl] if w == PANEL else product
+            if fp is None:
+                op, x_rows = op_phi, monomials[:_N_PHI]
+            else:
+                op, x_rows = op_full, monomials
+            for c in range(0, padded, GEMM_COLS):
+                cols = slice(c, c + GEMM_COLS)
+                np.matmul(op, x_rows[:, cols], out=target[:, cols])
+            if relax:
+                np.add(target[:, :w], work[:, :w], out=out2[:, sl])
+            elif w < PANEL:
+                out2[:, sl] = product[:, :w]
+
+    _by_halves(f2.shape[1], panels)
 
     if packed_out is not None:
         out[...] = packed_out

@@ -19,6 +19,11 @@ writers do); a writer that names the nodes it touched (the refinement
 ghost shell) costs a patch of those columns instead of a second full
 pass, and one that also hands over the columns it stored saves the
 patch their gather.
+
+On a lattice of ``halves.SPLIT_PANELS`` panels or more, the collide, the
+moment GEMM and the stream each run as two halves on two CPUs
+(:mod:`repro.lbm.halves`), inside the kernels; the step is the same bits
+either way.
 """
 
 from __future__ import annotations

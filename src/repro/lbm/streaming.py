@@ -24,12 +24,19 @@ a temporary, so the in-place stream allocates only the seam copies.
 Out of place the same body copies straight across.  Only copies are
 involved: the result is the same bits either way, and the same as
 ``np.roll`` per direction.
+
+A lattice of at least ``halves.SPLIT_PANELS`` collide panels streams in
+two halves, one on a helper thread (:mod:`repro.lbm.halves`): each half
+takes every other direction.  A direction's shift and seams touch only
+its own population row, so the halves never write the same memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .collision import PANEL
+from .halves import run_halves, split_column
 from .lattice import D3Q19
 
 
@@ -97,17 +104,26 @@ def stream_pull(f_post: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         raise ValueError("streaming needs C-contiguous lattices")
     _, nx, ny, nz = f_post.shape
     n = nx * ny * nz
-    for (cx, cy, cz), seams, src_i, dst_i in zip(
-            _VELOCITIES, _SEAMS, f_post, out):
-        shift = (cx * ny + cy) * nz + cz
-        sources = [src_i[src] for _, src in seams]
-        if in_place:
-            sources = [values.copy() for values in sources]
-        lo, hi = max(shift, 0), n + min(shift, 0)
-        if lo < hi and not (in_place and shift == 0):
-            dst_i.reshape(-1)[lo:hi] = src_i.reshape(-1)[lo - shift:hi - shift]
-        for (dst, _), values in zip(seams, sources):
-            dst_i[dst] = values
+
+    def directions(first, step):
+        for i in range(first, D3Q19.Q, step):
+            cx, cy, cz = _VELOCITIES[i]
+            src_i, dst_i = f_post[i], out[i]
+            shift = (cx * ny + cy) * nz + cz
+            sources = [src_i[src] for _, src in _SEAMS[i]]
+            if in_place:
+                sources = [values.copy() for values in sources]
+            lo, hi = max(shift, 0), n + min(shift, 0)
+            if lo < hi and not (in_place and shift == 0):
+                dst_i.reshape(-1)[lo:hi] = (
+                    src_i.reshape(-1)[lo - shift:hi - shift])
+            for (dst, _), values in zip(_SEAMS[i], sources):
+                dst_i[dst] = values
+
+    if split_column(n, PANEL) is None:
+        directions(0, 1)
+    else:
+        run_halves(lambda: directions(0, 2), lambda: directions(1, 2))
     return out
 
 

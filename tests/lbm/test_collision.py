@@ -10,6 +10,7 @@ from repro.lbm.collision import (
     GEMM_COLS,
     PANEL,
     CollisionScratch,
+    _panel_buffers,
     collide_bgk,
     equilibrium,
     macroscopic,
@@ -538,7 +539,8 @@ def _held_bytes(*objs) -> int:
 
 def test_collide_scratch_holds_one_lattice_sized_buffer():
     """Only ``moments`` (and its ``rho`` / ``mom`` rows) grows with the
-    lattice; the velocity, density floor and work rows are panel-sized."""
+    lattice; the velocity, density floor and work rows are panel-sized,
+    one set per half of a pass."""
     small = vars(CollisionScratch((10, 11, 12)))
     large = vars(CollisionScratch((20, 21, 22)))
     grows = sorted(
@@ -546,7 +548,10 @@ def test_collide_scratch_holds_one_lattice_sized_buffer():
         if isinstance(a, np.ndarray) and a.shape != large[name].shape
     )
     assert grows == ["mom", "moments", "rho"]
-    assert large["u"].shape == (3, PANEL) and large["den"].shape == (PANEL,)
+    for half in (0, 1):
+        u, den, *rows = _panel_buffers(np.dtype(np.float64), half)
+        assert u.shape == (3, PANEL) and den.shape == (PANEL,)
+        assert all(r.shape[1] == PANEL for r in rows)
 
 
 def test_lattice_state_is_209_bytes_per_float64_node():

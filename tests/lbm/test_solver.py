@@ -14,6 +14,7 @@ from repro.lbm import (
     PressureOutlet,
     VelocityInlet,
 )
+from repro.lbm.collision import _panel_buffers
 
 from .reference_bodies import two_buffer_step
 
@@ -185,9 +186,8 @@ def test_lattices_sharing_panel_scratch_step_as_if_alone():
     for _ in range(4):
         for s in in_turn:
             s.step()
-    a, b, c = (s._scratch for s in in_turn)
-    assert a.work is b.work and a.monomials is b.monomials
-    assert c.work is not a.work and c.work.dtype == np.float32
+    f64, f32 = (_panel_buffers(np.dtype(t), 0) for t in (np.float64, np.float32))
+    assert f64[4] is not f32[4] and f32[4].dtype == np.float32
     for s, t in zip(alone, in_turn):
         assert t.grid.f.dtype == s.grid.f.dtype
         assert np.array_equal(t.grid.f, s.grid.f)

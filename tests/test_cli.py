@@ -78,6 +78,15 @@ def test_kernels_command(monkeypatch, capsys):
     )
 
 
+def test_kernels_command_reports_lattice_halves_and_affinity(capsys):
+    from repro.lbm.halves import affinity_cpus, lattice_halves
+
+    assert main(["kernels"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith(f"lattice halves: {lattice_halves()} "
+                           f"[CPU affinity: {affinity_cpus()} CPU")
+
+
 @pytest.mark.parametrize("argv", [
     ["kernels", "--kernels", "numpy"], ["kernels", "--warmup"],
     ["shear", "--kernels", "numpy"], ["tube", "--kernels", "numpy"],
@@ -163,7 +172,12 @@ def test_profile_writes_telemetry_artifacts(tmp_path, capsys):
     # The process's peak RSS, sampled once at run end, in both outputs.
     peak = summary["gauges"]["process.peak_rss_mb"]
     assert peak["n_samples"] == 1 and peak["value"] > 0
-    assert "process.peak_rss_mb" in capsys.readouterr().out
+    # The lattice halves in use, likewise.
+    from repro.lbm.halves import lattice_halves
+
+    assert summary["gauges"]["lbm.halves"]["value"] == lattice_halves()
+    out = capsys.readouterr().out
+    assert "process.peak_rss_mb" in out and "lbm.halves" in out
 
 
 def test_telemetry_dir_flag_on_plain_subcommand(tmp_path, capsys):
