@@ -14,8 +14,8 @@ Typical use::
     sim.fill_window()
     sim.step(n_coarse_steps)     # moves the window automatically
 
-All coordinates are global/physical; the CellManager (and its pooled
-vertex storage) survives window moves untouched because cell vertices are
+All coordinates are global/physical; the CellManager (and its packed
+vertex store) survives window moves untouched because cell vertices are
 stored in the global frame.
 """
 

@@ -2,7 +2,7 @@
 
 This package is the "eFSI" model of the paper — the fully-resolved
 reference against which APR is compared (Section 3.3) — and also supplies
-the cell machinery that the APR window reuses: pooled cell storage
+the cell machinery that the APR window reuses: the packed cell store
 (Section 2.4.5 "Cell Memory Management"), the background uniform subgrid
 for overlap detection (Section 2.4.2), deterministic overlap removal by
 global ID, intercellular contact forces, and the coupled IBM time stepper.
@@ -11,7 +11,6 @@ global ID, intercellular contact forces, and the coupled IBM time stepper.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".pool": ("VertexPool",),
     ".subgrid": ("UniformSubgrid",),
     ".cell_manager": ("CellManager",),
     ".overlap": (

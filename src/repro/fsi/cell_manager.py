@@ -1,18 +1,17 @@
-"""Cell population management with pooled storage and batched mechanics.
+"""Cell population management: one packed store, batched mechanics.
 
 :class:`CellManager` owns every cell in one simulation region.  Cells are
-grouped by (mesh topology, mechanical moduli); each group's vertices live
-in a :class:`~repro.fsi.pool.VertexPool` so membrane forces for the whole
-group evaluate as one batched array operation — the Python counterpart of
-the paper's pooled GPU cell buffers (Section 2.4.5).
-
-On top of the pools the manager keeps a *packed* view of the population:
-one persistent (N, 3) vertex array, the per-vertex cell ordinals, and the
-flat cell list, all rebuilt only when membership changes (``add`` /
-``remove`` / a pool growth bump the generation counter).  The per-step
-hot path (force assembly, IBM coupling, advection) works on these packed
-arrays with one vectorized gather/scatter per group instead of Python
-loops over cells.
+grouped by (mesh topology, mechanical moduli) so membrane forces for a
+whole group evaluate as one batched array operation.  The population
+lives in one *store* — the Python counterpart of the paper's pooled cell
+buffer (Section 2.4.5): one (N, 3) vertex array and one (N, 3) force
+array, with every cell's ``vertices`` a view of its own rows, plus the
+per-vertex cell ordinals and the flat cell list.  Rows run in packed
+order: groups in insertion order, cells in group order.  ``add`` /
+``remove`` mark the store stale; the next access rebuilds it into fresh
+arrays at the cells' current positions and rebinds their views.  The
+per-step hot path (force assembly, IBM coupling, advection) reads and
+advances the store directly.
 
 Global IDs are allocated monotonically by the manager and never reused,
 which the deterministic overlap-removal rule (Section 2.4.2) relies on.
@@ -24,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..membrane.cell import Cell, CellKind
+from ..membrane.cell import Cell
 from ..membrane.forces import membrane_forces
 from ..telemetry import get_telemetry
 from .contact import ContactList
-from .pool import VertexPool
 
 
 def _group_key(cell: Cell) -> tuple:
@@ -45,28 +43,47 @@ def _group_key(cell: Cell) -> tuple:
 @dataclass
 class _Group:
     reference: object
-    pool: VertexPool
     cells: list[Cell] = field(default_factory=list)
-    slots: list[int] = field(default_factory=list)
-    last_grow_events: int = 0
 
 
-class _PackedCache:
-    """Structure of the packed population, valid for one generation."""
+class _Store:
+    """The packed population of one membership generation.
+
+    Built from the cells' current positions into fresh arrays; every
+    cell's ``vertices`` is then rebound to a view of its own rows.
+    """
 
     __slots__ = ("generation", "verts", "forces", "ordinals", "cells",
                  "segments", "splits")
 
-    def __init__(self, generation: int):
+    def __init__(self, generation: int, groups):
         self.generation = generation
-        #: (group, slots ndarray, packed start row, packed stop row)
-        self.segments: list[tuple[_Group, np.ndarray, int, int]] = []
+        #: (group, packed start row, packed stop row)
+        self.segments: list[tuple[_Group, int, int]] = []
         self.cells: list[Cell] = []
-        self.ordinals = np.empty(0, dtype=np.int64)
-        self.verts = np.empty((0, 3), dtype=np.float64)
-        self.forces = np.empty((0, 3), dtype=np.float64)
+        ordinals = []
+        start = 0
+        for group in groups:
+            if not group.cells:
+                continue
+            b, v = len(group.cells), group.reference.n_vertices
+            stop = start + b * v
+            self.segments.append((group, start, stop))
+            ordinals.append(np.repeat(np.arange(len(self.cells),
+                                                len(self.cells) + b), v))
+            self.cells.extend(group.cells)
+            start = stop
+        self.ordinals = (np.concatenate(ordinals).astype(np.int64)
+                         if ordinals else np.empty(0, dtype=np.int64))
+        self.verts = np.empty((start, 3), dtype=np.float64)
+        self.forces = np.empty((start, 3), dtype=np.float64)
+        counts = np.array([len(c.vertices) for c in self.cells], dtype=np.intp)
         #: Row offsets between consecutive cells (np.split boundaries).
-        self.splits = np.empty(0, dtype=np.intp)
+        self.splits = np.cumsum(counts)[:-1] if len(counts) else counts
+        if self.cells:
+            np.concatenate([c.vertices for c in self.cells], out=self.verts)
+            for cell, rows in zip(self.cells, np.split(self.verts, self.splits)):
+                cell.vertices = rows
 
 
 class CellManager:
@@ -84,7 +101,7 @@ class CellManager:
         self.contact_stiffness = contact_stiffness
         self._generation = 0
         self._position_version = 0
-        self._packed: _PackedCache | None = None
+        self._packed: _Store | None = None
         self._contacts = ContactList()
         self._subgrid = None
         self._subgrid_key: tuple | None = None
@@ -104,7 +121,7 @@ class CellManager:
     # -- membership ---------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Bumped whenever membership or storage layout changes."""
+        """Bumped whenever membership changes."""
         return self._generation
 
     @property
@@ -131,7 +148,8 @@ class CellManager:
         return self._groups[key].cells[idx]
 
     def add(self, cell: Cell) -> Cell:
-        """Insert a cell; its vertices are rebound into pooled storage."""
+        """Insert a cell; it keeps a copy of its vertices until the store
+        is next rebuilt, then views its rows there."""
         if cell.global_id in self._by_id:
             raise ValueError(f"duplicate global id {cell.global_id}")
         if cell.global_id >= self._next_id:
@@ -139,38 +157,26 @@ class CellManager:
         key = _group_key(cell)
         group = self._groups.get(key)
         if group is None:
-            group = _Group(
-                reference=cell.reference,
-                pool=VertexPool(cell.reference.n_vertices),
-            )
-            self._groups[key] = group
-        slot = group.pool.acquire(cell.vertices)
-        if group.pool.grow_events != group.last_grow_events:
-            self._rebind(group)
-            get_telemetry().inc("cells.pool_grows")
-        cell.vertices = group.pool.view(slot)
+            group = self._groups[key] = _Group(reference=cell.reference)
+        cell.vertices = np.array(cell.vertices, dtype=np.float64)
         group.cells.append(cell)
-        group.slots.append(slot)
         self._by_id[cell.global_id] = (key, len(group.cells) - 1)
         self._generation += 1
         get_telemetry().inc("cells.inserted")
         return cell
 
     def remove(self, global_id: int) -> Cell:
-        """Remove a cell by global ID; its pool slot is recycled."""
+        """Remove a cell by global ID; it leaves with its own copy of its
+        vertices."""
         key, idx = self._by_id.pop(global_id)
         group = self._groups[key]
         cell = group.cells[idx]
-        group.pool.release(group.slots[idx])
         # Swap-remove keeps lists compact; fix the moved cell's index.
         last = len(group.cells) - 1
         if idx != last:
             group.cells[idx] = group.cells[last]
-            group.slots[idx] = group.slots[last]
             self._by_id[group.cells[idx].global_id] = (key, idx)
         group.cells.pop()
-        group.slots.pop()
-        # Detach the removed cell from the pool (give it its own copy).
         cell.vertices = np.array(cell.vertices)
         self._generation += 1
         get_telemetry().inc("cells.removed")
@@ -190,63 +196,25 @@ class CellManager:
         ]
         return [self.remove(gid) for gid in doomed]
 
-    def _rebind(self, group: _Group) -> None:
-        """Refresh cell vertex views after a pool growth reallocated storage."""
-        for cell, slot in zip(group.cells, group.slots):
-            cell.vertices = group.pool.view(slot)
-        group.last_grow_events = group.pool.grow_events
-
-    # -- packed storage ------------------------------------------------------
-    def _packed_cache(self) -> _PackedCache:
-        """Packed-layout metadata, rebuilt only when the generation bumps."""
+    # -- the store -----------------------------------------------------------
+    def _store(self) -> _Store:
+        """The packed store, rebuilt only when the generation bumps."""
         p = self._packed
-        if p is not None and p.generation == self._generation:
-            return p
-        p = _PackedCache(self._generation)
-        ordinals = []
-        start = 0
-        for group in self._groups.values():
-            if not group.cells:
-                continue
-            n_cells_before = len(p.cells)
-            b, v = len(group.cells), group.pool.n_vertices
-            stop = start + b * v
-            p.segments.append(
-                (group, np.asarray(group.slots, dtype=np.intp), start, stop)
-            )
-            ordinals.append(
-                np.repeat(np.arange(n_cells_before, n_cells_before + b), v)
-            )
-            p.cells.extend(group.cells)
-            start = stop
-        if ordinals:
-            p.ordinals = np.concatenate(ordinals).astype(np.int64)
-        p.verts = np.empty((start, 3), dtype=np.float64)
-        p.forces = np.empty((start, 3), dtype=np.float64)
-        counts = np.array([len(c.vertices) for c in p.cells], dtype=np.intp)
-        p.splits = np.cumsum(counts)[:-1] if len(counts) else counts
-        self._packed = p
-        return p
-
-    def _refresh_packed_vertices(self) -> _PackedCache:
-        """Gather current pool contents into the persistent packed array."""
-        p = self._packed_cache()
-        for group, slots, start, stop in p.segments:
-            group.pool.gather(
-                slots, out=p.verts[start:stop].reshape(len(slots), -1, 3)
-            )
+        if p is None or p.generation != self._generation:
+            p = self._packed = _Store(self._generation, self._groups.values())
         return p
 
     # -- bulk geometry -------------------------------------------------------
     def packed_vertices(self) -> tuple[np.ndarray, np.ndarray, list[Cell]]:
-        """Persistent packed vertex array, per-vertex ordinal, cell list.
+        """The store's vertex array, per-vertex ordinal, cell list.
 
-        Same ordering contract as :meth:`all_vertices`, but the returned
-        arrays are *owned by the manager*: they are refreshed in place on
-        the next call and must be treated as read-only snapshots.  This is
-        the per-step hot path used by the FSI stepper.
+        Same ordering contract as :meth:`all_vertices`, but the arrays
+        are *the manager's storage*: the vertex array is what every
+        cell's ``vertices`` views, it moves with :meth:`update_vertices`
+        and is replaced at the next membership change.  Treat it as
+        read-only.  This is the per-step hot path used by the FSI stepper.
         """
-        p = self._refresh_packed_vertices()
+        p = self._store()
         return p.verts, p.ordinals, p.cells
 
     def packed_segments(self):
@@ -257,10 +225,9 @@ class CellManager:
         cell ``c`` of the segment owns rows ``start + c*n_vertices``
         onward.  The sample cell carries the group's shared moduli.
         """
-        p = self._packed_cache()
-        for group, slots, start, _stop in p.segments:
+        for group, start, _stop in self._store().segments:
             yield (group.reference, group.cells[0], start,
-                   len(group.cells), group.pool.n_vertices)
+                   len(group.cells), group.reference.n_vertices)
 
     def vertex_subgrid(self, cell_size: float) -> "UniformSubgrid":
         """Persistent vertex subgrid labeled by owning global ID.
@@ -277,7 +244,7 @@ class CellManager:
         if self._subgrid is not None and self._subgrid_key == key:
             return self._subgrid
         sg = UniformSubgrid(cell_size=cell_size)
-        p = self._refresh_packed_vertices()
+        p = self._store()
         if p.cells:
             gids = np.fromiter(
                 (c.global_id for c in p.cells), dtype=np.int64,
@@ -294,20 +261,13 @@ class CellManager:
         Ordering is deterministic: groups in insertion order, cells in
         group order; the ordinal indexes into the returned cell list.
         The vertex array is a fresh copy (see :meth:`packed_vertices`
-        for the zero-copy variant).
+        for the store itself).
         """
-        p = self._packed_cache()
-        if not p.cells:
-            return np.empty((0, 3)), np.empty(0, dtype=np.int64), []
-        verts = np.empty_like(p.verts)
-        for group, slots, start, stop in p.segments:
-            group.pool.gather(
-                slots, out=verts[start:stop].reshape(len(slots), -1, 3)
-            )
-        return verts, p.ordinals, list(p.cells)
+        p = self._store()
+        return p.verts.copy(), p.ordinals, list(p.cells)
 
     def centroids(self) -> np.ndarray:
-        p = self._refresh_packed_vertices()
+        p = self._store()
         if not p.cells:
             return np.empty((0, 3))
         starts = np.concatenate(([0], p.splits)).astype(np.intp)
@@ -328,36 +288,25 @@ class CellManager:
             sample.k_area, sample.k_volume, out=out,
         )
 
-    def membrane_force_batches(self):
-        """Yield ``(cells, (B, V, 3) forces)`` per group, packed order.
-
-        This is the no-dict-hop path: each group's batched force array is
-        produced once and consumed group-wise, without splitting it into
-        per-cell dictionary entries.
-        """
-        p = self._packed_cache()
-        for group, slots, _, _ in p.segments:
-            yield group.cells, self._group_membrane_forces(
-                group, group.pool.gather(slots)
-            )
-
     def membrane_forces(self) -> dict[int, np.ndarray]:
         """Batched membrane forces for every cell, keyed by global ID [N]."""
         out: dict[int, np.ndarray] = {}
-        for cells, f in self.membrane_force_batches():
-            for cell, fi in zip(cells, f):
-                out[cell.global_id] = fi
+        p = self._store()
+        for group, start, stop in p.segments:
+            f = self._group_membrane_forces(
+                group, p.verts[start:stop].reshape(len(group.cells), -1, 3)
+            )
+            out.update(zip((c.global_id for c in group.cells), f))
         return out
 
     def contact_forces(self) -> np.ndarray:
-        """Inter-cell contact forces (N, 3) at the packed vertices as
-        last refreshed (:meth:`packed_vertices` / :meth:`total_forces`).
+        """Inter-cell contact forces (N, 3) at the stored vertices.
 
         The manager's :class:`~repro.fsi.contact.ContactList` is carried
         across steps and keyed on the generation.  The result is scratch
         storage: fold it into an accumulator before the next call.
         """
-        p = self._packed_cache()
+        p = self._store()
         return self._contacts.forces(
             p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness,
             key=self._generation,
@@ -366,14 +315,14 @@ class CellManager:
     def total_forces(self) -> tuple[np.ndarray, np.ndarray, list[Cell]]:
         """Membrane + contact forces aligned with :meth:`all_vertices`.
 
-        Returns the manager-owned packed force and vertex arrays (see
+        Returns the store's force and vertex arrays (see
         :meth:`packed_vertices` for the ownership contract).
         """
-        p = self._refresh_packed_vertices()
+        p = self._store()
         if not p.cells:
             return np.empty((0, 3)), p.verts, []
-        for group, slots, start, stop in p.segments:
-            shape = (len(slots), -1, 3)
+        for group, start, stop in p.segments:
+            shape = (len(group.cells), -1, 3)
             self._group_membrane_forces(
                 group, p.verts[start:stop].reshape(shape),
                 out=p.forces[start:stop].reshape(shape),
@@ -383,13 +332,10 @@ class CellManager:
 
     def update_vertices(self, displacements: np.ndarray) -> None:
         """Advect all vertices by stacked displacements (same ordering)."""
-        p = self._packed_cache()
+        p = self._store()
         if len(displacements) != p.verts.shape[0]:
             raise ValueError("displacement array does not match vertex count")
-        for group, slots, start, stop in p.segments:
-            group.pool.scatter_add(
-                slots, displacements[start:stop].reshape(len(slots), -1, 3)
-            )
+        p.verts += displacements
         self._position_version += 1
 
     def set_velocities(self, velocities: np.ndarray) -> None:
@@ -399,7 +345,7 @@ class CellManager:
         must hand over ownership of the array (the stepper passes a fresh
         physical-velocity array every step).
         """
-        p = self._packed_cache()
+        p = self._store()
         if len(velocities) != p.verts.shape[0]:
             raise ValueError("velocity array does not match vertex count")
         if not p.cells:

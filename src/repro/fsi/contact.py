@@ -9,7 +9,7 @@ closer than a cutoff:
     F(r) = k_c (1 - r/r_c) r_hat      for r < r_c
 
 Pairs are found on the background uniform subgrid of Section 2.4.2
-(:func:`repro.fsi.subgrid.inter_label_pairs`, a self-join of the pooled
+(:func:`repro.fsi.subgrid.inter_label_pairs`, a self-join of the packed
 vertex array that never forms a same-cell pair).  Vertices move a small
 fraction of the cutoff per step, so the pair search is not rerun every
 step: :class:`ContactList` keeps the pairs found within a skin distance

@@ -94,7 +94,6 @@ class FSIStepper:
         # and the post-stream interpolation of one step: positions do not
         # change in between, so the IBM stencil is computed exactly once.
         self._step_verts: np.ndarray | None = None
-        self._step_cells = None
         self._step_generation = -1
 
     # ------------------------------------------------------------------
@@ -124,12 +123,11 @@ class FSIStepper:
         with tel.phase("reset"):
             g.force[:] = self.body_force_lattice[:, None, None, None]
         self._step_verts = None
-        self._step_cells = None
         if self.cells.n_cells == 0:
             return
         rt = self.runtime
         with tel.phase("forces"):
-            forces, verts, cells = rt.total_forces(self.cells)
+            forces, verts, _ = rt.total_forces(self.cells)
             with tel.phase("wall"):
                 if self.wall_geometry is not None:
                     forces = forces + self._wall_forces(verts)
@@ -138,7 +136,6 @@ class FSIStepper:
             rt.begin_step(verts)
             rt.spread(forces_lat, g.force)
         self._step_verts = verts
-        self._step_cells = cells
         self._step_generation = self.cells.generation
 
     def _advect_cells(self, tel=None) -> None:
@@ -166,7 +163,6 @@ class FSIStepper:
             # Vertices move now — the cached stencil must not outlive them.
             rt.end_step()
             self._step_verts = None
-            self._step_cells = None
             # One lattice time step: dx_lat = u_lat * 1, physical = u_lat * dx.
             with tel.phase("move"):
                 self.cells.update_vertices(v_lat * self.units.dx)

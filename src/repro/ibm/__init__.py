@@ -13,7 +13,6 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".kernels": ("cosine4", "peskin4", "linear2", "KERNELS", "DeltaKernel"),
     ".coupling": (
-        "IBMCoupler",
         "Stencil",
         "StencilBuilder",
         "interpolate",

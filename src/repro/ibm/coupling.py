@@ -1,8 +1,8 @@
 """Interpolation and spreading between Lagrangian markers and the lattice.
 
 Positions are passed as *fractional lattice coordinates* (node index
-units); :class:`IBMCoupler` wraps a :class:`repro.lbm.grid.Grid` and does
-the physical-to-lattice conversion plus kernel bookkeeping once per step.
+units); :class:`~repro.parallel.fsi.ParallelFSIRuntime` does the
+physical-to-lattice conversion plus kernel bookkeeping once per step.
 
 Both operations share one weight tensor per call: for marker m and
 neighbor offsets (a, b, c) within the kernel support,
@@ -16,9 +16,9 @@ i.e. both are products with one sparse operator S (markers x lattice
 nodes) holding the weights: V = S u and g += S^T G, adjoint by
 construction.  Within one FSI step, spreading (pre-collision) and
 interpolation (post-stream) act on the *same* marker positions, so S is
-the same.  :class:`Stencil` builds it as a CSR matrix and
-:meth:`IBMCoupler.begin_step` computes it exactly once per step; the
-stepper invalidates it after vertex advection.  From one step to the
+the same.  :class:`Stencil` builds it as a CSR matrix and the FSI runtime's
+``begin_step`` computes it exactly once per step; the stepper
+invalidates it after vertex advection.  From one step to the
 next the weights all change but few markers change lattice cell, so
 :class:`StencilBuilder` carries the node indices across steps and
 rewrites only those markers' rows; :func:`make_stencil` is the stateless
@@ -27,12 +27,9 @@ entry on the same routines.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import sparse
 
-from ..telemetry import get_telemetry
 from .kernels import KERNELS, DeltaKernel
 
 #: Node indices are stored as int32: scipy then wraps the index arrays
@@ -335,103 +332,3 @@ def spread(
     shape = out_field.shape[1:] if out_field.ndim == 4 else out_field.shape
     spread_with_stencil(values, make_stencil(positions, shape, kernel, mode), out_field)
 
-
-class IBMCoupler:
-    """Grid-bound IBM operations in physical units.
-
-    Parameters
-    ----------
-    grid:
-        The fine-window :class:`repro.lbm.grid.Grid` the cells live on.
-    kernel:
-        Delta kernel name or instance (default: the paper's cosine4).
-    mode:
-        'clip' for bounded windows, 'wrap' for periodic domains.
-
-    Within one FSI step the stepper calls :meth:`begin_step` with the
-    packed vertex array, then both :meth:`spread_forces` and
-    :meth:`interpolate_velocity` with the *same array object*; the kernel
-    stencil is built once and shared.  After vertex advection the stepper
-    calls :meth:`end_step` so stale weights can never be reused.
-    """
-
-    def __init__(self, grid, kernel: DeltaKernel | str = "cosine4",
-                 mode: str = "clip"):
-        self.grid = grid
-        self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
-        self.mode = mode
-        self._stencil: Stencil | None = None
-        self._stencil_pos: np.ndarray | None = None
-        # Reusable homes of the stencil's weights and node indices,
-        # reallocated only when N changes (which also resets the builder).
-        self._builder = StencilBuilder(grid.shape, self.kernel, mode)
-        self._w_buf: np.ndarray | None = None
-        self._flat_buf: np.ndarray | None = None
-        self._warned_clip = False
-
-    def to_fractional(self, positions: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(positions) - self.grid.origin) / self.grid.spacing
-
-    # -- per-step stencil cache ----------------------------------------
-    def begin_step(self, positions: np.ndarray) -> Stencil:
-        """Build and cache the stencil for physical marker ``positions``.
-
-        Later calls to :meth:`spread_forces` / :meth:`interpolate_velocity`
-        that pass the *same array object* reuse the cached stencil instead
-        of recomputing weights.  Call :meth:`end_step` once the markers
-        move (vertex advection) to invalidate.
-        """
-        frac = self.to_fractional(positions)
-        n, s = frac.shape[0], self.kernel.support
-        if self._w_buf is None or self._w_buf.shape[0] != n:
-            self._w_buf = np.empty((n, s, s, s), dtype=np.float64)
-            self._flat_buf = np.empty(n * s**3, dtype=INDEX_DTYPE)
-        stencil = self._builder.build(frac, self._w_buf, self._flat_buf)
-        get_telemetry().inc(
-            "ibm.stencil.rows_reindexed", self._builder.rows_reindexed
-        )
-        self._record_clipped(stencil)
-        self._stencil = stencil
-        self._stencil_pos = positions
-        return stencil
-
-    def end_step(self) -> None:
-        """Drop the cached stencil (markers are about to move / moved)."""
-        self._stencil = None
-        self._stencil_pos = None
-
-    def _stencil_for(self, positions: np.ndarray) -> tuple[Stencil, bool]:
-        if self._stencil is not None and positions is self._stencil_pos:
-            return self._stencil, True
-        stencil = make_stencil(
-            self.to_fractional(positions), self.grid.shape, self.kernel, self.mode
-        )
-        self._record_clipped(stencil)
-        return stencil, False
-
-    def _record_clipped(self, stencil: Stencil) -> None:
-        if self.mode != "clip" or stencil.n_clipped == 0:
-            return
-        get_telemetry().inc("ibm.clipped_markers", stencil.n_clipped)
-        if not self._warned_clip:
-            warnings.warn(
-                f"{stencil.n_clipped} IBM marker(s) have kernel support "
-                "outside the lattice; mode='clip' clamps their weights onto "
-                "boundary nodes, which distorts the spread force field near "
-                "the window edge (tracked by the 'ibm.clipped_markers' "
-                "telemetry counter)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._warned_clip = True
-
-    # -- coupling operations -------------------------------------------
-    def interpolate_velocity(self, positions: np.ndarray, u_lattice: np.ndarray) -> np.ndarray:
-        """Lattice-units velocity at physical marker positions."""
-        stencil, _ = self._stencil_for(positions)
-        return interpolate_with_stencil(u_lattice, stencil)
-
-    def spread_forces(self, positions: np.ndarray, forces_lattice: np.ndarray) -> None:
-        """Add lattice-units nodal forces into the grid's force field."""
-        stencil, _ = self._stencil_for(positions)
-        spread_with_stencil(forces_lattice, stencil, self.grid.force)

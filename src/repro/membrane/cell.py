@@ -98,9 +98,10 @@ class Cell:
         self.vertices += np.asarray(shift, dtype=np.float64)
 
     def rotate(self, rotation: np.ndarray) -> None:
-        """Rotate about the centroid by a 3x3 rotation matrix."""
+        """Rotate about the centroid by a 3x3 rotation matrix, in place
+        (a managed cell's ``vertices`` is a view of its manager's store)."""
         c = self.centroid()
-        self.vertices = (self.vertices - c) @ np.asarray(rotation).T + c
+        self.vertices[...] = (self.vertices - c) @ np.asarray(rotation).T + c
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

@@ -39,8 +39,9 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..telemetry.events import atomic_write_json
 from .registry import resolve
-from .util import atomic_write_json, read_json
+from .util import read_json
 
 #: Job fields ``[defaults]`` may set.
 _DEFAULTABLE = (

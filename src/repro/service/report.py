@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..telemetry.events import atomic_write_json
 from .ledger import TERMINAL, job_states, read_ledger
-from .util import atomic_write_json, read_json
+from .util import read_json
 from .worker import (
     LEDGER_FILENAME,
     REPORT_FILENAME,

@@ -1,44 +1,15 @@
 """Small filesystem helpers shared across the campaign service.
 
 Every artifact the service writes must survive a SIGKILL at any byte:
-JSON documents go through temp-file + ``os.replace`` (readers see the
-old complete file or the new one, never a truncation), and the JSONL
-ledger appends one flushed line per record.
+JSON documents go through :func:`repro.telemetry.events.atomic_write_json`
+(readers see the old complete file or the new one, never a truncation),
+and the JSONL ledger appends one flushed line per record.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-
-import numpy as np
-
-
-def jsonable(obj):
-    """JSON fallback mirroring the telemetry sink's numpy handling."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return str(obj)
-
-
-def atomic_write_json(path: str | Path, obj) -> Path:
-    """Write ``obj`` as pretty JSON atomically (temp + ``os.replace``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
 
 
 def read_json(path: str | Path):

@@ -23,10 +23,11 @@ import time
 import zlib
 from pathlib import Path
 
+from ..telemetry.events import atomic_write_json
 from .checkpointing import JobCheckpointer
 from .manifest import CampaignManifest, JobSpec, manifest_from_dict
 from .registry import load_runner, resolve
-from .util import atomic_write_json, read_json
+from .util import read_json
 
 #: Normalized manifest copy the scheduler persists inside the campaign
 #: directory; workers and ``resume``/``status`` all read this, never the

@@ -4,6 +4,10 @@ One event per line keeps the sink crash-tolerant (a truncated final line
 loses one event, not the file) and streamable — a long cerebral campaign
 can be watched with ``tail -f events.jsonl``.  NumPy scalars and small
 arrays are serialized transparently.
+
+:func:`atomic_write_json`, with the same NumPy handling, is the one
+writer of every whole-document JSON artifact (summaries, traces, the
+campaign service's files).
 """
 
 from __future__ import annotations
@@ -17,12 +21,35 @@ import numpy as np
 
 
 def _jsonable(obj):
-    """JSON fallback for the numpy types telemetry payloads carry."""
+    """JSON fallback: NumPy arrays and scalars as their Python values,
+    anything else (paths included) as its ``str``."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
     return str(obj)
+
+
+def atomic_write_json(path: str | Path, obj, indent: int = 2,
+                      sort_keys: bool = True) -> Path:
+    """Write ``obj`` as JSON (plus a final newline) atomically.
+
+    Temp file + ``os.replace``: a writer killed mid-write never leaves a
+    truncated document behind — readers see the previous complete file
+    or the new one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=indent, sort_keys=sort_keys,
+                      default=_jsonable)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def heal_truncated_tail(path: str | Path) -> None:

@@ -10,10 +10,9 @@ machine-readable baseline artifact future performance PRs diff against;
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
+from .events import atomic_write_json
 from .timers import PATH_SEP
 
 
@@ -101,17 +100,7 @@ def write_summary(summary: dict, path: str | Path) -> Path:
     ``summary.json`` behind — readers see either the previous complete
     artifact or the new one.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    return atomic_write_json(path, summary)
 
 
 def _fmt_seconds(s: float) -> str:

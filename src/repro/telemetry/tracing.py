@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .events import atomic_write_json
+
 #: ``pid`` used for driver-side (non-worker) spans in the exported trace.
 DRIVER_PID = 0
 
@@ -206,19 +208,8 @@ def write_chrome_trace(
     spans: list[Span], path: str | Path, meta: dict | None = None
 ) -> Path:
     """Atomically write the Chrome-trace JSON for ``spans``."""
-    import os
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(spans, meta), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    return atomic_write_json(path, to_chrome_trace(spans, meta), indent=1,
+                             sort_keys=False)
 
 
 def read_chrome_trace(path: str | Path) -> dict:

@@ -1,10 +1,11 @@
-"""CellManager: pooled membership, batched forces, bulk updates."""
+"""CellManager: membership, the packed store, batched forces, bulk updates."""
 
 import numpy as np
 import pytest
 
 from repro.fsi import CellManager
 from repro.membrane import make_ctc, make_rbc
+from repro.membrane.cell import random_rotation
 
 
 def _manager_with(n_rbc=3, sub=2):
@@ -53,7 +54,7 @@ def test_removed_cell_detached_from_pool():
     m = _manager_with(2)
     removed = m.remove(0)
     pos0 = removed.vertices.copy()
-    # Adding a new cell may reuse the slot; the removed cell must not alias.
+    # The removed cell must not alias the storage of the next generation.
     m.add(make_rbc(np.array([99e-6, 0, 0]), global_id=m.allocate_id(), subdivisions=2))
     assert np.allclose(removed.vertices, pos0)
 
@@ -85,7 +86,7 @@ def test_vertices_rebound_into_pool():
     c = make_rbc(np.zeros(3), global_id=0, subdivisions=2)
     original = c.vertices.copy()
     m.add(c)
-    # Writes via the cell now hit pooled storage, values preserved.
+    # Writes via the cell now hit the store, values preserved.
     assert np.allclose(c.vertices, original)
     c.vertices += 1e-6
     verts, _, cells = m.all_vertices()
@@ -95,11 +96,11 @@ def test_vertices_rebound_into_pool():
 def test_pool_growth_rebinds_views():
     m = CellManager()
     cells = []
-    for i in range(70):  # exceeds the default pool capacity of 64
+    for i in range(70):  # one store rebuild, after the last add
         cells.append(
             m.add(make_rbc(np.array([i * 20e-6, 0, 0]), global_id=m.allocate_id(), subdivisions=1))
         )
-    # Every view must still be writable pool storage.
+    # Every view must be writable storage.
     for i, c in enumerate(cells):
         assert np.isclose(c.centroid()[0], i * 20e-6, atol=1e-12)
         c.vertices += 1.0e-9
@@ -147,3 +148,101 @@ def test_centroids_shape():
     m = _manager_with(3)
     assert m.centroids().shape == (3, 3)
     assert CellManager().centroids().shape == (0, 3)
+
+
+# -- the store: one copy of the population ---------------------------------
+
+
+def _assert_views_of_store(m):
+    """Every cell's ``vertices`` is its own row block of the store, in
+    packed order."""
+    verts, _, cells = m.packed_vertices()
+    row = 0
+    for cell in cells:
+        v = len(cell.vertices)
+        assert cell.vertices.base is verts
+        assert np.shares_memory(cell.vertices, verts[row:row + v])
+        assert cell.vertices.__array_interface__["data"][0] == \
+            verts[row:].__array_interface__["data"][0]
+        row += v
+    assert row == len(verts)
+
+
+def _churn(m, rng, n_rounds=6):
+    """Add RBCs and CTCs and remove random cells, reading the store in
+    between so every round is its own generation."""
+    for _ in range(n_rounds):
+        for make in (make_rbc, make_ctc, make_rbc):
+            m.add(make(rng.uniform(0, 1e-4, 3), global_id=m.allocate_id(),
+                       subdivisions=1))
+        m.packed_vertices()
+        gids = [c.global_id for c in m.cells]
+        m.remove(gids[int(rng.integers(len(gids)))])
+
+
+def test_cells_view_their_rows_of_the_store_after_churn():
+    rng = np.random.default_rng(3)
+    m = CellManager()
+    _churn(m, rng)
+    _assert_views_of_store(m)
+    # Packed order: groups in insertion order (RBC first), cells in group
+    # order; two groups are present.
+    _, _, cells = m.packed_vertices()
+    kinds = [c.kind for c in cells]
+    assert kinds == sorted(kinds, key=lambda k: k is not kinds[0])
+    assert len(set(kinds)) == 2
+    assert [c.global_id for c in cells] == [c.global_id for c in m.cells]
+
+
+def test_removed_cell_owns_its_vertices():
+    rng = np.random.default_rng(4)
+    m = CellManager()
+    _churn(m, rng, n_rounds=2)
+    victim = m.cells[1]
+    before = victim.vertices.copy()
+    store, _, _ = m.packed_vertices()
+    removed = m.remove(victim.global_id)
+    assert removed is victim
+    assert np.array_equal(removed.vertices, before)
+    assert not np.shares_memory(removed.vertices, store)
+    verts, _, _ = m.packed_vertices()
+    assert not np.shares_memory(removed.vertices, verts)
+    m.update_vertices(np.ones_like(verts))
+    assert np.array_equal(removed.vertices, before)
+
+
+def test_view_held_across_membership_change_keeps_its_values():
+    rng = np.random.default_rng(5)
+    m = CellManager()
+    _churn(m, rng, n_rounds=2)
+    keeper, leaver = m.cells[0], m.cells[1]
+    held = [keeper.vertices, leaver.vertices]
+    want = [h.copy() for h in held]
+    m.remove(leaver.global_id)
+    # New cells of the same group: under slot reuse they would land in
+    # the rows the held views still point at.
+    for _ in range(3):
+        m.add(make_rbc(rng.uniform(0, 1e-4, 3), global_id=m.allocate_id(),
+                       subdivisions=1))
+    verts, _, _ = m.packed_vertices()
+    m.update_vertices(np.full_like(verts, 1e-6))
+    for h, w in zip(held, want):
+        assert np.array_equal(h, w)
+    # The live cell moved with the store; the held view did not.
+    assert np.array_equal(keeper.vertices, want[0] + 1e-6)
+    _assert_views_of_store(m)
+
+
+def test_rotate_moves_a_managed_cell_in_the_store():
+    m = _manager_with(2)
+    cell = m.get(1)
+    rotation = random_rotation(np.random.default_rng(6))
+    c = cell.centroid()
+    want = (cell.vertices - c) @ rotation.T + c
+    cell.rotate(rotation)
+    verts, _, cells = m.packed_vertices()
+    v = len(cell.vertices)
+    row = [c.global_id for c in cells].index(cell.global_id) * v
+    assert np.array_equal(verts[row:row + v], want)
+    m.update_vertices(np.full_like(verts, 2e-6))
+    assert np.array_equal(cell.vertices, want + 2e-6)

@@ -1,18 +1,24 @@
 """FSI runtime: bitwise identity with the reference step composition.
 
 The stepper's cell side must reproduce the literal step composition —
-manager ``total_forces`` + coupler spread/interpolate — bit for bit, in
-vertex trajectories and fluid populations, over the hot-path bench
-configuration.  The reference goes through :class:`IBMCoupler`, not the
-runtime, so a bug in the runtime's persistent stencil buffers cannot
-cancel out of the comparison.
+manager ``total_forces`` + spread/interpolate on a stencil built from
+scratch — bit for bit, in vertex trajectories and fluid populations,
+over the hot-path bench configuration.  The reference builds each step's
+stencil with the stateless :func:`make_stencil`, not the runtime's
+carried :class:`StencilBuilder`, so a bug in the runtime's persistent
+stencil buffers or its carried re-indexing cannot cancel out of the
+comparison.
 """
 
 import numpy as np
 import pytest
 
 from repro.fsi import CellManager, FSIStepper
-from repro.ibm import IBMCoupler
+from repro.ibm import (
+    interpolate_with_stencil,
+    make_stencil,
+    spread_with_stencil,
+)
 from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
@@ -57,23 +63,17 @@ def build_stepper(n_cells=N_CELLS) -> FSIStepper:
     )
 
 
-def _reference_coupler(st: FSIStepper) -> IBMCoupler:
-    """The IBM coupler the runtime is compared against."""
-    return IBMCoupler(st.grid, kernel=st.kernel, mode=st.mode)
-
-
-def _reference_step(st: FSIStepper, coupler: IBMCoupler) -> None:
+def _reference_step(st: FSIStepper) -> None:
     """One step of the literal reference composition."""
     g = st.grid
     g.force[:] = st.body_force_lattice[:, None, None, None]
     forces, verts, _cells = st.cells.total_forces()
     forces_lat = forces * st.units.force_to_lattice(1.0)
-    coupler.begin_step(verts)
-    coupler.spread_forces(verts, forces_lat)
+    stencil = make_stencil((verts - g.origin) / g.spacing, g.shape,
+                           st.kernel, st.mode)
+    spread_with_stencil(forces_lat, stencil, g.force)
     st.solver.step()
-    u = st.solver.velocity()
-    v_lat = coupler.interpolate_velocity(verts, u)
-    coupler.end_step()
+    v_lat = interpolate_with_stencil(st.solver.velocity(), stencil)
     st.cells.update_vertices(v_lat * st.units.dx)
     st.cells.set_velocities(v_lat * (st.units.dx / st.units.dt))
 
@@ -93,9 +93,7 @@ def _trajectory(st: FSIStepper, n_steps: int, stepper=None, every: int = 8):
 @pytest.fixture(scope="module")
 def reference_trajectory():
     st = build_stepper()
-    coupler = _reference_coupler(st)
-    return _trajectory(st, N_STEPS,
-                       stepper=lambda: _reference_step(st, coupler))
+    return _trajectory(st, N_STEPS, stepper=lambda: _reference_step(st))
 
 
 def test_stepper_bitwise_equal_to_reference(reference_trajectory):
@@ -123,12 +121,11 @@ def test_population_change_midrun_stays_exact():
         )
 
     ref = build_stepper()
-    coupler = _reference_coupler(ref)
     for _ in range(6):
-        _reference_step(ref, coupler)
+        _reference_step(ref)
     ref.cells.add(extra_cell(ref))
     for _ in range(6):
-        _reference_step(ref, coupler)
+        _reference_step(ref)
 
     st = build_stepper()
     st.step(6)
@@ -144,12 +141,11 @@ def test_shrunk_population_steps_in_the_stencil_pool():
     population takes their leading rows — and adding one back reuses
     them; the steps stay bitwise equal to the reference composition."""
     ref = build_stepper()
-    coupler = _reference_coupler(ref)
     st = build_stepper()
     st.step(3)
     pool = st.runtime._flat_pool
     n_markers = len(pool)
-    for sim, step in ((ref, lambda: _reference_step(ref, coupler)),
+    for sim, step in ((ref, lambda: _reference_step(ref)),
                       (st, st.step)):
         if sim is ref:
             for _ in range(3):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ibm import IBMCoupler, interpolate, spread
+from repro.ibm import interpolate, spread
 from repro.lbm import Grid
+
+from .runtime_cells import runtime_with_cells
 
 
 def _linear_vector_field(shape):
@@ -109,17 +111,28 @@ def test_unknown_mode_raises():
 
 
 def test_coupler_physical_units():
-    g = Grid((8, 8, 8), tau=0.8, origin=np.array([1e-6, 0.0, 0.0]), spacing=0.5e-6)
-    coupler = IBMCoupler(g, kernel="linear2")
+    origin = np.array([1e-6, 0.0, 0.0])
+    g = Grid((8, 8, 8), tau=0.8, origin=origin, spacing=0.5e-6)
+    # A cell about the physical position of lattice node (4, 4, 4).
+    rt, _, phys = runtime_with_cells(
+        g, [origin + 4 * 0.5e-6], kernel="linear2", mode="clip"
+    )
     u = _linear_vector_field(g.shape)
-    # Marker at physical position that maps to fractional index (4, 4, 4).
-    phys = np.array([[1e-6 + 4 * 0.5e-6, 2e-6, 2e-6]])
-    v = coupler.interpolate_velocity(phys, u)
-    assert np.allclose(v[0], u[:, 4, 4, 4])
+    rt.begin_step(phys)
+    v = rt.interpolate(u)
+    # linear2 reproduces a linear field exactly at the lattice positions.
+    frac = (phys - origin) / 0.5e-6
+    assert np.allclose(v, interpolate(u, frac, "linear2"), rtol=0, atol=1e-12)
+    x, y, z = frac.T
+    assert np.allclose(v[:, 0], 0.1 * x + 0.2 * y - 0.05 * z + 0.3)
 
 
 def test_coupler_spread_into_grid_force():
     g = Grid((8, 8, 8), tau=0.8, spacing=1e-6)
-    coupler = IBMCoupler(g)
-    coupler.spread_forces(np.array([[4e-6, 4e-6, 4e-6]]), np.array([[0.0, 0.0, 2.0]]))
-    assert np.isclose(g.force[2].sum(), 2.0)
+    rt, _, pos = runtime_with_cells(g, [(4e-6, 4e-6, 4e-6)], mode="clip")
+    forces = np.zeros(pos.shape)
+    forces[:, 2] = 2.0
+    rt.begin_step(pos)
+    rt.spread(forces, g.force)
+    assert np.isclose(g.force[2].sum(), 2.0 * len(pos))
+    assert g.force[:2].sum() == 0.0

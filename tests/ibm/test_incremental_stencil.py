@@ -11,13 +11,14 @@ alone.
 import numpy as np
 import pytest
 
-from repro.ibm import IBMCoupler, make_stencil
+from repro.ibm import make_stencil
 from repro.ibm.coupling import INDEX_DTYPE, StencilBuilder
 from repro.ibm.kernels import KERNELS
 from repro.lbm import Grid
 from repro.telemetry import Telemetry, active
 
 from .reference_bodies import reference_stencil
+from .runtime_cells import add_cells, runtime_with_cells
 
 SHAPE = (9, 11, 13)
 
@@ -107,15 +108,18 @@ def test_unknown_mode_rejected():
 
 def test_coupler_counts_reindexed_rows_and_survives_resize(rng):
     g = Grid(SHAPE, tau=0.9, spacing=1e-6)
-    coupler = IBMCoupler(g, mode="wrap")
-    tel = Telemetry()
-    pos = rng.uniform(1e-6, 7e-6, size=(20, 3))
-    with active(tel):
-        coupler.begin_step(pos)
-        coupler.begin_step(pos + 1e-9)
-        assert 20 <= tel.counter("ibm.stencil.rows_reindexed").value < 40
-        bigger = rng.uniform(1e-6, 7e-6, size=(33, 3))
-        stencil = coupler.begin_step(bigger)
-    _assert_equal_to_scratch(
-        stencil, coupler.to_fractional(bigger), "cosine4", "wrap"
+    runtime, manager, pos = runtime_with_cells(
+        g, rng.uniform(2e-6, 7e-6, size=(2, 3))
     )
+    n = len(pos)
+    tel = Telemetry()
+    with active(tel):
+        runtime.begin_step(pos)
+        runtime.begin_step(pos + 1e-9)
+        assert n <= tel.counter("ibm.stencil.rows_reindexed").value < 2 * n
+        add_cells(manager, rng.uniform(2e-6, 7e-6, size=(1, 3)))
+        runtime.sync_population(manager)
+        bigger = manager.packed_vertices()[0]
+        runtime.begin_step(bigger)
+    assert len(bigger) > n
+    _assert_equal_to_scratch(runtime._stencil, bigger / 1e-6, "cosine4", "wrap")

@@ -1,7 +1,7 @@
 """Per-step IBM stencil cache: reuse, invalidation, and conservation.
 
 The optimized coupling path computes the kernel stencil once per FSI step
-(:meth:`IBMCoupler.begin_step`) — a CSR matrix S, markers x lattice
+(:meth:`ParallelFSIRuntime.begin_step`) — a CSR matrix S, markers x lattice
 nodes — and shares it between the pre-collision spread (``S.T @ F``) and
 the post-stream interpolation (``S @ u``).  These tests pin down the
 properties the cache must preserve:
@@ -23,7 +23,7 @@ import pytest
 
 import repro.ibm.coupling as coupling
 from repro.fsi import CellManager, FSIStepper
-from repro.ibm import IBMCoupler, interpolate, make_stencil, spread
+from repro.ibm import interpolate, make_stencil, spread
 from repro.ibm.coupling import interpolate_with_stencil, spread_with_stencil
 from repro.lbm import Grid
 from repro.membrane import make_rbc
@@ -31,6 +31,7 @@ from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
 
 from .reference_bodies import bincount_spread, gather_einsum_interpolate
+from .runtime_cells import runtime_with_cells
 
 
 @contextlib.contextmanager
@@ -74,21 +75,20 @@ def test_cached_spread_matches_module_spread(rng):
 def test_cached_spread_conserves_total_force(rng):
     """Sum of the spread force field equals the sum of marker forces."""
     g = Grid((10, 10, 10), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="wrap")
-    pos = rng.uniform(1e-6, 8e-6, size=(12, 3))
-    G = rng.standard_normal((12, 3))
-    c.begin_step(pos)
-    c.spread_forces(pos, G)
+    rt, _, pos = runtime_with_cells(g, rng.uniform(2e-6, 7e-6, size=(3, 3)))
+    G = rng.standard_normal(pos.shape)
+    rt.begin_step(pos)
+    rt.spread(G, g.force)
     assert np.allclose(g.force.sum(axis=(1, 2, 3)), G.sum(axis=0), atol=1e-13)
 
 
 def test_cached_interpolate_constant_field_exact(rng):
     g = Grid((8, 8, 8), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="wrap")
+    rt, _, pos = runtime_with_cells(g, rng.uniform(1.5e-6, 5.5e-6, size=(3, 3)))
     u = np.full((3, 8, 8, 8), -0.42)
-    pos = rng.uniform(0.5e-6, 6.5e-6, size=(9, 3))
-    c.begin_step(pos)
-    v = c.interpolate_velocity(pos, u)
+    rt.begin_step(pos)
+    v = rt.interpolate(u)
+    assert v.shape == pos.shape
     assert np.allclose(v, -0.42)
 
 
@@ -175,27 +175,15 @@ def test_spread_rejects_non_contiguous_field(rng):
 # -- cache identity and invalidation ---------------------------------------
 
 
-def test_coupler_reuses_stencil_for_same_array_object():
-    g = Grid((8, 8, 8), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="wrap")
-    pos = np.array([[3e-6, 3e-6, 3e-6], [4e-6, 4.2e-6, 3.8e-6]])
-    st = c.begin_step(pos)
-    got, cached = c._stencil_for(pos)
-    assert cached and got is st
-    # A different array object (even with equal values) must not reuse it.
-    other = pos.copy()
-    got2, cached2 = c._stencil_for(other)
-    assert not cached2 and got2 is not st
-
-
 def test_end_step_drops_stencil():
     g = Grid((8, 8, 8), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="wrap")
-    pos = np.array([[3e-6, 3e-6, 3e-6]])
-    c.begin_step(pos)
-    c.end_step()
-    _, cached = c._stencil_for(pos)
-    assert not cached
+    rt, _, pos = runtime_with_cells(g, [(4e-6, 4e-6, 4e-6)])
+    rt.begin_step(pos)
+    rt.end_step()
+    with pytest.raises(RuntimeError):
+        rt.spread(np.zeros(pos.shape), g.force)
+    with pytest.raises(RuntimeError):
+        rt.interpolate(np.zeros((3, 8, 8, 8)))
 
 
 def test_stencil_invalidated_after_advection():
@@ -282,26 +270,29 @@ def test_fluid_only_step_builds_no_stencil(monkeypatch):
 
 def test_clip_counter_and_warning():
     g = Grid((8, 8, 8), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="clip")
-    # Marker near the x=0 face: cosine4 support extends off-lattice.
-    pos = np.array([[0.4e-6, 4e-6, 4e-6]])
+    # A cell against the x=0 face: the cosine4 support of its markers
+    # with x < 1 lattice spacing extends off-lattice.
+    rt, _, pos = runtime_with_cells(g, [(1e-6, 4e-6, 4e-6)], mode="clip")
+    n_clipped = int(np.count_nonzero(pos[:, 0] < 1e-6))
+    assert 0 < n_clipped < len(pos)
+    assert make_stencil(pos / 1e-6, g.shape, "cosine4", "clip").n_clipped \
+        == n_clipped
     tel = Telemetry()
     with active(tel):
         with pytest.warns(RuntimeWarning, match="clip"):
-            c.begin_step(pos)
-        assert tel.counter("ibm.clipped_markers").value == 1
-        # The warning is one-time per coupler; the counter keeps counting.
-        c.end_step()
+            rt.begin_step(pos)
+        assert tel.counter("ibm.clipped_markers").value == n_clipped
+        # The warning is one-time per runtime; the counter keeps counting.
+        rt.end_step()
         with warnings_none():
-            c.begin_step(pos)
-        assert tel.counter("ibm.clipped_markers").value == 2
+            rt.begin_step(pos)
+        assert tel.counter("ibm.clipped_markers").value == 2 * n_clipped
 
 
 def test_interior_markers_not_counted_as_clipped():
     g = Grid((12, 12, 12), tau=0.9, spacing=1e-6)
-    c = IBMCoupler(g, mode="clip")
-    pos = np.array([[5e-6, 6e-6, 5.5e-6]])
+    rt, _, pos = runtime_with_cells(g, [(5e-6, 6e-6, 5.5e-6)], mode="clip")
     tel = Telemetry()
-    with active(tel):
-        c.begin_step(pos)
-        assert tel.counter("ibm.clipped_markers").value == 0
+    with active(tel), warnings_none():
+        rt.begin_step(pos)
+    assert tel.counter("ibm.clipped_markers").value == 0

@@ -40,6 +40,10 @@ REMOVED = {
     # the cell side of the FSI step runs inline, without a process pool
     "repro.parallel": ((), ("HALO_MODES", "weighted_splits", "FSI_PHASES")),
     "repro.parallel.fsi": ((), ("FSIWorker", "GroupSpec", "FSI_PHASES")),
+    # one copy of the cell population: the manager's packed store; the
+    # IBM step runs only on the FSI runtime
+    "repro.fsi": (("pool",), ("VertexPool",)),
+    "repro.ibm": ((), ("IBMCoupler",)),
 }
 
 #: callable -> (valid positional arguments, keywords it no longer takes)
@@ -89,3 +93,9 @@ def test_exports_import_cleanly_without_removed_names(package):
 
 def test_hotpath_experiment_still_registered():
     assert "hotpath" in known_experiments()
+
+
+def test_cell_manager_has_no_batch_iterator():
+    from repro.fsi import CellManager
+
+    assert not hasattr(CellManager, "membrane_force_batches")
