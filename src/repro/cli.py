@@ -8,7 +8,6 @@ downstream user can regenerate any paper artifact without writing code:
     python -m repro channel --method apr --steps 300
     python -m repro tables
     python -m repro scaling
-    python -m repro scaling --measured --backend processes --workers 4
     python -m repro profile tube --steps 50 --telemetry-dir out/
     python -m repro trace tube --steps 20 --out t.json
     python -m repro campaign run sweep.toml --out out/sweep
@@ -33,8 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-from .parallel.pool import BACKENDS
 
 
 def _cmd_shear(args: argparse.Namespace) -> int:
@@ -104,33 +101,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from .perfmodel import strong_scaling_curve, weak_scaling_curve
-
-    if args.measured:
-        from .parallel import measure_throughput
-
-        shape = tuple(args.shape)
-        n_tasks = args.tasks
-        serial = measure_throughput(
-            shape, n_tasks, backend="serial", steps=args.steps
-        )
-        print(f"measured ({shape[0]}x{shape[1]}x{shape[2]}, "
-              f"{n_tasks} ranks, dims="
-              f"{'x'.join(str(d) for d in serial['dims'])}):")
-        print(f"  serial              : {serial['steps_per_s']:8.2f} steps/s "
-              f"({serial['ms_per_step']:.2f} ms/step, "
-              f"{serial['bytes_per_step'] / 1e6:.2f} MB/step halo, "
-              f"{serial['messages_per_step']} msgs)")
-        if args.backend and args.backend != "serial":
-            r = measure_throughput(
-                shape, n_tasks, backend=args.backend, n_workers=args.workers,
-                steps=args.steps,
-            )
-            speedup = r["steps_per_s"] / serial["steps_per_s"]
-            print(f"  {r['backend']:>9s} x{r['n_workers']:<8d} : "
-                  f"{r['steps_per_s']:8.2f} steps/s "
-                  f"({r['ms_per_step']:.2f} ms/step, "
-                  f"speedup {speedup:.2f}x vs serial)")
-        return 0
 
     print("Fig. 7 strong scaling (speedup vs 32 nodes):")
     for n, d in strong_scaling_curve().items():
@@ -327,23 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("scaling", help="Figs. 7-8 scaling curves")
-    p.add_argument(
-        "--measured", action="store_true",
-        help="time the real executor backends instead of printing the model",
-    )
-    p.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="executor backend to measure against the serial reference",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count of the process pool (default: one per CPU)",
-    )
-    p.add_argument("--shape", type=int, nargs=3, default=[32, 32, 32],
-                   metavar=("NX", "NY", "NZ"), help="measured lattice shape")
-    p.add_argument("--tasks", type=int, default=8,
-                   help="rank count for the measured decomposition")
-    p.add_argument("--steps", type=int, default=10, help="timed steps")
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser(

@@ -382,11 +382,8 @@ def equilibrate_tile(
     stepper.body_force_lattice = np.zeros(3)
     grid.force[0] = grid_force_profile[None, :, None]
 
-    def keep_forcing(_solver):
-        grid.force[0] = grid_force_profile[None, :, None]
-
-    # The stepper resets grid.force each step; reapply the profile by
-    # folding it into the body-force hook sequence.
+    # The stepper resets grid.force each step; add the profile back
+    # after every spread.
     original_spread = stepper._spread_forces
 
     def spread_with_profile(tel=None):

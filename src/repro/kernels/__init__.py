@@ -32,12 +32,12 @@ DTYPE_NAMES = ("float32", "float64")
 def resolve_dtype(dtype=None) -> "np.dtype":
     """Resolve a compute-dtype request against the environment.
 
-    Precedence, as for the ``REPRO_PARALLEL_*`` names: an explicit
-    ``dtype`` argument wins over the ``REPRO_DTYPE`` environment
-    variable, which wins over :data:`DEFAULT_DTYPE`.  Accepts dtype
-    names, numpy dtypes, or scalar types; only ``float32``/``float64``
-    are valid compute dtypes (the Lagrangian membrane state stays
-    float64 regardless — see docs/performance.md).
+    Precedence: an explicit ``dtype`` argument wins over the
+    ``REPRO_DTYPE`` environment variable, which wins over
+    :data:`DEFAULT_DTYPE`.  Accepts dtype names, numpy dtypes, or scalar
+    types; only ``float32``/``float64`` are valid compute dtypes (the
+    Lagrangian membrane state stays float64 regardless — see
+    docs/performance.md).
     """
     env = os.environ.get(DTYPE_ENV_VAR)
     if dtype is not None:

@@ -5,17 +5,19 @@ tasks + 6 GPU window tasks).  This package reproduces the *parallel
 structure* and executes it: a uniform periodic block decomposition with
 a direction-aware packed D3Q19 halo exchange, a distributed LBM solver
 that is bit-identical to the single-grid solver and steps its ranks
-inline (``serial``) or on a persistent shared-memory worker pool
-(``processes``, :mod:`repro.parallel.pool`), the cell-side FSI runtime
-(inline, :mod:`repro.parallel.fsi`), per-task byte/message/slab
-accounting, and the CPU/GPU task-mapping rules.  (The paper's
+inline (``serial``, the default) or, when the ``backend`` argument asks
+for it, on a persistent shared-memory worker pool (``processes``,
+:mod:`repro.parallel.pool`), the cell-side FSI runtime (inline,
+:mod:`repro.parallel.fsi`), per-task byte/message/slab accounting, and
+the CPU/GPU task-mapping rules.  (The paper's
 recompute-instead-of-communicate trick is about the forces of IBM halo
 *cells*, not lattice halos; ``benchmarks/bench_ablation_comm.py``
-models it.)  Measured communication volumes and
-wall-clock throughput feed the scaling analysis of
-:mod:`repro.perfmodel` (Figs. 7-8); see ``docs/parallel_and_models.md``
-and ``docs/performance.md`` ("Backend decisions" records why there are
-exactly two backends and one step pipeline).
+models it.)  The counted halo bytes validate the communication
+structure of the scaling model in :mod:`repro.perfmodel` (Figs. 7-8);
+no wall-clock time measured here feeds it.  See
+``docs/parallel_and_models.md`` and ``docs/performance.md`` ("Backend
+decisions" records why there are exactly two backends and one step
+pipeline).
 """
 
 from .._lazy import lazy_exports
@@ -32,10 +34,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".distributed": ("DistributedLBMSolver",),
     ".fsi": ("ParallelFSIRuntime", "resolve_fsi_backend"),
-    ".measure": (
-        "measure_throughput",
-        "measured_scaling_curve",
-        "measured_weak_scaling",
-    ),
     ".taskmap": ("TaskMap", "summit_task_map"),
 })

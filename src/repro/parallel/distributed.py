@@ -40,12 +40,10 @@ class DistributedLBMSolver:
     n_tasks:
         Number of ranks (subdomains).
     backend:
-        ``"serial"`` or ``"processes"``; ``None`` reads
-        ``REPRO_PARALLEL_BACKEND`` (default ``serial``).
+        ``"serial"`` (the default, also for ``None``) or ``"processes"``.
     n_workers:
-        Worker count of the process pool; ``None`` reads
-        ``REPRO_PARALLEL_WORKERS`` (default: one per CPU), capped at
-        ``n_tasks``.
+        Worker count of the process pool; ``None`` means one per CPU.
+        Capped at ``n_tasks``; the serial backend runs one.
     dtype:
         Compute dtype for the rank-local distribution blocks
         (``"float32"`` | ``"float64"``; ``None`` resolves via
@@ -103,10 +101,6 @@ class DistributedLBMSolver:
         )
         self.step_count = 0
         self._steps_at_reset = 0
-        #: Cumulative per-rank wall seconds by phase name.
-        self.rank_phase_seconds: dict[str, dict[int, float]] = {
-            "collide": {}, "halo": {}, "stream": {},
-        }
 
     # ------------------------------------------------------------------
     def _padded_solid(self, rank: int) -> np.ndarray:
@@ -143,11 +137,6 @@ class DistributedLBMSolver:
         return out
 
     # ------------------------------------------------------------------
-    def _accumulate(self, phase: str, seconds_by_rank: dict[int, float]) -> None:
-        acc = self.rank_phase_seconds[phase]
-        for rank, dt in seconds_by_rank.items():
-            acc[rank] = acc.get(rank, 0.0) + dt
-
     def _run_traced(self, tel, phase_path: str, exec_phase: str):
         """Run one executor phase under a driver phase/span.
 
@@ -178,9 +167,6 @@ class DistributedLBMSolver:
         tel.inc("comm.bytes_sent", self.last_step_bytes)
         tel.inc("comm.messages", self.last_step_messages)
         tel.inc("comm.slabs", self.last_step_slabs)
-        self._accumulate("collide", res_collide.seconds_by_rank)
-        self._accumulate("halo", res_halo.seconds_by_rank)
-        self._accumulate("stream", res_stream.seconds_by_rank)
         if tel.enabled:
             tel.record_rank_seconds(
                 "dist/collide", res_collide.seconds_by_rank
@@ -221,7 +207,7 @@ class DistributedLBMSolver:
         return self.halo.counters.bytes_sent / steps
 
     def reset_counters(self) -> None:
-        """Zero comm counters and per-rank timers for a new bench phase.
+        """Zero the comm counters for a new bench phase.
 
         ``bytes_per_step`` then averages over the steps taken *after*
         this call, so one solver can be reused across phases without
@@ -229,8 +215,6 @@ class DistributedLBMSolver:
         """
         self.halo.reset()
         self._steps_at_reset = self.step_count
-        for acc in self.rank_phase_seconds.values():
-            acc.clear()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,21 +1,22 @@
 """The worker-pool substrate of the block-decomposed lattice.
 
 The decomposed lattice (:mod:`repro.parallel.executor`) runs on two
-backends:
+backends, picked by the solver's ``backend`` argument:
 
-* ``serial``    — the ranks step inline in the calling thread;
+* ``serial``    — the ranks step inline in the calling thread (the
+  default);
 * ``processes`` — a persistent :class:`ProcessPool` of daemon workers,
   one pipe each, with all array data in :mod:`multiprocessing.shared_memory`
   segments the parent creates and the workers attach by name — the
   in-process analogue of the paper's CPU-tasks-per-node layout
   (Section 2.4.4).
 
-This module owns the backend / worker-count resolver (the only reader
-of ``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS``), the
-near-even contiguous work split, the pool with its shutdown guarantees,
-and shared-segment create / attach / unlink.  The executor keeps only
-its worker handler and message vocabulary.  The cell side of the FSI
-step has no pool (docs/performance.md, "Backend decisions → FSI process
+This module owns the backend / worker-count resolver, the near-even
+contiguous work split, the pool with its shutdown guarantees, and
+shared-segment create / attach / unlink.  The executor keeps only its
+worker handler and message vocabulary.  No environment variable selects
+a backend (docs/tuning.md, section 6).  The cell side of the FSI step
+has no pool (docs/performance.md, "Backend decisions → FSI process
 pool").
 """
 
@@ -29,9 +30,6 @@ from multiprocessing import resource_tracker, shared_memory
 #: Supported backends, in increasing order of machinery.
 BACKENDS = ("serial", "processes")
 
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
-ENV_WORKERS = "REPRO_PARALLEL_WORKERS"
-
 #: Message that ends a worker's :func:`serve` loop.
 STOP = "stop"
 
@@ -41,37 +39,22 @@ def resolve_backend(
     n_workers: int | None,
     n_tasks: int,
 ) -> tuple[str, int]:
-    """Resolve backend/worker-count requests against env and hardware.
+    """Resolve backend/worker-count requests against the hardware.
 
-    ``None`` values fall back to ``REPRO_PARALLEL_BACKEND`` (default
-    ``serial``) and ``REPRO_PARALLEL_WORKERS`` (default: one worker per
-    CPU).  The count is capped at the lattice's rank count ``n_tasks``.
-    An explicit ``n_workers`` below 1 is clamped to 1; the environment
-    variable must be an integer >= 1.
+    ``backend=None`` means ``serial``, which always runs one worker.
+    For ``processes``, ``n_workers=None`` means one worker per CPU; the
+    count is clamped to at least 1 and capped at the lattice's rank
+    count ``n_tasks``.
     """
     if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "serial")
+        backend = "serial"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
-    if n_workers is None:
-        env = os.environ.get(ENV_WORKERS)
-        n_workers = _env_workers(env) if env else (os.cpu_count() or 1)
-    n_workers = min(max(1, int(n_workers)), n_tasks)
     if backend == "serial":
-        n_workers = 1
-    return backend, n_workers
-
-
-def _env_workers(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"invalid {ENV_WORKERS}={text!r}; use an integer >= 1"
-        )
-    return value
+        return backend, 1
+    if n_workers is None:
+        n_workers = os.cpu_count() or 1
+    return backend, min(max(1, int(n_workers)), n_tasks)
 
 
 def split_range(n: int, k: int) -> list[tuple[int, int]]:

@@ -219,7 +219,8 @@ def test_resolve_fsi_backend_defaults():
 
 
 def test_resolve_fsi_backend_env(monkeypatch):
-    """The ``REPRO_PARALLEL_*`` names serve the decomposed lattice only."""
+    """A leftover ``REPRO_PARALLEL_*`` pair (the names were removed) picks
+    no backend for the cell side either."""
     monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
     assert resolve_fsi_backend(None, None) == ("serial", 1)

@@ -54,14 +54,11 @@ def test_workers_fewer_than_ranks(backend):
         assert np.array_equal(d.gather(), f_ref)
 
 
-def test_invalid_backend_rejected(monkeypatch):
+def test_invalid_backend_rejected():
     for backend in ("mpi", "threads"):  # threads: a name that used to exist
         with pytest.raises(ValueError, match="unknown backend"):
             DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=2,
                                  backend=backend)
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
-    with pytest.raises(ValueError, match="unknown backend"):
-        DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=2)
 
 
 # ----------------------------------------------------------------------
@@ -151,43 +148,37 @@ def test_finalizer_cleans_up_without_close():
 
 
 # ----------------------------------------------------------------------
-# Backend resolution and environment override.
+# Backend resolution: explicit arguments only.
 
 
 def test_resolve_backend_defaults():
-    backend, workers = resolve_backend(None, None, n_tasks=4)
+    assert resolve_backend(None, None, n_tasks=4) == ("serial", 1)
+    # serial always runs single-worker; pool counts clamp to [1, n_tasks]
+    assert resolve_backend("serial", 5, n_tasks=8) == ("serial", 1)
+    assert resolve_backend("processes", 0, n_tasks=8) == ("processes", 1)
+    assert resolve_backend("processes", -3, n_tasks=8) == ("processes", 1)
+    backend, workers = resolve_backend("processes", None, n_tasks=4)
     assert backend in BACKENDS
     assert 1 <= workers <= 4
     with pytest.raises(TypeError, match="n_tasks"):
         resolve_backend(None, None)  # only the lattice resolves a backend
 
 
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
-    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-    backend, workers = resolve_backend(None, None, n_tasks=8)
-    assert backend == "processes"
-    assert workers == 3
-    # Explicit arguments win over the environment.
-    backend, workers = resolve_backend("serial", 5, n_tasks=8)
-    assert backend == "serial"
-    assert workers == 1  # serial always runs single-worker
-    # A bad variable is named in the error; explicit counts clamp and
-    # never read it.
-    for bad in ("two", "0", "-3", "1.5"):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", bad)
-        with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS.*>= 1"):
-            resolve_backend(None, None, n_tasks=8)
-        assert resolve_backend(None, 0, n_tasks=8) == ("processes", 1)
-        assert resolve_backend("processes", -3, n_tasks=8) == ("processes", 1)
+def test_removed_env_backend_is_ignored(monkeypatch):
+    """``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` were
+    removed: a leftover pair (a campaign passes its environment through)
+    selects nothing and starts no worker process."""
+    import multiprocessing
 
-
-def test_env_backend_reaches_solver(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "processes")
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
+    before = set(multiprocessing.active_children())
     with DistributedLBMSolver((8, 8, 8), tau=0.8, n_tasks=4) as d:
-        assert d.backend == "processes"
-        assert d.n_workers == 2
+        d.step(1)
+        assert d.backend == "serial"
+        assert d.n_workers == 1
+        assert d.blocks.segment_names is None
+        assert set(multiprocessing.active_children()) == before
 
 
 def test_worker_count_capped_at_ranks():
@@ -213,10 +204,10 @@ def test_step_records_phases_and_comm_counters():
         assert phases[name]["count"] == 2
     assert tel.counter("comm.bytes_sent").value == d.halo.counters.bytes_sent
     assert tel.counter("comm.messages").value == d.halo.counters.messages
-    # Per-rank wall-clock accumulators cover every rank and phase.
-    for phase in ("collide", "halo", "stream"):
-        assert set(d.rank_phase_seconds[phase]) == set(range(4))
-        assert all(t >= 0.0 for t in d.rank_phase_seconds[phase].values())
+    # Per-rank wall seconds cover every rank and phase.
+    for name in ("dist/collide", "dist/halo", "dist/stream"):
+        assert set(tel.rank_seconds[name]) == set(range(4))
+        assert all(t >= 0.0 for t in tel.rank_seconds[name].values())
 
 
 def test_reset_counters_gives_per_phase_deltas():
@@ -233,13 +224,3 @@ def test_reset_counters_gives_per_phase_deltas():
         d.step(2)
         assert d.bytes_per_step() == pytest.approx(first)
         assert d.halo.counters.bytes_sent == pytest.approx(2 * first)
-
-
-def test_measure_throughput_smoke():
-    from repro.parallel import measure_throughput
-
-    r = measure_throughput((8, 8, 8), n_tasks=2, backend="serial", steps=2,
-                           warmup=1)
-    assert r["steps_per_s"] > 0
-    assert r["bytes_per_step"] > 0
-    assert r["backend"] == "serial"

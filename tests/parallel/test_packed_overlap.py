@@ -103,15 +103,20 @@ def test_golden_matrix_bitwise(backend):
     np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("tau", [TAU, 1.0], ids=["exchange", "exchange-tau1"])
-def test_golden_matrix_walled_periodic(tau):
+@pytest.mark.parametrize("backend,tau", [
+    ("serial", TAU), ("serial", 1.0), ("processes", TAU), ("processes", 1.0),
+], ids=["exchange", "exchange-tau1", "exchange-processes",
+        "exchange-tau1-processes"])
+def test_golden_matrix_walled_periodic(backend, tau):
     """Solid shell on the periodic decomposition: full-array equality —
     even the garbage-but-deterministic solid nodes match.  tau = 1 runs
     the collide without its (1 - omega) f pass on every rank."""
     solid = _shell_solid(SHAPE)
     f0 = _seeded_f(SHAPE, tau=tau)
     ref = _single_grid_reference(f0, tau=tau, solid=solid)
-    with DistributedLBMSolver(SHAPE, tau=tau, n_tasks=4, solid=solid) as d:
+    with DistributedLBMSolver(
+        SHAPE, tau=tau, n_tasks=4, backend=backend, n_workers=2, solid=solid,
+    ) as d:
         d.scatter(f0)
         d.step(STEPS)
         got = d.gather()
@@ -122,15 +127,13 @@ def test_golden_matrix_walled_periodic(tau):
 # Communication accounting
 
 
-def test_packed_exchange_cuts_bytes_3x():
-    """The fig7-config acceptance bar: the packed halos ship ≥3x fewer
-    bytes per step than the full 19-population rim (every halo node a
-    D3Q19 stencil reaches: the padded 10³ shell of an 8³ block minus its
-    8 corners), with identical physics."""
+def _check_packed_exchange_cuts_bytes_3x(backend):
     shape = (16, 16, 16)
     f0 = _seeded_f(shape)
     ref = _single_grid_reference(f0, shape=shape, steps=2)
-    with DistributedLBMSolver(shape, tau=TAU, n_tasks=8) as d:
+    with DistributedLBMSolver(
+        shape, tau=TAU, n_tasks=8, backend=backend, n_workers=2,
+    ) as d:
         assert d.decomp.dims == (2, 2, 2)
         d.scatter(f0)
         d.step(2)
@@ -138,6 +141,19 @@ def test_packed_exchange_cuts_bytes_3x():
         assert full_rim / d.bytes_per_step() >= 3.0
         assert d.last_step_messages > 0
         np.testing.assert_array_equal(d.gather(), ref)
+
+
+def test_packed_exchange_cuts_bytes_3x():
+    """The fig7-config acceptance bar: the packed halos ship ≥3x fewer
+    bytes per step than the full 19-population rim (every halo node a
+    D3Q19 stencil reaches: the padded 10³ shell of an 8³ block minus its
+    8 corners), with identical physics."""
+    _check_packed_exchange_cuts_bytes_3x("serial")
+
+
+def test_packed_exchange_cuts_bytes_3x_processes():
+    """The same bar and bitwise check on 8 ranks over a 2-worker pool."""
+    _check_packed_exchange_cuts_bytes_3x("processes")
 
 
 def test_packed_volume_closed_form():
@@ -201,16 +217,3 @@ def test_removed_env_switches_are_inert(monkeypatch):
             assert d.bytes_per_step() == packed_bytes
             np.testing.assert_array_equal(d.gather(), ref)
     assert not hasattr(d, "halo_pack") and not hasattr(d, "overlap")
-
-
-# ----------------------------------------------------------------------
-# Measurement helpers
-
-
-def test_measure_records_new_fields():
-    from repro.parallel import measure_throughput
-
-    r = measure_throughput((8, 8, 8), 2, steps=2, warmup=1)
-    assert "halo_pack" not in r and "overlap" not in r
-    assert r["slabs_per_step"] > 0
-    assert len(r["dims"]) == 3

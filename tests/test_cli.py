@@ -24,30 +24,16 @@ def test_scaling_command(capsys):
     assert "512" in out
 
 
-def test_scaling_measured_serial(capsys):
-    assert main(["scaling", "--measured", "--shape", "8", "8", "8",
-                 "--tasks", "2", "--steps", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "measured" in out and "serial" in out
-    assert "steps/s" in out and "msgs" in out
-
-
-def test_scaling_measured_with_backend(capsys):
-    assert main(["scaling", "--measured", "--shape", "8", "8", "8",
-                 "--tasks", "2", "--steps", "2",
-                 "--backend", "processes", "--workers", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "processes" in out and "speedup" in out
-
-
 @pytest.mark.parametrize("argv", [
     ["--halo-pack"], ["--overlap"], ["--backend", "threads"],
     ["--halo-mode", "recompute"], ["--weighted-split"], ["--dims", "4x1x1"],
+    # the measured path went with it: ``scaling`` prints only the model
+    ["--measured"], ["--backend", "processes"], ["--workers", "2"],
+    ["--shape", "8", "8", "8"], ["--tasks", "2"], ["--steps", "2"],
 ])
 def test_scaling_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["scaling", "--measured", "--shape", "8", "8", "8",
-              "--tasks", "2", "--steps", "2", *argv])
+        main(["scaling", *argv])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -108,7 +94,7 @@ def test_removed_kernels_flags_are_rejected(argv):
 ])
 def test_removed_fsi_pool_flags_are_rejected(argv):
     """``profile`` / ``trace`` have no backend to pick (the FSI process
-    pool was removed); ``scaling --measured`` keeps its lattice flags."""
+    pool was removed)."""
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
 

@@ -33,8 +33,4 @@ def _env_rows_in_tuning_doc() -> set[str]:
 def test_env_variables_match_tuning_table():
     documented = _env_rows_in_tuning_doc()
     assert _env_literals_in_source() == documented
-    assert documented == {
-        "REPRO_PARALLEL_BACKEND",
-        "REPRO_PARALLEL_WORKERS",
-        "REPRO_DTYPE",
-    }
+    assert documented == {"REPRO_DTYPE"}

@@ -50,7 +50,8 @@ FORBIDDEN = {
     ),
     "repro.experiments.tube_window": ("networkx", *CELL_RUN_FORBIDDEN),
     "repro.experiments.expanding_channel": ("networkx", *CELL_RUN_FORBIDDEN),
-    "python -m repro --help": ("scipy",),
+    # no subcommand picks a lattice backend any more
+    "python -m repro --help": ("scipy", "multiprocessing", "repro.parallel"),
 }
 
 

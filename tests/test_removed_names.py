@@ -10,11 +10,7 @@ from repro.fsi import FSIStepper
 from repro.ibm import make_stencil
 from repro.ibm.coupling import spread_with_stencil
 from repro.lbm import Grid, LBMSolver
-from repro.parallel import (
-    BlockDecomposition,
-    DistributedLBMSolver,
-    measure_throughput,
-)
+from repro.parallel import BlockDecomposition, DistributedLBMSolver
 from repro.service.registry import known_experiments
 from repro.units import UnitSystem
 
@@ -38,7 +34,13 @@ REMOVED = {
     "repro.service": (("status",), ("campaign_status", "render_status")),
     # the decomposed lattice steps one way: packed exchange, uniform split;
     # the cell side of the FSI step runs inline, without a process pool
-    "repro.parallel": ((), ("HALO_MODES", "weighted_splits", "FSI_PHASES")),
+    "repro.parallel": (
+        ("measure",),
+        ("HALO_MODES", "weighted_splits", "FSI_PHASES", "measure_throughput",
+         "measured_scaling_curve", "measured_weak_scaling"),
+    ),
+    # no environment variable selects the decomposed lattice's backend
+    "repro.parallel.pool": ((), ("ENV_BACKEND", "ENV_WORKERS")),
     "repro.parallel.fsi": ((), ("FSIWorker", "GroupSpec", "FSI_PHASES")),
     # one copy of the cell population: the manager's packed store; the
     # IBM step runs only on the FSI runtime
@@ -51,8 +53,6 @@ REMOVED_KWARGS = {
     DistributedLBMSolver: (((8, 8, 8), 0.8, 2),
                            ("halo_mode", "weighted_split", "dims", "periodic")),
     BlockDecomposition: (((8, 8, 8), 2), ("weights", "dims", "periodic")),
-    measure_throughput: (((8, 8, 8), 2),
-                         ("halo_mode", "dims", "weighted_split", "solid")),
     FSIStepper: ((Grid((4, 4, 4), tau=1.0), UnitSystem(1e-6, 1e-7, 1025.0)),
                  ("backend", "workers")),
     spread_with_stencil: ((np.zeros((1, 3)),
