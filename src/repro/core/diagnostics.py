@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lbm.collision import macroscopic
+from ..lbm.collision import density, macroscopic
 from ..membrane.cell import CellKind
 from .window import Region
 
@@ -27,25 +27,24 @@ def interface_velocity_mismatch(coupling) -> float:
     Samples the coarse nodes that the coupling restricts (window
     interior) and compares against the coincident fine nodes *before* the
     next restriction would overwrite them — at a converged coupled state
-    the two lattices agree to interpolation accuracy.
+    the two lattices agree to interpolation accuracy.  Only those
+    columns are gathered and their velocity formed; a node's moments do
+    not depend on the block it is formed in.
     """
     coarse_idx = coupling.restriction_coarse_indices
     if coarse_idx is None:
         return 0.0
-    cg = coupling.coarse.grid
-    fg = coupling.fine.grid
-    _, u_c = macroscopic(cg.f)
-    _, u_f = macroscopic(fg.f)
-    ci, cj, ck = coarse_idx
-    fi, fj, fk = coupling.restriction_fine_indices
-    diff = u_c[:, ci, cj, ck] - u_f[:, fi, fj, fk]
+    fine_idx = coupling.restriction_fine_indices
+    _, u_c = macroscopic(coupling.coarse.grid.f[(slice(None),) + coarse_idx])
+    _, u_f = macroscopic(coupling.fine.grid.f[(slice(None),) + fine_idx])
+    diff = u_c - u_f
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
 def window_density_deviation(sim) -> float:
-    """Max |rho - 1| over the window's fluid nodes."""
+    """Max |rho - 1| over the window's fluid nodes (density alone)."""
     fg = sim.fine.grid
-    rho, _ = macroscopic(fg.f)
+    rho = density(fg.f)
     fluid = ~fg.solid
     if not fluid.any():
         return 0.0

@@ -28,17 +28,18 @@ class BounceBackLinks:
     ``x - c_i`` is solid.  Built once from boolean ``masks`` (19, ...)
     that flag them (:func:`repro.lbm.streaming.upwind_solid_masks` or
     :func:`~repro.lbm.streaming.padded_upwind_solid_masks`); the masks
-    are not kept.  ``dirs`` and ``nodes`` list the links direction by
-    direction (flat node index into ``masks[0]``'s shape); ``dst`` and
-    ``src`` are the flat indices ``i*N + x`` and ``opp(i)*N + x`` into
-    a C-contiguous ``(19,) + masks[0].shape`` lattice.
+    are not kept.  ``dst`` and ``src`` list the links direction by
+    direction as the flat indices ``i*n + x`` and ``opp(i)*n + x`` into
+    a C-contiguous ``(19,) + masks[0].shape`` lattice of ``n`` nodes;
+    a reader of ``i`` and ``x`` (a moving wall) derives them from
+    ``dst``.
     """
 
     def __init__(self, masks: np.ndarray):
-        n = masks[0].size
-        self.dirs, self.nodes = np.nonzero(masks.reshape(D3Q19.Q, n))
-        self.dst = self.dirs * n + self.nodes
-        self.src = D3Q19.opp[self.dirs] * n + self.nodes
+        self.n = n = masks[0].size
+        dirs, nodes = np.nonzero(masks.reshape(D3Q19.Q, n))
+        self.dst = dirs * n + nodes
+        self.src = D3Q19.opp[dirs] * n + nodes
 
 
 def bounce_back_values(
@@ -74,10 +75,11 @@ def bounce_back_values(
         raise ValueError("bounce-back links index C-contiguous lattices")
     values = f_post.reshape(-1)[links.src]
     if wall_velocity is not None:
+        dirs, nodes = np.divmod(links.dst, links.n)
         uw = np.asarray(wall_velocity, dtype=np.float64)
-        u = uw[:, None] if uw.ndim == 1 else uw.reshape(3, -1)[:, links.nodes]
-        cu = (D3Q19.c[links.dirs].T * u).sum(axis=0)
-        values = values + 2.0 * D3Q19.w[links.dirs] * rho_wall * cu / D3Q19.cs2
+        u = uw[:, None] if uw.ndim == 1 else uw.reshape(3, -1)[:, nodes]
+        cu = (D3Q19.c[dirs].T * u).sum(axis=0)
+        values = values + 2.0 * D3Q19.w[dirs] * rho_wall * cu / D3Q19.cs2
     return values
 
 

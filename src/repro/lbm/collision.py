@@ -27,18 +27,19 @@ handful of per-node monomials:
 monomial rows :data:`PANEL` columns at a time and hands the 19-row work
 to BLAS GEMM plus one axpy, instead of walking ``(19, N)`` arrays once
 per elementary operation.  The density and momentum are one more GEMM,
-``[1; c^T] @ f`` (:func:`moments`), which reads ``f`` once.
+``[1; c^T] @ f`` (:func:`moments`), formed in the same panel pass, so
+``f`` is read once per collide.
 
 Fixed-width panels
 ------------------
 BLAS rounds a column differently depending on how many columns the call
 has (tail columns take another micro-kernel), so ``A @ X[:, a:b]`` is
 *not* the same numbers as ``(A @ X)[:, a:b]``.  Every lattice GEMM here
-— the collide operator, the moment sums in :func:`moments` and the
-equilibrium — is
-therefore issued over column panels of the flattened lattice that are
-always :data:`GEMM_COLS` wide, the last one zero-padded in a contiguous
-scratch.  Each call has the identical shape, a column's result does not
+— the collide operator, the moment sums (in the collide, :func:`moments`
+and :func:`density`) and the equilibrium — is therefore issued over
+column panels of the flattened lattice that are always
+:data:`GEMM_COLS` wide, the last one zero-padded in a panel buffer.
+Each call has the identical shape, a column's result does not
 depend on its position inside the panel, and so a node's result cannot
 depend on the shape of the lattice, block or slab it sits in: a
 decomposed lattice stays bitwise equal to the single grid.
@@ -63,21 +64,25 @@ is the same bits split or inline.  Packing strided views and copying
 
 Allocation discipline
 ---------------------
-:class:`CollisionScratch` holds the lattice-sized ``rho``/``mom`` rows
-(one ``(4, N)`` buffer).  The panel-sized rest — ``u``/``den`` and three
-``(19, PANEL)`` work buffers — is one set per process, dtype and half,
-shared by every lattice (:func:`_panel_buffers`); the moment GEMM's
-zero-padded ragged tail lives there too.  Nothing ``(19, N)``-sized is
-allocated besides ``f`` and ``out`` themselves.
+The collide holds nothing lattice-sized between calls.  Its density
+and momentum are formed panel by panel, just before the monomials,
+unless the caller hands over cached ones (``moments_in``; only a lattice
+whose moments have a second reader keeps a cache, see
+:mod:`repro.lbm.solver`).  The panel-sized rest — the moments,
+``u``/``den`` and three ``(19, PANEL)`` work buffers — is one set per
+process, dtype and half, shared by every lattice (:func:`_panel_buffers`);
+the moment GEMM's zero-padded ragged tail lives there too.  Nothing
+``(19, N)``-sized is allocated besides ``f`` and ``out`` themselves.
 With ``scratch`` and ``out`` supplied the collide allocates nothing (the
 19x19 operators are cached per dtype and ``omega``); without them it
 allocates what it returns plus a throw-away scratch — same values
 either way.  Strided slab views are packed into contiguous buffers the
-scratch keeps per slab shape.  :func:`equilibrium` evaluates
-``M @ Phi`` with the same monomials and panels; besides what it returns
-it allocates one ``(10, PANEL)`` monomial panel, or for fewer than
-:data:`GEMM_COLS` nodes one zero-padded ``(10 + 19, GEMM_COLS)`` panel
-and product.
+scratch keeps per slab shape.  :func:`density` forms ``rho`` alone
+through the same panels, for a reader that needs nothing else.
+:func:`equilibrium` evaluates ``M @ Phi`` with the same monomials and
+panels; besides what it returns it allocates one ``(10, PANEL)``
+monomial panel, or for fewer than :data:`GEMM_COLS` nodes one
+zero-padded ``(10 + 19, GEMM_COLS)`` panel and product.
 """
 
 from __future__ import annotations
@@ -177,13 +182,15 @@ def _is_field(tau) -> bool:
 def _panel_buffers(dtype: np.dtype, half: int) -> tuple[np.ndarray, ...]:
     """The process's :data:`PANEL`-wide buffers in ``dtype`` for one half
     of a pass (0 inline or on the calling thread, 1 on the helper):
-    velocity, floored density, monomial rows, GEMM result and work rows.
+    velocity, floored density, monomial rows, GEMM result (first the
+    panel's moments) and work rows.
 
-    Every :func:`collide_bgk` and :func:`moments` call writes each panel
-    column before it reads it, and no call is in flight while another
-    runs (the lattices of a process step one after the other; a process
-    pool's workers each have their own), so every lattice of a dtype
-    shares them; the two halves of a split pass each use their own.
+    Every :func:`collide_bgk`, :func:`moments` and :func:`density` call
+    writes each panel column before it reads it, and no call is in
+    flight while another runs (the lattices of a process step one after
+    the other; a process pool's workers each have their own), so every
+    lattice of a dtype shares them; the two halves of a split pass each
+    use their own.
     """
     return (
         np.empty((3, PANEL), dtype=dtype),
@@ -199,19 +206,22 @@ class CollisionScratch:
 
     One instance per :class:`~repro.lbm.grid.Grid` shape; handing it to
     :func:`collide_bgk` removes every lattice-sized allocation from the
-    collision step.  ``dtype`` matches the grid's compute dtype.  Only
-    ``moments`` is lattice-sized and the instance's own; the velocity,
-    the density floor and the ``(19, N)`` work live in :data:`PANEL`-wide
-    buffers that all lattices of a dtype share (:func:`_panel_buffers`).
+    collision step.  ``dtype`` matches the grid's compute dtype.  The
+    collide itself keeps nothing lattice-sized here but the packed copies
+    of strided views: the velocity, the density floor, the moments and
+    the ``(19, N)`` work live in :data:`PANEL`-wide buffers that all
+    lattices of a dtype share (:func:`_panel_buffers`).  ``moments`` is
+    for an owner that reads the moments twice
+    (:meth:`~repro.lbm.solver.LBMSolver.cached_moments`, which allocates
+    it on its first call) and hands them back as ``moments_in``.
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
         self.shape = tuple(shape)
-        self.dtype = dt = np.dtype(dtype)
-        #: :func:`moments` output; ``rho`` and ``mom`` are its rows.
-        self.moments = np.empty((4,) + self.shape, dtype=dt)
-        self.rho = self.moments[0]
-        self.mom = self.moments[1:]
+        self.dtype = np.dtype(dtype)
+        #: ``(4,) + shape`` cached :func:`moments` output, ``rho`` in row
+        #: 0 and ``mom`` in rows 1-3; ``None`` until an owner needs one.
+        self.moments: np.ndarray | None = None
         self._packed: dict[str, np.ndarray] = {}
 
     def packed(self, name: str, a):
@@ -222,39 +232,67 @@ class CollisionScratch:
         return buf
 
 
-def _by_halves(n: int, body) -> None:
-    """``body(half, lo, hi)`` over the columns ``[0, n)``: in one call, or
-    in two halves split at a :data:`PANEL` boundary (see "Two halves")."""
+def _by_panels(n: int, body) -> None:
+    """``body(half, lo, hi)`` for each :data:`PANEL`-wide column range of
+    ``[0, n)``, the last one ragged: in one walk, or in two halves split
+    at a :data:`PANEL` boundary (see "Two halves")."""
+
+    def walk(half, start, stop):
+        for lo in range(start, stop, PANEL):
+            body(half, lo, min(lo + PANEL, stop))
+
     mid = split_column(n, PANEL)
     if mid is None:
-        body(0, 0, n)
+        walk(0, 0, n)
     else:
-        run_halves(lambda: body(0, 0, mid), lambda: body(1, mid, n))
+        run_halves(lambda: walk(0, 0, mid), lambda: walk(1, mid, n))
 
 
-def _panel_matmul(a, x, out) -> None:
-    """``out[...] = a @ x``, one fixed-width column panel at a time.
+def _matmul_panel(a, x, out, pad) -> None:
+    """``out[:, :n] = a @ x`` for an ``x`` of ``n <= PANEL`` columns with
+    unit column stride, in :data:`GEMM_COLS`-wide calls.
 
-    ``x`` is ``(k, n)`` and ``out`` ``(m, n)``, both with unit column
-    stride and at most 19 rows.  Full panels go to BLAS as strided views;
-    the tail is zero-padded to :data:`GEMM_COLS` columns so that it is the
-    same call.
+    Full column blocks go to BLAS as strided views; a ragged tail is
+    copied into ``pad`` (at least ``x``'s rows and :data:`GEMM_COLS`
+    columns) and zero-padded, so that it is the same call.  ``out`` has
+    ``n`` rounded up to :data:`GEMM_COLS` columns.
     """
+    n = x.shape[1]
+    full = n - n % GEMM_COLS
+    for c in range(0, full, GEMM_COLS):
+        np.matmul(a, x[:, c:c + GEMM_COLS], out=out[:, c:c + GEMM_COLS])
+    if full < n:
+        pad = pad[:x.shape[0], :GEMM_COLS]
+        pad[:, :n - full] = x[:, full:]
+        pad[:, n - full:] = 0.0
+        np.matmul(a, pad, out=out[:, full:full + GEMM_COLS])
 
-    def columns(half, lo, hi):
-        full = hi - (hi - lo) % GEMM_COLS
-        for c in range(lo, full, GEMM_COLS):
-            np.matmul(a, x[:, c:c + GEMM_COLS], out=out[:, c:c + GEMM_COLS])
-        if full < hi:
-            _, _, tail, product, _ = _panel_buffers(x.dtype, half)
-            tail = tail[:x.shape[0], :GEMM_COLS]
-            product = product[:a.shape[0], :GEMM_COLS]
-            tail[:, :hi - full] = x[:, full:hi]
-            tail[:, hi - full:] = 0.0
-            np.matmul(a, tail, out=product)
-            out[:, full:hi] = product[:, :hi - full]
 
-    _by_halves(x.shape[1], columns)
+def _panel_moments(f2, lo, hi, half) -> np.ndarray:
+    """``[1; c^T] @ f2[:, lo:hi]`` for one :data:`PANEL` of ``(19, N)``
+    columns, in the half's panel buffers: the ``(4, hi - lo)`` rows."""
+    _, _, _, product, work = _panel_buffers(f2.dtype, half)
+    _matmul_panel(_moments_operator(f2.dtype), f2[:, lo:hi], product[:4],
+                  work)
+    return product[:4, :hi - lo]
+
+
+def _moment_rows(f: np.ndarray, out2: np.ndarray) -> None:
+    """The first ``k`` rows of ``[1; c^T] @ f`` into the ``(k, N)`` node
+    columns ``out2``, panel by panel."""
+    f2 = np.ascontiguousarray(f).reshape(D3Q19.Q, -1)
+    k = out2.shape[0]
+
+    def panel(half, lo, hi):
+        if k == 4 and hi - lo == PANEL:
+            # a full panel's GEMMs land in ``out2`` directly
+            _, _, _, _, work = _panel_buffers(f2.dtype, half)
+            _matmul_panel(_moments_operator(f2.dtype), f2[:, lo:hi],
+                          out2[:, lo:hi], work)
+        else:
+            out2[:, lo:hi] = _panel_moments(f2, lo, hi, half)[:k]
+
+    _by_panels(f2.shape[1], panel)
 
 
 def flat_columns(a: np.ndarray) -> np.ndarray:
@@ -296,9 +334,18 @@ def moments(
     """
     if out is None:
         out = np.empty((4,) + f.shape[1:], dtype=f.dtype)
-    f2 = np.ascontiguousarray(f).reshape(D3Q19.Q, -1)
-    _panel_matmul(_moments_operator(f.dtype), f2, out.reshape(4, -1))
+    _moment_rows(f, out.reshape(4, -1))
     return out[0], out[1:]
+
+
+def density(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Density alone: bit for bit ``moments(f)[0]``, from the same GEMM
+    calls, without the ``(4,) + f.shape[1:]`` rows.  ``out`` is a
+    C-contiguous ``f.shape[1:]`` buffer."""
+    if out is None:
+        out = np.empty(f.shape[1:], dtype=f.dtype)
+    _moment_rows(f, out.reshape(1, -1))
+    return out
 
 
 def patch_moments(
@@ -486,9 +533,12 @@ def collide_bgk(
 
     ``scratch`` supplies preallocated temporaries (no lattice-sized
     allocation when both ``scratch`` and ``out`` are given);
-    ``moments_in`` lets the caller reuse cached post-stream ``(rho, mom)``
-    so the moment sums are not recomputed.  ``f``, ``out``, ``force``,
-    ``tau`` and ``moments_in`` may be strided slab views.
+    ``moments_in`` lets the caller hand over cached post-stream
+    ``(rho, mom)`` of ``f``.  Without it each panel forms its own from
+    the ``f`` columns it is about to relax, with the GEMM calls of
+    :func:`moments` (the same bits), so ``f`` is read once.  ``f``,
+    ``out``, ``force``, ``tau`` and ``moments_in`` may be strided slab
+    views.
 
     Returns the post-collision distributions (``out`` when given).  The
     pre-collision ``rho, u`` it relaxes towards are
@@ -499,10 +549,6 @@ def collide_bgk(
         scratch = CollisionScratch(f.shape[1:], dtype=f.dtype)
     if out is None:
         out = np.empty(f.shape, dtype=f.dtype)
-    if moments_in is None:
-        rho, mom = moments(f, out=scratch.moments)
-    else:
-        rho, mom = moments_in
 
     def rows(name, a, lead):
         if not a.flags.c_contiguous:
@@ -512,8 +558,10 @@ def collide_bgk(
         return a.reshape(lead, -1)
 
     f2 = rows("f", f, q)
-    rho2 = rows("rho", rho, 1)[0]
-    mom2 = rows("mom", mom, 3)
+    rho2 = mom2 = None
+    if moments_in is not None:
+        rho2 = rows("rho", moments_in[0], 1)[0]
+        mom2 = rows("mom", moments_in[1], 3)
     force2 = None if force is None else rows("force", force, 3)
     packed_out = None if out.flags.c_contiguous else scratch.packed("out", out)
     out2 = (out if packed_out is None else packed_out).reshape(q, -1)
@@ -532,72 +580,74 @@ def collide_bgk(
 
     floor = _rho_floor(f.dtype)
 
-    def panels(half, start, n):
+    def panel(half, lo, hi):
         u_buf, den, monomials, product, work = _panel_buffers(f.dtype, half)
-        for lo in range(start, n, PANEL):
-            sl = slice(lo, min(lo + PANEL, n))
-            w = sl.stop - lo
-            # columns the GEMM pieces cover: w rounded up, the excess zeroed
-            padded = -(-w // GEMM_COLS) * GEMM_COLS
-            monomials[:, w:padded] = 0.0
-            x = monomials[:, :w]
-            r, m, u, d = rho2[sl], mom2[:, sl], u_buf[:, :w], den[:w]
-            fp = None
-            if force2 is not None and bool(force2[:, sl].any()):
-                fp = force2[:, sl]
+        sl = slice(lo, hi)
+        w = hi - lo
+        # columns the GEMM pieces cover: w rounded up, the excess zeroed
+        padded = -(-w // GEMM_COLS) * GEMM_COLS
+        monomials[:, w:padded] = 0.0
+        x = monomials[:, :w]
+        if rho2 is None:
+            # in ``product``, which is free until the collide GEMM
+            rm = _panel_moments(f2, lo, hi, half)
+            r, m = rm[0], rm[1:]
+        else:
+            r, m = rho2[sl], mom2[:, sl]
+        u, d = u_buf[:, :w], den[:w]
+        fp = None
+        if force2 is not None and bool(force2[:, sl].any()):
+            fp = force2[:, sl]
 
-            np.maximum(r, floor, out=d)
-            if fp is None:
-                np.divide(m, d, out=u)
-            else:
-                np.multiply(fp, 0.5, out=u)
-                np.add(u, m, out=u)
-                np.divide(u, d, out=u)
+        np.maximum(r, floor, out=d)
+        if fp is None:
+            np.divide(m, d, out=u)
+        else:
+            np.multiply(fp, 0.5, out=u)
+            np.add(u, m, out=u)
+            np.divide(u, d, out=u)
 
-            x[0] = r
-            np.multiply(u, r, out=x[1:4])
-            np.multiply(x[1:4], u, out=x[4:7])
-            for row, (a, b) in enumerate(_PAIRS, start=7):
-                np.multiply(x[1 + a], u[b], out=x[row])
+        x[0] = r
+        np.multiply(u, r, out=x[1:4])
+        np.multiply(x[1:4], u, out=x[4:7])
+        for row, (a, b) in enumerate(_PAIRS, start=7):
+            np.multiply(x[1 + a], u[b], out=x[row])
+        if fp is not None:
+            psi = x[_N_PHI:]
+            psi[0:3] = fp
+            np.multiply(u, fp, out=psi[3:6])
+            t = work[0, :w]
+            for row, (a, b) in enumerate(_PAIRS, start=6):
+                np.multiply(u[a], fp[b], out=psi[row])
+                np.multiply(u[b], fp[a], out=t)
+                np.add(psi[row], t, out=psi[row])
+
+        if tau_field:
+            # den is free again: it carries omega, then (1 - omega).
+            np.divide(1.0, tau2[sl], out=d)
+            np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
             if fp is not None:
-                psi = x[_N_PHI:]
-                psi[0:3] = fp
-                np.multiply(u, fp, out=psi[3:6])
-                t = work[0, :w]
-                for row, (a, b) in enumerate(_PAIRS, start=6):
-                    np.multiply(u[a], fp[b], out=psi[row])
-                    np.multiply(u[b], fp[a], out=t)
-                    np.add(psi[row], t, out=psi[row])
+                np.multiply(d, -0.5, out=t)
+                np.add(t, 1.0, out=t)
+                np.multiply(psi, t, out=psi)
+            np.subtract(1.0, d, out=d)
 
-            if tau_field:
-                # den is free again: it carries omega, then (1 - omega).
-                np.divide(1.0, tau2[sl], out=d)
-                np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
-                if fp is not None:
-                    np.multiply(d, -0.5, out=t)
-                    np.add(t, 1.0, out=t)
-                    np.multiply(psi, t, out=psi)
-                np.subtract(1.0, d, out=d)
+        # (1 - omega) f first, so that ``out`` may alias ``f``; a full
+        # panel's GEMM then lands in ``out`` directly.
+        if relax:
+            np.multiply(f2[:, sl], d if tau_field else keep, out=work[:, :w])
+        target = out2[:, sl] if w == PANEL else product
+        if fp is None:
+            op, x_rows = op_phi, monomials[:_N_PHI]
+        else:
+            op, x_rows = op_full, monomials
+        _matmul_panel(op, x_rows[:, :padded], target, None)
+        if relax:
+            np.add(target[:, :w], work[:, :w], out=out2[:, sl])
+        elif w < PANEL:
+            out2[:, sl] = product[:, :w]
 
-            # (1 - omega) f first, so that ``out`` may alias ``f``; a full
-            # panel's GEMM then lands in ``out`` directly.
-            if relax:
-                np.multiply(f2[:, sl], d if tau_field else keep,
-                            out=work[:, :w])
-            target = out2[:, sl] if w == PANEL else product
-            if fp is None:
-                op, x_rows = op_phi, monomials[:_N_PHI]
-            else:
-                op, x_rows = op_full, monomials
-            for c in range(0, padded, GEMM_COLS):
-                cols = slice(c, c + GEMM_COLS)
-                np.matmul(op, x_rows[:, cols], out=target[:, cols])
-            if relax:
-                np.add(target[:, :w], work[:, :w], out=out2[:, sl])
-            elif w < PANEL:
-                out2[:, sl] = product[:, :w]
-
-    _by_halves(f2.shape[1], panels)
+    _by_panels(f2.shape[1], panel)
 
     if packed_out is not None:
         out[...] = packed_out

@@ -335,11 +335,14 @@ def reference_cached_moments(solver):
     """``LBMSolver.cached_moments`` patching every logged write in turn,
     from ``f`` (any columns the writer logged are ignored)."""
     g = solver.grid
-    rho, mom = solver._scratch.rho, solver._scratch.mom
+    sc = solver._scratch
+    if sc.moments is None:
+        sc.moments = np.empty((4,) + tuple(g.shape), dtype=g.dtype)
+    rho, mom = sc.moments[0], sc.moments[1:]
     if solver._moments_version != g.f_version:
         patches = g.f_patches_since(solver._moments_version)
         if patches is None:
-            moments(g.f, out=solver._scratch.moments)
+            moments(g.f, out=sc.moments)
         else:
             for nodes, _ in patches:
                 gather_patch_moments(g.f, nodes, rho, mom)

@@ -28,6 +28,17 @@ def test_fluid_only_step_runs():
     assert st.step_count == 3
 
 
+def test_only_a_cell_laden_lattice_keeps_a_moment_cache():
+    """Advection reads the post-stream moments the next collide reuses:
+    a lattice with cells keeps them cached, one without does not."""
+    laden, _ = _setup(with_cell=True)
+    laden.step(1)
+    assert laden.solver._scratch.moments is not None
+    bare, _ = _setup(with_cell=False)
+    bare.step(1)
+    assert bare.solver._scratch.moments is None
+
+
 def test_cell_volume_conserved_in_uniform_flow():
     st, _ = _setup(force=np.array([500.0, 0, 0]))
     cell = st.cells.cells[0]

@@ -12,6 +12,7 @@ from repro.lbm.collision import (
     CollisionScratch,
     _panel_buffers,
     collide_bgk,
+    density,
     equilibrium,
     macroscopic,
     moments,
@@ -271,6 +272,33 @@ def test_collide_matches_multipass_oracle(rng, shape, force_kind, tau_kind,
     )
     assert again is out
     assert np.array_equal(again, got)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("tau_kind", _TAUS)
+@pytest.mark.parametrize("force_kind", _FORCES)
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_collide_in_panel_moments_equal_cached(rng, shape, force_kind,
+                                               tau_kind, dtype):
+    """Without ``moments_in`` every panel forms its own moments with the
+    GEMM calls of :func:`moments`: the same bits as handing them over."""
+    f = _perturbed_state(rng, shape, dtype)
+    force = _force(rng, shape, force_kind, dtype)
+    tau = _tau(rng, shape, tau_kind, dtype)
+    own = collide_bgk(f, tau, force)
+    handed = collide_bgk(f, tau, force, moments_in=moments(f))
+    assert np.array_equal(own, handed)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_density_is_row_zero_of_moments(rng, shape, dtype):
+    f = _perturbed_state(rng, shape, dtype)
+    rho = density(f)
+    assert rho.shape == shape and rho.dtype == dtype
+    assert np.array_equal(rho, moments(f)[0])
+    gathered = f.reshape(19, -1)[:, ::7]
+    assert np.array_equal(density(gathered), moments(gathered)[0])
 
 
 @pytest.mark.parametrize("tau_kind", _TAUS)
@@ -538,32 +566,66 @@ def _held_bytes(*objs) -> int:
 
 
 def test_collide_scratch_holds_one_lattice_sized_buffer():
-    """Only ``moments`` (and its ``rho`` / ``mom`` rows) grows with the
-    lattice; the velocity, density floor and work rows are panel-sized,
+    """Nothing in a scratch grows with the lattice until a solver's
+    ``cached_moments()`` allocates ``moments`` there; the velocity,
+    density floor, moments and work rows of the collide are panel-sized,
     one set per half of a pass."""
-    small = vars(CollisionScratch((10, 11, 12)))
-    large = vars(CollisionScratch((20, 21, 22)))
-    grows = sorted(
-        name for name, a in small.items()
-        if isinstance(a, np.ndarray) and a.shape != large[name].shape
-    )
-    assert grows == ["mom", "moments", "rho"]
+    from repro.lbm import Grid, LBMSolver
+
+    def grown(step):
+        fields = []
+        for shape in ((10, 11, 12), (20, 21, 22)):
+            solver = LBMSolver(Grid(shape, tau=0.8))
+            step(solver)
+            fields.append(vars(solver._scratch))
+        small, large = fields
+        return sorted(
+            name for name, a in small.items()
+            if isinstance(a, np.ndarray) and a.shape != large[name].shape
+        )
+
+    assert grown(lambda s: s.step(2)) == []
+    assert grown(lambda s: (s.step(2), s.cached_moments())) == ["moments"]
     for half in (0, 1):
         u, den, *rows = _panel_buffers(np.dtype(np.float64), half)
         assert u.shape == (3, PANEL) and den.shape == (PANEL,)
         assert all(r.shape[1] == PANEL for r in rows)
 
 
-def test_lattice_state_is_209_bytes_per_float64_node():
-    """``f`` 152 + force 24 + moments 32 + solid 1, per node: the growth
-    of what a Grid and its LBMSolver hold between two lattice sizes."""
+def _per_node_bytes(prepare) -> float:
+    """Growth of what a float64 Grid and its LBMSolver hold, per node,
+    between two lattice sizes, after ``prepare(solver)``."""
     from repro.lbm import Grid, LBMSolver
 
     def held(shape):
         grid = Grid(shape, tau=0.8, dtype=np.float64)
         solver = LBMSolver(grid)
+        prepare(solver)
         return _held_bytes(grid, solver, solver._scratch)
 
     small, large = (10, 11, 12), (20, 21, 22)
-    per_node = (held(large) - held(small)) / (np.prod(large) - np.prod(small))
-    assert per_node == 209
+    return (held(large) - held(small)) / (np.prod(large) - np.prod(small))
+
+
+def test_cell_free_lattice_state_is_177_bytes_per_float64_node():
+    """``f`` 152 + force 24 + solid 1: a stepped lattice whose moments
+    have no second reader, diagnostics included, keeps no moment cache."""
+
+    def run(solver):
+        solver.step(3)
+        solver.mass()
+        solver.macroscopic()
+
+    assert _per_node_bytes(run) == 177
+
+
+def test_lattice_state_is_209_bytes_per_float64_node():
+    """``f`` 152 + force 24 + moments 32 + solid 1, once the moments have
+    a second reader (``cached_moments()``, as cell advection calls it)."""
+
+    def run(solver):
+        solver.step(1)
+        solver.cached_moments()
+        solver.step(1)
+
+    assert _per_node_bytes(run) == 209

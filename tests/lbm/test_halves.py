@@ -107,15 +107,49 @@ def test_collide_split_in_place_with_cached_moments(split, dtype):
 
     def run():
         f = _populations(shape, dtype)
-        scratch = CollisionScratch(shape, dtype=dtype)
-        rho, mom = moments(f, out=scratch.moments)
-        out = collide_bgk(f, tau, force, out=f, scratch=scratch,
-                          moments_in=(rho, mom))
+        out = collide_bgk(f, tau, force, out=f,
+                          scratch=CollisionScratch(shape, dtype=dtype),
+                          moments_in=moments(f))
         assert out is f
         return f
 
     inline, halved = _both(split, run)
     assert np.array_equal(inline, halved)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("tau", [0.8, 1.0, "field"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("on", [False, True])
+def test_collide_in_panel_moments_equal_cached(split, dtype, tau, forced, on):
+    """The moments each panel forms for itself give the bits of cached
+    ones handed over, split or inline: a ragged last panel, and a force
+    that is zero on some panels."""
+    shape = SHAPES[0]
+    f = _populations(shape, dtype)
+    force = _force(shape, dtype) if forced else None
+    tau = _tau(tau, shape, dtype)
+    split(on)
+    own = collide_bgk(f, tau, force)
+    handed = collide_bgk(f, tau, force, moments_in=moments(f))
+    assert np.array_equal(own, handed)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("on", [False, True])
+def test_collide_in_panel_moments_on_strided_slab_views(split, dtype, on):
+    big = (24, 21, 22)
+    slab = (slice(None), slice(2, 22))
+    force = _force(big, dtype)[slab]
+    tau = _tau("field", big, dtype)[2:22]
+    f = _populations(big, dtype)
+    rho, mom = moments(f)
+    split(on)
+    own, handed = f.copy(), f.copy()
+    collide_bgk(own[slab], tau, force, out=own[slab])
+    collide_bgk(handed[slab], tau, force, out=handed[slab],
+                moments_in=(rho[2:22], mom[slab]))
+    assert np.array_equal(own, handed)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

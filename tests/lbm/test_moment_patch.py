@@ -148,6 +148,7 @@ class _ReadingSolver(LBMSolver):
 
     def step(self, n: int = 1) -> None:
         super().step(n)
+        self.cached_moments()
         self.velocity()
         if not self.patch:
             self.invalidate_macroscopic()

@@ -14,7 +14,8 @@ from repro.lbm import (
     PressureOutlet,
     VelocityInlet,
 )
-from repro.lbm.collision import _panel_buffers
+from repro.lbm.collision import _panel_buffers, macroscopic
+from repro.telemetry import Telemetry, active
 
 from .reference_bodies import two_buffer_step
 
@@ -143,6 +144,46 @@ def test_step_allocates_nothing_lattice_sized():
         tracemalloc.stop()
     assert peak < g.f.nbytes / 4
     assert g._f_post is None
+
+
+def test_cell_free_solver_keeps_no_moment_cache():
+    """Without a second reader of its moments a lattice allocates no
+    cache: the collide forms them in its panels, and the diagnostics
+    form theirs afresh, with the same values."""
+    g = Grid((6, 7, 8), tau=0.8)
+    g.force[0] = 1e-5
+    s = LBMSolver(g, [])
+    with active(Telemetry()) as tel:
+        s.step(3)
+        rho, u = s.macroscopic()
+        s.velocity(), s.momentum(), s.mass()
+    assert s._scratch.moments is None
+    assert "lbm.moment_caches" not in tel.metrics.counters
+    want_rho, want_u = macroscopic(g.f, g.force)
+    assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
+    assert s.mass() == float(want_rho[~g.solid].sum())
+    with active(Telemetry()) as tel:
+        s.cached_moments()
+        s.cached_moments()
+    assert tel.metrics.counters["lbm.moment_caches"].value == 1
+
+
+def test_mass_allocates_a_density_row_only():
+    """Work-count guard: ``mass()`` forms the density alone, no moment
+    rows, no velocity and no cache."""
+    g = Grid((24, 64, 32), tau=0.9)
+    g.solid[:, 0] = g.solid[:, -1] = True
+    s = LBMSolver(g, [BounceBackWalls(g.solid)])
+    s.step(1)
+    s.mass()
+    tracemalloc.start()
+    try:
+        s.mass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.f.nbytes / 4
+    assert s._scratch.moments is None
 
 
 def test_f_post_is_allocated_on_first_access():
