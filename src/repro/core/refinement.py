@@ -55,9 +55,9 @@ that impose.  When both are unchanged at the next step, the end state is
 reused as the start state and the θ = 0 impose is left out: the shell
 already holds exactly those populations.  Shell gathers and scatters go
 one channel row at a time (:func:`~repro.lbm.collision.take_columns`,
-:func:`~repro.lbm.collision.put_columns`), and each impose hands the
-columns it wrote to the patch log, so the fine solver's cached moments
-are patched from them instead of gathering the shell back out of ``f``.
+:meth:`~repro.lbm.grid.Grid.write_columns`), and the write patches the
+fine lattice's cached moments, where it keeps them, from the columns it
+stores instead of gathering the shell back out of ``f``.
 """
 
 from __future__ import annotations
@@ -507,13 +507,8 @@ class RefinedRegion:
                 row *= theta
                 row += p_row
                 f_row += row
-        fg = self.fine.grid
-        # Rounded once, here, so that the patch log holds what f holds.
-        f_new = f_new.astype(fg.f.dtype, copy=False)
-        put_columns(fg.f, self._ghost_flat, f_new)
-        # Only the shell changed: cached moments are patched from the
-        # columns just written, not redone.
-        fg.mark_f_modified(self._ghost_flat, f_new)
+        # Only the shell changed: cached moments are patched, not redone.
+        self.fine.grid.write_columns(self._ghost_flat, f_new)
         get_telemetry().inc("refinement.shell_imposes")
 
     def _restrict(self) -> None:
@@ -534,9 +529,7 @@ class RefinedRegion:
         f -= feq
         f *= self._restrict_scale
         f += feq
-        f = f.astype(cg.f.dtype, copy=False)
-        put_columns(cg.f, self._restrict_coarse_flat, f)
-        cg.mark_f_modified(self._restrict_coarse_flat, f)
+        cg.write_columns(self._restrict_coarse_flat, f)
 
     # ------------------------------------------------------------------
     def _shell_inputs(self) -> np.ndarray:

@@ -30,6 +30,7 @@ from ..core.viscosity import tau_fine_from_coarse
 from ..geometry.vasculature import murray_tree, resample_polyline
 from ..geometry.voxelize import solid_mask_from_sdf
 from ..lbm.boundaries import BounceBackWalls
+from ..lbm.collision import density
 from ..lbm.grid import Grid
 from ..lbm.solver import LBMSolver
 from ..perfmodel.memory import rbc_count_for_volume, table2_fluid_volumes
@@ -156,7 +157,7 @@ def run_upper_body_sweep(
         coupling = RefinedRegion(coarse, fine, n)
         coupling.initialize_fine_from_coarse()
         coupling.step(steps_per_stop)
-        rho_f, _ = fine.macroscopic()
+        rho_f = density(fg.f)
         fluid = ~fg.solid
         if fluid.any():
             max_err = max(max_err, float(np.abs(rho_f[fluid] - 1.0).max()))

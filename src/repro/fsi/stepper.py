@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..lbm.collision import density
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
 from ..parallel.fsi import ParallelFSIRuntime
@@ -90,11 +91,6 @@ class FSIStepper:
                 [units.force_density_to_lattice(f) for f in body_force]
             )
         self.step_count = 0
-        # Packed vertex snapshot shared between the pre-collision spread
-        # and the post-stream interpolation of one step: positions do not
-        # change in between, so the IBM stencil is computed exactly once.
-        self._step_verts: np.ndarray | None = None
-        self._step_generation = -1
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:
@@ -103,12 +99,13 @@ class FSIStepper:
         for _ in range(n):
             if self.cells.n_cells:
                 # Advection reads the moments again after the stream, so
-                # they are cached: formed (or patched) here, before the
+                # the grid caches them: formed here (current already when
+                # only the ghost shell was written since), before the
                 # spread, which writes only the force, and reused by the
                 # collide.  Allocating the cache before the step's
                 # transients keeps it out of the space they reuse: made
                 # mid-step, it raised channel_efsi's peak RSS by 3-4 MiB.
-                self.solver.cached_moments()
+                self.grid.moments()
             self._spread_forces(tel)
             with tel.phase("collide_stream"):
                 self.solver.step()
@@ -130,7 +127,6 @@ class FSIStepper:
         g = self.grid
         with tel.phase("reset"):
             g.force[:] = self.body_force_lattice[:, None, None, None]
-        self._step_verts = None
         if self.cells.n_cells == 0:
             return
         rt = self.runtime
@@ -143,8 +139,6 @@ class FSIStepper:
         with tel.phase("spread"):
             rt.begin_step(verts)
             rt.spread(forces_lat, g.force)
-        self._step_verts = verts
-        self._step_generation = self.cells.generation
 
     def _advect_cells(self, tel=None) -> None:
         if self.cells.n_cells == 0:
@@ -154,23 +148,16 @@ class FSIStepper:
         rt = self.runtime
         with tel.phase("advect"):
             # The moment sums are shared with the next collide through
-            # the solver's cache; only ``velocity`` is advection's own.
+            # the grid's cache; only ``velocity`` is advection's own.
             with tel.phase("moments"):
-                self.solver.cached_moments()
+                self.grid.moments()
             with tel.phase("velocity"):
                 u = self.solver.velocity()
-            verts = self._step_verts
-            if verts is None or self._step_generation != self.cells.generation:
-                # Population changed since the spread (or spread was
-                # skipped): rebuild the snapshot and the marker stencil.
-                rt.end_step()
-                rt.sync_population(self.cells)
-                verts, _, _ = self.cells.packed_vertices()
-                rt.begin_step(verts)
+            # On the stencil of this step's spread: only the lattice step
+            # ran since, and it moves no marker and changes no cell.
             v_lat = rt.interpolate(u)
             # Vertices move now — the cached stencil must not outlive them.
             rt.end_step()
-            self._step_verts = None
             # One lattice time step: dx_lat = u_lat * 1, physical = u_lat * dx.
             with tel.phase("move"):
                 self.cells.update_vertices(v_lat * self.units.dx)
@@ -187,7 +174,7 @@ class FSIStepper:
     def pressure_drop(self, axis: int = 2) -> float:
         """Mean physical pressure difference between the first and last
         fluid slabs along ``axis`` [Pa] (used with Eq. 12)."""
-        rho, _ = self.solver.macroscopic()
+        rho = density(self.grid.f)
         fluid = ~self.grid.solid
         sl_lo = [slice(None)] * 3
         sl_hi = [slice(None)] * 3

@@ -68,7 +68,7 @@ The collide holds nothing lattice-sized between calls.  Its density
 and momentum are formed panel by panel, just before the monomials,
 unless the caller hands over cached ones (``moments_in``; only a lattice
 whose moments have a second reader keeps a cache, see
-:mod:`repro.lbm.solver`).  The panel-sized rest — the moments,
+:meth:`repro.lbm.grid.Grid.moments`).  The panel-sized rest — the moments,
 ``u``/``den`` and three ``(19, PANEL)`` work buffers — is one set per
 process, dtype and half, shared by every lattice (:func:`_panel_buffers`);
 the moment GEMM's zero-padded ragged tail lives there too.  Nothing
@@ -210,18 +210,14 @@ class CollisionScratch:
     collide itself keeps nothing lattice-sized here but the packed copies
     of strided views: the velocity, the density floor, the moments and
     the ``(19, N)`` work live in :data:`PANEL`-wide buffers that all
-    lattices of a dtype share (:func:`_panel_buffers`).  ``moments`` is
-    for an owner that reads the moments twice
-    (:meth:`~repro.lbm.solver.LBMSolver.cached_moments`, which allocates
-    it on its first call) and hands them back as ``moments_in``.
+    lattices of a dtype share (:func:`_panel_buffers`).  Cached moments
+    handed over as ``moments_in`` belong to their lattice
+    (:meth:`~repro.lbm.grid.Grid.moments`), not to the scratch.
     """
 
     def __init__(self, shape: tuple[int, int, int], dtype=np.float64):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        #: ``(4,) + shape`` cached :func:`moments` output, ``rho`` in row
-        #: 0 and ``mom`` in rows 1-3; ``None`` until an owner needs one.
-        self.moments: np.ndarray | None = None
         self._packed: dict[str, np.ndarray] = {}
 
     def packed(self, name: str, a):
@@ -349,24 +345,18 @@ def density(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def patch_moments(
-    f: np.ndarray,
-    nodes: np.ndarray,
-    rho: np.ndarray,
-    mom: np.ndarray,
-    columns: np.ndarray | None = None,
+    out: np.ndarray, nodes: np.ndarray, columns: np.ndarray
 ) -> None:
-    """Recompute ``rho`` / ``mom`` in place at flat node indices ``nodes``.
+    """Recompute the ``(4,) + shape`` :func:`moments` rows ``out`` in
+    place at flat node indices ``nodes``, from the ``(19, G)`` ``columns``
+    ``f`` holds there.
 
     Bitwise equal to what :func:`moments` writes there: the columns go
-    through the same fixed-width GEMM as a ``(19, G)`` block.  That block
-    is ``columns`` when given — the ``(19, G)`` values ``f`` holds at
-    ``nodes``, in ``f``'s dtype, as the writer just stored them — and is
-    gathered from ``f`` otherwise.
+    through the same fixed-width GEMM as a ``(19, G)`` block.
     """
-    block = take_columns(f, nodes) if columns is None else columns
-    block_rho, block_mom = moments(block)
-    rho.reshape(-1)[nodes] = block_rho
-    put_columns(mom, nodes, block_mom)
+    block = np.empty((4,) + columns.shape[1:], dtype=columns.dtype)
+    moments(columns, out=block)
+    put_columns(out, nodes, block)
 
 
 def velocity_from_moments(

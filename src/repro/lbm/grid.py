@@ -5,6 +5,14 @@ body-force field and the relaxation time.  Position convention: lattice
 node ``(i, j, k)`` sits at physical location ``origin + spacing*(i, j, k)``
 in the *global* coordinate frame, which is how the fine window is embedded
 in the coarse bulk lattice (Section 2.4.1 of the paper).
+
+It also owns the density/momentum cache of ``f``, which only a lattice
+whose moments have a second reader allocates (:meth:`Grid.moments`; cell
+advection, see :mod:`repro.fsi`).  Every write to ``f`` keeps the cache
+honest in one of two ways: a partial write goes through
+:meth:`Grid.write_columns`, which patches a current cache from the
+columns it stores; any other write calls :meth:`Grid.mark_f_modified`,
+which marks the cache stale, so the next read recomputes it in full.
 """
 
 from __future__ import annotations
@@ -15,8 +23,10 @@ from typing import Tuple
 import numpy as np
 
 from ..kernels import resolve_dtype
+from ..telemetry import get_telemetry
 from .lattice import D3Q19
-from .collision import equilibrium
+from .collision import equilibrium, patch_moments, put_columns
+from .collision import moments as form_moments
 
 
 @dataclass
@@ -66,14 +76,14 @@ class Grid:
         self.solid = np.zeros(self.shape, dtype=bool)
         #: Body-force density per node (3, nx, ny, nz), lattice units.
         self.force = np.zeros((3, nx, ny, nz), dtype=self.dtype)
-        #: Monotonic counter bumped whenever ``f`` changes; consumers
-        #: (the solver's moments cache) key derived state on it.
+        #: Monotonic counter bumped whenever ``f`` changes.
         self.f_version = 0
-        #: ``(nodes, columns)`` of each write since the last whole-lattice
-        #: one (at ``_f_whole_version``) that touched only part of ``f``;
-        #: see :meth:`f_patches_since`.
-        self._f_patches: list[tuple[np.ndarray, np.ndarray | None]] = []
-        self._f_whole_version = 0
+        #: ``(4,) + shape`` :func:`~repro.lbm.collision.moments` of ``f``
+        #: (``rho`` in row 0, ``mom`` in rows 1-3), allocated by the first
+        #: :meth:`moments` call; equal to a full recompute of ``f`` while
+        #: ``_moments_current``.
+        self._moments: np.ndarray | None = None
+        self._moments_current = False
         self.init_equilibrium()
 
     # ------------------------------------------------------------------
@@ -111,50 +121,53 @@ class Grid:
             self.f[:] = equilibrium(rho_arr, u)
         self.mark_f_modified()
 
-    #: Partial writes remembered between whole-lattice writes; one more
-    #: than this without a whole-lattice write in between drops the log
-    #: (consumers then recompute in full), which bounds its growth.
-    _MAX_F_PATCHES = 8
+    def mark_f_modified(self) -> None:
+        """Record a write to ``f`` that did not go through
+        :meth:`write_columns`: the moment cache is stale.
 
-    def mark_f_modified(
-        self, nodes: np.ndarray | None = None, columns: np.ndarray | None = None
-    ) -> None:
-        """Record a write to ``f`` (invalidates cached moments).
-
-        Any code that writes ``f`` in place (the solver's stream,
-        refinement coupling, checkpoint restore, tests) must call this so
-        cached macroscopic state is recomputed.  ``nodes`` are the flat
-        (C-order) indices of the only nodes the write touched, which lets
-        consumers patch instead of recomputing; omitted, the whole lattice
-        counts as rewritten.  ``columns``, if given, are the ``(19, G)``
-        values just stored at ``nodes`` (in ``f``'s dtype), so a patch
-        need not gather them again; they must stay unchanged until the
-        writer logs its next write with the same ``nodes`` array.
+        Any code that writes ``f`` in place (the solver's stream, the
+        window fill, checkpoint restore, tests) must call this.
         """
-        if columns is not None and columns.dtype != self.f.dtype:
-            raise ValueError(
-                f"columns are {columns.dtype}, the lattice is {self.f.dtype}"
-            )
         self.f_version += 1
-        if nodes is None or len(self._f_patches) >= self._MAX_F_PATCHES:
-            self._f_patches = []
-            self._f_whole_version = self.f_version
-        else:
-            self._f_patches.append((nodes, columns))
+        self._moments_current = False
 
-    def f_patches_since(
-        self, version: int | None
-    ) -> list[tuple[np.ndarray, np.ndarray | None]] | None:
-        """``(nodes, columns)`` of the writes since ``f_version ==
-        version``, oldest first, or ``None`` when the whole lattice may
-        have changed (see :meth:`mark_f_modified`)."""
-        logged = self.f_version - self._f_whole_version
-        # One log entry per version since the last whole-lattice write,
-        # or ``f_version`` was bumped without going through the log.
-        if (version is None or version < self._f_whole_version
-                or logged != len(self._f_patches)):
+    def write_columns(self, nodes: np.ndarray, columns: np.ndarray) -> None:
+        """Store the ``(19, G)`` ``columns`` at the flat (C-order) node
+        indices ``nodes``: a write to part of ``f`` that keeps the
+        moment cache current.
+
+        The columns are rounded to the lattice dtype once, before they
+        are stored, and a current moment cache is patched from exactly
+        those values (:func:`~repro.lbm.collision.patch_moments`), so it
+        stays bitwise a full recompute without a second pass over ``f``.
+        """
+        columns = columns.astype(self.f.dtype, copy=False)
+        put_columns(self.f, nodes, columns)
+        self.f_version += 1
+        if self._moments_current:
+            patch_moments(self._moments, nodes, columns)
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density and bare momentum ``(rho, mom)`` of the current ``f``.
+
+        The cache itself: read-only for callers, valid until ``f`` next
+        changes.  The first call allocates it (counted as
+        ``lbm.moment_caches``); a stale one is recomputed in full.
+        """
+        if self._moments is None:
+            self._moments = np.empty((4,) + tuple(self.shape), self.dtype)
+            get_telemetry().inc("lbm.moment_caches")
+        if not self._moments_current:
+            form_moments(self.f, out=self._moments)
+            self._moments_current = True
+        return self._moments[0], self._moments[1:]
+
+    def current_moments(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cached ``(rho, mom)`` when they are current, else ``None``
+        (no cache, or ``f`` changed since it was formed)."""
+        if not self._moments_current:
             return None
-        return self._f_patches[version - self._f_whole_version:]
+        return self._moments[0], self._moments[1:]
 
     @property
     def f_post(self) -> np.ndarray:

@@ -26,10 +26,9 @@ passes (:func:`whole_block_fill`).
 Until each fine sub-step paid for the ghost shell once, every coarse step
 captured the shell state twice and imposed it ``n + 1`` times (the
 ``θ = 0`` impose rewriting what the previous step's ``θ = 1`` impose left
-there), every channel x node gather and scatter walked node by node, and
-the solver patched its cached moments after a partial write by gathering
-the rewritten columns back out of ``f``, once per logged write
-(:class:`ReferenceRefinedRegion`, :func:`reference_cached_moments`).
+there), and every channel x node gather and scatter walked node by node
+(:class:`ReferenceRefinedRegion`; its writes mark the whole lattice
+modified, so a cached read after them recomputes the moments in full).
 """
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.core.refinement import (
 from repro.core.seeding import _cell_from_shape, tile_candidates
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.ibm.coupling import make_stencil
-from repro.lbm.collision import equilibrium, macroscopic, moments, take_columns
+from repro.lbm.collision import equilibrium, macroscopic, take_columns
 from repro.fsi.subgrid import UniformSubgrid
 from repro.telemetry import get_telemetry
 from repro.membrane import CellKind
@@ -323,37 +322,10 @@ def whole_block_fill(rr):
     fg.mark_f_modified()
 
 
-def gather_patch_moments(f, nodes, rho, mom):
-    """``patch_moments`` re-gathering the rewritten columns from ``f``."""
-    block = np.take(f.reshape(19, -1), nodes, axis=1)
-    block_rho, block_mom = moments(block)
-    rho.reshape(-1)[nodes] = block_rho
-    mom.reshape(3, -1)[:, nodes] = block_mom
-
-
-def reference_cached_moments(solver):
-    """``LBMSolver.cached_moments`` patching every logged write in turn,
-    from ``f`` (any columns the writer logged are ignored)."""
-    g = solver.grid
-    sc = solver._scratch
-    if sc.moments is None:
-        sc.moments = np.empty((4,) + tuple(g.shape), dtype=g.dtype)
-    rho, mom = sc.moments[0], sc.moments[1:]
-    if solver._moments_version != g.f_version:
-        patches = g.f_patches_since(solver._moments_version)
-        if patches is None:
-            moments(g.f, out=sc.moments)
-        else:
-            for nodes, _ in patches:
-                gather_patch_moments(g.f, nodes, rho, mom)
-        solver._moments_version = g.f_version
-    return rho, mom
-
-
 class ReferenceRefinedRegion(RefinedRegion):
     """The coupling step with two shell captures and ``n + 1`` imposes
-    per coarse step, node-major gathers and scatters, and writes logged
-    by node set only."""
+    per coarse step, node-major gathers and scatters, and whole-lattice
+    write marks."""
 
     def _coarse_state(self, nodes, with_tau=False):
         cg = self.coarse.grid
@@ -392,7 +364,7 @@ class ReferenceRefinedRegion(RefinedRegion):
         f_new += state[4:]
         fg = self.fine.grid
         fg.f.reshape(19, -1)[:, self._ghost_flat] = f_new
-        fg.mark_f_modified(self._ghost_flat)
+        fg.mark_f_modified()
 
     def _restrict(self):
         if self._restrict_coarse is None:
@@ -407,7 +379,7 @@ class ReferenceRefinedRegion(RefinedRegion):
         f *= self._restrict_scale
         f += feq
         cg.f.reshape(19, -1)[:, self._restrict_coarse_flat] = f
-        cg.mark_f_modified(self._restrict_coarse_flat)
+        cg.mark_f_modified()
 
     def step(self, n_coarse=1):
         tel = get_telemetry()

@@ -3,11 +3,11 @@
 A coupled step reuses the previous step's θ = 1 shell state and skips
 its θ = 0 impose when neither the coarse state at the face nodes nor the
 fine lattice changed in between; gathers and scatters go row by row; and
-the solver patches its cached moments from the columns the impose just
+the grid patches its cached moments from the columns the impose just
 wrote.  None of it may change a value: the earlier step
-(:class:`~tests.core.reference_bodies.ReferenceRefinedRegion` with
-:func:`~tests.core.reference_bodies.reference_cached_moments`) is the
-oracle, run through the same writes between steps.
+(:class:`~tests.core.reference_bodies.ReferenceRefinedRegion`, whose
+writes mark the whole lattice modified, so every cached read recomputes
+in full) is the oracle, run through the same writes between steps.
 """
 
 import numpy as np
@@ -22,21 +22,22 @@ from repro.core import (
     tau_fine_from_coarse,
 )
 from repro.lbm import BounceBackWalls, Grid, LBMSolver
-from repro.lbm.collision import moments, take_columns
+from repro.lbm.collision import moments
 from repro.membrane import make_ctc
 from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
 
-from .reference_bodies import ReferenceRefinedRegion, reference_cached_moments
+from .reference_bodies import ReferenceRefinedRegion
 
 
 class _ReadingSolver(LBMSolver):
     """Reads its post-stream moments after every step, as the FSI
-    stepper does, so that the next collide patches its cache."""
+    stepper does, so that the writes until the next collide patch the
+    grid's cache."""
 
     def step(self, n: int = 1) -> None:
         super().step(n)
-        self.cached_moments()
+        self.grid.moments()
         self.velocity()
 
 
@@ -76,7 +77,7 @@ def _region(case, n, region_class):
 def _snapshot(coarse, fine):
     out = []
     for solver in (coarse, fine):
-        rho, mom = solver.cached_moments()
+        rho, mom = solver.grid.moments()
         out += [solver.grid.f.copy(), rho.copy(), mom.copy()]
     return out
 
@@ -123,10 +124,8 @@ def _assert_same(got, want):
 
 
 @pytest.mark.parametrize("case,n", [("walled", 2), ("walled", 4), ("periodic", 2)])
-def test_coupled_steps_match_the_earlier_step_bitwise(case, n, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(LBMSolver, "cached_moments", reference_cached_moments)
-        want = _run(case, n, ReferenceRefinedRegion)
+def test_coupled_steps_match_the_earlier_step_bitwise(case, n):
+    want = _run(case, n, ReferenceRefinedRegion)
     got = _run(case, n, RefinedRegion)
     _assert_same(got, want)
 
@@ -158,7 +157,6 @@ def _apr_run():
 
 def test_window_move_matches_the_earlier_step_bitwise(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(LBMSolver, "cached_moments", reference_cached_moments)
         m.setattr(apr_module, "RefinedRegion", ReferenceRefinedRegion)
         want, moves_want = _apr_run()
     with active(Telemetry()) as tel:
@@ -175,9 +173,9 @@ def test_window_move_matches_the_earlier_step_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_patched_moments_come_from_the_stored_values(dtype):
-    """The impose hands the patch log the columns it stored, rounded once
-    to the lattice dtype, so the patched moments are bitwise a full
-    recompute of ``f``."""
+    """The impose rounds the shell it stores to the lattice dtype once
+    and patches the fine lattice's cached moments from those values, so
+    the cache is bitwise a full recompute of ``f``."""
     rng = np.random.default_rng(8)
     n, tau_c = 2, 0.9
     cg = Grid((10, 10, 10), tau=tau_c, spacing=float(n), dtype=dtype)
@@ -189,20 +187,10 @@ def test_patched_moments_come_from_the_stored_values(dtype):
     rr.initialize_fine_from_coarse()
     rr.step(1)
     for theta in (0.0, 0.5, 1.0):
-        fine.cached_moments()
+        fg.moments()
         rr._impose_ghosts(theta)
-        nodes, columns = fg._f_patches[-1]
-        assert nodes is rr._ghost_flat
-        assert columns.dtype == fg.f.dtype
-        assert np.array_equal(columns, take_columns(fg.f, nodes))
-        rho, mom = fine.cached_moments()
+        cached = fg.current_moments()
+        assert cached is not None
         want_rho, want_mom = moments(fg.f)
-        assert np.array_equal(rho, want_rho)
-        assert np.array_equal(mom, want_mom)
-
-
-def test_patch_log_rejects_columns_of_another_dtype():
-    g = Grid((4, 4, 4), tau=0.8, dtype="float32")
-    nodes = np.arange(5)
-    with pytest.raises(ValueError):
-        g.mark_f_modified(nodes, np.zeros((19, 5)))
+        assert np.array_equal(cached[0], want_rho)
+        assert np.array_equal(cached[1], want_mom)

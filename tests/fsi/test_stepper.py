@@ -1,6 +1,7 @@
 """Coupled FSI stepper: advection, conservation, pressure drop."""
 
 import numpy as np
+import pytest
 
 from repro.fsi import CellManager, FSIStepper
 from repro.lbm import Grid
@@ -33,10 +34,10 @@ def test_only_a_cell_laden_lattice_keeps_a_moment_cache():
     a lattice with cells keeps them cached, one without does not."""
     laden, _ = _setup(with_cell=True)
     laden.step(1)
-    assert laden.solver._scratch.moments is not None
+    assert laden.grid.current_moments() is not None
     bare, _ = _setup(with_cell=False)
     bare.step(1)
-    assert bare.solver._scratch.moments is None
+    assert bare.grid._moments is None
 
 
 def test_cell_volume_conserved_in_uniform_flow():
@@ -97,6 +98,31 @@ def test_pressure_drop_sign_with_body_force():
     st.grid.init_equilibrium(rho, None)
     dp = st.pressure_drop(axis=2)
     assert dp > 0
+
+
+def _pressure_drop_from_macroscopic(st, axis):
+    """``pressure_drop`` as it read the full ``macroscopic()`` density."""
+    rho, _ = st.solver.macroscopic()
+    fluid = ~st.grid.solid
+    lo = [slice(None)] * 3
+    hi = [slice(None)] * 3
+    lo[axis], hi[axis] = 0, st.grid.shape[axis] - 1
+    lo, hi = tuple(lo), tuple(hi)
+    p_lo = rho[lo][fluid[lo]].mean()
+    p_hi = rho[hi][fluid[hi]].mean()
+    return st.units.pressure_to_physical(1.0 / 3.0 * (p_lo - p_hi))
+
+
+@pytest.mark.parametrize("with_cell", [True, False])
+def test_pressure_drop_reads_density_alone_bitwise(with_cell):
+    """From ``density(f)``, without the moment rows and velocity: the
+    value ``macroscopic()`` gave, exactly, with a cache or without."""
+    st, _ = _setup(with_cell=with_cell, force=np.array([0.0, 0.0, 800.0]))
+    st.grid.solid[0, 0] = True  # an edge of nodes the slabs leave out
+    st.step(3)
+    for axis in range(3):
+        assert st.pressure_drop(axis) == _pressure_drop_from_macroscopic(
+            st, axis)
 
 
 def test_spread_forces_resets_force_field():

@@ -10,8 +10,7 @@ properties the cache must preserve:
    (adjointness, conservation, constant-field reproduction),
 2. the sparse products agree with the bincount / gather-einsum bodies
    they replaced,
-3. the stencil is invalidated whenever markers move or the population
-   changes (advection, cell insert/remove),
+3. the stencil is invalidated whenever markers move (advection),
 4. the weights are computed exactly once per step.
 """
 
@@ -191,33 +190,6 @@ def test_stencil_invalidated_after_advection():
     st.step(1)
     # The stepper must not leave a stale stencil behind once vertices move.
     assert st.runtime._stencil is None
-    assert st._step_verts is None
-
-
-def test_cell_insert_between_spread_and_advect_is_safe():
-    """A mid-step population change must rebuild the vertex snapshot."""
-    st, units = _stepper()
-    st._spread_forces()
-    st.solver.step()
-    extent = units.dx * (np.array(st.grid.shape) - 1)
-    st.cells.add(
-        make_rbc(extent * 0.3, global_id=st.cells.allocate_id(), subdivisions=1)
-    )
-    st._advect_cells()
-    for cell in st.cells.cells:
-        assert cell.velocities.shape == cell.vertices.shape
-
-
-def test_cell_remove_between_spread_and_advect_is_safe():
-    st, _ = _stepper(n_cells=2)
-    gid = st.cells.cells[0].global_id
-    st._spread_forces()
-    st.solver.step()
-    st.cells.remove(gid)
-    st._advect_cells()
-    assert st.cells.n_cells == 1
-    cell = st.cells.cells[0]
-    assert cell.velocities.shape == cell.vertices.shape
 
 
 def test_generation_bumps_on_insert_and_remove():

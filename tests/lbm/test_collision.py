@@ -537,10 +537,11 @@ def test_moments_agree_across_layouts_and_with_plain_sums(rng, dtype):
     assert np.array_equal(g_rho, flat_rho[nodes])
     assert np.array_equal(g_mom, flat_mom[:, nodes])
 
-    p_rho, p_mom = np.zeros_like(rho), np.zeros_like(mom)
-    patch_moments(f, nodes, p_rho, p_mom)
-    assert np.array_equal(p_rho.reshape(-1)[nodes], flat_rho[nodes])
-    assert np.array_equal(p_mom.reshape(3, -1)[:, nodes], flat_mom[:, nodes])
+    patched = np.zeros((4,) + shape, dtype=dtype)
+    patch_moments(patched, nodes, gathered)
+    assert np.array_equal(patched[0].reshape(-1)[nodes], flat_rho[nodes])
+    assert np.array_equal(patched[1:].reshape(3, -1)[:, nodes],
+                          flat_mom[:, nodes])
 
     tol = 1e-15 if dtype == np.float64 else 1e-6
     scale = np.abs(rho).max()
@@ -565,11 +566,11 @@ def _held_bytes(*objs) -> int:
     return sum(buffers.values())
 
 
-def test_collide_scratch_holds_one_lattice_sized_buffer():
-    """Nothing in a scratch grows with the lattice until a solver's
-    ``cached_moments()`` allocates ``moments`` there; the velocity,
-    density floor, moments and work rows of the collide are panel-sized,
-    one set per half of a pass."""
+def test_collide_scratch_holds_no_lattice_sized_buffer():
+    """Nothing in a scratch grows with the lattice, not even once the
+    grid caches its moments (``Grid.moments()``); the velocity, density
+    floor, moments and work rows of the collide are panel-sized, one set
+    per half of a pass."""
     from repro.lbm import Grid, LBMSolver
 
     def grown(step):
@@ -585,7 +586,7 @@ def test_collide_scratch_holds_one_lattice_sized_buffer():
         )
 
     assert grown(lambda s: s.step(2)) == []
-    assert grown(lambda s: (s.step(2), s.cached_moments())) == ["moments"]
+    assert grown(lambda s: (s.step(2), s.grid.moments(), s.step(1))) == []
     for half in (0, 1):
         u, den, *rows = _panel_buffers(np.dtype(np.float64), half)
         assert u.shape == (3, PANEL) and den.shape == (PANEL,)
@@ -621,11 +622,11 @@ def test_cell_free_lattice_state_is_177_bytes_per_float64_node():
 
 def test_lattice_state_is_209_bytes_per_float64_node():
     """``f`` 152 + force 24 + moments 32 + solid 1, once the moments have
-    a second reader (``cached_moments()``, as cell advection calls it)."""
+    a second reader (``Grid.moments()``, as cell advection calls it)."""
 
     def run(solver):
         solver.step(1)
-        solver.cached_moments()
+        solver.grid.moments()
         solver.step(1)
 
     assert _per_node_bytes(run) == 209

@@ -187,11 +187,12 @@ def test_patch_moments_split_is_bitwise_inline(split, dtype):
     # more than two panels of nodes, in scattered order, ragged end
     nodes = np.random.default_rng(3).permutation(n)[:3 * PANEL - 77]
 
+    columns = f.reshape(19, -1)[:, nodes]
+
     def run():
-        rho = np.zeros(shape, dtype=dtype)
-        mom = np.zeros((3,) + shape, dtype=dtype)
-        patch_moments(f, nodes, rho, mom)
-        return np.concatenate([rho[None], mom])
+        out = np.zeros((4,) + shape, dtype=dtype)
+        patch_moments(out, nodes, columns)
+        return out
 
     inline, halved = _both(split, run)
     assert np.array_equal(inline, halved)

@@ -1,15 +1,16 @@
-"""The solver's moment cache, patched where ``f`` was rewritten.
+"""The grid's moment cache, patched where ``f`` was rewritten.
 
-A writer that names the nodes it touched
-(``Grid.mark_f_modified(nodes=...)``) costs the solver a recompute of
-those columns only.  The patched cache must be *bitwise* what a full
-recompute gives, or a coupled run would depend on who wrote ``f`` last.
+A partial write through ``Grid.write_columns`` patches a current cache
+from the columns it stored; any other write (``Grid.mark_f_modified``)
+marks it stale, and the next read recomputes it in full.  The patched
+cache must be *bitwise* what a full recompute gives, or a coupled run
+would depend on who wrote ``f`` last.
 """
 
 import numpy as np
 import pytest
 
-import repro.lbm.solver as solver_module
+import repro.lbm.grid as grid_module
 from repro.core import RefinedRegion, tau_fine_from_coarse
 from repro.lbm import Grid, LBMSolver
 from repro.lbm.collision import GEMM_COLS, moments, patch_moments
@@ -28,31 +29,42 @@ def _shell(shape):
 @pytest.mark.parametrize("shape", [(7, 5, 6), (21, 22, 23)])
 def test_patch_moments_bitwise_equals_full_recompute(shape, dtype, rng):
     f = rng.random((19,) + shape).astype(dtype)
-    rho, mom = (a.copy() for a in moments(f))
+    cache = np.empty((4,) + shape, dtype=dtype)
+    moments(f, out=cache)
     some = rng.permutation(f[0].size)[: f[0].size // 3]
-    for k, nodes in enumerate((_shell(shape), some, some[:1], some[:0])):
+    for nodes in (_shell(shape), some, some[:1], some[:0]):
         # Shell of the larger lattice: full GEMM panels and a padded tail.
         columns = rng.random((19, len(nodes))).astype(dtype)
         f.reshape(19, -1)[:, nodes] = columns
-        # Gathered from f, or handed over by the writer.
-        patch_moments(f, nodes, rho, mom, columns if k % 2 else None)
+        patch_moments(cache, nodes, columns)
         want_rho, want_mom = moments(f)
-        assert np.array_equal(rho, want_rho)
-        assert np.array_equal(mom, want_mom)
+        assert np.array_equal(cache[0], want_rho)
+        assert np.array_equal(cache[1:], want_mom)
     assert len(_shell((21, 22, 23))) > GEMM_COLS
 
 
 def _count_calls(monkeypatch):
-    calls = {"moments": 0, "patch_moments": 0}
+    """Full recomputes (``form_moments``) and patches the grid makes."""
+    calls = {"form_moments": 0, "patch_moments": 0}
     for name in calls:
-        real = getattr(solver_module, name)
+        real = getattr(grid_module, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, name, counting)
+        monkeypatch.setattr(grid_module, name, counting)
     return calls
+
+
+def _assert_cache_is_fresh(g):
+    rho, mom = g.moments()
+    want_rho, want_mom = moments(g.f)
+    assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
+
+
+def _write(g, nodes, rng):
+    g.write_columns(nodes, rng.random((19, len(nodes))))
 
 
 def test_solver_patches_named_nodes_and_recomputes_otherwise(monkeypatch, rng):
@@ -61,79 +73,80 @@ def test_solver_patches_named_nodes_and_recomputes_otherwise(monkeypatch, rng):
     solver = LBMSolver(g, [])
     solver.step(2)
     calls = _count_calls(monkeypatch)
-    solver.cached_moments()
-    assert calls == {"moments": 1, "patch_moments": 0}
-
-    def rewrite(nodes):
-        g.f.reshape(19, -1)[:, nodes] = rng.random((19, len(nodes)))
-
-    def assert_cache_is_fresh():
-        rho, mom = solver.cached_moments()
-        want_rho, want_mom = moments(g.f)
-        assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
+    assert g.current_moments() is None
+    g.moments()
+    assert calls == {"form_moments": 1, "patch_moments": 0}
 
     # Two partial writes in a row: two patches, no full pass.
     for nodes in (_shell(g.shape), np.array([3, 77, 401])):
-        rewrite(nodes)
-        g.mark_f_modified(nodes)
-    assert_cache_is_fresh()
-    assert calls == {"moments": 1, "patch_moments": 2}
-    # Unnamed write: full pass, as before.
-    rewrite(np.arange(50))
+        _write(g, nodes, rng)
+        assert g.current_moments() is not None
+    _assert_cache_is_fresh(g)
+    assert calls == {"form_moments": 1, "patch_moments": 2}
+    # Any other write: stale, then one full pass.
+    g.f.reshape(19, -1)[:, :50] = rng.random((19, 50))
     g.mark_f_modified()
-    assert_cache_is_fresh()
-    assert calls == {"moments": 2, "patch_moments": 2}
-    # A partial write after a whole-lattice one the cache has not seen.
+    assert g.current_moments() is None
+    _assert_cache_is_fresh(g)
+    assert calls == {"form_moments": 2, "patch_moments": 2}
+    # The collide hands the current cache over and the stream invalidates.
     solver.step()
-    rewrite(np.array([5]))
-    g.mark_f_modified(np.array([5]))
-    assert_cache_is_fresh()
-    assert calls == {"moments": 3, "patch_moments": 2}
-    # A version bumped behind the log's back cannot be patched over.
-    rewrite(np.array([9]))
-    g.f_version += 1
-    g.mark_f_modified(np.array([10]))
-    assert_cache_is_fresh()
-    assert calls == {"moments": 4, "patch_moments": 2}
-    solver.invalidate_macroscopic()
-    assert_cache_is_fresh()
-    assert calls == {"moments": 5, "patch_moments": 2}
+    assert g.current_moments() is None
+    _assert_cache_is_fresh(g)
+    assert calls == {"form_moments": 3, "patch_moments": 2}
 
 
-def test_node_set_written_again_is_patched_once_from_its_latest_columns(
-    monkeypatch, rng
-):
+def test_node_set_written_again_is_patched_once_from_its_latest_columns(rng):
+    """A node set written twice (and another in between) before a read
+    leaves the cache equal to a full recompute of ``f``."""
     g = Grid((8, 9, 10), tau=0.8)
     g.init_equilibrium(1.0 + 0.01 * rng.standard_normal(g.shape))
-    solver = LBMSolver(g, [])
-    solver.cached_moments()
-    calls = _count_calls(monkeypatch)
+    g.moments()
     shell, few = _shell(g.shape), np.array([3, 77, 401])
-
-    def write(nodes):
-        columns = rng.random((19, len(nodes))).astype(g.f.dtype)
-        g.f.reshape(19, -1)[:, nodes] = columns
-        g.mark_f_modified(nodes, columns)
-
     for nodes in (shell, few, shell, shell):
-        write(nodes)
-    rho, mom = solver.cached_moments()
-    want_rho, want_mom = moments(g.f)
-    assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
-    assert calls == {"moments": 0, "patch_moments": 2}
+        _write(g, nodes, rng)
+    _assert_cache_is_fresh(g)
 
 
-def test_patch_log_is_bounded(rng):
-    g = Grid((4, 4, 4), tau=0.8)
-    solver = LBMSolver(g, [])
-    solver.cached_moments()
-    for k in range(40):
-        g.f.reshape(19, -1)[:, k] = rng.random(19)
-        g.mark_f_modified(np.array([k]))
-    assert len(g._f_patches) <= g._MAX_F_PATCHES
-    rho, mom = solver.cached_moments()
-    want_rho, want_mom = moments(g.f)
-    assert np.array_equal(rho, want_rho) and np.array_equal(mom, want_mom)
+def test_whole_write_after_a_partial_one_invalidates(monkeypatch, rng):
+    g = Grid((8, 9, 10), tau=0.8)
+    g.moments()
+    calls = _count_calls(monkeypatch)
+    _write(g, _shell(g.shape), rng)
+    g.f *= 1.0 + 1e-3 * rng.standard_normal(g.f.shape)
+    g.mark_f_modified()
+    # a partial write onto a stale cache patches nothing
+    _write(g, np.array([5]), rng)
+    assert g.current_moments() is None
+    _assert_cache_is_fresh(g)
+    assert calls == {"form_moments": 1, "patch_moments": 1}
+
+
+def test_write_columns_without_a_cache_stores_and_bumps_the_version(rng):
+    g = Grid((4, 5, 6), tau=0.8)
+    version = g.f_version
+    nodes = np.array([0, 7, 119])
+    columns = rng.random((19, 3))
+    g.write_columns(nodes, columns)
+    assert g.f_version == version + 1
+    assert np.array_equal(g.f.reshape(19, -1)[:, nodes],
+                          columns.astype(g.dtype))
+    assert g._moments is None and g.current_moments() is None
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_write_columns_casts_the_columns_once(dtype, rng):
+    """float64 columns are rounded to the lattice dtype once, before they
+    are stored; the patch reads the stored values, so the cache is
+    bitwise a full recompute of ``f``."""
+    g = Grid((8, 9, 10), tau=0.8, dtype=dtype)
+    g.moments()
+    nodes = _shell(g.shape)
+    columns = 1.0 + 1e-3 * rng.standard_normal((19, len(nodes)))
+    g.write_columns(nodes, columns)
+    assert np.array_equal(g.f.reshape(19, -1)[:, nodes],
+                          columns.astype(dtype))
+    _assert_cache_is_fresh(g)
 
 
 class _ReadingSolver(LBMSolver):
@@ -148,10 +161,10 @@ class _ReadingSolver(LBMSolver):
 
     def step(self, n: int = 1) -> None:
         super().step(n)
-        self.cached_moments()
+        self.grid.moments()
         self.velocity()
         if not self.patch:
-            self.invalidate_macroscopic()
+            self.grid.mark_f_modified()
 
 
 def _coupled_run(steps, patch: bool):
@@ -170,17 +183,16 @@ def _coupled_run(steps, patch: bool):
 
 
 def test_coupled_run_is_bitwise_unchanged_by_patching(monkeypatch):
-    """Ghost-shell imposes and the restriction name their nodes and hand
-    over the columns they wrote; a coupled run must not be able to tell
-    (same bits as full recomputes)."""
+    """Ghost-shell imposes and the restriction write through
+    ``write_columns``; a coupled run must not be able to tell (same bits
+    as full recomputes)."""
     calls = _count_calls(monkeypatch)
     patched = _coupled_run(5, patch=True)
-    # Every coarse step after the first patches both lattices: the fine
-    # one before each of its n = 2 collides (the skipped θ = 0 impose
-    # leaves the previous θ = 1 impose to patch), the coarse one where the
-    # restriction wrote.  The first step has moments cached only before
-    # its second fine collide.
-    assert calls["patch_moments"] == 1 + 4 * (2 + 1)
+    # Every coarse step patches both lattices: the fine one at its θ = 1/2
+    # and θ = 1 imposes, the coarse one where the restriction wrote.  The
+    # θ = 0 impose is skipped after the first step and on the first one
+    # lands before the fine lattice has a cache.
+    assert calls["patch_moments"] == 5 * (2 + 1)
     patches = calls["patch_moments"]
     full = _coupled_run(5, patch=False)
     assert calls["patch_moments"] == patches

@@ -157,14 +157,14 @@ def test_cell_free_solver_keeps_no_moment_cache():
         s.step(3)
         rho, u = s.macroscopic()
         s.velocity(), s.momentum(), s.mass()
-    assert s._scratch.moments is None
+    assert g._moments is None
     assert "lbm.moment_caches" not in tel.metrics.counters
     want_rho, want_u = macroscopic(g.f, g.force)
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
     assert s.mass() == float(want_rho[~g.solid].sum())
     with active(Telemetry()) as tel:
-        s.cached_moments()
-        s.cached_moments()
+        g.moments()
+        g.moments()
     assert tel.metrics.counters["lbm.moment_caches"].value == 1
 
 
@@ -183,7 +183,7 @@ def test_mass_allocates_a_density_row_only():
     finally:
         tracemalloc.stop()
     assert peak < g.f.nbytes / 4
-    assert s._scratch.moments is None
+    assert g._moments is None
 
 
 def test_f_post_is_allocated_on_first_access():

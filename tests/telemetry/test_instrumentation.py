@@ -72,7 +72,7 @@ def test_fsi_step_records_expected_phases():
 
 def test_fsi_step_splits_advection_and_counts_carried_state():
     """``advect`` separates the moment sums (shared with the next collide
-    through the solver's cache) from its own velocity pass, and the
+    through the grid's cache) from its own velocity pass, and the
     carried contact list / stencil rows report how often they were
     repaired: a run that rebuilds every step must be visible."""
     st = _fsi_stepper()

@@ -99,3 +99,27 @@ def test_cell_manager_has_no_batch_iterator():
     from repro.fsi import CellManager
 
     assert not hasattr(CellManager, "membrane_force_batches")
+
+
+#: class -> attributes of the moment-cache write log and the solver's
+#: version bookkeeping, gone since the grid owns the cache
+REMOVED_ATTRS = {
+    LBMSolver: ("cached_moments", "invalidate_macroscopic", "_cache_usable"),
+    Grid: ("f_patches_since", "_MAX_F_PATCHES"),
+}
+
+
+@pytest.mark.parametrize("cls,attr", [
+    (cls, attr) for cls, attrs in REMOVED_ATTRS.items() for attr in attrs
+], ids=lambda v: getattr(v, "__name__", v))
+def test_moment_cache_bookkeeping_is_gone(cls, attr):
+    assert not hasattr(cls, attr)
+
+
+def test_grid_mark_f_modified_takes_no_arguments():
+    g = Grid((3, 3, 3), tau=0.8)
+    with pytest.raises(TypeError):
+        g.mark_f_modified(np.arange(3))
+    with pytest.raises(TypeError):
+        g.mark_f_modified(nodes=np.arange(3))
+    assert not hasattr(g, "_f_patches")
