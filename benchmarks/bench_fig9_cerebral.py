@@ -56,7 +56,7 @@ def _build_and_run():
     spec = WindowSpec(proper_side=18e-6, onramp_width=6e-6, insertion_width=6e-6)
     cfg = APRConfig(
         window_spec=spec, refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA,
-        rho=RHO, hematocrit=0.15, rbc_diameter=5.5e-6, rbc_subdivisions=2,
+        hematocrit=0.15, rbc_diameter=5.5e-6, rbc_subdivisions=2,
         tile_side=14e-6, maintain_interval=10, seed=3,
     )
     start = root_pos + np.array([0.0, 0.0, 40e-6])

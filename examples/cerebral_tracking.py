@@ -96,7 +96,6 @@ def main() -> None:
         refinement=2,
         nu_bulk=NU_BULK,
         nu_window=NU_PLASMA,
-        rho=RHO,
         hematocrit=0.15,
         rbc_diameter=5.5e-6,
         rbc_subdivisions=2,

@@ -46,7 +46,6 @@ def main() -> None:
         refinement=2,
         nu_bulk=NU_BULK,
         nu_window=NU_PLASMA,
-        rho=RHO,
         hematocrit=0.12,
         rbc_diameter=5.5e-6,  # toy-scale cells for a fast demo
         rbc_subdivisions=2,

@@ -96,3 +96,18 @@ RBC_MESH_ELEMENTS = 1280
 CS2 = 1.0 / 3.0
 
 CP_TO_PA_S = 1.0e-3
+
+# ---------------------------------------------------------------------------
+# Method constants (numerical choices of this reproduction, not the paper's)
+# ---------------------------------------------------------------------------
+
+#: Range [m] of the short-range membrane repulsion (cell-cell contact and
+#: cell-wall alike) and of the overlap test that rejects inserted cells.
+#: The APR window uses it throughout; the fully resolved eFSI reference
+#: passes 0.4 um instead (``repro.experiments.expanding_channel``).
+OVERLAP_CUTOFF = 0.5e-6
+
+#: Peak force [N] of that repulsion at zero separation, between cells
+#: (``repro.fsi.contact``) and from walls (``repro.fsi.walls``): both use
+#: the same force law, ``F(d) = k (1 - d / d_c)``.
+REPULSION_STIFFNESS = 2.0e-10

@@ -23,7 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "tau_coarse_from_fine",
         "lambda_from_viscosities",
     ),
-    ".refinement": ("RefinedRegion", "trilinear"),
+    ".refinement": ("RefinedRegion",),
     ".window": ("WindowSpec", "Window", "Region"),
     ".seeding": (
         "RBCTile",

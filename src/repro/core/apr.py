@@ -21,7 +21,8 @@ stored in the global frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,34 +41,34 @@ from .tracking import CTCTracker
 from .viscosity import lambda_from_viscosities, tau_fine_from_coarse
 from .window import Window, WindowSpec
 
+#: Coarse steps between health samples (``health_report`` into the
+#: ``health.*`` gauges and a ``health`` event) while a live telemetry
+#: backend is installed.
+HEALTH_SAMPLE_INTERVAL = 10
+
 
 @dataclass
 class APRConfig:
-    """Parameters of an APR run (physical units unless noted)."""
+    """Parameters of an APR run (physical units unless noted).
+
+    Every field but ``equilibrate_tile_steps`` is one that two runs set
+    differently; the method choices all runs share are constants
+    (docs/tuning.md, section 5).  The fluid density is ``coarse_units.rho``.
+    """
 
     window_spec: WindowSpec
     refinement: int
     nu_bulk: float  # whole-blood kinematic viscosity [m^2/s]
     nu_window: float  # plasma kinematic viscosity [m^2/s]
-    rho: float = 1025.0
     hematocrit: float | None = None  # target window Ht; None = fluid only
-    ht_threshold: float = 0.8
     tile_side: float | None = None  # default: ~3 RBC diameters
     rbc_diameter: float = RBC_DIAMETER
     rbc_subdivisions: int = 3
-    rbc_shear_modulus: float | None = None  # None = healthy default
-    kernel: str = "cosine4"
-    overlap_cutoff: float = 0.5e-6
     maintain_interval: int = 10  # coarse steps between controller passes
-    trigger_distance: float | None = None  # default: one RBC diameter
     #: When > 0, pre-deform the RBC tile in a periodic Kolmogorov flow for
     #: this many FSI steps before any stamping, so inserted cells arrive
     #: flow-equilibrated (Section 2.4.2's "physiologically deformed").
     equilibrate_tile_steps: int = 0
-    #: Coarse steps between diagnostic gauge samples (health_report ->
-    #: telemetry gauges + a "health" event).  Only evaluated when a live
-    #: telemetry backend is installed; 0 disables sampling entirely.
-    telemetry_interval: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -75,8 +76,6 @@ class APRConfig:
             raise ValueError("refinement ratio must be >= 2")
         if self.tile_side is None:
             self.tile_side = 3.0 * self.rbc_diameter
-        if self.trigger_distance is None:
-            self.trigger_distance = self.rbc_diameter
 
     @property
     def viscosity_contrast(self) -> float:
@@ -136,11 +135,11 @@ class APRSimulation:
             )
         assert abs(tau_check - self.tau_fine) < 1e-9
 
-        self.cells = CellManager(contact_cutoff=config.overlap_cutoff)
+        self.cells = CellManager()
         self.ctc: Cell | None = None
-        self.mover = WindowMover(overlap_cutoff=config.overlap_cutoff)
+        self.mover = WindowMover()
         self.tracker = CTCTracker(
-            trigger_distance=config.trigger_distance,
+            trigger_distance=config.rbc_diameter,
             snap_spacing=coarse.grid.spacing,
         )
         self.rng = np.random.default_rng(config.seed)
@@ -160,7 +159,6 @@ class APRSimulation:
                     steps=config.equilibrate_tile_steps,
                     diameter=config.rbc_diameter,
                     subdivisions=config.rbc_subdivisions,
-                    shear_modulus=config.rbc_shear_modulus,
                 )
 
         self.window: Window | None = None
@@ -226,11 +224,9 @@ class APRSimulation:
             self.units_fine,
             cells=self.cells,
             boundaries=boundaries,
-            kernel=cfg.kernel,
             mode="clip",
             body_force=self.window_body_force,
             wall_geometry=self.geometry,
-            wall_cutoff=cfg.overlap_cutoff,
         )
         self.coupling = RefinedRegion(self.coarse, self.fine, n)
         self.coupling.initialize_fine_from_coarse()
@@ -260,11 +256,8 @@ class APRSimulation:
                 window=self.window,
                 tile=self.tile,
                 target=cfg.hematocrit,
-                threshold=cfg.ht_threshold,
-                overlap_cutoff=cfg.overlap_cutoff,
                 diameter=cfg.rbc_diameter,
                 subdivisions=cfg.rbc_subdivisions,
-                shear_modulus=cfg.rbc_shear_modulus,
                 keep_predicate=self._seed_predicate(),
                 subregion_filter=subregion_filter,
                 fluid_fraction_fn=fluid_fraction_fn,
@@ -328,10 +321,8 @@ class APRSimulation:
             lo,
             hi,
             self.rng,
-            overlap_cutoff=cfg.overlap_cutoff,
             diameter=cfg.rbc_diameter,
             subdivisions=cfg.rbc_subdivisions,
-            shear_modulus=cfg.rbc_shear_modulus,
             keep_predicate=predicate,
         )
         return len(added)
@@ -396,8 +387,7 @@ class APRSimulation:
                         self.move_window()
                 if (
                     tel.enabled
-                    and cfg.telemetry_interval > 0
-                    and self.coarse_step_count % cfg.telemetry_interval == 0
+                    and self.coarse_step_count % HEALTH_SAMPLE_INTERVAL == 0
                 ):
                     with tel.phase("diagnostics"):
                         self.sample_diagnostics(tel)
@@ -406,7 +396,7 @@ class APRSimulation:
         """Sample :func:`~repro.core.diagnostics.health_report` into
         telemetry gauges (``health.*``) and emit one ``health`` event.
 
-        Called automatically every ``config.telemetry_interval`` coarse
+        Called automatically every :data:`HEALTH_SAMPLE_INTERVAL` coarse
         steps while a live backend is installed; harmless to call by
         hand (e.g. right before a checkpoint).
         """
@@ -426,14 +416,29 @@ class APRSimulation:
     def save(self, path, extra: dict | None = None) -> None:
         """Checkpoint lattice state, cells and window to an npz archive.
 
+        Beside them it stores what a resumed run needs to go on as the
+        uninterrupted one would: the cells' packed order (it sets the
+        order in which the spread sums), the seeding RNG's state, the
+        next cell ID, the controller's counters and the hematocrit
+        history.
         ``extra`` entries ride along in the checkpoint's extra payload
-        (experiment drivers stash trajectory history there) and come back
-        from :meth:`restore`'s return value.
+        (experiment drivers stash trajectory history there).
         """
         from ..io.checkpoint import save_checkpoint
 
         assert self.fine is not None and self.window is not None
-        payload = {"window_center": self.window.center}
+        payload = {
+            "window_center": self.window.center,
+            "cell_order": np.array(
+                [c.global_id for c in self.cells.cells], dtype=np.int64
+            ),
+            "rng_state": json.dumps(self.rng.bit_generator.state),
+            "next_id": self.cells.next_id,
+            "ht_history": np.reshape(self.ht_history, (-1, 2)),
+        }
+        if self.controller is not None:
+            payload["n_inserted"] = self.controller.n_inserted
+            payload["n_removed"] = self.controller.n_removed
         if extra:
             payload.update(extra)
         save_checkpoint(
@@ -445,40 +450,46 @@ class APRSimulation:
             extra=payload,
         )
 
-    def restore(self, path) -> dict:
-        """Restore a checkpoint written by :meth:`save`.
+    def restore(self, data: dict) -> None:
+        """Restore a checkpoint written by :meth:`save`, given as the dict
+        :func:`~repro.io.checkpoint.load_checkpoint` returns.
 
         The simulation must have been constructed with the same config
         and coarse domain; the window is re-placed at the stored center,
-        the cell population replaced, and both lattices overwritten.
-        Returns the loaded checkpoint dict so callers can recover any
-        ``extra`` payload they saved.
+        the cell population replaced, and both lattices overwritten.  A
+        checkpoint without the cell order restores the cells in ID order;
+        one without the RNG state, next ID, counters or history leaves
+        those as they are.
         """
-        from ..io.checkpoint import load_checkpoint
         from ..membrane.cell import CellKind
 
-        data = load_checkpoint(path)
+        extra = data["extra"]
         self.coarse.grid.f[:] = data["f_coarse"]
         self.coarse.grid.mark_f_modified()
-        self._place_window(np.asarray(data["extra"]["window_center"]))
+        self._place_window(np.asarray(extra["window_center"]))
         assert self.fine is not None
         if "f_fine" in data and data["f_fine"].shape == self.fine.grid.f.shape:
             self.fine.grid.f[:] = data["f_fine"]
             self.fine.grid.mark_f_modified()
-        # Replace the population (the manager instance is shared with the
-        # fine stepper, so mutate it in place).
-        for gid in [c.global_id for c in self.cells.cells]:
-            self.cells.remove(gid)
-        self.ctc = None
         restored = data.get("manager")
-        if restored is not None:
-            for cell in sorted(restored.cells, key=lambda c: c.global_id):
-                clone = cell.copy()
-                self.cells.add(clone)
-                if clone.kind is CellKind.CTC:
-                    self.ctc = clone
+        cells = restored.cells if restored is not None else []
+        if "cell_order" in extra:
+            by_id = {c.global_id: c for c in cells}
+            cells = [by_id[int(gid)] for gid in extra["cell_order"]]
+        cells = self.cells.replace_cells(
+            cells, next_id=int(extra.get("next_id", 0))
+        )
+        self.ctc = next((c for c in cells if c.kind is CellKind.CTC), None)
+        if "rng_state" in extra:
+            # In place: the controller stamps with this generator.
+            self.rng.bit_generator.state = json.loads(str(extra["rng_state"]))
+        if "ht_history" in extra:
+            self.ht_history = [(float(t), float(h))
+                               for t, h in extra["ht_history"]]
+        if self.controller is not None and "n_inserted" in extra:
+            self.controller.n_inserted = int(extra["n_inserted"])
+            self.controller.n_removed = int(extra["n_removed"])
         self.coarse_step_count = data["step"]
-        return data
 
     def close(self) -> None:
         """Mark the end of a run.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import OVERLAP_CUTOFF
 from ..fsi.cell_manager import CellManager
 from ..fsi.subgrid import UniformSubgrid
 from ..membrane.cell import Cell, CellKind
@@ -61,10 +62,11 @@ class MoveReport:
 
 
 class WindowMover:
-    """Executes the capture/fill cell relocation for a window move."""
+    """Executes the capture/fill cell relocation for a window move.
 
-    def __init__(self, overlap_cutoff: float = 0.5e-6):
-        self.overlap_cutoff = overlap_cutoff
+    Fill clones closer than :data:`~repro.constants.OVERLAP_CUTOFF` to a
+    kept cell or an earlier clone are dropped.
+    """
 
     def move_cells(
         self,
@@ -94,7 +96,7 @@ class WindowMover:
 
             # Subgrid over kept (captured + protected) cells for overlap
             # checks, built with one bulk insert.
-            occupied = UniformSubgrid(cell_size=self.overlap_cutoff)
+            occupied = UniformSubgrid(cell_size=OVERLAP_CUTOFF)
             kept = [
                 cell for cell in manager.cells
                 if cell.global_id in capture_ids or cell.global_id in protect
@@ -125,7 +127,7 @@ class WindowMover:
                     landed.append(clone)
             keep = occupied.admit(
                 [c.vertices for c in landed], [c.global_id for c in landed],
-                self.overlap_cutoff,
+                OVERLAP_CUTOFF,
             )
             fills = [clone for clone, k in zip(landed, keep) if k]
             n_filled = len(fills)

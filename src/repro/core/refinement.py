@@ -67,7 +67,6 @@ import math
 
 import numpy as np
 
-from ..ibm.coupling import interpolate
 from ..lbm.collision import (
     equilibrium,
     flat_columns,
@@ -86,21 +85,14 @@ from .viscosity import (
 #: Rows of the coarse state: rho, u (3) and f^neq (19).
 _N_STATE = 23
 
+#: Coarse cells between the window edge and the coarse nodes the fine
+#: solution overwrites (:meth:`RefinedRegion._build_restriction`).
+RESTRICTION_MARGIN = 2
+
 #: Multiply-adds per prolongation GEMM call, kept well below the size at
 #: which OpenBLAS hands a GEMM to its thread pool (see
 #: :data:`repro.lbm.collision.GEMM_COLS`).
 _GEMM_MAX = 2**18
-
-
-def trilinear(
-    field: np.ndarray, frac_coords: np.ndarray, mode: str = "clip"
-) -> np.ndarray:
-    """Trilinear interpolation of a (C, nx, ny, nz) or (nx, ny, nz) field.
-
-    ``frac_coords`` are fractional lattice indices, shape (N, 3); returns
-    (N, C) or (N,).  Reuses the 2-point IBM kernel machinery.
-    """
-    return interpolate(field, frac_coords, kernel="linear2", mode=mode)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,13 +186,11 @@ class RefinedRegion:
         fine,
         n: int,
         periodic_axes: tuple[int, ...] = (),
-        restriction_margin: int = 2,
     ) -> None:
         self.coarse = coarse
         self.fine = fine
         self.n = int(n)
         self.periodic_axes = tuple(periodic_axes)
-        self.restriction_margin = int(restriction_margin)
         cg: Grid = coarse.grid
         fg: Grid = fine.grid
         if self.n < 2:
@@ -364,7 +354,7 @@ class RefinedRegion:
         interior.
         """
         cg = self.coarse.grid
-        margin = self.restriction_margin
+        margin = RESTRICTION_MARGIN
         ranges = []
         for d in range(3):
             if d in self.periodic_axes:

@@ -38,13 +38,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analytics.hematocrit import region_hematocrit
-from ..constants import RBC_DIAMETER
+from ..constants import OVERLAP_CUTOFF, RBC_DIAMETER, RBC_SHEAR_MODULUS
 from ..fsi.cell_manager import CellManager
-from ..fsi.subgrid import UniformSubgrid
 from ..membrane.cell import Cell, CellKind, make_rbc, random_rotation
 from ..membrane.constraints import mesh_volume
 from ..telemetry import get_telemetry
 from .window import Window
+
+#: Minimum centroid separation of a tile's cells, in RBC diameters:
+#: biconcave discs pack much closer than spheres of the same diameter.
+TILE_MIN_SPACING = 0.55
+#: Random insertion attempts per target cell before tile packing stalls.
+TILE_MAX_ATTEMPTS = 200
+#: A subregion, and the insertion shell as a whole, is repopulated when
+#: its hematocrit falls below this fraction of the target (Section 2.4.2).
+INSERTION_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -76,28 +84,23 @@ class RBCTile:
         side: float,
         seed: int = 0,
         diameter: float = RBC_DIAMETER,
-        cell_volume: float | None = None,
-        min_spacing_factor: float = 0.55,
-        max_attempts_factor: int = 200,
     ) -> "RBCTile":
         """Random-sequential-insertion tile at the requested hematocrit.
 
-        ``min_spacing_factor`` scales the RBC diameter into the minimum
-        centroid separation; 0.55 reflects that biconcave discs pack much
-        closer than spheres of the same diameter.
+        Cells keep :data:`TILE_MIN_SPACING` diameters between centroids;
+        the cell volume is that of the paper's RBC mesh at ``diameter``.
         """
+        from ..membrane.cell import reference_for
+
         if not 0.0 < hematocrit < 0.6:
             raise ValueError("tile hematocrit must be in (0, 0.6)")
-        if cell_volume is None:
-            from ..membrane.cell import reference_for
-
-            cell_volume = reference_for(CellKind.RBC, diameter, 3).volume0
+        cell_volume = reference_for(CellKind.RBC, diameter, 3).volume0
         rng = np.random.default_rng(seed)
         target_count = int(np.round(hematocrit * side**3 / cell_volume))
-        min_d = min_spacing_factor * diameter
+        min_d = TILE_MIN_SPACING * diameter
         centers: list[np.ndarray] = []
         attempts = 0
-        max_attempts = max_attempts_factor * max(target_count, 1)
+        max_attempts = TILE_MAX_ATTEMPTS * max(target_count, 1)
         while len(centers) < target_count and attempts < max_attempts:
             attempts += 1
             c = rng.uniform(0.0, side, size=3)
@@ -189,12 +192,10 @@ def stamp_tile(
     lo: np.ndarray,
     hi: np.ndarray,
     rng: np.random.Generator,
-    overlap_cutoff: float = 0.5e-6,
+    overlap_cutoff: float = OVERLAP_CUTOFF,
     diameter: float = RBC_DIAMETER,
     subdivisions: int = 3,
-    shear_modulus: float | None = None,
     keep_predicate=None,
-    existing: UniformSubgrid | None = None,
 ) -> list[Cell]:
     """Stamp a random rigid copy of ``tile`` into the box [lo, hi].
 
@@ -206,23 +207,14 @@ def stamp_tile(
     the paper's repopulation rule that "no new cells are added if they
     overlap with existing cells".
 
-    ``existing`` optionally supplies a pre-built vertex subgrid of the
-    current population (accepted cells are inserted into it).
-
     Returns the cells actually added.
     """
     n_candidates, cells = _stamp_cells(
-        manager, tile, lo, hi, rng, diameter, subdivisions, shear_modulus,
-        keep_predicate,
+        manager, tile, lo, hi, rng, diameter, subdivisions, keep_predicate,
     )
     if not n_candidates:
         return []
-    if existing is None:
-        # The manager's cached vertex index (rebuilt only when membership
-        # or positions changed).  Accepted cells are inserted into it; the
-        # membership bump invalidates the cache for later callers.
-        existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
-    return _admit_cells(manager, existing, n_candidates, cells, overlap_cutoff)
+    return _admit_cells(manager, n_candidates, cells, overlap_cutoff)
 
 
 def _stamp_cells(
@@ -233,7 +225,6 @@ def _stamp_cells(
     rng: np.random.Generator,
     diameter: float,
     subdivisions: int,
-    shear_modulus: float | None,
     keep_predicate,
 ) -> tuple[int, list[Cell]]:
     """Instantiate the candidates of a random rigid copy of ``tile`` in
@@ -248,14 +239,13 @@ def _stamp_cells(
     offset = rng.uniform(0.0, tile.side, size=3)
     candidates, n_examined = tile_candidates(tile, lo, hi, stamp_rot, offset)
     get_telemetry().inc("seeding.tile_copies", n_examined)
-    kwargs = {} if shear_modulus is None else {"shear_modulus": shear_modulus}
     passed: list[Cell] = []
     for center, rot, tile_idx in candidates:
         gid = manager.allocate_id()
         if tile.shapes is not None:
             cell = _cell_from_shape(
                 tile.shapes[tile_idx], center, stamp_rot, gid,
-                diameter, subdivisions, shear_modulus,
+                diameter, subdivisions,
             )
         else:
             cell = make_rbc(
@@ -264,7 +254,6 @@ def _stamp_cells(
                 rotation=rot,
                 diameter=diameter,
                 subdivisions=subdivisions,
-                **kwargs,
             )
         if keep_predicate is None or keep_predicate(cell):
             passed.append(cell)
@@ -273,14 +262,17 @@ def _stamp_cells(
 
 def _admit_cells(
     manager: CellManager,
-    existing: UniformSubgrid,
     n_candidates: int,
     cells: list[Cell],
     overlap_cutoff: float,
 ) -> list[Cell]:
-    """Add the ``cells`` (ascending ID) that overlap no cell in
-    ``existing`` and no cell added before them, resolved in one
-    ``existing.admit`` pass; returns them."""
+    """Add the ``cells`` (ascending ID) that overlap no cell of the
+    population and no cell added before them, resolved in one ``admit``
+    pass over the manager's vertex index; returns them."""
+    # The manager's cached vertex index (rebuilt only when membership or
+    # positions changed).  Accepted cells are inserted into it; the
+    # membership bump invalidates the cache for later callers.
+    existing = manager.vertex_subgrid(max(overlap_cutoff, 1e-12))
     keep = existing.admit(
         [c.vertices for c in cells], [c.global_id for c in cells],
         overlap_cutoff,
@@ -302,13 +294,11 @@ def _cell_from_shape(
     global_id: int,
     diameter: float,
     subdivisions: int,
-    shear_modulus: float | None,
 ) -> Cell:
     """Instantiate an RBC carrying a pre-deformed (equilibrated) shape."""
-    from ..constants import RBC_SHEAR_MODULUS
     from ..membrane.cell import reference_for
 
-    gs = RBC_SHEAR_MODULUS if shear_modulus is None else shear_modulus
+    gs = RBC_SHEAR_MODULUS
     ref = reference_for(CellKind.RBC, diameter, subdivisions)
     if shape.shape != ref.vertices.shape:
         raise ValueError(
@@ -426,19 +416,21 @@ class HematocritController:
     """Maintains the target hematocrit per insertion subregion.
 
     Each monitoring call computes the centroid-attributed hematocrit in
-    every insertion subregion of the window; subregions below
-    ``threshold * target`` are repopulated by tile stamping.  Cells that
-    have left the window entirely are removed.
+    every insertion subregion of the window.  Unless the whole insertion
+    shell is at :data:`INSERTION_THRESHOLD` of its target or above, the
+    subregions below ``INSERTION_THRESHOLD * target`` are repopulated by
+    tile stamping.  The shell gate matters at toy scale: a subregion
+    there holds ~1 cell, its count is bimodal, and without the gate the
+    controller overfills toward the packing limit (at paper scale a
+    subregion holds tens of cells and per-box counts alone would do).
+    Cells that have left the window entirely are removed.
     """
 
     window: Window
     tile: RBCTile
     target: float
-    threshold: float = 0.8
-    overlap_cutoff: float = 0.5e-6
     diameter: float = RBC_DIAMETER
     subdivisions: int = 3
-    shear_modulus: float | None = None
     #: Optional cell filter (e.g. reject cells straddling vessel walls).
     keep_predicate: object = None
     #: Optional subregion filter (lo, hi) -> bool; False skips monitoring
@@ -452,12 +444,6 @@ class HematocritController:
     #: Monitoring-subregion edge; None uses the insertion width.  Clamp to
     #: >= one cell diameter so centroid counting is meaningful.
     subregion_size: float | None = None
-    #: Gate insertion on the hematocrit of the whole insertion shell in
-    #: addition to per-subregion counts.  At paper scale a subregion holds
-    #: tens of cells and per-box statistics suffice; at toy scale a box
-    #: holds ~1 cell, the count is bimodal, and without the shell gate the
-    #: controller overfills toward the packing limit.
-    gate_on_shell: bool = True
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     #: Counters for diagnostics / Fig. 5B-style time series; they run over
     #: every placement of the window the controller is pointed at.
@@ -515,19 +501,18 @@ class HematocritController:
         _, monitored = self._subregions()
         hts = [region_hematocrit(vols, cents, lo, hi) for lo, hi, _, _ in monitored]
         inserted = 0
-        if self.gate_on_shell:
-            shell_vol = 0.0
-            shell_cells = 0.0
-            fluid_weight = 0.0
-            for (_, _, box, frac), ht in zip(monitored, hts):
-                shell_vol += box
-                fluid_weight += (1.0 if frac is None else frac) * box
-                shell_cells += ht * box
-            if shell_vol > 0.0 and fluid_weight > 0.0:
-                shell_ht = shell_cells / shell_vol
-                shell_target = self.target * (fluid_weight / shell_vol)
-                if shell_ht >= self.threshold * shell_target:
-                    return 0
+        shell_vol = 0.0
+        shell_cells = 0.0
+        fluid_weight = 0.0
+        for (_, _, box, frac), ht in zip(monitored, hts):
+            shell_vol += box
+            fluid_weight += (1.0 if frac is None else frac) * box
+            shell_cells += ht * box
+        if shell_vol > 0.0 and fluid_weight > 0.0:
+            shell_ht = shell_cells / shell_vol
+            shell_target = self.target * (fluid_weight / shell_vol)
+            if shell_ht >= INSERTION_THRESHOLD * shell_target:
+                return 0
         # Stamp every subregion below target, then resolve all of the
         # pass's candidates at once: their IDs ascend across the stamps,
         # so one greedy pass decides what stamping them in turn would.
@@ -538,18 +523,16 @@ class HematocritController:
                 local_target *= frac
                 if local_target <= 0.0:
                     continue
-            if ht < self.threshold * local_target:
+            if ht < INSERTION_THRESHOLD * local_target:
                 n, passed = _stamp_cells(
                     manager, self.tile, lo, hi, self.rng, self.diameter,
-                    self.subdivisions, self.shear_modulus, self.keep_predicate,
+                    self.subdivisions, self.keep_predicate,
                 )
                 n_candidates += n
                 cells += passed
         if n_candidates:
-            # The manager's generation/position-keyed cached index.
-            existing = manager.vertex_subgrid(max(self.overlap_cutoff, 1e-12))
             inserted = len(_admit_cells(
-                manager, existing, n_candidates, cells, self.overlap_cutoff
+                manager, n_candidates, cells, OVERLAP_CUTOFF
             ))
         self.n_inserted += inserted
         return inserted

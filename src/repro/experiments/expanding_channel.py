@@ -156,19 +156,6 @@ def _seed_everywhere(
     return len(added)
 
 
-def _replace_population(manager: CellManager, restored: CellManager | None) -> None:
-    """Swap ``manager``'s cells for a checkpoint-restored population.
-
-    Mutated in place because the stepper already holds this manager
-    instance; clones keep the restored manager's arrays independent.
-    """
-    for gid in [c.global_id for c in manager.cells]:
-        manager.remove(gid)
-    if restored is not None:
-        for cell in sorted(restored.cells, key=lambda c: c.global_id):
-            manager.add(cell.copy())
-
-
 def run_expanding_channel_efsi(
     seed: int = 0,
     params: ChannelParams | None = None,
@@ -226,7 +213,7 @@ def run_expanding_channel_efsi(
             step_done = data["step"]
             grid.f[:] = data["f_coarse"]
             grid.mark_f_modified()
-            _replace_population(manager, data["manager"])
+            manager.replace_cells(data["manager"].cells)
             ctc = next(
                 c for c in manager.cells if c.kind is CellKind.CTC
             )
@@ -312,7 +299,6 @@ def run_expanding_channel_apr(
         refinement=n,
         nu_bulk=nu_blood,
         nu_window=nu_plasma,
-        rho=rho,
         hematocrit=params.hematocrit,
         rbc_diameter=params.rbc_diameter,
         rbc_subdivisions=params.rbc_subdivisions,
@@ -331,13 +317,15 @@ def run_expanding_channel_apr(
         # Same physical duration as the default eFSI run (dt_c = n * dt_f).
         steps = 1500 // n
     resume_data = None
+    moves_before = 0  # window moves made before a resume
     if checkpointer is not None:
         resume_data = checkpointer.load()
     if resume_data is not None:
-        sim.restore(checkpointer.path)
+        sim.restore(resume_data)
         assert sim.ctc is not None
         ctc = sim.ctc
         n_rbc = int(resume_data["extra"]["n_rbc"])
+        moves_before = int(resume_data["extra"].get("window_moves", 0))
         traj = [r.copy() for r in resume_data["extra"]["traj"]]
         times = list(resume_data["extra"]["times"])
     else:
@@ -368,6 +356,7 @@ def run_expanding_channel_apr(
                         "n_rbc": n_rbc,
                         "traj": np.array(traj),
                         "times": np.array(times),
+                        "window_moves": moves_before + len(sim.move_reports),
                     },
                 )
             )
@@ -382,7 +371,10 @@ def run_expanding_channel_apr(
         + int((~sim.fine.grid.solid).sum()),
         seed=seed,
         params=params,
-        extras={"steps": steps, "window_moves": len(sim.move_reports)},
+        extras={
+            "steps": steps,
+            "window_moves": moves_before + len(sim.move_reports),
+        },
     )
 
 

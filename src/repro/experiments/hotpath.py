@@ -94,12 +94,7 @@ def run_hotpath(
             step_done = data["step"]
             grid.f[:] = data["f_coarse"]
             grid.mark_f_modified()
-            for gid in [c.global_id for c in manager.cells]:
-                manager.remove(gid)
-            for cell in sorted(
-                data["manager"].cells, key=lambda c: c.global_id
-            ):
-                manager.add(cell.copy())
+            manager.replace_cells(data["manager"].cells)
     if step_done == 0 and warmup > 0:
         stepper.step(warmup)
     every = checkpoint_interval(checkpointer)

@@ -134,7 +134,6 @@ def run_tube_window(
         refinement=refinement,
         nu_bulk=nu_bulk,
         nu_window=nu_plasma,
-        rho=rho,
         hematocrit=hematocrit,
         rbc_subdivisions=rbc_subdivisions,
         maintain_interval=maintain_interval,
@@ -153,16 +152,16 @@ def run_tube_window(
     if checkpointer is not None:
         resume_data = checkpointer.load()
     if resume_data is not None:
-        # Restore replaces the (not-yet-seeded) population and both
-        # lattices; the step counter resumes where the checkpoint
-        # left off.  Controller counters restart at zero — the
-        # summary reports churn of the resumed portion only.
-        sim.restore(checkpointer.path)
+        # Restore replaces the (not-yet-seeded) population, both
+        # lattices, the seeding RNG, the controller counters and the Ht
+        # history; the step counter resumes where the checkpoint left off.
+        sim.restore(resume_data)
         n0 = int(resume_data["extra"].get("n_cells_initial", sim.cells.n_cells))
     else:
         n0 = sim.fill_window()
 
-    sim.ht_history.append((sim.time, sim.window_hematocrit()))
+    if not sim.ht_history:
+        sim.ht_history.append((sim.time, sim.window_hematocrit()))
     every = checkpoint_interval(checkpointer)
     for seg in iter_segments(sim.coarse_step_count, steps, every):
         sim.step(seg)

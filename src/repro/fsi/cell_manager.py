@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..constants import OVERLAP_CUTOFF, REPULSION_STIFFNESS
 from ..membrane.cell import Cell
 from ..membrane.forces import membrane_forces
 from ..telemetry import get_telemetry
@@ -89,16 +90,11 @@ class _Store:
 class CellManager:
     """Container for all cells in a region, with batched force evaluation."""
 
-    def __init__(
-        self,
-        contact_cutoff: float = 0.5e-6,
-        contact_stiffness: float = 2.0e-10,
-    ):
+    def __init__(self, contact_cutoff: float = OVERLAP_CUTOFF):
         self._groups: dict[tuple, _Group] = {}
         self._by_id: dict[int, tuple[tuple, int]] = {}  # id -> (group key, idx)
         self._next_id = 0
         self.contact_cutoff = contact_cutoff
-        self.contact_stiffness = contact_stiffness
         self._generation = 0
         self._position_version = 0
         self._packed: _Store | None = None
@@ -111,6 +107,11 @@ class CellManager:
         gid = self._next_id
         self._next_id += 1
         return gid
+
+    @property
+    def next_id(self) -> int:
+        """The ID :meth:`allocate_id` hands out next."""
+        return self._next_id
 
     def reserve_ids(self, count: int) -> range:
         """Reserve a contiguous block of IDs (used by tile stamping)."""
@@ -195,6 +196,21 @@ class CellManager:
             if predicate(c)
         ]
         return [self.remove(gid) for gid in doomed]
+
+    def replace_cells(self, cells, next_id: int = 0) -> list[Cell]:
+        """Make copies of ``cells``, added in the order given, the whole
+        population (a checkpoint restore); returns the copies.
+
+        The manager changes in place, since steppers hold it; the copies
+        keep the source's arrays independent.  The order given becomes
+        the packed order within each group.  ID allocation resumes at
+        ``next_id`` or after the largest ID seen, whichever is later.
+        """
+        for gid in list(self._by_id):
+            self.remove(gid)
+        added = [self.add(c.copy()) for c in cells]
+        self._next_id = max(self._next_id, int(next_id))
+        return added
 
     # -- the store -----------------------------------------------------------
     def _store(self) -> _Store:
@@ -308,7 +324,7 @@ class CellManager:
         """
         p = self._store()
         return self._contacts.forces(
-            p.verts, p.ordinals, self.contact_cutoff, self.contact_stiffness,
+            p.verts, p.ordinals, self.contact_cutoff, REPULSION_STIFFNESS,
             key=self._generation,
         )
 

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..constants import OVERLAP_CUTOFF, REPULSION_STIFFNESS
 from ..lbm.collision import density
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
@@ -48,8 +49,6 @@ class FSIStepper:
         The cell population (may start empty).
     boundaries:
         LBM boundary handlers (walls, inlets, ...).
-    kernel:
-        IBM delta kernel name; 'cosine4' is the paper's choice.
     mode:
         'clip' for bounded windows, 'wrap' for fully periodic domains.
     body_force:
@@ -58,7 +57,10 @@ class FSIStepper:
     wall_geometry:
         Optional SDF geometry: vertices within ``wall_cutoff`` of the
         wall receive a short-range repulsion keeping cells out of the
-        unresolved lubrication layer (see :mod:`repro.fsi.walls`).
+        unresolved lubrication layer (see :mod:`repro.fsi.walls`), of
+        peak force :data:`~repro.constants.REPULSION_STIFFNESS`.
+
+    The IBM delta kernel is the paper's 4-point cosine (Section 2.3).
     """
 
     def __init__(
@@ -67,23 +69,19 @@ class FSIStepper:
         units: UnitSystem,
         cells: CellManager | None = None,
         boundaries: Sequence[BoundaryHandler] = (),
-        kernel: str = "cosine4",
         mode: str = "clip",
         body_force: np.ndarray | None = None,
         wall_geometry=None,
-        wall_cutoff: float = 0.5e-6,
-        wall_stiffness: float = 2.0e-10,
+        wall_cutoff: float = OVERLAP_CUTOFF,
     ) -> None:
         self.grid = grid
         self.units = units
         self.cells = cells if cells is not None else CellManager()
         self.solver = LBMSolver(grid, boundaries)
-        self.kernel = kernel
         self.mode = mode
         self.wall_geometry = wall_geometry
         self.wall_cutoff = wall_cutoff
-        self.wall_stiffness = wall_stiffness
-        self.runtime = ParallelFSIRuntime(grid, kernel=kernel, mode=mode)
+        self.runtime = ParallelFSIRuntime(grid, mode=mode)
         self._wall_prefilter: WallProximityPrefilter | None = None
         self.body_force_lattice = np.zeros(3)
         if body_force is not None:
@@ -119,7 +117,7 @@ class FSIStepper:
             pf = self._wall_prefilter = WallProximityPrefilter(
                 self.wall_geometry, self.grid, self.wall_cutoff
             )
-        return pf.forces(verts, self.wall_stiffness)
+        return pf.forces(verts, REPULSION_STIFFNESS)
 
     def _spread_forces(self, tel=None) -> None:
         if tel is None:

@@ -191,7 +191,7 @@ def load_checkpoint(path: str | Path, dtype=None) -> dict:
             cell = Cell(
                 kind=kind,
                 reference=ref,
-                vertices=data[f"cell_{gid}_verts"],
+                vertices=verts,
                 global_id=int(gid),
                 shear_modulus=gs_i,
                 **extra_mech,

@@ -46,7 +46,6 @@ def bounce_back_values(
     f_post: np.ndarray,
     links: BounceBackLinks,
     wall_velocity: np.ndarray | None = None,
-    rho_wall: float = 1.0,
 ) -> np.ndarray:
     """What halfway bounce-back writes at each link, in link order.
 
@@ -54,6 +53,8 @@ def bounce_back_values(
     ``x - c_i`` is solid, the streamed value is replaced with
 
         f_i(x) = f*_opp(i)(x) + 2 w_i rho_w (c_i . u_w) / cs^2
+
+    with the lattice wall density ``rho_w = 1``, so the factor is left out.
 
     which reduces to plain bounce-back for a resting wall.  Every link
     is one gather from the post-collision ``f_post``.
@@ -68,8 +69,6 @@ def bounce_back_values(
         Either ``None`` (resting walls), a constant (3,) vector, or a full
         (3, nx, ny, nz) field giving the wall velocity seen from each fluid
         node (only entries at link nodes matter).
-    rho_wall:
-        Wall density used in the momentum correction (1.0 is standard).
     """
     if not f_post.flags.c_contiguous:
         raise ValueError("bounce-back links index C-contiguous lattices")
@@ -79,7 +78,7 @@ def bounce_back_values(
         uw = np.asarray(wall_velocity, dtype=np.float64)
         u = uw[:, None] if uw.ndim == 1 else uw.reshape(3, -1)[:, nodes]
         cu = (D3Q19.c[dirs].T * u).sum(axis=0)
-        values = values + 2.0 * D3Q19.w[dirs] * rho_wall * cu / D3Q19.cs2
+        values = values + 2.0 * D3Q19.w[dirs] * cu / D3Q19.cs2
     return values
 
 
@@ -95,7 +94,6 @@ def apply_bounce_back(
     f_post: np.ndarray,
     links: BounceBackLinks,
     wall_velocity: np.ndarray | None = None,
-    rho_wall: float = 1.0,
 ) -> None:
     """Halfway bounce-back on streamed ``f_new`` from a separate ``f_post``.
 
@@ -104,7 +102,7 @@ def apply_bounce_back(
     :func:`bounce_back_values` before an in-place stream instead.
     """
     _scatter_links(
-        f_new, links, bounce_back_values(f_post, links, wall_velocity, rho_wall)
+        f_new, links, bounce_back_values(f_post, links, wall_velocity)
     )
 
 
@@ -123,7 +121,6 @@ class BounceBackWalls:
 
     solid: np.ndarray
     wall_velocity: np.ndarray | None = None
-    rho_wall: float = 1.0
 
     def __post_init__(self) -> None:
         self.solid = np.asarray(self.solid, dtype=bool)
@@ -132,9 +129,7 @@ class BounceBackWalls:
 
     def before_stream(self, f: np.ndarray) -> None:
         """Gather the reflected values from the post-collision ``f``."""
-        self._values = bounce_back_values(
-            f, self._links, self.wall_velocity, self.rho_wall
-        )
+        self._values = bounce_back_values(f, self._links, self.wall_velocity)
 
     def apply(self, f: np.ndarray) -> None:
         """Write the gathered values into the streamed ``f``."""

@@ -35,7 +35,7 @@ from ..ibm.coupling import (
     interpolate_with_stencil,
     spread_with_stencil,
 )
-from ..ibm.kernels import KERNELS, DeltaKernel
+from ..ibm.kernels import KERNELS
 from ..telemetry import get_telemetry
 
 
@@ -73,9 +73,9 @@ class ParallelFSIRuntime:
     population takes their leading rows.
     """
 
-    def __init__(self, grid, kernel: DeltaKernel | str = "cosine4",
-                 mode: str = "clip"):
-        self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
+    def __init__(self, grid, mode: str = "clip"):
+        #: The paper's 4-point cosine delta (Section 2.3).
+        self.kernel = KERNELS["cosine4"]
         self.mode = mode
         self.grid_shape = tuple(grid.shape)
         self.origin = np.asarray(grid.origin, dtype=np.float64).copy()

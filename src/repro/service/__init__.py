@@ -22,6 +22,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".registry": ("EXPERIMENTS", "resolve"),
     ".report": ("build_report", "render_report", "write_report"),
-    ".scheduler": ("CampaignRunner", "run_campaign"),
+    ".scheduler": ("CampaignRunner",),
     ".worker": ("derive_seed", "job_dir", "run_job"),
 })

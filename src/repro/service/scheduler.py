@@ -292,12 +292,3 @@ class CampaignRunner:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 pass
-
-
-def run_campaign(
-    manifest: CampaignManifest,
-    out_dir: str | Path,
-    resume: bool = False,
-) -> dict:
-    """Convenience wrapper: schedule ``manifest`` into ``out_dir``."""
-    return CampaignRunner(manifest, out_dir).run(resume=resume)

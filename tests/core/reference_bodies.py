@@ -35,18 +35,17 @@ import numpy as np
 from scipy import sparse
 
 from repro.analytics import region_hematocrit
-from repro.constants import RBC_DIAMETER
+from repro.constants import OVERLAP_CUTOFF, RBC_DIAMETER
 from repro.core.moving import MoveReport, classify_for_move
 from repro.core.refinement import (
     _N_STATE,
     RefinedRegion,
     _prolong,
     _state_rows,
-    trilinear,
 )
-from repro.core.seeding import _cell_from_shape, tile_candidates
+from repro.core.seeding import INSERTION_THRESHOLD, _cell_from_shape, tile_candidates
 from repro.core.viscosity import stress_match_scale_to_fine
-from repro.ibm.coupling import make_stencil
+from repro.ibm.coupling import interpolate, make_stencil
 from repro.lbm.collision import equilibrium, macroscopic, take_columns
 from repro.fsi.subgrid import UniformSubgrid
 from repro.telemetry import get_telemetry
@@ -54,6 +53,12 @@ from repro.membrane import CellKind
 from repro.membrane.cell import make_rbc, random_rotation
 
 from ..lbm.reference_bodies import tensordot_equilibrium
+
+
+def trilinear(field, frac_coords, mode="clip"):
+    """Trilinear interpolation of a (C, nx, ny, nz) or (nx, ny, nz) field
+    at fractional lattice indices (N, 3): the 2-point IBM kernel."""
+    return interpolate(field, frac_coords, kernel="linear2", mode=mode)
 
 
 def full_scan_candidates(tile, lo, hi, stamp_rot, offset):
@@ -82,10 +87,11 @@ def full_scan_candidates(tile, lo, hi, stamp_rot, offset):
 
 
 def sequential_stamp_tile(
-    manager, tile, lo, hi, rng, overlap_cutoff=0.5e-6, diameter=RBC_DIAMETER,
-    subdivisions=3, shear_modulus=None, keep_predicate=None, existing=None,
+    manager, tile, lo, hi, rng, overlap_cutoff=OVERLAP_CUTOFF,
+    diameter=RBC_DIAMETER, subdivisions=3, keep_predicate=None, existing=None,
 ):
-    """``stamp_tile`` querying and inserting one candidate at a time."""
+    """``stamp_tile`` querying and inserting one candidate at a time, on
+    ``existing`` or else the manager's vertex index."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     stamp_rot = random_rotation(rng)
@@ -94,7 +100,6 @@ def sequential_stamp_tile(
     tel = get_telemetry()
     tel.inc("seeding.tile_copies", n_examined)
     added = []
-    kwargs = {} if shear_modulus is None else {"shear_modulus": shear_modulus}
     if not candidates:
         return added
     if existing is None:
@@ -105,12 +110,12 @@ def sequential_stamp_tile(
         if tile.shapes is not None:
             cell = _cell_from_shape(
                 tile.shapes[tile_idx], center, stamp_rot, gid,
-                diameter, subdivisions, shear_modulus,
+                diameter, subdivisions,
             )
         else:
             cell = make_rbc(
                 center=center, global_id=gid, rotation=rot,
-                diameter=diameter, subdivisions=subdivisions, **kwargs,
+                diameter=diameter, subdivisions=subdivisions,
             )
         if keep_predicate is not None and not keep_predicate(cell):
             rejected_predicate += 1
@@ -127,7 +132,7 @@ def sequential_stamp_tile(
     return added
 
 
-def sequential_move_cells(mover, manager, old_window, new_window,
+def sequential_move_cells(manager, old_window, new_window,
                           protect=frozenset()):
     """``WindowMover.move_cells`` deep-copying every old-window cell and
     testing the fill-region clones one at a time."""
@@ -139,7 +144,7 @@ def sequential_move_cells(mover, manager, old_window, new_window,
     ]
     capture, rest = classify_for_move(rbcs, old_window, new_window)
     capture_ids = {c.global_id for c in capture}
-    occupied = UniformSubgrid(cell_size=mover.overlap_cutoff)
+    occupied = UniformSubgrid(cell_size=OVERLAP_CUTOFF)
     kept = [
         cell for cell in manager.cells
         if cell.global_id in capture_ids or cell.global_id in protect
@@ -160,7 +165,7 @@ def sequential_move_cells(mover, manager, old_window, new_window,
         c = clone.centroid()
         if not (np.all(c >= lo_int) and np.all(c <= hi_int)):
             continue
-        if occupied.query_labels_near(clone.vertices, mover.overlap_cutoff):
+        if occupied.query_labels_near(clone.vertices, OVERLAP_CUTOFF):
             continue
         fills.append(clone)
         occupied.insert(clone.vertices, clone.global_id)
@@ -217,7 +222,7 @@ def uncached_maintain(ctrl, manager, stamp, protect=frozenset()):
     vols, cents = per_cell_census(manager)
     inserted = 0
     subregions = ctrl.window.insertion_subregions(ctrl.subregion_size)
-    if ctrl.gate_on_shell and subregions:
+    if subregions:
         shell_vol = shell_cells = fluid_weight = 0.0
         for lo, hi in subregions:
             if ctrl.subregion_filter is not None and not ctrl.subregion_filter(lo, hi):
@@ -234,7 +239,7 @@ def uncached_maintain(ctrl, manager, stamp, protect=frozenset()):
         if shell_vol > 0.0 and fluid_weight > 0.0:
             shell_ht = shell_cells / shell_vol
             shell_target = ctrl.target * (fluid_weight / shell_vol)
-            if shell_ht >= ctrl.threshold * shell_target:
+            if shell_ht >= INSERTION_THRESHOLD * shell_target:
                 return 0
     existing = None
     for lo, hi in subregions:
@@ -246,9 +251,9 @@ def uncached_maintain(ctrl, manager, stamp, protect=frozenset()):
             if local_target <= 0.0:
                 continue
         ht = region_hematocrit(vols, cents, lo, hi)
-        if ht < ctrl.threshold * local_target:
+        if ht < INSERTION_THRESHOLD * local_target:
             if existing is None:
-                existing = manager.vertex_subgrid(max(ctrl.overlap_cutoff, 1e-12))
+                existing = manager.vertex_subgrid(OVERLAP_CUTOFF)
             inserted += len(stamp(lo, hi, existing))
     ctrl.n_inserted += inserted
     return inserted

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import APRConfig, APRSimulation, WindowSpec
+from repro.io.checkpoint import load_checkpoint
 from repro.lbm import Grid, LBMSolver
-from repro.membrane import make_ctc
+from repro.membrane import make_ctc, make_rbc
 from repro.units import UnitSystem
 
 RHO = 1025.0
@@ -29,7 +30,6 @@ def _fluid_only_sim(box_cells=16, w_total=12e-6, n=2, seed=0):
         refinement=n,
         nu_bulk=NU_BULK,
         nu_window=NU_PLASMA,
-        rho=RHO,
         hematocrit=None,
         seed=seed,
     )
@@ -145,7 +145,7 @@ def test_controller_counters_run_across_window_moves():
     coarse = LBMSolver(Grid((24,) * 3, tau=1.0, spacing=dx_c), [])
     cfg = APRConfig(
         window_spec=WindowSpec(12e-6, 3e-6, 3e-6), refinement=2,
-        nu_bulk=NU_BULK, nu_window=NU_PLASMA, rho=RHO, hematocrit=0.1,
+        nu_bulk=NU_BULK, nu_window=NU_PLASMA, hematocrit=0.1,
         rbc_diameter=4e-6, rbc_subdivisions=1, maintain_interval=2,
     )
     sim = APRSimulation(cfg, coarse, np.full(3, 23e-6), units)
@@ -189,7 +189,7 @@ def test_checkpoint_roundtrip(tmp_path):
     # Continue, then restore: state must rewind exactly.
     sim.step(4)
     assert not np.allclose(sim.ctc.vertices, ctc_verts)
-    sim.restore(path)
+    sim.restore(load_checkpoint(path))
     assert sim.coarse_step_count == step
     assert np.allclose(sim.coarse.grid.f, f_coarse)
     assert sim.ctc is not None
@@ -197,3 +197,29 @@ def test_checkpoint_roundtrip(tmp_path):
     # Restored sim keeps stepping.
     sim.step(2)
     assert sim.coarse_step_count == step + 2
+
+
+def test_restore_keeps_packed_order_rng_and_next_id(tmp_path):
+    """The spread sums the markers in packed order, so a restore rebuilds
+    that order instead of sorting the cells by ID (a removal or a window
+    move leaves them unsorted); the seeding RNG and the ID counter go on
+    where they were."""
+    sim, *_ = _fluid_only_sim()
+    for k in range(4):
+        sim.cells.add(make_rbc(sim.window.center + np.array([0.0, 0.0, 3e-6 * k]),
+                               global_id=sim.cells.allocate_id(),
+                               subdivisions=1))
+    sim.cells.allocate_id()  # a stamped candidate that was rejected
+    sim.cells.remove(1)  # swap-remove: the last cell takes its row
+    order = [c.global_id for c in sim.cells.cells]
+    assert order != sorted(order)
+    sim.rng.random(3)
+    sim.save(tmp_path / "ck.npz")
+
+    fresh, *_ = _fluid_only_sim()
+    fresh.restore(load_checkpoint(tmp_path / "ck.npz"))
+    assert [c.global_id for c in fresh.cells.cells] == order
+    assert np.array_equal(fresh.cells.packed_vertices()[0],
+                          sim.cells.packed_vertices()[0])
+    assert fresh.cells.next_id == sim.cells.next_id == 5
+    assert fresh.rng.bit_generator.state == sim.rng.bit_generator.state

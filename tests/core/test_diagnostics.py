@@ -33,7 +33,7 @@ def sim():
     spec = WindowSpec(proper_side=8e-6, onramp_width=2e-6, insertion_width=2e-6)
     cfg = APRConfig(
         window_spec=spec, refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA,
-        rho=RHO, hematocrit=None,
+        hematocrit=None,
     )
     center = dx_c * 8.5 * np.ones(3)
     return APRSimulation(cfg, coarse, center, units)
@@ -100,7 +100,7 @@ def _tube_sim():
     cfg = APRConfig(
         window_spec=WindowSpec(proper_side=w, onramp_width=w / 6,
                                insertion_width=w / 3),
-        refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA, rho=RHO,
+        refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA,
         hematocrit=None,
     )
     center = np.array([0.0, 0.0, 11.5 * dx_c])

@@ -85,7 +85,7 @@ def test_cells_outside_new_window_removed():
 def test_no_overlaps_after_move():
     m, old = _populated(np.zeros(3))
     new = old.moved_to(np.array([10e-6, 4e-6, 0]))
-    WindowMover(overlap_cutoff=0.5e-6).move_cells(m, old, new)
+    WindowMover().move_cells(m, old, new)
     cells = m.cells
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):

@@ -10,6 +10,7 @@ import pytest
 
 import repro.core.moving as moving
 import repro.core.seeding as seeding
+from repro.constants import OVERLAP_CUTOFF
 from repro.core import HematocritController, RBCTile, Window, WindowMover, WindowSpec
 from repro.fsi import CellManager
 from repro.fsi.subgrid import UniformSubgrid
@@ -64,8 +65,10 @@ def _shaped(tile, seed):
 
 @pytest.mark.parametrize("shapes", [False, True])
 @pytest.mark.parametrize("predicate", [False, True])
-@pytest.mark.parametrize("explicit_index", [False, True])
-def test_stamp_tile_matches_sequential_body(shapes, predicate, explicit_index):
+@pytest.mark.parametrize("cached_index", [False, True])
+def test_stamp_tile_matches_sequential_body(shapes, predicate, cached_index):
+    """The stamp resolves on the manager's vertex index, whether it was
+    built before the stamp (and reused) or by it."""
     tile = RBCTile.build(hematocrit=0.3, side=16e-6, seed=2)
     if shapes:
         tile = _shaped(tile, 3)
@@ -74,17 +77,17 @@ def test_stamp_tile_matches_sequential_body(shapes, predicate, explicit_index):
     runs = []
     for stamp in (seeding.stamp_tile, sequential_stamp_tile):
         m = _dense_manager(14, seed=8)
-        index = m.vertex_subgrid(CUTOFF)  # the cached index a stamp uses
+        if cached_index:
+            m.vertex_subgrid(CUTOFF)
         rng = np.random.default_rng(5)
         tel = Telemetry()
         with active(tel):
             added = stamp(m, tile, lo, hi, rng, overlap_cutoff=CUTOFF,
-                          subdivisions=1, keep_predicate=keep,
-                          existing=index if explicit_index else None)
+                          subdivisions=1, keep_predicate=keep)
         runs.append((
             [(c.global_id, c.vertices.tobytes()) for c in added],
             _population(m), m.allocate_id(), rng.bit_generator.state,
-            _counts(tel), _index(index),
+            _counts(tel), _index(m._subgrid),
         ))
     got, want = runs
     assert got == want
@@ -126,8 +129,8 @@ def _sequential_maintain(self, manager, protect=frozenset()):
     def stamp(lo, hi, existing):
         return sequential_stamp_tile(
             manager, self.tile, lo, hi, self.rng,
-            overlap_cutoff=self.overlap_cutoff, diameter=self.diameter,
-            subdivisions=self.subdivisions, shear_modulus=self.shear_modulus,
+            overlap_cutoff=OVERLAP_CUTOFF, diameter=self.diameter,
+            subdivisions=self.subdivisions,
             keep_predicate=self.keep_predicate, existing=existing,
         )
     return uncached_maintain(self, manager, stamp, protect)
@@ -166,8 +169,7 @@ def test_move_cells_matches_sequential_body(monkeypatch, displacement):
     monkeypatch.setattr(moving, "UniformSubgrid", _Recorded)
     monkeypatch.setattr(reference_bodies, "UniformSubgrid", _Recorded)
     runs, pairs = [], []
-    for move in (WindowMover(CUTOFF).move_cells,
-                 lambda *a, **k: sequential_move_cells(WindowMover(CUTOFF), *a, **k)):
+    for move in (WindowMover().move_cells, sequential_move_cells):
         m = CellManager()
         ctc = m.add(make_ctc(np.zeros(3), global_id=m.allocate_id(), subdivisions=1))
         old = Window(center=np.zeros(3), spec=SPEC)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RefinedRegion, tau_fine_from_coarse, trilinear
+from repro.core import RefinedRegion, tau_fine_from_coarse
 from repro.core.viscosity import stress_match_scale_to_fine
 from repro.lbm import D3Q19, Grid, LBMSolver
 from repro.lbm.collision import macroscopic
@@ -12,6 +12,7 @@ from ..lbm.reference_bodies import tensordot_equilibrium
 from .reference_bodies import (
     interpolation_operator,
     operator_fill,
+    trilinear,
     whole_block_fill,
 )
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analytics import region_hematocrit
 from repro.core import HematocritController, RBCTile, Window, WindowSpec, stamp_tile
+import repro.core.seeding as seeding
 from repro.core.seeding import stamp_tile as stamp
 from repro.fsi import CellManager
 from repro.fsi.overlap import find_overlapping_vertices
@@ -26,7 +27,7 @@ def test_tile_reaches_target_density(tile):
 def test_tile_respects_min_spacing(tile):
     from repro.constants import RBC_DIAMETER
 
-    min_d = 0.55 * RBC_DIAMETER
+    min_d = seeding.TILE_MIN_SPACING * RBC_DIAMETER
     c = tile.centers
     for i in range(len(c)):
         for j in range(i + 1, len(c)):
@@ -42,12 +43,13 @@ def test_tile_deterministic():
     assert np.allclose(a.rotations, b.rotations)
 
 
-def test_tile_validation():
+def test_tile_validation(monkeypatch):
     with pytest.raises(ValueError):
         RBCTile.build(0.0, TILE_SIDE)
+    # Too few attempts to place six cells at the spacing constraint.
+    monkeypatch.setattr(seeding, "TILE_MAX_ATTEMPTS", 5)
     with pytest.raises(RuntimeError):
-        # Unreachable density for the spacing constraint.
-        RBCTile.build(0.59, 10e-6, max_attempts_factor=5)
+        RBCTile.build(0.59, 10e-6)
 
 
 def test_stamp_places_cells_inside_box(tile, rng):

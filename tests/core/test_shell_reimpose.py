@@ -139,9 +139,11 @@ def _apr_run():
     spec = WindowSpec(proper_side=14e-6, onramp_width=3e-6,
                       insertion_width=2e-6)
     cfg = APRConfig(window_spec=spec, refinement=2, nu_bulk=nu_bulk,
-                    nu_window=1.2e-3 / rho, rho=rho, hematocrit=None, seed=0,
-                    trigger_distance=1e-6)
+                    nu_window=1.2e-3 / rho, hematocrit=None, seed=0)
     sim = APRSimulation(cfg, LBMSolver(cg, []), np.full(3, 23e-6), units)
+    # The one move is the explicit one below: one RBC diameter of
+    # clearance would trigger a move on every step of this small window.
+    sim.tracker.needs_move = lambda ctc, window: False
     ctc = make_ctc(sim.window.center, global_id=sim.cells.allocate_id(),
                    subdivisions=1)
     sim.add_ctc(ctc)

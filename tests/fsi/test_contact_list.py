@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from repro.constants import REPULSION_STIFFNESS
 from repro.fsi import CellManager
 from repro.fsi.contact import SKIN_FACTOR, ContactList, contact_forces
 from repro.membrane import make_rbc
@@ -121,7 +122,7 @@ def _touching_cells(manager, n):
 def _manager_oracle(manager):
     verts, ordinals, _ = manager.all_vertices()
     return contact_forces(
-        verts, ordinals, manager.contact_cutoff, manager.contact_stiffness
+        verts, ordinals, manager.contact_cutoff, REPULSION_STIFFNESS
     ).copy()
 
 

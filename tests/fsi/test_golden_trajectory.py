@@ -20,6 +20,7 @@ they in fact agree to round-off).
 
 import numpy as np
 
+from repro.constants import REPULSION_STIFFNESS
 from repro.fsi import CellManager, FSIStepper
 from repro.fsi.contact import contact_forces
 from repro.ibm import make_stencil
@@ -83,7 +84,7 @@ def _reference_step(st: FSIStepper, units: UnitSystem) -> None:
     verts, ordinals, cells = st.cells.all_vertices()
     forces = np.vstack([_literal_membrane_forces(c) for c in cells])
     forces = forces + contact_forces(
-        verts, ordinals, st.cells.contact_cutoff, st.cells.contact_stiffness
+        verts, ordinals, st.cells.contact_cutoff, REPULSION_STIFFNESS
     )
     forces_lat = forces * units.force_to_lattice(1.0)
     # 2. spread (bincount body)

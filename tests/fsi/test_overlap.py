@@ -165,10 +165,13 @@ def test_stamp_tile_matches_brute_force_on_dense_population():
         manager = CellManager()
         for cell in _dense_population(n=12, seed=8):
             manager.add(cell.copy(new_id=manager.allocate_id()))
-        existing = None if index is None else _BruteIndex(manager.cells)
+        if index == "brute":
+            # The stamp resolves overlaps on the index the manager hands out.
+            brute = _BruteIndex(manager.cells)
+            manager.vertex_subgrid = lambda cell_size: brute
         added = stamp_tile(
             manager, tile, lo, hi, np.random.default_rng(5),
-            overlap_cutoff=CUTOFF, subdivisions=1, existing=existing,
+            overlap_cutoff=CUTOFF, subdivisions=1,
         )
         accepted.append([(c.global_id, c.vertices) for c in added])
     got, want = accepted

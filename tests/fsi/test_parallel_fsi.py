@@ -70,7 +70,7 @@ def _reference_step(st: FSIStepper) -> None:
     forces, verts, _cells = st.cells.total_forces()
     forces_lat = forces * st.units.force_to_lattice(1.0)
     stencil = make_stencil((verts - g.origin) / g.spacing, g.shape,
-                           st.kernel, st.mode)
+                           st.runtime.kernel, st.mode)
     spread_with_stencil(forces_lat, stencil, g.force)
     st.solver.step()
     v_lat = interpolate_with_stencil(st.solver.velocity(), stencil)

@@ -34,7 +34,7 @@ def _tube_setup(offset_from_wall):
     cm.add(cell)
     st = FSIStepper(
         g, units, cm, [BounceBackWalls(g.solid)], mode="clip",
-        wall_geometry=tube, wall_cutoff=0.8e-6, wall_stiffness=5e-11,
+        wall_geometry=tube, wall_cutoff=0.8e-6,
     )
     return st, cell, tube
 

@@ -19,10 +19,10 @@ def add_cells(manager: CellManager, centers, diameter: float = 2e-6) -> None:
                              diameter=diameter, subdivisions=1))
 
 
-def runtime_with_cells(grid, centers, kernel="cosine4", mode="wrap"):
+def runtime_with_cells(grid, centers, mode="wrap"):
     """(runtime synced to the population, the manager, its markers)."""
     manager = CellManager()
     add_cells(manager, centers)
-    runtime = ParallelFSIRuntime(grid, kernel=kernel, mode=mode)
+    runtime = ParallelFSIRuntime(grid, mode=mode)
     runtime.sync_population(manager)
     return runtime, manager, manager.packed_vertices()[0]

@@ -112,19 +112,16 @@ def test_unknown_mode_raises():
 
 def test_coupler_physical_units():
     origin = np.array([1e-6, 0.0, 0.0])
-    g = Grid((8, 8, 8), tau=0.8, origin=origin, spacing=0.5e-6)
-    # A cell about the physical position of lattice node (4, 4, 4).
-    rt, _, phys = runtime_with_cells(
-        g, [origin + 4 * 0.5e-6], kernel="linear2", mode="clip"
-    )
+    g = Grid((12, 12, 12), tau=0.8, origin=origin, spacing=0.5e-6)
+    # A cell about the physical position of lattice node (6, 6, 6).
+    rt, _, phys = runtime_with_cells(g, [origin + 6 * 0.5e-6], mode="clip")
     u = _linear_vector_field(g.shape)
     rt.begin_step(phys)
     v = rt.interpolate(u)
-    # linear2 reproduces a linear field exactly at the lattice positions.
+    # The runtime's markers sit at their lattice positions, under the
+    # paper's cosine kernel.
     frac = (phys - origin) / 0.5e-6
-    assert np.allclose(v, interpolate(u, frac, "linear2"), rtol=0, atol=1e-12)
-    x, y, z = frac.T
-    assert np.allclose(v[:, 0], 0.1 * x + 0.2 * y - 0.05 * z + 0.3)
+    assert np.allclose(v, interpolate(u, frac, "cosine4"), rtol=0, atol=1e-12)
 
 
 def test_coupler_spread_into_grid_force():

@@ -84,7 +84,7 @@ def test_two_cell_contact_keeps_separation():
     units = UnitSystem(dx, dt, RHO)
     shape = (32, 24, 24)
     g = Grid(shape, tau=1.0, spacing=dx)
-    cm = CellManager(contact_cutoff=0.5e-6, contact_stiffness=2e-10)
+    cm = CellManager(contact_cutoff=0.5e-6)
     c1 = make_rbc(np.array([9e-6, 7.5e-6, 7.5e-6]), global_id=0, subdivisions=2)
     c2 = make_rbc(np.array([13e-6, 7.5e-6, 7.5e-6]), global_id=1, subdivisions=2)
     cm.add(c1)

@@ -38,7 +38,7 @@ def test_apr_simulation_keeps_one_lattice_per_level():
     cfg = APRConfig(
         window_spec=WindowSpec(proper_side=6e-6, onramp_width=1.5e-6,
                                insertion_width=1.5e-6),
-        refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA, rho=RHO,
+        refinement=2, nu_bulk=NU_BULK, nu_window=NU_PLASMA,
         hematocrit=None,
     )
     sim = APRSimulation(cfg, coarse, dx_c * (box - 1) / 2.0 * np.ones(3),

@@ -36,7 +36,6 @@ def moved_sim():
         refinement=2,
         nu_bulk=NU_BULK,
         nu_window=NU_PLASMA,
-        rho=RHO,
         hematocrit=0.12,
         rbc_diameter=5.5e-6,
         rbc_subdivisions=1,

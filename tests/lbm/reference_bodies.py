@@ -54,14 +54,15 @@ def two_buffer_step(grid, handlers):
     for bc in handlers:
         if isinstance(bc, BounceBackWalls):
             mask_bounce_back(grid.f, f_post, upwind_solid_masks(bc.solid),
-                             bc.wall_velocity, bc.rho_wall)
+                             bc.wall_velocity)
         else:
             bc.apply(grid.f)
     grid.mark_f_modified()
 
 
-def mask_bounce_back(f_new, f_post, masks, wall_velocity=None, rho_wall=1.0):
-    """Halfway bounce-back in place on ``f_new``, direction by direction."""
+def mask_bounce_back(f_new, f_post, masks, wall_velocity=None):
+    """Halfway bounce-back in place on ``f_new``, direction by direction
+    (lattice wall density 1)."""
     cs2 = D3Q19.cs2
     for i in range(1, D3Q19.Q):
         m = masks[i]
@@ -74,10 +75,10 @@ def mask_bounce_back(f_new, f_post, masks, wall_velocity=None, rho_wall=1.0):
             if uw.ndim == 1:
                 cu = float(ci @ uw)
                 if cu != 0.0:
-                    f_new[i][m] += 2.0 * D3Q19.w[i] * rho_wall * cu / cs2
+                    f_new[i][m] += 2.0 * D3Q19.w[i] * cu / cs2
             else:
                 cu = np.einsum("a,a...->...", ci, uw)[m]
-                f_new[i][m] += 2.0 * D3Q19.w[i] * rho_wall * cu / cs2
+                f_new[i][m] += 2.0 * D3Q19.w[i] * cu / cs2
 
 
 def tensordot_equilibrium(rho, u, out=None):

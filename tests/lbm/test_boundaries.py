@@ -40,12 +40,12 @@ def test_link_table_equals_mask_oracle(rng, wall, dtype):
     uw = _wall_velocity(rng, shape, wall)
     want = f_new.copy()
     masks = upwind_solid_masks(solid)
-    mask_bounce_back(want, f_post, masks, uw, rho_wall=1.02)
+    mask_bounce_back(want, f_post, masks, uw)
     got = f_new.copy()
-    apply_bounce_back(got, f_post, BounceBackLinks(masks), uw, rho_wall=1.02)
+    apply_bounce_back(got, f_post, BounceBackLinks(masks), uw)
     assert np.array_equal(got, want)
 
-    walls = BounceBackWalls(solid, wall_velocity=uw, rho_wall=1.02)
+    walls = BounceBackWalls(solid, wall_velocity=uw)
     again = f_new.copy()
     walls.before_stream(f_post)
     walls.apply(again)

@@ -100,7 +100,7 @@ def _channel(rng, tau_kind, wall, shape=(6, 8, 10)):
     g.solid[:, 0] = g.solid[:, -1] = True
     uw = {"resting": None, "constant": np.array([0.02, 0.0, -0.01]),
           "field": 0.03 * rng.standard_normal((3,) + shape)}[wall]
-    walls = BounceBackWalls(g.solid, wall_velocity=uw, rho_wall=1.01)
+    walls = BounceBackWalls(g.solid, wall_velocity=uw)
     inlet = VelocityInlet(axis=2, side="low", velocity=np.array([0, 0, 0.02]))
     outlet = (PressureOutlet(axis=2, side="high", rho=0.999)
               if wall == "field" else OutflowOutlet(axis=2, side="high"))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import APRConfig, APRSimulation, WindowSpec
+from repro.core.apr import HEALTH_SAMPLE_INTERVAL
 from repro.fsi import CellManager, FSIStepper
 from repro.lbm import Grid, LBMSolver
 from repro.membrane import make_rbc
@@ -50,9 +51,7 @@ def _apr_sim(box_cells=14, n=2):
         refinement=n,
         nu_bulk=NU_BULK,
         nu_window=NU_PLASMA,
-        rho=RHO,
         hematocrit=None,
-        telemetry_interval=2,
     )
     center = dx_c * (box_cells - 1) / 2.0 * np.ones(3)
     return APRSimulation(cfg, coarse, center, units)
@@ -157,15 +156,16 @@ def test_coupling_build_phase_and_gauges():
 def test_apr_diagnostics_sampled_on_cadence(tmp_path):
     sim = _apr_sim()
     tel = Telemetry(out_dir=tmp_path)
+    every = HEALTH_SAMPLE_INTERVAL
     with active(tel):
-        sim.step(4)  # telemetry_interval=2 -> 2 health samples
+        sim.step(2 * every + 1)
     tel.close()
     assert tel.gauge("health.window_density_deviation").n_samples == 2
     from repro.telemetry import read_events
 
     events = read_events(tmp_path / "events.jsonl")
     health = [e for e in events if e["type"] == "health"]
-    assert [e["step"] for e in health] == [2, 4]
+    assert [e["step"] for e in health] == [every, 2 * every]
     assert "window_hematocrit" in health[0]
 
 
@@ -178,7 +178,7 @@ def test_diagnostics_not_computed_when_disabled(monkeypatch):
     monkeypatch.setattr(
         diag, "health_report", lambda s: called.append(s) or {}
     )
-    sim.step(2)  # null backend installed by default
+    sim.step(HEALTH_SAMPLE_INTERVAL)  # null backend installed by default
     assert called == []
 
 

@@ -2,15 +2,27 @@
 
 import importlib
 import importlib.util
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.fsi import FSIStepper
+import repro.core.seeding as seeding
+from repro.core import (
+    APRConfig,
+    HematocritController,
+    RBCTile,
+    RefinedRegion,
+    WindowMover,
+    stamp_tile,
+)
+from repro.fsi import CellManager, FSIStepper
 from repro.ibm import make_stencil
 from repro.ibm.coupling import spread_with_stencil
-from repro.lbm import Grid, LBMSolver
+from repro.lbm import BounceBackWalls, Grid, LBMSolver
+from repro.lbm.boundaries import apply_bounce_back, bounce_back_values
 from repro.parallel import BlockDecomposition, DistributedLBMSolver
+from repro.parallel.fsi import ParallelFSIRuntime
 from repro.service.registry import known_experiments
 from repro.units import UnitSystem
 
@@ -31,7 +43,6 @@ REMOVED = {
     "repro.analytics": (("flow",), ("flow_rate_through_plane",)),
     # the live HTTP status plane: ``campaign status`` reads the ledger
     "repro.telemetry": (("server",), ("build_status", "metrics_text")),
-    "repro.service": (("status",), ("campaign_status", "render_status")),
     # the decomposed lattice steps one way: packed exchange, uniform split;
     # the cell side of the FSI step runs inline, without a process pool
     "repro.parallel": (
@@ -46,6 +57,12 @@ REMOVED = {
     # IBM step runs only on the FSI runtime
     "repro.fsi": (("pool",), ("VertexPool",)),
     "repro.ibm": ((), ("IBMCoupler",)),
+    # entry points no caller used
+    "repro.core": ((), ("trilinear",)),
+    "repro.core.refinement": ((), ("trilinear",)),
+    "repro.service": (("status",), ("campaign_status", "render_status",
+                                    "run_campaign")),
+    "repro.service.scheduler": ((), ("run_campaign",)),
 }
 
 #: callable -> (valid positional arguments, keywords it no longer takes)
@@ -123,3 +140,41 @@ def test_grid_mark_f_modified_takes_no_arguments():
     with pytest.raises(TypeError):
         g.mark_f_modified(nodes=np.arange(3))
     assert not hasattr(g, "_f_patches")
+
+
+#: callable -> settings every product caller passed the same value for,
+#: now constants (docs/tuning.md section 5, tests/test_config_surface.py)
+REMOVED_SETTINGS = {
+    APRConfig: ("rho", "ht_threshold", "rbc_shear_modulus", "kernel",
+                "overlap_cutoff", "trigger_distance", "telemetry_interval"),
+    HematocritController: ("threshold", "overlap_cutoff", "shear_modulus",
+                           "gate_on_shell"),
+    FSIStepper: ("kernel", "wall_stiffness"),
+    ParallelFSIRuntime: ("kernel",),
+    CellManager: ("contact_stiffness",),
+    RefinedRegion: ("restriction_margin",),
+    WindowMover: ("overlap_cutoff",),
+    RBCTile.build: ("cell_volume", "min_spacing_factor", "max_attempts_factor"),
+    stamp_tile: ("shear_modulus", "existing"),
+    seeding._stamp_cells: ("shear_modulus",),
+    seeding._cell_from_shape: ("shear_modulus",),
+    BounceBackWalls: ("rho_wall",),
+    bounce_back_values: ("rho_wall",),
+    apply_bounce_back: ("rho_wall",),
+}
+
+
+@pytest.mark.parametrize("func,name", [
+    (func, name) for func, names in REMOVED_SETTINGS.items() for name in names
+], ids=lambda v: getattr(v, "__qualname__", v))
+def test_fixed_settings_are_not_parameters(func, name):
+    assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("cls,attr", [
+    (FSIStepper, "kernel"), (FSIStepper, "wall_stiffness"),
+    (CellManager, "contact_stiffness"), (RefinedRegion, "restriction_margin"),
+    (WindowMover, "overlap_cutoff"), (HematocritController, "gate_on_shell"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_fixed_settings_are_not_attributes(cls, attr):
+    assert not hasattr(cls, attr)
