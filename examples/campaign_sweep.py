@@ -1,110 +1,69 @@
 #!/usr/bin/env python
-"""Generate campaign manifests for `python -m repro campaign run`.
+"""Generate the validation campaign's manifest for `python -m repro campaign`.
 
-Two built-in shapes:
+One job list, E1-E3 at the budgets the long-horizon validation needs:
 
-* default — a hematocrit x shear sweep (6 jobs, mixed experiments),
-  the demo campaign from docs/campaign.md: checkpointed jobs, two at a
-  time, retries enabled.  Kill it mid-flight and
-  `python -m repro campaign resume <out>` finishes the remainder from
-  the checkpoint shards;
-* ``--smoke`` — the 3-job CI manifest: tiny step budgets, seconds of
-  wall time.
+* E1 ``shear_layers`` at Table 1's contrasts (lambda = 1/2, 1/3, 1/4)
+  and ratios n = 2, 5, at the scale of
+  ``benchmarks/bench_table1_fig4_shear.py`` (12-node channel, 1,500
+  steps);
+* E2 ``tube_window`` at Ht 0.10 / 0.20 / 0.30 for 18,000 coarse steps:
+  three window transits of about 6,100 coarse steps each;
+* E3 ``expanding_channel``, APR arm for 1,500 coarse steps and eFSI arm
+  for 3,000 fine steps (the same physical time: dt_coarse = 2 dt_fine).
+  The APR budget is measured, not estimated: with this job's derived
+  seed (campaign "validation", job "e3-channel-apr") the window moved at
+  coarse steps 526, 818, 1119 and 1431, so 1,500 steps cover three
+  moves with a fourth as margin.
 
-The generator emits TOML (JSON with ``--json``) so the manifest stays a
-reviewable artifact rather than an opaque pickle::
+Every job saves a checkpoint shard every 500 steps, so a kill costs at
+most 500 steps of any job.  ``--smoke`` emits the same jobs with budgets
+of a few steps each (and a shard every two steps), which is what CI
+runs::
 
-    python examples/campaign_sweep.py --out sweep.toml
-    python -m repro campaign run sweep.toml --out out/sweep
-    python -m repro campaign status out/sweep
+    python examples/campaign_sweep.py --out validation.toml
+    python -m repro campaign run validation.toml --out out/validation
+    python -m repro campaign status out/validation
+    python -m repro campaign resume out/validation   # after a kill
 """
 
 import argparse
 import json
 from pathlib import Path
 
+#: E1: (lambda, n) pairs of Table 1 that the shear benchmark runs.
+SHEAR_CASES = [(lam, n) for n in (2, 5) for lam in (0.5, 1.0 / 3.0, 0.25)]
+TUBE_HEMATOCRITS = (0.10, 0.20, 0.30)
 
-def smoke_jobs() -> list[dict]:
-    """Three tiny mixed-experiment jobs for CI."""
-    return [
-        {
-            "id": "shear-smoke",
+
+def validation_jobs(smoke: bool = False) -> list[dict]:
+    """The validation campaign's jobs; ``smoke`` cuts every budget to 4."""
+    jobs = []
+    for lam, n in SHEAR_CASES:
+        jobs.append({
+            "id": f"e1-shear-lam{round(lam * 100):03d}-n{n}",
             "experiment": "shear_layers",
-            "steps": 60,
-            "checkpoint_every": 30,
-            "params": {"lam": 0.5, "n": 2, "ny_channel": 9},
-        },
-        {
-            "id": "tube-smoke",
+            "steps": 1500,
+            "params": {"lam": lam, "n": n, "ny_channel": 12, "nxz": 4},
+        })
+    for ht in TUBE_HEMATOCRITS:
+        jobs.append({
+            "id": f"e2-tube-ht{round(ht * 100):02d}",
             "experiment": "tube_window",
-            "steps": 10,
-            "params": {"hematocrit": 0.15},
-        },
-        {
-            "id": "hotpath-smoke",
-            "experiment": "hotpath",
-            "steps": 5,
-            "priority": 5,
-            "params": {"shape": [10, 10, 10], "n_cells": 1, "warmup": 0},
-        },
-    ]
-
-
-def sweep_jobs() -> list[dict]:
-    """The 6-job demo campaign: mixed experiments, checkpointed."""
-    jobs: list[dict] = []
-    for ht in (0.10, 0.20):
-        jobs.append(
-            {
-                "id": f"tube-ht{int(ht * 100):02d}",
-                "experiment": "tube_window",
-                "steps": 60,
-                "checkpoint_every": 20,
-                "params": {"hematocrit": ht},
-            }
-        )
-    for lam in (0.25, 0.5):
-        jobs.append(
-            {
-                "id": f"shear-lam{int(lam * 100):03d}",
-                "experiment": "shear_layers",
-                "steps": 600,
-                "checkpoint_every": 200,
-                "params": {"lam": lam, "n": 2, "ny_channel": 9},
-            }
-        )
-    jobs.append(
-        {
-            "id": "channel-apr",
+            "steps": 18000,
+            "params": {"hematocrit": ht},
+        })
+    for method, steps in (("apr", 1500), ("efsi", 3000)):
+        jobs.append({
+            "id": f"e3-channel-{method}",
             "experiment": "expanding_channel",
-            "steps": 60,
-            "checkpoint_every": 20,
-            "params": {"method": "apr"},
-        }
-    )
-    jobs.append(
-        {
-            "id": "hotpath-probe",
-            "experiment": "hotpath",
-            "steps": 20,
-            "checkpoint_every": 10,
-            "priority": 5,  # cheap probe: admit it first
-            "params": {"shape": [12, 12, 12], "n_cells": 2},
-        }
-    )
+            "steps": steps,
+            "params": {"method": method},
+        })
+    if smoke:
+        for job in jobs:
+            job["steps"] = 4
     return jobs
-
-
-def build_doc(name: str, jobs: list[dict], max_parallel: int) -> dict:
-    return {
-        "name": name,
-        "max_parallel": max_parallel,
-        "retry_backoff_s": 0.5,
-        "defaults": {
-            "max_attempts": 2,
-        },
-        "jobs": jobs,
-    }
 
 
 def _toml_value(v) -> str:
@@ -112,48 +71,31 @@ def _toml_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, float)):
         return repr(v)
-    if isinstance(v, list):
-        return "[" + ", ".join(_toml_value(x) for x in v) + "]"
     return json.dumps(v)
 
 
 def to_toml(doc: dict) -> str:
     """Render the manifest dict as TOML (flat layout the loader reads)."""
-    lines = [f"name = {_toml_value(doc['name'])}"]
-    for key in ("max_parallel", "retry_backoff_s"):
-        if key in doc:
-            lines.append(f"{key} = {_toml_value(doc[key])}")
-    if doc.get("defaults"):
-        lines.append("")
-        lines.append("[defaults]")
-        for k, v in doc["defaults"].items():
-            lines.append(f"{k} = {_toml_value(v)}")
+    lines = [f"name = {_toml_value(doc['name'])}",
+             f"max_parallel = {doc['max_parallel']}",
+             "", "[defaults]"]
+    lines += [f"{k} = {_toml_value(v)}" for k, v in doc["defaults"].items()]
     for job in doc["jobs"]:
-        lines.append("")
-        lines.append("[[jobs]]")
-        for k, v in job.items():
-            if k == "params":
-                continue
-            lines.append(f"{k} = {_toml_value(v)}")
-        if job.get("params"):
-            lines.append("[jobs.params]")
-            for k, v in job["params"].items():
-                lines.append(f"{k} = {_toml_value(v)}")
+        lines += ["", "[[jobs]]"]
+        lines += [f"{k} = {_toml_value(v)}" for k, v in job.items()
+                  if k != "params"]
+        lines.append("[jobs.params]")
+        lines += [f"{k} = {_toml_value(v)}" for k, v in job["params"].items()]
     return "\n".join(lines) + "\n"
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="emit the 3-job CI smoke manifest instead of the full sweep",
-    )
-    parser.add_argument(
-        "--max-parallel", type=int, default=2,
-        help="concurrent jobs the scheduler may run (default 2)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of TOML"
+        help="the same jobs with budgets of a few steps each (CI)",
     )
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -161,14 +103,11 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.smoke:
-        doc = build_doc("ci-smoke", smoke_jobs(), args.max_parallel)
-    else:
-        doc = build_doc("apr-sweep", sweep_jobs(), args.max_parallel)
-
-    text = (
-        json.dumps(doc, indent=2) + "\n" if args.json else to_toml(doc)
-    )
+    # One CPU per job on the 2-CPU host the campaign is sized for.
+    doc = {"name": "validation", "max_parallel": 2,
+           "defaults": {"checkpoint_every": 2 if args.smoke else 500},
+           "jobs": validation_jobs(smoke=args.smoke)}
+    text = to_toml(doc)
 
     # validate eagerly so a generator bug never ships a broken manifest
     from repro.service.manifest import manifest_from_dict
@@ -179,12 +118,12 @@ def main() -> None:
         print(text, end="")
     else:
         args.out.write_text(text)
-        n = len(doc["jobs"])
-        print(f"wrote {args.out} ({doc['name']}: {n} jobs, "
+        out_dir = "out/validation" + ("-smoke" if args.smoke else "")
+        print(f"wrote {args.out} ({len(doc['jobs'])} jobs, "
               f"max_parallel={doc['max_parallel']})")
         print(f"run it:    python -m repro campaign run {args.out} "
-              f"--out out/{doc['name']}")
-        print(f"watch it:  python -m repro campaign status out/{doc['name']}")
+              f"--out {out_dir}")
+        print(f"watch it:  python -m repro campaign status {out_dir}")
 
 
 if __name__ == "__main__":

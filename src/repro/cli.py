@@ -10,9 +10,9 @@ downstream user can regenerate any paper artifact without writing code:
     python -m repro scaling
     python -m repro profile tube --steps 50 --telemetry-dir out/
     python -m repro trace tube --steps 20 --out t.json
-    python -m repro campaign run sweep.toml --out out/sweep
-    python -m repro campaign status out/sweep
-    python -m repro campaign resume out/sweep
+    python -m repro campaign run validation.toml --out out/validation
+    python -m repro campaign status out/validation
+    python -m repro campaign resume out/validation
 
 ``trace`` records one span per phase occurrence and exports a
 Chrome-trace JSON loadable in Perfetto.
@@ -203,7 +203,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .service.worker import MANIFEST_FILENAME, load_campaign_manifest
 
     if args.campaign_command == "run":
-        manifest = load_manifest(args.manifest)
+        try:
+            manifest = load_manifest(args.manifest)
+        except (OSError, ValueError) as exc:
+            # ``load_manifest`` puts the path in front of its messages.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report = CampaignRunner(manifest, args.out).run()
         print(render_report(report))
         return 0 if report["counts"]["failed"] == 0 else 1

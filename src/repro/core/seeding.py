@@ -488,12 +488,6 @@ class HematocritController:
         self.n_removed += len(removed)
         return len(removed)
 
-    def subregion_hematocrits(self, manager: CellManager) -> np.ndarray:
-        """Current hematocrit of every insertion subregion."""
-        vols, cents = rbc_census(manager)
-        boxes, _ = self._subregions()
-        return np.array([region_hematocrit(vols, cents, lo, hi) for lo, hi in boxes])
-
     def maintain(self, manager: CellManager, protect: set[int] = frozenset()) -> int:
         """One monitoring pass; returns the number of cells inserted."""
         self.remove_departed(manager, protect)

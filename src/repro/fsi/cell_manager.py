@@ -113,12 +113,6 @@ class CellManager:
         """The ID :meth:`allocate_id` hands out next."""
         return self._next_id
 
-    def reserve_ids(self, count: int) -> range:
-        """Reserve a contiguous block of IDs (used by tile stamping)."""
-        start = self._next_id
-        self._next_id += count
-        return range(start, start + count)
-
     # -- membership ---------------------------------------------------------
     @property
     def generation(self) -> int:

@@ -36,20 +36,6 @@ def find_overlapping_vertices(
     return bool((d2 <= cutoff * cutoff).any())
 
 
-def build_subgrid(cells: list["Cell"], cutoff: float) -> UniformSubgrid:
-    """Subgrid of all cell vertices labeled by owning global ID."""
-    grid = UniformSubgrid(cell_size=cutoff)
-    if cells:
-        grid.insert(
-            np.concatenate([c.vertices for c in cells]),
-            np.repeat(
-                np.array([c.global_id for c in cells], dtype=np.int64),
-                [len(c.vertices) for c in cells],
-            ),
-        )
-    return grid
-
-
 def cell_overlaps_existing(
     candidate: "Cell", subgrid: UniformSubgrid, cutoff: float
 ) -> bool:

@@ -164,11 +164,6 @@ class FSIStepper:
                 )
 
     # ------------------------------------------------------------------
-    def fluid_velocity(self) -> np.ndarray:
-        """Physical velocity field (3, nx, ny, nz) [m/s]."""
-        u = self.solver.velocity()
-        return u * (self.units.dx / self.units.dt)
-
     def pressure_drop(self, axis: int = 2) -> float:
         """Mean physical pressure difference between the first and last
         fluid slabs along ``axis`` [Pa] (used with Eq. 12)."""

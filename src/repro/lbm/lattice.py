@@ -50,16 +50,6 @@ class _D3Q19:
         self.w.setflags(write=False)
         self.opp.setflags(write=False)
 
-    def moments_ok(self) -> bool:
-        """Sanity check of stencil isotropy moments (used by tests)."""
-        c, w = self.c.astype(float), self.w
-        zeroth = np.isclose(w.sum(), 1.0)
-        first = np.allclose(np.einsum("q,qa->a", w, c), 0.0)
-        second = np.allclose(
-            np.einsum("q,qa,qb->ab", w, c, c), self.cs2 * np.eye(3)
-        )
-        return bool(zeroth and first and second)
-
 
 #: Module-level singleton; import this everywhere.
 D3Q19 = _D3Q19()

@@ -37,23 +37,6 @@ class TaskMap:
     def tasks_per_node(self) -> int:
         return self.cpu_tasks_per_node + self.gpu_tasks_per_node
 
-    def bulk_points_per_task(self, total_bulk_points: float) -> float:
-        """Coarse lattice nodes owned by each CPU task."""
-        if self.n_cpu_tasks == 0:
-            raise ValueError("no CPU tasks to host the bulk fluid")
-        return total_bulk_points / self.n_cpu_tasks
-
-    def window_points_per_task(self, total_window_points: float) -> float:
-        """Fine lattice nodes owned by each GPU task."""
-        if self.n_gpu_tasks == 0:
-            raise ValueError("no GPU tasks to host the window")
-        return total_window_points / self.n_gpu_tasks
-
-    def cells_per_task(self, total_cells: float) -> float:
-        if self.n_gpu_tasks == 0:
-            raise ValueError("no GPU tasks to host cells")
-        return total_cells / self.n_gpu_tasks
-
 
 def summit_task_map(n_nodes: int) -> TaskMap:
     """The paper's Summit configuration: 36 CPU + 6 GPU tasks per node."""

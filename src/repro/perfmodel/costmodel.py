@@ -2,10 +2,11 @@
 
 Section 3.3 reports the expanding-channel study costing 6 nodes x 36 h
 (APR, ~5.3e3 RBCs) against 22 nodes x 120 h (eFSI, ~4.5e5 RBCs) for the
-same CTC transit — "over 10x" fewer node-hours.  The cost model explains
-that ratio from first principles: simulation cost is dominated by the
-cell-resolved fine lattice and its FSI work, and APR shrinks the
-fine-resolved volume from the whole domain to the window.
+same CTC transit — "over 10x" fewer node-hours.  The scaling model
+(:mod:`repro.perfmodel.scaling`) explains that ratio from first
+principles: simulation cost is dominated by the cell-resolved fine
+lattice and its FSI work, and APR shrinks the fine-resolved volume from
+the whole domain to the window.
 
 Fig. 9 projects CTC traversal through the cerebral geometry at 1.5 mm
 per simulated day on one cloud node, with ~500 node-hours to cross the
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machine import AWS_P3_16XL, MachineSpec, SUMMIT
-from .scaling import ScalingModel
 
 
 @dataclass(frozen=True)
@@ -45,47 +45,9 @@ def node_hour_ratio(apr: RunCost = PAPER_APR_RUN, efsi: RunCost = PAPER_EFSI_RUN
 
 @dataclass
 class CostModel:
-    """First-principles cost of APR and eFSI campaigns."""
+    """Node-hour cost of tracking a CTC on a given machine."""
 
     machine: MachineSpec = SUMMIT
-    scaling: ScalingModel | None = None
-
-    def __post_init__(self) -> None:
-        if self.scaling is None:
-            self.scaling = ScalingModel(machine=self.machine)
-
-    def campaign_node_hours(
-        self,
-        n_nodes: int,
-        n_steps: float,
-        bulk_points: float,
-        window_points: float,
-        n_cells: float,
-        fine_substeps: int = 5,
-    ) -> float:
-        """Node-hours for ``n_steps`` coarse steps of a given problem."""
-        t = self.scaling.step_time(
-            n_nodes, bulk_points, window_points, n_cells,
-            fine_substeps=fine_substeps,
-        )["total"]
-        return n_nodes * n_steps * t / 3600.0
-
-    def efsi_equivalent_node_hours(
-        self,
-        n_nodes: int,
-        n_steps: float,
-        total_points: float,
-        n_cells: float,
-        fine_substeps: int = 5,
-    ) -> float:
-        """Node-hours for an eFSI run: everything on the fine lattice.
-
-        Modeled as a window that covers the entire domain (no bulk).
-        """
-        t = self.scaling.step_time(
-            n_nodes, 1.0, total_points, n_cells, fine_substeps=fine_substeps
-        )["total"]
-        return n_nodes * n_steps * t / 3600.0
 
     def traversal_node_hours(
         self,

@@ -49,15 +49,6 @@ class MemoryModel:
         return self.fluid_bytes(n_points) + self.rbc_bytes(n_rbcs)
 
     # -- capacity inversions ------------------------------------------------
-    def points_capacity(self, memory_bytes: float, rbc_fraction_of_points: float = 0.0) -> float:
-        """Fluid points that fit in ``memory_bytes``.
-
-        ``rbc_fraction_of_points`` optionally reserves RBC storage in
-        proportion to the fluid points (cells scale with resolved volume).
-        """
-        per_point = self.bytes_per_fluid_point * (1.0 + rbc_fraction_of_points)
-        return memory_bytes / per_point
-
     def volume_capacity(
         self,
         memory_bytes: float,

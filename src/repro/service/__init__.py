@@ -1,7 +1,7 @@
-"""repro.service — campaign runner for fleets of concurrent simulations.
+"""repro.service — campaign runner for the long validation runs.
 
-Declares campaigns in TOML/JSON manifests (:mod:`.manifest`), schedules
-them with bounded parallelism, retries and timeouts (:mod:`.scheduler`),
+Declares a campaign in a TOML/JSON manifest (:mod:`.manifest`), runs
+its jobs with bounded parallelism in manifest order (:mod:`.scheduler`),
 isolates each job's process/telemetry/seed (:mod:`.worker`), shards
 checkpoints for kill-and-resume (:mod:`.checkpointing`), and streams an
 append-only run ledger plus an aggregate report (:mod:`.ledger`,

@@ -20,8 +20,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from ..io.checkpoint import load_checkpoint, save_checkpoint
-
 
 class JobCheckpointer:
     """Atomic checkpoint reader/writer for one campaign job.
@@ -54,12 +52,18 @@ class JobCheckpointer:
         """Load the last checkpoint payload, or ``None`` when fresh."""
         if not self.path.exists():
             return None
+        # Imported here: the checkpoint format pulls in the cell side,
+        # which a worker that never checkpoints does not need.
+        from ..io.checkpoint import load_checkpoint
+
         data = load_checkpoint(self.path)
         self.resumed_from = int(data["step"])
         return data
 
     def save(self, **payload) -> Path:
         """Atomically persist ``save_checkpoint(**payload)``."""
+        from ..io.checkpoint import save_checkpoint
+
         return self.save_with(lambda p: save_checkpoint(p, **payload))
 
     def save_with(self, write_fn) -> Path:

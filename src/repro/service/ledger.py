@@ -2,7 +2,7 @@
 
 The ledger is the campaign's source of truth for *what happened*: one
 flushed line per transition (submitted, started, completed, crashed,
-timeout, retry_scheduled, failed), so a SIGKILLed scheduler loses at
+retry_scheduled, failed), so a SIGKILLed scheduler loses at
 most the line being written — and :func:`repro.telemetry.read_events`
 tolerates exactly that truncated trailing line.  ``campaign status`` and
 ``campaign resume`` both reconstruct state purely from this file plus
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..telemetry.events import EventSink, heal_truncated_tail, read_events
@@ -70,7 +70,6 @@ class JobLedgerState:
     start_step: int = 0  # step the latest attempt resumed from
     wall_s: float = 0.0  # summed attempt durations
     last_error: str | None = None
-    history: list[str] = field(default_factory=list)
 
 
 def job_states(records: list[dict]) -> dict[str, JobLedgerState]:
@@ -82,7 +81,6 @@ def job_states(records: list[dict]) -> dict[str, JobLedgerState]:
             continue  # campaign-level records
         st = states.setdefault(job_id, JobLedgerState(job_id))
         event = rec.get("event", "?")
-        st.history.append(event)
         if event == "submitted":
             st.status = "pending"
         elif event == "started":
@@ -92,8 +90,8 @@ def job_states(records: list[dict]) -> dict[str, JobLedgerState]:
             st.status = "completed"
             st.start_step = int(rec.get("start_step", 0))
             st.wall_s += float(rec.get("wall_s", 0.0))
-        elif event in ("crashed", "timeout"):
-            st.status = event
+        elif event == "crashed":
+            st.status = "crashed"
             st.wall_s += float(rec.get("wall_s", 0.0))
             if rec.get("error"):
                 st.last_error = str(rec["error"])

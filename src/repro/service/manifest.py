@@ -3,39 +3,37 @@
 A manifest is a TOML or JSON document declaring a campaign as a list of
 jobs, each naming an experiment plus overrides::
 
-    name = "hct-sweep"
+    name = "validation"
     max_parallel = 2
 
     [defaults]
-    max_attempts = 3
-    checkpoint_every = 20
+    checkpoint_every = 500
 
     [[jobs]]
-    id = "tube-ht20"
+    id = "e2-tube-ht20"
     experiment = "tube_window"
-    steps = 120
-    priority = 10
+    steps = 18000
     [jobs.params]
     hematocrit = 0.20
 
     [[jobs]]
-    id = "shear-l05-n2"
+    id = "e1-shear-lam050-n2"
     experiment = "shear_layers"
-    steps = 400
+    steps = 1500
     [jobs.params]
     lam = 0.5
-    ratio = 2            # note: passed through verbatim — must be a
-                         # parameter the experiment accepts ("n" here)
+    n = 2                # passed through verbatim: must be a parameter
+                         # the experiment accepts
 
 Fields in ``[defaults]`` apply to every job that does not set them
-itself.  ``load_manifest`` validates the document eagerly (unknown
-experiments, duplicate or unsafe job ids, bad counts) so a typo fails at
-admission rather than forty minutes into a sweep.
+itself.  Jobs run in manifest order.  ``load_manifest`` validates the
+document eagerly (unknown keys or experiments, duplicate or unsafe job
+ids, bad counts) so a typo fails at admission rather than forty minutes
+into a campaign.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -44,32 +42,10 @@ from .registry import resolve
 from .util import read_json
 
 #: Job fields ``[defaults]`` may set.
-_DEFAULTABLE = (
-    "max_attempts",
-    "timeout_s",
-    "checkpoint_every",
-    "priority",
-)
+_DEFAULTABLE = ("checkpoint_every",)
 
-
-#: Job fields that older manifests carry -> (the values that name what
-#: every job now does, and are dropped on load; why any other fails).
-#: Every persisted ``manifest.json`` of those releases has all three.
-_RETIRED = {
-    "isolation": (
-        (None, "process"),
-        "inline isolation was removed and every job runs in its own "
-        "worker subprocess",
-    ),
-    "backend": (
-        (None, "serial"),
-        "the FSI process pool was removed and every job runs serial",
-    ),
-    "workers": (
-        (None, 1),
-        "the FSI process pool was removed and every job runs serial",
-    ),
-}
+#: Keys a manifest's top level may carry.
+_TOP_LEVEL = ("name", "max_parallel", "defaults", "jobs")
 
 
 @dataclass
@@ -82,11 +58,7 @@ class JobSpec:
     #: Step budget mapped onto the experiment's steps parameter
     #: (``steps_per_stop`` for the upper-body sweep, ``steps`` elsewhere).
     steps: int | None = None
-    priority: int = 0  # higher runs earlier
-    max_attempts: int = 2
-    timeout_s: float | None = None  # wall-clock kill per attempt
     checkpoint_every: int = 0  # steps between checkpoint shards
-    seed: int | None = None  # explicit RNG seed (default: derived per job)
 
     def validate(self) -> None:
         if not self.job_id or not all(
@@ -99,10 +71,6 @@ class JobSpec:
         resolve(self.experiment)  # raises on unknown names
         if not isinstance(self.params, dict):
             raise ValueError(f"job {self.job_id}: params must be a table/dict")
-        if self.max_attempts < 1:
-            raise ValueError(f"job {self.job_id}: max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"job {self.job_id}: timeout_s must be > 0")
         if self.checkpoint_every < 0:
             raise ValueError(f"job {self.job_id}: checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 1:
@@ -111,22 +79,17 @@ class JobSpec:
 
 @dataclass
 class CampaignManifest:
-    """A named list of jobs plus campaign-wide scheduling knobs."""
+    """A named list of jobs and how many may run at once."""
 
     name: str
     jobs: list[JobSpec]
     max_parallel: int = 2
-    #: First retry waits this long; subsequent retries double it
-    #: (capped by the scheduler).
-    retry_backoff_s: float = 0.5
 
     def validate(self) -> None:
         if not self.name:
             raise ValueError("campaign name must be non-empty")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if not self.jobs:
             raise ValueError("campaign has no jobs")
         seen: set[str] = set()
@@ -146,7 +109,6 @@ class CampaignManifest:
         return {
             "name": self.name,
             "max_parallel": self.max_parallel,
-            "retry_backoff_s": self.retry_backoff_s,
             "jobs": [asdict(j) for j in self.jobs],
         }
 
@@ -159,13 +121,20 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
     """Build and validate a manifest from a parsed TOML/JSON document."""
     if not isinstance(doc, dict):
         raise ValueError("manifest root must be a table/object")
+    unknown_top = set(doc) - set(_TOP_LEVEL)
+    if unknown_top:
+        raise ValueError(
+            f"unknown key(s) {sorted(unknown_top)}; "
+            f"allowed: {sorted(_TOP_LEVEL)}"
+        )
     defaults = doc.get("defaults", {})
-    unknown_defaults = set(defaults) - {*_DEFAULTABLE, *_RETIRED}
+    unknown_defaults = set(defaults) - set(_DEFAULTABLE)
     if unknown_defaults:
         raise ValueError(
             f"unknown [defaults] key(s) {sorted(unknown_defaults)}; "
             f"allowed: {sorted(_DEFAULTABLE)}"
         )
+    known = {f for f in JobSpec.__dataclass_fields__ if f != "job_id"}
     jobs: list[JobSpec] = []
     for i, j in enumerate(doc.get("jobs", [])):
         if not isinstance(j, dict):
@@ -175,14 +144,7 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
         experiment = j.pop("experiment", None)
         if job_id is None or experiment is None:
             raise ValueError(f"jobs[{i}]: 'id' and 'experiment' are required")
-        merged = {**{k: v for k, v in defaults.items()}, **j}
-        for key, (allowed, why) in _RETIRED.items():
-            value = merged.pop(key, None)
-            if value not in allowed:
-                raise ValueError(
-                    f"job {job_id}: {key} {value!r} is not supported; {why}"
-                )
-        known = {f for f in JobSpec.__dataclass_fields__ if f != "job_id"}
+        merged = {**defaults, **j}
         unknown = set(merged) - known
         if unknown:
             raise ValueError(
@@ -195,23 +157,27 @@ def manifest_from_dict(doc: dict) -> CampaignManifest:
         name=str(doc.get("name", "campaign")),
         jobs=jobs,
         max_parallel=int(doc.get("max_parallel", 2)),
-        retry_backoff_s=float(doc.get("retry_backoff_s", 0.5)),
     )
     manifest.validate()
     return manifest
 
 
 def load_manifest(path: str | Path) -> CampaignManifest:
-    """Parse a ``.toml`` or ``.json`` manifest file."""
-    path = Path(path)
-    if path.suffix.lower() == ".toml":
-        import tomllib
+    """Parse and validate a ``.toml`` or ``.json`` manifest file.
 
-        with open(path, "rb") as fh:
-            doc = tomllib.load(fh)
-    else:
-        doc = read_json(path)
+    A syntax error, a value of the wrong type and an invalid manifest
+    all raise ``ValueError`` with the file's path in front of the
+    message.
+    """
+    path = Path(path)
     try:
+        if path.suffix.lower() == ".toml":
+            import tomllib
+
+            with open(path, "rb") as fh:
+                doc = tomllib.load(fh)
+        else:
+            doc = read_json(path)
         return manifest_from_dict(doc)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

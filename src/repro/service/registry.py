@@ -5,11 +5,11 @@ Each entry names the module that implements the uniform experiment seam
 than by callable so that worker *subprocesses* — which start from a
 fresh interpreter — resolve jobs identically to the scheduler parent.
 
-Beyond the built-ins, a manifest may name any importable seam directly
-with a ``python:module:function`` spec (the function must have the
+The test seam: a manifest may also name any importable function with a
+``python:module:function`` spec (the function must have the
 ``run_from_params(params, *, checkpointer=None) -> dict`` signature).
-Tests use this for deliberately-crashing jobs; users get an escape hatch
-for custom workloads without patching the registry.
+The scheduler's tests use it to run crashing and slow jobs that no
+built-in experiment provides cheaply.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ class ExperimentEntry:
     func: str = "run_from_params"
     #: Parameter the manifest-level ``steps`` budget maps onto.
     steps_param: str = "steps"
-    #: Whether the seam honors a checkpointer (all built-ins do).
-    supports_checkpoint: bool = True
     #: Whether the seam accepts a ``seed`` parameter for per-job RNG
     #: isolation.
     accepts_seed: bool = True
@@ -48,14 +46,6 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
         "upper_body", "repro.experiments.upper_body",
         steps_param="steps_per_stop",
     ),
-    "hotpath": ExperimentEntry("hotpath", "repro.experiments.hotpath"),
-}
-
-#: CLI-style shorthands accepted in manifests.
-ALIASES = {
-    "shear": "shear_layers",
-    "tube": "tube_window",
-    "channel": "expanding_channel",
 }
 
 
@@ -64,7 +54,7 @@ def known_experiments() -> list[str]:
 
 
 def resolve(name: str) -> ExperimentEntry:
-    """Look up an experiment entry by name, alias, or ``python:`` spec."""
+    """Look up an experiment entry by name or ``python:`` spec."""
     if name.startswith("python:"):
         parts = name.split(":")
         if len(parts) != 3 or not parts[1] or not parts[2]:
@@ -73,12 +63,10 @@ def resolve(name: str) -> ExperimentEntry:
                 "'python:<module>:<function>'"
             )
         return ExperimentEntry(name=name, module=parts[1], func=parts[2])
-    canonical = ALIASES.get(name, name)
-    entry = EXPERIMENTS.get(canonical)
+    entry = EXPERIMENTS.get(name)
     if entry is None:
         raise ValueError(
-            f"unknown experiment {name!r}; known: {known_experiments()} "
-            "(or a 'python:<module>:<function>' spec)"
+            f"unknown experiment {name!r}; known: {known_experiments()}"
         )
     return entry
 

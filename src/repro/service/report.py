@@ -8,7 +8,7 @@
   returned;
 * each job's **telemetry summary** for per-phase wall-time, rolled up
   campaign-wide (total seconds and call counts per phase path) so one
-  glance shows where a 50-job sweep actually spent its time.
+  glance shows where the campaign actually spent its time.
 
 The report is written atomically (``report.json``) and rendered for the
 console by ``render_report``.

@@ -1,18 +1,16 @@
-"""Campaign scheduler: bounded parallelism, timeouts, retries, resume.
+"""Campaign scheduler: bounded parallelism, one retry, resume.
 
-:class:`CampaignRunner` turns a validated manifest into a fleet of job
-attempts:
+:class:`CampaignRunner` runs a validated manifest's jobs to completion:
 
-* **admission control** — at most ``max_parallel`` jobs run at once;
-  ready jobs are admitted by descending ``priority`` (manifest order
-  breaks ties), so cheap smoke jobs can be pushed ahead of long sweeps;
+* **admission** — jobs are admitted in manifest order, at most
+  ``max_parallel`` at once;
 * **isolation** — each attempt runs in its own subprocess (``python -m
   repro campaign _worker``) with its own telemetry directory and RNG
   seed; a crashing job takes down only itself;
-* **robustness** — per-attempt wall-clock timeouts (terminate, then
-  kill), crash capture (exit code + log tail into the ledger), and
-  retry with exponential backoff up to ``max_attempts``; a job that
-  checkpointed before dying resumes from its shard, not step 0;
+* **robustness** — crash capture (exit code + log tail into the
+  ledger), and a crashed attempt is re-admitted at once, up to
+  :data:`MAX_ATTEMPTS` attempts per job; a job that checkpointed before
+  dying resumes from its shard, not step 0;
 * **observability** — every transition is one fsync'd JSONL ledger
   line, the only status source: ``campaign status`` folds it (plus the
   result files) into the same report the end of the campaign writes as
@@ -44,8 +42,12 @@ from .worker import (
 )
 from .util import read_json, tail_lines
 
-#: Backoff growth is capped so a flaky long campaign keeps probing.
-MAX_BACKOFF_S = 30.0
+#: Attempts per job: a crashed attempt is re-run once, from its
+#: checkpoint shard when it saved one.
+MAX_ATTEMPTS = 2
+
+#: Seconds between polls of the running workers.
+POLL_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -55,7 +57,6 @@ class _Attempt:
     spec: JobSpec
     attempt: int
     started: float
-    deadline: float | None
     proc: subprocess.Popen
     log_path: Path
     error: str | None = None
@@ -64,31 +65,19 @@ class _Attempt:
 class CampaignRunner:
     """Schedules one campaign to completion (or exhaustion of retries)."""
 
-    def __init__(
-        self,
-        manifest: CampaignManifest,
-        out_dir: str | Path,
-        poll_interval: float = 0.05,
-    ):
+    def __init__(self, manifest: CampaignManifest, out_dir: str | Path):
         manifest.validate()
         self.manifest = manifest
         self.out_dir = Path(out_dir)
-        self.poll_interval = float(poll_interval)
         self.ledger_path = self.out_dir / LEDGER_FILENAME
-
-    # -- setup ---------------------------------------------------------
-    def prepare(self) -> None:
-        """Create the campaign directory and persist the manifest copy."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest.save(self.out_dir / MANIFEST_FILENAME)
 
     def _completed(self, job_id: str) -> bool:
         return (job_dir(self.out_dir, job_id) / RESULT_FILENAME).exists()
 
-    # -- main loop -----------------------------------------------------
     def run(self, resume: bool = False) -> dict:
         """Run the campaign; returns the aggregate report dict."""
-        self.prepare()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.manifest.save(self.out_dir / MANIFEST_FILENAME)
         ledger = Ledger(self.ledger_path)
         ledger.append(
             "campaign_resume" if resume else "campaign_start",
@@ -98,87 +87,63 @@ class CampaignRunner:
         )
         t_start = time.monotonic()
 
-        ready: list[JobSpec] = []
-        for order, spec in enumerate(self.manifest.jobs):
+        ready: list[tuple[JobSpec, int]] = []  # (spec, attempt number)
+        for spec in self.manifest.jobs:
             if resume and self._completed(spec.job_id):
                 ledger.append("skipped_completed", job=spec.job_id)
                 continue
-            ready.append(spec)
+            ready.append((spec, 1))
             ledger.append(
                 "submitted",
                 job=spec.job_id,
                 experiment=spec.experiment,
-                priority=spec.priority,
                 resumable=(
                     job_dir(self.out_dir, spec.job_id) / CHECKPOINT_FILENAME
                 ).exists(),
             )
-        # Admission order: priority first, manifest order as tiebreak.
-        order_index = {s.job_id: i for i, s in enumerate(self.manifest.jobs)}
-        ready.sort(key=lambda s: (-s.priority, order_index[s.job_id]))
 
-        attempts_done: dict[str, int] = {s.job_id: 0 for s in ready}
-        waiting: list[tuple[float, JobSpec]] = []  # (not_before, spec)
         running: list[_Attempt] = []
-        failed: list[str] = []
-        completed: list[str] = []
+        n_failed = n_completed = 0
 
         try:
-            while ready or waiting or running:
-                now = time.monotonic()
-                # Promote cooled-down retries ahead of fresh admissions:
-                # they already hold checkpoints worth finishing.
-                due = [w for w in waiting if w[0] <= now]
-                if due:
-                    waiting = [w for w in waiting if w[0] > now]
-                    ready = [w[1] for w in due] + ready
+            while ready or running:
                 while ready and len(running) < self.manifest.max_parallel:
-                    spec = ready.pop(0)
-                    running.append(
-                        self._launch(ledger, spec, attempts_done)
-                    )
+                    running.append(self._launch(ledger, *ready.pop(0)))
                 still: list[_Attempt] = []
+                retries: list[tuple[JobSpec, int]] = []
                 for att in running:
                     outcome = self._poll(ledger, att)
                     if outcome is None:
                         still.append(att)
-                    elif outcome == "completed":
-                        completed.append(att.spec.job_id)
-                    else:  # crashed / timeout -> retry or fail
-                        n = attempts_done[att.spec.job_id]
-                        if n < att.spec.max_attempts:
-                            delay = min(
-                                self.manifest.retry_backoff_s
-                                * 2.0 ** (n - 1),
-                                MAX_BACKOFF_S,
-                            )
-                            ledger.append(
-                                "retry_scheduled",
-                                job=att.spec.job_id,
-                                attempt=n + 1,
-                                delay_s=round(delay, 3),
-                            )
-                            waiting.append(
-                                (time.monotonic() + delay, att.spec)
-                            )
-                        else:
-                            ledger.append(
-                                "failed",
-                                job=att.spec.job_id,
-                                attempts=n,
-                                error=att.error,
-                            )
-                            failed.append(att.spec.job_id)
+                    elif outcome:
+                        n_completed += 1
+                    elif att.attempt < MAX_ATTEMPTS:
+                        ledger.append(
+                            "retry_scheduled",
+                            job=att.spec.job_id,
+                            attempt=att.attempt + 1,
+                        )
+                        retries.append((att.spec, att.attempt + 1))
+                    else:
+                        ledger.append(
+                            "failed",
+                            job=att.spec.job_id,
+                            attempts=att.attempt,
+                            error=att.error,
+                        )
+                        n_failed += 1
                 running = still
-                if running or waiting:
-                    time.sleep(self.poll_interval)
-            wall_s = time.monotonic() - t_start
+                # A retry holds a checkpoint worth finishing: it goes
+                # ahead of the jobs not yet started.
+                ready = retries + ready
+                if running:
+                    time.sleep(POLL_INTERVAL_S)
             ledger.append(
                 "campaign_end",
                 name=self.manifest.name,
-                wall_s=wall_s,
-                completed=len(completed),
-                failed=len(failed),
+                wall_s=time.monotonic() - t_start,
+                completed=n_completed,
+                failed=n_failed,
             )
         finally:
             ledger.close()
@@ -187,16 +152,8 @@ class CampaignRunner:
         return report
 
     # -- attempt management --------------------------------------------
-    def _launch(
-        self,
-        ledger: Ledger,
-        spec: JobSpec,
-        attempts_done: dict[str, int],
-    ) -> _Attempt:
-        attempt = attempts_done[spec.job_id] + 1
-        attempts_done[spec.job_id] = attempt
+    def _launch(self, ledger: Ledger, spec: JobSpec, attempt: int) -> _Attempt:
         now = time.monotonic()
-        deadline = None if spec.timeout_s is None else now + spec.timeout_s
         jdir = job_dir(self.out_dir, spec.job_id)
         jdir.mkdir(parents=True, exist_ok=True)
         log_path = jdir / f"attempt-{attempt}.log"
@@ -218,8 +175,8 @@ class CampaignRunner:
                 stderr=subprocess.STDOUT,
                 env=env,
             )
-        att = _Attempt(spec=spec, attempt=attempt, started=now,
-                       deadline=deadline, proc=proc, log_path=log_path)
+        att = _Attempt(spec=spec, attempt=attempt, started=now, proc=proc,
+                       log_path=log_path)
         ledger.append(
             "started",
             job=spec.job_id,
@@ -228,29 +185,32 @@ class CampaignRunner:
         )
         return att
 
-    def _poll(self, ledger: Ledger, att: _Attempt) -> str | None:
+    def _poll(self, ledger: Ledger, att: _Attempt) -> bool | None:
         """Check one attempt; record its transition when it ends.
 
-        Returns None while running, else "completed"/"crashed"/"timeout".
+        Returns None while it runs, else whether it completed.
         """
-        now = time.monotonic()
         rc = att.proc.poll()
         if rc is None:
-            if att.deadline is not None and now > att.deadline:
-                self._kill(att.proc)
-                att.error = f"timeout after {att.spec.timeout_s}s"
-                ledger.append(
-                    "timeout",
-                    job=att.spec.job_id,
-                    attempt=att.attempt,
-                    timeout_s=att.spec.timeout_s,
-                    wall_s=now - att.started,
-                    error=att.error,
-                )
-                return "timeout"
             return None
+        now = time.monotonic()
         if rc == 0:
-            return self._record_completed(ledger, att, now)
+            start_step = 0
+            result_path = (
+                job_dir(self.out_dir, att.spec.job_id) / RESULT_FILENAME
+            )
+            try:
+                start_step = int(read_json(result_path).get("start_step", 0))
+            except (OSError, ValueError):
+                pass
+            ledger.append(
+                "completed",
+                job=att.spec.job_id,
+                attempt=att.attempt,
+                wall_s=now - att.started,
+                start_step=start_step,
+            )
+            return True
         att.error = f"exit code {rc}"
         ledger.append(
             "crashed",
@@ -261,34 +221,4 @@ class CampaignRunner:
             error=att.error,
             log_tail=tail_lines(att.log_path),
         )
-        return "crashed"
-
-    def _record_completed(
-        self, ledger: Ledger, att: _Attempt, now: float
-    ) -> str:
-        start_step = 0
-        result_path = job_dir(self.out_dir, att.spec.job_id) / RESULT_FILENAME
-        try:
-            start_step = int(read_json(result_path).get("start_step", 0))
-        except (OSError, ValueError):
-            pass
-        ledger.append(
-            "completed",
-            job=att.spec.job_id,
-            attempt=att.attempt,
-            wall_s=now - att.started,
-            start_step=start_step,
-        )
-        return "completed"
-
-    @staticmethod
-    def _kill(proc: subprocess.Popen) -> None:
-        proc.terminate()
-        try:
-            proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                pass
+        return False

@@ -1,15 +1,16 @@
 """Job worker: runs exactly one campaign job in the current process.
 
 The scheduler launches this through ``python -m repro campaign _worker``,
-one subprocess per attempt: crash isolation, killable on timeout.
+one subprocess per attempt, so a crash takes down only its own job.
 
 Per-job isolation:
 
 * **telemetry** — each job writes its own ``jobs/<id>/telemetry/``
   stream + summary; nothing is shared with siblings;
-* **RNG seeds** — a job without an explicit ``seed`` gets a stable
-  per-job seed derived from the campaign and job names, so sibling jobs
-  never share RBC placements and re-running a campaign reproduces it.
+* **RNG seeds** — a job gets a stable per-job seed derived from the
+  campaign and job names (unless its params set ``seed``), so sibling
+  jobs never share RBC placements and re-running a campaign reproduces
+  it.
 
 On success the worker atomically writes ``jobs/<id>/result.json``; its
 presence is the scheduler's (and ``campaign resume``'s) completion
@@ -61,10 +62,7 @@ def build_job_params(manifest: CampaignManifest, spec: JobSpec) -> dict:
     if spec.steps is not None:
         params.setdefault(entry.steps_param, spec.steps)
     if entry.accepts_seed:
-        if spec.seed is not None:
-            params.setdefault("seed", spec.seed)
-        else:
-            params.setdefault("seed", derive_seed(manifest.name, spec.job_id))
+        params.setdefault("seed", derive_seed(manifest.name, spec.job_id))
     return params
 
 
@@ -82,9 +80,7 @@ def run_job(
     jdir.mkdir(parents=True, exist_ok=True)
 
     checkpointer = None
-    if entry.supports_checkpoint and (
-        spec.checkpoint_every > 0 or (jdir / CHECKPOINT_FILENAME).exists()
-    ):
+    if spec.checkpoint_every > 0 or (jdir / CHECKPOINT_FILENAME).exists():
         checkpointer = JobCheckpointer(
             jdir / CHECKPOINT_FILENAME, every=spec.checkpoint_every
         )

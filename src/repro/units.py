@@ -44,37 +44,15 @@ class UnitSystem:
         if self.dx <= 0 or self.dt <= 0 or self.rho <= 0:
             raise ValueError("dx, dt and rho must all be positive")
 
-    # -- lengths ---------------------------------------------------------
-    def length_to_lattice(self, x: float) -> float:
-        """Convert a physical length [m] to lattice units."""
-        return x / self.dx
-
-    def length_to_physical(self, x_lat: float) -> float:
-        """Convert a lattice length to meters."""
-        return x_lat * self.dx
-
-    # -- times -----------------------------------------------------------
-    def time_to_lattice(self, t: float) -> float:
-        return t / self.dt
-
-    def time_to_physical(self, t_lat: float) -> float:
-        return t_lat * self.dt
-
     # -- velocities ------------------------------------------------------
     def velocity_to_lattice(self, u: float) -> float:
         """Convert a physical velocity [m/s] to lattice units."""
         return u * self.dt / self.dx
 
-    def velocity_to_physical(self, u_lat: float) -> float:
-        return u_lat * self.dx / self.dt
-
     # -- kinematic viscosity ---------------------------------------------
     def kinematic_viscosity_to_lattice(self, nu: float) -> float:
         """Convert a kinematic viscosity [m^2/s] to lattice units."""
         return nu * self.dt / self.dx**2
-
-    def kinematic_viscosity_to_physical(self, nu_lat: float) -> float:
-        return nu_lat * self.dx**2 / self.dt
 
     # -- forces ----------------------------------------------------------
     def force_density_to_lattice(self, f: float) -> float:
@@ -93,10 +71,6 @@ class UnitSystem:
     def tau_for_viscosity(self, nu: float) -> float:
         """Relaxation time that realizes physical kinematic viscosity ``nu``."""
         return self.kinematic_viscosity_to_lattice(nu) / CS2 + 0.5
-
-    def viscosity_for_tau(self, tau: float) -> float:
-        """Physical kinematic viscosity realized by relaxation time ``tau``."""
-        return self.kinematic_viscosity_to_physical(CS2 * (tau - 0.5))
 
     def refined(self, n: int) -> "UnitSystem":
         """Unit system of a grid refined by integer ratio ``n``.

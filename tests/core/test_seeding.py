@@ -139,7 +139,6 @@ def test_controller_skips_full_subregions():
     ctrl = _controller()
     m = CellManager()
     ctrl.maintain(m)
-    hts = ctrl.subregion_hematocrits(m)
     # A second pass right away inserts far fewer cells.
     second = ctrl.maintain(m)
     assert second < ctrl.n_inserted

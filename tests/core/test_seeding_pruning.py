@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.seeding as seeding
-from repro.analytics import region_hematocrit
 from repro.core import HematocritController, RBCTile, Window, WindowSpec
 from repro.core.seeding import rbc_census, stamp_tile, tile_candidates
 from repro.fsi import CellManager
@@ -252,26 +251,12 @@ def test_placement_geometry_computed_once_per_placement():
     m = CellManager()
     for _ in range(2):
         ctrl.maintain(m)
-        ctrl.subregion_hematocrits(m)
     first = monitored(ctrl.window)
     assert len(calls) == first > 0
     ctrl.window = Window(center=np.array([2e-6, 0.0, 0.0]), spec=SPEC)
     for _ in range(2):
         ctrl.maintain(m)
     assert len(calls) == first + monitored(ctrl.window)
-
-
-def test_subregion_hematocrits_cover_every_box():
-    ctrl = _controller(Window(center=np.zeros(3), spec=SPEC), np.random.default_rng(0))
-    m = CellManager()
-    ctrl.maintain(m)
-    vols, cents = per_cell_census(m)
-    want = [
-        region_hematocrit(vols, cents, lo, hi)
-        for lo, hi in ctrl.window.insertion_subregions(ctrl.subregion_size)
-    ]
-    hts = ctrl.subregion_hematocrits(m)
-    assert np.array_equal(hts, want) and hts.max() > 0.0
 
 
 def test_shell_gate_matches_uncached_body(monkeypatch):

@@ -70,9 +70,8 @@ def test_allocate_monotonic_ids():
     m = CellManager()
     ids = [m.allocate_id() for _ in range(4)]
     assert ids == [0, 1, 2, 3]
-    rng_block = m.reserve_ids(5)
-    assert list(rng_block) == [4, 5, 6, 7, 8]
-    assert m.allocate_id() == 9
+    assert m.next_id == 4
+    assert m.allocate_id() == 4
 
 
 def test_add_never_reuses_external_high_id():

@@ -5,11 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.fsi import cell_overlaps_existing, find_overlapping_vertices, remove_overlaps
-from repro.fsi.overlap import build_subgrid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
 
 from ..core.reference_bodies import sequential_admit, sequential_remove_overlaps
+from .reference_bodies import build_subgrid
 
 CUTOFF = 0.5e-6
 D = 7.8e-6

@@ -81,14 +81,6 @@ def test_momentum_conserved_with_internal_forces_only():
     assert np.abs(mom).max() < 1e-6  # lattice units; forcing-free total
 
 
-def test_fluid_velocity_physical_units():
-    st, units = _setup(with_cell=False, force=np.array([1000.0, 0, 0]))
-    st.step(10)
-    u_phys = st.fluid_velocity()
-    _, u_lat = st.solver.macroscopic()
-    assert np.allclose(u_phys, u_lat * units.dx / units.dt)
-
-
 def test_pressure_drop_sign_with_body_force():
     # Flow along +z driven by body force in a periodic domain has a flat
     # density; impose a gradient manually to exercise the measurement.

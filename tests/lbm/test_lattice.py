@@ -64,7 +64,3 @@ def test_fourth_moment_isotropic():
 def test_constants_are_readonly():
     assert not D3Q19.c.flags.writeable
     assert not D3Q19.w.flags.writeable
-
-
-def test_moments_ok_helper():
-    assert D3Q19.moments_ok()

@@ -19,29 +19,8 @@ def test_paper_scale_counts():
     assert tm.n_cpu_tasks == 9216  # 36 bulk tasks/node (42 cores incl. GPU tasks)
 
 
-def test_workload_division():
-    tm = summit_task_map(2)
-    assert tm.bulk_points_per_task(72e6) == 1e6
-    assert tm.window_points_per_task(12e6) == 1e6
-    assert tm.cells_per_task(4800) == 400
-
-
 def test_validation():
     with pytest.raises(ValueError):
         TaskMap(n_nodes=0, cpu_tasks_per_node=36, gpu_tasks_per_node=6)
     with pytest.raises(ValueError):
         TaskMap(n_nodes=1, cpu_tasks_per_node=-1, gpu_tasks_per_node=6)
-
-
-def test_no_gpu_tasks_error():
-    tm = TaskMap(n_nodes=1, cpu_tasks_per_node=36, gpu_tasks_per_node=0)
-    with pytest.raises(ValueError):
-        tm.window_points_per_task(1e6)
-    with pytest.raises(ValueError):
-        tm.cells_per_task(100)
-
-
-def test_no_cpu_tasks_error():
-    tm = TaskMap(n_nodes=1, cpu_tasks_per_node=0, gpu_tasks_per_node=6)
-    with pytest.raises(ValueError):
-        tm.bulk_points_per_task(1e6)

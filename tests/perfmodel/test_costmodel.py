@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perfmodel import CostModel, node_hour_ratio
+from repro.perfmodel import CostModel, ScalingModel, node_hour_ratio
 from repro.perfmodel.costmodel import (
     PAPER_APR_RUN,
     PAPER_EFSI_RUN,
@@ -31,14 +31,19 @@ def test_custom_runs():
 
 def test_model_reproduces_apr_advantage():
     """First-principles model: eFSI (fine everywhere) costs >> APR."""
-    cm = CostModel()
+    model = ScalingModel()
     # Fig. 6 scale: 2000 um channel at 0.5 um vs window of 120 um side.
     total_points = (400e-6 / 0.5e-6) ** 2 * (2000e-6 / 0.5e-6)
     window_points = (120e-6 / 0.5e-6) ** 3
     bulk_points = (400e-6 / 2.5e-6) ** 2 * (2000e-6 / 2.5e-6)
-    steps = 1e5
-    apr = cm.campaign_node_hours(6, steps, bulk_points, window_points, 5.3e3)
-    efsi = cm.efsi_equivalent_node_hours(22, steps, total_points, 4.5e5)
+
+    def node_seconds(n_nodes, bulk, window, n_cells):
+        step = model.step_time(n_nodes, bulk, window, n_cells, fine_substeps=5)
+        return n_nodes * step["total"]
+
+    apr = node_seconds(6, bulk_points, window_points, 5.3e3)
+    # eFSI: a window that covers the entire domain, no bulk
+    efsi = node_seconds(22, 1.0, total_points, 4.5e5)
     assert efsi / apr > 5.0
 
 

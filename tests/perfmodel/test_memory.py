@@ -95,7 +95,6 @@ def test_volume_capacity_with_cells_smaller():
 def test_memory_model_linearity():
     m = MemoryModel()
     assert m.total_bytes(10, 2) == 10 * 408 + 2 * 51 * 1024
-    assert m.points_capacity(4080.0) == 10.0
 
 
 def test_table3_recomputed_from_geometry():

@@ -1,11 +1,13 @@
 """Fixtures for campaign-service tests.
 
 ``testjobs`` materializes a tiny experiment module on a temp PYTHONPATH
-so worker *subprocesses* can import deliberately-crashing / slow /
-checkpointing jobs through the ``python:module:function`` escape hatch.
+so worker *subprocesses* can import deliberately-crashing / gated /
+checkpointing jobs through the ``python:module:function`` test seam.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -18,33 +20,36 @@ import numpy as np
 
 
 def run_ok(params, *, checkpointer=None):
-    return {"ok": True, "seen_steps": params.get("steps")}
+    return {"ok": True, "seen_steps": params.get("steps"), "pid": os.getpid()}
 
 
 def run_crash(params, *, checkpointer=None):
     raise RuntimeError("deliberate crash for testing")
 
 
-def run_env_probe(params, *, checkpointer=None):
-    return {
-        "backend": os.environ.get("REPRO_PARALLEL_BACKEND"),
-        "workers": os.environ.get("REPRO_PARALLEL_WORKERS"),
-        "pid": os.getpid(),
-    }
+def run_gated(params, *, checkpointer=None):
+    """Checkpointing job that waits on a handshake instead of a clock.
 
-
-def run_slow(params, *, checkpointer=None):
-    """Checkpointing sleeper: `steps` ticks of `dt` seconds each."""
-    steps = int(params.get("steps", 50))
-    dt = float(params.get("dt", 0.02))
-    step_done = 0
-    resumed_from = 0
+    It counts to `steps`, saving a shard every `checkpointer.every`
+    steps.  When it reaches step `hold` it creates `<gate>.held` and
+    waits until `<gate>.release` exists, so a test acts on a job that is
+    known to be mid-run rather than one that is probably still running.
+    """
+    steps = int(params["steps"])
+    step_done = resumed_from = 0
     if checkpointer is not None:
         data = checkpointer.load()
         if data is not None:
             step_done = resumed_from = int(data["step"])
     while step_done < steps:
-        time.sleep(dt)
+        if step_done == params.get("hold"):
+            gate = params["gate"]
+            open(gate + ".held", "w").close()
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(gate + ".release"):
+                if time.monotonic() > deadline:
+                    raise RuntimeError("gate never released")
+                time.sleep(0.005)
         step_done += 1
         if (
             checkpointer is not None
@@ -66,11 +71,23 @@ def run_crash_once(params, *, checkpointer=None):
 '''
 
 
-@pytest.fixture()
-def testjobs(tmp_path_factory, monkeypatch):
+@pytest.fixture(scope="module")
+def testjobs(tmp_path_factory):
     """Importable module path usable as ``python:campaign_testjobs:<fn>``."""
     root = tmp_path_factory.mktemp("testjobs")
     (root / "campaign_testjobs.py").write_text(TESTJOBS_SRC)
     # Worker subprocesses inherit PYTHONPATH.
-    monkeypatch.setenv("PYTHONPATH", str(root))
-    return "campaign_testjobs"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(root))
+        yield "campaign_testjobs"
+
+
+def wait_for(path, proc=None, timeout=60.0):
+    """Block until ``path`` exists; fail early if ``proc`` exits first."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if proc is not None and proc.poll() is not None:
+            pytest.fail(f"campaign ended before {path.name} appeared")
+        if time.monotonic() > deadline:
+            pytest.fail(f"{path.name} never appeared")
+        time.sleep(0.005)

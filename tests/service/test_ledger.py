@@ -8,12 +8,12 @@ from repro.service.ledger import Ledger, job_states, read_ledger
 def _write_history(path):
     with Ledger(path) as led:
         led.append("campaign_start", name="c", n_jobs=2)
-        led.append("submitted", job="a", experiment="hotpath")
-        led.append("submitted", job="b", experiment="hotpath")
+        led.append("submitted", job="a", experiment="shear_layers")
+        led.append("submitted", job="b", experiment="shear_layers")
         led.append("started", job="a", attempt=1)
         led.append("crashed", job="a", attempt=1, wall_s=1.0,
                    error="exit code 1")
-        led.append("retry_scheduled", job="a", attempt=2, delay_s=0.1)
+        led.append("retry_scheduled", job="a", attempt=2)
         led.append("started", job="b", attempt=1)
         led.append("completed", job="b", attempt=1, wall_s=2.0,
                    start_step=40)

@@ -16,25 +16,22 @@ from repro.service.manifest import (
 TOML_DOC = """\
 name = "sweep"
 max_parallel = 3
-retry_backoff_s = 0.25
 
 [defaults]
-max_attempts = 3
 checkpoint_every = 25
 
 [[jobs]]
 id = "tube-ht20"
 experiment = "tube_window"
 steps = 120
-priority = 10
 [jobs.params]
 hematocrit = 0.20
 
 [[jobs]]
 id = "shear-a"
-experiment = "shear"
+experiment = "shear_layers"
 steps = 400
-max_attempts = 1
+checkpoint_every = 100
 [jobs.params]
 lam = 0.5
 n = 2
@@ -47,24 +44,21 @@ def test_toml_round_trip(tmp_path):
     m = load_manifest(path)
     assert m.name == "sweep"
     assert m.max_parallel == 3
-    assert m.retry_backoff_s == 0.25
     assert [j.job_id for j in m.jobs] == ["tube-ht20", "shear-a"]
     tube = m.job("tube-ht20")
     # defaults merged in
-    assert tube.max_attempts == 3
     assert tube.checkpoint_every == 25
     assert tube.params == {"hematocrit": 0.20}
-    assert tube.priority == 10
     # per-job overrides beat defaults
     shear = m.job("shear-a")
-    assert shear.max_attempts == 1
-    assert shear.experiment == "shear"  # alias kept verbatim; resolve() maps
+    assert shear.checkpoint_every == 100
+    assert shear.steps == 400
 
 
 def test_json_manifest_and_normalized_save(tmp_path):
     doc = {
         "name": "jsoncamp",
-        "jobs": [{"id": "a", "experiment": "hotpath", "steps": 5}],
+        "jobs": [{"id": "a", "experiment": "shear_layers", "steps": 5}],
     }
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -89,20 +83,20 @@ def test_json_manifest_and_normalized_save(tmp_path):
             {
                 "name": "x",
                 "jobs": [
-                    {"id": "a", "experiment": "hotpath"},
-                    {"id": "a", "experiment": "hotpath"},
+                    {"id": "a", "experiment": "shear_layers"},
+                    {"id": "a", "experiment": "shear_layers"},
                 ],
             },
             "duplicate job id",
         ),
         (
-            {"name": "x", "jobs": [{"id": "a/b", "experiment": "hotpath"}]},
+            {"name": "x", "jobs": [{"id": "a/b", "experiment": "shear_layers"}]},
             "job id",
         ),
         (
             {
                 "name": "x",
-                "jobs": [{"id": "a", "experiment": "hotpath", "bogus": 1}],
+                "jobs": [{"id": "a", "experiment": "shear_layers", "bogus": 1}],
             },
             "unknown key",
         ),
@@ -110,7 +104,7 @@ def test_json_manifest_and_normalized_save(tmp_path):
             {
                 "name": "x",
                 "defaults": {"steps": 10},
-                "jobs": [{"id": "a", "experiment": "hotpath"}],
+                "jobs": [{"id": "a", "experiment": "shear_layers"}],
             },
             r"unknown \[defaults\] key",
         ),
@@ -118,7 +112,7 @@ def test_json_manifest_and_normalized_save(tmp_path):
             {
                 "name": "x",
                 "jobs": [
-                    {"id": "a", "experiment": "hotpath", "max_attempts": 0}
+                    {"id": "a", "experiment": "shear_layers", "max_attempts": 0}
                 ],
             },
             "max_attempts",
@@ -127,7 +121,7 @@ def test_json_manifest_and_normalized_save(tmp_path):
             {
                 "name": "x",
                 "jobs": [
-                    {"id": "a", "experiment": "hotpath", "isolation": "vm"}
+                    {"id": "a", "experiment": "shear_layers", "isolation": "vm"}
                 ],
             },
             "isolation",
@@ -136,37 +130,35 @@ def test_json_manifest_and_normalized_save(tmp_path):
             {
                 "name": "x",
                 "jobs": [
-                    {"id": "a", "experiment": "hotpath", "timeout_s": -1}
+                    {"id": "a", "experiment": "shear_layers", "timeout_s": -1}
                 ],
             },
             "timeout_s",
         ),
-        (
-            {
-                "name": "x",
-                "jobs": [
-                    {"id": "a", "experiment": "hotpath", "isolation": "inline"}
-                ],
-            },
-            "inline isolation was removed",
+        # keys of earlier releases: knobs that became fixed (two
+        # attempts, manifest-order admission) or were dropped
+        *(
+            (
+                {
+                    "name": "x",
+                    "jobs": [{"id": "a", "experiment": "shear_layers",
+                              key: None}],
+                },
+                f"unknown key.*'{key}'",
+            )
+            for key in ("priority", "seed", "backend", "workers")
         ),
         (
             {
                 "name": "x",
-                "jobs": [
-                    {"id": "a", "experiment": "hotpath",
-                     "backend": "processes"}
-                ],
+                "retry_backoff_s": 0.5,
+                "jobs": [{"id": "a", "experiment": "shear_layers"}],
             },
-            "backend 'processes' .* FSI process pool was removed",
+            "unknown key.*'retry_backoff_s'",
         ),
         (
-            {
-                "name": "x",
-                "defaults": {"workers": 2},
-                "jobs": [{"id": "a", "experiment": "hotpath"}],
-            },
-            "workers 2 .* FSI process pool was removed",
+            {"name": "x", "jobs": [{"id": "a", "experiment": "shear"}]},
+            "unknown experiment 'shear'",
         ),
     ],
 )
@@ -179,6 +171,11 @@ def test_load_manifest_prefixes_path_on_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "x", "jobs": []}))
     with pytest.raises(ValueError, match="bad.json"):
+        load_manifest(path)
+    # a syntax error names the file too
+    path = tmp_path / "broken.toml"
+    path.write_text('name = "x"\n[[jobs]\n')
+    with pytest.raises(ValueError, match="broken.toml"):
         load_manifest(path)
 
 
@@ -194,40 +191,10 @@ def test_python_spec_experiments_allowed():
     assert m.jobs[0].experiment == "python:some.module:run"
 
 
-@pytest.mark.parametrize("where", ["job", "defaults"])
-def test_isolation_process_from_older_manifests_is_dropped(where):
-    job = {"id": "a", "experiment": "hotpath"}
-    doc = {"name": "x", "jobs": [job]}
-    if where == "job":
-        job["isolation"] = "process"
-    else:
-        doc["defaults"] = {"isolation": "process"}
-    m = manifest_from_dict(doc)
-    assert "isolation" not in m.to_dict()["jobs"][0]
-
-
-@pytest.mark.parametrize("where", ["job", "defaults"])
-@pytest.mark.parametrize("backend,workers", [
-    (None, None), ("serial", 1), ("serial", None), (None, 1),
-])
-def test_serial_backend_from_older_manifests_is_dropped(
-    where, backend, workers
-):
-    job = {"id": "a", "experiment": "hotpath"}
-    doc = {"name": "x", "jobs": [job]}
-    retired = {"backend": backend, "workers": workers}
-    if where == "job":
-        job.update(retired)
-    else:
-        doc["defaults"] = retired
-    saved = manifest_from_dict(doc).to_dict()["jobs"][0]
-    assert not {"backend", "workers"} & set(saved)
-
-
 def test_jobspec_defaults():
-    spec = JobSpec(job_id="j", experiment="hotpath")
+    spec = JobSpec(job_id="j", experiment="shear_layers")
     spec.validate()
-    assert spec.max_attempts == 2
+    assert spec.steps is None
     assert spec.checkpoint_every == 0
     m = CampaignManifest(name="c", jobs=[spec])
     m.validate()

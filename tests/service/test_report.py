@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.service import (
     CampaignManifest,
     CampaignRunner,
@@ -15,31 +17,23 @@ from repro.service.util import read_json
 from repro.service.worker import REPORT_FILENAME, job_dir
 
 
-def _run_mixed_campaign(tmp_path, testjobs):
+@pytest.fixture(scope="module")
+def mixed_campaign(tmp_path_factory, testjobs):
+    """One run shared by the tests below: a completed and a failed job."""
     manifest = CampaignManifest(
         name="reporty",
         max_parallel=2,
-        retry_backoff_s=0.02,
         jobs=[
-            JobSpec(
-                job_id="ok-1",
-                experiment=f"python:{testjobs}:run_ok",
-                max_attempts=1,
-            ),
-            JobSpec(
-                job_id="bad-1",
-                experiment=f"python:{testjobs}:run_crash",
-                max_attempts=2,
-            ),
+            JobSpec(job_id="ok-1", experiment=f"python:{testjobs}:run_ok"),
+            JobSpec(job_id="bad-1", experiment=f"python:{testjobs}:run_crash"),
         ],
     )
-    camp = tmp_path / "camp"
-    report = CampaignRunner(manifest, camp, poll_interval=0.01).run()
-    return camp, report
+    camp = tmp_path_factory.mktemp("reporty") / "camp"
+    return camp, CampaignRunner(manifest, camp).run()
 
 
-def test_report_counts_and_persistence(tmp_path, testjobs):
-    camp, report = _run_mixed_campaign(tmp_path, testjobs)
+def test_report_counts_and_persistence(mixed_campaign):
+    camp, report = mixed_campaign
     counts = report["counts"]
     assert counts == {
         "jobs": 2,
@@ -61,8 +55,8 @@ def test_report_counts_and_persistence(tmp_path, testjobs):
     assert rebuilt["jobs"]["bad-1"]["last_error"]
 
 
-def test_report_includes_phase_rollup(tmp_path, testjobs):
-    camp, report = _run_mixed_campaign(tmp_path, testjobs)
+def test_report_includes_phase_rollup(mixed_campaign):
+    camp, _ = mixed_campaign
     # synthetic jobs produce no repro phases, but the telemetry summary
     # exists; fabricate a phase file to prove the rollup sums across jobs
     for job, total in (("ok-1", 1.5), ("bad-1", 0.5)):
@@ -89,8 +83,8 @@ def test_report_includes_phase_rollup(tmp_path, testjobs):
     assert roll["max_s"] == 0.75
 
 
-def test_render_report_is_human_readable(tmp_path, testjobs):
-    camp, report = _run_mixed_campaign(tmp_path, testjobs)
+def test_render_report_is_human_readable(mixed_campaign):
+    _, report = mixed_campaign
     text = render_report(report)
     assert "reporty" in text
     assert "ok-1" in text

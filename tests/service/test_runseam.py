@@ -61,38 +61,6 @@ def test_shear_resume_is_bit_exact(tmp_path):
     assert resumed.error_window == straight.error_window
 
 
-@pytest.mark.slow
-def test_hotpath_resume_matches_cell_state(tmp_path):
-    """Cell-laden resume restores lattice + population bit-exactly.
-
-    Both runs checkpoint at their final step; the shards must agree on
-    the distribution field and every cell's vertices.
-    """
-    from repro.experiments.hotpath import run_from_params
-    from repro.io.checkpoint import load_checkpoint
-
-    params = dict(shape=(12, 12, 12), n_cells=2, steps=8, warmup=0, seed=3)
-
-    ck_straight = JobCheckpointer(tmp_path / "straight.npz", every=8)
-    run_from_params(dict(params), checkpointer=ck_straight)
-
-    ck = JobCheckpointer(tmp_path / "split.npz", every=4)
-    run_from_params({**params, "steps": 4}, checkpointer=ck)
-    ck2 = JobCheckpointer(tmp_path / "split.npz", every=4)
-    resumed = run_from_params(dict(params), checkpointer=ck2)
-    assert ck2.resumed_from == 4
-    assert resumed["n_cells"] == 2
-
-    a = load_checkpoint(tmp_path / "straight.npz")
-    b = load_checkpoint(tmp_path / "split.npz")
-    assert a["step"] == b["step"] == 8
-    np.testing.assert_array_equal(a["f_coarse"], b["f_coarse"])
-    cells_a = sorted(a["manager"].cells, key=lambda c: c.global_id)
-    cells_b = sorted(b["manager"].cells, key=lambda c: c.global_id)
-    for ca, cb in zip(cells_a, cells_b):
-        np.testing.assert_array_equal(ca.vertices, cb.vertices)
-
-
 def test_run_from_params_rejects_unknown_keys():
     from repro.experiments.shear_layers import run_from_params
 

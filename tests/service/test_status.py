@@ -12,16 +12,15 @@ import re
 import subprocess
 import sys
 import threading
-import time
 
 from repro.service import (
     CampaignManifest,
     CampaignRunner,
     JobSpec,
     build_report,
-    read_ledger,
 )
-from repro.service.worker import LEDGER_FILENAME
+
+from .conftest import wait_for
 
 
 def _cli_status(camp) -> str:
@@ -48,34 +47,32 @@ def _row_status(text: str, job: str) -> str:
 
 
 def test_status_while_running_reads_the_ledger(tmp_path, testjobs):
-    # j0 sleeps ~3 s, long enough to be queried twice while it runs;
-    # max_parallel = 1 keeps j1 waiting behind it.
+    # j0 holds at its first step until the test releases it, so it is
+    # queried while it runs; max_parallel = 1 keeps j1 waiting behind it.
+    gate = tmp_path / "j0"
     manifest = CampaignManifest(
         name="live",
         max_parallel=1,
         jobs=[
             JobSpec(
-                job_id=job_id,
-                experiment=f"python:{testjobs}:run_slow",
-                params={"steps": steps, "dt": 0.05},
-                max_attempts=1,
-            )
-            for job_id, steps in (("j0", 60), ("j1", 2))
+                job_id="j0",
+                experiment=f"python:{testjobs}:run_gated",
+                params={"steps": 2, "hold": 0, "gate": str(gate)},
+            ),
+            JobSpec(
+                job_id="j1",
+                experiment=f"python:{testjobs}:run_gated",
+                params={"steps": 2},
+            ),
         ],
     )
     camp = tmp_path / "camp"
-    runner = CampaignRunner(manifest, camp, poll_interval=0.02)
+    runner = CampaignRunner(manifest, camp)
     result: dict = {}
     t = threading.Thread(target=lambda: result.update(runner.run()))
     t.start()
     try:
-        deadline = time.monotonic() + 30.0
-        while not any(
-            r.get("event") == "started"
-            for r in read_ledger(camp / LEDGER_FILENAME)
-        ):
-            assert time.monotonic() < deadline, "no job ever started"
-            time.sleep(0.02)
+        wait_for(gate.with_name("j0.held"))
         jobs = build_report(camp)["jobs"]
         assert jobs["j0"]["status"] == "running"
         assert jobs["j1"]["status"] == "pending"
@@ -83,6 +80,7 @@ def test_status_while_running_reads_the_ledger(tmp_path, testjobs):
         assert _row_status(text, "j0") == "running"
         assert _row_status(text, "j1") == "pending"
     finally:
+        gate.with_name("j0.release").touch()
         t.join(timeout=60)
     assert not t.is_alive()
     assert result["counts"]["completed"] == 2

@@ -220,11 +220,20 @@ def test_tracing_off_sends_plain_phase_protocol():
 def test_fsi_stages_trace_as_driver_spans():
     """The cell side runs inline: its stages are driver spans, with no
     worker intervals to merge."""
-    from repro.experiments.hotpath import build_hotpath_stepper
+    from repro.fsi import CellManager, FSIStepper
+    from repro.membrane import make_rbc
+    from repro.units import UnitSystem
 
+    dx = 0.65e-6
+    dt = (1.0 / 6.0) * dx**2 / (1.2e-3 / 1025.0)  # tau = 1 in plasma
+    manager = CellManager()
+    manager.add(make_rbc(np.full(3, 3.5 * dx), global_id=0, subdivisions=1))
     tel = Telemetry(trace=True)
     with active(tel):
-        stepper = build_hotpath_stepper(shape=(8, 8, 8), n_cells=2)
+        stepper = FSIStepper(
+            Grid((8, 8, 8), tau=1.0, origin=np.zeros(3), spacing=dx),
+            UnitSystem(dx, dt, 1025.0), manager, mode="wrap",
+        )
         with tel.phase("step"):
             stepper.step(1)
     spans = tel.tracer.spans

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -209,13 +211,12 @@ def _write_campaign_manifest(tmp_path):
         "\n"
         "[[jobs]]\n"
         'id = "hot"\n'
-        'experiment = "hotpath"\n'
+        'experiment = "shear_layers"\n'
         "steps = 3\n"
-        "max_attempts = 1\n"
         "[jobs.params]\n"
-        "n_cells = 1\n"
-        "warmup = 0\n"
-        'shape = [8, 8, 8]\n'
+        "n = 2\n"
+        "ny_channel = 9\n"
+        "nxz = 4\n"
     )
     return manifest
 
@@ -257,25 +258,20 @@ def test_campaign_status_rejects_non_campaign_dir(tmp_path, capsys):
 
 
 #: ``manifest.json`` as ``campaign run`` persisted it before inline
-#: isolation was removed: every job carries ``"isolation": "process"``.
+#: isolation was removed: every job carries ``"isolation": "process"``
+#: and the scheduling knobs that are constants now.
 LEGACY_MANIFEST_JSON = """\
 {
   "jobs": [
     {
       "backend": null,
       "checkpoint_every": 0,
-      "experiment": "hotpath",
+      "experiment": "shear_layers",
       "isolation": "process",
       "job_id": "hot",
       "max_attempts": 1,
       "params": {
-        "n_cells": 1,
-        "shape": [
-          8,
-          8,
-          8
-        ],
-        "warmup": 0
+        "n": 2
       },
       "priority": 0,
       "seed": null,
@@ -291,14 +287,23 @@ LEGACY_MANIFEST_JSON = """\
 """
 
 
-def test_campaign_dir_from_older_release_still_loads(tmp_path, capsys):
+def _assert_rejected_unread(camp, capsys, *keys):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {camp / 'manifest.json'}: ")
+    assert "unknown key" in err
+    for key in keys:
+        assert f"'{key}'" in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+
+
+def test_campaign_dir_from_older_release_is_rejected(tmp_path, capsys):
     camp = tmp_path / "camp"
     camp.mkdir()
     (camp / "manifest.json").write_text(LEGACY_MANIFEST_JSON)
-    assert main(["campaign", "status", str(camp)]) == 0
-    assert "0/1 completed" in capsys.readouterr().out
-    assert main(["campaign", "resume", str(camp)]) == 0
-    assert "1/1 completed" in capsys.readouterr().out
+    for command in ("status", "resume"):
+        assert main(["campaign", command, str(camp)]) == 2
+        _assert_rejected_unread(camp, capsys, "retry_backoff_s")
 
 
 @pytest.mark.parametrize("command", ["resume", "status"])
@@ -307,14 +312,11 @@ def test_campaign_dir_with_inline_isolation_is_rejected(
 ):
     camp = tmp_path / "camp"
     camp.mkdir()
-    (camp / "manifest.json").write_text(
-        LEGACY_MANIFEST_JSON.replace('"process"', '"inline"')
-    )
+    legacy = json.loads(LEGACY_MANIFEST_JSON.replace('"process"', '"inline"'))
+    del legacy["retry_backoff_s"]
+    (camp / "manifest.json").write_text(json.dumps(legacy))
     assert main(["campaign", command, str(camp)]) == 2
-    err = capsys.readouterr().err
-    assert "inline isolation was removed" in err
-    assert err.count("\n") == 1
-    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+    _assert_rejected_unread(camp, capsys, "isolation")
 
 
 @pytest.mark.parametrize("command", ["resume", "status"])
@@ -326,15 +328,12 @@ def test_campaign_dir_with_fsi_pool_job_is_rejected(
 ):
     camp = tmp_path / "camp"
     camp.mkdir()
-    (camp / "manifest.json").write_text(
-        LEGACY_MANIFEST_JSON.replace(f'"{field}": null', f'"{field}": {value}')
-    )
+    legacy = json.loads(LEGACY_MANIFEST_JSON.replace(
+        f'"{field}": null', f'"{field}": {value}'))
+    del legacy["retry_backoff_s"]
+    (camp / "manifest.json").write_text(json.dumps(legacy))
     assert main(["campaign", command, str(camp)]) == 2
-    err = capsys.readouterr().err
-    assert f"{field} " in err
-    assert "the FSI process pool was removed" in err
-    assert err.count("\n") == 1
-    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+    _assert_rejected_unread(camp, capsys, field)
 
 
 def test_campaign_run_exits_nonzero_on_failures(tmp_path, capsys):
@@ -344,8 +343,26 @@ def test_campaign_run_exits_nonzero_on_failures(tmp_path, capsys):
         "[[jobs]]\n"
         'id = "boom"\n'
         'experiment = "python:nonexistent_module_xyz:run"\n'
-        "max_attempts = 1\n"
     )
     out = tmp_path / "camp"
     assert main(["campaign", "run", str(manifest), "--out", str(out)]) == 1
     assert "failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,match", [
+    ('name = "bad"\n[[jobs]]\nid = "a"\nexperiment = "shear_layers"\n'
+     "bogus = 1\n", "unknown key(s) ['bogus']"),
+    ('name = "bad"\n[[jobs]\n', "Expected"),
+    ('name = "bad"\n[[jobs]]\nid = "a"\nexperiment = "shear_layers"\n'
+     'steps = "4"\n', "not supported between"),
+], ids=["unknown-key", "toml-syntax", "wrong-type"])
+def test_campaign_run_rejects_bad_manifest(tmp_path, capsys, text, match):
+    manifest = tmp_path / "bad.toml"
+    manifest.write_text(text)
+    out = tmp_path / "camp"
+    assert main(["campaign", "run", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ")
+    assert match in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()  # nothing was run

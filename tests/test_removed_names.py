@@ -23,7 +23,11 @@ from repro.lbm import BounceBackWalls, Grid, LBMSolver
 from repro.lbm.boundaries import apply_bounce_back, bounce_back_values
 from repro.parallel import BlockDecomposition, DistributedLBMSolver
 from repro.parallel.fsi import ParallelFSIRuntime
-from repro.service.registry import known_experiments
+from repro.lbm.lattice import D3Q19
+from repro.parallel import TaskMap
+from repro.perfmodel import CostModel, MemoryModel
+from repro.service import CampaignManifest, CampaignRunner, JobSpec
+from repro.service.registry import ExperimentEntry, known_experiments
 from repro.units import UnitSystem
 
 #: package -> (deleted submodules, deleted public names)
@@ -62,7 +66,14 @@ REMOVED = {
     "repro.core.refinement": ((), ("trilinear",)),
     "repro.service": (("status",), ("campaign_status", "render_status",
                                     "run_campaign")),
-    "repro.service.scheduler": ((), ("run_campaign",)),
+    "repro.service.scheduler": ((), ("run_campaign", "MAX_BACKOFF_S")),
+    # the campaign's throughput probe: benchmarks/e2e measures the hot path
+    "repro.experiments": (("hotpath",), ()),
+    # manifest experiment names are the registry's, without shorthands
+    "repro.service.registry": ((), ("ALIASES",)),
+    "repro.service.manifest": ((), ("_RETIRED",)),
+    # API that only tests called
+    "repro.fsi.overlap": ((), ("build_subgrid",)),
 }
 
 #: callable -> (valid positional arguments, keywords it no longer takes)
@@ -108,8 +119,42 @@ def test_exports_import_cleanly_without_removed_names(package):
         assert importlib.util.find_spec(f"{package}.{module}") is None
 
 
-def test_hotpath_experiment_still_registered():
-    assert "hotpath" in known_experiments()
+def test_hotpath_experiment_is_gone():
+    assert "hotpath" not in known_experiments()
+
+
+#: class -> methods and fields no product caller used (drivers, the CLI,
+#: ``benchmarks/``), and campaign settings every caller left at one value
+REMOVED_MEMBERS = {
+    CostModel: ("campaign_node_hours", "efsi_equivalent_node_hours",
+                "scaling"),
+    type(D3Q19): ("moments_ok",),
+    MemoryModel: ("points_capacity",),
+    TaskMap: ("bulk_points_per_task", "window_points_per_task",
+              "cells_per_task"),
+    CellManager: ("reserve_ids",),
+    HematocritController: ("subregion_hematocrits",),
+    FSIStepper: ("fluid_velocity",),
+    UnitSystem: ("length_to_lattice", "length_to_physical",
+                 "time_to_lattice", "time_to_physical",
+                 "velocity_to_physical", "kinematic_viscosity_to_physical",
+                 "viscosity_for_tau"),
+    JobSpec: ("priority", "max_attempts", "timeout_s", "seed"),
+    CampaignManifest: ("retry_backoff_s",),
+    ExperimentEntry: ("supports_checkpoint",),
+    CampaignRunner: ("poll_interval", "prepare", "_kill"),
+}
+
+
+@pytest.mark.parametrize("cls,name", [
+    (cls, name) for cls, names in REMOVED_MEMBERS.items() for name in names
+], ids=lambda v: getattr(v, "__name__", v))
+def test_test_only_api_is_gone(cls, name):
+    assert not hasattr(cls, name)
+    fields = getattr(cls, "__dataclass_fields__", {})
+    assert name not in fields
+    if not fields:
+        assert name not in inspect.signature(cls).parameters
 
 
 def test_cell_manager_has_no_batch_iterator():
