@@ -26,8 +26,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     dx_coarse = 2.5e-6  # 2.5 um coarse spacing
     tau_coarse = 1.0
-    dt_coarse = (tau_coarse - 0.5) / 3.0 * dx_coarse**2 / NU_BULK
-    units = UnitSystem(dx_coarse, dt_coarse, RHO)
+    units = UnitSystem.from_tau(dx_coarse, tau_coarse, NU_BULK, RHO)
 
     box_cells = 24
     grid = Grid((box_cells,) * 3, tau=tau_coarse, spacing=dx_coarse)

@@ -224,8 +224,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         manifest = load_campaign_manifest(args.dir)
     except ValueError as exc:
-        print(f"error: {Path(args.dir) / MANIFEST_FILENAME}: {exc}",
-              file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.campaign_command == "resume":
         report = CampaignRunner(manifest, args.dir).run(resume=True)

@@ -27,7 +27,12 @@ from ..fsi.cell_manager import CellManager
 from ..fsi.stepper import FSIStepper
 from ..geometry.primitives import ExpandingChannel
 from ..geometry.voxelize import solid_mask_from_sdf
-from ..lbm.boundaries import BounceBackWalls, OutflowOutlet, VelocityInlet
+from ..lbm.boundaries import (
+    BounceBackWalls,
+    OutflowOutlet,
+    VelocityInlet,
+    parabolic_profile,
+)
 from ..lbm.grid import Grid
 from ..lbm.solver import LBMSolver
 from ..membrane.cell import CellKind, make_ctc
@@ -79,19 +84,6 @@ def _channel(params: ChannelParams) -> ExpandingChannel:
         axis=2,
         center=(0.0, 0.0),
     )
-
-
-def _inlet_profile(grid: Grid, units: UnitSystem, params: ChannelParams) -> np.ndarray:
-    """Parabolic inlet velocity profile (3, nx, ny) in lattice units."""
-    nx, ny, _ = grid.shape
-    xs = grid.axis_coords(0)
-    ys = grid.axis_coords(1)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    r2 = xg**2 + yg**2
-    u_peak = units.velocity_to_lattice(2.0 * params.inlet_velocity)
-    prof = np.zeros((3, nx, ny))
-    prof[2] = u_peak * np.clip(1.0 - r2 / params.radius_in**2, 0.0, None)
-    return prof
 
 
 def _warm_start(grid: Grid, units: UnitSystem, params: ChannelParams, channel) -> None:
@@ -174,13 +166,13 @@ def run_expanding_channel_efsi(
     nx = ny = int(round(2 * half / dx)) + 1
     nz = int(round(params.length / dx))
     origin = np.array([-half, -half, 0.0])
-    dt = (params.tau_fine - 0.5) / 3.0 * dx**2 / nu_plasma
-    units = UnitSystem(dx, dt, rho)
+    units = UnitSystem.from_tau(dx, params.tau_fine, nu_plasma, rho)
 
     grid = Grid((nx, ny, nz), tau=params.tau_fine, origin=origin, spacing=dx)
     grid.solid = solid_mask_from_sdf(channel, grid.shape, origin, dx)
     _warm_start(grid, units, params, channel)
-    inlet = VelocityInlet(axis=2, side="low", velocity=_inlet_profile(grid, units, params))
+    inlet = VelocityInlet(axis=2, side="low", velocity=parabolic_profile(
+        grid, units, (0.0, 0.0), params.radius_in, params.inlet_velocity))
     outlet = OutflowOutlet(axis=2, side="high")
     walls = BounceBackWalls(grid.solid)
 
@@ -230,7 +222,7 @@ def run_expanding_channel_efsi(
                     and c.centroid()[2] > z_exit
                 )
                 traj.append(ctc.centroid().copy())
-                times.append(step_done * dt)
+                times.append(step_done * units.dt)
         if checkpointer is not None and every > 0:
             checkpointer.save(
                 step=step_done,
@@ -276,13 +268,13 @@ def run_expanding_channel_apr(
     # Coarse tau realizes whole blood; Eq. 7 then fixes the window tau so
     # that the fine lattice realizes plasma.
     tau_c = 0.5 + (params.tau_fine - 0.5) / (n * (nu_plasma / nu_blood))
-    dt_c = (tau_c - 0.5) / 3.0 * dx_c**2 / nu_blood
-    units = UnitSystem(dx_c, dt_c, rho)
+    units = UnitSystem.from_tau(dx_c, tau_c, nu_blood, rho)
 
     cg = Grid((nx, ny, nz), tau=tau_c, origin=origin, spacing=dx_c)
     cg.solid = solid_mask_from_sdf(channel, cg.shape, origin, dx_c)
     _warm_start(cg, units, params, channel)
-    inlet = VelocityInlet(axis=2, side="low", velocity=_inlet_profile(cg, units, params))
+    inlet = VelocityInlet(axis=2, side="low", velocity=parabolic_profile(
+        cg, units, (0.0, 0.0), params.radius_in, params.inlet_velocity))
     outlet = OutflowOutlet(axis=2, side="high")
     coarse = LBMSolver(cg, [BounceBackWalls(cg.solid), inlet, outlet])
 

@@ -88,8 +88,7 @@ def run_shear_layers(
         raise ValueError("ny_channel must be divisible by 3 (three equal layers)")
     dx_c = domain_height / ny_channel
     nu1 = mu1 / rho
-    dt_c = (tau_coarse - 0.5) / 3.0 * dx_c**2 / nu1
-    units = UnitSystem(dx_c, dt_c, rho)
+    units = UnitSystem.from_tau(dx_c, tau_coarse, nu1, rho)
 
     ny = ny_channel + 2  # two solid wall rows
     shape_c = (nxz, ny, nxz)

@@ -103,8 +103,7 @@ def run_tube_window(
         [-(nxy - 1) / 2.0 * coarse_spacing, -(nxy - 1) / 2.0 * coarse_spacing, 0.0]
     )
     tau_c = 1.0
-    dt_c = (tau_c - 0.5) / 3.0 * coarse_spacing**2 / nu_bulk
-    units = UnitSystem(coarse_spacing, dt_c, rho)
+    units = UnitSystem.from_tau(coarse_spacing, tau_c, nu_bulk, rho)
 
     tube = Tube(radius=R, axis=2, center=(0.0, 0.0))
     cg = Grid(shape, tau=tau_c, origin=origin, spacing=coarse_spacing)

@@ -91,8 +91,7 @@ def run_upper_body_sweep(
     dx_c = float(extent.max()) / 64.0  # cap the coarse lattice at ~64^3
     shape = tuple(int(np.ceil(extent[d] / dx_c)) + 3 for d in range(3))
     tau_c = 1.0
-    dt_c = (tau_c - 0.5) / 3.0 * dx_c**2 / nu_bulk
-    units = UnitSystem(dx_c, dt_c, rho)
+    units = UnitSystem.from_tau(dx_c, tau_c, nu_bulk, rho)
 
     cg = Grid(shape, tau=tau_c, origin=lo - dx_c, spacing=dx_c)
     cg.solid = solid_mask_from_sdf(tree, shape, cg.origin, dx_c)

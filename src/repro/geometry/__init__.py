@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".vasculature": (
         "VascularTree",
         "murray_tree",
-        "cerebral_tree",
         "upper_body_tree",
     ),
 })

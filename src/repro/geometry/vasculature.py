@@ -216,21 +216,6 @@ def murray_tree(
     return tree
 
 
-def cerebral_tree(seed: int = 7) -> VascularTree:
-    """Cerebral-artery-like preset: ~300 um root tapering through 5 levels.
-
-    Terminal radii land near 100 um, matching the vessel scale of the
-    paper's Fig. 9 window (side length 200 um).
-    """
-    return murray_tree(
-        generations=5,
-        root_radius=300e-6,
-        length_to_radius=12.0,
-        branch_angle_deg=30.0,
-        seed=seed,
-    )
-
-
 def upper_body_tree(seed: int = 11) -> VascularTree:
     """Upper-body-like preset: aorta-scale root over 6 levels.
 

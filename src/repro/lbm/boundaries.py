@@ -181,6 +181,24 @@ class VelocityInlet:
         f[(slice(None),) + face] = (feq_bc + (fn - feq_n))[:, 0]
 
 
+def parabolic_profile(grid, units, center, radius: float,
+                      u_mean: float) -> np.ndarray:
+    """Poiseuille inlet profile (3, nx, ny) in lattice units for a
+    :class:`VelocityInlet` on a low-z face: flow along +z with mean speed
+    ``u_mean`` [m/s] over a disk of ``radius`` [m] about ``center``
+    (physical x, y), zero outside it.  ``units`` converts velocities to
+    lattice units (a :class:`~repro.units.UnitSystem`).
+    """
+    xg, yg = np.meshgrid(grid.axis_coords(0), grid.axis_coords(1),
+                         indexing="ij")
+    r2 = (xg - center[0]) ** 2 + (yg - center[1]) ** 2
+    prof = np.zeros((3,) + xg.shape)
+    prof[2] = units.velocity_to_lattice(2.0 * u_mean) * np.clip(
+        1.0 - r2 / radius**2, 0.0, None
+    )
+    return prof
+
+
 @dataclass
 class OutflowOutlet:
     """Zero-gradient outflow: copy distributions from the interior slab."""

@@ -27,5 +27,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "table3_memory",
     ),
     ".scaling": ("ScalingModel", "strong_scaling_curve", "weak_scaling_curve"),
-    ".costmodel": ("CostModel", "node_hour_ratio"),
+    ".costmodel": ("traversal_node_hours", "node_hour_ratio"),
 })

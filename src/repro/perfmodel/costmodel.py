@@ -10,15 +10,17 @@ the whole domain to the window.
 
 Fig. 9 projects CTC traversal through the cerebral geometry at 1.5 mm
 per simulated day on one cloud node, with ~500 node-hours to cross the
-full vessel; :meth:`CostModel.traversal_node_hours` reproduces that
-extrapolation.
+full vessel; :func:`traversal_node_hours` reproduces that extrapolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import AWS_P3_16XL, MachineSpec, SUMMIT
+#: The paper's cerebral run: 1.5 mm of CTC travel per simulated day on
+#: one AWS node, i.e. 24 node-hours per day.
+MM_PER_DAY = 1.5
+NODE_HOURS_PER_DAY = 24.0
 
 
 @dataclass(frozen=True)
@@ -43,40 +45,22 @@ def node_hour_ratio(apr: RunCost = PAPER_APR_RUN, efsi: RunCost = PAPER_EFSI_RUN
     return efsi.node_hours / apr.node_hours
 
 
-@dataclass
-class CostModel:
-    """Node-hour cost of tracking a CTC on a given machine."""
-
-    machine: MachineSpec = SUMMIT
-
-    def traversal_node_hours(
-        self,
-        distance: float,
-        mm_per_day: float = 1.5,
-        n_nodes: int = 1,
-    ) -> float:
-        """Node-hours to track a CTC over ``distance`` [m] (Fig. 9).
-
-        The paper's cerebral run advances 1.5 mm of CTC travel per
-        simulated day on one AWS node; 24 node-hours per simulated day.
-        """
-        if distance < 0 or mm_per_day <= 0:
-            raise ValueError("distance >= 0 and rate > 0 required")
-        days = (distance * 1e3) / mm_per_day
-        return days * 24.0 * n_nodes
+def traversal_node_hours(distance: float) -> float:
+    """Node-hours to track a CTC over ``distance`` [m] at Fig. 9's rate."""
+    if distance < 0:
+        raise ValueError("distance >= 0 required")
+    return (distance * 1e3) / MM_PER_DAY * NODE_HOURS_PER_DAY
 
 
 def fig9_projection(vessel_length: float = 31.25e-3) -> dict[str, float]:
-    """Fig. 9's dashed-line projection on the default AWS node.
+    """Fig. 9's dashed-line projection on the paper's AWS node.
 
     With 1.5 mm/day at 24 node-hours/day, 500 node-hours corresponds to
     ~31 mm of vessel; the default length is chosen to make that round
     trip explicit.
     """
-    cm = CostModel(machine=AWS_P3_16XL)
-    nh = cm.traversal_node_hours(vessel_length)
     return {
         "vessel_length_mm": vessel_length * 1e3,
-        "node_hours": nh,
-        "mm_per_day": 1.5,
+        "node_hours": traversal_node_hours(vessel_length),
+        "mm_per_day": MM_PER_DAY,
     }

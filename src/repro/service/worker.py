@@ -26,9 +26,8 @@ from pathlib import Path
 
 from ..telemetry.events import atomic_write_json
 from .checkpointing import JobCheckpointer
-from .manifest import CampaignManifest, JobSpec, manifest_from_dict
+from .manifest import CampaignManifest, JobSpec, load_manifest
 from .registry import load_runner, resolve
-from .util import read_json
 
 #: Normalized manifest copy the scheduler persists inside the campaign
 #: directory; workers and ``resume``/``status`` all read this, never the
@@ -45,9 +44,9 @@ def job_dir(campaign_dir: str | Path, job_id: str) -> Path:
 
 
 def load_campaign_manifest(campaign_dir: str | Path) -> CampaignManifest:
-    return manifest_from_dict(
-        read_json(Path(campaign_dir) / MANIFEST_FILENAME)
-    )
+    """The campaign's persisted manifest; a malformed one raises
+    ``ValueError`` with the file's path in front (``load_manifest``)."""
+    return load_manifest(Path(campaign_dir) / MANIFEST_FILENAME)
 
 
 def derive_seed(campaign_name: str, job_id: str) -> int:

@@ -44,6 +44,13 @@ class UnitSystem:
         if self.dx <= 0 or self.dt <= 0 or self.rho <= 0:
             raise ValueError("dx, dt and rho must all be positive")
 
+    @classmethod
+    def from_tau(cls, dx: float, tau: float, nu: float, rho: float) -> "UnitSystem":
+        """Unit system whose time step makes relaxation time ``tau`` realize
+        physical kinematic viscosity ``nu`` at spacing ``dx``; the inverse
+        of :meth:`tau_for_viscosity`."""
+        return cls(dx, (tau - 0.5) / 3.0 * dx**2 / nu, rho)
+
     # -- velocities ------------------------------------------------------
     def velocity_to_lattice(self, u: float) -> float:
         """Convert a physical velocity [m/s] to lattice units."""
@@ -81,13 +88,3 @@ class UnitSystem:
         if n < 1:
             raise ValueError("refinement ratio must be >= 1")
         return UnitSystem(dx=self.dx / n, dt=self.dt / n, rho=self.rho)
-
-
-def tau_from_nu_lattice(nu_lat: float) -> float:
-    """Relaxation time from a lattice-units kinematic viscosity."""
-    return nu_lat / CS2 + 0.5
-
-
-def nu_lattice_from_tau(tau: float) -> float:
-    """Lattice-units kinematic viscosity from a relaxation time."""
-    return CS2 * (tau - 0.5)

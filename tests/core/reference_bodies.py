@@ -1,12 +1,11 @@
 """Earlier seeding, controller and window-fill bodies, kept as test oracles.
 
 Until overlap resolution became one :meth:`UniformSubgrid.admit` pass per
-stamp, controller pass, window fill and removal call, each of those
-accepted cells one at a time: query the subgrid, then insert the cell if
-nothing was found (:func:`sequential_admit`, :func:`sequential_stamp_tile`
-— which the controller ran once per subregion —,
-:func:`sequential_move_cells`, :func:`sequential_remove_overlaps`), and the
-window fill deep-copied every old-window cell before testing its centroid.
+stamp, controller pass and window fill, each of those accepted cells one
+at a time: query the subgrid, then insert the cell if nothing was found
+(:func:`sequential_admit`, :func:`sequential_stamp_tile` — which the
+controller ran once per subregion —, :func:`sequential_move_cells`), and
+the window fill deep-copied every old-window cell before testing its centroid.
 
 Until stamping pruned the periodic tile copies, ``stamp_tile`` ran its
 per-copy code for every one of the ``(2n + 1)^3`` copies, and the
@@ -181,18 +180,6 @@ def sequential_move_cells(manager, old_window, new_window,
         displacement=displacement, n_captured=len(capture),
         n_filled=len(fills), n_removed=len(doomed), n_inserted=0,
     )
-
-
-def sequential_remove_overlaps(cells, cutoff):
-    """``remove_overlaps`` querying and inserting one cell at a time."""
-    survivors = []
-    subgrid = UniformSubgrid(cell_size=cutoff)
-    for cell in sorted(cells, key=lambda c: c.global_id):
-        if subgrid.query_labels_near(cell.vertices, cutoff):
-            continue
-        subgrid.insert(cell.vertices, cell.global_id)
-        survivors.append(cell)
-    return survivors
 
 
 def sequential_admit(index, blocks, labels, radius):

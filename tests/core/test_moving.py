@@ -6,8 +6,9 @@ import pytest
 from repro.core import Window, WindowSpec, WindowMover, classify_for_move
 from repro.core.moving import MoveReport
 from repro.fsi import CellManager
-from repro.fsi.overlap import find_overlapping_vertices
 from repro.membrane import make_ctc, make_rbc
+
+from ..fsi.reference_bodies import find_overlapping_vertices
 
 SPEC = WindowSpec(proper_side=24e-6, onramp_width=8e-6, insertion_width=8e-6)
 

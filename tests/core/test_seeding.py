@@ -8,8 +8,9 @@ from repro.core import HematocritController, RBCTile, Window, WindowSpec, stamp_
 import repro.core.seeding as seeding
 from repro.core.seeding import stamp_tile as stamp
 from repro.fsi import CellManager
-from repro.fsi.overlap import find_overlapping_vertices
 from repro.membrane import CellKind
+
+from ..fsi.reference_bodies import find_overlapping_vertices
 
 TILE_SIDE = 24e-6
 

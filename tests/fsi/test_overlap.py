@@ -1,15 +1,20 @@
-"""Deterministic overlap removal by global ID (Section 2.4.2)."""
+"""Deterministic overlap removal by global ID (Section 2.4.2).
+
+The product path resolves overlaps with :meth:`UniformSubgrid.admit`,
+handing it the candidates in ascending global-ID order; these tests
+check that rule against the brute-force pair oracle.
+"""
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.fsi import cell_overlaps_existing, find_overlapping_vertices, remove_overlaps
+from repro.fsi.subgrid import UniformSubgrid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
 
-from ..core.reference_bodies import sequential_admit, sequential_remove_overlaps
-from .reference_bodies import build_subgrid
+from ..core.reference_bodies import sequential_admit
+from .reference_bodies import build_subgrid, find_overlapping_vertices
 
 CUTOFF = 0.5e-6
 D = 7.8e-6
@@ -19,65 +24,68 @@ def _rbc(x_um: float, gid: int, sub=2):
     return make_rbc(np.array([x_um * 1e-6, 0.0, 0.0]), global_id=gid, subdivisions=sub)
 
 
+def _survivors(cells, index=None):
+    """IDs of the cells ``admit`` keeps when they come in ascending-ID
+    order, as the window fill and the stamps hand them over."""
+    ordered = sorted(cells, key=lambda c: c.global_id)
+    index = UniformSubgrid(cell_size=CUTOFF) if index is None else index
+    keep = index.admit([c.vertices for c in ordered],
+                       [c.global_id for c in ordered], CUTOFF)
+    return [c.global_id for c, k in zip(ordered, keep) if k]
+
+
 def test_far_cells_do_not_overlap():
     a, b = _rbc(0, 0), _rbc(20, 1)
     assert not find_overlapping_vertices(a, b, CUTOFF)
+    assert _survivors([a, b]) == [0, 1]
 
 
 def test_coincident_cells_overlap():
     a, b = _rbc(0, 0), _rbc(0.2, 1)
     assert find_overlapping_vertices(a, b, CUTOFF)
+    assert _survivors([a, b]) == [0]
 
 
 def test_subgrid_path_matches_brute_force():
     cells = [_rbc(x, i) for i, x in enumerate((0, 2, 9, 30))]
-    grid = build_subgrid(cells[:3], CUTOFF)
     candidate = _rbc(1.0, 99)
     brute = any(find_overlapping_vertices(candidate, c, CUTOFF) for c in cells[:3])
-    assert cell_overlaps_existing(candidate, grid, CUTOFF) == brute
+    assert _survivors([candidate], build_subgrid(cells[:3], CUTOFF)) == (
+        [] if brute else [99])
 
 
 def test_remove_overlaps_keeps_lower_ids():
     a = _rbc(0.0, 5)
     b = _rbc(0.5, 2)  # overlaps a; lower ID wins
     c = _rbc(30.0, 9)
-    survivors = remove_overlaps([a, b, c], CUTOFF)
-    ids = {s.global_id for s in survivors}
-    assert ids == {2, 9}
+    assert _survivors([a, b, c]) == [2, 9]
 
 
 def test_remove_overlaps_order_independent():
-    cells = [_rbc(x, i) for i, x in enumerate((0, 0.4, 0.8, 15, 15.3, 40))]
-    ids_fwd = {c.global_id for c in remove_overlaps(list(cells), CUTOFF)}
-    ids_rev = {c.global_id for c in remove_overlaps(list(reversed(cells)), CUTOFF)}
-    assert ids_fwd == ids_rev
-
-
-def test_remove_overlaps_simulates_task_partitions():
-    """Splitting cells across 'tasks' then merging survivors per task with
-    a global pass gives the same set as one global pass — the paper's
-    consistency-across-task-counts property."""
-    cells = [_rbc(x, i) for i, x in enumerate((0, 0.4, 0.9, 8, 8.2, 8.6, 25))]
-    global_ids = {c.global_id for c in remove_overlaps(list(cells), CUTOFF)}
-    # two-task partition: union of the partitions re-resolved globally
-    part1 = [c for c in cells if c.global_id % 2 == 0]
-    part2 = [c for c in cells if c.global_id % 2 == 1]
-    merged = remove_overlaps(part1 + part2, CUTOFF)
-    assert {c.global_id for c in merged} == global_ids
+    """Neither the order the candidates arrive in nor the order (or task
+    split) in which the existing population was indexed changes which
+    candidates survive: the paper's consistency across task counts."""
+    existing = [_rbc(x, i) for i, x in enumerate((0, 8, 8.6, 25))]
+    cells = [_rbc(x, 10 + i) for i, x in enumerate((0.4, 0.9, 8.2, 15, 15.3, 40))]
+    even = [c for c in existing if c.global_id % 2 == 0]
+    odd = [c for c in existing if c.global_id % 2 == 1]
+    want = _survivors(cells, build_subgrid(existing, CUTOFF))
+    for population in (existing[::-1], odd + even):
+        assert _survivors(cells[::-1], build_subgrid(population, CUTOFF)) == want
+    assert 0 < len(want) < len(cells)
 
 
 def test_remove_overlaps_empty_input():
-    assert remove_overlaps([], CUTOFF) == []
+    assert _survivors([]) == []
 
 
 def test_single_cell_survives():
-    a = _rbc(0.0, 0)
-    assert remove_overlaps([a], CUTOFF) == [a]
+    assert _survivors([_rbc(0.0, 0)]) == [0]
 
 
 def test_vertex_pair_at_exactly_the_cutoff_overlaps():
-    """The oracle keeps ``d2 <= cutoff²`` like the subgrid paths do: a
-    vertex pair at exactly the cutoff overlaps, one ulp farther does not."""
+    """The oracle keeps ``d2 <= cutoff²`` like ``admit`` does: a vertex
+    pair at exactly the cutoff overlaps, one ulp farther does not."""
     def block(x, gid):
         verts = np.array([[x, 0.0, 0.0], [x, 3 * D, 0.0]])
         return SimpleNamespace(vertices=verts, global_id=gid)
@@ -86,9 +94,8 @@ def test_vertex_pair_at_exactly_the_cutoff_overlaps():
     for x, overlap in ((CUTOFF, True), (np.nextafter(CUTOFF, 1.0), False)):
         b = block(x, 1)
         assert find_overlapping_vertices(a, b, CUTOFF) is overlap
-        assert cell_overlaps_existing(b, build_subgrid([a], CUTOFF), CUTOFF) is overlap
-        survivors = [c.global_id for c in remove_overlaps([b, a], CUTOFF)]
-        assert survivors == ([0] if overlap else [0, 1])
+        assert _survivors([b], build_subgrid([a], CUTOFF)) == ([] if overlap else [1])
+        assert _survivors([b, a]) == ([0] if overlap else [0, 1])
 
 
 def test_bounding_box_rejection_fast_path():
@@ -125,9 +132,8 @@ def _brute_remove_overlaps(cells, cutoff):
 def test_remove_overlaps_matches_brute_force_on_dense_population():
     cells = _dense_population()
     want = [c.global_id for c in _brute_remove_overlaps(cells, CUTOFF)]
-    got = [c.global_id for c in remove_overlaps(cells, CUTOFF)]
+    got = _survivors(cells)
     assert got == want
-    assert got == [c.global_id for c in sequential_remove_overlaps(cells, CUTOFF)]
     assert 1 < len(got) < len(cells)  # dense: some, not all, survive
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import VascularTree, cerebral_tree, murray_tree, upper_body_tree
+from repro.geometry import VascularTree, murray_tree, upper_body_tree
 from repro.geometry.vasculature import MURRAY_RATIO, resample_polyline
 
 
@@ -79,13 +79,6 @@ def test_total_volume_positive_and_scales():
     small = murray_tree(2, 0.5e-3, seed=0, jitter=0.0)
     big = murray_tree(2, 1e-3, seed=0, jitter=0.0)
     assert big.total_volume() > small.total_volume() * 7  # ~ r^2 * L ~ r^3
-
-
-def test_cerebral_preset_scale():
-    t = cerebral_tree()
-    radii = [r for _, _, r in t.segments()]
-    assert max(radii) <= 400e-6
-    assert min(radii) >= 50e-6
 
 
 def test_upper_body_preset_volume_near_paper():

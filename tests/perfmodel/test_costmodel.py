@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.perfmodel import CostModel, ScalingModel, node_hour_ratio
+from repro.perfmodel import ScalingModel, node_hour_ratio, traversal_node_hours
 from repro.perfmodel.costmodel import (
     PAPER_APR_RUN,
     PAPER_EFSI_RUN,
     RunCost,
     fig9_projection,
 )
-from repro.perfmodel.machine import AWS_P3_16XL
 
 
 def test_paper_node_hours():
@@ -48,23 +47,17 @@ def test_model_reproduces_apr_advantage():
 
 
 def test_traversal_node_hours_fig9_rate():
-    cm = CostModel(machine=AWS_P3_16XL)
     # 1.5 mm at 1.5 mm/day on one node = 24 node-hours.
-    assert np.isclose(cm.traversal_node_hours(1.5e-3), 24.0)
+    assert np.isclose(traversal_node_hours(1.5e-3), 24.0)
 
 
-def test_traversal_scales_with_distance_and_nodes():
-    cm = CostModel()
-    assert cm.traversal_node_hours(3e-3) == 2 * cm.traversal_node_hours(1.5e-3)
-    assert cm.traversal_node_hours(1.5e-3, n_nodes=2) == 2 * cm.traversal_node_hours(1.5e-3)
+def test_traversal_scales_with_distance():
+    assert traversal_node_hours(3e-3) == 2 * traversal_node_hours(1.5e-3)
 
 
 def test_traversal_validation():
-    cm = CostModel()
     with pytest.raises(ValueError):
-        cm.traversal_node_hours(-1.0)
-    with pytest.raises(ValueError):
-        cm.traversal_node_hours(1.0, mm_per_day=0.0)
+        traversal_node_hours(-1.0)
 
 
 def test_fig9_projection_500_node_hours():

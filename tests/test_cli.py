@@ -336,6 +336,25 @@ def test_campaign_dir_with_fsi_pool_job_is_rejected(
     _assert_rejected_unread(camp, capsys, field)
 
 
+@pytest.mark.parametrize("command", ["resume", "status"])
+def test_campaign_dir_with_mistyped_manifest_is_rejected(
+    tmp_path, capsys, command
+):
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    doc = {"name": "cli-smoke", "max_parallel": 2,
+           "jobs": [{"job_id": "hot", "experiment": "shear_layers",
+                     "steps": "4"}]}
+    (camp / "manifest.json").write_text(json.dumps(doc))
+    assert main(["campaign", command, str(camp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {camp / 'manifest.json'}: ")
+    assert "not supported between" in err
+    assert err.count("manifest.json") == 1  # the path is printed once
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (camp / "ledger.jsonl").exists()  # nothing was run
+
+
 def test_campaign_run_exits_nonzero_on_failures(tmp_path, capsys):
     manifest = tmp_path / "bad.toml"
     manifest.write_text(

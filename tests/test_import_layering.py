@@ -25,6 +25,7 @@ ENTRIES = {
     "repro.experiments.tube_window": "import repro.experiments.tube_window",
     "repro.experiments.expanding_channel":
         "import repro.experiments.expanding_channel",
+    "repro.experiments.vessel_tree": "import repro.experiments.vessel_tree",
     # The CLI start-up every subcommand pays.
     "python -m repro --help": (
         "import runpy\nsys.argv = ['repro', '--help']\n"
@@ -50,6 +51,8 @@ FORBIDDEN = {
     ),
     "repro.experiments.tube_window": ("networkx", *CELL_RUN_FORBIDDEN),
     "repro.experiments.expanding_channel": ("networkx", *CELL_RUN_FORBIDDEN),
+    # the tree is a networkx graph
+    "repro.experiments.vessel_tree": CELL_RUN_FORBIDDEN,
     # no subcommand picks a lattice backend any more
     "python -m repro --help": ("scipy", "multiprocessing", "repro.parallel"),
 }

@@ -25,7 +25,7 @@ from repro.parallel import BlockDecomposition, DistributedLBMSolver
 from repro.parallel.fsi import ParallelFSIRuntime
 from repro.lbm.lattice import D3Q19
 from repro.parallel import TaskMap
-from repro.perfmodel import CostModel, MemoryModel
+from repro.perfmodel import MemoryModel
 from repro.service import CampaignManifest, CampaignRunner, JobSpec
 from repro.service.registry import ExperimentEntry, known_experiments
 from repro.units import UnitSystem
@@ -43,7 +43,8 @@ REMOVED = {
          "dissipation_rate"),
     ),
     "repro.io": (("vtk",), ("write_vtk_structured", "write_vtk_mesh")),
-    "repro.geometry": (("off_io",), ("read_off", "write_off")),
+    # the E8 driver's tree is the one Fig. 9 tree
+    "repro.geometry": (("off_io",), ("read_off", "write_off", "cerebral_tree")),
     "repro.analytics": (("flow",), ("flow_rate_through_plane",)),
     # the live HTTP status plane: ``campaign status`` reads the ledger
     "repro.telemetry": (("server",), ("build_status", "metrics_text")),
@@ -58,8 +59,12 @@ REMOVED = {
     "repro.parallel.pool": ((), ("ENV_BACKEND", "ENV_WORKERS")),
     "repro.parallel.fsi": ((), ("FSIWorker", "GroupSpec", "FSI_PHASES")),
     # one copy of the cell population: the manager's packed store; the
-    # IBM step runs only on the FSI runtime
-    "repro.fsi": (("pool",), ("VertexPool",)),
+    # IBM step runs only on the FSI runtime.  Overlap removal is
+    # ``UniformSubgrid.admit``; the brute-force pair check is a test
+    # oracle (``tests/fsi/reference_bodies.py``)
+    "repro.fsi": (("pool", "overlap"),
+                  ("VertexPool", "find_overlapping_vertices",
+                   "cell_overlaps_existing", "remove_overlaps")),
     "repro.ibm": ((), ("IBMCoupler",)),
     # entry points no caller used
     "repro.core": ((), ("trilinear",)),
@@ -73,7 +78,10 @@ REMOVED = {
     "repro.service.registry": ((), ("ALIASES",)),
     "repro.service.manifest": ((), ("_RETIRED",)),
     # API that only tests called
-    "repro.fsi.overlap": ((), ("build_subgrid",)),
+    "repro.units": ((), ("tau_from_nu_lattice", "nu_lattice_from_tau")),
+    # the node-hour projection is one function of the distance
+    "repro.perfmodel": ((), ("CostModel",)),
+    "repro.perfmodel.costmodel": ((), ("CostModel",)),
 }
 
 #: callable -> (valid positional arguments, keywords it no longer takes)
@@ -126,8 +134,6 @@ def test_hotpath_experiment_is_gone():
 #: class -> methods and fields no product caller used (drivers, the CLI,
 #: ``benchmarks/``), and campaign settings every caller left at one value
 REMOVED_MEMBERS = {
-    CostModel: ("campaign_node_hours", "efsi_equivalent_node_hours",
-                "scaling"),
     type(D3Q19): ("moments_ok",),
     MemoryModel: ("points_capacity",),
     TaskMap: ("bulk_points_per_task", "window_points_per_task",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.units import UnitSystem, nu_lattice_from_tau, tau_from_nu_lattice
+from repro.units import UnitSystem
 
 
 def _units():
@@ -35,8 +35,11 @@ def test_viscosity_scale():
 def test_tau_viscosity_roundtrip():
     u = _units()
     tau = u.tau_for_viscosity(3.2e-6)
-    assert np.isclose(nu_lattice_from_tau(tau) * u.dx**2 / u.dt, 3.2e-6)
     assert tau > 0.5
+    back = UnitSystem.from_tau(u.dx, tau, 3.2e-6, u.rho)
+    assert (back.dx, back.rho) == (u.dx, u.rho)
+    assert np.isclose(back.dt, u.dt)
+    assert np.isclose(back.tau_for_viscosity(3.2e-6), tau)
 
 
 def test_force_conversions_consistent():
@@ -75,9 +78,3 @@ def test_refined_viscosity_relation():
 def test_refined_validation():
     with pytest.raises(ValueError):
         _units().refined(0)
-
-
-def test_module_level_tau_helpers():
-    assert np.isclose(tau_from_nu_lattice(1.0 / 6.0), 1.0)
-    assert np.isclose(nu_lattice_from_tau(1.0), 1.0 / 6.0)
-    assert np.isclose(nu_lattice_from_tau(tau_from_nu_lattice(0.07)), 0.07)
