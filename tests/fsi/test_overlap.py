@@ -61,17 +61,33 @@ def test_remove_overlaps_keeps_lower_ids():
     assert _survivors([a, b, c]) == [2, 9]
 
 
-def test_remove_overlaps_order_independent():
-    """Neither the order the candidates arrive in nor the order (or task
-    split) in which the existing population was indexed changes which
-    candidates survive: the paper's consistency across task counts."""
+def _population():
     existing = [_rbc(x, i) for i, x in enumerate((0, 8, 8.6, 25))]
     cells = [_rbc(x, 10 + i) for i, x in enumerate((0.4, 0.9, 8.2, 15, 15.3, 40))]
+    return existing, cells
+
+
+def test_remove_overlaps_order_independent():
+    """Neither the order the candidates arrive in nor the order in which
+    the existing population was indexed changes which candidates survive."""
+    existing, cells = _population()
+    want = _survivors(cells, build_subgrid(existing, CUTOFF))
+    assert _survivors(cells[::-1], build_subgrid(existing[::-1], CUTOFF)) == want
+    assert 0 < len(want) < len(cells)
+
+
+def test_remove_overlaps_simulates_task_partitions():
+    """Splitting the cells across two 'tasks' (the existing population
+    indexed task by task, the candidates merged per task) and resolving
+    them globally gives the same survivors as one global pass: the
+    paper's consistency-across-task-counts property."""
+    existing, cells = _population()
+    want = _survivors(cells, build_subgrid(existing, CUTOFF))
     even = [c for c in existing if c.global_id % 2 == 0]
     odd = [c for c in existing if c.global_id % 2 == 1]
-    want = _survivors(cells, build_subgrid(existing, CUTOFF))
-    for population in (existing[::-1], odd + even):
-        assert _survivors(cells[::-1], build_subgrid(population, CUTOFF)) == want
+    part1 = [c for c in cells if c.global_id % 2 == 0]
+    part2 = [c for c in cells if c.global_id % 2 == 1]
+    assert _survivors(part2 + part1, build_subgrid(odd + even, CUTOFF)) == want
     assert 0 < len(want) < len(cells)
 
 

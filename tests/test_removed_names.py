@@ -30,6 +30,9 @@ from repro.service import CampaignManifest, CampaignRunner, JobSpec
 from repro.service.registry import ExperimentEntry, known_experiments
 from repro.units import UnitSystem
 
+#: marks a module deleted whole, not just emptied of names
+DELETED_MODULE = None
+
 #: package -> (deleted submodules, deleted public names)
 REMOVED = {
     "repro.lbm": (
@@ -62,7 +65,7 @@ REMOVED = {
     # IBM step runs only on the FSI runtime.  Overlap removal is
     # ``UniformSubgrid.admit``; the brute-force pair check is a test
     # oracle (``tests/fsi/reference_bodies.py``)
-    "repro.fsi": (("pool", "overlap"),
+    "repro.fsi": (("pool",),
                   ("VertexPool", "find_overlapping_vertices",
                    "cell_overlaps_existing", "remove_overlaps")),
     "repro.ibm": ((), ("IBMCoupler",)),
@@ -78,6 +81,7 @@ REMOVED = {
     "repro.service.registry": ((), ("ALIASES",)),
     "repro.service.manifest": ((), ("_RETIRED",)),
     # API that only tests called
+    "repro.fsi.overlap": DELETED_MODULE,
     "repro.units": ((), ("tau_from_nu_lattice", "nu_lattice_from_tau")),
     # the node-hour projection is one function of the distance
     "repro.perfmodel": ((), ("CostModel",)),
@@ -117,6 +121,11 @@ def test_decomposed_lattice_rejects_removed_keywords(func, kwarg):
 
 @pytest.mark.parametrize("package", sorted(REMOVED))
 def test_exports_import_cleanly_without_removed_names(package):
+    if REMOVED[package] is DELETED_MODULE:
+        parent, _, module = package.rpartition(".")
+        assert importlib.util.find_spec(package) is None
+        assert module not in vars(importlib.import_module(parent))
+        return
     modules, names = REMOVED[package]
     pkg = importlib.import_module(package)
     exported = getattr(pkg, "__all__", ())
@@ -131,9 +140,21 @@ def test_hotpath_experiment_is_gone():
     assert "hotpath" not in known_experiments()
 
 
+class DeletedClass:
+    """A class deleted whole: it and its removed members are absent from
+    its module, so no member lives on as a module-level function."""
+
+    def __init__(self, module: str, name: str):
+        self.module = module
+        self.__name__ = name
+
+
 #: class -> methods and fields no product caller used (drivers, the CLI,
 #: ``benchmarks/``), and campaign settings every caller left at one value
 REMOVED_MEMBERS = {
+    # the node-hour projection is ``traversal_node_hours(distance)``
+    DeletedClass("repro.perfmodel.costmodel", "CostModel"): (
+        "campaign_node_hours", "efsi_equivalent_node_hours", "scaling"),
     type(D3Q19): ("moments_ok",),
     MemoryModel: ("points_capacity",),
     TaskMap: ("bulk_points_per_task", "window_points_per_task",
@@ -156,6 +177,11 @@ REMOVED_MEMBERS = {
     (cls, name) for cls, names in REMOVED_MEMBERS.items() for name in names
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_test_only_api_is_gone(cls, name):
+    if isinstance(cls, DeletedClass):
+        module = importlib.import_module(cls.module)
+        assert not hasattr(module, cls.__name__)
+        assert not hasattr(module, name)
+        return
     assert not hasattr(cls, name)
     fields = getattr(cls, "__dataclass_fields__", {})
     assert name not in fields
