@@ -111,6 +111,11 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Experiments ``profile`` and ``trace`` run: the tube, shear and channel
+#: APR runs, and ``efsi``, the channel fully resolved on one lattice.
+EXPERIMENTS = ("tube", "shear", "channel", "efsi")
+
+
 def _run_instrumented_experiment(args: argparse.Namespace) -> None:
     """The shared experiment dispatch behind ``profile`` and ``trace``."""
     if args.experiment == "tube":
@@ -125,11 +130,17 @@ def _run_instrumented_experiment(args: argparse.Namespace) -> None:
         r = run_shear_layers(lam=args.lam, n=args.ratio, steps=args.steps)
         print(f"shear: bulk L2 error {r.error_bulk:.4f}, "
               f"window L2 error {r.error_window:.4f}")
-    else:  # channel
+    elif args.experiment == "channel":
         from .experiments.expanding_channel import run_expanding_channel_apr
 
         r = run_expanding_channel_apr(seed=args.seed, steps=args.steps)
         print(f"channel: {r.n_rbcs} RBCs, "
+              f"z -> {r.trajectory[-1, 2] * 1e6:.1f} um")
+    else:  # efsi: the fully-resolved channel on one lattice
+        from .experiments.expanding_channel import run_expanding_channel_efsi
+
+        r = run_expanding_channel_efsi(seed=args.seed, steps=args.steps)
+        print(f"efsi: {r.n_rbcs} RBCs on {r.n_fluid_nodes} fluid nodes, "
               f"z -> {r.trajectory[-1, 2] * 1e6:.1f} um")
 
 
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run an experiment under telemetry and print the phase breakdown",
     )
-    p.add_argument("experiment", choices=("tube", "shear", "channel"))
+    p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--hematocrit", type=float, default=0.2)
     p.add_argument("--lam", type=float, default=0.5)
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment with span tracing and export a "
              "Chrome-trace JSON timeline (Perfetto-loadable)",
     )
-    p.add_argument("experiment", choices=("tube", "shear", "channel"))
+    p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--out", type=str, default="trace.json", metavar="FILE",
                    help="Chrome-trace output path (default: trace.json)")
     p.add_argument("--steps", type=int, default=50)

@@ -369,11 +369,9 @@ def equilibrate_tile(
             )
         )
     stepper = FSIStepper(grid, units, manager, mode="wrap")
-    stepper.body_force_lattice = np.zeros(3)
-    grid.force[0] = grid_force_profile[None, :, None]
 
-    # The stepper resets grid.force each step; add the profile back
-    # after every spread.
+    # The stepper has no body force, so between steps grid.force is
+    # zero; the profile is added after every spread.
     original_spread = stepper._spread_forces
 
     def spread_with_profile(tel=None):

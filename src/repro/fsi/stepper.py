@@ -12,6 +12,13 @@ a single lattice:
 The same stepper drives the fine window inside the APR model; the eFSI
 reference simply uses it over the whole domain.
 
+Between steps ``grid.force`` holds the body force alone.  The spread
+adds the cell forces onto it, the collide reads the total, and the
+advection then forms the velocity ``(mom + F/2) / rho`` in the force
+field's own memory, since the Guo shift is the step's last read of the
+force, interpolates it at the markers and resets the field to the body
+force.  So a step allocates no lattice-sized velocity or density floor.
+
 The cell-side phases (1, 2 and 4) run on a
 :class:`~repro.parallel.fsi.ParallelFSIRuntime`, inline on the
 manager's packed arrays: one batched force pass per cell group, one IBM
@@ -25,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..constants import OVERLAP_CUTOFF, REPULSION_STIFFNESS
-from ..lbm.collision import density
+from ..lbm.collision import density, velocity_from_moments
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
 from ..parallel.fsi import ParallelFSIRuntime
@@ -89,6 +96,7 @@ class FSIStepper:
                 [units.force_density_to_lattice(f) for f in body_force]
             )
         self.step_count = 0
+        self._reset_force()
 
     # ------------------------------------------------------------------
     def step(self, n: int = 1) -> None:
@@ -108,7 +116,14 @@ class FSIStepper:
             with tel.phase("collide_stream"):
                 self.solver.step()
             self._advect_cells(tel)
+            with tel.phase("reset"):
+                self._reset_force()
             self.step_count += 1
+
+    def _reset_force(self) -> None:
+        """Write the body force over the force field (see the module
+        docstring: the field's state between steps)."""
+        self.grid.force[:] = self.body_force_lattice[:, None, None, None]
 
     def _wall_forces(self, verts: np.ndarray) -> np.ndarray:
         """Wall repulsion via the cached per-window SDF prefilter."""
@@ -120,23 +135,22 @@ class FSIStepper:
         return pf.forces(verts, REPULSION_STIFFNESS)
 
     def _spread_forces(self, tel=None) -> None:
-        if tel is None:
-            tel = get_telemetry()
-        g = self.grid
-        with tel.phase("reset"):
-            g.force[:] = self.body_force_lattice[:, None, None, None]
         if self.cells.n_cells == 0:
             return
+        if tel is None:
+            tel = get_telemetry()
         rt = self.runtime
         with tel.phase("forces"):
             forces, verts, _ = rt.total_forces(self.cells)
             with tel.phase("wall"):
-                if self.wall_geometry is not None:
-                    forces = forces + self._wall_forces(verts)
-                forces_lat = forces * self.units.force_to_lattice(1.0)
+                forces_lat = rt.lattice_forces(
+                    forces, self.units.force_to_lattice(1.0),
+                    None if self.wall_geometry is None
+                    else self._wall_forces(verts),
+                )
         with tel.phase("spread"):
             rt.begin_step(verts)
-            rt.spread(forces_lat, g.force)
+            rt.spread(forces_lat, self.grid.force)
 
     def _advect_cells(self, tel=None) -> None:
         if self.cells.n_cells == 0:
@@ -144,13 +158,16 @@ class FSIStepper:
         if tel is None:
             tel = get_telemetry()
         rt = self.runtime
+        g = self.grid
         with tel.phase("advect"):
             # The moment sums are shared with the next collide through
             # the grid's cache; only ``velocity`` is advection's own.
             with tel.phase("moments"):
-                self.grid.moments()
+                rho, mom = g.moments()
+            # In the force field: it has no reader left this step, and
+            # ``step`` resets it to the body force afterwards.
             with tel.phase("velocity"):
-                u = self.solver.velocity()
+                u = velocity_from_moments(rho, mom, g.force, out=g.force)
             # On the stencil of this step's spread: only the lattice step
             # ran since, and it moves no marker and changes no cell.
             v_lat = rt.interpolate(u)

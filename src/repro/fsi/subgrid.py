@@ -91,6 +91,12 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
+#: Occupied bins per pass of :func:`inter_label_pairs`.  Each pass
+#: forms its bins' neighbour lookups and candidate point pairs only, so
+#: the search's scratch stays bounded however many bins the cloud fills.
+PAIR_BIN_CHUNK = 2048
+
+
 def inter_label_pairs(
     points: np.ndarray, labels: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +111,9 @@ def inter_label_pairs(
     its 13 half-shell neighbours, so every pair of neighbouring bins is
     visited once.  A bin pair whose points all carry one label is dropped
     as a whole, and the same-label point pairs of the rest are dropped
-    before the distance test.
+    before the distance test.  The occupied bins are walked
+    :data:`PAIR_BIN_CHUNK` at a time; every pair is found exactly once,
+    so the sorted result does not depend on the chunking.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -135,33 +143,40 @@ def inter_label_pairs(
     low = np.minimum.reduceat(label, start)
     high = np.maximum.reduceat(label, start)
 
-    # Occupied half-shell neighbour of each bin, or -1, from a table over
-    # every bin of the bounding grid.
+    # Index of each occupied bin, or -1, over every bin of the bounding
+    # grid.
     table = np.full(int(np.prod(dims)), -1, dtype=np.int32)
     table[bins] = np.arange(len(bins), dtype=np.int32)
-    nb = table[bins[:, None] + offsets]
-    b, o = np.nonzero(nb >= 0)
-    nb = nb[b, o]
-    # Bin pairs whose points do not all carry one label.
-    mixed = (low[b] != high[nb]) | (high[b] != low[nb])
-    b, nb = b[mixed], nb[mixed]
-    own = np.flatnonzero(low != high)
+    parts_i, parts_j = [], []
+    for first in range(0, len(bins), PAIR_BIN_CHUNK):
+        stop = min(first + PAIR_BIN_CHUNK, len(bins))
+        # Occupied half-shell neighbour of each bin of the pass, or -1.
+        nb = table[bins[first:stop, None] + offsets]
+        b, o = np.nonzero(nb >= 0)
+        nb = nb[b, o]
+        b += first
+        # Bin pairs whose points do not all carry one label.
+        mixed = (low[b] != high[nb]) | (high[b] != low[nb])
+        b, nb = b[mixed], nb[mixed]
+        own = first + np.flatnonzero(low[first:stop] != high[first:stop])
 
-    # Per point of a kept bin, the range of sorted positions it pairs
-    # with: the later points of its own bin, all points of a neighbour.
-    a = np.concatenate([_ragged(start[own], size[own]),
-                        _ragged(start[b], size[b])])
-    lo = np.concatenate([a[:size[own].sum()] + 1,
-                         np.repeat(start[nb], size[b])])
-    hi = np.concatenate([np.repeat(start[own] + size[own], size[own]),
-                         np.repeat(start[nb] + size[nb], size[b])])
-    width = hi - lo
-    a = np.repeat(a, width)
-    c = _ragged(lo, width)
-    other = label[a] != label[c]
-    i, j = order[a[other]], order[c[other]]
-    hit = sq_norm(points[i] - points[j]) <= radius * radius
-    i, j = i[hit], j[hit]
+        # Per point of a kept bin, the range of sorted positions it pairs
+        # with: the later points of its own bin, all points of a neighbour.
+        a = np.concatenate([_ragged(start[own], size[own]),
+                            _ragged(start[b], size[b])])
+        lo = np.concatenate([a[:size[own].sum()] + 1,
+                             np.repeat(start[nb], size[b])])
+        hi = np.concatenate([np.repeat(start[own] + size[own], size[own]),
+                             np.repeat(start[nb] + size[nb], size[b])])
+        width = hi - lo
+        a = np.repeat(a, width)
+        c = _ragged(lo, width)
+        other = label[a] != label[c]
+        i, j = order[a[other]], order[c[other]]
+        hit = sq_norm(points[i] - points[j]) <= radius * radius
+        parts_i.append(i[hit])
+        parts_j.append(j[hit])
+    i, j = np.concatenate(parts_i), np.concatenate(parts_j)
     i, j = np.minimum(i, j), np.maximum(i, j)
     order = np.lexsort((j, i))
     return i[order], j[order]

@@ -290,18 +290,23 @@ def spread_with_stencil(
     """Spread marker values onto the Eulerian field, in place (Eq. 6).
 
     The adjoint of :func:`interpolate_with_stencil` by construction
-    (``S.T @ values``).
+    (``S.T @ values``).  A vector field is spread one component at a
+    time, ``out[c] += S.T @ values[:, c]``, so the only temporary is one
+    ``(N,)`` component.  It is the same bits as one ``(N, 3)`` product
+    ``S.T @ values`` added back transposed: each node sums the same
+    products in the same marker order from zero, then adds once.
     """
     if not out_field.flags.c_contiguous:
         raise ValueError("spreading needs a C-contiguous output field")
     vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    matrix = stencil.matrix
+    adjoint = stencil.matrix.T
     if out_field.ndim == 4:
         out = out_field.reshape(out_field.shape[0], -1)
-        out += (matrix.T @ vals).T
+        for c, row in enumerate(out):
+            row += adjoint @ vals[:, c]
     else:
         out = out_field.reshape(-1)
-        out += matrix.T @ vals[:, 0]
+        out += adjoint @ vals[:, 0]
 
 
 def interpolate(

@@ -364,14 +364,18 @@ def velocity_from_moments(
     mom: np.ndarray,
     force: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    den: np.ndarray | None = None,
 ) -> np.ndarray:
     """Velocity ``u = (mom + F/2) / rho`` with the Guo half-force shift.
 
-    ``mom`` is preserved unless passed as ``out`` as well.
+    ``mom`` is preserved unless passed as ``out`` as well; ``force``
+    likewise, so ``out=force`` forms the velocity in the force field's
+    own memory.  ``out`` is C-contiguous.  The floored density
+    ``max(rho, floor)`` is formed one :data:`PANEL` at a time in the
+    process's panel buffer, never lattice-wide; the quotients are the
+    same bits.
     """
     if out is None:
-        out = np.empty_like(mom)
+        out = np.empty(mom.shape, dtype=mom.dtype)
     if out is mom:
         if force is not None:
             out += 0.5 * force
@@ -380,8 +384,14 @@ def velocity_from_moments(
         out += mom
     else:
         out[:] = mom
-    den = np.maximum(rho, _rho_floor(rho.dtype), out=den)
-    out /= den
+    out2 = flat_columns(out)
+    rho1 = np.broadcast_to(rho, out.shape[1:]).reshape(-1)
+    floor = _rho_floor(rho.dtype)
+    buf = _panel_buffers(rho.dtype, 0)[1]
+    for lo in range(0, rho1.size, PANEL):
+        hi = min(lo + PANEL, rho1.size)
+        den = np.maximum(rho1[lo:hi], floor, out=buf[:hi - lo])
+        np.divide(out2[:, lo:hi], den, out=out2[:, lo:hi])
     return out
 
 

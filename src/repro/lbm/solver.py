@@ -118,14 +118,6 @@ class LBMSolver:
         rho, mom = cached
         return rho.copy(), velocity_from_moments(rho, mom, g.force)
 
-    def velocity(self) -> np.ndarray:
-        """Current velocity field only (cheaper than :meth:`macroscopic`)."""
-        g = self.grid
-        cached = g.current_moments()
-        if cached is None:
-            return macroscopic(g.f, g.force)[1]
-        return velocity_from_moments(*cached, g.force)
-
     def momentum(self) -> np.ndarray:
         """Total fluid momentum over non-solid nodes (diagnostics)."""
         rho, u = self.macroscopic()

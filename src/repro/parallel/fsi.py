@@ -62,6 +62,7 @@ class ParallelFSIRuntime:
     step::
 
         total_forces(manager)   # fsi/forces (membrane + contact)
+        lattice_forces(...)     # (forces + wall) * scale, pooled
         begin_step(verts)       # fsi/stencil, once per marker position
         spread(forces_lat, F)   # fsi/spread
         interpolate(u)          # fsi/interp (reuses the cached stencil)
@@ -69,8 +70,8 @@ class ParallelFSIRuntime:
 
     ``sync_population`` is generation-keyed: the carried node indices
     are forgotten only when the population changes.  The stencil buffers
-    are pooled: they grow to the largest marker count seen, and a
-    population takes their leading rows.
+    and the lattice-unit marker forces are pooled: they grow to the
+    largest marker count seen, and a population takes their leading rows.
     """
 
     def __init__(self, grid, mode: str = "clip"):
@@ -83,9 +84,11 @@ class ParallelFSIRuntime:
         self._builder = StencilBuilder(self.grid_shape, self.kernel, mode)
         self._generation = -1
         s = self.kernel.support
-        #: Pooled stencil buffers and the current population's rows.
+        #: Pooled stencil and force buffers and the current population's
+        #: rows.
         self._flat = self._flat_pool = np.empty((0, s ** 3), INDEX_DTYPE)
         self._w = self._w_pool = np.empty((0, s, s, s), np.float64)
+        self._forces = self._forces_pool = np.empty((0, 3), np.float64)
         self._stencil: Stencil | None = None
         self._warned_clip = False
 
@@ -101,12 +104,14 @@ class ParallelFSIRuntime:
         if n_markers > len(self._flat_pool):
             s = self.kernel.support
             # The outgrown pool goes before the new one is allocated.
-            self._stencil = self._flat = self._w = None
-            self._flat_pool = self._w_pool = None
+            self._stencil = self._flat = self._w = self._forces = None
+            self._flat_pool = self._w_pool = self._forces_pool = None
             self._flat_pool = np.empty((n_markers, s ** 3), INDEX_DTYPE)
             self._w_pool = np.empty((n_markers, s, s, s), np.float64)
+            self._forces_pool = np.empty((n_markers, 3), np.float64)
         self._flat = self._flat_pool[:n_markers]
         self._w = self._w_pool[:n_markers]
+        self._forces = self._forces_pool[:n_markers]
         # The rows of ``flat`` now belong to other markers.
         self._builder.reset()
         self._stencil = None
@@ -123,6 +128,18 @@ class ParallelFSIRuntime:
         self.sync_population(manager)
         with get_telemetry().phase("fsi/forces"):
             return manager.total_forces()
+
+    def lattice_forces(self, forces: np.ndarray, scale: float,
+                       wall: np.ndarray | None = None) -> np.ndarray:
+        """``(forces + wall) * scale`` (``forces * scale`` without
+        ``wall``) in the runtime's pooled ``(markers, 3)`` buffer, which
+        the returned array is until the next call.  The same operations
+        as forming the sum and the product as new arrays, so the same
+        bits, without two marker-sized transients per step."""
+        out = self._forces
+        if wall is not None:
+            forces = np.add(forces, wall, out=out)
+        return np.multiply(forces, scale, out=out)
 
     def begin_step(self, verts: np.ndarray) -> None:
         """Build the marker stencil for the current positions."""

@@ -38,7 +38,7 @@ class _ReadingSolver(LBMSolver):
     def step(self, n: int = 1) -> None:
         super().step(n)
         self.grid.moments()
-        self.velocity()
+        self.macroscopic()
 
 
 def _perturb(grid, rng):

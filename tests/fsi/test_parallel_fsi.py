@@ -73,7 +73,7 @@ def _reference_step(st: FSIStepper) -> None:
                            st.runtime.kernel, st.mode)
     spread_with_stencil(forces_lat, stencil, g.force)
     st.solver.step()
-    v_lat = interpolate_with_stencil(st.solver.velocity(), stencil)
+    v_lat = interpolate_with_stencil(st.solver.macroscopic()[1], stencil)
     st.cells.update_vertices(v_lat * st.units.dx)
     st.cells.set_velocities(v_lat * (st.units.dx / st.units.dt))
 
@@ -199,6 +199,22 @@ def test_reindexed_rows_counted():
     assert 0 <= repaired < n_markers // 2
 
 
+def test_lattice_forces_are_the_sum_and_product_in_the_pool():
+    """``(forces + wall) * scale`` into the runtime's pooled buffer: the
+    bits of the two new arrays it replaces, the manager's forces kept."""
+    st = build_stepper()
+    rt = st.runtime
+    forces, _, _ = rt.total_forces(st.cells)
+    before = forces.copy()
+    wall = np.random.default_rng(1).standard_normal(forces.shape) * 1e-12
+    scale = st.units.force_to_lattice(1.0)
+    with_wall = rt.lattice_forces(forces, scale, wall)
+    assert np.array_equal(with_wall, (before + wall) * scale)
+    assert np.shares_memory(with_wall, rt._forces_pool)
+    assert np.array_equal(rt.lattice_forces(forces, scale), before * scale)
+    assert np.array_equal(forces, before)
+
+
 def test_runtime_requires_begin_step():
     st = build_stepper()
     rt = st.runtime
@@ -206,7 +222,7 @@ def test_runtime_requires_begin_step():
     with pytest.raises(RuntimeError):
         rt.spread(np.zeros((1, 3)), st.grid.force)
     with pytest.raises(RuntimeError):
-        rt.interpolate(st.solver.velocity())
+        rt.interpolate(st.grid.force)
 
 
 # ----------------------------------------------------------------------

@@ -121,10 +121,18 @@ def test_spread_forces_resets_force_field():
     st, _ = _setup(force=np.array([100.0, 0, 0]))
     st.step(2)
     base = st.body_force_lattice[0]
-    # force field equals body force plus membrane spreading; rerunning the
-    # spread must not accumulate.
+    # Between steps the field is the body force alone; the spread adds
+    # the membrane forces onto it, and after the step's reset a second
+    # spread at the same positions gives the same field: nothing
+    # accumulates.
+    assert np.array_equal(
+        st.grid.force,
+        np.broadcast_to(st.body_force_lattice[:, None, None, None],
+                        st.grid.force.shape),
+    )
     st._spread_forces()
     f1 = st.grid.force.copy()
+    st._reset_force()
     st._spread_forces()
-    assert np.allclose(st.grid.force, f1)
+    assert np.array_equal(st.grid.force, f1)
     assert np.isclose(st.grid.force[0].mean(), base, rtol=0.5)

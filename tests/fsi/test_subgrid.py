@@ -379,3 +379,87 @@ def test_inter_label_pairs_single_label_and_tiny_inputs():
         i, j = inter_label_pairs(pts, labels, 0.5)
         assert len(i) == len(j) == 0
         assert i.dtype == j.dtype == np.intp
+
+
+# -- the pair search in fixed chunks of occupied bins ----------------------
+
+
+def _unchunked_pairs(points, labels, radius):
+    """The pair search over every occupied bin at once: the body
+    ``inter_label_pairs`` had before it walked the bins in chunks."""
+    from repro.fsi.subgrid import _BIN_SLACK, _HALF_SHELL, _ragged, sq_norm
+
+    n = len(points)
+    cell = np.floor(
+        (points - points.min(axis=0)) / (radius * (1.0 + _BIN_SLACK))
+    ).astype(np.int64) + 1
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    offsets = (_HALF_SHELL[:, 0] * dims[1] + _HALF_SHELL[:, 1]) * dims[2] \
+        + _HALF_SHELL[:, 2]
+    order = np.argsort(key)
+    key, label = key[order], labels[order]
+    new_bin = np.empty(n, dtype=bool)
+    new_bin[0] = True
+    np.not_equal(key[1:], key[:-1], out=new_bin[1:])
+    start = np.flatnonzero(new_bin)
+    size = np.diff(np.append(start, n))
+    bins = key[start]
+    low = np.minimum.reduceat(label, start)
+    high = np.maximum.reduceat(label, start)
+    table = np.full(int(np.prod(dims)), -1, dtype=np.int32)
+    table[bins] = np.arange(len(bins), dtype=np.int32)
+    nb = table[bins[:, None] + offsets]
+    b, o = np.nonzero(nb >= 0)
+    nb = nb[b, o]
+    mixed = (low[b] != high[nb]) | (high[b] != low[nb])
+    b, nb = b[mixed], nb[mixed]
+    own = np.flatnonzero(low != high)
+    a = np.concatenate([_ragged(start[own], size[own]),
+                        _ragged(start[b], size[b])])
+    lo = np.concatenate([a[:size[own].sum()] + 1,
+                         np.repeat(start[nb], size[b])])
+    hi = np.concatenate([np.repeat(start[own] + size[own], size[own]),
+                         np.repeat(start[nb] + size[nb], size[b])])
+    width = hi - lo
+    a = np.repeat(a, width)
+    c = _ragged(lo, width)
+    other = label[a] != label[c]
+    i, j = order[a[other]], order[c[other]]
+    hit = sq_norm(points[i] - points[j]) <= radius * radius
+    i, j = i[hit], j[hit]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_chunked_pairs_equal_the_unchunked_search(monkeypatch, chunk, seed):
+    """Chunk edges fall between bins that pair with each other across
+    them; the sorted pairs are those of the one-pass search, exactly."""
+    import repro.fsi.subgrid as subgrid
+
+    monkeypatch.setattr(subgrid, "PAIR_BIN_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(150, 400))
+    points = rng.uniform(size=(n, 3))
+    labels = rng.integers(0, 5, size=n)
+    i, j = inter_label_pairs(points, labels, 0.12)
+    want_i, want_j = _unchunked_pairs(points, labels, 0.12)
+    assert len(i) > 0
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def test_chunked_pairs_over_several_default_chunks():
+    """A sparse cloud fills several :data:`PAIR_BIN_CHUNK` passes."""
+    from repro.fsi.subgrid import PAIR_BIN_CHUNK
+
+    rng = np.random.default_rng(11)
+    n = 3 * PAIR_BIN_CHUNK + 100
+    points = 40.0 * rng.uniform(size=(n, 3))
+    labels = rng.integers(0, 50, size=n)
+    i, j = inter_label_pairs(points, labels, 1.0)
+    want_i, want_j = _unchunked_pairs(points, labels, 1.0)
+    assert len(i) > 0
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)

@@ -133,3 +133,23 @@ def test_coupler_spread_into_grid_force():
     rt.spread(forces, g.force)
     assert np.isclose(g.force[2].sum(), 2.0 * len(pos))
     assert g.force[:2].sum() == 0.0
+
+
+@pytest.mark.parametrize("body", [0.0, 3.7e-4])
+@pytest.mark.parametrize("mode", ["clip", "wrap"])
+def test_spread_by_component_is_bitwise_the_transposed_product(body, mode):
+    """``out[c] += S.T @ F[:, c]`` against the one ``(N, 3)`` product
+    ``S.T @ F`` added back transposed, on a zero and a non-zero body
+    force, with markers that share nodes and straddle the box edge."""
+    from repro.ibm.coupling import make_stencil, spread_with_stencil
+
+    rng = np.random.default_rng(4)
+    shape = (11, 9, 10)
+    pos = rng.uniform(-1.0, 11.0, size=(300, 3))
+    forces = rng.standard_normal((300, 3))
+    stencil = make_stencil(pos, shape, "cosine4", mode)
+    field = np.full((3,) + shape, body)
+    want = field.copy()
+    want.reshape(3, -1)[...] += (stencil.matrix.T @ forces).T
+    spread_with_stencil(forces, stencil, field)
+    assert np.array_equal(field, want)

@@ -630,3 +630,28 @@ def test_lattice_state_is_209_bytes_per_float64_node():
         solver.step(1)
 
     assert _per_node_bytes(run) == 209
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(3, 4, 5), (17, 16, 18)])
+def test_velocity_in_the_force_field_is_the_lattice_wide_quotient(dtype,
+                                                                  shape):
+    """``out=force`` forms ``(F/2 + mom) / max(rho, floor)`` in the force
+    field itself, the floor one panel at a time (one ragged panel, or
+    several and a ragged tail): the same bits as the lattice-wide
+    floor, with vacuum nodes held up by the floor."""
+    from repro.lbm.collision import _rho_floor, velocity_from_moments
+
+    rng = np.random.default_rng(2)
+    rho = (1.0 + 0.1 * rng.standard_normal(shape)).astype(dtype)
+    rho.reshape(-1)[::7] = 0.0
+    mom = (0.01 * rng.standard_normal((3,) + shape)).astype(dtype)
+    force = (1e-4 * rng.standard_normal((3,) + shape)).astype(dtype)
+    den = np.maximum(rho, _rho_floor(rho.dtype))
+    want = (np.multiply(force, 0.5) + mom) / den
+    mom_before = mom.copy()
+    u = velocity_from_moments(rho, mom, force, out=force)
+    assert u is force and u.dtype == dtype
+    assert np.array_equal(u, want)
+    assert np.array_equal(mom, mom_before)
+    assert (rho.size > PANEL) == (shape == (17, 16, 18))

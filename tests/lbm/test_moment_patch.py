@@ -162,7 +162,7 @@ class _ReadingSolver(LBMSolver):
     def step(self, n: int = 1) -> None:
         super().step(n)
         self.grid.moments()
-        self.velocity()
+        self.macroscopic()
         if not self.patch:
             self.grid.mark_f_modified()
 

@@ -168,6 +168,21 @@ def test_profile_writes_telemetry_artifacts(tmp_path, capsys):
     assert "process.peak_rss_mb" in out and "lbm.halves" in out
 
 
+def test_profile_efsi_prints_the_step_phases_and_peak_rss(capsys):
+    """``profile efsi`` runs the fully-resolved channel through the same
+    instrumented dispatch: the FSI step's phases and the run's peak."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clipped markers
+        assert main(["profile", "efsi", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("efsi: ")
+    for phase in ("advect", "velocity", "spread", "reset"):
+        assert f"  {phase} " in out
+    assert "process.peak_rss_mb" in out
+
+
 def test_telemetry_dir_flag_on_plain_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "tel"
     assert main(["shear", "--steps", "20",

@@ -255,3 +255,13 @@ def test_fixed_settings_are_not_parameters(func, name):
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_fixed_settings_are_not_attributes(cls, attr):
     assert not hasattr(cls, attr)
+
+
+def test_lattice_wide_velocity_is_gone():
+    """The FSI step forms its velocity in the force field; nothing else
+    asked the solver for a velocity alone, nor handed the velocity a
+    lattice-sized density floor."""
+    from repro.lbm.collision import velocity_from_moments
+
+    assert not hasattr(LBMSolver, "velocity")
+    assert "den" not in inspect.signature(velocity_from_moments).parameters
