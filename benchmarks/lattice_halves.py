@@ -8,12 +8,17 @@ from ``repro.lbm.halves.SPLIT_PANELS`` panels, read off this table.
 
     PYTHONPATH=src python benchmarks/lattice_halves.py [--steps 20] [--rounds 5]
 
+With ``--placement`` every step splits and the table compares the helper
+placed on the CPU the caller is not on (the product rule in a two-CPU
+process) against the helper left to the scheduler.
+
 Measure with nothing else running: the split needs both CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import time
 
@@ -52,28 +57,55 @@ def step_ms(solver: LBMSolver, steps: int) -> list[float]:
     return times
 
 
+def placed(on: bool, cpus) -> None:
+    """Place the helper per the product rule, or leave it unplaced."""
+    helper = halves._helper
+    if on:
+        helper.cpus = cpus
+    else:
+        helper.cpus = helper.cpu = None
+        os.sched_setaffinity(helper._tid, os.sched_getaffinity(0))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--placement", action="store_true",
+                        help="placed against unplaced split steps")
     args = parser.parse_args(argv)
     if halves.affinity_cpus() < 2:
         raise SystemExit("the split needs a process that may use two CPUs")
     halves.SPLIT_PANELS = 2
-    print("| nodes | panels | inline ms | split ms | split / inline |")
+    if args.placement:
+        if halves.affinity_cpus() != 2:
+            raise SystemExit("the helper is placed only on two CPUs")
+        halves.run_halves(lambda: None, lambda: None)
+        cpus = halves._helper.cpus
+        modes, names = (False, True), ("unplaced", "placed")
+
+        def mode(on):
+            placed(on, cpus)
+    else:
+        modes, names = (1, 2), ("inline", "split")
+
+        def mode(h):
+            halves._halves = h
+    a, b = names
+    print(f"| nodes | panels | {a} ms | {b} ms | {b} / {a} |")
     print("|---|---|---|---|---|")
     for shape in SHAPES:
         solver = duct(shape)
-        runs = {1: [], 2: []}
+        runs = {m: [] for m in modes}
         for r in range(args.rounds):
-            for h in ((1, 2) if r % 2 == 0 else (2, 1)):
-                halves._halves = h
+            for m in (modes if r % 2 == 0 else modes[::-1]):
+                mode(m)
                 solver.step()  # warm the buffers of this mode
-                runs[h] += step_ms(solver, args.steps)
-        inline, split = (statistics.median(runs[h]) for h in (1, 2))
+                runs[m] += step_ms(solver, args.steps)
+        first, second = (statistics.median(runs[m]) for m in modes)
         n = int(np.prod(shape))
-        print(f"| {n:,} | {n / PANEL:.1f} | {inline:.2f} | {split:.2f} "
-              f"| {split / inline:.2f} |")
+        print(f"| {n:,} | {n / PANEL:.1f} | {first:.2f} | {second:.2f} "
+              f"| {second / first:.2f} |")
 
 
 if __name__ == "__main__":

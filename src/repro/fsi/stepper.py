@@ -13,16 +13,16 @@ The same stepper drives the fine window inside the APR model; the eFSI
 reference simply uses it over the whole domain.
 
 Between steps ``grid.force`` holds the body force alone.  The spread
-adds the cell forces onto it, the collide reads the total, and the
-advection then forms the velocity ``(mom + F/2) / rho`` in the force
-field's own memory, since the Guo shift is the step's last read of the
-force, interpolates it at the markers and resets the field to the body
-force.  So a step allocates no lattice-sized velocity or density floor.
+writes the body force plus the cell forces over it, the collide reads
+the total, and the advection then forms the velocity
+``(mom + F/2) / rho`` in the force field's own memory, since the Guo
+shift is the step's last read of the force, interpolates it at the
+markers and resets the field to the body force.  So a step allocates no lattice-sized velocity or density floor.
 
 The cell-side phases (1, 2 and 4) run on a
-:class:`~repro.parallel.fsi.ParallelFSIRuntime`, inline on the
-manager's packed arrays: one batched force pass per cell group, one IBM
-stencil per step shared by the spread and the interpolation.
+:class:`~repro.parallel.fsi.ParallelFSIRuntime`, on the manager's
+packed arrays: one batched force pass per cell group, one IBM stencil
+per step shared by the wall pass, the spread and the interpolation.
 """
 
 from __future__ import annotations
@@ -125,14 +125,17 @@ class FSIStepper:
         docstring: the field's state between steps)."""
         self.grid.force[:] = self.body_force_lattice[:, None, None, None]
 
-    def _wall_forces(self, verts: np.ndarray) -> np.ndarray:
-        """Wall repulsion via the cached per-window SDF prefilter."""
+    def _wall_forces(self, verts: np.ndarray):
+        """Wall repulsion at the vertices the cached per-window SDF
+        prefilter cannot rule out, looked up by the cells of this step's
+        stencil: ``(wall forces of those rows, rows)``."""
         pf = self._wall_prefilter
         if pf is None or not pf.matches(self.grid):
             pf = self._wall_prefilter = WallProximityPrefilter(
                 self.wall_geometry, self.grid, self.wall_cutoff
             )
-        return pf.forces(verts, REPULSION_STIFFNESS)
+        rows = pf.candidate_rows(*self.runtime.marker_cells())
+        return pf.forces_at(verts, rows, REPULSION_STIFFNESS), rows
 
     def _spread_forces(self, tel=None) -> None:
         if self.cells.n_cells == 0:
@@ -142,15 +145,17 @@ class FSIStepper:
         rt = self.runtime
         with tel.phase("forces"):
             forces, verts, _ = rt.total_forces(self.cells)
+        with tel.phase("spread"):
+            # The stencil first: the wall pass reads the markers' cells
+            # off it.
+            rt.begin_step(verts)
             with tel.phase("wall"):
                 forces_lat = rt.lattice_forces(
                     forces, self.units.force_to_lattice(1.0),
-                    None if self.wall_geometry is None
-                    else self._wall_forces(verts),
+                    *(() if self.wall_geometry is None
+                      else self._wall_forces(verts)),
                 )
-        with tel.phase("spread"):
-            rt.begin_step(verts)
-            rt.spread(forces_lat, self.grid.force)
+            rt.spread(forces_lat, self.grid.force, self.body_force_lattice)
 
     def _advect_cells(self, tel=None) -> None:
         if self.cells.n_cells == 0:

@@ -134,6 +134,28 @@ class WallProximityPrefilter:
             and np.array_equal(self.origin, np.asarray(grid.origin))
         )
 
+    def candidate_rows(self, cells: np.ndarray,
+                       outside: np.ndarray) -> np.ndarray:
+        """Rows of the vertices the sampled nodes cannot rule out.
+
+        ``cells`` are the flat lattice indices of the vertices' cells
+        ``floor((x - origin) / spacing)``; ``outside`` are the rows whose
+        cell is outside the window, which have no sampled node and are
+        always candidates (their ``cells`` entries are not read as theirs,
+        but must index the lattice).
+        """
+        cand = self._near.reshape(-1)[cells]
+        cand[outside] = True
+        return np.flatnonzero(cand)
+
+    def forces_at(self, vertices: np.ndarray, rows: np.ndarray,
+                  stiffness: float, fd_step: float | None = None
+                  ) -> np.ndarray:
+        """Wall forces of the candidate ``rows`` of ``vertices``: the
+        exact :func:`wall_repulsion_forces` pass over those rows."""
+        return wall_repulsion_forces(self.sdf, vertices[rows], self.cutoff,
+                                     stiffness, fd_step)
+
     def forces(
         self,
         vertices: np.ndarray,
@@ -142,21 +164,16 @@ class WallProximityPrefilter:
     ) -> np.ndarray:
         """Wall forces at the prefilter's cutoff, bitwise equal to
         :func:`wall_repulsion_forces`."""
-        cutoff = self.cutoff
         verts = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
         out = np.zeros_like(verts)
-        if cutoff <= 0.0 or len(verts) == 0:
+        if self.cutoff <= 0.0 or len(verts) == 0:
             return out
         cell = np.floor((verts - self.origin) / self.spacing).astype(np.int64)
         hi = np.asarray(self.shape, dtype=np.int64) - 1
-        inb = ((cell >= 0) & (cell <= hi)).all(axis=1)
-        # Out-of-window vertices have no sampled node: always candidates.
-        cand = ~inb
-        if inb.any():
-            ci = cell[inb]
-            cand[inb] = self._near[ci[:, 0], ci[:, 1], ci[:, 2]]
-        if cand.any():
-            out[cand] = wall_repulsion_forces(
-                self.sdf, verts[cand], cutoff, stiffness, fd_step
-            )
+        outside = np.flatnonzero(((cell < 0) | (cell > hi)).any(axis=1))
+        cell[outside] = 0
+        _, ny, nz = self.shape
+        keys = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
+        rows = self.candidate_rows(keys, outside)
+        out[rows] = self.forces_at(verts, rows, stiffness, fd_step)
         return out

@@ -23,13 +23,22 @@ next the weights all change but few markers change lattice cell, so
 :class:`StencilBuilder` carries the node indices across steps and
 rewrites only those markers' rows; :func:`make_stencil` is the stateless
 entry on the same routines.
+
+From :data:`SPLIT_MARKERS` markers the weight evaluation, the
+interpolation and the spread each run as two halves on the lattice
+halves' helper thread (:mod:`repro.lbm.halves`): the weights and the
+interpolation by marker rows, the spread by force component.  Every
+marker row and every node sums the same terms in the same order either
+way, so the result is the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
+from ..lbm import halves
 from .kernels import KERNELS, DeltaKernel
 
 #: Node indices are stored as int32: scipy then wraps the index arrays
@@ -42,6 +51,58 @@ INDEX_DTYPE = np.int32
 #: then stay cache-sized instead of growing with the population.
 WEIGHT_CHUNK = 2048
 
+#: Fewest markers a population has before its weight evaluation,
+#: interpolation and spread each run as two halves, one on the calling
+#: thread and one on the lattice-halves helper (:mod:`repro.lbm.halves`),
+#: when the process may use two CPUs.  From the measured inline-vs-split
+#: crossover on the 2-CPU reference box (``benchmarks/marker_halves.py``,
+#: docs/performance.md §1): every pass gains from about 4,000 markers;
+#: the threshold sits at twice that, so the windows of ~4-6k markers
+#: stay inline until their own step measurements say otherwise.
+SPLIT_MARKERS = 8192
+
+#: The helper half's weight-pass chunk buffer, per ``(support,
+#: WEIGHT_CHUNK)``.  Made on the calling thread: a helper that allocated
+#: its own would grow a malloc arena of its own.
+_helper_scratch: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _marker_split(n: int, chunk: int = 1) -> int | None:
+    """First row of the helper's half of an ``n``-marker pass cut at a
+    ``chunk`` boundary, or ``None`` when the pass runs inline: below
+    :data:`SPLIT_MARKERS` markers, or in a one-CPU process."""
+    if n < SPLIT_MARKERS or halves.lattice_halves() < 2:
+        return None
+    mid = (-(-n // chunk) + 1) // 2 * chunk
+    return mid if mid < n else None
+
+
+def _weight_rows(pos, cells, offsets, kernel, w, lo, hi, scratch) -> None:
+    """Weights of marker rows ``[lo, hi)`` into ``w`` (``(N, S*S, S)``),
+    :data:`WEIGHT_CHUNK` rows at a time in ``scratch``, an
+    ``(m, 3, S)`` buffer of at least that many rows: the node positions,
+    then the kernel arguments, then the kernel values.
+
+    The node positions are ``floor(pos) + offsets`` in float64, exact
+    for any lattice index, so the kernel arguments ``pos - nodes`` are
+    the bits of subtracting the integer nodes.  The ``wa * wb`` outer
+    product is formed in the rows' last ``c`` slot of ``w``, which is
+    multiplied by its own ``wc`` after the other slots have read it.
+    """
+    s = kernel.support
+    for a in range(lo, hi, WEIGHT_CHUNK):
+        b = min(a + WEIGHT_CHUNK, hi)
+        m = b - a
+        r = np.add(cells[a:b, :, None], offsets, out=scratch[:m])
+        np.subtract(pos[a:b, :, None], r, out=r)
+        wa, wb, wc = np.moveaxis(kernel.phi(r, out=r), 1, 0)
+        rows = w[a:b]
+        ab = rows[:, :, s - 1]
+        np.multiply(wa[:, :, None], wb[:, None, :], out=ab.reshape(m, s, s))
+        for c in range(s - 1):
+            np.multiply(ab, wc[:, c, None], out=rows[:, :, c])
+        np.multiply(ab, wc[:, s - 1, None], out=ab)
+
 
 def _marker_weights(
     positions: np.ndarray,
@@ -51,7 +112,10 @@ def _marker_weights(
     """Base cells and combined kernel weights of each marker.
 
     The one weight evaluation of a stencil build (stateless and
-    incremental alike), made :data:`WEIGHT_CHUNK` markers at a time.
+    incremental alike), made :data:`WEIGHT_CHUNK` markers at a time, in
+    two halves of whole chunks above :data:`SPLIT_MARKERS` markers.
+    Every row's weights are a function of its own position alone, so a
+    split gives the inline bits.
 
     Returns
     -------
@@ -64,19 +128,25 @@ def _marker_weights(
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     n, s = pos.shape[0], kernel.support
-    base = np.floor(pos).astype(np.int64)
-    offsets = kernel.offsets()
+    cells = np.floor(pos)
+    base = cells.astype(np.int64)
+    offsets = kernel.offsets().astype(np.float64)
     if w_out is None:
         w_out = np.empty((n, s, s, s), dtype=np.float64)
     w = w_out.reshape(n, s * s, s)
-    for lo in range(0, n, WEIGHT_CHUNK):
-        hi = min(lo + WEIGHT_CHUNK, n)
-        nodes = base[lo:hi, :, None] + offsets  # (m, 3, S), unwrapped
-        phi = kernel.phi(pos[lo:hi, :, None] - nodes)
-        wa, wb, wc = np.moveaxis(phi, 1, 0)
-        ab = (wa[:, :, None] * wb[:, None, :]).reshape(hi - lo, s * s)
-        for c in range(s):
-            np.multiply(ab, wc[:, c, None], out=w[lo:hi, :, c])
+    args = (pos, cells, offsets, kernel, w)
+    chunk = (min(n, WEIGHT_CHUNK), 3, s)
+    mid = _marker_split(n, WEIGHT_CHUNK)
+    if mid is None:
+        _weight_rows(*args, 0, n, np.empty(chunk))
+    else:
+        second = _helper_scratch.get((s, WEIGHT_CHUNK))
+        if second is None:
+            second = _helper_scratch[s, WEIGHT_CHUNK] = np.empty(
+                (WEIGHT_CHUNK, 3, s))
+        halves.run_halves(
+            lambda: _weight_rows(*args, 0, mid, np.empty(chunk)),
+            lambda: _weight_rows(*args, mid, n, second))
     return base, w.reshape(n, s, s, s)
 
 
@@ -215,11 +285,11 @@ def make_stencil(
 class StencilBuilder:
     """Stencil of one marker set as it moves from step to step.
 
-    A marker's flat node indices depend on its base cell ``floor(x)``
-    alone, and markers move a small fraction of a lattice spacing per
-    step, so the builder keeps the base cells of its last build and
-    rewrites only the rows of the caller's persistent ``flat`` buffer
-    whose base cell moved.  Weights change with every position and are
+    A marker's flat node indices and its edge flag (:func:`_edge_rows`)
+    depend on its base cell ``floor(x)`` alone, and markers move a small
+    fraction of a lattice spacing per step, so the builder keeps the base
+    cells and edge flags of its last build and rewrites only the rows of
+    the caller's persistent ``flat`` buffer whose base cell moved.  Weights change with every position and are
     evaluated in full, once per build.  The arrays equal those of
     :func:`make_stencil` at the same positions, entry for entry.
 
@@ -236,6 +306,7 @@ class StencilBuilder:
         self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel
         self.mode = mode
         self._base: np.ndarray | None = None
+        self._edge: np.ndarray | None = None
         #: Rows of ``flat`` the last build rewrote.
         self.rows_reindexed = 0
 
@@ -250,63 +321,142 @@ class StencilBuilder:
         :data:`INDEX_DTYPE`, any shape of that size)."""
         base, w = _marker_weights(positions, self.kernel, w_out=w)
         flat = flat.reshape(len(base), -1)
-        edge = _edge_rows(base, self.kernel, self.shape)
         geometry = (self.kernel, self.shape, self.mode)
         prev = self._base
         if prev is None or prev.shape != base.shape:
+            edge = _edge_rows(base, self.kernel, self.shape)
             _flat_nodes(base, edge, *geometry, out=flat)
             self.rows_reindexed = len(base)
         else:
+            # A row's edge flag, like its node indices, follows its base
+            # cell: both are carried and rewritten where the cell moved.
+            edge = self._edge
             rows = np.flatnonzero((base != prev).any(axis=1))
             if len(rows):
-                flat[rows] = _flat_nodes(base[rows], edge[rows], *geometry)
+                moved = base[rows]
+                edge[rows] = _edge_rows(moved, self.kernel, self.shape)
+                flat[rows] = _flat_nodes(moved, edge[rows], *geometry)
             self.rows_reindexed = len(rows)
-        self._base = base
+        self._base, self._edge = base, edge
         return Stencil(None, w, flat, self.shape,
                        _n_clipped(edge, self.mode))
+
+    def outside_rows(self) -> np.ndarray:
+        """Rows of the last build whose base cell lies outside the
+        lattice box (some of its edge rows)."""
+        rows = np.flatnonzero(self._edge)
+        cells = self._base[rows]
+        hi = np.asarray(self.shape, dtype=np.int64) - 1
+        return rows[((cells < 0) | (cells > hi)).any(axis=1)]
+
+
+def _rows_matvec(matrix, x: np.ndarray, y: np.ndarray, lo: int,
+                 hi: int) -> None:
+    """``y[lo:hi] += matrix[lo:hi] @ x`` in scipy's CSR kernel, in place.
+
+    Each row sums its products onto its entry of ``y`` in stored order,
+    so from a zero ``y`` these are the bits of ``matrix @ x``.  The
+    kernel reads the rows' range of the shared ``indices`` / ``data``
+    and writes ``y`` itself: no row slice is copied and no result is
+    allocated, given contiguous float64 ``x`` and ``y``.
+    """
+    _sparsetools.csr_matvec(hi - lo, matrix.shape[1],
+                            matrix.indptr[lo:hi + 1], matrix.indices,
+                            matrix.data, x, y[lo:hi])
+
+
+def _adjoint_matvec(matrix, x: np.ndarray, y: np.ndarray) -> None:
+    """``y += matrix.T @ x`` in scipy's CSC kernel, in place.
+
+    ``matrix.T`` is the CSC matrix on the same arrays; each entry of
+    ``y`` accumulates its products in row (marker) order, so from a zero
+    ``y`` these are the bits of ``matrix.T @ x``.  Contiguous float64
+    ``x`` and ``y`` are neither copied nor allocated.
+    """
+    _sparsetools.csc_matvec(matrix.shape[1], matrix.shape[0],
+                            matrix.indptr, matrix.indices, matrix.data,
+                            x, y)
 
 
 def interpolate_with_stencil(field: np.ndarray, stencil: Stencil) -> np.ndarray:
     """Interpolate an Eulerian field at the stencil's markers (Eq. 4).
 
-    A vector field goes one component at a time into the columns of the
-    ``(N, 3)`` result: each is a sparse mat-vec over the contiguous
-    component, where one product with the transposed field would first
-    copy it to C order.  Every row sums its terms in the same order
-    either way.
+    A vector field goes one contiguous component at a time: each is a
+    sparse mat-vec into its own row of a ``(3, N)`` result, returned
+    transposed to ``(N, 3)`` C order.  From :data:`SPLIT_MARKERS`
+    markers the rows are cut in two halves (:mod:`repro.lbm.halves`);
+    a row's sum is the same either way.
     """
-    if field.ndim == 4:
-        return np.column_stack(
-            [stencil.matrix @ component.reshape(-1) for component in field]
-        )
-    return stencil.matrix @ field.reshape(-1)
+    n = stencil.n_markers
+    comps = field.reshape(field.shape[0] if field.ndim == 4 else 1, -1)
+    out = np.zeros((len(comps), n))
+    matrix = stencil.matrix
+    if comps.dtype != np.float64:
+        for x, y in zip(comps, out):
+            _rows_matvec(matrix, x.astype(np.float64), y, 0, n)
+    else:
+        def rows(lo: int, hi: int) -> None:
+            for x, y in zip(comps, out):
+                _rows_matvec(matrix, x, y, lo, hi)
+
+        mid = _marker_split(n)
+        if mid is None:
+            rows(0, n)
+        else:
+            halves.run_halves(lambda: rows(0, mid), lambda: rows(mid, n))
+    return np.ascontiguousarray(out.T) if field.ndim == 4 else out[0]
 
 
 def spread_with_stencil(
     values: np.ndarray,
     stencil: Stencil,
     out_field: np.ndarray,
+    base: np.ndarray | None = None,
 ) -> None:
     """Spread marker values onto the Eulerian field, in place (Eq. 6).
 
     The adjoint of :func:`interpolate_with_stencil` by construction
-    (``S.T @ values``).  A vector field is spread one component at a
-    time, ``out[c] += S.T @ values[:, c]``, so the only temporary is one
-    ``(N,)`` component.  It is the same bits as one ``(N, 3)`` product
-    ``S.T @ values`` added back transposed: each node sums the same
-    products in the same marker order from zero, then adds once.
+    (``S.T @ values``), one force component at a time: each node sums
+    its products in marker order from zero, then meets the field once.
+
+    * Without ``base`` the sum is added onto ``out_field``.
+    * With ``base`` (one value per component) ``out_field`` becomes
+      ``base[c] + S.T @ values[:, c]``, whatever it held: each component
+      is zeroed, accumulates the sum in place and then adds ``base[c]``.
+      IEEE addition commutes, so this is the bits of adding the sum onto
+      a field that holds ``base``, with no lattice-sized temporary.  From
+      :data:`SPLIT_MARKERS` markers component 1 is spread on the
+      lattice-halves helper beside components 0 and 2 (a float64 field).
     """
     if not out_field.flags.c_contiguous:
         raise ValueError("spreading needs a C-contiguous output field")
     vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    adjoint = stencil.matrix.T
-    if out_field.ndim == 4:
-        out = out_field.reshape(out_field.shape[0], -1)
+    # One contiguous vector per component: a view of column-major values.
+    cols = np.ascontiguousarray(vals.T)
+    out = out_field.reshape(out_field.shape[0] if out_field.ndim == 4 else 1,
+                            -1)
+    matrix = stencil.matrix
+    if base is None or out.dtype != np.float64:
         for c, row in enumerate(out):
-            row += adjoint @ vals[:, c]
+            if base is not None:
+                row[...] = base[c]
+            row += matrix.T @ cols[c]
+        return
+
+    def component(c: int) -> None:
+        row = out[c]
+        row.fill(0.0)
+        _adjoint_matvec(matrix, cols[c], row)
+        # A sum from +0.0 is never -0.0, so adding a zero is the identity.
+        if base[c] != 0.0:
+            row += base[c]
+
+    if len(out) == 3 and _marker_split(stencil.n_markers) is not None:
+        halves.run_halves(lambda: (component(0), component(2)),
+                          lambda: component(1))
     else:
-        out = out_field.reshape(-1)
-        out += adjoint @ vals[:, 0]
+        for c in range(len(out)):
+            component(c)
 
 
 def interpolate(

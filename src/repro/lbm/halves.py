@@ -19,6 +19,16 @@ child, and a process pool's workers are already the parallelism.
 
 Like the panel buffers, the helper serves one pass at a time: the
 lattices of a process step one after the other.
+
+The two halves are placed on two CPUs.  Left to the scheduler, the
+woken helper was at times queued on the calling thread's CPU until a
+load-balancing tick, so on the 2-vCPU reference box a pass of a few
+milliseconds ran its halves one after the other (docs/performance.md,
+"Lattice halves on every CPU").  So in a process whose affinity is two
+CPUs, the only case measured, each split first puts the helper on the
+CPU the calling thread is not on.  The calling thread is never moved,
+and a forked child, or any process started from this one, inherits its
+affinity.  With more CPUs the scheduler places both threads, as before.
 """
 
 from __future__ import annotations
@@ -70,16 +80,30 @@ def split_column(n: int, panel: int) -> int | None:
 
 
 class _Helper:
-    """One daemon thread that runs the second half of each split pass."""
+    """One daemon thread that runs the second half of each split pass.
+
+    Where threads can be placed (Linux) and the process's affinity at the
+    helper's start is two CPUs, :meth:`place` puts the helper on the CPU
+    the calling thread is not on before each split (see the module
+    docstring).
+    """
 
     def __init__(self) -> None:
         self._go = threading.Semaphore(0)
         self._done = threading.Semaphore(0)
         self._job: tuple | None = None
         self.error: BaseException | None = None
-        threading.Thread(
+        cpus = sorted(os.sched_getaffinity(0)) if _PLACE else []
+        #: The two CPUs the helper is placed on (None: it is not placed;
+        #: only a two-CPU affinity has been measured), and the one it
+        #: keeps to now.
+        self.cpus = tuple(cpus) if len(cpus) == 2 else None
+        self.cpu: int | None = None
+        thread = threading.Thread(
             target=self._loop, name="repro-lattice-half", daemon=True
-        ).start()
+        )
+        thread.start()
+        self._tid = thread.native_id
 
     def _loop(self) -> None:
         while True:
@@ -94,6 +118,27 @@ class _Helper:
                 self.error = exc
             self._done.release()
 
+    def place(self) -> None:
+        """Keep the helper to the CPU the calling thread is not on.
+
+        One ``sched_getcpu`` per split; the helper's affinity is set only
+        when the caller has changed CPU since the last split.  The
+        calling thread's own affinity is never touched.
+        """
+        if self.cpus is None:
+            return
+        here = _current_cpu()
+        if here not in self.cpus:
+            return
+        there = self.cpus[0] if here == self.cpus[1] else self.cpus[1]
+        if there != self.cpu:
+            try:
+                os.sched_setaffinity(self._tid, {there})
+            except OSError:
+                self.cpus = None  # the affinity changed under us: unplaced
+                return
+            self.cpu = there
+
     def start(self, work: Callable[[], None]) -> None:
         self._job = (work, np.geterr(), np.geterrcall())
         self._go.release()
@@ -103,6 +148,25 @@ class _Helper:
         self._done.acquire()
         error, self.error = self.error, None
         return error
+
+
+#: Whether threads can be placed on CPUs here (Linux).
+_PLACE = hasattr(os, "sched_setaffinity")
+#: ``sched_getcpu`` of the C library, once looked up (False: none).
+_getcpu = None
+
+
+def _current_cpu() -> int:
+    """The CPU the calling thread runs on now, or -1 where unknown."""
+    global _getcpu
+    if _getcpu is None:
+        import ctypes
+
+        try:
+            _getcpu = ctypes.CDLL(None).sched_getcpu
+        except (OSError, AttributeError):
+            _getcpu = False
+    return _getcpu() if _getcpu else -1
 
 
 def run_halves(first: Callable[[], None], second: Callable[[], None]) -> None:
@@ -115,6 +179,7 @@ def run_halves(first: Callable[[], None], second: Callable[[], None]) -> None:
     if _helper is None:
         _helper = _Helper()
     helper = _helper
+    helper.place()
     helper.start(second)
     try:
         first()

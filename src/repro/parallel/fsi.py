@@ -1,4 +1,4 @@
-"""The cell-side half of one FSI step, run inline on the caller's arrays.
+"""The cell-side half of one FSI step, on the caller's arrays.
 
 The window task's hot loop is the :class:`~repro.fsi.stepper.FSIStepper`
 sequence — membrane forces, IBM spread, collide/stream, IBM interpolate.
@@ -16,10 +16,16 @@ sequence — membrane forces, IBM spread, collide/stream, IBM interpolate.
 * ``spread``  — ``S.T @ F`` into the force field;
 * ``interp``  — ``S @ u`` at the markers, on the same ``S``.
 
-Each stage runs under its ``fsi/<stage>`` phase timer.  The module keeps
-its name from the time the stages could also run on a process pool;
-docs/performance.md ("Backend decisions → FSI process pool") records why
-that pool was removed and what would bring it back.
+Each stage runs under its ``fsi/<stage>`` phase timer.  The forces run
+inline.  From :data:`~repro.ibm.coupling.SPLIT_MARKERS` markers the
+three IBM passes each run in two halves, one on the calling thread and
+one on the lattice-halves helper (:mod:`repro.lbm.halves`) when the
+process may use two CPUs: the weights and the interpolation by marker
+rows, the spread by force component.  The result is the same bits
+either way (docs/performance.md §1).  The module keeps its name from
+the time the stages could also run on a process pool; docs/performance.md
+("Backend decisions → FSI process pool") records why that pool was
+removed and what would bring it back.
 """
 
 from __future__ import annotations
@@ -62,9 +68,10 @@ class ParallelFSIRuntime:
     step::
 
         total_forces(manager)   # fsi/forces (membrane + contact)
-        lattice_forces(...)     # (forces + wall) * scale, pooled
         begin_step(verts)       # fsi/stencil, once per marker position
-        spread(forces_lat, F)   # fsi/spread
+        marker_cells()          # the markers' cells, for the wall pass
+        lattice_forces(...)     # (forces + wall) * scale, pooled
+        spread(forces_lat, F, body)  # fsi/spread
         interpolate(u)          # fsi/interp (reuses the cached stencil)
         end_step()
 
@@ -84,11 +91,16 @@ class ParallelFSIRuntime:
         self._builder = StencilBuilder(self.grid_shape, self.kernel, mode)
         self._generation = -1
         s = self.kernel.support
+        #: Column of a marker's own cell (offset 0, 0, 0) in ``flat``.
+        h = int(np.flatnonzero(self.kernel.offsets() == 0)[0])
+        self._cell_column = (h * s + h) * s + h
         #: Pooled stencil and force buffers and the current population's
-        #: rows.
+        #: rows.  The forces are ``(markers, 3)`` in column-major order:
+        #: each component is a contiguous vector for the spread.
         self._flat = self._flat_pool = np.empty((0, s ** 3), INDEX_DTYPE)
         self._w = self._w_pool = np.empty((0, s, s, s), np.float64)
-        self._forces = self._forces_pool = np.empty((0, 3), np.float64)
+        self._forces_pool = np.empty(0, np.float64)
+        self._forces = self._forces_pool.reshape(3, 0).T
         self._stencil: Stencil | None = None
         self._warned_clip = False
 
@@ -108,10 +120,10 @@ class ParallelFSIRuntime:
             self._flat_pool = self._w_pool = self._forces_pool = None
             self._flat_pool = np.empty((n_markers, s ** 3), INDEX_DTYPE)
             self._w_pool = np.empty((n_markers, s, s, s), np.float64)
-            self._forces_pool = np.empty((n_markers, 3), np.float64)
+            self._forces_pool = np.empty(3 * n_markers, np.float64)
         self._flat = self._flat_pool[:n_markers]
         self._w = self._w_pool[:n_markers]
-        self._forces = self._forces_pool[:n_markers]
+        self._forces = self._forces_pool[:3 * n_markers].reshape(3, -1).T
         # The rows of ``flat`` now belong to other markers.
         self._builder.reset()
         self._stencil = None
@@ -130,16 +142,18 @@ class ParallelFSIRuntime:
             return manager.total_forces()
 
     def lattice_forces(self, forces: np.ndarray, scale: float,
-                       wall: np.ndarray | None = None) -> np.ndarray:
-        """``(forces + wall) * scale`` (``forces * scale`` without
-        ``wall``) in the runtime's pooled ``(markers, 3)`` buffer, which
-        the returned array is until the next call.  The same operations
-        as forming the sum and the product as new arrays, so the same
-        bits, without two marker-sized transients per step."""
-        out = self._forces
+                       wall: np.ndarray | None = None,
+                       rows: np.ndarray | None = None) -> np.ndarray:
+        """``forces * scale`` in the runtime's pooled ``(markers, 3)``
+        buffer, which the returned array is until the next call, and
+        ``(forces + wall) * scale`` at ``rows`` when ``wall`` (the wall
+        forces of those rows) is given.  The same operations as forming
+        the sum and the product as new arrays, so the same bits, without
+        marker-sized transients."""
+        out = np.multiply(forces, scale, out=self._forces)
         if wall is not None:
-            forces = np.add(forces, wall, out=out)
-        return np.multiply(forces, scale, out=out)
+            out[rows] = (forces[rows] + wall) * scale
+        return out
 
     def begin_step(self, verts: np.ndarray) -> None:
         """Build the marker stencil for the current positions."""
@@ -152,16 +166,28 @@ class ParallelFSIRuntime:
             self._record_clipped(stencil.n_clipped)
         self._stencil = stencil
 
+    def marker_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each marker's lattice cell as read off the cached stencil: the
+        flat index of its floor node, and the rows whose floor node lies
+        outside the lattice (their index is some other node's)."""
+        if self._stencil is None:
+            raise RuntimeError("marker_cells() requires begin_step() first")
+        return (self._flat[:, self._cell_column],
+                self._builder.outside_rows())
+
     def end_step(self) -> None:
         """Drop the cached stencil (markers are about to move)."""
         self._stencil = None
 
-    def spread(self, forces_lat: np.ndarray, out_field: np.ndarray) -> None:
-        """Spread marker forces into ``out_field`` (adds in place)."""
+    def spread(self, forces_lat: np.ndarray, out_field: np.ndarray,
+               base: np.ndarray | None = None) -> None:
+        """Spread marker forces into ``out_field``: added in place, or
+        with ``base`` (one value per component) written over it as
+        ``base + S.T F`` (:func:`~repro.ibm.coupling.spread_with_stencil`)."""
         if self._stencil is None:
             raise RuntimeError("spread() requires begin_step() first")
         with get_telemetry().phase("fsi/spread"):
-            spread_with_stencil(forces_lat, self._stencil, out_field)
+            spread_with_stencil(forces_lat, self._stencil, out_field, base)
 
     def interpolate(self, field: np.ndarray) -> np.ndarray:
         """Interpolate ``field`` at the markers of the cached stencil."""

@@ -200,17 +200,24 @@ def test_reindexed_rows_counted():
 
 
 def test_lattice_forces_are_the_sum_and_product_in_the_pool():
-    """``(forces + wall) * scale`` into the runtime's pooled buffer: the
-    bits of the two new arrays it replaces, the manager's forces kept."""
+    """``(forces + wall) * scale`` into the runtime's pooled buffer, the
+    wall forces given for all rows or for some: the bits of the two new
+    arrays it replaces, the manager's forces kept."""
     st = build_stepper()
     rt = st.runtime
     forces, _, _ = rt.total_forces(st.cells)
     before = forces.copy()
     wall = np.random.default_rng(1).standard_normal(forces.shape) * 1e-12
     scale = st.units.force_to_lattice(1.0)
-    with_wall = rt.lattice_forces(forces, scale, wall)
+    every = np.arange(len(forces))
+    with_wall = rt.lattice_forces(forces, scale, wall, every)
     assert np.array_equal(with_wall, (before + wall) * scale)
     assert np.shares_memory(with_wall, rt._forces_pool)
+    some = every[::7]
+    partial = np.zeros_like(wall)
+    partial[some] = wall[some]
+    assert np.array_equal(rt.lattice_forces(forces, scale, wall[some], some),
+                          (before + partial) * scale)
     assert np.array_equal(rt.lattice_forces(forces, scale), before * scale)
     assert np.array_equal(forces, before)
 

@@ -1,22 +1,24 @@
 """What one cell-laden FSI step allocates, and the force field it leaves.
 
-The step forms its velocity in the force field and spreads one force
-component at a time, so its only lattice-sized transient is one
-float64 spread component: 8 B per node.  The rest of its scratch scales
-with the markers.
+The step forms its velocity in the force field and spreads each force
+component into its row of the field in place, so it has no
+lattice-sized transient.  Its scratch scales with the markers, split
+over the lattice halves or not: the helper's half allocates no array.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.fsi import CellManager, FSIStepper
-from repro.lbm import Grid
+from repro.ibm import coupling
+from repro.lbm import Grid, halves
 from repro.membrane import make_rbc
 from repro.units import UnitSystem
 
 #: Lattice-sized transient of one step, bytes per node.
-STEP_BYTES_PER_NODE = 8
+STEP_BYTES_PER_NODE = 0
 #: Marker-sized transients of one step (forces, stencil build, the
 #: interpolated velocity and the vertex update), bytes per marker; the
 #: measured peak is about 100-300 B per marker.
@@ -38,7 +40,13 @@ def _stepper(shape=(40, 40, 40)):
                       body_force=np.array([500.0, 0.0, 0.0]))
 
 
-def test_cell_laden_step_allocates_one_spread_component_per_node():
+@pytest.mark.parametrize("split", [False, True])
+def test_cell_laden_step_allocates_nothing_lattice_sized(monkeypatch, split):
+    if split:
+        # Every marker pass of the 324 markers in two halves.
+        monkeypatch.setattr(coupling, "WEIGHT_CHUNK", 64)
+        monkeypatch.setattr(coupling, "SPLIT_MARKERS", 1)
+        monkeypatch.setattr(halves, "_halves", 2)
     st = _stepper()
     # The first steps allocate what the step keeps: the moment cache,
     # the stencil pool, the contact list and the membrane workspace.

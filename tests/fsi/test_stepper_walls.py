@@ -57,3 +57,33 @@ def test_no_wall_force_for_centered_cell():
     st.step(20)
     # No flow, no wall contact: the cell stays put (forces are zero).
     assert np.linalg.norm(cell.centroid() - c0) < 1e-8
+
+
+# The cells at and past the wall reach the window edge by construction.
+@pytest.mark.filterwarnings("ignore:.*kernel support outside:RuntimeWarning")
+@pytest.mark.parametrize("offset", [0.3e-6, 2.5e-6, 21e-6])
+def test_wall_pass_on_the_stencil_cells_is_the_unfiltered_sum(offset):
+    """The stepper looks the wall prefilter up by the cells of its
+    stencil and adds wall forces at the candidate rows only: the bits of
+    ``(forces + wall) * scale`` with the unfiltered wall pass, for a cell
+    at, near and past the wall (outside the window)."""
+    from repro.constants import REPULSION_STIFFNESS
+    from repro.fsi.walls import wall_repulsion_forces
+
+    st, _, tube = _tube_setup(offset_from_wall=offset)
+    rt = st.runtime
+    forces, verts, _ = rt.total_forces(st.cells)
+    rt.begin_step(verts)
+    wall, rows = st._wall_forces(verts)
+    scale = st.units.force_to_lattice(1.0)
+    got = rt.lattice_forces(forces, scale, wall, rows)
+    full = wall_repulsion_forces(tube, verts, st.wall_cutoff,
+                                 REPULSION_STIFFNESS)
+    assert np.array_equal(got, (forces + full) * scale)
+    assert np.array_equal(
+        st._wall_prefilter.forces(verts, REPULSION_STIFFNESS), full)
+    near = np.flatnonzero(np.any(full != 0.0, axis=1))
+    assert np.isin(near, rows).all()
+    if offset > 20e-6:  # the cell straddles the window's x face
+        assert len(rt.marker_cells()[1])
+    rt.end_step()

@@ -1,11 +1,11 @@
 """The incremental stencil builder against a from-scratch build.
 
 :class:`~repro.ibm.coupling.StencilBuilder` keeps each marker's base cell
-between steps and rewrites only the rows of the flat-index buffer whose
-base cell moved.  At every step its arrays must be ``array_equal`` to
-what :func:`~repro.ibm.coupling.make_stencil` — and the per-axis,
-three-operand-einsum body both replaced — derive from the positions
-alone.
+between steps and rewrites only the rows of the flat-index buffer (and
+the edge flags) whose base cell moved.  At every step its arrays must be
+``array_equal`` to what :func:`~repro.ibm.coupling.make_stencil` — and
+the per-axis, three-operand-einsum body both replaced — derive from the
+positions alone.
 """
 
 import numpy as np
@@ -55,6 +55,10 @@ def test_builder_equals_from_scratch_every_step(kernel, mode, rng):
     for _ in range(40):
         stencil = builder.build(pos, w, flat)
         _assert_equal_to_scratch(stencil, pos, kernel, mode)
+        # The carried edge flags give the rows whose cell left the box.
+        cell = np.floor(pos)
+        outside = ((cell < 0) | (cell > np.array(SHAPE) - 1)).any(axis=1)
+        assert np.array_equal(builder.outside_rows(), np.flatnonzero(outside))
         clipped_per_step.append(stencil.n_clipped)
         reindexed.append(builder.rows_reindexed)
         pos = pos + rng.normal(0.0, 0.08, size=pos.shape) + 0.02

@@ -7,6 +7,7 @@ under whatever affinity the suite was started with.
 """
 
 import multiprocessing as mp
+import os
 import sys
 import threading
 import time
@@ -277,6 +278,38 @@ def test_error_is_raised_after_both_halves_stop(raising):
     assert finished.is_set()
     # the helper is idle again and the error is not raised twice
     halves.run_halves(lambda: None, lambda: None)
+
+
+@pytest.mark.parametrize("raising", [False, True])
+def test_helper_keeps_off_the_callers_cpu_and_the_caller_is_not_moved(
+        raising):
+    """In a two-CPU process each split puts the helper on the CPU the
+    caller is not on; the caller's affinity is never changed, error or
+    not."""
+    if not hasattr(os, "sched_setaffinity") or halves.affinity_cpus() != 2:
+        pytest.skip("threads are placed only in a process on two CPUs")
+    before = os.sched_getaffinity(0)
+    seen = {}
+
+    def first():
+        seen["caller"] = os.sched_getaffinity(0)
+
+    def second():
+        seen["helper"] = os.sched_getaffinity(0)
+        if raising:
+            raise ValueError("helper half")
+
+    here = halves._current_cpu()
+    if raising:
+        with pytest.raises(ValueError, match="helper half"):
+            halves.run_halves(first, second)
+    else:
+        halves.run_halves(first, second)
+    assert seen["caller"] == before == os.sched_getaffinity(0)
+    helper = halves._helper
+    assert seen["helper"] == {helper.cpu} and helper.cpu in before
+    if here == halves._current_cpu():  # the caller did not migrate
+        assert helper.cpu != here
 
 
 def _child_step(conn):
