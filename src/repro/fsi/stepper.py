@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..constants import OVERLAP_CUTOFF, REPULSION_STIFFNESS
-from ..lbm.collision import density, velocity_from_moments
+from ..lbm.collision import density, fill_columns, velocity_from_moments
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
 from ..parallel.fsi import ParallelFSIRuntime
@@ -122,8 +122,8 @@ class FSIStepper:
 
     def _reset_force(self) -> None:
         """Write the body force over the force field (see the module
-        docstring: the field's state between steps)."""
-        self.grid.force[:] = self.body_force_lattice[:, None, None, None]
+        docstring: the field's state between steps), panel by panel."""
+        fill_columns(self.grid.force, self.body_force_lattice)
 
     def _wall_forces(self, verts: np.ndarray):
         """Wall repulsion at the vertices the cached per-window SDF

@@ -97,6 +97,35 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 PAIR_BIN_CHUNK = 2048
 
 
+def _half_shell_bins(bins, first, stop, offsets):
+    """Occupied half-shell neighbours of the bins ``bins[first:stop]``,
+    looked up among the sorted, unique occupied keys ``bins``, so the
+    scratch follows the points, not the bounding box: ``(nb, found)``,
+    both ``(13, stop - first)``, ``nb`` the neighbour's index in ``bins``
+    where ``found``.
+
+    The neighbour ``(0, 0, +1)`` can only be the next occupied bin.  The
+    other twelve are four columns ``(dx, dy)`` of three consecutive keys
+    ``dz = -1, 0, +1`` (the order of :data:`_HALF_SHELL`): one binary
+    search finds a column's first, and each next one is the following
+    occupied bin or none.
+    """
+    last = len(bins) - 1
+    want = offsets[:, None] + bins[first:stop]
+    nb = np.empty(want.shape, dtype=np.intp)
+    found = np.empty(want.shape, dtype=bool)
+    np.minimum(np.arange(first + 1, stop + 1), last, out=nb[0])
+    np.equal(bins[nb[0]], want[0], out=found[0])
+    # rows 1-12 as (column, dz, bin)
+    want_c, nb_c, found_c = (a[1:].reshape(4, 3, -1) for a in (want, nb, found))
+    pos = np.searchsorted(bins, want_c[:, 0])
+    for dz in range(3):
+        np.minimum(pos, last, out=nb_c[:, dz])
+        np.equal(bins[nb_c[:, dz]], want_c[:, dz], out=found_c[:, dz])
+        pos += found_c[:, dz]
+    return nb, found
+
+
 def inter_label_pairs(
     points: np.ndarray, labels: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,17 +172,12 @@ def inter_label_pairs(
     low = np.minimum.reduceat(label, start)
     high = np.maximum.reduceat(label, start)
 
-    # Index of each occupied bin, or -1, over every bin of the bounding
-    # grid.
-    table = np.full(int(np.prod(dims)), -1, dtype=np.int32)
-    table[bins] = np.arange(len(bins), dtype=np.int32)
     parts_i, parts_j = [], []
     for first in range(0, len(bins), PAIR_BIN_CHUNK):
         stop = min(first + PAIR_BIN_CHUNK, len(bins))
-        # Occupied half-shell neighbour of each bin of the pass, or -1.
-        nb = table[bins[first:stop, None] + offsets]
-        b, o = np.nonzero(nb >= 0)
-        nb = nb[b, o]
+        nb, found = _half_shell_bins(bins, first, stop, offsets)
+        o, b = np.nonzero(found)
+        nb = nb[o, b]
         b += first
         # Bin pairs whose points do not all carry one label.
         mixed = (low[b] != high[nb]) | (high[b] != low[nb])

@@ -24,11 +24,11 @@ handful of per-node monomials:
 ``M`` (19x10) and ``G`` (19x9) depend only on ``D3Q19.c``/``w``
 (:func:`moment_operators`); ``f^eq`` alone is ``M @ Phi``
 (:func:`equilibrium`).  :func:`collide_bgk` builds the ``N``-sized
-monomial rows :data:`PANEL` columns at a time and hands the 19-row work
-to BLAS GEMM plus one axpy, instead of walking ``(19, N)`` arrays once
-per elementary operation.  The density and momentum are one more GEMM,
-``[1; c^T] @ f`` (:func:`moments`), formed in the same panel pass, so
-``f`` is read once per collide.
+monomial rows :data:`PANEL` columns at a time, forms ``(1 - omega) f``
+in ``out``, and adds the panel's GEMM to it, instead of walking
+``(19, N)`` arrays once per elementary operation.  The density and
+momentum are one more GEMM, ``[1; c^T] @ f`` (:func:`moments`), formed
+in the same panel pass, so ``f`` is read once per collide.
 
 Fixed-width panels
 ------------------
@@ -36,13 +36,16 @@ BLAS rounds a column differently depending on how many columns the call
 has (tail columns take another micro-kernel), so ``A @ X[:, a:b]`` is
 *not* the same numbers as ``(A @ X)[:, a:b]``.  Every lattice GEMM here
 — the collide operator, the moment sums (in the collide, :func:`moments`
-and :func:`density`) and the equilibrium — is therefore issued over
-column panels of the flattened lattice that are always
-:data:`GEMM_COLS` wide, the last one zero-padded in a panel buffer.
-Each call has the identical shape, a column's result does not
-depend on its position inside the panel, and so a node's result cannot
-depend on the shape of the lattice, block or slab it sits in: a
-decomposed lattice stays bitwise equal to the single grid.
+and :func:`density`) and the equilibrium — is therefore one BLAS call
+per :data:`GEMM_COLS`-wide column block of the flattened lattice, the
+last block zero-padded.  Each call has the identical shape, a column's
+result does not depend on its position inside the block, and so a
+node's result cannot depend on the shape of the lattice, block or slab
+it sits in: a decomposed lattice stays bitwise equal to the single grid.
+A panel's full blocks go to ``np.matmul`` in one call, as stacked
+``(k, rows, GEMM_COLS)`` strided views (:func:`_matmul_panel`): the same
+GEMM per block, one NumPy call per panel.  :data:`PANEL` is a multiple
+of :data:`GEMM_COLS` and moves only the speed, never a result.
 
 Exact-zero rules
 ----------------
@@ -55,12 +58,14 @@ left out.
 
 Two halves
 ----------
-A collide or moment GEMM of at least ``halves.SPLIT_PANELS`` panels runs
-as two halves split at a :data:`PANEL` boundary, the second on a helper
-thread (:mod:`repro.lbm.halves`).  Each half walks its own panels
-through the same calls, in its own panel buffers, so a column's result
-is the same bits split or inline.  Packing strided views and copying
-``out`` back happen on the calling thread, before and after the split.
+A lattice pass of at least ``halves.SPLIT_PANELS`` panels — the collide,
+the moment GEMM, the Guo velocity and the force reset — runs as two
+halves split at a :data:`GEMM_COLS` boundary, the second on a helper
+thread (:mod:`repro.lbm.halves`), so the halves stay balanced at any
+panel width.  Each half walks its own panels through the same calls, in
+its own panel rows, and allocates nothing, so a column's result is the
+same bits split or inline.  Packing strided views and copying ``out``
+back happen on the calling thread, before and after the split.
 
 Allocation discipline
 ---------------------
@@ -68,21 +73,22 @@ The collide holds nothing lattice-sized between calls.  Its density
 and momentum are formed panel by panel, just before the monomials,
 unless the caller hands over cached ones (``moments_in``; only a lattice
 whose moments have a second reader keeps a cache, see
-:meth:`repro.lbm.grid.Grid.moments`).  The panel-sized rest — the moments,
-``u``/``den`` and three ``(19, PANEL)`` work buffers — is one set per
-process, dtype and half, shared by every lattice (:func:`_panel_buffers`);
-the moment GEMM's zero-padded ragged tail lives there too.  Nothing
-``(19, N)``-sized is allocated besides ``f`` and ``out`` themselves.
-With ``scratch`` and ``out`` supplied the collide allocates nothing (the
-19x19 operators are cached per dtype and ``omega``); without them it
-allocates what it returns plus a throw-away scratch — same values
-either way.  Strided slab views are packed into contiguous buffers the
-scratch keeps per slab shape.  :func:`density` forms ``rho`` alone
-through the same panels, for a reader that needs nothing else.
-:func:`equilibrium` evaluates ``M @ Phi`` with the same monomials and
-panels; besides what it returns it allocates one ``(10, PANEL)``
-monomial panel, or for fewer than :data:`GEMM_COLS` nodes one
-zero-padded ``(10 + 19, GEMM_COLS)`` panel and product.
+:meth:`repro.lbm.grid.Grid.moments`).  The panel-sized rest is 38 rows
+per process, dtype and half, shared by every lattice
+(:func:`_panel_buffers`): 19 monomial rows and 19 product rows, the
+panel's moments, velocity, density floor and ``Psi`` scratch living in
+the product rows until its GEMM overwrites them, and a moment GEMM's
+zero-padded ragged tail in the monomial rows before they are formed.
+Nothing ``(19, N)``-sized is allocated besides ``f`` and ``out``
+themselves.  With ``scratch`` and ``out`` supplied the collide
+allocates nothing (the 19x19 operators are cached per dtype and
+``omega``); without them it allocates what it returns plus a throw-away
+scratch — same values either way.  Strided slab views are packed into
+contiguous buffers the scratch keeps per slab shape.  :func:`density`
+forms ``rho`` alone through the same panels, for a reader that needs
+nothing else.  :func:`equilibrium` evaluates ``M @ Phi`` with the same
+monomials and blocks, in the inline panel rows, and allocates nothing
+besides what it returns.
 """
 
 from __future__ import annotations
@@ -116,11 +122,15 @@ _MOMENTS_BY_DTYPE: dict[np.dtype, np.ndarray] = {np.dtype(np.float64): _MOMENTS}
 #: the two halves (see "Two halves"), not from OpenBLAS's pool.
 GEMM_COLS = 2048
 
-#: Columns the collide works on at a time: the monomial rows are built
-#: and the axpy applied :data:`PANEL` columns at once (fewer, longer
-#: NumPy calls), while its three ``(19, PANEL)`` float64 buffers still
-#: stay cache resident.  A multiple of :data:`GEMM_COLS`.
-PANEL = 2 * GEMM_COLS
+#: Columns a lattice pass works on at a time: the panel's elementwise
+#: passes are this long and its GEMM blocks go to BLAS in one batched
+#: call, so a half hands over the GIL once per call of this width.  Its
+#: 38 rows (:func:`_panel_buffers`) are 3.7 MB per half in float64.
+#: From ``benchmarks/lattice_halves.py --widths`` (docs/performance.md):
+#: the split 64^3 step read 13.3 ms here against 15.4 ms at 4,096
+#: columns; 16,384 read no better and costs 1.2 MB more per half.  A
+#: multiple of :data:`GEMM_COLS`.
+PANEL = 6 * GEMM_COLS
 
 #: Row counts of the monomial blocks ``Phi`` and ``[Phi; Psi]``.
 _N_PHI = 10
@@ -179,24 +189,23 @@ def _is_field(tau) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _panel_buffers(dtype: np.dtype, half: int) -> tuple[np.ndarray, ...]:
+def _panel_buffers(dtype: np.dtype, half: int) -> tuple[np.ndarray, np.ndarray]:
     """The process's :data:`PANEL`-wide buffers in ``dtype`` for one half
-    of a pass (0 inline or on the calling thread, 1 on the helper):
-    velocity, floored density, monomial rows, GEMM result (first the
-    panel's moments) and work rows.
+    of a pass (0 inline or on the calling thread, 1 on the helper): the
+    19 monomial rows and the 19 product rows.
 
-    Every :func:`collide_bgk`, :func:`moments` and :func:`density` call
-    writes each panel column before it reads it, and no call is in
-    flight while another runs (the lattices of a process step one after
-    the other; a process pool's workers each have their own), so every
-    lattice of a dtype shares them; the two halves of a split pass each
-    use their own.
+    The product rows hold a panel's scratch until the collide GEMM
+    overwrites them: its moments (rows 0-3), velocity (4-6), floored
+    density (7) and the ``Psi`` scratch row (8).  The monomial rows are
+    also the zero-padded copy of a moment GEMM's ragged tail, before the
+    monomials are formed.  Every pass writes each panel column before it
+    reads it, and no pass is in flight while another runs (the lattices
+    of a process step one after the other; a process pool's workers each
+    have their own), so every lattice of a dtype shares them; the two
+    halves of a split pass each use their own.
     """
     return (
-        np.empty((3, PANEL), dtype=dtype),
-        np.empty(PANEL, dtype=dtype),
         np.empty((_N_MONOMIALS, PANEL), dtype=dtype),
-        np.empty((D3Q19.Q, PANEL), dtype=dtype),
         np.empty((D3Q19.Q, PANEL), dtype=dtype),
     )
 
@@ -208,10 +217,10 @@ class CollisionScratch:
     :func:`collide_bgk` removes every lattice-sized allocation from the
     collision step.  ``dtype`` matches the grid's compute dtype.  The
     collide itself keeps nothing lattice-sized here but the packed copies
-    of strided views: the velocity, the density floor, the moments and
-    the ``(19, N)`` work live in :data:`PANEL`-wide buffers that all
-    lattices of a dtype share (:func:`_panel_buffers`).  Cached moments
-    handed over as ``moments_in`` belong to their lattice
+    of strided views: its moments, velocity, density floor and monomials
+    live in :data:`PANEL`-wide rows that all lattices of a dtype share
+    (:func:`_panel_buffers`).  Cached moments handed over as
+    ``moments_in`` belong to their lattice
     (:meth:`~repro.lbm.grid.Grid.moments`), not to the scratch.
     """
 
@@ -230,33 +239,42 @@ class CollisionScratch:
 
 def _by_panels(n: int, body) -> None:
     """``body(half, lo, hi)`` for each :data:`PANEL`-wide column range of
-    ``[0, n)``, the last one ragged: in one walk, or in two halves split
-    at a :data:`PANEL` boundary (see "Two halves")."""
+    ``[0, n)``, the last one of each half ragged: in one walk, or in two
+    halves split at a :data:`GEMM_COLS` boundary (see "Two halves")."""
 
     def walk(half, start, stop):
         for lo in range(start, stop, PANEL):
             body(half, lo, min(lo + PANEL, stop))
 
-    mid = split_column(n, PANEL)
+    mid = split_column(n, PANEL, GEMM_COLS)
     if mid is None:
         walk(0, 0, n)
     else:
         run_halves(lambda: walk(0, 0, mid), lambda: walk(1, mid, n))
 
 
-def _matmul_panel(a, x, out, pad) -> None:
-    """``out[:, :n] = a @ x`` for an ``x`` of ``n <= PANEL`` columns with
-    unit column stride, in :data:`GEMM_COLS`-wide calls.
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """The ``(r, k * GEMM_COLS)`` columns ``a`` (unit column stride) as
+    the stacked ``(k, r, GEMM_COLS)`` view of its column blocks.  Cutting
+    the unit-stride axis is always a view, so a write lands in ``a``."""
+    r, n = a.shape
+    return a.reshape(r, n // GEMM_COLS, GEMM_COLS).transpose(1, 0, 2)
 
-    Full column blocks go to BLAS as strided views; a ragged tail is
-    copied into ``pad`` (at least ``x``'s rows and :data:`GEMM_COLS`
-    columns) and zero-padded, so that it is the same call.  ``out`` has
-    ``n`` rounded up to :data:`GEMM_COLS` columns.
+
+def _matmul_panel(a, x, out, pad) -> None:
+    """``out[:, :n] = a @ x`` for an ``x`` of ``n`` columns with unit
+    column stride, one :data:`GEMM_COLS`-wide BLAS call per block.
+
+    The full blocks go to ``np.matmul`` at once, as stacked strided
+    views: the same GEMM call for each block as one by one.  A ragged
+    tail is copied into ``pad`` (at least ``x``'s rows and
+    :data:`GEMM_COLS` columns) and zero-padded, so that it is the same
+    call; then ``out`` has ``n`` rounded up to :data:`GEMM_COLS` columns.
     """
     n = x.shape[1]
     full = n - n % GEMM_COLS
-    for c in range(0, full, GEMM_COLS):
-        np.matmul(a, x[:, c:c + GEMM_COLS], out=out[:, c:c + GEMM_COLS])
+    if full:
+        np.matmul(a, _blocks(x[:, :full]), out=_blocks(out[:, :full]))
     if full < n:
         pad = pad[:x.shape[0], :GEMM_COLS]
         pad[:, :n - full] = x[:, full:]
@@ -266,10 +284,11 @@ def _matmul_panel(a, x, out, pad) -> None:
 
 def _panel_moments(f2, lo, hi, half) -> np.ndarray:
     """``[1; c^T] @ f2[:, lo:hi]`` for one :data:`PANEL` of ``(19, N)``
-    columns, in the half's panel buffers: the ``(4, hi - lo)`` rows."""
-    _, _, _, product, work = _panel_buffers(f2.dtype, half)
+    columns, into the first rows of the half's product rows: the
+    ``(4, hi - lo)`` moments.  Overwrites the monomial rows."""
+    monomials, product = _panel_buffers(f2.dtype, half)
     _matmul_panel(_moments_operator(f2.dtype), f2[:, lo:hi], product[:4],
-                  work)
+                  monomials)
     return product[:4, :hi - lo]
 
 
@@ -280,12 +299,13 @@ def _moment_rows(f: np.ndarray, out2: np.ndarray) -> None:
     k = out2.shape[0]
 
     def panel(half, lo, hi):
-        if k == 4 and hi - lo == PANEL:
-            # a full panel's GEMMs land in ``out2`` directly
-            _, _, _, _, work = _panel_buffers(f2.dtype, half)
-            _matmul_panel(_moments_operator(f2.dtype), f2[:, lo:hi],
-                          out2[:, lo:hi], work)
-        else:
+        if k == 4:
+            # the full blocks' GEMMs land in ``out2`` directly
+            full = lo + (hi - lo) // GEMM_COLS * GEMM_COLS
+            _matmul_panel(_moments_operator(f2.dtype), f2[:, lo:full],
+                          out2[:, lo:full], None)
+            lo = full
+        if lo < hi:
             out2[:, lo:hi] = _panel_moments(f2, lo, hi, half)[:k]
 
     _by_panels(f2.shape[1], panel)
@@ -369,30 +389,52 @@ def velocity_from_moments(
 
     ``mom`` is preserved unless passed as ``out`` as well; ``force``
     likewise, so ``out=force`` forms the velocity in the force field's
-    own memory.  ``out`` is C-contiguous.  The floored density
-    ``max(rho, floor)`` is formed one :data:`PANEL` at a time in the
-    process's panel buffer, never lattice-wide; the quotients are the
-    same bits.
+    own memory.  ``out`` is C-contiguous.  The sum and the quotient by
+    the floored density ``max(rho, floor)`` are formed one :data:`PANEL`
+    at a time, the floor and ``F/2`` in the panel rows, never
+    lattice-wide, and from the split threshold in two halves; the
+    quotients are the same bits.
     """
     if out is None:
         out = np.empty(mom.shape, dtype=mom.dtype)
-    if out is mom:
-        if force is not None:
-            out += 0.5 * force
-    elif force is not None:
-        np.multiply(force, 0.5, out=out)
-        out += mom
-    else:
-        out[:] = mom
     out2 = flat_columns(out)
+    mom2 = None if mom is out else np.broadcast_to(mom, out.shape).reshape(
+        out2.shape)
+    force2 = None if force is None else np.broadcast_to(
+        force, out.shape).reshape(out2.shape)
     rho1 = np.broadcast_to(rho, out.shape[1:]).reshape(-1)
     floor = _rho_floor(rho.dtype)
-    buf = _panel_buffers(rho.dtype, 0)[1]
-    for lo in range(0, rho1.size, PANEL):
-        hi = min(lo + PANEL, rho1.size)
-        den = np.maximum(rho1[lo:hi], floor, out=buf[:hi - lo])
-        np.divide(out2[:, lo:hi], den, out=out2[:, lo:hi])
+
+    def panel(half, lo, hi):
+        o = out2[:, lo:hi]
+        if force2 is not None and mom2 is None:
+            half_force = _panel_buffers(force2.dtype, half)[1][1:4, :hi - lo]
+            np.multiply(force2[:, lo:hi], 0.5, out=half_force)
+            np.add(o, half_force, out=o)
+        elif force2 is not None:
+            np.multiply(force2[:, lo:hi], 0.5, out=o)
+            np.add(o, mom2[:, lo:hi], out=o)
+        elif mom2 is not None:
+            o[...] = mom2[:, lo:hi]
+        den = _panel_buffers(rho.dtype, half)[1][0, :hi - lo]
+        np.maximum(rho1[lo:hi], floor, out=den)
+        np.divide(o, den, out=o)
+
+    _by_panels(rho1.size, panel)
     return out
+
+
+def fill_columns(a: np.ndarray, column: np.ndarray) -> None:
+    """``a[:, node] = column`` at every node of a C-contiguous
+    ``(C,) + shape`` array, one :data:`PANEL` at a time and from the
+    split threshold in two halves."""
+    a2 = flat_columns(a)
+    column = np.asarray(column, dtype=a.dtype)[:, None]
+
+    def panel(half, lo, hi):
+        a2[:, lo:hi] = column
+
+    _by_panels(a2.shape[1], panel)
 
 
 def macroscopic(
@@ -462,42 +504,37 @@ def equilibrium(
     rho2 = _node_columns(np.asarray(rho)[None], shape)
     u2 = _node_columns(u, shape)
     op = _operators(dtype)[0]
+    monomials, product = _panel_buffers(dtype, 0)
 
     # GEMM windows: full GEMM_COLS-wide blocks, and for a ragged end the
     # last GEMM_COLS columns again (a column's value does not depend on
     # its place in the window, so the overlap is rewritten unchanged).
     # Fewer columns than one window go through a zero-padded one.
     small = n < GEMM_COLS
-    starts = list(range(0, n - GEMM_COLS + 1, GEMM_COLS))
-    if n % GEMM_COLS and not small:
-        starts.append(n - GEMM_COLS)
     if small:
-        buf = np.empty((_N_PHI + D3Q19.Q) * GEMM_COLS, dtype=dtype)
-        panel = buf[:_N_PHI * GEMM_COLS].reshape(_N_PHI, GEMM_COLS)
-        panel[:, n:] = 0.0
-        product = buf[_N_PHI * GEMM_COLS:].reshape(D3Q19.Q, GEMM_COLS)
-        starts = [0]
-    else:
-        panel = np.empty((_N_PHI, PANEL), dtype=dtype)
-    per_panel = PANEL // GEMM_COLS
-    for p in range(0, len(starts), per_panel):
-        group = starts[p:p + per_panel]
-        lo, hi = group[0], min(group[-1] + GEMM_COLS, n)
-        x = panel[:, :hi - lo]
-        r = rho2[:, lo:hi] if rho2.shape[1] > 1 else rho2
-        v = u2[:, lo:hi] if u2.shape[1] > 1 else u2
+        monomials[:_N_PHI, n:GEMM_COLS] = 0.0
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        # a ragged end's window reaches back into the last panel
+        start = lo if small or hi - lo >= GEMM_COLS else hi - GEMM_COLS
+        x = monomials[:_N_PHI, :hi - start]
+        r = rho2[:, start:hi] if rho2.shape[1] > 1 else rho2
+        v = u2[:, start:hi] if u2.shape[1] > 1 else u2
         x[0] = r[0]
         np.multiply(v, r, out=x[1:4])
         np.multiply(x[1:4], v, out=x[4:7])
         for row, (a, b) in enumerate(_PAIRS, start=7):
             np.multiply(x[1 + a], v[b], out=x[row])
-        for s in group:
-            cols = slice(s - lo, s - lo + GEMM_COLS)
-            if small:
-                np.matmul(op, panel[:, cols], out=product)
-                out2[:] = product[:, :n]
-            else:
-                np.matmul(op, panel[:, cols], out=out2[:, s:s + GEMM_COLS])
+        if small:
+            np.matmul(op, monomials[:_N_PHI, :GEMM_COLS],
+                      out=product[:, :GEMM_COLS])
+            out2[:] = product[:, :n]
+            break
+        full = (hi - start) // GEMM_COLS * GEMM_COLS
+        _matmul_panel(op, x[:, :full], out2[:, start:start + full], None)
+        if start + full < hi:
+            np.matmul(op, x[:, hi - start - GEMM_COLS:],
+                      out=out2[:, hi - GEMM_COLS:hi])
     if copied:
         out[...] = out2.reshape(out.shape)
     return out
@@ -581,20 +618,20 @@ def collide_bgk(
     floor = _rho_floor(f.dtype)
 
     def panel(half, lo, hi):
-        u_buf, den, monomials, product, work = _panel_buffers(f.dtype, half)
+        monomials, product = _panel_buffers(f.dtype, half)
         sl = slice(lo, hi)
         w = hi - lo
-        # columns the GEMM pieces cover: w rounded up, the excess zeroed
-        padded = -(-w // GEMM_COLS) * GEMM_COLS
-        monomials[:, w:padded] = 0.0
-        x = monomials[:, :w]
         if rho2 is None:
-            # in ``product``, which is free until the collide GEMM
+            # in the product rows, free until the collide GEMM
             rm = _panel_moments(f2, lo, hi, half)
             r, m = rm[0], rm[1:]
         else:
             r, m = rho2[sl], mom2[:, sl]
-        u, d = u_buf[:, :w], den[:w]
+        # columns the GEMM blocks cover: w rounded up, the excess zeroed
+        padded = -(-w // GEMM_COLS) * GEMM_COLS
+        monomials[:, w:padded] = 0.0
+        x = monomials[:, :w]
+        u, d, t = product[4:7, :w], product[7, :w], product[8, :w]
         fp = None
         if force2 is not None and bool(force2[:, sl].any()):
             fp = force2[:, sl]
@@ -616,14 +653,13 @@ def collide_bgk(
             psi = x[_N_PHI:]
             psi[0:3] = fp
             np.multiply(u, fp, out=psi[3:6])
-            t = work[0, :w]
             for row, (a, b) in enumerate(_PAIRS, start=6):
                 np.multiply(u[a], fp[b], out=psi[row])
                 np.multiply(u[b], fp[a], out=t)
                 np.add(psi[row], t, out=psi[row])
 
         if tau_field:
-            # den is free again: it carries omega, then (1 - omega).
+            # d is free again: it carries omega, then (1 - omega).
             np.divide(1.0, tau2[sl], out=d)
             np.multiply(x[:_N_PHI], d, out=x[:_N_PHI])
             if fp is not None:
@@ -632,20 +668,21 @@ def collide_bgk(
                 np.multiply(psi, t, out=psi)
             np.subtract(1.0, d, out=d)
 
-        # (1 - omega) f first, so that ``out`` may alias ``f``; a full
-        # panel's GEMM then lands in ``out`` directly.
+        op = op_phi if fp is None else op_full
+        x_rows = monomials[:op.shape[1]]
         if relax:
-            np.multiply(f2[:, sl], d if tau_field else keep, out=work[:, :w])
-        target = out2[:, sl] if w == PANEL else product
-        if fp is None:
-            op, x_rows = op_phi, monomials[:_N_PHI]
+            # (1 - omega) f into ``out`` first, so that ``out`` may alias
+            # ``f``; the GEMM overwrites the product rows, then is added.
+            np.multiply(f2[:, sl], d if tau_field else keep, out=out2[:, sl])
+            _matmul_panel(op, x_rows[:, :padded], product, None)
+            np.add(out2[:, sl], product[:, :w], out=out2[:, sl])
         else:
-            op, x_rows = op_full, monomials
-        _matmul_panel(op, x_rows[:, :padded], target, None)
-        if relax:
-            np.add(target[:, :w], work[:, :w], out=out2[:, sl])
-        elif w < PANEL:
-            out2[:, sl] = product[:, :w]
+            # the full blocks' GEMMs land in ``out`` directly
+            full = w - w % GEMM_COLS
+            _matmul_panel(op, x_rows[:, :full], out2[:, lo:lo + full], None)
+            if full < w:
+                _matmul_panel(op, x_rows[:, full:padded], product, None)
+                out2[:, lo + full:hi] = product[:, :w - full]
 
     _by_panels(f2.shape[1], panel)
 

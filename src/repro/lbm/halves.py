@@ -1,12 +1,15 @@
 """Two halves of a lattice-sized pass: one on the calling thread, one on a
 persistent helper thread.
 
-The collide panel loop, the ``[1; c^T]`` moment GEMM and the pull stream
-(:mod:`repro.lbm.collision`, :mod:`repro.lbm.streaming`) each cut a large
-pass into two halves and run them side by side with :func:`run_halves`.
-Each half makes only NumPy/BLAS calls, on its own columns (or population
-rows) and its own panel buffers; those calls release the GIL, so the
-halves run on two CPUs.  Every column goes through the same calls it
+The collide panel loop, the ``[1; c^T]`` moment GEMM, the Guo velocity,
+the force reset and the pull stream (:mod:`repro.lbm.collision`,
+:mod:`repro.lbm.streaming`) each cut a large pass into two halves and
+run them side by side with :func:`run_halves`.  Each half makes only
+NumPy/BLAS calls, on its own columns (or population rows) and its own
+panel buffers; those calls release the GIL, so the halves run on two
+CPUs.  The fewer and the longer the calls, the less often the halves
+hand the GIL to each other: a panel is 12,288 columns, and its GEMM
+blocks go to BLAS in one call.  Every column goes through the same calls it
 would inline, so the result is the same bits whether a pass is split or
 not (docs/performance.md, "Lattice halves on every CPU").
 
@@ -40,10 +43,11 @@ from typing import Callable
 import numpy as np
 
 #: Fewest full collide panels (``collision.PANEL`` columns each) a pass
-#: spans before it is split (24 panels: 98,304 nodes).  From the measured inline-vs-split crossover on
-#: the 2-CPU reference box (docs/performance.md): below it the hand-off
-#: and the shared memory bandwidth eat the second CPU's gain.
-SPLIT_PANELS = 24
+#: spans before it is split (8 panels of 12,288: 98,304 nodes).  From the
+#: measured inline-vs-split crossover on the 2-CPU reference box
+#: (docs/performance.md): below it the hand-off and the shared memory
+#: bandwidth eat the second CPU's gain.
+SPLIT_PANELS = 8
 
 #: Halves in use, once known: 1 or 2 (at most two have been measured).
 _halves: int | None = None
@@ -67,16 +71,19 @@ def lattice_halves() -> int:
     return _halves
 
 
-def split_column(n: int, panel: int) -> int | None:
-    """First column of the second half of an ``n``-column pass cut at a
-    ``panel`` boundary, or ``None`` when the pass runs inline.
+def split_column(n: int, panel: int, block: int) -> int | None:
+    """First column of the second half of an ``n``-column pass of
+    ``panel``-wide panels, cut at a ``block`` boundary, or ``None`` when
+    the pass runs inline.
 
-    The first half (the calling thread's) gets the extra panel of an odd
-    count; the second half ends with the ragged last panel.
+    The first half (the calling thread's) gets the extra block of an odd
+    count; the second half ends with the ragged last block.  So the
+    halves differ by at most one block plus the ragged tail, whatever
+    the panel width.
     """
     if n // panel < SPLIT_PANELS or lattice_halves() < 2:
         return None
-    return (-(-n // panel) + 1) // 2 * panel
+    return (-(-n // block) + 1) // 2 * block
 
 
 class _Helper:

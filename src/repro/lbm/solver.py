@@ -22,7 +22,8 @@ through the grid (:meth:`~repro.lbm.grid.Grid.write_columns` or
 :meth:`~repro.lbm.grid.Grid.mark_f_modified`; all in-repo writers do).
 
 On a lattice of ``halves.SPLIT_PANELS`` panels or more, the collide, the
-moment GEMM and the stream each run as two halves on two CPUs
+moment GEMM, the Guo velocity and the stream each run as two halves on
+two CPUs
 (:mod:`repro.lbm.halves`), inside the kernels; the step is the same bits
 either way.
 """

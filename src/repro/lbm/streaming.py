@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collision import PANEL
+from .collision import GEMM_COLS, PANEL
 from .halves import run_halves, split_column
 from .lattice import D3Q19
 
@@ -120,7 +120,7 @@ def stream_pull(f_post: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
             for (dst, _), values in zip(_SEAMS[i], sources):
                 dst_i[dst] = values
 
-    if split_column(n, PANEL) is None:
+    if split_column(n, PANEL, GEMM_COLS) is None:
         directions(0, 1)
     else:
         run_halves(lambda: directions(0, 2), lambda: directions(1, 2))

@@ -43,9 +43,11 @@ def _stepper(shape=(40, 40, 40)):
 @pytest.mark.parametrize("split", [False, True])
 def test_cell_laden_step_allocates_nothing_lattice_sized(monkeypatch, split):
     if split:
-        # Every marker pass of the 324 markers in two halves.
+        # Every marker pass of the 324 markers in two halves, and every
+        # lattice pass (collide, stream, moments, velocity, force reset).
         monkeypatch.setattr(coupling, "WEIGHT_CHUNK", 64)
         monkeypatch.setattr(coupling, "SPLIT_MARKERS", 1)
+        monkeypatch.setattr(halves, "SPLIT_PANELS", 1)
         monkeypatch.setattr(halves, "_halves", 2)
     st = _stepper()
     # The first steps allocate what the step keeps: the moment cache,

@@ -463,3 +463,31 @@ def test_chunked_pairs_over_several_default_chunks():
     want_i, want_j = _unchunked_pairs(points, labels, 1.0)
     assert len(i) > 0
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def test_pairs_of_a_sparse_cloud_take_scratch_that_follows_the_points():
+    """Clusters far apart in a box of about 10^7 bins, over 1,000 times
+    the points: the neighbour lookup searches the occupied bins, so the
+    traced scratch is bytes per point, not an index over the box.  The
+    pairs stay those of the unchunked search."""
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    centres = rng.uniform(0.0, 200.0, size=(12, 3))
+    points = np.concatenate([c + 5.0 * rng.uniform(size=(250, 3))
+                             for c in centres])
+    labels = rng.integers(0, 40, size=len(points))
+    radius = 0.9
+    box = np.prod(np.ptp(points, axis=0) / radius + 3)
+    assert box > 1000 * len(points)
+
+    tracemalloc.start()
+    try:
+        i, j = inter_label_pairs(points, labels, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(i) > 0
+    assert peak <= 4096 * len(points), f"{peak / len(points):.0f} B per point"
+    want_i, want_j = _unchunked_pairs(points, labels, radius)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.lbm import D3Q19, BounceBackWalls, Grid, LBMSolver, halves
 from repro.lbm.collision import (
+    GEMM_COLS,
     PANEL,
     CollisionScratch,
     collide_bgk,
@@ -25,9 +26,9 @@ from repro.lbm.collision import (
 )
 from repro.lbm.streaming import stream_pull
 
-#: 3 panels with a ragged last one (9240 = 2 * 4096 + 1048), and exactly
-#: 2 full panels.
-SHAPES = [(20, 21, 22), (16, 16, 32)]
+#: 4 panels with a ragged last one (39,270 = 3 * 12,288 + 2,406), and
+#: exactly 2 full panels.
+SHAPES = [(33, 34, 35), (16, 16, 96)]
 DTYPES = [np.float64, np.float32]
 
 
@@ -76,11 +77,27 @@ def _tau(kind, shape, dtype):
 def test_pass_splits_only_from_the_panel_threshold(monkeypatch):
     monkeypatch.setattr(halves, "_halves", 2)
     n = halves.SPLIT_PANELS * PANEL
-    assert halves.split_column(n - 1, PANEL) is None
-    mid = halves.split_column(n + 1000, PANEL)
-    assert mid % PANEL == 0 and 0 < mid < n + 1000
+    assert n == 98_304
+    assert halves.split_column(n - 1, PANEL, GEMM_COLS) is None
+    mid = halves.split_column(n + 1000, PANEL, GEMM_COLS)
+    assert mid % GEMM_COLS == 0 and 0 < mid < n + 1000
     monkeypatch.setattr(halves, "_halves", 1)
-    assert halves.split_column(10 * n, PANEL) is None
+    assert halves.split_column(10 * n, PANEL, GEMM_COLS) is None
+
+
+@pytest.mark.parametrize("n", [98_304, 98_305, 100_351, 117_649, 262_144,
+                               262_144 + 3 * GEMM_COLS + 5])
+def test_halves_differ_by_at_most_one_block_and_the_ragged_tail(
+        monkeypatch, n):
+    """Cut at a GEMM block boundary, the halves stay balanced at any
+    panel width: the 49^3 window splits 59,392 / 58,257, not at a panel
+    boundary."""
+    monkeypatch.setattr(halves, "_halves", 2)
+    mid = halves.split_column(n, PANEL, GEMM_COLS)
+    assert mid % GEMM_COLS == 0
+    assert 0 <= mid - (n - mid) <= GEMM_COLS + (-n % GEMM_COLS)
+    if n == 117_649:
+        assert (mid, n - mid) == (59_392, 58_257)
 
 
 def test_lattice_halves_follow_the_cpu_affinity(monkeypatch):
@@ -136,30 +153,33 @@ def test_collide_in_panel_moments_equal_cached(split, dtype, tau, forced, on):
     assert np.array_equal(own, handed)
 
 
+#: A lattice whose x-slab ``_SLAB`` is ``SHAPES[0]``: strided views.
+_BIG = (SHAPES[0][0] + 4,) + SHAPES[0][1:]
+_SLAB = (slice(None), slice(2, 2 + SHAPES[0][0]))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("on", [False, True])
 def test_collide_in_panel_moments_on_strided_slab_views(split, dtype, on):
-    big = (24, 21, 22)
-    slab = (slice(None), slice(2, 22))
+    big, slab = _BIG, _SLAB
     force = _force(big, dtype)[slab]
-    tau = _tau("field", big, dtype)[2:22]
+    tau = _tau("field", big, dtype)[slab[1]]
     f = _populations(big, dtype)
     rho, mom = moments(f)
     split(on)
     own, handed = f.copy(), f.copy()
     collide_bgk(own[slab], tau, force, out=own[slab])
     collide_bgk(handed[slab], tau, force, out=handed[slab],
-                moments_in=(rho[2:22], mom[slab]))
+                moments_in=(rho[slab[1]], mom[slab]))
     assert np.array_equal(own, handed)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_collide_split_on_strided_slab_views(split, dtype):
     """``f``, ``out``, force and τ as slabs of a larger lattice."""
-    big = (24, 21, 22)
-    slab = (slice(None), slice(2, 22))
+    big, slab = _BIG, _SLAB
     force = _force(big, dtype)[slab]
-    tau = _tau("field", big, dtype)[2:22]
+    tau = _tau("field", big, dtype)[slab[1]]
 
     def run():
         f = _populations(big, dtype)

@@ -14,7 +14,7 @@ from repro.lbm import (
     PressureOutlet,
     VelocityInlet,
 )
-from repro.lbm.collision import _panel_buffers, macroscopic
+from repro.lbm.collision import PANEL, _panel_buffers, macroscopic
 from repro.telemetry import Telemetry, active
 
 from .reference_bodies import two_buffer_step
@@ -212,7 +212,7 @@ def test_lattices_sharing_panel_scratch_step_as_if_alone():
     lattices of either dtype and of different shapes (several panels
     with a ragged end, less than one GEMM panel) stepped in turn give
     the bits of each stepped on its own."""
-    specs = [((17, 16, 19), np.float64, 0.8),
+    specs = [((30, 29, 31), np.float64, 0.8),
              ((10, 11, 12), np.float64, "field"),
              ((13, 14, 15), np.float32, 0.9)]
 
@@ -228,7 +228,8 @@ def test_lattices_sharing_panel_scratch_step_as_if_alone():
         for s in in_turn:
             s.step()
     f64, f32 = (_panel_buffers(np.dtype(t), 0) for t in (np.float64, np.float32))
-    assert f64[4] is not f32[4] and f32[4].dtype == np.float32
+    assert f64[1] is not f32[1] and f32[1].dtype == np.float32
+    assert np.prod(specs[0][0]) > 2 * PANEL
     for s, t in zip(alone, in_turn):
         assert t.grid.f.dtype == s.grid.f.dtype
         assert np.array_equal(t.grid.f, s.grid.f)
